@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint staticcheck staticcheck-baseline bench bench-cache bench-serving bench-resilience bench-sqlengine bench-multitenant bench-agents verify docs-check trace-demo
+.PHONY: test lint staticcheck staticcheck-baseline bench bench-cache bench-serving bench-resilience bench-sqlengine bench-multitenant bench-agents bench-e2e-smoke verify docs-check trace-demo
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -52,6 +52,15 @@ bench-multitenant:
 bench-agents:
 	$(PYTHON) -m pytest benchmarks/bench_agents.py -q
 
+# The full-stack benchmark's unit tests plus one quick, verified run of
+# its four workloads: the only place agenerate/astream/ahandle run
+# under the production configuration with their output checked, so a
+# sync/async pair that drifts fails here rather than in the next
+# benchmark run.
+bench-e2e-smoke:
+	$(PYTHON) -m pytest benchmarks/e2e -q
+	$(PYTHON) -m benchmarks.e2e --quick --seed 1
+
 # Validate that every relative link in the documentation resolves.
 docs-check:
 	$(PYTHON) -m repro.doccheck README.md docs
@@ -63,5 +72,6 @@ trace-demo:
 # The repo self-check: static analysis over the examples and the
 # source tree itself, doc link integrity, one traced end-to-end
 # request, tier-1, then the cache, serving, resilience, sql engine,
-# multi-tenant isolation and agent-plan chaos smokes.
-verify: lint staticcheck docs-check trace-demo test bench-cache bench-serving bench-resilience bench-sqlengine bench-multitenant bench-agents
+# multi-tenant isolation and agent-plan chaos smokes and the
+# full-stack benchmark smoke.
+verify: lint staticcheck docs-check trace-demo test bench-cache bench-serving bench-resilience bench-sqlengine bench-multitenant bench-agents bench-e2e-smoke

@@ -109,38 +109,6 @@ def test_multi_model_isolation():
     assert set(client.models()) == {"chat", "sql-coder"}
 
 
-def test_autoscaler_tracks_bursty_load():
-    """Replica count follows the load curve: burst up, idle down."""
-    from repro.smmf.autoscaler import AutoScaler, AutoScalerConfig
-
-    spec = ModelSpec("chat", lambda: ChatModel("chat"), replicas=1)
-    controller, client = deploy([spec])
-    scaler = AutoScaler(
-        controller,
-        spec,
-        AutoScalerConfig(
-            min_replicas=1, max_replicas=4,
-            high_watermark=8, low_watermark=2, step=1,
-        ),
-    )
-    timeline = []
-    bursts = [30, 30, 30, 0, 0, 0]
-    for window, burst in enumerate(bursts):
-        for index in range(burst):
-            client.generate("chat", f"w{window}r{index}", task="chat")
-        decision = scaler.evaluate()
-        timeline.append((burst, decision.replicas, decision.action))
-
-    print("\n=== P2: autoscaler timeline (requests -> replicas) ===")
-    for burst, replicas, action in timeline:
-        print(f"  load={burst:3d} replicas={replicas} ({action})")
-
-    peak = max(replicas for _b, replicas, _a in timeline)
-    final = timeline[-1][1]
-    assert peak >= 3, "burst should scale the pool up"
-    assert final == 1, "idle windows should scale back to the floor"
-
-
 def test_serving_throughput(benchmark):
     _controller, client = make_stack(RoundRobinBalancer())
 

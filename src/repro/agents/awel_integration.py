@@ -27,9 +27,7 @@ behind one another.
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import copy
-import functools
 import itertools
 import json
 from typing import Any, Optional, Sequence
@@ -263,14 +261,6 @@ class PlanStageOperator(Operator):
         state["reply"] = reply
         return state
 
-    async def _offload(self, fn, *args):
-        """Run blocking work on the executor with the span context."""
-        loop = asyncio.get_running_loop()
-        call = functools.partial(fn, *args)
-        return await loop.run_in_executor(
-            None, contextvars.copy_context().run, call
-        )
-
 
 class SchemaLinkOperator(PlanStageOperator):
     """Stage 1 of a chart step: archive the request, link the schema.
@@ -309,24 +299,9 @@ class SchemaLinkOperator(PlanStageOperator):
         )
         self.agent.memory.append(request)
         state: dict = {"step": step.step, "request": request, "reply": None}
-        if self.agent.use_recall:
-            recalled = self.agent.memory.recall_similar(
-                request.content, sender=self.agent.name
-            )
-            if recalled is not None:
-                reply = AgentMessage(
-                    sender=self.agent.name,
-                    recipient=request.sender,
-                    content=recalled.content,
-                    conversation_id=request.conversation_id,
-                    round=request.round,
-                    metadata={
-                        **recalled.metadata,
-                        "recalled_from": recalled.message_id,
-                        "request": request.content,
-                    },
-                )
-                return self._archive_reply(state, reply)
+        recalled = self.agent._recalled(request)
+        if recalled is not None:
+            return self._archive_reply(state, recalled)
         link = self.agent.link_schema(request)
         if not link["ok"]:
             return self._archive_reply(
@@ -377,7 +352,7 @@ class ExecuteOperator(PlanStageOperator):
         state = inputs[0]
         if state["reply"] is not None:
             return state
-        state["result"] = await self._offload(
+        state["result"] = await asyncio.to_thread(
             self.agent.execute_chart, state["link"], state["sql"]
         )
         return state

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import abc
 import asyncio
-import contextvars
-import functools
 from typing import Any, Optional
 
 from repro.agents.memory import AgentMemory
@@ -77,26 +75,33 @@ class ConversableAgent(Agent):
         self.memory.append(reply)
         return reply
 
+    def _recalled(self, message: AgentMessage) -> Optional[AgentMessage]:
+        """The archived answer to a similar earlier request, re-addressed
+        as the reply to ``message`` — or ``None`` (recall disabled or no
+        match), in which case the caller generates a fresh reply."""
+        if not self.use_recall:
+            return None
+        recalled = self.memory.recall_similar(
+            message.content, sender=self.name
+        )
+        if recalled is None:
+            return None
+        return AgentMessage(
+            sender=self.name,
+            recipient=message.sender,
+            content=recalled.content,
+            conversation_id=message.conversation_id,
+            round=message.round,
+            metadata={
+                **recalled.metadata,
+                "recalled_from": recalled.message_id,
+                "request": message.content,
+            },
+        )
+
     def receive(self, message: AgentMessage) -> AgentMessage:
         """Handle an inbound message, consulting the archive first."""
-        if self.use_recall:
-            recalled = self.memory.recall_similar(
-                message.content, sender=self.name
-            )
-            if recalled is not None:
-                return AgentMessage(
-                    sender=self.name,
-                    recipient=message.sender,
-                    content=recalled.content,
-                    conversation_id=message.conversation_id,
-                    round=message.round,
-                    metadata={
-                        **recalled.metadata,
-                        "recalled_from": recalled.message_id,
-                        "request": message.content,
-                    },
-                )
-        return self.generate_reply(message)
+        return self._recalled(message) or self.generate_reply(message)
 
     def reply_to(
         self,
@@ -121,68 +126,45 @@ class ConversableAgent(Agent):
         concurrent agent branches never block the event loop — their
         LLM calls land in the serving scheduler together and coalesce
         into shared batches."""
-        if self.use_recall:
-            recalled = self.memory.recall_similar(
-                message.content, sender=self.name
-            )
-            if recalled is not None:
-                return AgentMessage(
-                    sender=self.name,
-                    recipient=message.sender,
-                    content=recalled.content,
-                    conversation_id=message.conversation_id,
-                    round=message.round,
-                    metadata={
-                        **recalled.metadata,
-                        "recalled_from": recalled.message_id,
-                        "request": message.content,
-                    },
-                )
-        return await self.agenerate_reply(message)
+        return self._recalled(message) or await self.agenerate_reply(
+            message
+        )
 
     async def agenerate_reply(self, message: AgentMessage) -> AgentMessage:
         """Async reply generation.
 
-        The default offloads the synchronous :meth:`generate_reply` to
-        the loop's executor (propagating the caller's context so spans
-        stay parented), which keeps every agent awaitable; agents with
-        natively-async work override this instead.
+        The default runs the synchronous :meth:`generate_reply` off the
+        loop (``asyncio.to_thread`` carries the caller's context so
+        spans stay parented), which keeps every agent awaitable; agents
+        with natively-async work override this instead.
         """
-        loop = asyncio.get_running_loop()
-        call = functools.partial(self.generate_reply, message)
-        return await loop.run_in_executor(
-            None, contextvars.copy_context().run, call
-        )
+        return await asyncio.to_thread(self.generate_reply, message)
 
     # -- LLM access --------------------------------------------------------
 
-    def ask_llm(self, prompt: str, task: Optional[str] = None) -> str:
+    def _bound_llm(self, task: Optional[str]) -> Any:
         if self.llm_client is None or self.model is None:
             raise AgentError(
                 f"agent {self.name!r} has no LLM binding for task {task!r}"
             )
-        return self.llm_client.generate(self.model, prompt, task=task)
+        return self.llm_client
+
+    def ask_llm(self, prompt: str, task: Optional[str] = None) -> str:
+        return self._bound_llm(task).generate(self.model, prompt, task=task)
 
     async def aask_llm(self, prompt: str, task: Optional[str] = None) -> str:
         """Async :meth:`ask_llm`, routed through the serving engine.
 
         With the continuous-batching scheduler mounted the call goes
         through its ``aschedule`` path end-to-end (no thread parked per
-        agent); otherwise the blocking round trip runs on the loop's
-        executor. Either way concurrent agents submit together and
-        share batches.
+        agent); a client without ``agenerate`` has its blocking round
+        trip run off the loop. Either way concurrent agents submit
+        together and share batches.
         """
-        if self.llm_client is None or self.model is None:
-            raise AgentError(
-                f"agent {self.name!r} has no LLM binding for task {task!r}"
-            )
-        agenerate = getattr(self.llm_client, "agenerate", None)
+        client = self._bound_llm(task)
+        agenerate = getattr(client, "agenerate", None)
         if agenerate is not None:
             return await agenerate(self.model, prompt, task=task)
-        loop = asyncio.get_running_loop()
-        call = functools.partial(
-            self.llm_client.generate, self.model, prompt, task=task
-        )
-        return await loop.run_in_executor(
-            None, contextvars.copy_context().run, call
+        return await asyncio.to_thread(
+            client.generate, self.model, prompt, task=task
         )

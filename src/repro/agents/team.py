@@ -12,9 +12,6 @@ children.
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
-import contextvars
 import copy
 import os
 import random
@@ -32,7 +29,7 @@ from repro.cache.keys import instance_token
 from repro.datasources.base import DataSource
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
-from repro.runtime import perf_clock
+from repro.runtime import perf_clock, run_sync
 from repro.smmf.client import ClientError
 from repro.viz.dashboard import Dashboard
 
@@ -143,18 +140,9 @@ class DataAnalysisTeam:
         """Execute the full Figure 3 flow for ``goal``.
 
         Synchronous wrapper over :meth:`arun`; safe to call from inside
-        a running event loop (the run then executes on a private loop
-        in a worker thread, carrying the caller's trace context).
+        a running event loop (see :func:`repro.runtime.run_sync`).
         """
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            return asyncio.run(self.arun(goal))
-        context = contextvars.copy_context()
-        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
-            return pool.submit(
-                context.run, asyncio.run, self.arun(goal)
-            ).result()
+        return run_sync(self.arun(goal))
 
     async def arun(self, goal: str) -> AnalysisReport:
         """Async analysis run — concurrent teams share serving batches."""

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
-import contextvars
 from typing import Any, Optional
 
 from repro.awel.dag import DAG, DAGContext
@@ -22,7 +20,7 @@ from repro.awel.operators import (
 )
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
-from repro.runtime import perf_clock
+from repro.runtime import perf_clock, run_sync
 
 #: Operators whose execution produces or consumes lazy streams; their
 #: spans are tagged ``mode=stream`` (everything else is ``batch``).
@@ -164,19 +162,9 @@ class WorkflowRunner:
         Safe to call from inside a running event loop too (an operator
         of one DAG synchronously invoking another workflow — e.g. an
         app whose ``chat`` runs a pipeline, itself wrapped as an AWEL
-        operator): the nested workflow then executes on a private loop
-        in a worker thread, with the caller's context carried over so
-        its spans stay parented to the enclosing trace.
+        operator); see :func:`repro.runtime.run_sync`.
         """
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            return asyncio.run(self.run_async(payload))
-        context = contextvars.copy_context()
-        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
-            return pool.submit(
-                context.run, asyncio.run, self.run_async(payload)
-            ).result()
+        return run_sync(self.run_async(payload))
 
 
 def _mark_branch_skipped(

@@ -149,7 +149,9 @@ class MultiSourceKnowledge:
         if len(names) == 1 or self._fanout_width == 1:
             return {name: run(name) for name in names}
         # One context copy per task, made in the calling thread: a
-        # single Context cannot be entered concurrently.
+        # single Context cannot be entered concurrently, and
+        # ``asyncio.to_thread`` on the shared loop would copy the loop
+        # thread's context instead of the caller's.
         contexts = {
             name: contextvars.copy_context() for name in names
         }

@@ -11,9 +11,11 @@ deterministic without a real sleep anywhere.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import itertools
 import random
 import time
-from typing import Awaitable, Callable, Optional, TypeVar
+from typing import Awaitable, Callable, Iterator, Optional, TypeVar
 
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
@@ -68,6 +70,38 @@ class RetryPolicy:
             delay = max(delay, hint)
         return delay
 
+    @contextlib.contextmanager
+    def _backoff(
+        self,
+        exc: BaseException,
+        classify: Classifier,
+        attempt: int,
+        waited: float,
+        on_retry: Optional[Callable[[int, float], None]],
+    ) -> Iterator[float]:
+        """Every decision about one failed attempt, shared by
+        :meth:`run` and :meth:`arun`: re-raise ``exc`` unchanged when
+        it is not retryable or attempts/budget have run out; otherwise
+        count the retry and yield the delay to wait inside the
+        ``smmf.retry`` span."""
+        retryable, hint = classify(exc)
+        if not retryable or attempt >= self.config.max_attempts:
+            raise exc
+        delay = self.delay(attempt, hint)
+        budget = self.config.budget_s
+        if budget is not None and waited + delay > budget:
+            raise exc
+        _retry_counter().inc(layer=self.layer, error=type(exc).__name__)
+        with get_tracer().span(
+            "smmf.retry",
+            layer=self.layer,
+            attempt=attempt,
+            delay_s=round(delay, 4),
+        ):
+            if on_retry is not None:
+                on_retry(attempt, delay)
+            yield delay
+
     def run(
         self,
         fn: Callable[[], T],
@@ -82,32 +116,15 @@ class RetryPolicy:
         counted (``resilience_retries_total``) and wrapped in an
         ``smmf.retry`` span carrying the attempt number and delay.
         """
-        attempt = 0
         waited = 0.0
-        while True:
-            attempt += 1
+        for attempt in itertools.count(1):
             try:
                 return fn()
             except BaseException as exc:  # noqa: BLE001 - reclassified
-                retryable, hint = classify(exc)
-                if not retryable or attempt >= self.config.max_attempts:
-                    raise
-                delay = self.delay(attempt, hint)
-                budget = self.config.budget_s
-                if budget is not None and waited + delay > budget:
-                    raise
-                waited += delay
-                _retry_counter().inc(
-                    layer=self.layer, error=type(exc).__name__
-                )
-                with get_tracer().span(
-                    "smmf.retry",
-                    layer=self.layer,
-                    attempt=attempt,
-                    delay_s=round(delay, 4),
-                ):
-                    if on_retry is not None:
-                        on_retry(attempt, delay)
+                with self._backoff(
+                    exc, classify, attempt, waited, on_retry
+                ) as delay:
+                    waited += delay
                     self._sleep(delay)
 
     async def arun(
@@ -116,38 +133,21 @@ class RetryPolicy:
         classify: Classifier,
         on_retry: Optional[Callable[[int, float], None]] = None,
     ) -> T:
-        """Async twin of :meth:`run` — ``fn`` is awaited each attempt.
+        """:meth:`run` for an awaitable ``fn``: the same decisions
+        (:meth:`_backoff`), awaited instead of blocked on.
 
-        The backoff sleep runs on the loop's default executor, so a
-        retrying caller never blocks the event loop, and an injected
+        The backoff sleep runs off the loop (``asyncio.to_thread``), so
+        a retrying caller never blocks the event loop, and an injected
         logical-clock ``sleep`` keeps async retry tests deterministic
         exactly like the sync path.
         """
-        attempt = 0
         waited = 0.0
-        loop = asyncio.get_running_loop()
-        while True:
-            attempt += 1
+        for attempt in itertools.count(1):
             try:
                 return await fn()
             except BaseException as exc:  # noqa: BLE001 - reclassified
-                retryable, hint = classify(exc)
-                if not retryable or attempt >= self.config.max_attempts:
-                    raise
-                delay = self.delay(attempt, hint)
-                budget = self.config.budget_s
-                if budget is not None and waited + delay > budget:
-                    raise
-                waited += delay
-                _retry_counter().inc(
-                    layer=self.layer, error=type(exc).__name__
-                )
-                with get_tracer().span(
-                    "smmf.retry",
-                    layer=self.layer,
-                    attempt=attempt,
-                    delay_s=round(delay, 4),
-                ):
-                    if on_retry is not None:
-                        on_retry(attempt, delay)
-                    await loop.run_in_executor(None, self._sleep, delay)
+                with self._backoff(
+                    exc, classify, attempt, waited, on_retry
+                ) as delay:
+                    waited += delay
+                    await asyncio.to_thread(self._sleep, delay)

@@ -1,4 +1,5 @@
-"""Process-wide injectable time and randomness sources.
+"""Process-wide injectable time and randomness sources, and the one
+thread↔loop bridge (:func:`run_sync`).
 
 Every layer that needs "what time is it" or "give me randomness" goes
 through this module instead of calling :mod:`time` / :mod:`random`
@@ -23,9 +24,14 @@ inline calls are funneled through here.
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
+import contextvars
 import random
 import time
-from typing import Callable, Optional
+from typing import Any, Callable, Coroutine, Optional, TypeVar
+
+T = TypeVar("T")
 
 Clock = Callable[[], float]
 
@@ -81,3 +87,23 @@ def default_rng(seed: int = 0) -> random.Random:
     while every production wiring path still injects its own rng.
     """
     return random.Random(seed)
+
+
+def run_sync(coro: Coroutine[Any, Any, T]) -> T:
+    """Run ``coro`` to completion from synchronous code.
+
+    The one sync shim over every async call path (``WorkflowRunner.run``,
+    ``DataAnalysisTeam.run``). With no loop running it is ``asyncio.run``
+    on the caller's thread. Called from inside a running loop (an
+    operator of one DAG synchronously invoking another workflow) the
+    coroutine runs on a private loop in a helper thread, with the
+    caller's context carried over so its spans stay parented to the
+    enclosing trace.
+    """
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return asyncio.run(coro)
+    context = contextvars.copy_context()
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(context.run, asyncio.run, coro).result()

@@ -470,7 +470,8 @@ class RequestScheduler:
         task.add_done_callback(self._tasks.discard)
 
     async def _in_executor(self, fn, *args):
-        """Run blocking work on the bounded step executor."""
+        """Run blocking work on the engine's own bounded step executor
+        (``asyncio.to_thread`` only reaches the loop's default pool)."""
         with self._lock:
             executor = self._executor
         return await asyncio.get_running_loop().run_in_executor(

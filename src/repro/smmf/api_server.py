@@ -13,13 +13,15 @@ import contextvars
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.llm.base import GenerationRequest, LLMError
 from repro.serving.scheduler import (
     DeadlineExceeded,
     SchedulerClosed,
     SchedulerOverloaded,
+    StreamCancelled,
+    StreamClosed,
 )
 from repro.smmf.controller import ModelController, SmmfError
 
@@ -57,20 +59,56 @@ class ApiStreamResponse:
     chunks: Optional[Any] = None
 
 
-async def _drain_in_executor(chunks: Iterator[str]):
-    """Adapt a sync chunk iterator to async without blocking the loop."""
+async def _drain_in_executor(
+    open_chunks: Callable[..., Iterator[str]], *args: Any
+):
+    """Adapt a sync chunk stream to async without blocking the loop.
+
+    The stream is opened, pulled and closed on the default executor
+    inside one ``Context`` held for the stream's life: the worker's
+    generator enters spans whose ``ContextVar`` tokens must be reset
+    in the context that set them, which ``asyncio.to_thread``'s fresh
+    copy per hop would break.
+    """
     loop = asyncio.get_running_loop()
+    context = contextvars.copy_context()
     sentinel = object()
+    chunks = await loop.run_in_executor(
+        None, context.run, open_chunks, *args
+    )
     try:
         while True:
-            chunk = await loop.run_in_executor(None, next, chunks, sentinel)
+            chunk = await loop.run_in_executor(
+                None, context.run, next, chunks, sentinel
+            )
             if chunk is sentinel:
                 return
             yield chunk
     finally:
         close = getattr(chunks, "close", None)
         if close is not None:
-            await loop.run_in_executor(None, close)
+            await loop.run_in_executor(None, context.run, close)
+
+
+class _InvalidRequest(Exception):
+    """The request body cannot be turned into a generation request."""
+
+
+#: ``(exception class, HTTP status, stable code)``, first match wins.
+_ERROR_STATUS = (
+    (_InvalidRequest, 400, "invalid_request"),
+    (SchedulerOverloaded, 429, "scheduler_overloaded"),
+    (DeadlineExceeded, 504, "deadline_exceeded"),
+    # 499: the nginx convention for "client closed the request".
+    (StreamCancelled, 499, "client_cancelled"),
+    (StreamClosed, 503, "stream_closed"),
+    (SchedulerClosed, 503, "scheduler_closed"),
+    (SmmfError, 503, "smmf_unavailable"),
+    (LLMError, 422, "llm_error"),
+)
+
+#: The one route with an awaitable fast path (see ``ApiServer.ahandle``).
+_GENERATE_ROUTE = ("POST", "/v1/generate")
 
 
 class ApiServer:
@@ -81,7 +119,7 @@ class ApiServer:
 
     def handle(self, request: ApiRequest) -> ApiResponse:
         route = (request.method.upper(), request.path)
-        if route == ("POST", "/v1/generate"):
+        if route == _GENERATE_ROUTE:
             return self._generate(request.body)
         if route == ("GET", "/v1/models"):
             return ApiResponse(200, {"models": self.controller.models()})
@@ -104,20 +142,11 @@ class ApiServer:
     @staticmethod
     def _parse_generation(
         body: dict[str, Any],
-    ) -> tuple[
-        Optional[tuple[str, GenerationRequest, Optional[float]]],
-        Optional[ApiResponse],
-    ]:
+    ) -> tuple[str, GenerationRequest, Optional[float]]:
         model = body.get("model")
         prompt = body.get("prompt")
         if not model or prompt is None:
-            return None, ApiResponse(
-                400,
-                {
-                    "error": "body requires 'model' and 'prompt'",
-                    "code": "invalid_request",
-                },
-            )
+            raise _InvalidRequest("body requires 'model' and 'prompt'")
         generation_request = GenerationRequest(
             prompt=prompt,
             task=body.get("task"),
@@ -130,42 +159,27 @@ class ApiServer:
             model,
             generation_request,
             float(timeout_s) if timeout_s is not None else None,
-        ), None
+        )
 
     @staticmethod
-    def _error_response(exc: Exception) -> Optional[ApiResponse]:
-        """The one serving-error → HTTP mapping, shared by the unary
-        and streaming endpoints so codes stay identical."""
-        if isinstance(exc, SchedulerOverloaded):
-            # Subclasses (tenant throttling) carry their own stable code.
-            return ApiResponse(
-                429,
-                {
-                    "error": str(exc),
-                    "code": getattr(exc, "code", "scheduler_overloaded"),
-                    "retry_after": exc.retry_after,
-                },
-            )
-        if isinstance(exc, DeadlineExceeded):
-            return ApiResponse(
-                504, {"error": str(exc), "code": "deadline_exceeded"}
-            )
-        if isinstance(exc, SchedulerClosed):
-            return ApiResponse(
-                503, {"error": str(exc), "code": "scheduler_closed"}
-            )
-        if isinstance(exc, SmmfError):
-            return ApiResponse(
-                503, {"error": str(exc), "code": "smmf_unavailable"}
-            )
-        if isinstance(exc, LLMError):
-            return ApiResponse(
-                422, {"error": str(exc), "code": "llm_error"}
-            )
-        return None
+    def _guard(exc: BaseException) -> ApiResponse:
+        """The one request/serving-error → HTTP mapping
+        (:data:`_ERROR_STATUS`), shared by the unary and streaming
+        endpoints — and by the client for failures that arrive
+        mid-stream — so codes stay identical; anything else is
+        re-raised."""
+        for kind, status, code in _ERROR_STATUS:
+            if isinstance(exc, kind):
+                # Scheduler errors carry their own stable code, which
+                # subclasses (tenant throttling) override.
+                body = {"error": str(exc), "code": getattr(exc, "code", code)}
+                if isinstance(exc, SchedulerOverloaded):
+                    body["retry_after"] = exc.retry_after
+                return ApiResponse(status, body)
+        raise exc
 
     @staticmethod
-    def _generation_body(response) -> dict[str, Any]:
+    def _generated(response) -> ApiResponse:
         body = {
             "text": response.text,
             "model": response.model,
@@ -180,14 +194,16 @@ class ApiServer:
         # model), keeping the happy-path body byte-identical.
         if response.degraded:
             body["degraded"] = True
-        return body
+        return ApiResponse(200, body)
+
+    # ``_generate``/``_agenerate`` differ only in the line that waits:
+    # parsing, the error mapping and the response body are shared.
 
     def _generate(self, body: dict[str, Any]) -> ApiResponse:
-        parsed, error = self._parse_generation(body)
-        if error is not None:
-            return error
-        model, generation_request, timeout_s = parsed
         try:
+            model, generation_request, timeout_s = self._parse_generation(
+                body
+            )
             scheduler = self.controller.scheduler
             if scheduler is not None:
                 response = scheduler.schedule(
@@ -198,11 +214,20 @@ class ApiServer:
                     model, generation_request
                 )
         except Exception as exc:
-            mapped = self._error_response(exc)
-            if mapped is None:
-                raise
-            return mapped
-        return ApiResponse(200, self._generation_body(response))
+            return self._guard(exc)
+        return self._generated(response)
+
+    async def _agenerate(self, body: dict[str, Any], scheduler) -> ApiResponse:
+        try:
+            model, generation_request, timeout_s = self._parse_generation(
+                body
+            )
+            response = await scheduler.aschedule(
+                model, generation_request, timeout_s=timeout_s
+            )
+        except Exception as exc:
+            return self._guard(exc)
+        return self._generated(response)
 
     async def ahandle(self, request: ApiRequest) -> ApiResponse:
         """Async :meth:`handle`.
@@ -211,34 +236,50 @@ class ApiServer:
         ``aschedule`` when one is mounted, so no thread is parked per
         in-flight request and concurrent callers coalesce into shared
         batches; every other route (and the scheduler-less fallback)
-        runs the sync handler on the default executor.
+        runs the sync handler off the loop.
         """
-        route = (request.method.upper(), request.path)
-        if route == ("POST", "/v1/generate"):
+        if (request.method.upper(), request.path) == _GENERATE_ROUTE:
             scheduler = self.controller.scheduler
             if scheduler is not None and hasattr(scheduler, "aschedule"):
                 return await self._agenerate(request.body, scheduler)
-        loop = asyncio.get_running_loop()
-        call = functools.partial(self.handle, request)
-        return await loop.run_in_executor(
-            None, contextvars.copy_context().run, call
-        )
+        return await asyncio.to_thread(self.handle, request)
 
-    async def _agenerate(self, body: dict[str, Any], scheduler) -> ApiResponse:
-        parsed, error = self._parse_generation(body)
-        if error is not None:
-            return error
-        model, generation_request, timeout_s = parsed
-        try:
-            response = await scheduler.aschedule(
-                model, generation_request, timeout_s=timeout_s
+    def _open_stream(
+        self,
+        request: ApiRequest,
+        engine_entry: str,
+        fallback: Callable[[str, GenerationRequest], Any],
+    ) -> ApiStreamResponse:
+        """The shared body of :meth:`handle_stream` and
+        :meth:`ahandle_stream`: route match, body parsing, opening the
+        stream and the admission-error mapping. The callers differ
+        only in which engine entry point and scheduler-less fallback
+        produce the chunk iterator."""
+        route = (request.method.upper(), request.path)
+        if route != ("POST", "/v1/generate/stream"):
+            return ApiStreamResponse(
+                404,
+                {
+                    "error": f"no stream route {request.method} "
+                    f"{request.path}",
+                    "code": "route_not_found",
+                },
             )
+        scheduler = self.controller.scheduler
+        try:
+            model, generation_request, timeout_s = self._parse_generation(
+                request.body
+            )
+            if scheduler is not None and hasattr(scheduler, engine_entry):
+                chunks = getattr(scheduler, engine_entry)(
+                    model, generation_request, timeout_s=timeout_s
+                )
+            else:
+                chunks = fallback(model, generation_request)
         except Exception as exc:
-            mapped = self._error_response(exc)
-            if mapped is None:
-                raise
-            return mapped
-        return ApiResponse(200, self._generation_body(response))
+            mapped = self._guard(exc)
+            return ApiStreamResponse(mapped.status, mapped.body)
+        return ApiStreamResponse(200, {}, chunks=chunks)
 
     def handle_stream(self, request: ApiRequest) -> ApiStreamResponse:
         """``POST /v1/generate/stream``: token streaming.
@@ -249,72 +290,19 @@ class ApiServer:
         mid-generation). Otherwise it falls back to the controller's
         direct streaming path.
         """
-        route = (request.method.upper(), request.path)
-        if route != ("POST", "/v1/generate/stream"):
-            return ApiStreamResponse(
-                404,
-                {
-                    "error": f"no stream route {request.method} "
-                    f"{request.path}",
-                    "code": "route_not_found",
-                },
-            )
-        parsed, error = self._parse_generation(request.body)
-        if error is not None:
-            return ApiStreamResponse(error.status, error.body)
-        model, generation_request, timeout_s = parsed
-        scheduler = self.controller.scheduler
-        try:
-            if scheduler is not None and hasattr(scheduler, "stream"):
-                chunks = scheduler.stream(
-                    model, generation_request, timeout_s=timeout_s
-                )
-            else:
-                chunks = self.controller.stream(model, generation_request)
-        except Exception as exc:
-            mapped = self._error_response(exc)
-            if mapped is None:
-                raise
-            return ApiStreamResponse(mapped.status, mapped.body)
-        return ApiStreamResponse(200, {}, chunks=chunks)
+        return self._open_stream(request, "stream", self.controller.stream)
 
     async def ahandle_stream(self, request: ApiRequest) -> ApiStreamResponse:
         """Async ``POST /v1/generate/stream``: ``chunks`` is an async
         iterator. With the continuous engine this is async end-to-end
         (admission in the caller's task, chunks awaited off the
-        engine's loop); the fallback drains the sync stream through
-        the default executor one chunk at a time."""
-        route = (request.method.upper(), request.path)
-        if route != ("POST", "/v1/generate/stream"):
-            return ApiStreamResponse(
-                404,
-                {
-                    "error": f"no stream route {request.method} "
-                    f"{request.path}",
-                    "code": "route_not_found",
-                },
-            )
-        parsed, error = self._parse_generation(request.body)
-        if error is not None:
-            return ApiStreamResponse(error.status, error.body)
-        model, generation_request, timeout_s = parsed
-        scheduler = self.controller.scheduler
-        try:
-            if scheduler is not None and hasattr(scheduler, "astream"):
-                chunks = scheduler.astream(
-                    model, generation_request, timeout_s=timeout_s
-                )
-            else:
-                sync_chunks = self.controller.stream(
-                    model, generation_request
-                )
-                chunks = _drain_in_executor(sync_chunks)
-        except Exception as exc:
-            mapped = self._error_response(exc)
-            if mapped is None:
-                raise
-            return ApiStreamResponse(mapped.status, mapped.body)
-        return ApiStreamResponse(200, {}, chunks=chunks)
+        engine's loop); the fallback opens and drains the controller's
+        sync stream on the default executor one chunk at a time."""
+        return self._open_stream(
+            request,
+            "astream",
+            functools.partial(_drain_in_executor, self.controller.stream),
+        )
 
     def _serving(self) -> ApiResponse:
         scheduler = self.controller.scheduler

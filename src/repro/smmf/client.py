@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import functools
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,19 +20,10 @@ from typing import Any, Callable, Optional
 
 from repro.cache.keys import inference_key, instance_token, normalize_prompt
 from repro.cache.manager import get_cache_manager
-from repro.llm.base import LLMError
 from repro.obs.metrics import get_registry
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.retry import RetryPolicy
-from repro.serving.scheduler import (
-    DeadlineExceeded,
-    SchedulerClosed,
-    SchedulerOverloaded,
-    StreamCancelled,
-    StreamClosed,
-)
 from repro.smmf.api_server import ApiRequest, ApiServer
-from repro.smmf.controller import SmmfError
 from repro.tenancy.context import current_tenant
 
 #: Statuses worth retrying: 429 is scheduler backpressure (comes with
@@ -48,33 +38,6 @@ def _classify_client_error(
     if isinstance(exc, ClientError) and exc.status in _TRANSIENT_STATUSES:
         return True, exc.retry_after
     return False, None
-
-
-def _stream_client_error(exc: BaseException) -> Optional["ClientError"]:
-    """Map a mid-stream serving failure to the same structured
-    :class:`ClientError` the unary endpoint would raise, so callers
-    branch on ``code``/``retry_after`` identically for both shapes."""
-    if isinstance(exc, SchedulerOverloaded):
-        return ClientError(
-            429,
-            str(exc),
-            retry_after=exc.retry_after,
-            code=getattr(exc, "code", "scheduler_overloaded"),
-        )
-    if isinstance(exc, DeadlineExceeded):
-        return ClientError(504, str(exc), code="deadline_exceeded")
-    if isinstance(exc, StreamCancelled):
-        # 499: the nginx convention for "client closed the request".
-        return ClientError(499, str(exc), code="client_cancelled")
-    if isinstance(exc, StreamClosed):
-        return ClientError(503, str(exc), code="stream_closed")
-    if isinstance(exc, SchedulerClosed):
-        return ClientError(503, str(exc), code="scheduler_closed")
-    if isinstance(exc, SmmfError):
-        return ClientError(503, str(exc), code="smmf_unavailable")
-    if isinstance(exc, LLMError):
-        return ClientError(422, str(exc), code="llm_error")
-    return None
 
 
 class ClientError(Exception):
@@ -282,13 +245,13 @@ class LLMClient:
         and transient rejections back off via the retry policy's
         async path — no thread parked per in-flight request, so
         concurrent agents coalesce into shared batches. With the
-        cache enabled, the blocking path runs on the loop's default
-        executor: the cache's single-flight de-duplication is
-        synchronous by design, and its hit path never blocks long.
+        cache enabled, the blocking path runs off the loop
+        (``asyncio.to_thread``): the cache's single-flight
+        de-duplication is synchronous by design, and its hit path
+        never blocks long.
         """
         if get_cache_manager().enabled("inference"):
-            loop = asyncio.get_running_loop()
-            call = functools.partial(
+            return await asyncio.to_thread(
                 self.generate,
                 model,
                 prompt,
@@ -296,9 +259,6 @@ class LLMClient:
                 max_tokens=max_tokens,
                 metadata=metadata,
                 timeout_s=timeout_s,
-            )
-            return await loop.run_in_executor(
-                None, contextvars.copy_context().run, call
             )
         body = self._request_body(
             model, prompt, task, max_tokens, metadata, timeout_s
@@ -308,47 +268,6 @@ class LLMClient:
         return await self._retry_policy.arun(
             lambda: self._aroundtrip(body),
             classify=_classify_client_error,
-        )
-
-    async def _aroundtrip(self, body: dict[str, Any]) -> str:
-        response = await self._server.ahandle(
-            ApiRequest("POST", "/v1/generate", body)
-        )
-        if response.status != 200:
-            raise ClientError(
-                response.status,
-                response.body.get("error", "unknown error"),
-                retry_after=response.body.get("retry_after"),
-                code=response.body.get("code"),
-            )
-        if response.body.get("degraded"):
-            self.degraded_serves += 1
-        return response.body["text"]
-
-    async def agenerate_many(
-        self,
-        model: str,
-        prompts: list[str],
-        task: Optional[str] = None,
-        max_tokens: int = 512,
-        metadata: Optional[dict[str, Any]] = None,
-        timeout_s: Optional[float] = None,
-    ) -> list[str]:
-        """Concurrent async generation; results align with ``prompts``."""
-        return list(
-            await asyncio.gather(
-                *(
-                    self.agenerate(
-                        model,
-                        prompt,
-                        task=task,
-                        max_tokens=max_tokens,
-                        metadata=metadata,
-                        timeout_s=timeout_s,
-                    )
-                    for prompt in prompts
-                )
-            )
         )
 
     def stream(
@@ -372,21 +291,11 @@ class LLMClient:
         mid-stream) and ``client_cancelled``.
         """
         result = self._server.handle_stream(
-            ApiRequest(
-                "POST",
-                "/v1/generate/stream",
-                self._request_body(
-                    model, prompt, task, max_tokens, metadata, timeout_s
-                ),
+            self._stream_request(
+                model, prompt, task, max_tokens, metadata, timeout_s
             )
         )
-        if result.status != 200:
-            raise ClientError(
-                result.status,
-                result.body.get("error", "unknown error"),
-                retry_after=result.body.get("retry_after"),
-                code=result.body.get("code"),
-            )
+        self._raise_for_status(result)
         return self._relay_chunks(result.chunks)
 
     async def astream(
@@ -405,29 +314,16 @@ class LLMClient:
         the engine's bounded per-stream buffer.
         """
         result = await self._server.ahandle_stream(
-            ApiRequest(
-                "POST",
-                "/v1/generate/stream",
-                self._request_body(
-                    model, prompt, task, max_tokens, metadata, timeout_s
-                ),
+            self._stream_request(
+                model, prompt, task, max_tokens, metadata, timeout_s
             )
         )
-        if result.status != 200:
-            raise ClientError(
-                result.status,
-                result.body.get("error", "unknown error"),
-                retry_after=result.body.get("retry_after"),
-                code=result.body.get("code"),
-            )
+        self._raise_for_status(result)
         try:
             async for chunk in result.chunks:
                 yield chunk
         except BaseException as exc:
-            mapped = _stream_client_error(exc)
-            if mapped is None:
-                raise
-            raise mapped from exc
+            raise self._error(ApiServer._guard(exc)) from exc
         finally:
             aclose = getattr(result.chunks, "aclose", None)
             if aclose is not None:
@@ -453,15 +349,34 @@ class LLMClient:
             body["timeout_s"] = timeout_s
         return body
 
+    @classmethod
+    def _stream_request(cls, *fields: Any) -> ApiRequest:
+        return ApiRequest(
+            "POST", "/v1/generate/stream", cls._request_body(*fields)
+        )
+
     @staticmethod
-    def _relay_chunks(chunks):
+    def _error(result) -> ClientError:
+        """The structured error for a rejection — a non-200 response,
+        or the server's mapping of a failure that arrived mid-stream —
+        so callers branch on ``code``/``retry_after`` identically for
+        both shapes."""
+        return ClientError(
+            result.status,
+            result.body.get("error", "unknown error"),
+            retry_after=result.body.get("retry_after"),
+            code=result.body.get("code"),
+        )
+
+    def _raise_for_status(self, result) -> None:
+        if result.status != 200:
+            raise self._error(result)
+
+    def _relay_chunks(self, chunks):
         try:
             yield from chunks
         except BaseException as exc:
-            mapped = _stream_client_error(exc)
-            if mapped is None:
-                raise
-            raise mapped from exc
+            raise self._error(ApiServer._guard(exc)) from exc
         finally:
             close = getattr(chunks, "close", None)
             if close is not None:
@@ -484,15 +399,9 @@ class LLMClient:
         out the backlog the server predicted instead of failing the
         user's turn.
         """
-        body: dict[str, Any] = {
-            "model": model,
-            "prompt": prompt,
-            "task": task,
-            "max_tokens": max_tokens,
-            "metadata": metadata or {},
-        }
-        if timeout_s is not None:
-            body["timeout_s"] = timeout_s
+        body = self._request_body(
+            model, prompt, task, max_tokens, metadata, timeout_s
+        )
         if self._retry_policy is None:
             return self._roundtrip(body)
         return self._retry_policy.run(
@@ -501,16 +410,22 @@ class LLMClient:
         )
 
     def _roundtrip(self, body: dict[str, Any]) -> str:
-        response = self._server.handle(
-            ApiRequest("POST", "/v1/generate", body)
+        return self._unpack(
+            self._server.handle(ApiRequest("POST", "/v1/generate", body))
         )
-        if response.status != 200:
-            raise ClientError(
-                response.status,
-                response.body.get("error", "unknown error"),
-                retry_after=response.body.get("retry_after"),
-                code=response.body.get("code"),
+
+    async def _aroundtrip(self, body: dict[str, Any]) -> str:
+        return self._unpack(
+            await self._server.ahandle(
+                ApiRequest("POST", "/v1/generate", body)
             )
+        )
+
+    def _unpack(self, response) -> str:
+        """What every unary round trip does with the server's answer,
+        sync or async: raise on rejection, count a degraded serve,
+        return the text."""
+        self._raise_for_status(response)
         if response.body.get("degraded"):
             self.degraded_serves += 1
         return response.body["text"]

@@ -8,7 +8,7 @@ every concurrently scheduled task.
   (without ``blocking=False``), ``.join()`` on threads/processes,
   ``open``/``input``, ``subprocess.run`` and friends, and synchronous
   HTTP clients, directly in an ``async def`` body. Off-loop work
-  belongs in ``loop.run_in_executor`` (the SMMF client pattern).
+  belongs in ``asyncio.to_thread`` (the SMMF client pattern).
 - **ASY002** unbounded-queue-get-in-async: ``<queue>.get()`` /
   ``<queue>.get_nowait``-less waits with no ``timeout=`` inside
   ``async def`` — an empty queue parks the loop forever.
@@ -118,7 +118,7 @@ def _module_findings(module: SourceModule) -> Iterable[Finding]:
                     source="static",
                     subject=name,
                     hint="await an async equivalent or off-load via "
-                    "loop.run_in_executor",
+                    "asyncio.to_thread",
                 ),
                 module.rel,
                 node.lineno,
@@ -139,7 +139,7 @@ def _module_findings(module: SourceModule) -> Iterable[Finding]:
                     source="static",
                     subject=f".{attr}",
                     hint="pass blocking=False and poll, or off-load "
-                    "via loop.run_in_executor",
+                    "via asyncio.to_thread",
                 ),
                 module.rel,
                 node.lineno,
@@ -164,7 +164,7 @@ def _module_findings(module: SourceModule) -> Iterable[Finding]:
                     source="static",
                     subject=f".{attr}",
                     hint="await an asyncio primitive, or off-load via "
-                    "loop.run_in_executor",
+                    "asyncio.to_thread",
                 ),
                 module.rel,
                 node.lineno,
