@@ -38,7 +38,9 @@ bench-resilience:
 	$(PYTHON) -m pytest benchmarks/bench_resilience.py -q
 
 # Indexed point lookups, sorted range scans and hash joins vs their
-# naive counterparts; writes BENCH_sqlengine.json.
+# naive counterparts, plus filtered GROUP BY and a residual hash join
+# held to a fixed multiple of a hand-written Python loop; writes
+# BENCH_sqlengine.json.
 bench-sqlengine:
 	$(PYTHON) -m pytest benchmarks/bench_sqlengine.py -q
 

@@ -53,6 +53,27 @@ class DataSource(abc.ABC):
         """Schema text injected into Text-to-SQL prompts."""
         return "\n".join(info.describe() for info in self.tables())
 
+    def prompt_context(
+        self, max_values_per_column: int = 20
+    ) -> tuple[str, ...]:
+        """What a Text-to-SQL prompt says about this source: the schema
+        text, then one ``table.column: v1, v2`` line per TEXT column
+        that has values (sample values enable database-content
+        linking)."""
+        lines = [self.describe_schema()]
+        for info in self.tables():
+            for column, ctype in zip(info.columns, info.column_types):
+                if ctype != "TEXT":
+                    continue
+                values = self.query(
+                    f"SELECT DISTINCT {column} FROM {info.name} "
+                    f"WHERE {column} IS NOT NULL LIMIT {max_values_per_column}"
+                ).column(column)
+                if values:
+                    rendered = ", ".join(str(v) for v in values)
+                    lines.append(f"{info.name}.{column}: {rendered}")
+        return tuple(lines)
+
     def table_names(self) -> list[str]:
         return [info.name for info in self.tables()]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
+from repro.cache.manager import get_cache_manager
 from repro.datasources.base import DataSource, DataSourceError, TableInfo
 from repro.sqlengine import Database, ResultSet, SqlEngineError
 
@@ -28,6 +29,30 @@ class EngineSource(DataSource):
                 )
             )
         return infos
+
+    def prompt_context(
+        self, max_values_per_column: int = 20
+    ) -> tuple[str, ...]:
+        """Served from the ``sql`` cache tier under the database's data
+        version, so any write retires it like every other cached read."""
+        manager = get_cache_manager()
+        compute = super().prompt_context
+        if not manager.enabled("sql"):
+            return compute(max_values_per_column)
+        database = self.database
+        key = (
+            "prompt_context",
+            database._cache_token,
+            database.name,
+            database.data_version,
+            max_values_per_column,
+        )
+        return manager.cached(
+            "sql",
+            key,
+            lambda: compute(max_values_per_column),
+            database=database.name,
+        )
 
     def query(self, sql: str, parameters: Sequence[Any] = ()) -> ResultSet:
         try:

@@ -30,19 +30,8 @@ def build_text2sql_prompt(
 ) -> str:
     """Schema + sample values + question, the standard Text-to-SQL
     prompt layout (sample values enable database-content linking)."""
-    lines = [SCHEMA_HEADER, source.describe_schema()]
-    value_lines = []
-    for info in source.tables():
-        for column, ctype in zip(info.columns, info.column_types):
-            if ctype != "TEXT":
-                continue
-            values = source.query(
-                f"SELECT DISTINCT {column} FROM {info.name} "
-                f"WHERE {column} IS NOT NULL LIMIT {max_values_per_column}"
-            ).column(column)
-            if values:
-                rendered = ", ".join(str(v) for v in values)
-                value_lines.append(f"{info.name}.{column}: {rendered}")
+    schema, *value_lines = source.prompt_context(max_values_per_column)
+    lines = [SCHEMA_HEADER, schema]
     if value_lines:
         lines.append(VALUES_HEADER)
         lines.extend(value_lines)

@@ -8,6 +8,7 @@ pipeline.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
@@ -309,44 +310,53 @@ class VectorStoreHolder:
         self.store = VectorStore(embedder.dim)
         self._embedder = embedder
         self._idf = IdfTable()
+        #: Guards the IDF table, both chunk lists and the store swap:
+        #: concurrent first searches must rebuild once, not race.
+        self._lock = threading.Lock()
         self._pending: list[Chunk] = []
         self._all_chunks: list[Chunk] = []
 
     def add(self, chunk: Chunk) -> None:
-        self._idf.add_document(chunk.text)
-        self._pending.append(chunk)
-        self._all_chunks.append(chunk)
+        with self._lock:
+            self._idf.add_document(chunk.text)
+            self._pending.append(chunk)
+            self._all_chunks.append(chunk)
 
     @property
     def idf_weight(self):
         return self._idf.weight
 
     def make_retriever(self, embed_memo=None) -> EmbeddingRetriever:
-        self._refresh()
         return EmbeddingRetriever(
-            self.store,
+            self._refresh(),
             self._embedder,
             word_weight=self._idf.weight,
             cache_tag=self._idf.cache_tag(),
             embed_memo=embed_memo,
         )
 
-    def _refresh(self) -> None:
-        if not self._pending:
-            return
+    def _refresh(self):
+        """The store with every added chunk indexed under current IDF."""
         from repro.rag.vectorstore import VectorStore
 
-        # IDF weights changed for every stored vector; rebuild all in
-        # one batch pass (duplicate chunk texts embed once).
-        self.store = VectorStore(self._embedder.dim)
-        matrix = self._embedder.embed_batch(
-            [chunk.text for chunk in self._all_chunks],
-            word_weight=self._idf.weight,
-        )
-        for chunk, vector in zip(self._all_chunks, matrix):
-            self.store.add(
-                chunk.chunk_id,
-                vector,
-                metadata={"doc_id": chunk.doc_id},
+        with self._lock:
+            if not self._pending:
+                return self.store
+            # IDF weights changed for every stored vector; rebuild all
+            # in one batch pass (duplicate chunk texts embed once) into
+            # a local store, swapped in last so a concurrent search
+            # sees the old store or the new one, never a partial one.
+            store = VectorStore(self._embedder.dim)
+            matrix = self._embedder.embed_batch(
+                [chunk.text for chunk in self._all_chunks],
+                word_weight=self._idf.weight,
             )
-        self._pending = []
+            for chunk, vector in zip(self._all_chunks, matrix):
+                store.add(
+                    chunk.chunk_id,
+                    vector,
+                    metadata={"doc_id": chunk.doc_id},
+                )
+            self.store = store
+            self._pending = []
+            return store

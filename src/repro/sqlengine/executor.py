@@ -16,6 +16,7 @@ views and tables for the duration of the owning select.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
@@ -211,29 +212,17 @@ class Executor:
             out_ctx = RowContext(
                 relation.columns, [None] * len(relation.columns)
             )
-
-            def key_for(row: tuple) -> list:
-                parts = []
-                for item in select.order_by:
-                    expr = item.expression
-                    if isinstance(expr, nodes.Literal) and isinstance(
-                        expr.value, int
-                    ):
-                        ordinal = expr.value - 1
-                        if not 0 <= ordinal < len(relation.columns):
-                            raise ExecutionError(
-                                f"ORDER BY position {expr.value} out of range"
-                            )
-                        value = row[ordinal]
-                    else:
-                        value = self._evaluator.evaluate(
-                            expr, out_ctx.with_values(row)
-                        )
-                    part = sort_key(value)
-                    parts.append(_invert(part) if item.descending else part)
-                return parts
-
-            rows = sorted(rows, key=key_for)
+            rows = _sorted_rows(
+                rows,
+                [
+                    (
+                        _ordinal_getter(item.expression, len(relation.columns))
+                        or self._evaluator.compile(item.expression, out_ctx),
+                        item.descending,
+                    )
+                    for item in select.order_by
+                ],
+            )
         if select.limit is not None:
             base_ctx = RowContext([], [])
             limit = self._evaluator.evaluate(select.limit, base_ctx)
@@ -258,13 +247,10 @@ class Executor:
         ctx = RowContext(source.columns, [None] * len(source.columns), outer)
 
         if plan.residual is not None:
-            kept = []
-            for row in source.rows:
-                if self._evaluator.evaluate_truth(
-                    plan.residual, ctx.with_values(row)
-                ):
-                    kept.append(row)
-            source = Relation(source.columns, kept)
+            keep = self._evaluator.compile_truth(plan.residual, ctx)
+            source = Relation(
+                source.columns, [row for row in source.rows if keep(row)]
+            )
 
         items = self._expand_stars(select.items, source.columns)
         is_grouped = bool(select.group_by) or _uses_aggregates(
@@ -293,18 +279,13 @@ class Executor:
         # ORDER BY may reference source columns not in the select list;
         # carry their values as hidden extras used only for sorting.
         extra_exprs = _order_extras(order_by, items)
-        rows: list[tuple[Any, ...]] = []
-        for row in source.rows:
-            row_ctx = ctx.with_values(row)
-            values = [
-                self._evaluator.evaluate(item.expression, row_ctx)
-                for item in items
-            ]
-            extras = [
-                self._evaluator.evaluate(expr, row_ctx)
-                for expr in extra_exprs
-            ]
-            rows.append(tuple(values) + tuple(extras))
+        outputs = [
+            self._evaluator.compile(expr, ctx)
+            for expr in [item.expression for item in items] + extra_exprs
+        ]
+        rows = [
+            tuple([output(row) for output in outputs]) for row in source.rows
+        ]
         hidden = [(None, f"__order_{i}") for i in range(len(extra_exprs))]
         return Relation(out_columns + hidden, rows)
 
@@ -321,81 +302,68 @@ class Executor:
             _resolve_output_reference(expr, items) for expr in group_exprs
         ]
         aggregate_calls = _collect_aggregates(items, select.having, select.order_by)
-
-        groups: dict[tuple, dict] = {}
-        group_order: list[tuple] = []
-        for row in source.rows:
-            row_ctx = ctx.with_values(row)
-            key = tuple(
-                _hashable(self._evaluator.evaluate(expr, row_ctx))
-                for expr in group_exprs
+        compile_row = self._evaluator.compile
+        group_keys = [compile_row(expr, ctx) for expr in group_exprs]
+        #: One feed per aggregate: the argument's value, or presence
+        #: only (TRUE) for COUNT(*).
+        feeds = [
+            compile_row(
+                call.args[0]
+                if call.args and not isinstance(call.args[0], nodes.Star)
+                else nodes.Literal(True),
+                ctx,
             )
+            for call in aggregate_calls
+        ]
+
+        def new_group(first_row: tuple) -> tuple:
+            return first_row, [
+                make_aggregate(
+                    call.name,
+                    star=bool(call.args)
+                    and isinstance(call.args[0], nodes.Star),
+                    distinct=call.distinct,
+                )
+                for call in aggregate_calls
+            ]
+
+        groups: dict[tuple, tuple] = {}
+        for row in source.rows:
+            key = tuple([_hashable(group_key(row)) for group_key in group_keys])
             state = groups.get(key)
             if state is None:
-                state = {
-                    "first_row": row,
-                    "aggregates": [
-                        make_aggregate(
-                            call.name,
-                            star=bool(call.args)
-                            and isinstance(call.args[0], nodes.Star),
-                            distinct=call.distinct,
-                        )
-                        for call in aggregate_calls
-                    ],
-                }
-                groups[key] = state
-                group_order.append(key)
-            for call, accumulator in zip(aggregate_calls, state["aggregates"]):
-                if call.args and not isinstance(call.args[0], nodes.Star):
-                    value = self._evaluator.evaluate(call.args[0], row_ctx)
-                else:
-                    value = True  # COUNT(*): presence only
-                accumulator.add(value)
+                state = groups[key] = new_group(row)
+            for feed, accumulator in zip(feeds, state[1]):
+                accumulator.add(feed(row))
 
         if not groups and not select.group_by:
             # Aggregate query over an empty input yields one row.
-            empty_state = {
-                "first_row": tuple([None] * len(source.columns)),
-                "aggregates": [
-                    make_aggregate(
-                        call.name,
-                        star=bool(call.args)
-                        and isinstance(call.args[0], nodes.Star),
-                        distinct=call.distinct,
-                    )
-                    for call in aggregate_calls
-                ],
-            }
-            groups[()] = empty_state
-            group_order.append(())
+            groups[()] = new_group(tuple([None] * len(source.columns)))
 
         out_columns: list[tuple[Optional[str], str]] = [
             (None, item.output_name) for item in items
         ]
         extra_exprs = _order_extras(select.order_by, items)
+        # Per-group pass over ``first_row + aggregate results``.
+        group_evaluator = _GroupEvaluator(
+            self._evaluator,
+            {
+                _agg_key(call): len(source.columns) + position
+                for position, call in enumerate(aggregate_calls)
+            },
+        )
+        having = group_evaluator.compile_truth(select.having, ctx)
+        outputs = [
+            group_evaluator.compile(expr, ctx)
+            for expr in [item.expression for item in items] + extra_exprs
+        ]
         rows: list[tuple[Any, ...]] = []
-        for key in group_order:
-            state = groups[key]
-            row_ctx = ctx.with_values(state["first_row"])
-            aggregate_values = {
-                _agg_key(call): acc.result()
-                for call, acc in zip(aggregate_calls, state["aggregates"])
-            }
-            evaluator = _GroupEvaluator(
-                self._evaluator, aggregate_values
+        for first_row, accumulators in groups.values():
+            group_row = first_row + tuple(
+                [accumulator.result() for accumulator in accumulators]
             )
-            if select.having is not None:
-                value = evaluator.evaluate(select.having, row_ctx)
-                if value is None or not value:
-                    continue
-            values = [
-                evaluator.evaluate(item.expression, row_ctx) for item in items
-            ]
-            extras = [
-                evaluator.evaluate(expr, row_ctx) for expr in extra_exprs
-            ]
-            rows.append(tuple(values) + tuple(extras))
+            if having(group_row):
+                rows.append(tuple([output(group_row) for output in outputs]))
         hidden = [(None, f"__order_{i}") for i in range(len(extra_exprs))]
         return Relation(out_columns + hidden, rows)
 
@@ -414,48 +382,32 @@ class Executor:
             out_ctx = RowContext(
                 relation.columns, [None] * len(relation.columns)
             )
-            keys: list[tuple[int, Any]] = []
-
-            def order_value(row: tuple, item: nodes.OrderItem, position: int):
-                expr = item.expression
-                if isinstance(expr, nodes.Literal) and isinstance(
-                    expr.value, int
-                ):
-                    ordinal = expr.value - 1
-                    if 0 <= ordinal < visible:
-                        return row[ordinal]
-                    raise ExecutionError(
-                        f"ORDER BY position {expr.value} out of range"
-                    )
-                hidden_name = f"__order_{position}"
-                hidden_index = _find_column(relation.columns, hidden_name)
-                if hidden_index is not None:
-                    return row[hidden_index]
-                return self._evaluator.evaluate(
-                    expr, out_ctx.with_values(row)
-                )
-
             extra_positions = _order_extra_positions(
                 select.order_by, list(select.items)
             )
-            decorated = []
-            for row in relation.rows:
-                key_parts = []
-                for item in select.order_by:
-                    position = extra_positions.get(id(item), -1)
-                    value = order_value(row, item, position)
-                    part = sort_key(value)
-                    key_parts.append((part, item.descending))
-                decorated.append((key_parts, row))
 
-            def compare_key(entry):
-                parts = []
-                for part, descending in entry[0]:
-                    parts.append(_invert(part) if descending else part)
-                return parts
+            def order_value(item: nodes.OrderItem):
+                getter = _ordinal_getter(item.expression, visible)
+                if getter is not None:
+                    return getter
+                hidden_index = _find_column(
+                    relation.columns,
+                    f"__order_{extra_positions.get(id(item), -1)}",
+                )
+                if hidden_index is not None:
+                    return operator.itemgetter(hidden_index)
+                return self._evaluator.compile(item.expression, out_ctx)
 
-            decorated.sort(key=compare_key)
-            relation = Relation(relation.columns, [r for _k, r in decorated])
+            relation = Relation(
+                relation.columns,
+                _sorted_rows(
+                    relation.rows,
+                    [
+                        (order_value(item), item.descending)
+                        for item in select.order_by
+                    ],
+                ),
+            )
 
         rows = relation.rows
         if select.limit is not None:
@@ -556,14 +508,10 @@ class Executor:
         ctx = RowContext(
             relation.columns, [None] * len(relation.columns), outer
         )
-        kept = [
-            row
-            for row in relation.rows
-            if self._evaluator.evaluate_truth(
-                plan.filter, ctx.with_values(row)
-            )
-        ]
-        return Relation(relation.columns, kept)
+        keep = self._evaluator.compile_truth(plan.filter, ctx)
+        return Relation(
+            relation.columns, [row for row in relation.rows if keep(row)]
+        )
 
     def _run_scan(
         self, plan: ScanPlan, outer: Optional[RowContext]
@@ -653,7 +601,7 @@ class Executor:
                     rows.append(lrow + rrow)
             return Relation(columns, rows)
 
-        condition = plan.condition
+        condition = self._evaluator.compile_truth(plan.condition, ctx)
         matched_right: set[int] = set()
         null_right = tuple([None] * len(right.columns))
         null_left = tuple([None] * len(left.columns))
@@ -684,9 +632,7 @@ class Executor:
                 for rindex in buckets.get(key, ()) if key is not None else ():
                     rrow = right.rows[rindex]
                     combined = lrow + rrow
-                    if self._evaluator.evaluate_truth(
-                        condition, ctx.with_values(combined)
-                    ):
+                    if condition(combined):
                         matched = True
                         matched_right.add(rindex)
                         rows.append(combined)
@@ -697,13 +643,7 @@ class Executor:
                 matched = False
                 for rindex, rrow in enumerate(right.rows):
                     combined = lrow + rrow
-                    ok = (
-                        condition is None
-                        or self._evaluator.evaluate_truth(
-                            condition, ctx.with_values(combined)
-                        )
-                    )
-                    if ok:
+                    if condition(combined):
                         matched = True
                         matched_right.add(rindex)
                         rows.append(combined)
@@ -761,25 +701,22 @@ class Executor:
     def _execute_update(self, statement: nodes.Update) -> Relation:
         table = self._storage(statement.table)
         schema = table.schema
-        assignments = [
-            (schema.column_index(name), expr)
-            for name, expr in statement.assignments
-        ]
         columns = [
             (statement.table, column.name) for column in schema.columns
         ]
         ctx = RowContext(columns, [None] * len(columns))
+        assignments = [
+            (schema.column_index(name), self._evaluator.compile(expr, ctx))
+            for name, expr in statement.assignments
+        ]
+        matches = self._evaluator.compile_truth(statement.where, ctx)
         new_rows: list[tuple[Any, ...]] = []
         count = 0
         for row in table.rows():
-            row_ctx = ctx.with_values(row)
-            matches = statement.where is None or self._evaluator.evaluate_truth(
-                statement.where, row_ctx
-            )
-            if matches:
+            if matches(row):
                 updated = list(row)
-                for index, expr in assignments:
-                    updated[index] = self._evaluator.evaluate(expr, row_ctx)
+                for index, value in assignments:
+                    updated[index] = value(row)
                 new_rows.append(tuple(updated))
                 count += 1
             else:
@@ -794,18 +731,11 @@ class Executor:
             for column in table.schema.columns
         ]
         ctx = RowContext(columns, [None] * len(columns))
-        kept: list[tuple[Any, ...]] = []
-        count = 0
-        for row in table.rows():
-            matches = statement.where is None or self._evaluator.evaluate_truth(
-                statement.where, ctx.with_values(row)
-            )
-            if matches:
-                count += 1
-            else:
-                kept.append(row)
+        matches = self._evaluator.compile_truth(statement.where, ctx)
+        before = table.snapshot()
+        kept = [row for row in before if not matches(row)]
         table.replace_rows(kept)
-        return _rowcount_relation(count)
+        return _rowcount_relation(len(before) - len(kept))
 
     def _execute_create(self, statement: nodes.CreateTable) -> Relation:
         if self._catalog.has_table(statement.name):
@@ -959,56 +889,20 @@ class Executor:
         return expanded
 
 
-class _GroupEvaluator:
-    """Evaluator view that substitutes aggregate results by call shape."""
+class _GroupEvaluator(Evaluator):
+    """Compiles the per-group pass: an aggregate call reads its result
+    from the slot its call shape was accumulated into."""
 
-    def __init__(
-        self, base: Evaluator, aggregate_values: dict[str, Any]
-    ) -> None:
-        self._base = base
-        self._values = aggregate_values
+    def __init__(self, base: Evaluator, slots: dict[str, int]) -> None:
+        super().__init__(base._run_subquery, base._parameters)
+        self._slots = slots
 
-    def evaluate(self, expr: nodes.Expression, ctx: RowContext) -> Any:
+    def compile(self, expr: nodes.Expression, layout: RowContext):
         if isinstance(expr, nodes.FunctionCall) and is_aggregate_function(
             expr.name
         ):
-            key = _agg_key(expr)
-            if key in self._values:
-                return self._values[key]
-            raise ExecutionError(
-                f"aggregate {expr.to_sql()} was not accumulated"
-            )
-        if isinstance(expr, nodes.BinaryOp):
-            left = self.evaluate(expr.left, ctx)
-            right = self.evaluate(expr.right, ctx)
-            return self._base._binary(  # reuse scalar operator logic
-                nodes.BinaryOp(expr.op, nodes.Literal(left), nodes.Literal(right)),
-                ctx,
-            )
-        if isinstance(expr, nodes.UnaryOp):
-            inner = self.evaluate(expr.operand, ctx)
-            return self._base._unary(
-                nodes.UnaryOp(expr.op, nodes.Literal(inner)), ctx
-            )
-        if isinstance(expr, nodes.Case):
-            for condition, result in expr.branches:
-                value = self.evaluate(condition, ctx)
-                if value is not None and value:
-                    return self.evaluate(result, ctx)
-            if expr.default is not None:
-                return self.evaluate(expr.default, ctx)
-            return None
-        if isinstance(expr, nodes.FunctionCall):
-            from repro.sqlengine.functions import call_scalar
-
-            args = [self.evaluate(arg, ctx) for arg in expr.args]
-            return call_scalar(expr.name, args)
-        if isinstance(expr, nodes.Cast):
-            from repro.sqlengine.types import coerce as _coerce
-
-            value = self.evaluate(expr.operand, ctx)
-            return _coerce(value, DataType.from_name(expr.type_name))
-        return self._base.evaluate(expr, ctx)
+            return operator.itemgetter(self._slots[_agg_key(expr)])
+        return super().compile(expr, layout)
 
 
 def _agg_key(call: nodes.FunctionCall) -> str:
@@ -1193,6 +1087,35 @@ def _apply_set_operator(op: str, left: Relation, right: Relation) -> Relation:
                 rows.append(row)
         return Relation(left.columns, rows)
     raise ExecutionError(f"unknown set operator: {op}")
+
+
+def _ordinal_getter(expr: nodes.Expression, visible: int):
+    """``ORDER BY <n>``: a getter for output column ``n``, or None when
+    ``expr`` is not an integer literal."""
+    if not (isinstance(expr, nodes.Literal) and isinstance(expr.value, int)):
+        return None
+    if 0 <= expr.value - 1 < visible:
+        return operator.itemgetter(expr.value - 1)
+
+    def out_of_range(row: tuple) -> Any:
+        raise ExecutionError(f"ORDER BY position {expr.value} out of range")
+
+    return out_of_range
+
+
+def _sorted_rows(
+    rows: list[tuple[Any, ...]], terms: list[tuple[Any, bool]]
+) -> list[tuple[Any, ...]]:
+    """Stable sort by ``(compiled getter, descending)`` ORDER BY terms."""
+
+    def key(row: tuple) -> list:
+        parts = []
+        for getter, descending in terms:
+            part = sort_key(getter(row))
+            parts.append(_invert(part) if descending else part)
+        return parts
+
+    return sorted(rows, key=key)
 
 
 def _find_column(

@@ -24,6 +24,7 @@ mix of numbers and text cannot break the bisect invariants.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
@@ -174,23 +175,15 @@ class SortedIndex(SecondaryIndex):
         ``None`` bounds are open. NULL rows are never in the index, so
         they are never produced (matching SQL comparison semantics).
         """
-        first = [key[0] for key in self._keys]
+        keys, first = self._keys, operator.itemgetter(0)
         lo = 0
-        hi = len(self._keys)
+        hi = len(keys)
         if low is not None:
-            bound = sort_key(low)
-            lo = (
-                bisect.bisect_left(first, bound)
-                if low_inclusive
-                else bisect.bisect_right(first, bound)
-            )
+            side = bisect.bisect_left if low_inclusive else bisect.bisect_right
+            lo = side(keys, sort_key(low), key=first)
         if high is not None:
-            bound = sort_key(high)
-            hi = (
-                bisect.bisect_right(first, bound)
-                if high_inclusive
-                else bisect.bisect_left(first, bound)
-            )
+            side = bisect.bisect_right if high_inclusive else bisect.bisect_left
+            hi = side(keys, sort_key(high), key=first)
         return self._positions[lo:hi]
 
     def clone(self) -> "SortedIndex":

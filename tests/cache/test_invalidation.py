@@ -91,3 +91,65 @@ class TestWriteInvalidation:
             "INSERT INTO orders VALUES (2003, 1, 1, 1, 10.0, '2023-07-03')"
         )
         assert db.execute(first.payload).rows[0][0] == 61
+
+
+class TestPromptContext:
+    """The schema + sample-values part of a Text-to-SQL prompt is served
+    from the SQL tier under the database's data version."""
+
+    QUESTION = "How many orders are there?"
+
+    def statements(self, db, monkeypatch):
+        seen = []
+        execute = type(db).execute_statement
+
+        def spy(self, statement, parameters=()):
+            seen.append(statement)
+            return execute(self, statement, parameters)
+
+        monkeypatch.setattr(type(db), "execute_statement", spy)
+        return seen
+
+    def test_repeat_prompts_issue_no_statements(
+        self, enabled_cache, monkeypatch
+    ):
+        from repro.llm.prompts import build_text2sql_prompt
+
+        source = EngineSource(build_sales_database(n_orders=20))
+        seen = self.statements(source.database, monkeypatch)
+        first = build_text2sql_prompt(source, self.QUESTION)
+        assert seen  # the sample-value queries ran once
+        del seen[:]
+        assert build_text2sql_prompt(source, self.QUESTION) == first
+        assert build_text2sql_prompt(source, "another one").startswith(
+            first[: first.index("Write one SQL query")]
+        )
+        assert seen == []
+
+    def test_a_write_retires_the_context(self, enabled_cache):
+        source = EngineSource(build_sales_database(n_orders=20))
+        before = source.prompt_context()
+        source.database.execute(
+            "INSERT INTO users VALUES (9001, 'zed', 'retail', 'atlantis', 30)"
+        )
+        after = source.prompt_context()
+        assert "atlantis" not in "\n".join(before)
+        assert "atlantis" in "\n".join(after)
+        # A different value budget is a different entry.
+        assert source.prompt_context(1) != after
+
+    def test_prompt_is_byte_identical_with_the_tier_off(self, enabled_cache):
+        from repro.cache.config import CacheConfig
+        from repro.cache.manager import CacheManager, set_cache_manager
+        from repro.llm.prompts import build_text2sql_prompt
+
+        source = EngineSource(build_sales_database(n_orders=20))
+        cached = build_text2sql_prompt(source, self.QUESTION)
+        assert build_text2sql_prompt(source, self.QUESTION) == cached
+        previous = set_cache_manager(
+            CacheManager(CacheConfig().with_tier("sql", enabled=False))
+        )
+        try:
+            assert build_text2sql_prompt(source, self.QUESTION) == cached
+        finally:
+            set_cache_manager(previous)

@@ -1,5 +1,8 @@
 """Tests for splitters, loaders, retrievers, KB, ICL and privacy."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.rag import (
@@ -195,6 +198,43 @@ class TestKnowledgeBase:
     def test_len_counts_chunks(self):
         kb = self.build_kb()
         assert len(kb) == 3
+
+    def test_concurrent_first_retrieve_rebuilds_once(self):
+        """Two threads making the first search on a fresh knowledge
+        base used to both rebuild the vector store and collide on
+        ``id ... already stored``."""
+        kb = KnowledgeBase()
+        for i in range(200):
+            kb.add_document(
+                Document(f"d{i}", f"topic {i} covers subject number {i % 7}")
+            )
+        barrier = threading.Barrier(2)
+        outcomes: list = []
+
+        def first_retrieve():
+            barrier.wait(timeout=10)
+            try:
+                outcomes.append(kb.retrieve("subject number 3", k=3))
+            except Exception as exc:  # reported by the assertion below
+                outcomes.append(exc)
+
+        threads = [threading.Thread(target=first_retrieve) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(outcomes) == 2
+        assert not [o for o in outcomes if isinstance(o, Exception)], outcomes
+        first, second = outcomes
+        assert [h.chunk.chunk_id for h in first] == [
+            h.chunk.chunk_id for h in second
+        ]
 
     def test_load_from_loader(self, tmp_path):
         (tmp_path / "a.txt").write_text("alpha beta gamma")
