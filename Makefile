@@ -28,7 +28,8 @@ bench:
 bench-cache:
 	$(PYTHON) -m pytest benchmarks/bench_cache.py -q
 
-# Micro-batching scheduler vs sequential dispatch; writes BENCH_serving.json.
+# The continuous-batching scheduler vs sequential dispatch (ratio bars
+# at 16 and 64 clients, time-to-first-token); writes BENCH_serving.json.
 bench-serving:
 	$(PYTHON) -m pytest benchmarks/bench_serving_throughput.py -q
 

@@ -1,4 +1,4 @@
-"""Concurrent-serving throughput: continuous batching vs windowed vs
+"""Concurrent-serving throughput: the continuous-batching engine vs
 sequential dispatch.
 
 Three claims worth certifying:
@@ -8,17 +8,10 @@ Three claims worth certifying:
    requests/second** of single-threaded sequential dispatch, and the
    scheduler actually coalesces (**mean batch size > 1**) rather than
    winning on thread parallelism alone.
-2. The asyncio continuous-batching engine (``mode="continuous"``, the
-   default) **beats the windowed result it replaced** — the seed
-   artifact's ~1404 req/s / 7.97x-over-sequential — at concurrency
-   64, where admission into in-flight batches pays most, and stays
-   within bounded headroom of windowed at the *same* concurrency
-   (>= 0.9x at 16 clients, >= 0.8x at 64). The lockstep closed-loop
-   herd this bench issues is windowed's best case — every batch forms
-   full, so slot-gated formation alone is optimal; continuous carries
-   the streaming, cancellation and mid-flight-admission machinery
-   through the same workload at that bounded cost and wins wherever
-   arrivals are ragged or streams pace differently.
+2. At concurrency 64 the speedup over sequential dispatch stays
+   **above 7.97x** and requests are admitted into in-flight batches
+   (``admitted_into_flight > 0``). Both bars are ratios to the
+   sequential run on the same box, so they do not move with box speed.
 3. End-to-end token streaming delivers a first chunk promptly:
    p50/p95 **time-to-first-token** through the full
    worker → controller → api_server → client path is measured and
@@ -29,13 +22,14 @@ inference (one fixed latency window per forward pass, small marginal
 cost per batched sequence — the economics that make micro-batching pay
 on real accelerators). The baseline deploys the same four replicas
 with no scheduler and issues every request from one thread; measured
-runs deploy with :class:`ServingConfig` enabled in each mode and issue
-the same workload through ``LLMClient.generate_many``; each mode is
-timed best-of-three fresh deployments after an untimed warmup. The
-inference cache is pinned off by the harness conftest and every prompt
-is distinct, so every request reaches a worker. Numbers land in
-``BENCH_serving.json`` at the repo root; CI re-asserts the seed-bar
-and continuous-vs-windowed invariants from the artifact.
+runs deploy with :class:`ServingConfig` enabled and issue the same
+workload through ``LLMClient.generate_many``, timed best-of-three
+fresh deployments after an untimed warmup. The inference cache is
+pinned off by the harness conftest and every prompt is distinct, so
+every request reaches a worker. Numbers land in ``BENCH_serving.json``
+at the repo root; CI re-asserts the same bars from the artifact. This
+is a drill-down bench: the end-to-end serving numbers are
+``gen_concurrent`` in ``benchmarks/e2e``.
 """
 
 import json
@@ -56,11 +50,10 @@ REPLICAS = 4
 LATENCY_S = 0.005
 PER_ITEM_S = 0.0002
 OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_serving.json"
-#: The windowed-batching result the continuous engine replaced (the
-#: seed BENCH_serving.json artifact): concurrency-64 serving must beat
-#: both its absolute throughput and its speedup over sequential.
-SEED_WINDOWED_RPS = 1404.0
-SEED_SPEEDUP = 7.97
+#: Floors on the speedup over sequential dispatch, at 16 and at 64
+#: clients (the engine runs at roughly 8x and 21x).
+MIN_SPEEDUP = 3.0
+MIN_HIGH_SPEEDUP = 7.97
 
 
 def _specs():
@@ -80,10 +73,9 @@ def _prompts(count=REQUESTS):
     return [f"question number {i}" for i in range(count)]
 
 
-def _config(mode):
+def _config():
     return ServingConfig(
         enabled=True,
-        mode=mode,
         queue_capacity=512,
         batch_window_ms=4.0,
         max_batch_size=16,
@@ -91,9 +83,9 @@ def _config(mode):
     )
 
 
-def _run_mode(mode, prompts, concurrency):
-    """Deploy one scheduler mode, push the workload, return metrics."""
-    controller, client = deploy(_specs(), serving=_config(mode))
+def _run_scheduled(prompts, concurrency):
+    """Deploy with the scheduler, push the workload, return metrics."""
+    controller, client = deploy(_specs(), serving=_config())
     try:
         start = time.perf_counter()
         answers = client.generate_many(
@@ -106,13 +98,13 @@ def _run_mode(mode, prompts, concurrency):
     return answers, elapsed, stats
 
 
-def _best_of(mode, prompts, concurrency, reps=3):
+def _best_of(prompts, concurrency, reps=3):
     """Best of ``reps`` fresh deployments: one scheduler wave is only
     ~50 ms of wall clock, so single-shot timings swing +-10% with OS
-    jitter — the mode comparison needs the noise floor, not one draw."""
+    jitter — the ratio bars need the noise floor, not one draw."""
     best = None
     for _ in range(reps):
-        result = _run_mode(mode, prompts, concurrency)
+        result = _run_scheduled(prompts, concurrency)
         if best is None or result[1] < best[1]:
             best = result
     return best
@@ -120,7 +112,7 @@ def _best_of(mode, prompts, concurrency, reps=3):
 
 def _measure_ttft():
     """p50/p95 time-to-first-token over concurrent end-to-end streams."""
-    controller, client = deploy(_specs(), serving=_config("continuous"))
+    controller, client = deploy(_specs(), serving=_config())
     try:
         def one_stream(i):
             start = time.perf_counter()
@@ -144,8 +136,7 @@ def _measure_ttft():
 
 def test_scheduler_throughput_vs_sequential():
     # -- warmup: spin up thread pools / code paths, discard timings -----
-    for mode in ("continuous", "windowed"):
-        _run_mode(mode, _prompts(32), CONCURRENCY)
+    _run_scheduled(_prompts(32), CONCURRENCY)
 
     # -- baseline: no scheduler, one caller, one request at a time ------
     _, baseline_client = deploy(_specs())
@@ -156,31 +147,20 @@ def test_scheduler_throughput_vs_sequential():
     ]
     sequential_s = time.perf_counter() - start
 
-    # -- measured: both scheduler modes, 16 concurrent clients ----------
-    scheduled_answers, scheduled_s, stats = _best_of(
-        "continuous", _prompts(), CONCURRENCY
-    )
-    windowed_answers, windowed_s, windowed_stats = _best_of(
-        "windowed", _prompts(), CONCURRENCY
-    )
+    # -- measured: 16 concurrent clients --------------------------------
+    scheduled_answers, scheduled_s, stats = _best_of(_prompts(), CONCURRENCY)
 
     # -- measured: concurrency 64, where in-flight admission pays -------
     _, high_continuous_s, high_stats = _best_of(
-        "continuous", _prompts(HIGH_REQUESTS), HIGH_CONCURRENCY
-    )
-    _, high_windowed_s, _ = _best_of(
-        "windowed", _prompts(HIGH_REQUESTS), HIGH_CONCURRENCY
+        _prompts(HIGH_REQUESTS), HIGH_CONCURRENCY
     )
 
     ttft = _measure_ttft()
 
     assert scheduled_answers == baseline_answers
-    assert windowed_answers == baseline_answers
     sequential_rps = REQUESTS / sequential_s
     scheduled_rps = REQUESTS / scheduled_s
-    windowed_rps = REQUESTS / windowed_s
     high_continuous_rps = HIGH_REQUESTS / high_continuous_s
-    high_windowed_rps = HIGH_REQUESTS / high_windowed_s
     speedup = scheduled_rps / sequential_rps
     high_speedup = high_continuous_rps / sequential_rps
     mean_batch = stats["mean_batch_size"]
@@ -207,16 +187,10 @@ def test_scheduler_throughput_vs_sequential():
             "shed": stats["shed"],
             "expired": stats["expired"],
         },
-        "windowed": {
-            "seconds": round(windowed_s, 4),
-            "rps": round(windowed_rps, 1),
-            "mean_batch_size": windowed_stats["mean_batch_size"],
-        },
         "concurrency64": {
             "requests": HIGH_REQUESTS,
             "concurrency": HIGH_CONCURRENCY,
             "continuous_rps": round(high_continuous_rps, 1),
-            "windowed_rps": round(high_windowed_rps, 1),
             "speedup_vs_sequential": round(high_speedup, 2),
             "admitted_into_flight": high_stats["admitted_into_flight"],
         },
@@ -225,55 +199,33 @@ def test_scheduler_throughput_vs_sequential():
     }
     OUTPUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    print("\nconcurrent serving: continuous vs windowed vs sequential")
+    print("\nconcurrent serving: continuous batching vs sequential")
     print(f"  sequential   : {sequential_rps:8.1f} req/s "
           f"({sequential_s * 1000:.0f} ms total)")
-    print(f"  windowed     : {windowed_rps:8.1f} req/s "
-          f"({windowed_s * 1000:.0f} ms total)")
     print(f"  continuous   : {scheduled_rps:8.1f} req/s "
           f"({scheduled_s * 1000:.0f} ms total)")
     print(f"  speedup      : {speedup:.1f}x at concurrency {CONCURRENCY}")
     print(f"  mean batch   : {mean_batch:.2f} over "
           f"{stats['dispatched_batches']} batches")
-    print(f"  @64 clients  : continuous {high_continuous_rps:.1f} vs "
-          f"windowed {high_windowed_rps:.1f} req/s "
+    print(f"  @64 clients  : {high_continuous_rps:8.1f} req/s "
           f"({high_speedup:.1f}x sequential)")
     print(f"  ttft         : p50 {ttft['p50']:.2f} ms, "
           f"p95 {ttft['p95']:.2f} ms over {STREAMS} streams")
     print(f"  written to   : {OUTPUT.name}")
 
-    assert speedup >= 3.0, (
-        f"scheduler only {speedup:.2f}x over sequential (need >= 3x)"
+    assert speedup >= MIN_SPEEDUP, (
+        f"scheduler only {speedup:.2f}x over sequential "
+        f"(need >= {MIN_SPEEDUP}x)"
     )
     assert mean_batch > 1.0, (
         f"mean batch size {mean_batch} — scheduler never coalesced"
     )
-    # The bars that matter: concurrency-64 continuous serving beats
-    # the windowed-batching result it replaced — the seed artifact's
-    # absolute throughput and its speedup over sequential — with
-    # ~3x headroom on both.
-    assert high_continuous_rps > SEED_WINDOWED_RPS, (
-        f"continuous {high_continuous_rps:.1f} req/s at concurrency 64 "
-        f"does not beat the replaced windowed result "
-        f"({SEED_WINDOWED_RPS} req/s)"
+    assert high_speedup > MIN_HIGH_SPEEDUP, (
+        f"scheduler only {high_speedup:.2f}x over sequential at "
+        f"concurrency {HIGH_CONCURRENCY} (need > {MIN_HIGH_SPEEDUP}x)"
     )
-    assert high_speedup > SEED_SPEEDUP, (
-        f"continuous {high_speedup:.2f}x over sequential at "
-        f"concurrency 64 does not beat the replaced windowed speedup "
-        f"({SEED_SPEEDUP}x)"
+    admitted = (
+        stats["admitted_into_flight"] + high_stats["admitted_into_flight"]
     )
-    # Same-concurrency comparison against the live windowed run: this
-    # lockstep herd (every batch forms full) is windowed's best case,
-    # so continuous is held to bounded headroom, not a win — 0.9x at
-    # 16 clients, 0.8x at 64 (formation raggedness during the client
-    # ramp costs up to one extra fused pass per run there). Best-of-
-    # three absorbs OS jitter; CI re-checks the artifact.
-    assert scheduled_rps >= windowed_rps * 0.9, (
-        f"continuous {scheduled_rps:.1f} req/s below 0.9x windowed "
-        f"{windowed_rps:.1f} req/s"
-    )
-    assert high_continuous_rps >= high_windowed_rps * 0.8, (
-        f"continuous {high_continuous_rps:.1f} req/s below 0.8x "
-        f"windowed {high_windowed_rps:.1f} req/s at concurrency 64"
-    )
+    assert admitted > 0, "no request was admitted into a live batch"
     assert ttft["p95"] > 0.0

@@ -59,7 +59,7 @@ def render_serving_stats(stats: dict) -> str:
             "serving scheduler disabled; boot with "
             "ServingConfig(enabled=True)"
         )
-    lines = [f"mode: {stats.get('mode', 'windowed')}"]
+    lines = [f"mode: {stats['mode']}"]
     rows = [
         ("queue depth", "queue_depth"),
         ("in-flight batches", "inflight_batches"),
@@ -73,9 +73,7 @@ def render_serving_stats(stats: dict) -> str:
         ("expired", "expired"),
         ("cancelled streams", "cancelled"),
     ]
-    for label, key in rows:
-        if key in stats:
-            lines.append(f"{label:<22} {stats[key]}")
+    lines.extend(f"{label:<22} {stats[key]}" for label, key in rows)
     return "\n".join(lines)
 
 
@@ -450,20 +448,29 @@ def health_main(argv: list[str]) -> int:
     return 0
 
 
+#: Per-stream chunk buffer for the ``repro serve`` demo, smaller than
+#: its 7-chunk chat replies so an abandoned stream is still generating
+#: when its consumer walks away (the default of 32 would have delivered
+#: it in full, and there would be nothing to cancel).
+_SERVE_DEMO_STREAM_BUFFER = 2
+
+
 def serve_main(argv: list[str]) -> int:
     """``repro serve``: the continuous-batching engine, demonstrated.
 
     Boots with the serving scheduler enabled, drives a burst of
-    concurrent chat turns plus a few token streams through it (one
-    stream is cancelled mid-flight), and prints the scheduler stats —
-    in-flight batch occupancy, admissions into live batches,
-    cancellations. ``--mode windowed`` runs the fixed-window baseline
-    for comparison; ``--json`` emits the raw stats dict.
+    concurrent chat turns plus two token streams through it (one
+    stream is cancelled mid-generation), and prints the scheduler
+    stats — in-flight batch occupancy, admissions into live batches,
+    cancellations. ``--json`` emits the raw stats dict on stdout;
+    progress text goes to stderr.
     """
     import json
+    import time
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.core.config import DbGptConfig
+    from repro.runtime import mono_clock
     from repro.serving import ServingConfig
 
     parser = argparse.ArgumentParser(
@@ -472,12 +479,6 @@ def serve_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--csv", help="directory of CSV files to load as tables"
-    )
-    parser.add_argument(
-        "--mode",
-        default="continuous",
-        choices=("continuous", "windowed"),
-        help="scheduler to mount (default: continuous)",
     )
     parser.add_argument(
         "--requests",
@@ -493,7 +494,9 @@ def serve_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     config = DbGptConfig(
         serving=ServingConfig(
-            enabled=True, mode=args.mode, batch_window_ms=5.0
+            enabled=True,
+            batch_window_ms=5.0,
+            stream_buffer=_SERVE_DEMO_STREAM_BUFFER,
         )
     )
     dbgpt = DBGPT.boot(config)
@@ -502,7 +505,7 @@ def serve_main(argv: list[str]) -> int:
     else:
         dbgpt.register_source(EngineSource(build_sales_database()))
     total = max(args.requests, 1)
-    print(f"driving {total} concurrent turns ({args.mode} scheduler)...")
+    print(f"driving {total} concurrent turns...", file=sys.stderr)
     with ThreadPoolExecutor(max_workers=min(total, 32)) as pool:
         futures = [
             pool.submit(
@@ -515,15 +518,20 @@ def serve_main(argv: list[str]) -> int:
         ]
         for future in futures:
             future.result()
-    if args.mode == "continuous":
-        # A couple of live token streams, one abandoned mid-flight so
-        # the cancellation counters have something to show.
-        for chunk in dbgpt.client.stream("chat", "stream me a reply"):
-            pass
-        aborted = dbgpt.client.stream("chat", "stream to abandon")
-        next(aborted, None)
-        aborted.close()
+    # Two live token streams, one abandoned mid-generation so the
+    # cancellation counters have something to show.
+    for chunk in dbgpt.client.stream("chat", "stream me a reply"):
+        pass
+    aborted = dbgpt.client.stream("chat", "stream to abandon")
+    next(aborted, None)
+    aborted.close()
+    # The engine reaps the cancelled member on its own loop; read the
+    # stats once its batch has retired.
     stats = dbgpt.serving_stats()
+    give_up = mono_clock() + 5.0
+    while stats["inflight_batches"] and mono_clock() < give_up:
+        time.sleep(0.001)
+        stats = dbgpt.serving_stats()
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
     else:

@@ -2,15 +2,11 @@
 
 The paper's SMMF exists to serve many simultaneous chat sessions
 across model replicas; ``repro.serving`` adds the concurrency layer
-that makes the worker pool earn its replicas — a bounded admission
-queue with structured backpressure, per-request deadlines, and two
-dispatchers behind one interface: the asyncio-native
-continuous-batching engine (:class:`RequestScheduler`, the default,
-with end-to-end token streaming, per-stream backpressure, and
-mid-generation cancellation) and the original fixed-window
-thread-pooled dispatcher (:class:`WindowedScheduler`, selected with
-``ServingConfig(mode="windowed")``, kept as the benchmark baseline).
-See ``docs/serving.md`` for the design and tuning guide.
+that makes the worker pool earn its replicas: :class:`RequestScheduler`,
+an asyncio continuous-batching engine with a bounded admission queue,
+structured backpressure, per-request deadlines, end-to-end token
+streaming with per-stream backpressure, and mid-generation
+cancellation. See ``docs/serving.md`` for the design and tuning guide.
 """
 
 from repro.serving.config import ServingConfig
@@ -24,7 +20,6 @@ from repro.serving.scheduler import (
     SchedulerOverloaded,
     StreamCancelled,
     StreamClosed,
-    WindowedScheduler,
     shape_key,
 )
 from repro.serving.simulation import LatencySimModel
@@ -44,7 +39,6 @@ __all__ = [
     "StreamCancelled",
     "StreamClosed",
     "TokenStream",
-    "WindowedScheduler",
     "get_loop_runner",
     "shape_key",
 ]

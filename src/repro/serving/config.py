@@ -13,36 +13,31 @@ from typing import Optional
 
 @dataclass
 class ServingConfig:
-    """Knobs for the SMMF micro-batching scheduler.
+    """Knobs for the SMMF continuous-batching scheduler.
 
     ``enabled`` is the master switch. It defaults to **off**: the
     scheduler exists to serve *concurrent* clients, and a
     single-threaded caller would only pay the batching window and
-    thread handoff for nothing. When disabled, the dispatch path is
-    behaviorally identical to a build without the subsystem (certified
-    by the disabled-parity tests, mirroring the cache tier).
+    the hop to the engine's loop for nothing. When disabled, the
+    dispatch path is behaviorally identical to a build without the
+    subsystem (certified by the disabled-parity tests, mirroring the
+    cache tier).
     """
 
     enabled: bool = False
-    #: Scheduler implementation. ``"continuous"`` (the default) is the
-    #: asyncio engine with continuous batching — compatible requests
-    #: are admitted into in-flight batches between generation steps.
-    #: ``"windowed"`` is the thread-pooled fixed-window dispatcher kept
-    #: as the comparison baseline for benchmarks.
-    mode: str = "continuous"
     #: Hard bound on queued-but-undispatched requests. Admission past
     #: this sheds the request with a 429-style error instead of letting
     #: latency grow without bound.
     queue_capacity: int = 128
-    #: How long the dispatcher holds the head-of-line request waiting
-    #: for compatible requests to coalesce with. 0 batches only what
-    #: already queued up.
+    #: How long the engine holds the head-of-line request (or a
+    #: drained batch's lease) waiting for compatible requests to
+    #: coalesce with. 0 batches only what already queued up.
     batch_window_ms: float = 2.0
-    #: Largest coalesced batch handed to one worker as a single
-    #: ``generate_batch`` call.
+    #: Most members one live batch seats — the size of the largest
+    #: fused ``generate_batch`` pass on one worker.
     max_batch_size: int = 16
-    #: Concurrent dispatches (batches or singles) in flight at once —
-    #: the width of the dispatch thread pool.
+    #: Live batches (or single dispatches) in flight at once — the
+    #: width of the engine's step executor.
     pool_width: int = 4
     #: Per-request deadline applied when the caller does not pass one;
     #: ``None`` means requests wait as long as it takes.
@@ -54,11 +49,6 @@ class ServingConfig:
     stream_buffer: int = 32
 
     def __post_init__(self) -> None:
-        if self.mode not in ("continuous", "windowed"):
-            raise ValueError(
-                "mode must be 'continuous' or 'windowed', "
-                f"not {self.mode!r}"
-            )
         if self.queue_capacity <= 0:
             raise ValueError("queue_capacity must be positive")
         if self.batch_window_ms < 0:

@@ -1,34 +1,32 @@
 """The asyncio continuous-batching serving engine.
 
-This is the production scheduler behind SMMF (``ServingConfig(
-mode="continuous")``, the default): an event loop on a dedicated
-daemon thread runs step-level scheduling against the worker pool,
-vLLM-style. Where the windowed baseline freezes a batch at dispatch,
-the engine keeps every batch **live**: between fused forward passes it
-admits newly arrived compatible requests into the in-flight execution
-(no window to wait out, no head-of-line straggle), and a member whose
-stream consumer cancels is released *mid-generation* — its worker
-in-flight slot and batch seat free immediately.
+This is the scheduler behind SMMF (mounted by
+``ServingConfig(enabled=True)``): an event loop on a dedicated daemon
+thread runs step-level scheduling against the worker pool, vLLM-style.
+Every batch stays **live**: between fused forward passes the engine
+admits newly arrived compatible requests into the in-flight execution,
+and a member whose stream consumer cancels is released
+*mid-generation* — its worker in-flight slot and batch seat free
+immediately.
 
-The admission surface is unchanged from the windowed scheduler —
-hard-capacity queue, structured :class:`SchedulerOverloaded` sheds
-with ``retry_after``, per-request deadlines, the tenancy admission
-hook running synchronously in the caller's context — so every
-existing caller, test and error-mapping works identically. New
-surfaces are the async ones: :meth:`aschedule` awaits a response
-without blocking a thread, :meth:`stream`/:meth:`astream` deliver
-token chunks through bounded per-stream queues
+Admission is a hard-capacity queue with structured
+:class:`SchedulerOverloaded` sheds carrying ``retry_after``,
+per-request deadlines, and the tenancy admission hook running
+synchronously in the caller's context. Callers wait either way:
+:meth:`schedule` blocks a thread, :meth:`aschedule` awaits a response
+without one, and :meth:`stream`/:meth:`astream` deliver token chunks
+through bounded per-stream queues
 (:class:`repro.serving.streams.TokenStream`) with backpressure and
 cancellation propagation.
 
 Execution model, per batch:
 
 1. **form** — the main loop pops the head-of-line request plus queued
-   compatible requests (same ``shape_key`` contract and batching
-   window as before; the window is skipped once ``max_batch_size``
-   compatible requests queue).
+   compatible requests (the ``shape_key`` contract; the batching
+   window is skipped once ``max_batch_size`` compatible requests
+   queue).
 2. **lease** — :meth:`ModelController.start_batch` routes the batch
-   to a replica with the existing whole-batch failover ladder.
+   to a replica with the controller's whole-batch failover ladder.
 3. **step** — one fused ``generate_batch`` pass computes every
    pending member (one latency window on simulated hardware). A
    poison :class:`LLMError` sends the step's members to per-request
@@ -38,9 +36,9 @@ Execution model, per batch:
    until their bounded buffer fills); compatible queued requests are
    admitted into the live batch and the loop returns to step 3.
 
-Everything is observable under the same ``serving_*`` metric names,
-plus ``serving_stream_cancelled_total`` and the continuous-batching
-stats (``admitted_into_flight``, member occupancy) in :meth:`stats`.
+Everything is observable under the ``serving_*`` metric names
+(``docs/observability.md``) and in :meth:`stats`
+(``admitted_into_flight``, member occupancy, cancellations).
 """
 
 from __future__ import annotations
@@ -60,6 +58,7 @@ from repro.serving.config import ServingConfig
 from repro.serving.loop import LoopRunner
 from repro.serving.scheduler import (
     BATCH_SIZE_BUCKETS,
+    DeadlineExceeded,
     SchedulerClosed,
     SchedulerOverloaded,
     StreamCancelled,
@@ -117,11 +116,9 @@ class _Execution:
 class RequestScheduler:
     """Continuous-batching admission queue over a controller.
 
-    Drop-in for the windowed scheduler (same constructor, same sync
-    ``schedule``/``submit`` facade, same structured errors and
-    metrics) with the asyncio engine underneath. The event loop and
-    its bounded step executor start lazily on first submit; an unused
-    scheduler costs nothing.
+    The one scheduler a deployment mounts in front of its worker
+    pool. The event loop and its bounded step executor start lazily
+    on first submit; an unused scheduler costs nothing.
     """
 
     def __init__(
@@ -343,8 +340,8 @@ class RequestScheduler:
             return len(self._queue)
 
     def stats(self) -> dict[str, Any]:
-        """Lifetime scheduler statistics, windowed-compatible keys
-        plus the continuous-batching view (in-flight member occupancy,
+        """Lifetime scheduler statistics: queue and dispatch counts
+        plus the live-batch view (in-flight member occupancy,
         admissions into live batches, cancellations)."""
         with self._lock:
             batches = self._dispatched_batches
@@ -415,7 +412,8 @@ class RequestScheduler:
             )
             runner = self._runner = LoopRunner(name="serving-engine")
         # The engine task runs in a clean context: spans opened by
-        # steps are roots, exactly like the windowed pool threads.
+        # steps are roots, not children of whichever caller happened
+        # to submit first.
         runner.submit(self._main(), context=contextvars.Context())
 
     def _wake_engine(self) -> None:
@@ -618,7 +616,7 @@ class RequestScheduler:
     async def _run_single(self, pending: _Pending) -> None:
         """Cohorts of one non-streaming request dispatch through the
         controller's plain ``generate`` — per-request failover, no
-        batch machinery — exactly as the windowed scheduler did."""
+        batch machinery."""
         model = pending.model
         registry = get_registry()
         registry.histogram(
@@ -767,11 +765,9 @@ class RequestScheduler:
         #
         # While the batch is pure non-stream and the next cohort is
         # immediately admittable, the thread cycles admit → step →
-        # settle in place: zero loop handoffs per round, the same
-        # inline economics as a windowed pool thread — with mid-flight
-        # admission on top. Streams (which need loop-paced delivery)
-        # and refill holds (which need an awaitable wait) hand control
-        # back to the engine task.
+        # settle in place: zero loop handoffs per round. Streams
+        # (which need loop-paced delivery) hand control back to the
+        # engine task.
         def run_step() -> None:
             cohort = to_admit
             stepped = stepped_before
@@ -845,9 +841,7 @@ class RequestScheduler:
                     # Drained refill hold, taken inline: park this
                     # step thread on the wake event for the remaining
                     # window instead of handing control back to the
-                    # loop — the same zero-handoff wait the windowed
-                    # dispatcher gets from its condition variable.
-                    # The clear-then-pop above runs under the lock,
+                    # loop. The clear-then-pop above runs under the lock,
                     # so a submit landing after the pop is never
                     # missed: its ``_wake_engine`` sets the event.
                     execution.thread_wake.wait(timeout=refill)
@@ -998,8 +992,8 @@ class RequestScheduler:
                 member.chunks = chunk_text(response.text)
 
     def _reap_cancelled(self, execution: _Execution) -> None:
-        """Release members whose stream consumer walked away — the
-        mid-generation slot free the windowed scheduler could not do."""
+        """Release members whose stream consumer walked away,
+        freeing their seat and worker slot mid-generation."""
         for member_id, member in list(execution.members.items()):
             stream = member.pending.stream
             if stream is None or not stream.cancelled:
@@ -1055,8 +1049,7 @@ class RequestScheduler:
         return response
 
     def _admit_into(self, execution: _Execution) -> Optional[float]:
-        """Pull compatible queued requests into the live batch — the
-        continuous-batching admission the windowed design lacked.
+        """Pull compatible queued requests into the live batch.
         Called by the execution's task between steps only: queue
         surgery under the engine lock here; the per-member
         ``lease.admit`` worker handshakes in the next step's executor
@@ -1160,8 +1153,6 @@ class RequestScheduler:
         self._queue_gauge_locked()
 
     def _expire_one_locked(self, pending: _Pending, now: float) -> None:
-        from repro.serving.scheduler import DeadlineExceeded
-
         self._expired += 1
         registry = get_registry()
         registry.counter(
@@ -1187,8 +1178,8 @@ class RequestScheduler:
         pending.reject(error)
 
     def _retry_after_locked(self) -> float:
-        """Backoff hint mirroring the windowed heuristic: backlog
-        ahead of the caller in batch-capacity units of the pool."""
+        """Backoff hint: the backlog ahead of the caller in
+        batch-capacity units of the pool, floored at one window."""
         window_s = max(self.config.batch_window_ms / 1000.0, 0.005)
         capacity_per_round = max(
             1, self.config.pool_width * self.config.max_batch_size

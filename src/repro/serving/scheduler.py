@@ -1,40 +1,18 @@
-"""Shared serving vocabulary + the windowed-batching baseline.
+"""Shared serving vocabulary.
 
-This module holds what every scheduler implementation (and its
-clients) share — the structured error types, the batch-compatibility
-:func:`shape_key`, and the :class:`_Pending` request handle — plus
-:class:`WindowedScheduler`, the original fixed-window thread-pooled
-dispatcher. The production scheduler is the asyncio continuous-
-batching engine in :mod:`repro.serving.engine`
-(:class:`~repro.serving.engine.RequestScheduler`); the windowed
-implementation is kept as the benchmark baseline
-(``ServingConfig(mode="windowed")``) so the continuous-vs-windowed
-invariant in ``benchmarks/bench_serving_throughput.py`` measures a
-real alternative, not a strawman.
-
-The windowed dispatcher in one paragraph: an **admission queue** — a
-hard-capacity bound with per-request deadlines; overload sheds the
-newest request with a structured :class:`SchedulerOverloaded`
-(surfaced as a 429 with a ``retry_after`` hint) — feeds a
-**micro-batching dispatcher**: requests compatible on
-``(model, task, max_tokens)`` that arrive within the batching window
-coalesce into one :meth:`LanguageModel.generate_batch` call on one
-worker, run from a bounded thread pool (``pool_width``). The clock is
-injectable so deadline tests are deterministic without sleeping.
+What the scheduler (:class:`repro.serving.engine.RequestScheduler`)
+and its clients share: the structured error types the API server maps
+to HTTP statuses, the batch-compatibility :func:`shape_key`, and the
+:class:`_Pending` request handle.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from repro.llm.base import GenerationRequest, GenerationResponse, LLMError
-from repro.obs.metrics import get_registry
-from repro.serving.config import ServingConfig
+from repro.llm.base import GenerationRequest, GenerationResponse
 
 #: Bucket bounds for the coalesced batch-size histogram.
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
@@ -105,8 +83,8 @@ class _Pending:
     threading event, async callers register a callback (fired exactly
     once, on whatever thread resolves the request) that relays into
     their own event loop. ``stream`` is set for streaming submissions;
-    ``window_until`` is the continuous engine's armed batching-window
-    deadline for the head-of-line request.
+    ``window_until`` is the armed batching-window deadline while the
+    request is head of the queue.
     """
 
     model: str
@@ -118,9 +96,9 @@ class _Pending:
     error: Optional[BaseException] = None
     stream: Optional[Any] = None
     window_until: Optional[float] = None
-    #: Adaptive-window state (continuous engine only): hard cap on
-    #: extensions, and the compatible count seen at the last check —
-    #: the window extends while arrivals are still streaming in.
+    #: Adaptive-window state: hard cap on extensions, and the
+    #: compatible count seen at the last check — the window extends
+    #: while arrivals are still streaming in.
     window_cap: float = 0.0
     window_seen: int = 0
     _callbacks: list = field(default_factory=list)
@@ -150,434 +128,3 @@ class _Pending:
                 self._callbacks.append(callback)
                 return
         callback()
-
-
-class WindowedScheduler:
-    """Admission queue + fixed-window micro-batching dispatcher.
-
-    The original serving scheduler, retained as the benchmark
-    baseline (``ServingConfig(mode="windowed")``). One dispatcher
-    thread drains the queue one batch at a time — the head-of-line
-    request plus every queued request sharing its :func:`shape_key`,
-    up to ``max_batch_size``, waiting up to ``batch_window_ms`` for
-    stragglers — and hands each batch to a bounded dispatch pool.
-    When every pool slot is busy the dispatcher stops draining, so
-    the admission queue (and its capacity bound) is the real
-    backpressure surface. A batch, once dispatched, is frozen: late
-    arrivals wait for the next window — exactly the head-of-line
-    latency the continuous engine removes.
-
-    Threads start lazily on first :meth:`submit`; an unused scheduler
-    costs nothing.
-    """
-
-    def __init__(
-        self,
-        controller: Any,
-        config: Optional[ServingConfig] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self._controller = controller
-        self.config = config or ServingConfig(enabled=True)
-        self._clock = clock
-        self._queue: deque[_Pending] = deque()
-        self._cond = threading.Condition()
-        self._inflight_batches = 0
-        self._started = False
-        self._closed = False
-        self._dispatcher: Optional[threading.Thread] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
-        #: Optional admission gate installed by the tenancy fabric: a
-        #: callable ``(model, request) -> None`` that raises (typically
-        #: a SchedulerOverloaded subclass) to reject before enqueue.
-        self._admission_hook: Optional[
-            Callable[[str, GenerationRequest], None]
-        ] = None
-        # Lifetime statistics (under the condition's lock).
-        self._shed = 0
-        self._expired = 0
-        self._dispatched_batches = 0
-        self._dispatched_requests = 0
-
-    # -- public API --------------------------------------------------------
-
-    def schedule(
-        self,
-        model: str,
-        request: GenerationRequest,
-        timeout_s: Optional[float] = None,
-    ) -> GenerationResponse:
-        """Admit, wait for dispatch, and return the response.
-
-        Raises :class:`SchedulerOverloaded` when shed at admission,
-        :class:`DeadlineExceeded` when the deadline expires while
-        queued, or whatever the dispatch itself raised (``SmmfError``,
-        ``LLMError``).
-        """
-        pending = self.submit(model, request, timeout_s=timeout_s)
-        pending.done.wait()
-        if pending.error is not None:
-            raise pending.error
-        assert pending.response is not None
-        return pending.response
-
-    def submit(
-        self,
-        model: str,
-        request: GenerationRequest,
-        timeout_s: Optional[float] = None,
-    ) -> _Pending:
-        """Admit one request; returns the pending handle immediately."""
-        self._ensure_started()
-        with self._cond:
-            hook = self._admission_hook
-        if hook is not None:
-            # Invoked outside the condition: hooks take their own locks
-            # (e.g. the quota manager's) and must not nest under ours.
-            hook(model, request)
-        now = self._clock()
-        budget = (
-            timeout_s
-            if timeout_s is not None
-            else self.config.default_timeout_s
-        )
-        deadline = now + budget if budget is not None else None
-        with self._cond:
-            if self._closed:
-                raise SchedulerClosed("scheduler is shut down")
-            if len(self._queue) >= self.config.queue_capacity:
-                self._shed += 1
-                retry_after = self._retry_after_locked()
-                registry = get_registry()
-                registry.counter(
-                    "serving_shed_total",
-                    "requests shed at admission (queue full)",
-                ).inc(model=model)
-                registry.counter(
-                    "serving_requests_total",
-                    "scheduler admissions by outcome",
-                ).inc(model=model, outcome="shed")
-                raise SchedulerOverloaded(
-                    f"serving queue full "
-                    f"({self.config.queue_capacity} waiting); "
-                    f"retry in {retry_after:.2f}s",
-                    retry_after=retry_after,
-                )
-            pending = _Pending(
-                model=model,
-                request=request,
-                enqueued_at=now,
-                deadline=deadline,
-            )
-            self._queue.append(pending)
-            self._queue_gauge_locked()
-            get_registry().counter(
-                "serving_requests_total",
-                "scheduler admissions by outcome",
-            ).inc(model=model, outcome="admitted")
-            self._cond.notify_all()
-        return pending
-
-    def set_admission_hook(
-        self,
-        hook: Optional[Callable[[str, GenerationRequest], None]],
-    ) -> None:
-        """Install (or clear, with None) the pre-enqueue admission gate.
-
-        The hook runs on every :meth:`submit` before capacity checks;
-        raising from it rejects the request without touching the queue.
-        """
-        with self._cond:
-            self._admission_hook = hook
-
-    def queue_depth(self) -> int:
-        with self._cond:
-            return len(self._queue)
-
-    def stats(self) -> dict[str, Any]:
-        """Lifetime scheduler statistics (queue, sheds, batch sizes)."""
-        with self._cond:
-            batches = self._dispatched_batches
-            return {
-                "mode": "windowed",
-                "queue_depth": len(self._queue),
-                "inflight_batches": self._inflight_batches,
-                "shed": self._shed,
-                "expired": self._expired,
-                "dispatched_batches": batches,
-                "dispatched_requests": self._dispatched_requests,
-                "mean_batch_size": (
-                    round(self._dispatched_requests / batches, 3)
-                    if batches
-                    else 0.0
-                ),
-            }
-
-    def close(self) -> None:
-        """Stop dispatching; queued requests fail with SchedulerClosed."""
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            abandoned = list(self._queue)
-            self._queue.clear()
-            self._queue_gauge_locked()
-            self._cond.notify_all()
-            dispatcher = self._dispatcher
-            pool = self._pool
-        for pending in abandoned:
-            pending.reject(SchedulerClosed("scheduler shut down"))
-        if dispatcher is not None:
-            dispatcher.join(timeout=5.0)
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    # -- internals ---------------------------------------------------------
-
-    def _ensure_started(self) -> None:
-        with self._cond:
-            if self._started:
-                return
-            self._started = True
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.config.pool_width,
-                thread_name_prefix="serving-dispatch",
-            )
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop,
-                name="serving-scheduler",
-                daemon=True,
-            )
-            self._dispatcher.start()
-
-    def _retry_after_locked(self) -> float:
-        """Heuristic backoff hint: how long until a queue slot frees.
-
-        Scales with the backlog ahead of the caller measured in
-        batch-capacity units of the dispatch pool, floored at one
-        batching window.
-        """
-        window_s = max(self.config.batch_window_ms / 1000.0, 0.005)
-        capacity_per_round = max(
-            1, self.config.pool_width * self.config.max_batch_size
-        )
-        backlog_rounds = 1 + len(self._queue) / capacity_per_round
-        return round(window_s * backlog_rounds, 4)
-
-    def _queue_gauge_locked(self) -> None:
-        get_registry().gauge(
-            "serving_queue_depth", "requests admitted but not dispatched"
-        ).set(len(self._queue))
-
-    def _dispatch_loop(self) -> None:
-        # The pool is written once, under the condition, before this
-        # thread starts; grab it the same way rather than relying on
-        # the Thread.start() happens-before edge.
-        with self._cond:
-            pool = self._pool
-        while True:
-            dispatch = self._next_batch()
-            if dispatch is None:
-                return
-            model, batch = dispatch
-            assert pool is not None
-            try:
-                pool.submit(self._run_batch, model, batch)
-            except RuntimeError:
-                # Pool shut down between drain and submit (close race).
-                for pending in batch:
-                    pending.reject(SchedulerClosed("scheduler shut down"))
-                with self._cond:
-                    self._inflight_batches -= 1
-                    self._cond.notify_all()
-                return
-
-    def _next_batch(self) -> Optional[tuple[str, list[_Pending]]]:
-        """Block until a batch can dispatch; None when closed.
-
-        Waits for both a queued request *and* a free pool slot, then
-        holds the batching window open for compatible stragglers
-        (woken early once ``max_batch_size`` compatible requests are
-        queued — which is why Event/Barrier-driven tests need no real
-        sleeps).
-        """
-        with self._cond:
-            while True:
-                if self._closed:
-                    return None
-                self._expire_locked()
-                if (
-                    self._queue
-                    and self._inflight_batches < self.config.pool_width
-                ):
-                    break
-                self._cond.wait()
-            head = self._queue[0]
-            key = shape_key(head.model, head.request)
-            window_s = self.config.batch_window_ms / 1000.0
-            if window_s > 0:
-                wait_until = self._clock() + window_s
-                while (
-                    not self._closed
-                    and self._compatible_count_locked(key)
-                    < self.config.max_batch_size
-                ):
-                    remaining = wait_until - self._clock()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-            if self._closed:
-                return None
-            self._expire_locked()
-            if not self._queue:
-                # Everything expired while the window was open.
-                return self._next_batch_tail()
-            head = self._queue.popleft()
-            key = shape_key(head.model, head.request)
-            batch = [head]
-            kept: deque[_Pending] = deque()
-            while self._queue:
-                pending = self._queue.popleft()
-                if (
-                    len(batch) < self.config.max_batch_size
-                    and shape_key(pending.model, pending.request) == key
-                ):
-                    batch.append(pending)
-                else:
-                    kept.append(pending)
-            self._queue = kept
-            self._inflight_batches += 1
-            self._queue_gauge_locked()
-        now = self._clock()
-        registry = get_registry()
-        wait_histogram = registry.histogram(
-            "serving_wait_ms", "time from admission to dispatch"
-        )
-        for pending in batch:
-            wait_histogram.observe(
-                (now - pending.enqueued_at) * 1000.0, model=pending.model
-            )
-        return head.model, batch
-
-    def _next_batch_tail(self) -> Optional[tuple[str, list[_Pending]]]:
-        # Re-enter the wait loop without holding the lock recursively.
-        return self._next_batch()
-
-    def _compatible_count_locked(self, key: tuple) -> int:
-        return sum(
-            1
-            for pending in self._queue
-            if shape_key(pending.model, pending.request) == key
-        )
-
-    def _expire_locked(self) -> None:
-        """Fail queued requests whose deadline has already passed."""
-        if not self._queue:
-            return
-        now = self._clock()
-        survivors: deque[_Pending] = deque()
-        expired: list[_Pending] = []
-        for pending in self._queue:
-            if pending.deadline is not None and now >= pending.deadline:
-                expired.append(pending)
-            else:
-                survivors.append(pending)
-        if not expired:
-            return
-        self._queue = survivors
-        self._expired += len(expired)
-        self._queue_gauge_locked()
-        registry = get_registry()
-        for pending in expired:
-            registry.counter(
-                "serving_deadline_expired_total",
-                "requests expired while queued",
-            ).inc(model=pending.model)
-            registry.counter(
-                "serving_requests_total",
-                "scheduler admissions by outcome",
-            ).inc(model=pending.model, outcome="expired")
-            pending.reject(
-                DeadlineExceeded(
-                    f"deadline passed after "
-                    f"{now - pending.enqueued_at:.3f}s in queue"
-                )
-            )
-
-    def _run_batch(self, model: str, batch: list[_Pending]) -> None:
-        registry = get_registry()
-        registry.histogram(
-            "serving_batch_size",
-            "requests per dispatched batch",
-            buckets=BATCH_SIZE_BUCKETS,
-        ).observe(len(batch), model=model)
-        outcomes: dict[str, int] = {}
-        try:
-            if len(batch) == 1:
-                responses = [
-                    self._controller.generate(model, batch[0].request)
-                ]
-            else:
-                responses = self._controller.generate_batch(
-                    model, [pending.request for pending in batch]
-                )
-            for pending, response in zip(batch, responses):
-                pending.resolve(response)
-            outcomes["completed"] = len(batch)
-        except LLMError as exc:
-            if len(batch) == 1:
-                batch[0].reject(exc)
-                outcomes["error"] = 1
-            else:
-                # A model-level error in a fused execution names no
-                # culprit, so one poison prompt must not fail its
-                # cohabiting waiters: re-dispatch each request on its
-                # own and let only the poison request(s) fail. Worker
-                # crashes never reach here — the controller already
-                # fails the whole batch over to another replica.
-                outcomes = self._isolate_batch(model, batch)
-        except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
-            for pending in batch:
-                pending.reject(exc)
-            outcomes["error"] = len(batch)
-        finally:
-            for outcome, count in outcomes.items():
-                if not count:
-                    continue
-                registry.counter(
-                    "serving_requests_total",
-                    "scheduler admissions by outcome",
-                ).inc(count, model=model, outcome=outcome)
-            registry.counter(
-                "serving_batches_total", "dispatched batches"
-            ).inc(model=model)
-            with self._cond:
-                self._inflight_batches -= 1
-                self._dispatched_batches += 1
-                self._dispatched_requests += len(batch)
-                self._cond.notify_all()
-
-    def _isolate_batch(
-        self, model: str, batch: list[_Pending]
-    ) -> dict[str, int]:
-        """Per-request fallback after a fused batch hit a model error.
-
-        Each waiter gets its own ``generate`` call: healthy requests
-        still produce their responses, only the poison request(s)
-        observe the error. Returns outcome counts for the metrics.
-        """
-        get_registry().counter(
-            "serving_batch_isolations_total",
-            "fused batches re-dispatched per-request after a model error",
-        ).inc(model=model)
-        outcomes = {"completed": 0, "error": 0}
-        for pending in batch:
-            try:
-                pending.resolve(
-                    self._controller.generate(model, pending.request)
-                )
-                outcomes["completed"] += 1
-            except BaseException as exc:  # noqa: BLE001 - forwarded
-                pending.reject(exc)
-                outcomes["error"] += 1
-        return outcomes

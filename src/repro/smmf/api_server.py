@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
 from repro.llm.base import GenerationRequest, LLMError
+from repro.serving.engine import RequestScheduler
 from repro.serving.scheduler import (
     DeadlineExceeded,
     SchedulerClosed,
@@ -217,7 +218,9 @@ class ApiServer:
             return self._guard(exc)
         return self._generated(response)
 
-    async def _agenerate(self, body: dict[str, Any], scheduler) -> ApiResponse:
+    async def _agenerate(
+        self, body: dict[str, Any], scheduler: RequestScheduler
+    ) -> ApiResponse:
         try:
             model, generation_request, timeout_s = self._parse_generation(
                 body
@@ -232,29 +235,30 @@ class ApiServer:
     async def ahandle(self, request: ApiRequest) -> ApiResponse:
         """Async :meth:`handle`.
 
-        ``POST /v1/generate`` awaits the continuous engine's
-        ``aschedule`` when one is mounted, so no thread is parked per
-        in-flight request and concurrent callers coalesce into shared
-        batches; every other route (and the scheduler-less fallback)
-        runs the sync handler off the loop.
+        ``POST /v1/generate`` awaits the scheduler's ``aschedule``
+        when one is mounted, so no thread is parked per in-flight
+        request and concurrent callers coalesce into shared batches;
+        every other route (and the scheduler-less fallback) runs the
+        sync handler off the loop.
         """
         if (request.method.upper(), request.path) == _GENERATE_ROUTE:
             scheduler = self.controller.scheduler
-            if scheduler is not None and hasattr(scheduler, "aschedule"):
+            if scheduler is not None:
                 return await self._agenerate(request.body, scheduler)
         return await asyncio.to_thread(self.handle, request)
 
     def _open_stream(
         self,
         request: ApiRequest,
-        engine_entry: str,
+        engine_entry: Callable[[RequestScheduler], Callable[..., Any]],
         fallback: Callable[[str, GenerationRequest], Any],
     ) -> ApiStreamResponse:
         """The shared body of :meth:`handle_stream` and
         :meth:`ahandle_stream`: route match, body parsing, opening the
         stream and the admission-error mapping. The callers differ
-        only in which engine entry point and scheduler-less fallback
-        produce the chunk iterator."""
+        only in which scheduler method (``engine_entry`` picks it off
+        the mounted scheduler) and scheduler-less fallback produce the
+        chunk iterator."""
         route = (request.method.upper(), request.path)
         if route != ("POST", "/v1/generate/stream"):
             return ApiStreamResponse(
@@ -270,8 +274,8 @@ class ApiServer:
             model, generation_request, timeout_s = self._parse_generation(
                 request.body
             )
-            if scheduler is not None and hasattr(scheduler, engine_entry):
-                chunks = getattr(scheduler, engine_entry)(
+            if scheduler is not None:
+                chunks = engine_entry(scheduler)(
                     model, generation_request, timeout_s=timeout_s
                 )
             else:
@@ -284,23 +288,27 @@ class ApiServer:
     def handle_stream(self, request: ApiRequest) -> ApiStreamResponse:
         """``POST /v1/generate/stream``: token streaming.
 
-        With the continuous engine mounted the stream rides the
-        engine's bounded per-request :class:`TokenStream` (end-to-end
+        With a scheduler mounted the stream rides the engine's
+        bounded per-request :class:`TokenStream` (end-to-end
         backpressure; closing the returned iterator cancels the member
         mid-generation). Otherwise it falls back to the controller's
         direct streaming path.
         """
-        return self._open_stream(request, "stream", self.controller.stream)
+        return self._open_stream(
+            request,
+            lambda scheduler: scheduler.stream,
+            self.controller.stream,
+        )
 
     async def ahandle_stream(self, request: ApiRequest) -> ApiStreamResponse:
         """Async ``POST /v1/generate/stream``: ``chunks`` is an async
-        iterator. With the continuous engine this is async end-to-end
+        iterator. With a scheduler mounted this is async end-to-end
         (admission in the caller's task, chunks awaited off the
         engine's loop); the fallback opens and drains the controller's
         sync stream on the default executor one chunk at a time."""
         return self._open_stream(
             request,
-            "astream",
+            lambda scheduler: scheduler.astream,
             functools.partial(_drain_in_executor, self.controller.stream),
         )
 

@@ -349,6 +349,10 @@ class LLMClient:
             body["timeout_s"] = timeout_s
         return body
 
+    @staticmethod
+    def _generate_request(body: dict[str, Any]) -> ApiRequest:
+        return ApiRequest("POST", "/v1/generate", body)
+
     @classmethod
     def _stream_request(cls, *fields: Any) -> ApiRequest:
         return ApiRequest(
@@ -411,14 +415,12 @@ class LLMClient:
 
     def _roundtrip(self, body: dict[str, Any]) -> str:
         return self._unpack(
-            self._server.handle(ApiRequest("POST", "/v1/generate", body))
+            self._server.handle(self._generate_request(body))
         )
 
     async def _aroundtrip(self, body: dict[str, Any]) -> str:
         return self._unpack(
-            await self._server.ahandle(
-                ApiRequest("POST", "/v1/generate", body)
-            )
+            await self._server.ahandle(self._generate_request(body))
         )
 
     def _unpack(self, response) -> str:

@@ -503,11 +503,12 @@ class ExecutionLease:
 
     Bridges the serving engine to the controller's accounting: each
     :meth:`step` charges one replica latency window to the logical
-    clock (a fused pass occupies the replica exactly like a windowed
-    batch did) and feeds the circuit breakers; :meth:`complete`
-    records per-member success metrics; a :class:`WorkerCrashed` from
-    a step is recorded as a worker failure before propagating, so the
-    engine's failover re-dispatch routes around the dead replica.
+    clock (a fused pass occupies the replica for one window however
+    many members it computes) and feeds the circuit breakers;
+    :meth:`complete` records per-member success metrics; a
+    :class:`WorkerCrashed` from a step is recorded as a worker failure
+    before propagating, so the engine's failover re-dispatch routes
+    around the dead replica.
     """
 
     def __init__(
@@ -560,7 +561,7 @@ class ExecutionLease:
         if computed:
             latency = float(self.record.metadata.get("latency_ms", 0.0))
             # One fused pass occupies the replica for one latency
-            # window — the same clock charge a windowed batch made.
+            # window, the same charge ``generate_batch`` makes.
             self._controller.advance_clock(latency / 1000.0)
         return computed
 
@@ -587,7 +588,7 @@ class ExecutionLease:
     def complete_many(self, members: list[int]) -> None:
         """Batched :meth:`complete`: one worker accounting update for
         members delivered in the same step, then per-member success
-        metrics (the per-request ledger the windowed path kept)."""
+        metrics (``/v1/metrics`` stays a per-request ledger)."""
         self._wexec.complete_many(members)
         latency = float(self.record.metadata.get("latency_ms", 0.0))
         for member in members:

@@ -7,7 +7,6 @@ from typing import Iterable, Optional
 from repro.resilience.config import ResilienceConfig
 from repro.serving.config import ServingConfig
 from repro.serving.engine import RequestScheduler
-from repro.serving.scheduler import WindowedScheduler
 from repro.smmf.api_server import ApiServer
 from repro.smmf.balancer import LoadBalancer
 from repro.smmf.client import LLMClient
@@ -50,9 +49,6 @@ def deploy(
             worker = ModelWorker(model, latency_ms=spec.latency_ms)
             controller.register_worker(worker, latency_ms=spec.latency_ms)
     if serving is not None and serving.enabled:
-        if serving.mode == "windowed":
-            controller.scheduler = WindowedScheduler(controller, serving)
-        else:
-            controller.scheduler = RequestScheduler(controller, serving)
+        controller.scheduler = RequestScheduler(controller, serving)
     server = ApiServer(controller)
     return controller, LLMClient(server, resilience=resilience)

@@ -1,8 +1,10 @@
 """Tests for the CLI front-end."""
 
+import json
+
 import pytest
 
-from repro.cli import CliSession, main
+from repro.cli import CliSession, main, serve_main
 from repro.core import DBGPT
 from repro.datasets import build_sales_database
 from repro.datasources import EngineSource
@@ -94,3 +96,23 @@ class TestCliMain:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "2" in captured.out
+
+
+class TestServeCommand:
+    def test_json_output_is_one_object_showing_a_cancellation(self, capsys):
+        exit_code = serve_main(["--requests", "4", "--json"])
+        captured = capsys.readouterr()
+        assert exit_code == 0
+        stats = json.loads(captured.out)
+        assert stats["mode"] == "continuous"
+        # The abandoned stream was still generating when it closed,
+        # and its batch retired before the stats were read.
+        assert stats["cancelled"] >= 1
+        assert stats["inflight_batches"] == 0
+        assert "driving 4 concurrent turns" in captured.err
+
+    def test_there_is_no_mode_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main(["--mode", "windowed"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err

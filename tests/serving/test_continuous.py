@@ -1,9 +1,9 @@
 """Deterministic tests for the continuous-batching engine.
 
-Everything here is gated by ``threading.Event`` — no sleeps. The same
-trick as the windowed scheduler tests applies: ``pool_width=1`` plus a
-gated model pins the single dispatch slot so the admission queue can
-be arranged into an exact state before the gate opens. The new
+Everything here is gated by ``threading.Event`` — no sleeps.
+``pool_width=1`` plus a gated model pins the single dispatch slot so
+the admission queue can be arranged into an exact state before the
+gate opens (the trick ``tests/smmf/test_scheduler.py`` uses too). The
 capabilities under test — mid-flight admission, mid-generation
 cancellation, per-stream backpressure — are additionally gated by the
 stream buffer bound itself: a buffer smaller than the chunk count
@@ -95,6 +95,51 @@ class TestContinuousDispatch:
         finally:
             scheduler.close()
 
+    def test_there_is_no_mode_knob(self):
+        with pytest.raises(TypeError):
+            ServingConfig(enabled=True, mode="continuous")
+
+    def test_stats_carry_every_key_their_readers_index(self):
+        """``benchmarks/e2e/rounds.py::program_counters`` indexes
+        ``stats()`` without defaults (the harness is frozen and a
+        missing key crashes the run) and ``cli.render_serving_stats``
+        prints one row per key: both lists are pinned here."""
+        from repro.cli import render_serving_stats
+
+        harness_keys = {
+            "dispatched_requests",
+            "dispatched_batches",
+            "admitted_into_flight",
+            "shed",
+            "expired",
+        }
+        cli_rows = {
+            "queue_depth": "queue depth",
+            "inflight_batches": "in-flight batches",
+            "inflight_members": "in-flight members",
+            "occupancy": "batch occupancy",
+            "admitted_into_flight": "admitted into flight",
+            "dispatched_batches": "dispatched batches",
+            "dispatched_requests": "dispatched requests",
+            "mean_batch_size": "mean batch size",
+            "shed": "shed",
+            "expired": "expired",
+            "cancelled": "cancelled streams",
+        }
+        config = ServingConfig(enabled=True)
+        _, client, scheduler = make_stack(config, lambda: GatedModel())
+        try:
+            stats = scheduler.stats()
+            assert set(stats) == harness_keys | set(cli_rows) | {"mode"}
+            served = client.serving_stats()
+            assert served == {"enabled": True, **stats}
+            rendered = render_serving_stats(served)
+        finally:
+            scheduler.close()
+        assert rendered.splitlines()[0] == "mode: continuous"
+        for label in cli_rows.values():
+            assert label in rendered
+
     def test_stream_delivers_canonical_chunks(self):
         config = ServingConfig(enabled=True, batch_window_ms=0.0)
         _, _, scheduler = make_stack(config, lambda: GatedModel())
@@ -113,8 +158,8 @@ class TestContinuousDispatch:
 class TestMidBatchAdmission:
     def test_queued_requests_join_the_live_batch(self, registry):
         """Requests arriving while a fused pass is in flight are
-        admitted into the SAME execution between steps — the windowed
-        scheduler would have parked them for a whole new batch.
+        admitted into the SAME execution between steps instead of
+        waiting for a whole new batch to form.
 
         The first (streaming) member's pass is held at the gate;
         two compatible requests queue behind it; opening the gate lets
