@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint staticcheck staticcheck-baseline bench bench-cache bench-serving bench-resilience bench-sqlengine bench-multitenant bench-agents bench-e2e-smoke verify docs-check trace-demo
+.PHONY: test lint staticcheck staticcheck-baseline bench bench-cache bench-serving bench-resilience bench-sqlengine bench-multitenant bench-agents bench-e2e-smoke profile-e2e verify docs-check trace-demo
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -63,6 +63,14 @@ bench-agents:
 bench-e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e -q
 	$(PYTHON) -m benchmarks.e2e --quick --seed 1
+
+# Where one full-stack round spends its CPU: one e2e round in-process
+# under a per-thread CPU-clock profiler, reported by src/repro package
+# and top functions. WORKLOAD is one of chat_repeat, chat_unique,
+# dash_write_mix, gen_concurrent. A diagnosis tool, not part of verify.
+WORKLOAD ?= gen_concurrent
+profile-e2e:
+	$(PYTHON) -m benchmarks.profile_e2e --workload $(WORKLOAD)
 
 # Validate that every relative link in the documentation resolves.
 docs-check:

@@ -23,12 +23,16 @@ class TableInfo:
     row_count: int
     comment: str = ""
 
-    def describe(self) -> str:
+    def signature(self) -> str:
+        """``name(column TYPE, ...)``: what an ingest does not change."""
         cols = ", ".join(
             f"{name} {ctype}"
             for name, ctype in zip(self.columns, self.column_types)
         )
-        return f"{self.name}({cols}) [{self.row_count} rows]"
+        return f"{self.name}({cols})"
+
+    def describe(self) -> str:
+        return f"{self.signature()} [{self.row_count} rows]"
 
 
 class DataSource(abc.ABC):
@@ -50,17 +54,19 @@ class DataSource(abc.ABC):
         """Run a SQL query against the source."""
 
     def describe_schema(self) -> str:
-        """Schema text injected into Text-to-SQL prompts."""
+        """Schema text with row counts, for agents and schema cards."""
         return "\n".join(info.describe() for info in self.tables())
 
     def prompt_context(
         self, max_values_per_column: int = 20
     ) -> tuple[str, ...]:
-        """What a Text-to-SQL prompt says about this source: the schema
-        text, then one ``table.column: v1, v2`` line per TEXT column
-        that has values (sample values enable database-content
-        linking)."""
-        lines = [self.describe_schema()]
+        """What a Text-to-SQL prompt says about this source: the table
+        signatures, then one ``table.column: v1, v2`` line per TEXT
+        column that has values (sample values enable database-content
+        linking). Row counts stay out: no model reads them, and a
+        prompt that changed with every ingest would miss the inference
+        cache and the models' prefix stores after each one."""
+        lines = ["\n".join(info.signature() for info in self.tables())]
         for info in self.tables():
             for column, ctype in zip(info.columns, info.column_types):
                 if ctype != "TEXT":

@@ -96,10 +96,22 @@ class LanguageModel(abc.ABC):
         return GenerationResponse(
             text=text,
             model=self.name,
-            prompt_tokens=count_tokens(request.prompt),
+            prompt_tokens=self.count_prompt_tokens(request.prompt),
             completion_tokens=completion_tokens,
             finish_reason=finish_reason,
         )
+
+    def count_prompt_tokens(self, prompt: str) -> int:
+        """Usage accounting; a model with a prefix store overrides it
+        to count a shared prefix once."""
+        return count_tokens(prompt)
+
+    def cached_prefixes(self) -> int:
+        """Entries the replica's prefix store holds (no store: 0)."""
+        return 0
+
+    def drop_prefixes(self) -> None:
+        """Empty the prefix store, as the process dying would."""
 
     def generate_batch(
         self, requests: list[GenerationRequest]
@@ -108,10 +120,10 @@ class LanguageModel(abc.ABC):
 
         The base implementation is a plain loop, so every model gains
         the API for free. Models whose execution can amortize work
-        across a batch (shared forward pass, deduplicated prompts,
-        one latency window on simulated hardware) override this with a
-        genuinely vectorized implementation — that override is what the
-        SMMF micro-batching scheduler exploits.
+        across a batch (one run per distinct prompt, one prefix
+        compile per distinct prefix, one latency window on simulated
+        hardware) override this — that override is what the serving
+        engine's fused steps exploit.
         """
         return [self.generate(request) for request in requests]
 
@@ -231,13 +243,16 @@ def batch_key(request: GenerationRequest) -> tuple:
 def deduplicated_batch(
     model: LanguageModel, requests: list[GenerationRequest]
 ) -> list[GenerationResponse]:
-    """Vectorized batch execution for deterministic models.
+    """Batch execution for deterministic models: one run per distinct
+    request.
 
     Identical requests in one batch — the common shape under concurrent
     sessions asking the same question — run the model exactly once and
     share the response object (responses are immutable dataclasses).
-    Distinct requests still execute individually, so output is
-    position-for-position identical to the base loop.
+    Distinct requests still execute one ``generate`` each, in order,
+    so output is position-for-position identical to the base loop;
+    what distinct requests can share (a compiled prompt prefix) is the
+    calling model's business — see ``SqlCoderModel.generate_batch``.
     """
     computed: dict[tuple, GenerationResponse] = {}
     responses: list[GenerationResponse] = []

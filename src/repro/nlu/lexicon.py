@@ -30,6 +30,10 @@ class Lexicon:
 
     def __init__(self) -> None:
         self._entries: dict[str, list[LexiconEntry]] = {}
+        #: Bumped by every ``add`` (``add_synonym`` and ``merge`` go
+        #: through it); whatever was compiled from this vocabulary —
+        #: a linker's match plan, a model's prefix store — keys on it.
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -45,6 +49,7 @@ class Lexicon:
         phrase = self._normalize(entry.phrase)
         if not phrase:
             raise ValueError("empty lexicon phrase")
+        self.version += 1
         bucket = self._entries.setdefault(phrase, [])
         # Keep the highest-weight entry per (kind, target, table).
         for index, existing in enumerate(bucket):

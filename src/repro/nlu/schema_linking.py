@@ -12,7 +12,6 @@ Two linkers cooperate:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -145,52 +144,80 @@ class LinkResult:
 
 
 class SchemaLinker:
-    """Greedy longest-phrase-first linking over a question string."""
+    """Greedy longest-phrase-first linking over a question string.
+
+    The lexicon and the value index are compiled into a match plan —
+    the surface forms in visiting order, each with what a match
+    yields — once per lexicon version, not per question. ``index`` is
+    read when the plan is compiled and must not change afterwards.
+    """
 
     def __init__(self, index: SchemaIndex, lexicon: Lexicon) -> None:
         self.index = index
         self.lexicon = lexicon
+        self._compiled: Optional[tuple[int, list, list]] = None
 
     def link(self, question: str) -> LinkResult:
         text = question.lower()
-        mentions = self._link_lexicon(text)
-        values = self._link_values(text, mentions)
-        return LinkResult(mentions, values)
+        phrases, values = self._plan()
+        mentions = self._link_lexicon(text, phrases)
+        return LinkResult(mentions, self._link_values(text, mentions, values))
 
-    def _link_lexicon(self, text: str) -> list[Mention]:
+    def _plan(self) -> tuple[list, list]:
+        """``(phrase rows, value rows)``, recompiled after the lexicon
+        mutates. Threads racing on a stale plan each compile the same
+        rows; the last assignment wins."""
+        compiled = self._compiled
+        version = self.lexicon.version
+        if compiled is None or compiled[0] != version:
+            phrases = []
+            for phrase in self.lexicon.phrases():
+                entry = self.lexicon.lookup(phrase)[0]
+                # Also try the singular/plural surface variant of each
+                # phrase, the longer form first.
+                if phrase.endswith("s"):
+                    variants = (phrase, phrase[:-1])
+                else:
+                    variants = (phrase + "s", phrase)
+                phrases.extend(
+                    (v, _on_word_boundaries(v), entry) for v in variants if v
+                )
+            value_index = self.index.value_index
+            values = [
+                (value, _on_word_boundaries(value), value_index[value])
+                for value in sorted(value_index, key=len, reverse=True)
+                if value
+            ]
+            compiled = self._compiled = (version, phrases, values)
+        return compiled[1], compiled[2]
+
+    @staticmethod
+    def _link_lexicon(text: str, phrases: list) -> list[Mention]:
         mentions: list[Mention] = []
         consumed = [False] * len(text)
-        candidates = list(self.lexicon.phrases())
-        # Also try singular/plural surface variants of each phrase.
-        for phrase in candidates:
-            variants = {phrase}
-            if phrase.endswith("s"):
-                variants.add(phrase[:-1])
-            else:
-                variants.add(phrase + "s")
-            for variant in sorted(variants, key=len, reverse=True):
-                for match in _find_phrase(text, variant):
-                    start, end = match
-                    if any(consumed[start:end]):
-                        continue
-                    entries = self.lexicon.lookup(phrase)
-                    if not entries:
-                        continue
-                    for position in range(start, end):
-                        consumed[position] = True
-                    mentions.append(Mention(variant, start, entries[0]))
+        for variant, bounded, entry in phrases:
+            if variant not in text:
+                continue
+            for start, end in _find_phrase(text, variant, bounded):
+                if any(consumed[start:end]):
+                    continue
+                consumed[start:end] = [True] * (end - start)
+                mentions.append(Mention(variant, start, entry))
         mentions.sort(key=lambda m: m.start)
         return mentions
 
+    @staticmethod
     def _link_values(
-        self, text: str, mentions: list[Mention]
+        text: str, mentions: list[Mention], plan: list
     ) -> list[ValueMention]:
         taken = {
             (m.start, m.start + len(m.phrase)) for m in mentions
         }
         values: list[ValueMention] = []
-        for value in sorted(self.index.value_index, key=len, reverse=True):
-            for start, end in _find_phrase(text, value):
+        for value, bounded, candidates in plan:
+            if value not in text:
+                continue
+            for start, end in _find_phrase(text, value, bounded):
                 overlaps_mention = any(
                     start < t_end and end > t_start
                     for t_start, t_end in taken
@@ -207,30 +234,44 @@ class SchemaLinker:
                     ValueMention(
                         value=value,
                         start=start,
-                        candidates=list(self.index.value_index[value]),
+                        candidates=list(candidates),
                     )
                 )
         values.sort(key=lambda v: v.start)
         return values
 
 
-def _find_phrase(text: str, phrase: str) -> list[tuple[int, int]]:
-    """All occurrences of ``phrase`` in ``text`` on word boundaries.
+_WORD_CHARACTERS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
 
-    CJK phrases (no ASCII letters) match as plain substrings since
-    Chinese has no word delimiters.
+
+def _on_word_boundaries(phrase: str) -> bool:
+    """CJK phrases (no ASCII letters or digits) match as plain
+    substrings since Chinese has no word delimiters; everything else
+    only between word boundaries."""
+    return not _WORD_CHARACTERS.isdisjoint(phrase)
+
+
+def _find_phrase(
+    text: str, phrase: str, bounded: bool
+) -> list[tuple[int, int]]:
+    """All occurrences of ``phrase`` in ``text``, scanning left to right.
+
+    ``bounded`` occurrences have no ASCII letter or digit on either
+    side and do not overlap each other — what the pattern
+    ``(?<![a-z0-9])phrase(?![a-z0-9])`` finds, without compiling one
+    per phrase; unbounded ones may overlap.
     """
-    if not phrase:
-        return []
-    has_ascii = any("a" <= ch <= "z" or "0" <= ch <= "9" for ch in phrase)
-    if not has_ascii:
-        positions = []
-        start = text.find(phrase)
-        while start != -1:
-            positions.append((start, start + len(phrase)))
+    positions = []
+    size = len(phrase)
+    start = text.find(phrase)
+    while start != -1:
+        end = start + size
+        if not bounded or (
+            (start == 0 or text[start - 1] not in _WORD_CHARACTERS)
+            and (end == len(text) or text[end] not in _WORD_CHARACTERS)
+        ):
+            positions.append((start, end))
+            start = text.find(phrase, end if bounded else start + 1)
+        else:
             start = text.find(phrase, start + 1)
-        return positions
-    pattern = re.compile(
-        r"(?<![a-z0-9])" + re.escape(phrase) + r"(?![a-z0-9])"
-    )
-    return [(m.start(), m.end()) for m in pattern.finditer(text)]
+    return positions

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 LabelKey = tuple[tuple[str, str], ...]
 
@@ -42,9 +43,17 @@ class Counter:
         self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
+        self._add(_label_key(labels), amount)
+
+    def bind(self, **labels: Any) -> Callable[[float], None]:
+        """``inc`` for one label set, resolved now: a hot path keeps
+        the returned callable and pays neither the registry lookup nor
+        the label sort per event."""
+        return partial(self._add, _label_key(labels))
+
+    def _add(self, key: LabelKey, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        key = _label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 

@@ -209,8 +209,16 @@ class KnowledgeBase:
             texts = {
                 hit.chunk_id: self._chunks[hit.chunk_id].text for hit in hits
             }
-            self._reranker.word_weight = self._vector_store.idf_weight
-            hits = self._reranker.rerank(query, hits, texts, k=k)
+            # The refreshed store's vectors share the IDF snapshot the
+            # reranker would embed each candidate under again.
+            hits = self._reranker.rerank(
+                query,
+                hits,
+                texts,
+                k=k,
+                word_weight=self._vector_store.idf_weight,
+                stored_vector=self._vector_store._refresh().vector,
+            )
         return [
             RetrievedChunk(
                 chunk=self._chunks[hit.chunk_id],

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
+import numpy as np
+
 from repro.rag.embedder import HashingEmbedder, cosine_similarity, tokenize_words
 from repro.rag.inverted_index import STOPWORDS
 from repro.rag.retriever import RetrievalHit
@@ -18,16 +22,11 @@ class OverlapReranker:
         self,
         embedder: HashingEmbedder,
         alpha: float = 0.6,
-        word_weight=None,
     ) -> None:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be within [0, 1]")
         self._embedder = embedder
         self.alpha = alpha
-        #: Corpus IDF weighting (same table the vector store uses);
-        #: without it, boilerplate words dominate the dense score and
-        #: reranking can *hurt*.
-        self.word_weight = word_weight
 
     @staticmethod
     def _content_terms(text: str) -> set[str]:
@@ -39,19 +38,26 @@ class OverlapReranker:
         hits: list[RetrievalHit],
         texts: dict[str, str],
         k: int | None = None,
+        word_weight: Optional[Callable[[str], float]] = None,
+        stored_vector: Callable[[str], Optional[np.ndarray]] = lambda _id: None,
     ) -> list[RetrievalHit]:
-        """Re-score ``hits`` against ``query`` using the chunk texts."""
-        query_vector = self._embedder.embed(
-            query, word_weight=self.word_weight
-        )
+        """Re-score ``hits`` against ``query`` using the chunk texts.
+
+        ``word_weight`` is the corpus IDF weighting (the vector
+        store's table); without it, boilerplate words dominate the
+        dense score and reranking can *hurt*. ``stored_vector`` returns
+        a chunk's embedding under that weighting where one is already
+        held; a chunk it does not know is embedded here.
+        """
+        query_vector = self._embedder.embed(query, word_weight=word_weight)
         query_terms = self._content_terms(query)
         rescored = []
         for hit in hits:
             text = texts.get(hit.chunk_id, "")
-            dense = cosine_similarity(
-                query_vector,
-                self._embedder.embed(text, word_weight=self.word_weight),
-            )
+            vector = stored_vector(hit.chunk_id)
+            if vector is None:
+                vector = self._embedder.embed(text, word_weight=word_weight)
+            dense = cosine_similarity(query_vector, vector)
             chunk_terms = self._content_terms(text)
             union = query_terms | chunk_terms
             jaccard = (

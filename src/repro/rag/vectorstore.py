@@ -32,9 +32,12 @@ class VectorStore:
             raise ValueError("dim must be positive")
         self.dim = dim
         self._ids: list[str] = []
-        self._vectors: list[np.ndarray] = []
+        #: id -> vector, in ``_ids`` order (dicts keep insertion order).
+        self._vectors: dict[str, np.ndarray] = {}
         self._metadata: dict[str, dict[str, Any]] = {}
-        self._matrix: Optional[np.ndarray] = None
+        #: ``(matrix, row norms)``, one assignment so a concurrent
+        #: search never pairs a new matrix with old norms.
+        self._matrix: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -55,18 +58,21 @@ class VectorStore:
                 f"expected shape ({self.dim},), got {vector.shape}"
             )
         self._ids.append(item_id)
-        self._vectors.append(np.asarray(vector, dtype=np.float64))
+        self._vectors[item_id] = np.asarray(vector, dtype=np.float64)
         self._metadata[item_id] = dict(metadata or {})
         self._matrix = None
 
     def remove(self, item_id: str) -> None:
         if item_id not in self._metadata:
             raise KeyError(item_id)
-        index = self._ids.index(item_id)
-        del self._ids[index]
-        del self._vectors[index]
+        self._ids.remove(item_id)
+        del self._vectors[item_id]
         del self._metadata[item_id]
         self._matrix = None
+
+    def vector(self, item_id: str) -> Optional[np.ndarray]:
+        """The stored vector of ``item_id`` (read-only), if stored."""
+        return self._vectors.get(item_id)
 
     def get_metadata(self, item_id: str) -> dict[str, Any]:
         return self._metadata[item_id]
@@ -96,8 +102,9 @@ class VectorStore:
                 f"expected shape ({self.dim},), got {query.shape}"
             )
         if self._matrix is None:
-            self._matrix = np.stack(self._vectors)
-        norms = np.linalg.norm(self._matrix, axis=1)
+            stacked = np.stack(list(self._vectors.values()))
+            self._matrix = stacked, np.linalg.norm(stacked, axis=1)
+        matrix, norms = self._matrix
         query_norm = float(np.linalg.norm(query))
         if query_norm == 0.0:
             return []
@@ -105,7 +112,7 @@ class VectorStore:
         with np.errstate(divide="ignore", invalid="ignore"):
             scores = np.where(
                 denominators > 0,
-                self._matrix @ query / denominators,
+                matrix @ query / denominators,
                 0.0,
             )
         count = min(k, len(self._ids))

@@ -87,6 +87,7 @@ class ModelWorker:
                 "abandoned_streams": self.abandoned_streams,
                 "cancelled_streams": self.cancelled_streams,
                 "alive": self.alive,
+                "prefix_entries": self.model.cached_prefixes(),
             }
 
     def _check_up(self, amount: int = 1) -> None:
@@ -254,7 +255,10 @@ class ModelWorker:
         Restarting re-enables execution but does *not* re-admit the
         worker into routing by itself — the controller's recovery path
         (lazy re-admission, or a resilience health probe) does that.
+        The replica comes back cold: a crashed process lost whatever
+        its model kept between requests.
         """
+        self.model.drop_prefixes()
         with self._lock:
             self.alive = True
             self.fail_next = 0

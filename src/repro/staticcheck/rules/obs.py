@@ -24,9 +24,9 @@ from repro.staticcheck.rules import register
 
 #: First name segment -> owning layer, per docs/observability.md.
 KNOWN_PREFIXES = {
-    "agent", "analysis", "app", "awel", "balancer", "cache", "model",
-    "rag", "resilience", "server", "serving", "tenant", "vectorstore",
-    "worker",
+    "agent", "analysis", "app", "awel", "balancer", "cache", "llm",
+    "model", "rag", "resilience", "server", "serving", "tenant",
+    "vectorstore", "worker",
 }
 
 #: Unit suffixes histograms may carry.

@@ -92,6 +92,39 @@ class TestWriteInvalidation:
         )
         assert db.execute(first.payload).rows[0][0] == 61
 
+    def test_an_ingest_keeps_the_prompt_and_the_inference_entry(
+        self, stack, monkeypatch
+    ):
+        """Row counts are not part of the Text-to-SQL prompt: an ingest
+        that adds no new column value leaves the prompt, and so the
+        cached generation, alone."""
+        from repro.llm.base import LanguageModel
+        from repro.llm.prompts import build_text2sql_prompt
+
+        dbgpt, db = stack
+        source = EngineSource(db)
+        question = "How many orders are there?"
+        prompt = build_text2sql_prompt(source, question)
+        first = dbgpt.chat("text2sql", question)
+        assert first.ok
+
+        generated = []
+        generate = LanguageModel.generate
+
+        def spy(self, request):
+            generated.append(request.prompt)
+            return generate(self, request)
+
+        monkeypatch.setattr(LanguageModel, "generate", spy)
+        db.execute(
+            "INSERT INTO orders VALUES (2004, 1, 1, 1, 10.0, '2023-07-04')"
+        )
+        assert build_text2sql_prompt(source, question) == prompt
+        again = dbgpt.chat("text2sql", question)
+        assert again.ok and again.payload == first.payload
+        assert generated == []  # served by the inference tier
+        assert "[61 rows]" in dbgpt.chat("chat2db", "show tables").text
+
 
 class TestPromptContext:
     """The schema + sample-values part of a Text-to-SQL prompt is served

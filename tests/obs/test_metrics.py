@@ -24,6 +24,17 @@ class TestCounter:
         with pytest.raises(ValueError):
             counter.inc(-1)
 
+    def test_bound_series_is_the_labelled_one(self):
+        counter = Counter("c")
+        hits = counter.bind(outcome="hit", model="m")
+        hits()
+        hits(4)
+        counter.inc(model="m", outcome="hit")
+        assert counter.value(model="m", outcome="hit") == 6
+        assert counter.value(model="m", outcome="miss") == 0
+        with pytest.raises(ValueError):
+            hits(-1)
+
 
 class TestGauge:
     def test_set_inc_dec(self):

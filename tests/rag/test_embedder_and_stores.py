@@ -146,6 +146,29 @@ class TestVectorStore:
         hits = store.search(np.array([1.0, 0, 0, 0]), k=2)
         assert {h.item_id for h in hits} == {"a", "d"}
 
+    def test_cached_norms_follow_a_removal(self):
+        # An unnormalised row: its norm, kept with the matrix, must not
+        # outlive the row.
+        store = self.make_store()
+        store.add("long", np.array([0, 0, 3.0, 4.0]))
+        query = np.array([0.5, 0, 0.5, 0])
+        first = store.search(query, k=4)
+        store.remove("a")
+        again = store.search(query, k=4)
+        assert [h.item_id for h in again] == [
+            h.item_id for h in first if h.item_id != "a"
+        ]
+        scores = {h.item_id: h.score for h in first}
+        assert all(h.score == scores[h.item_id] for h in again)
+
+    def test_vector_by_id(self):
+        store = self.make_store()
+        assert store.vector("c").tolist() == [0.9, 0.1, 0, 0]
+        assert store.vector("zzz") is None
+        store.remove("c")
+        assert store.vector("c") is None
+        assert store.vector("b").tolist() == [0, 1.0, 0, 0]
+
 
 class TestInvertedIndex:
     def make_index(self):

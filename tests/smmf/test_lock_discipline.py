@@ -35,6 +35,7 @@ class TestWorkerStatsSnapshot:
             "abandoned_streams": 0,
             "cancelled_streams": 0,
             "alive": True,
+            "prefix_entries": 0,
         }
 
     def test_snapshot_sees_kill_and_restart(self):
