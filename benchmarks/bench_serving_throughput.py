@@ -77,7 +77,6 @@ def _config():
     return ServingConfig(
         enabled=True,
         queue_capacity=512,
-        batch_window_ms=4.0,
         max_batch_size=16,
         pool_width=REPLICAS,
     )

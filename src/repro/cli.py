@@ -495,7 +495,6 @@ def serve_main(argv: list[str]) -> int:
     config = DbGptConfig(
         serving=ServingConfig(
             enabled=True,
-            batch_window_ms=5.0,
             stream_buffer=_SERVE_DEMO_STREAM_BUFFER,
         )
     )

@@ -64,9 +64,9 @@ class DbGptConfig:
     #: ``CacheConfig.disabled()`` turns the subsystem off entirely.
     cache: CacheConfig = field(default_factory=CacheConfig)
     #: Concurrent-serving scheduler (see ``docs/serving.md``). Off by
-    #: default: single-threaded callers gain nothing from a batching
-    #: window; enable it (``ServingConfig(enabled=True)``) when many
-    #: sessions hit one instance concurrently.
+    #: default: a single-threaded caller has nobody to batch with;
+    #: enable it (``ServingConfig(enabled=True)``) when many sessions
+    #: hit one instance concurrently.
     serving: ServingConfig = field(default_factory=ServingConfig)
     #: Resilience layer — retry/backoff, per-worker circuit breakers,
     #: health recovery and degraded routing (``docs/resilience.md``).

@@ -17,11 +17,11 @@ class ServingConfig:
 
     ``enabled`` is the master switch. It defaults to **off**: the
     scheduler exists to serve *concurrent* clients, and a
-    single-threaded caller would only pay the batching window and
-    the hop to the engine's loop for nothing. When disabled, the
-    dispatch path is behaviorally identical to a build without the
-    subsystem (certified by the disabled-parity tests, mirroring the
-    cache tier).
+    single-threaded caller would only pay the hop to the engine's
+    loop for nothing. When disabled, the dispatch path is
+    behaviorally identical to a build without the subsystem
+    (certified by the disabled-parity tests, mirroring the cache
+    tier).
     """
 
     enabled: bool = False
@@ -29,10 +29,6 @@ class ServingConfig:
     #: this sheds the request with a 429-style error instead of letting
     #: latency grow without bound.
     queue_capacity: int = 128
-    #: How long the engine holds the head-of-line request (or a
-    #: drained batch's lease) waiting for compatible requests to
-    #: coalesce with. 0 batches only what already queued up.
-    batch_window_ms: float = 2.0
     #: Most members one live batch seats — the size of the largest
     #: fused ``generate_batch`` pass on one worker.
     max_batch_size: int = 16
@@ -51,8 +47,6 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.queue_capacity <= 0:
             raise ValueError("queue_capacity must be positive")
-        if self.batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be non-negative")
         if self.max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
         if self.pool_width <= 0:

@@ -21,17 +21,18 @@ cancellation propagation.
 
 Execution model, per batch:
 
-1. **form** — the main loop pops the head-of-line request plus queued
-   compatible requests (the ``shape_key`` contract; the batching
-   window is skipped once ``max_batch_size`` compatible requests
-   queue).
+1. **form** — whenever a slot is free the main loop pops the
+   head-of-line request plus every queued request of its shape (the
+   ``shape_key`` contract), up to ``max_batch_size``. There is no
+   timer: what has queued by then is the cohort.
 2. **lease** — :meth:`ModelController.start_batch` routes the batch
    to a replica with the controller's whole-batch failover ladder.
 3. **step** — one fused ``generate_batch`` pass computes every
    pending member (one latency window on simulated hardware). A
    poison :class:`LLMError` sends the step's members to per-request
-   isolation; a mid-run :class:`WorkerCrashed` fails uncomputed
-   members over to another replica.
+   isolation; a mid-run :class:`WorkerCrashed` puts the uncomputed
+   members back at the head of the queue, so step 1 forms them again
+   and step 2 leases them a replica that is up.
 4. **deliver + admit** — computed members resolve (or stream chunks
    until their bounded buffer fills); compatible queued requests are
    admitted into the live batch and the loop returns to step 3.
@@ -82,7 +83,7 @@ class _Member:
         self.chunks: Optional[list[str]] = None
         self.pos = 0
         #: True once worker accounting settled outside the lease
-        #: (isolation / crash failover served it elsewhere).
+        #: (per-request isolation served it elsewhere).
         self.lease_done = False
 
 
@@ -104,13 +105,6 @@ class _Execution:
         #: are the continuous-batching capability being exercised.
         self.stepped = False
         self.admitted_in_flight = 0
-        #: Batching-window deadline while the drained execution holds
-        #: its lease waiting for a full cohort to accumulate.
-        self.refill_until: Optional[float] = None
-        #: Set by ``_wake_engine`` on every submit so a step thread
-        #: holding the lease inline (see ``run_step``) wakes without
-        #: a loop round trip — the engine-thread analog of ``wake``.
-        self.thread_wake = threading.Event()
 
 
 class RequestScheduler:
@@ -156,6 +150,40 @@ class RequestScheduler:
         self._active_slots = 0
         #: True while a ``_wake_all`` callback is queued on the loop.
         self._wake_pending = False
+        # Instruments, resolved once against the registry current at
+        # construction (tests swap registries before building one).
+        registry = get_registry()
+        self._requests_total = registry.counter(
+            "serving_requests_total", "scheduler admissions by outcome"
+        )
+        self._shed_total = registry.counter(
+            "serving_shed_total", "requests shed at admission (queue full)"
+        )
+        self._expired_total = registry.counter(
+            "serving_deadline_expired_total", "requests expired while queued"
+        )
+        self._cancelled_total = registry.counter(
+            "serving_stream_cancelled_total",
+            "streams cancelled by their consumer mid-generation",
+        )
+        self._isolations_total = registry.counter(
+            "serving_batch_isolations_total",
+            "fused batches re-dispatched per-request after a model error",
+        )
+        self._batches_total = registry.counter(
+            "serving_batches_total", "dispatched batches"
+        )
+        self._batch_size = registry.histogram(
+            "serving_batch_size",
+            "requests per dispatched batch",
+            buckets=BATCH_SIZE_BUCKETS,
+        )
+        self._wait_ms = registry.histogram(
+            "serving_wait_ms", "time from admission to dispatch"
+        )
+        self._queue_depth = registry.gauge(
+            "serving_queue_depth", "requests admitted but not dispatched"
+        )
 
     # -- sync facade -------------------------------------------------------
 
@@ -219,15 +247,8 @@ class RequestScheduler:
             if len(self._queue) >= self.config.queue_capacity:
                 self._shed += 1
                 retry_after = self._retry_after_locked()
-                registry = get_registry()
-                registry.counter(
-                    "serving_shed_total",
-                    "requests shed at admission (queue full)",
-                ).inc(model=model)
-                registry.counter(
-                    "serving_requests_total",
-                    "scheduler admissions by outcome",
-                ).inc(model=model, outcome="shed")
+                self._shed_total.inc(model=model)
+                self._count_outcome(model, "shed")
                 raise SchedulerOverloaded(
                     f"serving queue full "
                     f"({self.config.queue_capacity} waiting); "
@@ -247,10 +268,7 @@ class RequestScheduler:
                 )
             self._queue.append(pending)
             self._queue_gauge_locked()
-            get_registry().counter(
-                "serving_requests_total",
-                "scheduler admissions by outcome",
-            ).inc(model=model, outcome="admitted")
+            self._count_outcome(model, "admitted")
         self._wake_engine()
         return pending
 
@@ -381,11 +399,6 @@ class RequestScheduler:
             self._queue_gauge_locked()
             started = self._started
             runner, executor = self._runner, self._executor
-            # Step threads parked on an inline refill hold see
-            # ``_closed`` on their next pop; wake them now so
-            # ``executor.shutdown`` below never waits out a window.
-            for execution in self._executions:
-                execution.thread_wake.set()
         for pending in abandoned:
             self._settle_reject(
                 pending, SchedulerClosed("scheduler shut down")
@@ -425,14 +438,7 @@ class RequestScheduler:
         under a 64-client burst that is one loop callback, not 64.
         """
         with self._lock:
-            if not self._started:
-                return
-            # Step threads waiting out a refill hold wake directly —
-            # setting an already-set Event is near-free, so this is
-            # NOT gated by the coalescing flag below.
-            for execution in self._executions:
-                execution.thread_wake.set()
-            if self._wake_pending:
+            if not self._started or self._wake_pending:
                 return
             runner = self._runner
             self._wake_pending = True
@@ -479,36 +485,23 @@ class RequestScheduler:
     async def _main(self) -> None:
         self._tasks.add(asyncio.current_task())
         while not self._is_closed():
-            self._expire()
             with self._lock:
-                formed, wait_s = self._form_locked()
-            if formed is not None:
-                model, batch = formed
-                if len(batch) == 1 and batch[0].stream is None:
-                    self._spawn(self._run_single(batch[0]))
-                else:
-                    self._spawn(self._run_execution(model, batch))
-                continue
-            if wait_s is None:
+                formed = self._form_locked()
+            if formed is None:
                 await self._kick.wait()
+                self._kick.clear()
+                continue
+            model, batch = formed
+            if len(batch) == 1 and batch[0].stream is None:
+                self._spawn(self._run_single(batch[0]))
             else:
-                try:
-                    await asyncio.wait_for(
-                        self._kick.wait(), timeout=wait_s
-                    )
-                except asyncio.TimeoutError:
-                    pass
-            self._kick.clear()
+                self._spawn(self._run_execution(model, batch))
 
-    def _form_locked(
-        self,
-    ) -> tuple[Optional[tuple[str, list[_Pending]]], Optional[float]]:
-        """Pop the next cohort, or report how long to wait.
-
-        Returns ``(cohort, None)`` when a batch should start,
-        ``(None, seconds)`` while the head-of-line batching window is
-        open, and ``(None, None)`` when there is nothing to do until
-        the next kick.
+    def _form_locked(self) -> Optional[tuple[str, list[_Pending]]]:
+        """Pop the next cohort — the head-of-line request plus every
+        queued request of its shape, up to ``max_batch_size`` — and
+        take a slot for it. ``None`` when there is nothing to start
+        until the next kick: empty queue, every slot busy, or closed.
         """
         self._expire_locked()
         if (
@@ -516,43 +509,9 @@ class RequestScheduler:
             or not self._queue
             or self._active_slots >= self.config.pool_width
         ):
-            return None, None
+            return None
         head = self._queue[0]
         key = shape_key(head.model, head.request)
-        holder_wait = self._holder_wait_locked(key)
-        if holder_wait is not None:
-            return None, holder_wait
-        window_s = self.config.batch_window_ms / 1000.0
-        if window_s > 0:
-            compatible = sum(
-                1
-                for pending in self._queue
-                if shape_key(pending.model, pending.request) == key
-            )
-            if compatible < self.config.max_batch_size:
-                now = self._clock()
-                if head.window_until is None:
-                    head.window_until = now + window_s
-                    head.window_cap = now + 2 * window_s
-                    head.window_seen = compatible
-                remaining = head.window_until - now
-                if remaining > 0:
-                    return None, remaining
-                if (
-                    compatible > head.window_seen
-                    and head.window_until < head.window_cap
-                ):
-                    # Arrivals are still streaming in (a client-herd
-                    # ramp): a ragged batch now would knock every
-                    # later cohort out of phase and cost a trailing
-                    # fragment pass. Extend briefly, hard-capped at
-                    # twice the window.
-                    head.window_seen = compatible
-                    head.window_until = min(
-                        head.window_until + window_s / 4,
-                        head.window_cap,
-                    )
-                    return None, head.window_until - now
         batch = [self._queue.popleft()]
         kept: deque[_Pending] = deque()
         while self._queue:
@@ -568,46 +527,12 @@ class RequestScheduler:
         self._active_slots += 1
         self._queue_gauge_locked()
         self._observe_wait(batch)
-        return (head.model, batch), None
-
-    def _holder_wait_locked(self, key: tuple) -> Optional[float]:
-        """Defer formation while a drained same-shape execution holds
-        its lease through the batching window: it will admit the
-        cohort in place, skipping a fresh ``start_batch``. Returns a
-        bounded re-check interval (never an open-ended sleep) so a
-        holder that retires in the race can't strand the queue.
-
-        Only worth it when one holder can absorb everything queued —
-        with more than a full cohort waiting, deferring would serialize
-        work one replica could not take anyway, so formation proceeds
-        and the holder admits from whatever remains."""
-        now = self._clock()
-        wait: Optional[float] = None
-        for execution in self._executions:
-            if execution.key != key or execution.refill_until is None:
-                continue
-            remaining = execution.refill_until - now
-            candidate = remaining if remaining > 0.0005 else 0.0005
-            if wait is None or candidate < wait:
-                wait = candidate
-        if wait is None:
-            return None
-        compatible = sum(
-            1
-            for pending in self._queue
-            if shape_key(pending.model, pending.request) == key
-        )
-        if compatible > self.config.max_batch_size:
-            return None
-        return wait
+        return head.model, batch
 
     def _observe_wait(self, batch: list[_Pending]) -> None:
         now = self._clock()
-        histogram = get_registry().histogram(
-            "serving_wait_ms", "time from admission to dispatch"
-        )
         for pending in batch:
-            histogram.observe(
+            self._wait_ms.observe(
                 (now - pending.enqueued_at) * 1000.0, model=pending.model
             )
 
@@ -618,12 +543,7 @@ class RequestScheduler:
         controller's plain ``generate`` — per-request failover, no
         batch machinery."""
         model = pending.model
-        registry = get_registry()
-        registry.histogram(
-            "serving_batch_size",
-            "requests per dispatched batch",
-            buckets=BATCH_SIZE_BUCKETS,
-        ).observe(1, model=model)
+        self._count_step(model, 1)
         outcome = "completed"
         try:
             response = await self._in_executor(
@@ -634,17 +554,9 @@ class RequestScheduler:
             pending.reject(exc)
             outcome = "error"
         finally:
-            registry.counter(
-                "serving_requests_total",
-                "scheduler admissions by outcome",
-            ).inc(model=model, outcome=outcome)
-            registry.counter(
-                "serving_batches_total", "dispatched batches"
-            ).inc(model=model)
+            self._count_outcome(model, outcome)
             with self._lock:
                 self._active_slots -= 1
-                self._dispatched_batches += 1
-                self._dispatched_requests += 1
             self._kick.set()
 
     # -- continuous execution ---------------------------------------------
@@ -691,26 +603,9 @@ class RequestScheduler:
                 await self._step(execution)
                 self._reap_cancelled(execution)
             self._deliver(execution)
-            refill_wait = self._admit_into(execution)
-            with self._lock:
-                if (
-                    not execution.members
-                    and not execution.to_admit
-                    and refill_wait is None
-                ):
-                    return
-            if refill_wait is not None and not execution.to_admit:
-                # Drained, but compatible requests are trickling in:
-                # hold the lease for the batching window instead of
-                # retiring and paying a fresh ``start_batch``.
-                try:
-                    await asyncio.wait_for(
-                        execution.wake.wait(), timeout=refill_wait
-                    )
-                except asyncio.TimeoutError:
-                    pass
-                execution.wake.clear()
-                continue
+            self._admit_into(execution)
+            if not execution.members and not execution.to_admit:
+                return
             if not execution.to_admit and all(
                 member.computed
                 for member in execution.members.values()
@@ -745,7 +640,7 @@ class RequestScheduler:
             del execution.members[member_id]
 
     async def _step(self, execution: _Execution) -> None:
-        """One fused forward pass, with isolation and crash failover."""
+        """One fused forward pass, with isolation and crash re-queue."""
         from repro.smmf.worker import WorkerCrashed
 
         members = execution.members
@@ -777,12 +672,8 @@ class RequestScheduler:
                         member_ids = lease.admit_many(
                             [pending.request for pending in cohort]
                         )
-                    except BaseException:  # replica died; requeue them
-                        execution.no_admit = True
-                        with self._lock:
-                            self._queue.extendleft(reversed(cohort))
-                            self._queue_gauge_locked()
-                        self._wake_engine()
+                    except BaseException:  # replica died
+                        self._requeue(execution, cohort)
                         return
                     for member_id, pending in zip(member_ids, cohort):
                         members[member_id] = _Member(pending)
@@ -830,21 +721,8 @@ class RequestScheduler:
                     for member in members.values()
                 ):
                     return
-                while True:
-                    with self._lock:
-                        execution.thread_wake.clear()
-                        cohort, refill = self._pop_compatible_locked(
-                            execution
-                        )
-                    if cohort or refill is None:
-                        break
-                    # Drained refill hold, taken inline: park this
-                    # step thread on the wake event for the remaining
-                    # window instead of handing control back to the
-                    # loop. The clear-then-pop above runs under the lock,
-                    # so a submit landing after the pop is never
-                    # missed: its ``_wake_engine`` sets the event.
-                    execution.thread_wake.wait(timeout=refill)
+                with self._lock:
+                    cohort = self._pop_compatible_locked(execution)
                 if not cohort:
                     return
 
@@ -854,7 +732,7 @@ class RequestScheduler:
             await self._isolate(execution, self._todo(execution), exc)
             return
         except WorkerCrashed:
-            await self._failover(execution, self._todo(execution))
+            self._failover(execution, self._todo(execution))
             return
         except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
             for member_id in self._todo(execution):
@@ -877,15 +755,8 @@ class RequestScheduler:
         ]
 
     def _count_step(self, model: str, size: int) -> None:
-        registry = get_registry()
-        registry.histogram(
-            "serving_batch_size",
-            "requests per dispatched batch",
-            buckets=BATCH_SIZE_BUCKETS,
-        ).observe(size, model=model)
-        registry.counter(
-            "serving_batches_total", "dispatched batches"
-        ).inc(model=model)
+        self._batch_size.observe(size, model=model)
+        self._batches_total.inc(model=model)
         with self._lock:
             self._dispatched_batches += 1
             self._dispatched_requests += size
@@ -893,10 +764,7 @@ class RequestScheduler:
     def _count_outcome(
         self, model: str, outcome: str, count: int = 1
     ) -> None:
-        get_registry().counter(
-            "serving_requests_total",
-            "scheduler admissions by outcome",
-        ).inc(count, model=model, outcome=outcome)
+        self._requests_total.inc(count, model=model, outcome=outcome)
 
     async def _isolate(
         self, execution: _Execution, todo: list[int], error: LLMError
@@ -910,10 +778,7 @@ class RequestScheduler:
                 self._settle_reject(member.pending, error)
                 self._count_outcome(execution.model, "error")
             return
-        get_registry().counter(
-            "serving_batch_isolations_total",
-            "fused batches re-dispatched per-request after a model error",
-        ).inc(model=execution.model)
+        self._isolations_total.inc(model=execution.model)
         requests = [
             execution.members[member_id].pending.request
             for member_id in todo
@@ -952,44 +817,39 @@ class RequestScheduler:
                 self._count_outcome(execution.model, "error")
                 del execution.members[member_id]
 
-    async def _failover(
-        self, execution: _Execution, todo: list[int]
-    ) -> None:
-        """The replica crashed mid-run: uncomputed members move
-        wholesale to another replica through the controller's batch
-        failover; already-computed members keep draining their
-        buffered output."""
-        execution.no_admit = True
+    def _failover(self, execution: _Execution, todo: list[int]) -> None:
+        """The replica crashed mid-run: uncomputed members give up
+        their seats and go back to the head of the queue, where
+        formation leases them a fresh execution through
+        ``start_batch``'s failover ladder; already-computed members
+        keep draining their buffered output."""
+        requeued = []
         for member_id in todo:
             execution.lease.release(member_id)
-            execution.members[member_id].lease_done = True
-        requests = [
-            execution.members[member_id].pending.request
-            for member_id in todo
-        ]
-        try:
-            responses = await self._in_executor(
-                self._controller.generate_batch,
-                execution.model,
-                requests,
-            )
-        except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
-            for member_id in todo:
-                member = execution.members.pop(member_id, None)
-                if member is None:
-                    continue
-                self._settle_reject(member.pending, exc)
-                self._count_outcome(execution.model, "error")
+            requeued.append(execution.members.pop(member_id).pending)
+        self._requeue(execution, requeued)
+
+    def _requeue(
+        self, execution: _Execution, pendings: list[_Pending]
+    ) -> None:
+        """Thread-safe: the execution's replica died, so it admits
+        nothing further and ``pendings`` return to the head of the
+        queue in their order (failing instead once the engine shut
+        down and nothing will form them again)."""
+        execution.no_admit = True
+        with self._lock:
+            closed = self._closed
+            if not closed:
+                self._queue.extendleft(reversed(pendings))
+                self._queue_gauge_locked()
+        if not closed:
+            self._wake_engine()
             return
-        execution.stepped = True
-        for member_id, response in zip(todo, responses):
-            member = execution.members.get(member_id)
-            if member is None:
-                continue
-            member.computed = True
-            member.response = response
-            if member.pending.stream is not None:
-                member.chunks = chunk_text(response.text)
+        for pending in pendings:
+            self._settle_reject(
+                pending, SchedulerClosed("scheduler shut down")
+            )
+            self._count_outcome(execution.model, "error")
 
     def _reap_cancelled(self, execution: _Execution) -> None:
         """Release members whose stream consumer walked away,
@@ -1000,11 +860,7 @@ class RequestScheduler:
                 continue
             if not member.lease_done:
                 execution.lease.release(member_id, cancelled=True)
-            registry = get_registry()
-            registry.counter(
-                "serving_stream_cancelled_total",
-                "streams cancelled by their consumer mid-generation",
-            ).inc(model=execution.model)
+            self._cancelled_total.inc(model=execution.model)
             self._count_outcome(execution.model, "cancelled")
             with self._lock:
                 self._cancelled += 1
@@ -1048,63 +904,24 @@ class RequestScheduler:
         del execution.members[member_id]
         return response
 
-    def _admit_into(self, execution: _Execution) -> Optional[float]:
+    def _admit_into(self, execution: _Execution) -> None:
         """Pull compatible queued requests into the live batch.
         Called by the execution's task between steps only: queue
         surgery under the engine lock here; the per-member
         ``lease.admit`` worker handshakes in the next step's executor
-        call (the lease is owned by this task).
-
-        Returns ``None`` normally, or a number of seconds the drained
-        execution should keep its lease while the batching window
-        accumulates a cohort (see :meth:`_pop_compatible_locked`)."""
+        call (the lease is owned by this task)."""
         with self._lock:
-            admitted, refill_wait = self._pop_compatible_locked(execution)
-        if admitted:
-            execution.to_admit.extend(admitted)
-        return refill_wait
+            admitted = self._pop_compatible_locked(execution)
+        execution.to_admit.extend(admitted)
 
     def _pop_compatible_locked(
         self, execution: _Execution
-    ) -> tuple[list[_Pending], Optional[float]]:
+    ) -> list[_Pending]:
         if execution.no_admit or self._closed:
-            return [], None
+            return []
         seats = len(execution.members) + len(execution.to_admit)
         if seats >= self.config.max_batch_size:
-            return [], None
-        if not execution.members and not execution.to_admit:
-            # The batch fully drained, so this would *form* a batch,
-            # not extend one. Admitting a fragment immediately would
-            # bypass the batching window — but retiring costs a fresh
-            # ``start_batch`` and task spin-up. Middle path: while
-            # compatible requests are trickling in, hold the lease
-            # for the window (returning the remaining wait), then
-            # admit whatever accumulated. Retirement happens only at
-            # window expiry with nothing compatible queued, freeing
-            # the slot for other shapes.
-            window_s = self.config.batch_window_ms / 1000.0
-            if window_s > 0:
-                compatible = sum(
-                    1
-                    for pending in self._queue
-                    if shape_key(pending.model, pending.request)
-                    == execution.key
-                )
-                if compatible < self.config.max_batch_size:
-                    now = self._clock()
-                    if execution.refill_until is None:
-                        execution.refill_until = now + window_s
-                    remaining = execution.refill_until - now
-                    if remaining > 0:
-                        # Hold even on an empty queue: the members
-                        # that just settled usually resubmit within
-                        # the window, and the hold is never longer
-                        # than the formation window a fresh cohort
-                        # would pay anyway.
-                        return [], remaining
-                    if compatible == 0:
-                        return [], None
-        execution.refill_until = None
+            return []
         now = self._clock()
         kept: deque[_Pending] = deque()
         admitted: list[_Pending] = []
@@ -1126,13 +943,9 @@ class RequestScheduler:
                 kept.append(pending)
         self._queue = kept
         self._queue_gauge_locked()
-        return admitted, None
+        return admitted
 
     # -- expiry / shared plumbing -----------------------------------------
-
-    def _expire(self) -> None:
-        with self._lock:
-            self._expire_locked()
 
     def _expire_locked(self) -> None:
         if not self._queue:
@@ -1154,15 +967,8 @@ class RequestScheduler:
 
     def _expire_one_locked(self, pending: _Pending, now: float) -> None:
         self._expired += 1
-        registry = get_registry()
-        registry.counter(
-            "serving_deadline_expired_total",
-            "requests expired while queued",
-        ).inc(model=pending.model)
-        registry.counter(
-            "serving_requests_total",
-            "scheduler admissions by outcome",
-        ).inc(model=pending.model, outcome="expired")
+        self._expired_total.inc(model=pending.model)
+        self._count_outcome(pending.model, "expired")
         self._settle_reject(
             pending,
             DeadlineExceeded(
@@ -1179,15 +985,12 @@ class RequestScheduler:
 
     def _retry_after_locked(self) -> float:
         """Backoff hint: the backlog ahead of the caller in
-        batch-capacity units of the pool, floored at one window."""
-        window_s = max(self.config.batch_window_ms / 1000.0, 0.005)
+        batch-capacity units of the pool, at 5 ms a round."""
         capacity_per_round = max(
             1, self.config.pool_width * self.config.max_batch_size
         )
         backlog_rounds = 1 + len(self._queue) / capacity_per_round
-        return round(window_s * backlog_rounds, 4)
+        return round(0.005 * backlog_rounds, 4)
 
     def _queue_gauge_locked(self) -> None:
-        get_registry().gauge(
-            "serving_queue_depth", "requests admitted but not dispatched"
-        ).set(len(self._queue))
+        self._queue_depth.set(len(self._queue))

@@ -82,9 +82,7 @@ class _Pending:
     ``done`` is the sync-facade bridge: blocking callers wait on the
     threading event, async callers register a callback (fired exactly
     once, on whatever thread resolves the request) that relays into
-    their own event loop. ``stream`` is set for streaming submissions;
-    ``window_until`` is the armed batching-window deadline while the
-    request is head of the queue.
+    their own event loop. ``stream`` is set for streaming submissions.
     """
 
     model: str
@@ -95,12 +93,6 @@ class _Pending:
     response: Optional[GenerationResponse] = None
     error: Optional[BaseException] = None
     stream: Optional[Any] = None
-    window_until: Optional[float] = None
-    #: Adaptive-window state: hard cap on extensions, and the
-    #: compatible count seen at the last check — the window extends
-    #: while arrivals are still streaming in.
-    window_cap: float = 0.0
-    window_seen: int = 0
     _callbacks: list = field(default_factory=list)
     _cb_lock: threading.Lock = field(default_factory=threading.Lock)
 

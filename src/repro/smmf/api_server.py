@@ -69,7 +69,10 @@ async def _drain_in_executor(
     inside one ``Context`` held for the stream's life: the worker's
     generator enters spans whose ``ContextVar`` tokens must be reset
     in the context that set them, which ``asyncio.to_thread``'s fresh
-    copy per hop would break.
+    copy per hop would break. The three stay strictly sequential: a
+    consumer cancelled mid-pull waits the pull out before closing,
+    because its executor thread still owns both the ``Context`` and
+    the running generator.
     """
     loop = asyncio.get_running_loop()
     context = contextvars.copy_context()
@@ -77,15 +80,21 @@ async def _drain_in_executor(
     chunks = await loop.run_in_executor(
         None, context.run, open_chunks, *args
     )
+    pull: Optional[asyncio.Future] = None
     try:
         while True:
-            chunk = await loop.run_in_executor(
+            pull = loop.run_in_executor(
                 None, context.run, next, chunks, sentinel
             )
+            # Shielded: cancelling the consumer must not mark the
+            # pull done while its thread is still running.
+            chunk = await asyncio.shield(pull)
             if chunk is sentinel:
                 return
             yield chunk
     finally:
+        if pull is not None and not pull.done():
+            await asyncio.wait([pull])
         close = getattr(chunks, "close", None)
         if close is not None:
             await loop.run_in_executor(None, context.run, close)

@@ -186,8 +186,8 @@ class LLMClient:
         ``prompts``.
 
         Requests are issued from a client-side thread pool, so with the
-        serving scheduler enabled they land inside one batching window
-        and coalesce into vectorized worker calls; each request still
+        serving scheduler enabled they queue together and coalesce
+        into vectorized worker calls; each request still
         goes through :meth:`generate`, so the inference cache and its
         single-flight deduplication apply per prompt. The first failure
         is re-raised after all requests settle.

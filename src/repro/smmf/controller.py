@@ -334,82 +334,19 @@ class ModelController:
         self.advance_clock(latency / 1000.0)
         return response
 
-    def generate_batch(
-        self, model_name: str, requests: list[GenerationRequest]
-    ) -> list[GenerationResponse]:
-        """Serve a coalesced batch on one replica, with batch failover.
-
-        The batch is dispatched as a single ``generate_batch`` model
-        call; if the chosen worker crashes mid-dispatch the *whole*
-        batch retries on another replica (no partial results exist —
-        the batch is one execution), up to ``max_retries`` times. A
-        model-level :class:`LLMError` (one poison request) propagates
-        to the scheduler, which re-dispatches the batch members
-        individually so the poison request fails alone.
-        """
-        if not requests:
-            return []
-        with get_tracer().span(
-            "smmf.generate_batch",
-            model=model_name,
-            batch_size=len(requests),
-        ) as span:
-            return self._generate_batch(model_name, requests, span)
-
-    def _generate_batch(
-        self,
-        model_name: str,
-        requests: list[GenerationRequest],
-        span,
-    ) -> list[GenerationResponse]:
-        try:
-            responses, record, retries, degraded = self._route(
-                model_name, lambda rec: rec.worker.handle_batch(requests)
-            )
-        except _AllReplicasFailed as exc:
-            for _request in requests:
-                self.metrics.record_failure(model_name)
-            raise self._exhausted_error(
-                model_name, exc.last_error, batch=len(requests)
-            )
-        except LLMError:
-            self.metrics.record_failure(model_name)
-            raise
-        if degraded:
-            responses = [
-                replace(response, degraded=True) for response in responses
-            ]
-            span.set_attribute("degraded", True)
-        latency = float(record.metadata.get("latency_ms", 0.0))
-        for response in responses:
-            self.metrics.record_success(
-                model=model_name,
-                worker_id=record.worker.worker_id,
-                latency_ms=latency,
-                prompt_tokens=response.prompt_tokens,
-                completion_tokens=response.completion_tokens,
-                retries=retries,
-            )
-        span.set_attributes(
-            worker=record.worker.worker_id, retries=retries
-        )
-        # One batch occupies the replica for one latency window,
-        # which is exactly the throughput win being modelled.
-        self.advance_clock(latency / 1000.0)
-        return responses
-
     def start_batch(
         self, model_name: str, requests: list[GenerationRequest]
     ) -> "ExecutionLease":
         """Open a continuous-batching execution on one replica.
 
-        Routing and failover mirror :meth:`generate_batch`: the whole
-        just-formed batch retries on another replica if the chosen
-        worker crashes at start (no model call happened yet), and an
-        exhausted model degrades to the configured fallback. What
-        comes back is a lease the serving engine steps: forward
+        The whole just-formed batch retries on another replica if the
+        chosen worker crashes at start (no model call happened yet),
+        and an exhausted model degrades to the configured fallback.
+        What comes back is a lease the serving engine steps: forward
         passes, mid-run admissions, and per-member completion all run
-        against the leased replica.
+        against the leased replica. A replica that dies mid-run sends
+        its uncomputed members back through here (the engine re-queues
+        them), so this is the only way a fused batch reaches a replica.
         """
         if not requests:
             raise ValueError("cannot start an empty execution")
@@ -507,8 +444,8 @@ class ExecutionLease:
     many members it computes) and feeds the circuit breakers;
     :meth:`complete` records per-member success metrics; a
     :class:`WorkerCrashed` from a step is recorded as a worker failure
-    before propagating, so the engine's failover re-dispatch routes
-    around the dead replica.
+    before propagating, so the lease the engine's re-queued members
+    get next routes around the dead replica.
     """
 
     def __init__(
@@ -561,7 +498,8 @@ class ExecutionLease:
         if computed:
             latency = float(self.record.metadata.get("latency_ms", 0.0))
             # One fused pass occupies the replica for one latency
-            # window, the same charge ``generate_batch`` makes.
+            # window however many members it computes, which is
+            # exactly the throughput win being modelled.
             self._controller.advance_clock(latency / 1000.0)
         return computed
 

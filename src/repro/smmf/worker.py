@@ -143,40 +143,6 @@ class ModelWorker:
             self._end(served=served)
         return response
 
-    def handle_batch(
-        self, requests: list[GenerationRequest]
-    ) -> list[GenerationResponse]:
-        """Run a coalesced batch as one model call.
-
-        The whole batch succeeds or fails together (one replica, one
-        execution); the scheduler fails the batch over to another
-        replica on :class:`WorkerCrashed`.
-        """
-        if not requests:
-            return []
-        self._check_up(amount=len(requests))
-        self._begin(len(requests))
-        served = 0
-        try:
-            with get_tracer().span(
-                "smmf.batch",
-                worker=self.worker_id,
-                model=self.model.name,
-            ) as span:
-                span.set_attribute("batch.size", len(requests))
-                span.set_attribute("cache.hit", False)
-                responses = self.model.generate_batch(requests)
-                span.set_attributes(
-                    prompt_tokens=sum(r.prompt_tokens for r in responses),
-                    completion_tokens=sum(
-                        r.completion_tokens for r in responses
-                    ),
-                )
-            served = len(requests)
-        finally:
-            self._end(len(requests), served=served)
-        return responses
-
     def start_batch(self, requests: list[GenerationRequest]):
         """Open a continuous-batching execution on this replica.
 

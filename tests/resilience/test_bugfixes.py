@@ -30,15 +30,30 @@ from tests.resilience.conftest import (
 )
 
 
+class GatedPoisonModel(PoisonModel):
+    """PoisonModel whose prompt ``"gate"`` parks until released."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def complete(self, request):
+        if request.prompt == "gate":
+            self.entered.set()
+            assert self.release.wait(timeout=5.0), "gate never released"
+        return super().complete(request)
+
+
 class TestPoisonBatchIsolation:
     def test_poison_request_fails_alone_in_a_16_batch(self, registry):
         """One LLMError in a fused batch of 16 must reject exactly one
         waiter — the other fifteen re-dispatch individually and
-        succeed."""
-        model = PoisonModel()
+        succeed. The sixteen queue behind a gated request that pins
+        the only slot, so they form one cohort."""
+        model = GatedPoisonModel()
         config = ServingConfig(
             enabled=True,
-            batch_window_ms=10_000.0,
             max_batch_size=16,
             pool_width=1,
         )
@@ -48,6 +63,11 @@ class TestPoisonBatchIsolation:
         )
         scheduler = controller.scheduler
         try:
+            gate = scheduler.submit(
+                "chat",
+                GenerationRequest("gate", task="chat", max_tokens=128),
+            )
+            assert model.entered.wait(timeout=5.0)
             prompts = [f"fine-{i}" for i in range(15)] + ["poison pill"]
             pendings = [
                 scheduler.submit(
@@ -55,8 +75,10 @@ class TestPoisonBatchIsolation:
                 )
                 for prompt in prompts
             ]
-            for pending in pendings:
+            model.release.set()
+            for pending in [gate, *pendings]:
                 assert pending.done.wait(timeout=5.0)
+            assert gate.error is None
             good, bad = pendings[:15], pendings[15]
             for pending, prompt in zip(good, prompts):
                 assert pending.error is None
@@ -65,16 +87,14 @@ class TestPoisonBatchIsolation:
             isolations = registry.get("serving_batch_isolations_total")
             assert isolations is not None and isolations.total() == 1
             outcomes = registry.get("serving_requests_total")
-            assert outcomes.value(model="chat", outcome="completed") == 15
+            assert outcomes.value(model="chat", outcome="completed") == 16
             assert outcomes.value(model="chat", outcome="error") == 1
         finally:
             scheduler.close()
 
     def test_single_poison_request_needs_no_isolation(self, registry):
         model = PoisonModel()
-        config = ServingConfig(
-            enabled=True, batch_window_ms=0.0, pool_width=1
-        )
+        config = ServingConfig(enabled=True, pool_width=1)
         controller, _client = deploy(
             [ModelSpec("chat", lambda: model, latency_ms=0.0)],
             serving=config,
@@ -86,7 +106,8 @@ class TestPoisonBatchIsolation:
             )
             assert pending.done.wait(timeout=5.0)
             assert isinstance(pending.error, LLMError)
-            assert registry.get("serving_batch_isolations_total") is None
+            isolations = registry.get("serving_batch_isolations_total")
+            assert isolations.total() == 0
         finally:
             scheduler.close()
 

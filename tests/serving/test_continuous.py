@@ -23,16 +23,21 @@ from repro.llm.base import (
 )
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.serving import RequestScheduler, ServingConfig
-from repro.smmf import ModelSpec, deploy
+from repro.smmf import ModelSpec, SmmfError, deploy
+from repro.smmf.api_server import ApiServer
 from repro.tenancy.context import tenant_scope
 from repro.tenancy.quotas import TenantThrottled
 
 
 class GatedModel(LanguageModel):
-    """Echo model whose batch passes can be held at a gate."""
+    """Echo model whose batch passes can be held at a gate; ``tag``
+    prefixes every answer, so a test can tell replicas apart."""
 
-    def __init__(self, name="chat", capabilities=("chat", "qa")):
+    def __init__(
+        self, name="chat", capabilities=("chat", "qa"), tag="echo"
+    ):
         super().__init__(name, frozenset(capabilities))
+        self.tag = tag
         self.lock = threading.Lock()
         self.single_calls = 0
         self.batch_sizes = []
@@ -45,7 +50,7 @@ class GatedModel(LanguageModel):
             self.single_calls += 1
         self.entered.set()
         assert self.release.wait(timeout=5.0), "gate never released"
-        return f"echo: {request.prompt}"
+        return f"{self.tag}: {request.prompt}"
 
     def generate_batch(self, requests):
         with self.lock:
@@ -54,7 +59,7 @@ class GatedModel(LanguageModel):
         assert self.release.wait(timeout=5.0), "gate never released"
         return [
             GenerationResponse(
-                text=f"echo: {request.prompt}",
+                text=f"{self.tag}: {request.prompt}",
                 model=self.name,
                 prompt_tokens=1,
                 completion_tokens=1,
@@ -69,6 +74,19 @@ def make_stack(config, model_factory, replicas=1, name="chat"):
         serving=config,
     )
     return controller, client, controller.scheduler
+
+
+def pin_the_only_slot(scheduler, model):
+    """Hold ``pool_width=1``'s single slot with a gated request of its
+    own shape: what is submitted next queues into one cohort, which
+    forms when ``model.release`` is set."""
+    model.entered.clear()
+    model.release.clear()
+    gate = scheduler.submit(
+        "chat", GenerationRequest("gate", task="chat", max_tokens=128)
+    )
+    assert model.entered.wait(timeout=5.0)
+    return gate
 
 
 @pytest.fixture
@@ -98,6 +116,29 @@ class TestContinuousDispatch:
     def test_there_is_no_mode_knob(self):
         with pytest.raises(TypeError):
             ServingConfig(enabled=True, mode="continuous")
+
+    def test_there_is_no_window_knob(self):
+        with pytest.raises(TypeError):
+            ServingConfig(enabled=True, batch_window_ms=1.0)
+
+    def test_idle_request_dispatches_without_waiting(self, registry):
+        """No timer stands between an idle engine and a lone request:
+        it dispatches on a clock that never advances."""
+        controller, _, _ = make_stack(ServingConfig(), lambda: GatedModel())
+        scheduler = RequestScheduler(
+            controller, ServingConfig(enabled=True), clock=lambda: 0.0
+        )
+        try:
+            pending = scheduler.submit(
+                "chat", GenerationRequest("alone", task="chat")
+            )
+            assert pending.done.wait(timeout=5.0)
+            assert pending.response.text == "echo: alone"
+        finally:
+            scheduler.close()
+        waits = registry.get("serving_wait_ms")
+        assert waits.count(model="chat") == 1
+        assert waits.sum(model="chat") == 0
 
     def test_stats_carry_every_key_their_readers_index(self):
         """``benchmarks/e2e/rounds.py::program_counters`` indexes
@@ -141,7 +182,7 @@ class TestContinuousDispatch:
             assert label in rendered
 
     def test_stream_delivers_canonical_chunks(self):
-        config = ServingConfig(enabled=True, batch_window_ms=0.0)
+        config = ServingConfig(enabled=True)
         _, _, scheduler = make_stack(config, lambda: GatedModel())
         try:
             chunks = list(
@@ -169,7 +210,6 @@ class TestMidBatchAdmission:
         model = GatedModel()
         config = ServingConfig(
             enabled=True,
-            batch_window_ms=0.0,
             max_batch_size=8,
             pool_width=1,
         )
@@ -218,7 +258,6 @@ class TestCancellation:
         model = GatedModel()
         config = ServingConfig(
             enabled=True,
-            batch_window_ms=0.0,
             pool_width=1,
             stream_buffer=2,
         )
@@ -253,7 +292,6 @@ class TestCancellation:
         model = GatedModel()
         config = ServingConfig(
             enabled=True,
-            batch_window_ms=0.0,
             pool_width=1,
             stream_buffer=2,
         )
@@ -283,19 +321,20 @@ class TestBackpressure:
         model = GatedModel()
         config = ServingConfig(
             enabled=True,
-            batch_window_ms=10_000.0,
             max_batch_size=2,
             pool_width=1,
             stream_buffer=2,
         )
         _, _, scheduler = make_stack(config, lambda: model)
         try:
+            pin_the_only_slot(scheduler, model)
             slow = scheduler.submit_stream(
                 "chat", GenerationRequest(LONG_PROMPT, task="chat")
             )
             fast = scheduler.submit_stream(
                 "chat", GenerationRequest(LONG_PROMPT, task="chat")
             )
+            model.release.set()
             # Drain the fast stream to completion without ever
             # touching the slow one.
             fast_chunks = list(fast.stream)
@@ -319,7 +358,7 @@ class TestTenancyAdmission:
         submitting task, so ``contextvars`` tenant scopes govern
         ``aschedule`` exactly as they do the sync facade."""
         model = GatedModel()
-        config = ServingConfig(enabled=True, batch_window_ms=0.0)
+        config = ServingConfig(enabled=True)
         _, _, scheduler = make_stack(config, lambda: model)
 
         def hook(model_name, request):
@@ -350,9 +389,7 @@ class TestTenancyAdmission:
         finally:
             scheduler.close()
         assert response.text == "echo: granted"
-        # The throttled request never reached the queue or model. Read
-        # after close(): the engine counts a dispatch just after it
-        # resolves the waiter, so an earlier read can still see 0.
+        # The throttled request never reached the queue or model.
         assert scheduler.stats()["dispatched_requests"] == 1
 
 
@@ -364,33 +401,41 @@ class TestFacadeParity:
         model = GatedModel()
         config = ServingConfig(
             enabled=True,
-            batch_window_ms=10_000.0,
             max_batch_size=4,
             pool_width=1,
         )
         _, _, scheduler = make_stack(config, lambda: model)
         try:
             prompts = [f"p{i}" for i in range(4)]
+            pin_the_only_slot(scheduler, model)
             sync_pendings = [
                 scheduler.submit(
                     "chat", GenerationRequest(p, task="chat")
                 )
                 for p in prompts
             ]
+            model.release.set()
             for pending in sync_pendings:
                 assert pending.done.wait(timeout=5.0)
             sync_texts = [p.response.text for p in sync_pendings]
 
             async def main():
-                return await asyncio.gather(
-                    *(
+                tasks = [
+                    asyncio.ensure_future(
                         scheduler.aschedule(
                             "chat", GenerationRequest(p, task="chat")
                         )
-                        for p in prompts
                     )
-                )
+                    for p in prompts
+                ]
+                # One turn of the loop runs each task through its
+                # (synchronous) admission, up to the await.
+                await asyncio.sleep(0)
+                assert scheduler.queue_depth() == 4
+                model.release.set()
+                return await asyncio.gather(*tasks)
 
+            pin_the_only_slot(scheduler, model)
             async_texts = [r.text for r in asyncio.run(main())]
             assert sync_texts == async_texts
             assert sync_texts == [f"echo: {p}" for p in prompts]
@@ -404,3 +449,177 @@ class TestFacadeParity:
             assert streamed == sync_texts[0]
         finally:
             scheduler.close()
+
+
+class LeaseCrashModel(GatedModel):
+    """A replica that breaks *after* its lease is granted.
+
+    ``leases`` is shared by every replica of one deployment and the
+    first replica to be leased runs ``sabotage(model)``. By then
+    ``ModelWorker.start_batch`` has passed its liveness check, so
+    whatever the sabotage breaks surfaces in ``WorkerExecution.step``
+    — the crash is mid-run, not at start.
+    """
+
+    def __init__(self, tag, leases, sabotage):
+        super().__init__(tag=tag)
+        self.leases = leases
+        self.sabotage = sabotage
+
+    def start_batch(self, requests):
+        self.leases.append(self)
+        if len(self.leases) == 1:
+            self.sabotage(self)
+        return super().start_batch(requests)
+
+
+def make_crash_stack(config, sabotage):
+    """Two tagged replicas behind one gate; ``sabotage(worker,
+    workers)`` runs once, on the first replica to be leased. Returns
+    ``(controller, scheduler, models, leases)``."""
+    models, leases = [], []
+
+    def on_first_lease(model):
+        workers = [record.worker for record in controller.workers("chat")]
+        sabotage(
+            next(worker for worker in workers if worker.model is model),
+            workers,
+        )
+
+    def factory():
+        model = LeaseCrashModel(
+            f"replica-{len(models)}", leases, on_first_lease
+        )
+        if models:  # one gate for the whole deployment
+            model.entered = models[0].entered
+            model.release = models[0].release
+        models.append(model)
+        return model
+
+    controller, _, scheduler = make_stack(config, factory, replicas=2)
+    return controller, scheduler, models, leases
+
+
+class TestMidRunFailover:
+    """A replica dying between the lease and a fused pass: every
+    uncomputed member is served by another replica, exactly once."""
+
+    def test_step_crash_moves_every_member_to_the_survivor(self, registry):
+        config = ServingConfig(enabled=True, pool_width=1)
+        controller, scheduler, models, leases = make_crash_stack(
+            config, lambda worker, workers: worker.inject_failures(1)
+        )
+        marked = []
+        mark_crashed = controller.registry.mark_crashed
+
+        def recording_mark(worker_id):
+            marked.append(worker_id)
+            mark_crashed(worker_id)
+
+        controller.registry.mark_crashed = recording_mark
+        try:
+            gate = pin_the_only_slot(scheduler, models[0])
+            streamed = scheduler.submit_stream(
+                "chat", GenerationRequest("streamed", task="chat")
+            )
+            plain = [
+                scheduler.submit(
+                    "chat", GenerationRequest(f"plain-{i}", task="chat")
+                )
+                for i in range(2)
+            ]
+            models[0].release.set()
+            for pending in [gate, *plain]:
+                assert pending.done.wait(timeout=5.0)
+                assert pending.error is None
+            crashed = leases[0]
+            survivor = next(m for m in models if m is not crashed)
+            assert [p.response.text for p in plain] == [
+                f"{survivor.tag}: plain-0",
+                f"{survivor.tag}: plain-1",
+            ]
+            assert "".join(streamed.stream) == f"{survivor.tag}: streamed"
+            assert streamed.done.wait(timeout=5.0)
+            assert streamed.error is None
+        finally:
+            scheduler.close()
+        workers = {
+            record.worker.model: record.worker
+            for record in controller.workers("chat")
+        }
+        # The crash landed in the step, charged for its three members,
+        # before the replica's model saw anything.
+        assert crashed.batch_sizes == []
+        assert workers[crashed].failed == 3
+        assert workers[crashed].inflight == 0
+        assert marked == [workers[crashed].worker_id]
+        assert survivor.batch_sizes == [3]
+        assert workers[survivor].inflight == 0
+        assert sum(worker.served for worker in workers.values()) == 4
+        outcomes = registry.get("serving_requests_total")
+        assert outcomes.value(model="chat", outcome="admitted") == 4
+        assert outcomes.value(model="chat", outcome="completed") == 4
+        assert outcomes.value(model="chat", outcome="error") == 0
+
+    def test_nothing_joins_the_execution_whose_replica_died(self):
+        """The crash-injected replica is marked down but would still
+        answer, so a request admitted into its execution shows up as
+        that replica's text."""
+        config = ServingConfig(enabled=True, pool_width=2, stream_buffer=2)
+        _, scheduler, models, leases = make_crash_stack(
+            config, lambda worker, workers: worker.inject_failures(1)
+        )
+        try:
+            streamed = scheduler.submit_stream(
+                "chat", GenerationRequest(LONG_PROMPT, task="chat")
+            )
+            head = streamed.stream.get(timeout=5.0)
+            crashed = leases[0]
+            survivor = next(m for m in models if m is not crashed)
+            # Parked at its buffer bound: the execution serving the
+            # stream is still live when the next request arrives.
+            late = scheduler.schedule(
+                "chat", GenerationRequest("late", task="chat")
+            )
+            assert late.text == f"{survivor.tag}: late"
+            assert head + "".join(streamed.stream) == (
+                f"{survivor.tag}: {LONG_PROMPT}"
+            )
+        finally:
+            scheduler.close()
+        assert crashed.batch_sizes == []
+        assert crashed.single_calls == 0
+
+    def test_outage_after_the_lease_fails_like_one_before_it(self):
+        config = ServingConfig(enabled=True, pool_width=1)
+        _, scheduler, models, _ = make_crash_stack(
+            config,
+            lambda worker, workers: [each.kill() for each in workers],
+        )
+        try:
+            gate = pin_the_only_slot(scheduler, models[0])
+            streamed = scheduler.submit_stream(
+                "chat", GenerationRequest("streamed", task="chat")
+            )
+            plain = scheduler.submit(
+                "chat", GenerationRequest("plain", task="chat")
+            )
+            models[0].release.set()
+            assert gate.done.wait(timeout=5.0) and gate.error is None
+            for pending in (streamed, plain):
+                assert pending.done.wait(timeout=5.0)
+            with pytest.raises(SmmfError):
+                list(streamed.stream)
+            # Both replicas are down now: this one fails at the lease.
+            at_start = scheduler.submit_stream(
+                "chat", GenerationRequest("late", task="chat")
+            )
+            assert at_start.done.wait(timeout=5.0)
+            for pending in (streamed, plain, at_start):
+                assert type(pending.error) is SmmfError
+                mapped = ApiServer._guard(pending.error)
+                assert mapped.status == 503
+                assert mapped.body["code"] == "smmf_unavailable"
+        finally:
+            scheduler.close()
+        assert all(model.batch_sizes == [] for model in models)

@@ -98,6 +98,19 @@ class FakeClock:
         return self.now
 
 
+def pin_the_only_slot(scheduler, model):
+    """Hold ``pool_width=1``'s single slot with a gated request of its
+    own shape: what is submitted next queues into one cohort, which
+    forms when ``model.release`` is set."""
+    model.entered.clear()
+    model.release.clear()
+    gate = scheduler.submit(
+        "chat", GenerationRequest("gate", task="chat", max_tokens=128)
+    )
+    assert model.entered.wait(timeout=5.0)
+    return gate
+
+
 class TestShapeKey:
     def test_compatible_iff_model_task_and_budget_match(self):
         a = GenerationRequest("p1", task="chat", max_tokens=64)
@@ -116,21 +129,17 @@ class TestShapeKey:
 
 class TestCoalescing:
     def test_compatible_requests_fuse_into_one_batch(self, registry):
-        """Three compatible submissions dispatch as ONE model call.
-
-        ``max_batch_size=3`` wakes the batching window early the moment
-        the third compatible request queues, so the huge window is
-        never actually waited out.
-        """
+        """Three compatible submissions that queued while the slot
+        was busy dispatch as ONE model call when it frees."""
         model = RecordingModel()
         config = ServingConfig(
             enabled=True,
-            batch_window_ms=10_000.0,
             max_batch_size=3,
             pool_width=1,
         )
         _, _, scheduler = make_stack(config, lambda: model)
         try:
+            gate = pin_the_only_slot(scheduler, model)
             pendings = [
                 scheduler.submit(
                     "chat",
@@ -138,7 +147,8 @@ class TestCoalescing:
                 )
                 for i in range(3)
             ]
-            for pending in pendings:
+            model.release.set()
+            for pending in [gate, *pendings]:
                 assert pending.done.wait(timeout=5.0)
             assert [p.response.text for p in pendings] == [
                 "echo: prompt-0",
@@ -146,11 +156,11 @@ class TestCoalescing:
                 "echo: prompt-2",
             ]
             assert model.batch_sizes == [3]
-            assert model.single_calls == 0
+            assert model.single_calls == 1  # the gate
             stats = scheduler.stats()
-            assert stats["dispatched_batches"] == 1
-            assert stats["dispatched_requests"] == 3
-            assert stats["mean_batch_size"] == 3.0
+            assert stats["dispatched_batches"] == 2
+            assert stats["dispatched_requests"] == 4
+            assert stats["mean_batch_size"] == 2.0
             batch_hist = registry.get("serving_batch_size")
             assert batch_hist is not None
         finally:
@@ -162,7 +172,6 @@ class TestCoalescing:
         model = RecordingModel()
         config = ServingConfig(
             enabled=True,
-            batch_window_ms=0.0,
             max_batch_size=8,
             pool_width=1,
         )
@@ -207,7 +216,6 @@ class TestBackpressure:
         config = ServingConfig(
             enabled=True,
             queue_capacity=2,
-            batch_window_ms=0.0,
             max_batch_size=1,
             pool_width=1,
         )
@@ -247,7 +255,6 @@ class TestBackpressure:
         config = ServingConfig(
             enabled=True,
             queue_capacity=1,
-            batch_window_ms=0.0,
             max_batch_size=1,
             pool_width=1,
         )
@@ -282,7 +289,6 @@ class TestDeadlines:
         controller.register_worker(ModelWorker(model, latency_ms=0.0))
         config = ServingConfig(
             enabled=True,
-            batch_window_ms=0.0,
             max_batch_size=1,
             pool_width=1,
         )
@@ -313,7 +319,7 @@ class TestDeadlines:
             scheduler.close()
 
     def test_expiry_surfaces_as_504_through_the_client(self):
-        config = ServingConfig(enabled=True, batch_window_ms=0.0)
+        config = ServingConfig(enabled=True)
         _, client, scheduler = make_stack(
             config, lambda: ChatModel("chat")
         )
@@ -339,32 +345,34 @@ class TestFailover:
 
         config = ServingConfig(
             enabled=True,
-            batch_window_ms=10_000.0,
             max_batch_size=2,
             pool_width=1,
         )
         controller, _, scheduler = make_stack(config, factory, replicas=2)
         try:
-            # Crash-inject the replica the round-robin balancer will
-            # pick first (the first registered).
-            first = controller.workers("chat")[0].worker
-            first.fail_next = 1
-            crashed = first.model
-            survivor = next(m for m in models if m is not crashed)
+            # Round robin: the gate lands on the first registered
+            # replica, so the cohort queued behind it is routed to the
+            # second one first. Crash-inject that one.
+            busy, idle = [r.worker for r in controller.workers("chat")]
+            survivor, crashed = busy.model, idle.model
+            gate = pin_the_only_slot(scheduler, survivor)
+            assert busy.load_snapshot()[0] == 1
+            idle.fail_next = 1
             pendings = [
                 scheduler.submit(
                     "chat", GenerationRequest(f"p{i}", task="chat")
                 )
                 for i in range(2)
             ]
-            for pending in pendings:
+            survivor.release.set()
+            for pending in [gate, *pendings]:
                 assert pending.done.wait(timeout=5.0)
                 assert pending.error is None
             # The crash happened before the model ran; the whole batch
             # re-dispatched on the surviving replica.
             assert crashed.batch_sizes == []
             assert survivor.batch_sizes == [2]
-            assert first.failed == 2
+            assert idle.failed == 2
         finally:
             scheduler.close()
 
@@ -388,7 +396,7 @@ class TestSingleFlight:
         rest wait on the same in-flight entry."""
         set_cache_manager(CacheManager(CacheConfig()))
         model = RecordingModel()
-        config = ServingConfig(enabled=True, batch_window_ms=0.0)
+        config = ServingConfig(enabled=True)
         controller, client, scheduler = make_stack(config, lambda: model)
         try:
             model.release.clear()
@@ -450,7 +458,7 @@ class TestDisabledParity:
         plain = [
             plain_client.generate("chat", p, task="chat") for p in prompts
         ]
-        config = ServingConfig(enabled=True, batch_window_ms=0.0)
+        config = ServingConfig(enabled=True)
         controller, client, scheduler = make_stack(
             config, lambda: ChatModel("chat")
         )

@@ -1,6 +1,7 @@
 """Tests for SMMF streaming inference."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -12,6 +13,22 @@ from repro.smmf import ModelSpec, ModelWorker, SmmfError, deploy
 
 def chat_spec(replicas=1):
     return ModelSpec("chat", lambda: ChatModel("chat"), replicas=replicas)
+
+
+class GatedStreamModel(ChatModel):
+    """Streams one chunk, then parks inside the next pull."""
+
+    def __init__(self):
+        super().__init__("chat")
+        self.pulling = threading.Event()
+        self.release = threading.Event()
+
+    def stream(self, request):
+        chunks = super().stream(request)
+        yield next(chunks)
+        self.pulling.set()
+        assert self.release.wait(timeout=5.0), "gate never released"
+        yield from chunks
 
 
 class TestStreaming:
@@ -109,3 +126,42 @@ class TestAsyncStreamWithoutEngine:
         assert asyncio.run(main())
         assert worker.inflight == 0
         assert worker.abandoned_streams == 1
+
+    def test_cancelled_mid_pull_waits_the_pull_out_then_closes(self, tracer):
+        """Cancelling the consumer while the executor thread is inside
+        ``next(chunks)`` must not close the stream under it: the pull
+        finishes first, then the close runs in the same Context."""
+        model = GatedStreamModel()
+        controller, client = deploy([ModelSpec("chat", lambda: model)])
+        worker = controller.workers("chat")[0].worker
+
+        async def consume():
+            async for _chunk in client.astream(
+                "chat", self.PROMPT, task="chat"
+            ):
+                pass
+
+        async def main():
+            consumer = asyncio.ensure_future(consume())
+            assert await asyncio.to_thread(model.pulling.wait, 5.0)
+            consumer.cancel()
+            # The cancellation lands while the pull is parked at the
+            # gate. A consumer that closes under the pull dies within
+            # this wait; one that waits the pull out outlasts it.
+            await asyncio.wait([consumer], timeout=0.05)
+            assert not consumer.done()
+            model.release.set()
+            with pytest.raises(asyncio.CancelledError):
+                await consumer
+
+        asyncio.run(main())
+        stats = worker.stats_snapshot()
+        assert stats["inflight"] == 0
+        assert stats["abandoned_streams"] == 1
+        streamed = [
+            span
+            for trace_id in tracer.trace_ids()
+            for span in tracer.trace(trace_id)
+            if span.name == "smmf.worker" and span.attributes.get("stream")
+        ]
+        assert len(streamed) == 1 and streamed[0].ended

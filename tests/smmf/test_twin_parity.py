@@ -78,7 +78,7 @@ class Stack:
         return self.controller.scheduler
 
 
-CONTINUOUS = ServingConfig(enabled=True, batch_window_ms=0.0)
+CONTINUOUS = ServingConfig(enabled=True)
 
 
 @pytest.fixture
