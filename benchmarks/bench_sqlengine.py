@@ -2,11 +2,21 @@
 
 Five workloads, all on :class:`repro.sqlengine.Database`:
 
-1. **Point lookup** — 100k-row table, equality predicate. A full scan
-   is measured first, then ``CREATE INDEX`` and the same queries again.
-   The indexed p50 must be at least 10x faster.
+1. **Point lookup** — 100k-row table, equality predicate. The naive
+   pipeline's full scan (``optimize = False``: every row through the
+   compiled filter) is measured first, then ``CREATE INDEX`` and the
+   same queries again. The indexed p50 must be at least 10x faster.
 2. **Range scan** — the same table with a ``USING SORTED`` index; a
-   narrow ``BETWEEN`` must beat the pre-index full scan by >= 5x.
+   narrow ``BETWEEN`` must beat the naive full scan by >= 5x.
+
+   Both gates say what they said before scans went columnar — an index
+   path beats touching every row — and are measured against the row
+   pipeline because the optimized sequential scan no longer touches
+   rows: its filter is a numpy mask over a column vector (0.3-0.5 ms at
+   100k rows), reported beside each gate as ``columnar_scan_ms``. A
+   projection of the matching rows (``SELECT * ... WHERE user_id = N``)
+   does not restore the old baseline either: the mask materializes
+   only the survivors (measured 0.48 ms vs 0.19 ms indexed).
 3. **Join** — 10k x 10k equi-join. The hash-join side is measured at
    full size. A faithful nested-loop run at 10k x 10k would take
    minutes (the condition is re-evaluated for every one of the 100M
@@ -20,18 +30,20 @@ Five workloads, all on :class:`repro.sqlengine.Database`:
 5. **Hash join with a residual** — an equi-join whose ``ON`` carries an
    extra non-equi conjunct, evaluated once per candidate pair.
 
-Workloads 4 and 5 are per-row expression evaluation and nothing else,
-so each is reported as input rows/s *and* as a ratio to a hand-written
-Python loop computing the same answer over the same tuples in the same
-process. The ratio is independent of the box's speed; its ceiling sits
-between the compiled closures (measured 15x / 10-13x the loop) and the
-per-row tree-walking interpreter they replaced (47-52x / 54-57x), at
-least 1.5x away from either, so a slide back to per-row interpretation
-fails the bench.
+Workloads 4 and 5 are each reported as input rows/s *and* as a ratio
+to a hand-written Python loop computing the same answer over the same
+tuples in the same process; the ratio is independent of the box's
+speed. Workload 4 is a covered columnar shape (measured 0.6x the
+loop); its ceiling of 5x sits well under the compiled row closures
+(15x) it replaced, so a statement that silently falls back to the row
+pipeline fails the bench. Workload 5 stays row-based — a residual
+``ON`` conjunct declines the columnar join — so its ceiling is the one
+set for the compiled closures (measured 10-13x the loop; the per-row
+tree-walking interpreter before them read 54-57x).
 
 EXPLAIN is consulted before each timed section to prove the intended
-plan (SeqScan / IndexScan / IndexRangeScan / HashJoin /
-NestedLoopJoin) is the one being measured.
+plan (SeqScan, columnar or not / IndexScan / IndexRangeScan / HashJoin
+/ NestedLoopJoin) is the one being measured.
 
 Results are written to ``BENCH_sqlengine.json`` in the repo root.
 """
@@ -63,7 +75,7 @@ N_BUCKETS = 16
 #: Residual-join inputs: 20 facts x 2 dims per key, 40k candidate pairs.
 RESIDUAL_FACTS, RESIDUAL_DIMS, RESIDUAL_KEYS = 20_000, 2_000, 1_000
 #: Ceilings on engine time / hand-written-loop time (see docstring).
-GROUPED_LOOP_RATIO_MAX = 27.0
+GROUPED_LOOP_RATIO_MAX = 5.0
 RESIDUAL_LOOP_RATIO_MAX = 25.0
 
 
@@ -125,6 +137,21 @@ def _plan_text(db: Database, sql: str) -> str:
     return "\n".join(row[0] for row in db.execute("EXPLAIN " + sql).rows)
 
 
+def _scan_baselines(db: Database, queries: list[str]) -> tuple[float, list[float]]:
+    """Sequential-scan timings of ``queries`` before their index
+    exists: the optimized (columnar) p50, for the record, and the naive
+    row pipeline's samples the index gate is held against."""
+    assert "SeqScan(events) [columnar]" in _plan_text(db, queries[0])
+    columnar_p50 = statistics.median(_time_queries(db, queries))
+    db.optimize = False
+    try:
+        plan = _plan_text(db, queries[0])
+        assert "SeqScan(events)" in plan and "[columnar]" not in plan
+        return columnar_p50, _time_queries(db, queries)
+    finally:
+        db.optimize = True
+
+
 def test_sqlengine_benchmark() -> None:
     # ------------------------------------------------------------------
     # Point lookup: full scan vs hash index at 100k rows.
@@ -145,7 +172,7 @@ def test_sqlengine_benchmark() -> None:
 
     # ------------------------------------------------------------------
     # Filtered GROUP BY vs a hand-written loop (before any index exists,
-    # so the filter runs per row).
+    # so the scan is sequential and the statement columnar).
     # ------------------------------------------------------------------
     grouped_bounds = [N_ROWS // 4 + 997 * rep for rep in range(REPS)]
     grouped_queries = [
@@ -153,7 +180,7 @@ def test_sqlengine_benchmark() -> None:
         f"WHERE amount > {bound} GROUP BY bucket"
         for bound in grouped_bounds
     ]
-    assert "SeqScan(events)" in _plan_text(db, grouped_queries[0])
+    assert "SeqScan(events) [columnar]" in _plan_text(db, grouped_queries[0])
     event_rows = db.execute("SELECT * FROM events").rows
     assert sorted(db.execute(grouped_queries[0]).rows) == sorted(
         _grouped_by_hand(event_rows, grouped_bounds[0])
@@ -170,8 +197,7 @@ def test_sqlengine_benchmark() -> None:
         f"SELECT COUNT(*) FROM events WHERE user_id = {101 + 13 * rep}"
         for rep in range(REPS)
     ]
-    assert "SeqScan(events)" in _plan_text(db, point_queries[0])
-    scan_times = _time_queries(db, point_queries)
+    columnar_point_p50, scan_times = _scan_baselines(db, point_queries)
 
     db.execute("CREATE INDEX idx_user ON events (user_id)")
     assert "IndexScan(events.user_id" in _plan_text(db, point_queries[0])
@@ -189,8 +215,7 @@ def test_sqlengine_benchmark() -> None:
         f"WHERE amount BETWEEN {500 * rep} AND {500 * rep + 400}"
         for rep in range(REPS)
     ]
-    assert "SeqScan(events)" in _plan_text(db, range_queries[0])
-    range_scan_times = _time_queries(db, range_queries)
+    columnar_range_p50, range_scan_times = _scan_baselines(db, range_queries)
 
     db.execute("CREATE INDEX idx_amount ON events (amount) USING SORTED")
     assert "IndexRangeScan(events.amount" in _plan_text(db, range_queries[0])
@@ -304,6 +329,7 @@ def test_sqlengine_benchmark() -> None:
                 "p50": round(scan_p50 * 1000, 3),
                 "p95": round(_percentile(scan_times, 0.95) * 1000, 3),
             },
+            "columnar_scan_ms": {"p50": round(columnar_point_p50 * 1000, 3)},
             "indexed_ms": {
                 "p50": round(indexed_p50 * 1000, 3),
                 "p95": round(_percentile(indexed_times, 0.95) * 1000, 3),
@@ -314,6 +340,7 @@ def test_sqlengine_benchmark() -> None:
             "rows": N_ROWS,
             "reps": REPS,
             "full_scan_ms": {"p50": round(range_scan_p50 * 1000, 3)},
+            "columnar_scan_ms": {"p50": round(columnar_range_p50 * 1000, 3)},
             "sorted_index_ms": {"p50": round(range_index_p50 * 1000, 3)},
             "speedup_p50": round(range_speedup, 2),
         },
@@ -333,13 +360,15 @@ def test_sqlengine_benchmark() -> None:
 
     print("\nsql engine: planned vs naive execution")
     print(
-        f"  point lookup : {scan_p50 * 1000:8.2f} ms scan vs "
-        f"{indexed_p50 * 1000:8.2f} ms indexed ({point_speedup:.0f}x)"
+        f"  point lookup : {scan_p50 * 1000:8.2f} ms row scan vs "
+        f"{indexed_p50 * 1000:8.2f} ms indexed ({point_speedup:.0f}x; "
+        f"columnar scan {columnar_point_p50 * 1000:.2f} ms)"
     )
     print(
-        f"  range scan   : {range_scan_p50 * 1000:8.2f} ms scan vs "
+        f"  range scan   : {range_scan_p50 * 1000:8.2f} ms row scan vs "
         f"{range_index_p50 * 1000:8.2f} ms sorted index "
-        f"({range_speedup:.0f}x)"
+        f"({range_speedup:.0f}x; "
+        f"columnar scan {columnar_range_p50 * 1000:.2f} ms)"
     )
     print(
         f"  join 10kx10k : {hash_p50 * 1000:8.2f} ms hash vs "
@@ -377,7 +406,7 @@ def test_sqlengine_benchmark() -> None:
     )
     assert grouped_ratio <= GROUPED_LOOP_RATIO_MAX, (
         f"filtered GROUP BY takes {grouped_ratio:.1f}x a hand-written "
-        f"loop (ceiling {GROUPED_LOOP_RATIO_MAX}x): per-row interpretation?"
+        f"loop (ceiling {GROUPED_LOOP_RATIO_MAX}x): fell back to the row path?"
     )
     assert residual_ratio <= RESIDUAL_LOOP_RATIO_MAX, (
         f"residual hash join takes {residual_ratio:.1f}x a hand-written "

@@ -77,13 +77,6 @@ class TableSchema:
             f"no column {name!r} in table {self.name!r}"
         )
 
-    def has_column(self, name: str) -> bool:
-        lowered = name.lower()
-        return any(column.name.lower() == lowered for column in self.columns)
-
-    def primary_key_columns(self) -> list[ColumnSchema]:
-        return [column for column in self.columns if column.primary_key]
-
     def describe(self) -> str:
         """One-line schema rendering used in LLM prompts."""
         parts = []
@@ -194,13 +187,3 @@ class Catalog:
         return "\n".join(
             self._indexes[key].describe() for key in sorted(self._indexes)
         )
-
-    def find_column(self, column_name: str) -> list[tuple[str, ColumnSchema]]:
-        """All (table name, column) pairs whose column matches ``column_name``."""
-        lowered = column_name.lower()
-        matches: list[tuple[str, ColumnSchema]] = []
-        for schema in self._tables.values():
-            for column in schema.columns:
-                if column.name.lower() == lowered:
-                    matches.append((schema.name, column))
-        return matches

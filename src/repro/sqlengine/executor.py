@@ -9,40 +9,49 @@ pipeline on top::
     -> DISTINCT -> ORDER BY -> LIMIT/OFFSET -> compound set operators
 
 Rows flow through as plain tuples alongside a column layout
-``[(binding, name), ...]`` held by :class:`RowContext`. WITH clauses
-materialize each CTE once, eagerly, into a scope frame that shadows
-views and tables for the duration of the owning select.
+``[(binding, name), ...]`` held by :class:`RowContext` — except in the
+plans the planner marks columnar, whose scans, joins and aggregates run
+over column vectors (:mod:`repro.sqlengine.columnar`) up to GROUP BY.
+WITH clauses materialize each CTE once, eagerly, into a scope frame
+that shadows views and tables for the duration of the owning select.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
-from repro.sqlengine import nodes
+import numpy as np
+
+from repro.sqlengine import columnar, nodes
 from repro.sqlengine.catalog import Catalog, ColumnSchema, TableSchema
 from repro.sqlengine.errors import CatalogError, ExecutionError
-from repro.sqlengine.expressions import Evaluator, RowContext
-from repro.sqlengine.functions import (
-    Aggregate,
-    is_aggregate_function,
-    make_aggregate,
-)
+from repro.sqlengine.expressions import COMPARISONS, Evaluator, RowContext
+from repro.sqlengine.functions import is_aggregate_function, make_aggregate
 from repro.sqlengine.indexes import IndexInfo, SortedIndex
 from repro.sqlengine.planner import (
+    ColumnarPlan,
     CteScanPlan,
     IndexEqAccess,
     IndexRangeAccess,
     JoinPlan,
+    NUMBER_TYPES,
     ScanPlan,
     SelectPlan,
+    SeqAccess,
     SourcePlan,
     SubqueryScanPlan,
     ViewScanPlan,
+    agg_key,
     build_plan,
+    collect_aggregates,
+    is_grouped,
     output_columns,
     render_plan,
+    resolve_output_reference,
 )
 from repro.sqlengine.table import Table
 from repro.sqlengine.types import DataType, coerce, sort_key
@@ -156,6 +165,23 @@ class Executor:
     ) -> Relation:
         if not select.ctes:
             return self._execute_query(select, outer)
+
+        def materialize(cte: nodes.CommonTableExpr) -> _CteSlot:
+            relation = _apply_cte_columns(
+                cte, self.execute_select(cte.query, outer)
+            )
+            names = [name.lower() for name in relation.column_names]
+            return _CteSlot(cte.name, relation, names)
+
+        with self._cte_scope(select, materialize):
+            return self._execute_query(select, outer)
+
+    @contextmanager
+    def _cte_scope(self, select: nodes.Select, bind: Callable) -> Iterator[None]:
+        """Hold a scope frame with ``bind(cte)`` for each WITH-clause
+        binding of ``select``. A CTE's own name is registered only
+        after its body is bound, so self-references fail with the usual
+        "no table" error instead of recursing."""
         frame: dict[str, _CteSlot] = {}
         self._cte_stack.append(frame)
         try:
@@ -165,18 +191,8 @@ class Executor:
                     raise ExecutionError(
                         f"duplicate CTE name {cte.name!r} in WITH clause"
                     )
-                # The CTE's own name is registered only after its body
-                # runs, so self-references fail with the usual "no
-                # table" error instead of recursing.
-                relation = _apply_cte_columns(
-                    cte, self.execute_select(cte.query, outer)
-                )
-                frame[key] = _CteSlot(
-                    cte.name,
-                    relation,
-                    [name.lower() for name in relation.column_names],
-                )
-            return self._execute_query(select, outer)
+                frame[key] = bind(cte)
+            yield
         finally:
             self._cte_stack.pop()
 
@@ -187,8 +203,6 @@ class Executor:
     ) -> Relation:
         if not select.compound:
             return self._execute_select_core(select, outer)
-        import dataclasses
-
         first = dataclasses.replace(
             select, order_by=(), limit=None, offset=None, compound=()
         )
@@ -223,14 +237,22 @@ class Executor:
                     for item in select.order_by
                 ],
             )
-        if select.limit is not None:
-            base_ctx = RowContext([], [])
-            limit = self._evaluator.evaluate(select.limit, base_ctx)
-            offset = 0
-            if select.offset is not None:
-                offset = self._evaluator.evaluate(select.offset, base_ctx)
-            rows = rows[offset : offset + limit]
-        return Relation(relation.columns, list(rows))
+        return Relation(relation.columns, self._limited(select, rows))
+
+    def _limited(self, select: nodes.Select, rows: list) -> list:
+        """``rows`` cut to the statement's LIMIT/OFFSET: a negative
+        LIMIT is no limit and a negative OFFSET is 0, as in sqlite."""
+        if select.limit is None:
+            return list(rows)
+        base_ctx = RowContext([], [])
+        limit = self._evaluator.evaluate(select.limit, base_ctx)
+        offset = 0
+        if select.offset is not None:
+            offset = self._evaluator.evaluate(select.offset, base_ctx)
+        if not isinstance(limit, int) or not isinstance(offset, int):
+            raise ExecutionError("LIMIT/OFFSET must be integers")
+        offset = max(offset, 0)
+        return rows[offset : offset + limit if limit >= 0 else None]
 
     # -- SELECT pipeline -------------------------------------------------
 
@@ -240,24 +262,33 @@ class Executor:
         outer: Optional[RowContext],
     ) -> Relation:
         plan = self._build_plan(select)
-        if plan.source is None:
-            source = Relation(columns=[], rows=[()])
+        groups = None
+        if plan.columnar is not None:
+            # Batch operators accumulate the groups; None (a Decline)
+            # reruns the statement below, row by row.
+            groups = self._columnar_groups(plan.columnar, plan.source)
+        if groups is not None:
+            columns = _source_layout(plan.source)
         else:
-            source = self._run_source_plan(plan.source, outer)
-        ctx = RowContext(source.columns, [None] * len(source.columns), outer)
+            source = (
+                Relation(columns=[], rows=[()])
+                if plan.source is None
+                else self._run_source_plan(plan.source, outer)
+            )
+            columns = source.columns
+        ctx = RowContext(columns, [None] * len(columns), outer)
 
         if plan.residual is not None:
             keep = self._evaluator.compile_truth(plan.residual, ctx)
             source = Relation(
-                source.columns, [row for row in source.rows if keep(row)]
+                columns, [row for row in source.rows if keep(row)]
             )
 
-        items = self._expand_stars(select.items, source.columns)
-        is_grouped = bool(select.group_by) or _uses_aggregates(
-            items, select.having, select.order_by
-        )
-        if is_grouped:
-            relation = self._execute_grouped(select, items, source, ctx)
+        items = self._expand_stars(select.items, columns)
+        if groups is None and is_grouped(select):
+            groups = self._row_groups(select, items, source, ctx)
+        if groups is not None:
+            relation = self._finish_groups(select, items, groups, ctx)
         else:
             relation = self._project(items, source, ctx, select.order_by)
 
@@ -278,7 +309,7 @@ class Executor:
         ]
         # ORDER BY may reference source columns not in the select list;
         # carry their values as hidden extras used only for sorting.
-        extra_exprs = _order_extras(order_by, items)
+        extra_exprs = [o.expression for o in _order_extras(order_by, items)]
         outputs = [
             self._evaluator.compile(expr, ctx)
             for expr in [item.expression for item in items] + extra_exprs
@@ -289,19 +320,22 @@ class Executor:
         hidden = [(None, f"__order_{i}") for i in range(len(extra_exprs))]
         return Relation(out_columns + hidden, rows)
 
-    def _execute_grouped(
+    def _row_groups(
         self,
         select: nodes.Select,
         items: list[nodes.SelectItem],
         source: Relation,
         ctx: RowContext,
-    ) -> Relation:
-        group_exprs = list(select.group_by)
+    ) -> list[tuple[Any, ...]]:
+        """Accumulate row by row: per group, in first-appearance order,
+        its first row followed by one result per aggregate call."""
         # Allow GROUP BY to reference select-list aliases or ordinals.
         group_exprs = [
-            _resolve_output_reference(expr, items) for expr in group_exprs
+            resolve_output_reference(expr, items) for expr in select.group_by
         ]
-        aggregate_calls = _collect_aggregates(items, select.having, select.order_by)
+        aggregate_calls = collect_aggregates(
+            items, select.having, select.order_by
+        )
         compile_row = self._evaluator.compile
         group_keys = [compile_row(expr, ctx) for expr in group_exprs]
         #: One feed per aggregate: the argument's value, or presence
@@ -339,17 +373,34 @@ class Executor:
         if not groups and not select.group_by:
             # Aggregate query over an empty input yields one row.
             groups[()] = new_group(tuple([None] * len(source.columns)))
+        return [
+            first_row
+            + tuple([accumulator.result() for accumulator in accumulators])
+            for first_row, accumulators in groups.values()
+        ]
 
+    def _finish_groups(
+        self,
+        select: nodes.Select,
+        items: list[nodes.SelectItem],
+        groups: list[tuple[Any, ...]],
+        ctx: RowContext,
+    ) -> Relation:
+        """The per-group pass over ``first_row + aggregate results``
+        (HAVING, select list, ORDER BY extras), whichever accumulator
+        produced ``groups``."""
         out_columns: list[tuple[Optional[str], str]] = [
             (None, item.output_name) for item in items
         ]
-        extra_exprs = _order_extras(select.order_by, items)
-        # Per-group pass over ``first_row + aggregate results``.
+        extra_exprs = [
+            o.expression for o in _order_extras(select.order_by, items)
+        ]
+        calls = collect_aggregates(items, select.having, select.order_by)
         group_evaluator = _GroupEvaluator(
             self._evaluator,
             {
-                _agg_key(call): len(source.columns) + position
-                for position, call in enumerate(aggregate_calls)
+                agg_key(call): len(ctx.columns) + position
+                for position, call in enumerate(calls)
             },
         )
         having = group_evaluator.compile_truth(select.having, ctx)
@@ -357,13 +408,11 @@ class Executor:
             group_evaluator.compile(expr, ctx)
             for expr in [item.expression for item in items] + extra_exprs
         ]
-        rows: list[tuple[Any, ...]] = []
-        for first_row, accumulators in groups.values():
-            group_row = first_row + tuple(
-                [accumulator.result() for accumulator in accumulators]
-            )
-            if having(group_row):
-                rows.append(tuple([output(group_row) for output in outputs]))
+        rows = [
+            tuple([output(group_row) for output in outputs])
+            for group_row in groups
+            if having(group_row)
+        ]
         hidden = [(None, f"__order_{i}") for i in range(len(extra_exprs))]
         return Relation(out_columns + hidden, rows)
 
@@ -382,9 +431,12 @@ class Executor:
             out_ctx = RowContext(
                 relation.columns, [None] * len(relation.columns)
             )
-            extra_positions = _order_extra_positions(
-                select.order_by, list(select.items)
-            )
+            extra_positions = {
+                id(item): position
+                for position, item in enumerate(
+                    _order_extras(select.order_by, list(select.items))
+                )
+            }
 
             def order_value(item: nodes.OrderItem):
                 getter = _ordinal_getter(item.expression, visible)
@@ -409,18 +461,7 @@ class Executor:
                 ),
             )
 
-        rows = relation.rows
-        if select.limit is not None:
-            base_ctx = RowContext([], [])
-            limit = self._evaluator.evaluate(select.limit, base_ctx)
-            offset = 0
-            if select.offset is not None:
-                offset = self._evaluator.evaluate(select.offset, base_ctx)
-            if not isinstance(limit, int) or (
-                offset is not None and not isinstance(offset, int)
-            ):
-                raise ExecutionError("LIMIT/OFFSET must be integers")
-            rows = rows[offset : offset + limit]
+        rows = self._limited(select, relation.rows)
 
         # Strip hidden ORDER BY helper columns.
         keep = [
@@ -432,7 +473,7 @@ class Executor:
             columns = [relation.columns[i] for i in keep]
             rows = [tuple(row[i] for i in keep) for row in rows]
             return Relation(columns, rows)
-        return Relation(relation.columns, list(rows))
+        return Relation(relation.columns, rows)
 
     # -- plan construction and runtime -------------------------------------
 
@@ -517,13 +558,23 @@ class Executor:
         self, plan: ScanPlan, outer: Optional[RowContext]
     ) -> Relation:
         table = self._storage(plan.table)
-        rows = self._access_rows(table, plan.access, outer)
         columns = [
             (plan.binding, column.name) for column in table.schema.columns
         ]
-        relation = self._apply_plan_filter(
-            plan, Relation(columns, rows), outer
-        )
+        relation = None
+        if plan.predicates is not None and isinstance(plan.access, SeqAccess):
+            # The filter's batch form materializes only the survivors; a
+            # Decline leaves the rows, and the error, to the closure.
+            try:
+                positions = self._selection(plan, table).tolist()
+                relation = Relation(columns, table.rows_at(positions))
+            except columnar.Decline:
+                pass
+        if relation is None:
+            rows = self._access_rows(table, plan.access, outer)
+            relation = self._apply_plan_filter(
+                plan, Relation(columns, rows), outer
+            )
         if plan.columns is not None:
             keep = [
                 table.schema.column_index(name) for name in plan.columns
@@ -533,6 +584,140 @@ class Executor:
                 [tuple(row[i] for i in keep) for row in relation.rows],
             )
         return relation
+
+    # -- batch operators (docs/sqlengine.md § Columnar execution) -----------
+
+    def _selection(self, plan: ScanPlan, table: Table) -> np.ndarray:
+        """Heap positions passing the scan's pushed conjuncts, applied
+        in order. A conjunct is evaluated wherever no earlier one was
+        false — where three-valued AND evaluates it row by row — so it
+        can only fail where the closure would."""
+        alive = np.ones(len(table), bool)
+        maybe = alive.copy()
+        for column, conjunct in plan.predicates or ():
+            index = table.schema.column_index(column)
+            tests = self._number_tests(conjunct, table.schema.columns[index])
+            if tests is not None:
+                data, null = table.vector(index, "num")
+                true = ~null
+                for compare, bound in tests:
+                    true &= compare(data, bound)
+            else:
+                state = columnar.distinct_map(
+                    *table.vector(index, "dict"),
+                    self._column_fn(conjunct, plan, column),
+                    lambda result: 2 if result is None else bool(result),
+                    maybe,
+                )
+                true, null = state == 1, state == 2
+            alive &= true
+            maybe &= true | null
+        return np.flatnonzero(alive)
+
+    def _number_tests(
+        self, conjunct: nodes.Expression, column: ColumnSchema
+    ) -> Optional[list]:
+        """A number column's ``column <op> number`` or ``column BETWEEN
+        number AND number`` as (comparison, bound) pairs to apply to
+        its vector — the one place comparison is restated, for exactly
+        convertible numbers only; None for any other conjunct."""
+        between = isinstance(conjunct, nodes.Between) and not conjunct.negated
+        if between:
+            parts = [(">=", conjunct.low), ("<=", conjunct.high)]
+        elif isinstance(conjunct, nodes.BinaryOp) and conjunct.op in COMPARISONS:
+            parts = [(conjunct.op, conjunct.right)]
+        else:
+            return None
+        operand = conjunct.operand if between else conjunct.left
+        bounds = [self._evaluator._static(bound) for _op, bound in parts]
+        if (
+            isinstance(operand, nodes.ColumnRef)
+            and column.data_type in NUMBER_TYPES
+            and all(
+                type(b) is float or type(b) is int and abs(b) < columnar.EXACT
+                for b in bounds
+            )
+        ):
+            return [(COMPARISONS[op], b) for (op, _), b in zip(parts, bounds)]
+        return None
+
+    def _column_fn(self, expr: nodes.Expression, scan: ScanPlan, column: str):
+        """``expr``, which reads ``column`` and nothing else (no outer
+        row either), compiled over the one-column row ``(value,)``."""
+        layout = RowContext([(scan.binding, column)], [None])
+        return self._evaluator.compile(expr, layout)
+
+    def _batch(self, plan: SourcePlan) -> dict[int, tuple[Table, np.ndarray]]:
+        """Run a columnar source: per scan, keyed by ``id`` in layout
+        order, the heap positions of its side of every joined entry."""
+        if isinstance(plan, ScanPlan):
+            table = self._storage(plan.table)
+            return {id(plan): (table, self._selection(plan, table))}
+        assert isinstance(plan, JoinPlan) and plan.keys is not None
+        sides = [self._batch(plan.left), self._batch(plan.right)]
+        picks = columnar.join(
+            *_gather(sides[0], *plan.keys[0], "dict"),
+            *_gather(sides[1], *plan.keys[1], "dict"),
+        )
+        return {
+            key: (table, positions[pick])
+            for batch, pick in zip(sides, picks)
+            for key, (table, positions) in batch.items()
+        }
+
+    def _columnar_groups(
+        self, spec: ColumnarPlan, source: SourcePlan
+    ) -> Optional[list[tuple[Any, ...]]]:
+        """What :meth:`_row_groups` returns, accumulated by the batch
+        operators; None when the data makes them decline."""
+        try:
+            batch = self._batch(source)
+            keys = []
+            for scan, column, expr in spec.keys:
+                codes, values = _gather(batch, scan, column, "dict")
+                if isinstance(expr, nodes.ColumnRef):
+                    keys.append((codes + 1, len(values) + 1))
+                    continue
+                # Any other key runs once per distinct column value;
+                # equal results share a group as dict keys would.
+                ids: dict[Any, int] = {}
+                codes = columnar.distinct_map(
+                    codes,
+                    values,
+                    self._column_fn(expr, scan, column),
+                    lambda result: ids.setdefault(_hashable(result), len(ids)),
+                )
+                keys.append((codes, len(ids)))
+            size = len(next(iter(batch.values()))[1])
+            group_of, first = columnar.group(keys, size)
+            groups = len(first) if keys else 1
+            results = []
+            for name, target in spec.aggregates:
+                data = nulls = None
+                if target is not None:
+                    column = target[0].schema.column(target[1])
+                    if column.data_type in NUMBER_TYPES:
+                        data, nulls = _gather(batch, *target, "num")
+                    else:  # COUNT over any other type: NULL is code -1
+                        data = _gather(batch, *target, "dict")[0]
+                        nulls = data < 0
+                results.append(
+                    columnar.aggregate(name, group_of, groups, data, nulls)
+                )
+        except columnar.Decline:
+            return None
+        # Groups carry whole heap rows (no pruning: nothing is copied
+        # per input row); aggregates over no rows have one NULL row.
+        parts = [
+            table.rows_at(positions[first].tolist())
+            if len(first)
+            else [(None,) * len(table.schema.columns)]
+            for table, positions in batch.values()
+        ]
+        return [
+            sum(entry[: len(parts)], ()) + entry[len(parts) :]
+            for entry in zip(*parts, *results)
+        ]
 
     def _access_rows(
         self,
@@ -616,39 +801,29 @@ class Executor:
             right_pos = _resolve_position(right_ref, right.columns)
             if left_pos is not None and right_pos is not None:
                 equi = (left_pos, right_pos)
+        # Hash join: build on the right input, probe with the left.
+        # The full ON condition is still evaluated per candidate pair,
+        # so extra conjuncts remain correct. A nested loop's candidates
+        # are every right row.
+        candidates: Any = range(len(right.rows))
+        buckets: dict[Any, list[int]] = {}
         if equi is not None:
-            # Hash join: build on the right input, probe with the left.
-            # The full ON condition is still evaluated per candidate
-            # pair, so extra conjuncts remain correct.
-            left_pos, right_pos = equi
-            buckets: dict[Any, list[int]] = {}
             for rindex, rrow in enumerate(right.rows):
-                key = rrow[right_pos]
+                key = rrow[equi[1]]
                 if key is not None:
                     buckets.setdefault(key, []).append(rindex)
-            for lrow in left.rows:
-                matched = False
-                key = lrow[left_pos]
-                for rindex in buckets.get(key, ()) if key is not None else ():
-                    rrow = right.rows[rindex]
-                    combined = lrow + rrow
-                    if condition(combined):
-                        matched = True
-                        matched_right.add(rindex)
-                        rows.append(combined)
-                if not matched and plan.join_type in ("LEFT", "FULL"):
-                    rows.append(lrow + null_right)
-        else:
-            for lrow in left.rows:
-                matched = False
-                for rindex, rrow in enumerate(right.rows):
-                    combined = lrow + rrow
-                    if condition(combined):
-                        matched = True
-                        matched_right.add(rindex)
-                        rows.append(combined)
-                if not matched and plan.join_type in ("LEFT", "FULL"):
-                    rows.append(lrow + null_right)
+        for lrow in left.rows:
+            matched = False
+            if equi is not None:
+                candidates = buckets.get(lrow[equi[0]], ())
+            for rindex in candidates:
+                combined = lrow + right.rows[rindex]
+                if condition(combined):
+                    matched = True
+                    matched_right.add(rindex)
+                    rows.append(combined)
+            if not matched and plan.join_type in ("LEFT", "FULL"):
+                rows.append(lrow + null_right)
         if plan.join_type in ("RIGHT", "FULL"):
             for rindex, rrow in enumerate(right.rows):
                 if rindex not in matched_right:
@@ -823,29 +998,20 @@ class Executor:
         """
         if not select.ctes:
             return self._explain_query_lines(select, depth)
-        pad = "  " * depth
-        frame: dict[str, _CteSlot] = {}
-        self._cte_stack.append(frame)
-        try:
-            lines: list[str] = []
-            for cte in select.ctes:
-                key = cte.name.lower()
-                if key in frame:
-                    raise ExecutionError(
-                        f"duplicate CTE name {cte.name!r} in WITH clause"
-                    )
-                lines.append(f"{pad}Cte {cte.name}:")
-                lines.extend(self._explain_lines(cte.query, depth + 1))
-                columns = (
-                    [name.lower() for name in cte.columns]
-                    if cte.columns
-                    else output_columns(cte.query)
-                )
-                frame[key] = _CteSlot(cte.name, None, columns)
-            lines.extend(self._explain_query_lines(select, depth))
-            return lines
-        finally:
-            self._cte_stack.pop()
+        lines: list[str] = []
+
+        def describe(cte: nodes.CommonTableExpr) -> _CteSlot:
+            lines.append(f"{'  ' * depth}Cte {cte.name}:")
+            lines.extend(self._explain_lines(cte.query, depth + 1))
+            columns = (
+                [name.lower() for name in cte.columns]
+                if cte.columns
+                else output_columns(cte.query)
+            )
+            return _CteSlot(cte.name, None, columns)
+
+        with self._cte_scope(select, describe):
+            return lines + self._explain_query_lines(select, depth)
 
     def _explain_query_lines(
         self, select: nodes.Select, depth: int
@@ -901,12 +1067,23 @@ class _GroupEvaluator(Evaluator):
         if isinstance(expr, nodes.FunctionCall) and is_aggregate_function(
             expr.name
         ):
-            return operator.itemgetter(self._slots[_agg_key(expr)])
+            return operator.itemgetter(self._slots[agg_key(expr)])
         return super().compile(expr, layout)
 
 
-def _agg_key(call: nodes.FunctionCall) -> str:
-    return call.to_sql().upper()
+def _gather(batch: dict, scan: ScanPlan, column: str, kind: str) -> tuple:
+    """A scan column's vector taken at the batch's positions: gathered
+    ``(data, nulls)`` or ``(codes, distinct values)``."""
+    table, positions = batch[id(scan)]
+    first, second = table.vector(table.schema.column_index(column), kind)
+    return first[positions], second[positions] if kind == "num" else second
+
+
+def _source_layout(plan: SourcePlan) -> list[tuple[Optional[str], str]]:
+    """The layout of a columnar source: its scans' whole heap rows."""
+    if isinstance(plan, ScanPlan):
+        return [(plan.binding, name) for name in plan.schema.column_names]
+    return _source_layout(plan.left) + _source_layout(plan.right)
 
 
 def _rowcount_relation(count: int) -> Relation:
@@ -946,86 +1123,13 @@ def _resolve_position(
     return None
 
 
-def _uses_aggregates(
-    items: list[nodes.SelectItem],
-    having: Optional[nodes.Expression],
-    order_by: tuple[nodes.OrderItem, ...],
-) -> bool:
-    for expr in _all_expressions(items, having, order_by):
-        for sub in nodes.walk_expressions(expr):
-            if isinstance(sub, nodes.FunctionCall) and is_aggregate_function(
-                sub.name
-            ):
-                return True
-    return False
-
-
-def _collect_aggregates(
-    items: list[nodes.SelectItem],
-    having: Optional[nodes.Expression],
-    order_by: tuple[nodes.OrderItem, ...],
-) -> list[nodes.FunctionCall]:
-    calls: dict[str, nodes.FunctionCall] = {}
-    for expr in _all_expressions(items, having, order_by):
-        for sub in nodes.walk_expressions(expr):
-            if isinstance(sub, nodes.FunctionCall) and is_aggregate_function(
-                sub.name
-            ):
-                calls.setdefault(_agg_key(sub), sub)
-    return list(calls.values())
-
-
-def _all_expressions(
-    items: list[nodes.SelectItem],
-    having: Optional[nodes.Expression],
-    order_by: tuple[nodes.OrderItem, ...],
-):
-    for item in items:
-        yield item.expression
-    if having is not None:
-        yield having
-    for order in order_by:
-        yield order.expression
-
-
-def _resolve_output_reference(
-    expr: nodes.Expression, items: list[nodes.SelectItem]
-) -> nodes.Expression:
-    """Map GROUP BY aliases/ordinals back to their select expressions."""
-    if isinstance(expr, nodes.Literal) and isinstance(expr.value, int):
-        ordinal = expr.value - 1
-        if 0 <= ordinal < len(items):
-            return items[ordinal].expression
-    if isinstance(expr, nodes.ColumnRef) and expr.table is None:
-        for item in items:
-            if item.alias and item.alias.lower() == expr.name.lower():
-                return item.expression
-    return expr
-
-
 def _order_extras(
     order_by: tuple[nodes.OrderItem, ...],
     items: list[nodes.SelectItem],
-) -> list[nodes.Expression]:
-    """ORDER BY expressions that are not plain output references."""
-    extras = []
-    for item in order_by:
-        if _order_extra_needed(item, items):
-            extras.append(item.expression)
-    return extras
-
-
-def _order_extra_positions(
-    order_by: tuple[nodes.OrderItem, ...],
-    items: list[nodes.SelectItem],
-) -> dict[int, int]:
-    positions: dict[int, int] = {}
-    counter = 0
-    for item in order_by:
-        if _order_extra_needed(item, items):
-            positions[id(item)] = counter
-            counter += 1
-    return positions
+) -> list[nodes.OrderItem]:
+    """ORDER BY items that are not plain output references: item ``n``
+    sorts on the hidden column ``__order_n``."""
+    return [item for item in order_by if _order_extra_needed(item, items)]
 
 
 def _order_extra_needed(
@@ -1070,23 +1174,15 @@ def _apply_set_operator(op: str, left: Relation, right: Relation) -> Relation:
     if op == "UNION":
         merged = _distinct(Relation(left.columns, left.rows + right.rows))
         return merged
-    if op == "INTERSECT":
-        rows = []
-        seen: set = set()
-        for key, row in zip(left_keys, left.rows):
-            if key in right_keys and key not in seen:
-                seen.add(key)
-                rows.append(row)
-        return Relation(left.columns, rows)
-    if op == "EXCEPT":
-        rows = []
-        seen = set()
-        for key, row in zip(left_keys, left.rows):
-            if key not in right_keys and key not in seen:
-                seen.add(key)
-                rows.append(row)
-        return Relation(left.columns, rows)
-    raise ExecutionError(f"unknown set operator: {op}")
+    if op not in ("INTERSECT", "EXCEPT"):
+        raise ExecutionError(f"unknown set operator: {op}")
+    rows = []
+    seen: set = set()
+    for key, row in zip(left_keys, left.rows):
+        if (key in right_keys) == (op == "INTERSECT") and key not in seen:
+            seen.add(key)
+            rows.append(row)
+    return Relation(left.columns, rows)
 
 
 def _ordinal_getter(expr: nodes.Expression, visible: int):
@@ -1106,16 +1202,14 @@ def _ordinal_getter(expr: nodes.Expression, visible: int):
 def _sorted_rows(
     rows: list[tuple[Any, ...]], terms: list[tuple[Any, bool]]
 ) -> list[tuple[Any, ...]]:
-    """Stable sort by ``(compiled getter, descending)`` ORDER BY terms."""
-
-    def key(row: tuple) -> list:
-        parts = []
-        for getter, descending in terms:
-            part = sort_key(getter(row))
-            parts.append(_invert(part) if descending else part)
-        return parts
-
-    return sorted(rows, key=key)
+    """Stable sort by ``(compiled getter, descending)`` ORDER BY terms:
+    one stable pass per term, least significant first. NULLs are the
+    smallest value, so they sort last under DESC — as in SQLite."""
+    for getter, descending in reversed(terms):
+        rows = sorted(
+            rows, key=lambda row: sort_key(getter(row)), reverse=descending
+        )
+    return rows
 
 
 def _find_column(
@@ -1125,33 +1219,3 @@ def _find_column(
         if column_name == name:
             return index
     return None
-
-
-def _invert(part: tuple) -> tuple:
-    """Invert a sort_key part for descending order.
-
-    NULLs are the smallest value (group 0), so inverting the group makes
-    them sort last under DESC — matching SQLite semantics.
-    """
-    group, type_rank, value = part
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (-group, -type_rank, -value)
-    if isinstance(value, str):
-        return (-group, -type_rank, _InvertedString(value))
-    return (-group, -type_rank, value)
-
-
-class _InvertedString(str):
-    """A string that sorts in reverse order."""
-
-    def __lt__(self, other: str) -> bool:  # type: ignore[override]
-        return str.__gt__(self, other)
-
-    def __gt__(self, other: str) -> bool:  # type: ignore[override]
-        return str.__lt__(self, other)
-
-    def __le__(self, other: str) -> bool:  # type: ignore[override]
-        return str.__ge__(self, other)
-
-    def __ge__(self, other: str) -> bool:  # type: ignore[override]
-        return str.__le__(self, other)

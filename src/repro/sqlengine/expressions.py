@@ -110,16 +110,21 @@ def _slot(expr: nodes.Expression, layout: RowContext) -> Optional[int]:
     return None
 
 
+#: Comparison over two non-NULL values of one type group (or, in the
+#: executor's numeric mask, over a number column vector and a number).
+COMPARISONS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
+
+
 def _comparator(op: str) -> Callable[[Any, Any], bool]:
     """``left <op> right`` over two non-NULL values."""
-    apply = {
-        "=": operator.eq,
-        "<>": operator.ne,
-        "<": operator.lt,
-        ">": operator.gt,
-        "<=": operator.le,
-        ">=": operator.ge,
-    }[op]
+    apply = COMPARISONS[op]
     # SQL engines vary here; equality across type groups is false.
     across_groups = {"=": False, "<>": True}.get(op)
 
@@ -186,7 +191,7 @@ _BINARY: dict[str, Callable[[Any, Any], Any]] = {
     "/": _arithmetic("/", _divide),
     "%": _arithmetic("%", _modulo),
 }
-_BINARY.update((op, _comparator(op)) for op in ("=", "<>", "<", ">", "<=", ">="))
+_BINARY.update((op, _comparator(op)) for op in COMPARISONS)
 _EQUALS = _BINARY["="]
 _AT_MOST = _BINARY["<="]
 
@@ -401,7 +406,21 @@ class Evaluator:
                 return None
             return not negated
 
-        return run
+        slot = _slot(expr.operand, layout)
+        bounds = self._static(expr.low), self._static(expr.high)
+        if slot is None or None in bounds or _UNBOUND in bounds:
+            return run
+        low_bound, high_bound = bounds
+
+        def column_constants(row: Sequence[Any]) -> Any:
+            # The filter shape: both bounds bound once, neither NULL.
+            value = row[slot]
+            if value is None:
+                return None
+            inside = _AT_MOST(low_bound, value) and _AT_MOST(value, high_bound)
+            return inside != negated
+
+        return column_constants
 
     def _membership(
         self,
@@ -432,9 +451,26 @@ class Evaluator:
         else:
             items = [self.compile(item, layout) for item in expr.items]
             candidates = lambda row: (item(row) for item in items)  # noqa: E731
-        return self._membership(
-            self.compile(expr.operand, layout), candidates, expr.negated
-        )
+        operand = self.compile(expr.operand, layout)
+        negated = expr.negated
+        walk = self._membership(operand, candidates, negated)
+        # A literal list of one type group is a set probe for operands
+        # of that group — where ``_EQUALS`` is plain ``==`` — and the
+        # walk for any other operand (NULL, a DATE against strings).
+        for group in (_NUMERIC, str):
+            if all(isinstance(v, group) and v == v for v in values):
+                break
+        else:
+            return walk
+        probe = frozenset(values)
+
+        def run(row: Sequence[Any]) -> Any:
+            value = operand(row)
+            if isinstance(value, group):
+                return (value in probe) != negated
+            return walk(row)
+
+        return run
 
     def _in_subquery(
         self, expr: nodes.InSubquery, layout: RowContext

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
+import operator
 from typing import Any, Callable, Optional
 
 from repro.sqlengine.errors import ExecutionError
@@ -143,15 +144,9 @@ class _Count(Aggregate):
         return self._count
 
 
-class _CountStar(Aggregate):
-    def __init__(self) -> None:
-        self._count = 0
-
+class _CountStar(_Count):
     def add(self, value: Any) -> None:
         self._count += 1
-
-    def result(self) -> int:
-        return self._count
 
 
 class _Sum(Aggregate):
@@ -188,29 +183,23 @@ class _Avg(Aggregate):
         return self._total / self._count
 
 
-class _Min(Aggregate):
-    def __init__(self) -> None:
+class _Extreme(Aggregate):
+    """MIN / MAX: the first value no later one is ``better`` than."""
+
+    def __init__(self, better: Callable[[Any, Any], bool]) -> None:
+        self._better = better
         self._best: Any = None
 
     def add(self, value: Any) -> None:
         if value is None:
             return
-        if self._best is None or value < self._best:
-            self._best = value
-
-    def result(self) -> Any:
-        return self._best
-
-
-class _Max(Aggregate):
-    def __init__(self) -> None:
-        self._best: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self._best is None or value > self._best:
-            self._best = value
+        try:
+            if self._best is None or self._better(value, self._best):
+                self._best = value
+        except TypeError:
+            raise ExecutionError(
+                f"cannot compare {value!r} with {self._best!r}"
+            ) from None
 
     def result(self) -> Any:
         return self._best
@@ -258,12 +247,10 @@ _AGGREGATE_FACTORIES: dict[str, Callable[[], Aggregate]] = {
     "COUNT": _Count,
     "SUM": _Sum,
     "AVG": _Avg,
-    "MIN": _Min,
-    "MAX": _Max,
+    "MIN": lambda: _Extreme(operator.lt),
+    "MAX": lambda: _Extreme(operator.gt),
     "GROUP_CONCAT": _GroupConcat,
 }
-
-AGGREGATE_NAMES = frozenset(_AGGREGATE_FACTORIES)
 
 
 def is_aggregate_function(name: str) -> bool:

@@ -28,6 +28,12 @@ into a :class:`SelectPlan` — the structure the executor runs and
    executor's scope (CTE first, then view, then table); their bodies
    execute as sub-selects and pushed conjuncts apply to their output.
 
+6. **Columnar shape** — a grouped select over sequential scans whose
+   pushed conjuncts each read one column, under inner hash joins on
+   the equi conjunct alone, with one-column group keys and
+   COUNT/SUM/AVG/MIN/MAX over columns, is marked ``columnar``: the
+   executor runs it as batch operators and EXPLAIN tags its nodes.
+
 The planner is deliberately *rule*-based, not cost-based: given the
 same statement and schema it always produces the same plan, which is
 what the golden-plan tests pin down.
@@ -43,6 +49,7 @@ from repro.sqlengine.catalog import TableSchema
 from repro.sqlengine.errors import CatalogError
 from repro.sqlengine.functions import is_aggregate_function
 from repro.sqlengine.indexes import IndexInfo
+from repro.sqlengine.types import DataType
 
 # ---------------------------------------------------------------------------
 # Plan nodes
@@ -92,6 +99,10 @@ class ScanPlan(SourcePlan):
     access: AccessPath = field(default_factory=SeqAccess)
     #: Projection pruning: emit only these columns (None = all).
     columns: Optional[tuple[str, ...]] = None
+    schema: Optional[TableSchema] = None
+    #: The pushed conjuncts as ``(column, conjunct)`` when each reads
+    #: exactly one column — the form the mask operator runs.
+    predicates: Optional[list[tuple[str, nodes.Expression]]] = None
 
 
 @dataclass
@@ -119,6 +130,21 @@ class JoinPlan(SourcePlan):
     strategy: str = "loop"  # 'hash' | 'loop' | 'cross'
     #: For hash joins: the equi-conjunct refs (left side, right side).
     equi: Optional[tuple[nodes.ColumnRef, nodes.ColumnRef]] = None
+    #: ``equi`` as (scan, column) per side, when the join can probe
+    #: key vectors: INNER, ``ON`` nothing but the equi conjunct.
+    keys: Optional[tuple[tuple[ScanPlan, str], tuple[ScanPlan, str]]] = None
+
+
+@dataclass
+class ColumnarPlan:
+    """How a grouped SELECT runs as batch operators end to end
+    (docs/sqlengine.md § Columnar execution)."""
+
+    #: (scan, column, key expression over that column) per group key.
+    keys: list[tuple[ScanPlan, str, nodes.Expression]]
+    #: (name, its argument's (scan, column); None for ``COUNT(*)``) per
+    #: aggregate call, in :func:`collect_aggregates` order.
+    aggregates: list[tuple[str, Optional[tuple[ScanPlan, str]]]]
 
 
 @dataclass
@@ -129,6 +155,9 @@ class SelectPlan:
     source: Optional[SourcePlan]
     #: WHERE conjuncts that could not be pushed down, AND-combined.
     residual: Optional[nodes.Expression]
+    #: Set when the whole core runs columnar; the one decision both
+    #: the executor and ``EXPLAIN`` read.
+    columnar: Optional[ColumnarPlan] = None
 
 
 class PlannerContext(Protocol):
@@ -195,6 +224,12 @@ def build_plan(
     for leaf in leaves:
         if leaf.pushed:
             leaf.plan.filter = _combine(leaf.pushed)
+            columns = [_single_column(c, leaves) for c in leaf.pushed]
+            if None not in columns:  # then ``leaf.plan`` is a ScanPlan
+                leaf.plan.predicates = [
+                    (column[1], conjunct)
+                    for column, conjunct in zip(columns, leaf.pushed)
+                ]
         if optimize and isinstance(leaf.plan, ScanPlan) and leaf.schema:
             leaf.plan.access = _choose_access(
                 leaf, context.indexes(leaf.plan.table)
@@ -203,9 +238,12 @@ def build_plan(
     if optimize:
         _prune_projections(select, leaves, conditions)
 
-    return SelectPlan(
+    plan = SelectPlan(
         select=select, source=source, residual=_combine(residual)
     )
+    if optimize and plan.residual is None and _columnar_source(source):
+        plan.columnar = _columnar_plan(select, leaves)
+    return plan
 
 
 def _convert_source(
@@ -228,7 +266,9 @@ def _convert_source(
             )
             columns = output_columns(payload)
         elif kind == "table":
-            plan = ScanPlan(binding=binding, table=source.name)
+            plan = ScanPlan(
+                binding=binding, table=source.name, schema=payload
+            )
             columns = [c.name.lower() for c in payload.columns]
             leaves.append(
                 _Leaf(plan, binding, columns, null_supplying, payload)
@@ -266,6 +306,7 @@ def _convert_source(
         right_leaves = leaves[split:]
         strategy = "loop"
         equi: Optional[tuple[nodes.ColumnRef, nodes.ColumnRef]] = None
+        keys = None
         if source.join_type == "CROSS":
             strategy = "cross"
         elif hash_joins:
@@ -274,6 +315,13 @@ def _convert_source(
             )
             if equi is not None:
                 strategy = "hash"
+                alone = len(list(_conjuncts(source.condition))) == 1
+                if source.join_type == "INNER" and alone:
+                    keys = (
+                        _single_column(equi[0], left_leaves),
+                        _single_column(equi[1], right_leaves),
+                    )
+                    keys = None if None in keys else keys
         return JoinPlan(
             binding="",
             left=left,
@@ -282,6 +330,7 @@ def _convert_source(
             condition=source.condition,
             strategy=strategy,
             equi=equi,
+            keys=keys,
         )
     raise CatalogError(f"unsupported FROM source: {source!r}")
 
@@ -600,20 +649,129 @@ def _statement_expressions(
     yield from conditions
 
 
-def uses_aggregates(select: nodes.Select) -> bool:
-    """True when the select list / HAVING / ORDER BY contain aggregate
-    calls (mirrors the executor's grouped-pipeline trigger)."""
-    exprs = [item.expression for item in select.items]
-    if select.having is not None:
-        exprs.append(select.having)
-    exprs.extend(order.expression for order in select.order_by)
+def agg_key(call: nodes.FunctionCall) -> str:
+    return call.to_sql().upper()
+
+
+def collect_aggregates(
+    items: list[nodes.SelectItem],
+    having: Optional[nodes.Expression],
+    order_by: tuple[nodes.OrderItem, ...],
+) -> list[nodes.FunctionCall]:
+    """The distinct aggregate calls of a select list / HAVING / ORDER
+    BY, in first-appearance order; non-empty triggers the grouped
+    pipeline."""
+    exprs = [item.expression for item in items]
+    if having is not None:
+        exprs.append(having)
+    exprs.extend(order.expression for order in order_by)
+    calls: dict[str, nodes.FunctionCall] = {}
     for expr in exprs:
         for sub in nodes.walk_expressions(expr):
             if isinstance(sub, nodes.FunctionCall) and is_aggregate_function(
                 sub.name
             ):
-                return True
-    return False
+                calls.setdefault(agg_key(sub), sub)
+    return list(calls.values())
+
+
+def is_grouped(select: nodes.Select) -> bool:
+    return bool(select.group_by) or bool(
+        collect_aggregates(list(select.items), select.having, select.order_by)
+    )
+
+
+def resolve_output_reference(
+    expr: nodes.Expression, items: list[nodes.SelectItem]
+) -> nodes.Expression:
+    """Map GROUP BY aliases/ordinals back to their select expressions."""
+    if isinstance(expr, nodes.Literal) and isinstance(expr.value, int):
+        ordinal = expr.value - 1
+        if 0 <= ordinal < len(items):
+            return items[ordinal].expression
+    if isinstance(expr, nodes.ColumnRef) and expr.table is None:
+        for item in items:
+            if item.alias and item.alias.lower() == expr.name.lower():
+                return item.expression
+    return expr
+
+
+def _single_column(
+    expr: nodes.Expression, leaves: list[_Leaf]
+) -> Optional[tuple[ScanPlan, str]]:
+    """The one base-table column ``expr`` reads, which lets it run once
+    per distinct value; None for no column, several, or a subquery."""
+    found: Optional[tuple[ScanPlan, str]] = None
+    for sub in nodes.walk_expressions(expr):
+        if isinstance(sub, _SUBQUERY_NODES):
+            return None
+        if isinstance(sub, nodes.ColumnRef):
+            leaf = _resolve_leaf(sub, leaves)
+            if leaf is None or not isinstance(leaf.plan, ScanPlan):
+                return None
+            column = (leaf.plan, sub.name.lower())
+            if found not in (None, column):
+                return None
+            found = column
+    return found
+
+
+def _columnar_source(plan: Optional[SourcePlan]) -> bool:
+    """Sequential scans with mask-able filters under vector-probing
+    inner joins: the sources that yield position vectors."""
+    if isinstance(plan, ScanPlan):
+        return isinstance(plan.access, SeqAccess) and (
+            plan.filter is None or plan.predicates is not None
+        )
+    return (
+        isinstance(plan, JoinPlan)
+        and plan.keys is not None
+        and _columnar_source(plan.left)
+        and _columnar_source(plan.right)
+    )
+
+
+_VECTOR_AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+NUMBER_TYPES = (DataType.INTEGER, DataType.REAL)  # have numeric vectors
+
+
+def _columnar_plan(
+    select: nodes.Select, leaves: list[_Leaf]
+) -> Optional[ColumnarPlan]:
+    """The batch form of a grouped select over a columnar source, or
+    None when any key or aggregate falls outside the covered shapes."""
+    items = list(select.items)
+    calls = collect_aggregates(items, select.having, select.order_by)
+    if not (select.group_by or calls) or any(
+        isinstance(item.expression, nodes.Star) for item in items
+    ):
+        return None
+    plan = ColumnarPlan([], [])
+    for expr in select.group_by:
+        expr = resolve_output_reference(expr, items)
+        column = _single_column(expr, leaves)
+        if column is None:
+            return None
+        plan.keys.append((*column, expr))
+    for call in calls:
+        counting = call.name == "COUNT"
+        if (
+            call.name not in _VECTOR_AGGREGATES
+            or call.distinct
+            or len(call.args) != 1
+        ):
+            return None
+        column = None
+        if not (counting and isinstance(call.args[0], nodes.Star)):
+            if isinstance(call.args[0], nodes.ColumnRef):
+                column = _single_column(call.args[0], leaves)
+            if column is None or not (
+                counting
+                or column[0].schema.column(column[1]).data_type in NUMBER_TYPES
+            ):
+                return None
+        plan.aggregates.append((call.name, column))
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +801,17 @@ def render_plan(
     pad = "  " * depth
     select = plan.select
     lines: list[str] = []
+    mark = "" if plan.columnar is None else " [columnar]"
     if plan.source is None:
         lines.append(f"{pad}Result (no table)")
     else:
-        _render_source(plan.source, lines, depth, render_subselect)
+        _render_source(plan.source, lines, depth, render_subselect, mark)
     if plan.residual is not None:
         lines.append(f"{pad}Filter: {plan.residual.to_sql()}")
-    if select.group_by or uses_aggregates(select):
+    if is_grouped(select):
         grouped = ", ".join(e.to_sql() for e in select.group_by)
-        lines.append(f"{pad}Aggregate{f' by {grouped}' if grouped else ''}")
+        by = f" by {grouped}" if grouped else ""
+        lines.append(f"{pad}Aggregate{by}{mark}")
     if select.having is not None:
         lines.append(f"{pad}Having: {select.having.to_sql()}")
     if select.distinct:
@@ -673,41 +833,34 @@ def _render_source(
     lines: list[str],
     depth: int,
     render_subselect: Optional[RenderSubselect],
+    mark: str = "",
 ) -> None:
     pad = "  " * depth
     if isinstance(plan, ScanPlan):
-        lines.append(f"{pad}{_scan_label(plan)}")
+        lines.append(f"{pad}{_scan_label(plan)}{mark}")
         if plan.filter is not None:
             lines.append(f"{pad}  Filter: {plan.filter.to_sql()}")
         if plan.columns is not None:
             lines.append(f"{pad}  Columns: {', '.join(plan.columns)}")
         return
-    if isinstance(plan, ViewScanPlan):
-        lines.append(f"{pad}ViewScan({_binding_label(plan.name, plan)})")
+    if isinstance(plan, (ViewScanPlan, CteScanPlan, SubqueryScanPlan)):
+        if isinstance(plan, SubqueryScanPlan):
+            lines.append(f"{pad}Subquery({plan.binding})")
+        else:
+            kind = "ViewScan" if isinstance(plan, ViewScanPlan) else "CteScan"
+            lines.append(f"{pad}{kind}({_binding_label(plan.name, plan)})")
         if plan.filter is not None:
             lines.append(f"{pad}  Filter: {plan.filter.to_sql()}")
-        if render_subselect is not None and plan.query is not None:
-            lines.extend(render_subselect(plan.query, depth + 1))
-        return
-    if isinstance(plan, CteScanPlan):
-        lines.append(f"{pad}CteScan({_binding_label(plan.name, plan)})")
-        if plan.filter is not None:
-            lines.append(f"{pad}  Filter: {plan.filter.to_sql()}")
-        return
-    if isinstance(plan, SubqueryScanPlan):
-        lines.append(f"{pad}Subquery({plan.binding})")
-        if plan.filter is not None:
-            lines.append(f"{pad}  Filter: {plan.filter.to_sql()}")
-        if render_subselect is not None and plan.query is not None:
-            lines.extend(render_subselect(plan.query, depth + 1))
+        query = getattr(plan, "query", None)  # a CTE body renders above
+        if render_subselect is not None and query is not None:
+            lines.extend(render_subselect(query, depth + 1))
         return
     if isinstance(plan, JoinPlan):
         label = _STRATEGY_LABEL.get(plan.strategy, "NestedLoopJoin")
-        lines.append(f"{pad}{label}({plan.join_type})")
-        if plan.left is not None:
-            _render_source(plan.left, lines, depth + 1, render_subselect)
-        if plan.right is not None:
-            _render_source(plan.right, lines, depth + 1, render_subselect)
+        lines.append(f"{pad}{label}({plan.join_type}){mark}")
+        for side in (plan.left, plan.right):
+            if side is not None:
+                _render_source(side, lines, depth + 1, render_subselect, mark)
         return
     lines.append(f"{pad}{type(plan).__name__}")
 

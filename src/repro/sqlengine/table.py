@@ -7,15 +7,23 @@ carries the *secondary* indexes created by ``CREATE INDEX`` — the
 targets for point and range access paths. All indexes are maintained
 incrementally on INSERT and rebuilt on the bulk ``replace_rows`` path
 that backs UPDATE/DELETE, so they can never lag the heap.
+
+:meth:`Table.vector` is the column-major view the batch operators read:
+a derived cache beside the heap, built on first use, extended after
+inserts and dropped by ``replace_rows``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
+import numpy as np
+
+from repro.sqlengine import columnar
 from repro.sqlengine.catalog import TableSchema
 from repro.sqlengine.errors import ExecutionError
 from repro.sqlengine.indexes import SecondaryIndex, make_index
+from repro.sqlengine.types import DataType
 
 
 class Table:
@@ -31,6 +39,11 @@ class Table:
         self._unique_indexes: dict[int, dict[Any, int]] = {}
         #: CREATE INDEX structures, keyed by index name.
         self._secondary: dict[str, SecondaryIndex] = {}
+        #: (column, kind) -> (heap rows covered, vector). The heap only
+        #: grows between ``replace_rows`` calls, so an entry stays a
+        #: valid prefix; it is replaced, never mutated, which lets
+        #: ``clone`` share it with a transaction snapshot.
+        self._vectors: dict[tuple[int, str], tuple[int, tuple]] = {}
         for index, column in enumerate(schema.columns):
             if column.primary_key or column.unique:
                 self._unique_indexes[index] = {}
@@ -48,6 +61,31 @@ class Table:
         """Materialize the rows at the given heap positions, in order."""
         heap = self._rows
         return [heap[position] for position in positions]
+
+    def vector(self, column: int, kind: str) -> tuple:
+        """Column ``column`` over the whole heap as a ``"num"`` (values,
+        NULL mask) or ``"dict"`` (codes, distinct values) vector of
+        :mod:`repro.sqlengine.columnar`, or ``Decline`` raised. Readers
+        build and extend vectors under the shared read lock: a race
+        builds equal ones and one assignment publishes either."""
+        covered, vector = self._vectors.get((column, kind), (-1, ()))
+        if vector is not None and covered < len(self._rows):
+            fresh = [row[column] for row in self._rows[max(covered, 0) :]]
+            real = self.schema.columns[column].data_type is DataType.REAL
+            try:
+                if kind == "num":
+                    dtype = np.float64 if real else np.int64
+                    vector = columnar.numeric(fresh, dtype, vector or None)
+                else:
+                    if real:  # NaN / -0.0 are not faithful dict keys
+                        self.vector(column, "num")
+                    vector = columnar.dictionary(fresh, vector or None)
+            except columnar.Decline:
+                vector = None  # and so is every longer heap
+            self._vectors[(column, kind)] = (len(self._rows), vector)
+        if vector is None:
+            raise columnar.Decline
+        return vector
 
     def insert(self, values: Iterable[Any]) -> None:
         row = self._validate_row(tuple(values))
@@ -100,6 +138,7 @@ class Table:
                     )
                 index[value] = position
         self._rows = validated
+        self._vectors = {}
         self._unique_indexes = new_indexes
         for secondary in self._secondary.values():
             secondary.rebuild(self._rows)
@@ -108,6 +147,7 @@ class Table:
         """Independent copy (transaction snapshots)."""
         twin = Table(self.schema)
         twin._rows = list(self._rows)
+        twin._vectors = dict(self._vectors)
         twin._unique_indexes = {
             key: dict(value) for key, value in self._unique_indexes.items()
         }
@@ -148,53 +188,11 @@ class Table:
             raise ExecutionError(f"no index named {name!r}")
         del self._secondary[name]
 
-    def has_secondary_index(self, column_name: str) -> bool:
-        """True when a single-column index (either kind) supports
-        equality lookups on ``column_name``."""
-        return self._equality_index(column_name) is not None
-
-    def _equality_index(self, column_name: str) -> Optional[SecondaryIndex]:
-        try:
-            column_index = self.schema.column_index(column_name)
-        except Exception:
-            return None
-        for secondary in self._secondary.values():
-            if secondary.column_positions == (column_index,):
-                return secondary
-        return None
-
     def index_names(self) -> list[str]:
         return sorted(self._secondary)
-
-    def indexes(self) -> list[SecondaryIndex]:
-        """All secondary indexes, in name order."""
-        return [self._secondary[name] for name in sorted(self._secondary)]
 
     def get_index(self, name: str) -> SecondaryIndex:
         try:
             return self._secondary[name]
         except KeyError:
             raise ExecutionError(f"no index named {name!r}") from None
-
-    def secondary_lookup(
-        self, column_name: str, value: Any
-    ) -> Optional[list[tuple[Any, ...]]]:
-        """Rows where ``column_name == value`` via an index, or None
-        when no index covers the column."""
-        secondary = self._equality_index(column_name)
-        if secondary is None:
-            return None
-        return self.rows_at(secondary.lookup((value,)))
-
-    def lookup_unique(self, column_name: str, value: Any) -> Optional[tuple]:
-        """Point lookup through a unique index, or None."""
-        column_index = self.schema.column_index(column_name)
-        index = self._unique_indexes.get(column_index)
-        if index is None:
-            raise ExecutionError(
-                f"column {column_name!r} has no unique index"
-            )
-        position = index.get(value)
-        if position is None:
-            return None
-        return self._rows[position]

@@ -10,6 +10,7 @@ Two layers of coverage:
   one that some serial interleaving could have produced.
 """
 
+import sys
 import threading
 import time
 
@@ -208,3 +209,57 @@ class TestConcurrentDatabase:
         assert db.execute(
             "SELECT COUNT(*) FROM ledger WHERE account = 'bulk'"
         ).rows == [(40,)]
+
+
+class TestVectorBuildRaces:
+    """Column vectors are built and extended by readers, under the
+    shared read lock, so two readers can race the same build."""
+
+    ROUNDS = 40
+    DASHBOARD = (
+        "SELECT kind, COUNT(*), SUM(amount), MAX(amount) FROM events "
+        "WHERE amount > 2 GROUP BY kind"
+    )
+
+    def test_two_readers_race_each_build_while_a_writer_ingests(self):
+        db, mirror = Database(), Database(optimize=False)
+        for each in (db, mirror):
+            each.execute(
+                "CREATE TABLE events (id INTEGER PRIMARY KEY, kind TEXT, amount REAL)"
+            )
+        start = threading.Barrier(3, timeout=10)
+        finish = threading.Barrier(3, timeout=10)
+        seen = [[], []]
+
+        def reader(results):
+            for _ in range(self.ROUNDS):
+                start.wait()  # released together: both find the vectors stale
+                results.append(db.execute(self.DASHBOARD).rows)
+                finish.wait()
+
+        readers = [threading.Thread(target=reader, args=(r,)) for r in seen]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside the builds
+        try:
+            for t in readers:
+                t.start()
+            expected = []
+            for n in range(self.ROUNDS):
+                # The writer ingests *between* statements: no sleeps,
+                # the barriers order it against the readers.
+                insert = f"INSERT INTO events VALUES ({n}, 'k{n % 3}', {n % 7}.5)"
+                db.execute(insert)
+                mirror.execute(insert)
+                if n == self.ROUNDS // 2:  # and once replaces the heap
+                    for each in (db, mirror):
+                        each.execute("DELETE FROM events WHERE id % 5 = 0")
+                expected.append(mirror.execute(self.DASHBOARD).rows)
+                start.wait()
+                finish.wait()
+        finally:
+            sys.setswitchinterval(interval)
+            for t in readers:
+                t.join(timeout=10)
+        assert not any(t.is_alive() for t in readers)
+        assert seen[0] == expected
+        assert seen[1] == expected

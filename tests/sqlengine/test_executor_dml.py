@@ -219,3 +219,95 @@ class TestDatabaseHelpers:
 
     def test_describe_lists_tables(self, db):
         assert "items(" in db.describe()
+
+
+class TestVectorsNeverLagTheHeap:
+    """The column vectors behind the batch operators are a cache of the
+    row heap. The same grouped statement — a covered columnar shape —
+    must track every kind of write, against a naive row-pipeline
+    database fed the same statements."""
+
+    DASHBOARD = (
+        "SELECT name, COUNT(*), SUM(qty), AVG(price), MIN(price) FROM items "
+        "WHERE qty > 0 GROUP BY name"
+    )
+
+    def plan(self, db):
+        return [row[0] for row in db.execute("EXPLAIN " + self.DASHBOARD).rows]
+
+    def both(self, db, mirror, *statements):
+        """Run on both databases, then compare the dashboard."""
+        for sql in statements:
+            assert db.execute(sql).rows == mirror.execute(sql).rows
+        rows = db.execute(self.DASHBOARD).rows
+        assert rows == mirror.execute(self.DASHBOARD).rows
+        return rows
+
+    @pytest.fixture
+    def mirror(self):
+        naive = Database(optimize=False)
+        naive.execute(
+            "CREATE TABLE items (id INTEGER PRIMARY KEY, name TEXT NOT NULL, "
+            "qty INTEGER DEFAULT 0, price REAL)"
+        )
+        return naive
+
+    def test_every_write_path_is_seen(self, db, mirror):
+        assert "SeqScan(items) [columnar]" in self.plan(db)
+        assert self.both(db, mirror) == []
+        seed = "INSERT INTO items VALUES (1,'pen',5,1.5),(2,'ink',2,9.0),(3,'pen',1,2.5)"
+        assert self.both(db, mirror, seed) == [
+            ("pen", 2, 6, 2.0, 1.5),
+            ("ink", 1, 2, 9.0, 9.0),
+        ]
+        # INSERT extends the vectors built by the statement above.
+        rows = self.both(db, mirror, "INSERT INTO items VALUES (4,'cap',7,NULL)")
+        assert rows[-1] == ("cap", 1, 7, None, None)
+        # UPDATE and DELETE replace the heap: the vectors are dropped.
+        rows = self.both(db, mirror, "UPDATE items SET qty = 0 WHERE id = 1")
+        assert rows[0] == ("ink", 1, 2, 9.0, 9.0)
+        rows = self.both(db, mirror, "DELETE FROM items WHERE name = 'ink'")
+        assert [row[0] for row in rows] == ["pen", "cap"]
+
+    def test_rollback_restores_and_commit_keeps(self, db, mirror):
+        self.both(db, mirror, "INSERT INTO items VALUES (1,'pen',5,1.5)")
+        # The snapshot taken by BEGIN shares the vectors built so far;
+        # extending them inside the transaction must not reach it.
+        inside = self.both(
+            db, mirror, "BEGIN", "INSERT INTO items VALUES (2,'pen',3,0.5)"
+        )
+        assert inside == [("pen", 2, 8, 1.0, 0.5)]
+        assert self.both(db, mirror, "ROLLBACK") == [("pen", 1, 5, 1.5, 1.5)]
+        self.both(db, mirror, "BEGIN", "INSERT INTO items VALUES (3,'ink',4,2.0)")
+        assert self.both(db, mirror, "COMMIT") == [
+            ("pen", 1, 5, 1.5, 1.5),
+            ("ink", 1, 4, 2.0, 2.0),
+        ]
+        # A later insert extends what the committed transaction built.
+        rows = self.both(db, mirror, "INSERT INTO items VALUES (4,'ink',1,4.0)")
+        assert rows[1] == ("ink", 2, 5, 3.0, 2.0)
+
+    def test_recreated_table_starts_from_nothing(self, db, mirror):
+        self.both(db, mirror, "INSERT INTO items VALUES (1,'pen',5,1.5)")
+        rows = self.both(
+            db,
+            mirror,
+            "DROP TABLE items",
+            "CREATE TABLE items (id INTEGER PRIMARY KEY, name TEXT NOT NULL, "
+            "qty INTEGER DEFAULT 0, price REAL)",
+            "INSERT INTO items VALUES (9,'cap',2,3.0)",
+        )
+        assert rows == [("cap", 1, 2, 3.0, 3.0)]
+
+    def test_index_access_path_takes_over_and_says_so(self, db, mirror):
+        self.both(
+            db, mirror, "INSERT INTO items VALUES (1,'pen',5,1.5),(2,'ink',0,9.0)"
+        )
+        self.both(db, mirror, "CREATE INDEX idx_qty ON items (qty) USING SORTED")
+        plan = self.plan(db)
+        assert plan[0] == "IndexRangeScan(items.qty > 0 via idx_qty)"
+        assert not any("[columnar]" in line for line in plan)
+        rows = self.both(db, mirror, "INSERT INTO items VALUES (3,'pen',2,0.5)")
+        assert rows == [("pen", 2, 7, 1.0, 0.5)]
+        self.both(db, mirror, "DROP INDEX idx_qty")
+        assert "SeqScan(items) [columnar]" in self.plan(db)

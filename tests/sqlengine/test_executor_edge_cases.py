@@ -177,3 +177,35 @@ class TestMiscEdgeCases:
             "ORDER BY 1"
         ).rows
         assert rows == [("east",), ("north",), ("south",)]
+
+
+class TestLimitOffsetAndTypeErrors:
+    """Python slice semantics and bare ``TypeError``s must not leak out
+    of the tail every SELECT shares (all three failed before)."""
+
+    def test_negative_limit_is_no_limit(self, db):
+        rows = db.execute("SELECT id FROM sales ORDER BY id LIMIT -1").rows
+        assert rows == [(1,), (2,), (3,), (4,), (5,)]
+        rows = db.execute("SELECT id FROM sales ORDER BY id LIMIT -1 OFFSET 3").rows
+        assert rows == [(4,), (5,)]
+
+    def test_negative_offset_is_zero(self, db):
+        rows = db.execute("SELECT id FROM sales ORDER BY id LIMIT 1 OFFSET -1").rows
+        assert rows == [(1,)]
+        rows = db.execute(
+            "SELECT id FROM sales WHERE id < 3 UNION ALL "
+            "SELECT id FROM sales WHERE id > 4 ORDER BY 1 LIMIT 2 OFFSET -1"
+        ).rows
+        assert rows == [(1,), (2,)]
+
+    @pytest.mark.parametrize("limit", ["'x'", "1.5", "NULL", "1 OFFSET NULL"])
+    def test_compound_limit_must_be_an_integer(self, db, limit):
+        with pytest.raises(ExecutionError, match="LIMIT/OFFSET must be integers"):
+            db.execute(f"SELECT id FROM sales UNION SELECT id FROM sales LIMIT {limit}")
+
+    @pytest.mark.parametrize("name", ["MIN", "MAX"])
+    def test_min_max_over_mixed_types_raise_engine_errors(self, db, name):
+        with pytest.raises(ExecutionError, match="cannot compare"):
+            db.execute(
+                f"SELECT {name}(CASE WHEN id = 1 THEN 'z' ELSE 5 END) FROM sales"
+            )

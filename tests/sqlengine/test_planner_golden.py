@@ -2,8 +2,9 @@
 
 These pin the *entire* rendered plan, line for line, for one query per
 planner feature: index point lookup, sorted range scan, projection
-pruning, predicate pushdown through a hash join, CTE scans, and the
-naive (``optimize=False``) reference pipeline. docs/sqlengine.md quotes
+pruning, predicate pushdown through a hash join, CTE scans, the
+columnar marking of a covered and of a declined shape, and the naive
+(``optimize=False``) reference pipeline. docs/sqlengine.md quotes
 the same plans; if a rendering change breaks these tests, update the
 docs in the same commit.
 """
@@ -59,15 +60,67 @@ class TestGoldenPlans:
             "WHERE users.region = 'west' "
             "GROUP BY users.region ORDER BY users.region LIMIT 5",
         ) == [
-            "HashJoin(INNER)",
-            "  SeqScan(orders)",
+            "HashJoin(INNER) [columnar]",
+            "  SeqScan(orders) [columnar]",
             "    Columns: user_id, amount",
-            "  SeqScan(users)",
+            "  SeqScan(users) [columnar]",
             "    Filter: (users.region = 'west')",
-            "Aggregate by users.region",
+            "Aggregate by users.region [columnar]",
             "Sort: users.region ASC",
             "Limit: 5",
         ]
+
+    def test_columnar_scalar_function_key(self, db):
+        # A key that is a function of one column, a numeric BETWEEN
+        # mask: still batch operators end to end.
+        assert plan(
+            db,
+            "SELECT ABS(user_id), COUNT(*), AVG(amount) FROM orders "
+            "WHERE order_id BETWEEN 1 AND 9 GROUP BY ABS(user_id) "
+            "HAVING COUNT(*) > 1",
+        ) == [
+            "SeqScan(orders) [columnar]",
+            "  Filter: (order_id BETWEEN 1 AND 9)",
+            "Aggregate by ABS(user_id) [columnar]",
+            "Having: (COUNT(*) > 1)",
+        ]
+
+    @pytest.mark.parametrize(
+        "statement, lines",
+        [
+            (  # an outer join
+                "SELECT users.region, COUNT(*) FROM orders LEFT JOIN users "
+                "ON orders.user_id = users.user_id GROUP BY users.region",
+                ["HashJoin(LEFT)", "  SeqScan(orders)", "  SeqScan(users)",
+                 "Aggregate by users.region"],
+            ),
+            (  # a residual ON predicate beside the equi conjunct
+                "SELECT COUNT(*) FROM orders JOIN users ON "
+                "orders.user_id = users.user_id AND orders.amount > 5",
+                ["HashJoin(INNER)", "  SeqScan(orders)", "  SeqScan(users)",
+                 "Aggregate"],
+            ),
+            (  # an index access path
+                "SELECT COUNT(*) FROM orders WHERE user_id = 7",
+                ["IndexScan(orders.user_id = 7 via idx_user)",
+                 "  Filter: (user_id = 7)", "Aggregate"],
+            ),
+            (  # an aggregate argument that is not a column
+                "SELECT SUM(amount * 2) FROM orders",
+                ["SeqScan(orders)", "  Columns: amount", "Aggregate"],
+            ),
+            (  # a DISTINCT aggregate
+                "SELECT COUNT(DISTINCT user_id) FROM orders",
+                ["SeqScan(orders)", "  Columns: user_id", "Aggregate"],
+            ),
+            (  # a predicate over two columns
+                "SELECT COUNT(*) FROM orders WHERE amount > user_id",
+                ["SeqScan(orders)", "  Filter: (amount > user_id)", "Aggregate"],
+            ),
+        ],
+    )
+    def test_declined_shapes_stay_row_based(self, db, statement, lines):
+        assert plan(db, statement) == lines
 
     def test_cte_plan(self, db):
         assert plan(
@@ -77,9 +130,9 @@ class TestGoldenPlans:
             "SELECT user_id FROM big WHERE total > 100",
         ) == [
             "Cte big:",
-            "  SeqScan(orders)",
+            "  SeqScan(orders) [columnar]",
             "    Columns: user_id, amount",
-            "  Aggregate by user_id",
+            "  Aggregate by user_id [columnar]",
             "CteScan(big)",
             "  Filter: (total > 100)",
         ]
