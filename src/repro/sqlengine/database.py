@@ -15,11 +15,9 @@ from typing import Any, Iterable, Optional, Sequence
 
 from repro.cache.keys import instance_token, sql_key
 from repro.cache.manager import get_cache_manager
-from repro.sqlengine import nodes as _nodes
 from repro.sqlengine.catalog import Catalog, ColumnSchema, TableSchema
-from repro.sqlengine.errors import CatalogError, ExecutionError
+from repro.sqlengine.errors import CatalogError
 from repro.sqlengine.executor import Executor, Relation
-from repro.sqlengine.indexes import IndexInfo
 from repro.sqlengine.locking import ReadWriteLock
 from repro.sqlengine.nodes import Statement
 from repro.sqlengine.parser import parse_sql
@@ -147,6 +145,8 @@ class Database:
         version and the statement's canonical SQL — so two spellings of
         the same query share an entry, and any write invalidates it.
         """
+        from repro.sqlengine import nodes as _nodes
+
         manager = get_cache_manager()
         if not manager.enabled("sql"):
             return self.execute_statement(parse_sql(sql), parameters)
@@ -187,6 +187,8 @@ class Database:
     def execute_statement(
         self, statement: Statement, parameters: Sequence[Any] = ()
     ) -> ResultSet:
+        from repro.sqlengine import nodes as _nodes
+
         if isinstance(statement, (_nodes.Select, _nodes.Explain)):
             with self._rwlock.reading():
                 return self._run_statement(statement, parameters)
@@ -227,6 +229,8 @@ class Database:
         return bool(self._snapshots)
 
     def _execute_transaction(self, action: str) -> ResultSet:
+        from repro.sqlengine.errors import ExecutionError
+
         if action == "BEGIN":
             snapshot_tables = {
                 name: table.clone() for name, table in self._tables.items()
@@ -256,6 +260,8 @@ class Database:
         kind: str = "hash",
     ) -> None:
         """Create a secondary index from Python (no SQL round trip)."""
+        from repro.sqlengine.indexes import IndexInfo
+
         if isinstance(columns, str):
             columns = (columns,)
         with self._rwlock.writing():

@@ -18,11 +18,9 @@ that shadows views and tables for the duration of the owning select.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +39,6 @@ from repro.sqlengine.planner import (
     NUMBER_TYPES,
     ScanPlan,
     SelectPlan,
-    SeqAccess,
     SourcePlan,
     SubqueryScanPlan,
     ViewScanPlan,
@@ -165,23 +162,6 @@ class Executor:
     ) -> Relation:
         if not select.ctes:
             return self._execute_query(select, outer)
-
-        def materialize(cte: nodes.CommonTableExpr) -> _CteSlot:
-            relation = _apply_cte_columns(
-                cte, self.execute_select(cte.query, outer)
-            )
-            names = [name.lower() for name in relation.column_names]
-            return _CteSlot(cte.name, relation, names)
-
-        with self._cte_scope(select, materialize):
-            return self._execute_query(select, outer)
-
-    @contextmanager
-    def _cte_scope(self, select: nodes.Select, bind: Callable) -> Iterator[None]:
-        """Hold a scope frame with ``bind(cte)`` for each WITH-clause
-        binding of ``select``. A CTE's own name is registered only
-        after its body is bound, so self-references fail with the usual
-        "no table" error instead of recursing."""
         frame: dict[str, _CteSlot] = {}
         self._cte_stack.append(frame)
         try:
@@ -191,8 +171,18 @@ class Executor:
                     raise ExecutionError(
                         f"duplicate CTE name {cte.name!r} in WITH clause"
                     )
-                frame[key] = bind(cte)
-            yield
+                # The CTE's own name is registered only after its body
+                # runs, so self-references fail with the usual "no
+                # table" error instead of recursing.
+                relation = _apply_cte_columns(
+                    cte, self.execute_select(cte.query, outer)
+                )
+                frame[key] = _CteSlot(
+                    cte.name,
+                    relation,
+                    [name.lower() for name in relation.column_names],
+                )
+            return self._execute_query(select, outer)
         finally:
             self._cte_stack.pop()
 
@@ -203,6 +193,8 @@ class Executor:
     ) -> Relation:
         if not select.compound:
             return self._execute_select_core(select, outer)
+        import dataclasses
+
         first = dataclasses.replace(
             select, order_by=(), limit=None, offset=None, compound=()
         )
@@ -309,7 +301,7 @@ class Executor:
         ]
         # ORDER BY may reference source columns not in the select list;
         # carry their values as hidden extras used only for sorting.
-        extra_exprs = [o.expression for o in _order_extras(order_by, items)]
+        extra_exprs = _order_extras(order_by, items)
         outputs = [
             self._evaluator.compile(expr, ctx)
             for expr in [item.expression for item in items] + extra_exprs
@@ -392,9 +384,7 @@ class Executor:
         out_columns: list[tuple[Optional[str], str]] = [
             (None, item.output_name) for item in items
         ]
-        extra_exprs = [
-            o.expression for o in _order_extras(select.order_by, items)
-        ]
+        extra_exprs = _order_extras(select.order_by, items)
         calls = collect_aggregates(items, select.having, select.order_by)
         group_evaluator = _GroupEvaluator(
             self._evaluator,
@@ -431,12 +421,9 @@ class Executor:
             out_ctx = RowContext(
                 relation.columns, [None] * len(relation.columns)
             )
-            extra_positions = {
-                id(item): position
-                for position, item in enumerate(
-                    _order_extras(select.order_by, list(select.items))
-                )
-            }
+            extra_positions = _order_extra_positions(
+                select.order_by, list(select.items)
+            )
 
             def order_value(item: nodes.OrderItem):
                 getter = _ordinal_getter(item.expression, visible)
@@ -558,23 +545,13 @@ class Executor:
         self, plan: ScanPlan, outer: Optional[RowContext]
     ) -> Relation:
         table = self._storage(plan.table)
+        rows = self._access_rows(table, plan.access, outer)
         columns = [
             (plan.binding, column.name) for column in table.schema.columns
         ]
-        relation = None
-        if plan.predicates is not None and isinstance(plan.access, SeqAccess):
-            # The filter's batch form materializes only the survivors; a
-            # Decline leaves the rows, and the error, to the closure.
-            try:
-                positions = self._selection(plan, table).tolist()
-                relation = Relation(columns, table.rows_at(positions))
-            except columnar.Decline:
-                pass
-        if relation is None:
-            rows = self._access_rows(table, plan.access, outer)
-            relation = self._apply_plan_filter(
-                plan, Relation(columns, rows), outer
-            )
+        relation = self._apply_plan_filter(
+            plan, Relation(columns, rows), outer
+        )
         if plan.columns is not None:
             keep = [
                 table.schema.column_index(name) for name in plan.columns
@@ -706,11 +683,12 @@ class Executor:
                 )
         except columnar.Decline:
             return None
-        # Groups carry whole heap rows (no pruning: nothing is copied
-        # per input row); aggregates over no rows have one NULL row.
+        # Groups carry whole heap rows (nothing is copied per input
+        # row); without GROUP BY, aggregates over no rows have one NULL
+        # row.
         parts = [
             table.rows_at(positions[first].tolist())
-            if len(first)
+            if spec.keys or len(first)
             else [(None,) * len(table.schema.columns)]
             for table, positions in batch.values()
         ]
@@ -801,29 +779,39 @@ class Executor:
             right_pos = _resolve_position(right_ref, right.columns)
             if left_pos is not None and right_pos is not None:
                 equi = (left_pos, right_pos)
-        # Hash join: build on the right input, probe with the left.
-        # The full ON condition is still evaluated per candidate pair,
-        # so extra conjuncts remain correct. A nested loop's candidates
-        # are every right row.
-        candidates: Any = range(len(right.rows))
-        buckets: dict[Any, list[int]] = {}
         if equi is not None:
+            # Hash join: build on the right input, probe with the left.
+            # The full ON condition is still evaluated per candidate
+            # pair, so extra conjuncts remain correct.
+            left_pos, right_pos = equi
+            buckets: dict[Any, list[int]] = {}
             for rindex, rrow in enumerate(right.rows):
-                key = rrow[equi[1]]
+                key = rrow[right_pos]
                 if key is not None:
                     buckets.setdefault(key, []).append(rindex)
-        for lrow in left.rows:
-            matched = False
-            if equi is not None:
-                candidates = buckets.get(lrow[equi[0]], ())
-            for rindex in candidates:
-                combined = lrow + right.rows[rindex]
-                if condition(combined):
-                    matched = True
-                    matched_right.add(rindex)
-                    rows.append(combined)
-            if not matched and plan.join_type in ("LEFT", "FULL"):
-                rows.append(lrow + null_right)
+            for lrow in left.rows:
+                matched = False
+                key = lrow[left_pos]
+                for rindex in buckets.get(key, ()) if key is not None else ():
+                    rrow = right.rows[rindex]
+                    combined = lrow + rrow
+                    if condition(combined):
+                        matched = True
+                        matched_right.add(rindex)
+                        rows.append(combined)
+                if not matched and plan.join_type in ("LEFT", "FULL"):
+                    rows.append(lrow + null_right)
+        else:
+            for lrow in left.rows:
+                matched = False
+                for rindex, rrow in enumerate(right.rows):
+                    combined = lrow + rrow
+                    if condition(combined):
+                        matched = True
+                        matched_right.add(rindex)
+                        rows.append(combined)
+                if not matched and plan.join_type in ("LEFT", "FULL"):
+                    rows.append(lrow + null_right)
         if plan.join_type in ("RIGHT", "FULL"):
             for rindex, rrow in enumerate(right.rows):
                 if rindex not in matched_right:
@@ -998,20 +986,29 @@ class Executor:
         """
         if not select.ctes:
             return self._explain_query_lines(select, depth)
-        lines: list[str] = []
-
-        def describe(cte: nodes.CommonTableExpr) -> _CteSlot:
-            lines.append(f"{'  ' * depth}Cte {cte.name}:")
-            lines.extend(self._explain_lines(cte.query, depth + 1))
-            columns = (
-                [name.lower() for name in cte.columns]
-                if cte.columns
-                else output_columns(cte.query)
-            )
-            return _CteSlot(cte.name, None, columns)
-
-        with self._cte_scope(select, describe):
-            return lines + self._explain_query_lines(select, depth)
+        pad = "  " * depth
+        frame: dict[str, _CteSlot] = {}
+        self._cte_stack.append(frame)
+        try:
+            lines: list[str] = []
+            for cte in select.ctes:
+                key = cte.name.lower()
+                if key in frame:
+                    raise ExecutionError(
+                        f"duplicate CTE name {cte.name!r} in WITH clause"
+                    )
+                lines.append(f"{pad}Cte {cte.name}:")
+                lines.extend(self._explain_lines(cte.query, depth + 1))
+                columns = (
+                    [name.lower() for name in cte.columns]
+                    if cte.columns
+                    else output_columns(cte.query)
+                )
+                frame[key] = _CteSlot(cte.name, None, columns)
+            lines.extend(self._explain_query_lines(select, depth))
+            return lines
+        finally:
+            self._cte_stack.pop()
 
     def _explain_query_lines(
         self, select: nodes.Select, depth: int
@@ -1126,10 +1123,26 @@ def _resolve_position(
 def _order_extras(
     order_by: tuple[nodes.OrderItem, ...],
     items: list[nodes.SelectItem],
-) -> list[nodes.OrderItem]:
-    """ORDER BY items that are not plain output references: item ``n``
-    sorts on the hidden column ``__order_n``."""
-    return [item for item in order_by if _order_extra_needed(item, items)]
+) -> list[nodes.Expression]:
+    """ORDER BY expressions that are not plain output references."""
+    extras = []
+    for item in order_by:
+        if _order_extra_needed(item, items):
+            extras.append(item.expression)
+    return extras
+
+
+def _order_extra_positions(
+    order_by: tuple[nodes.OrderItem, ...],
+    items: list[nodes.SelectItem],
+) -> dict[int, int]:
+    positions: dict[int, int] = {}
+    counter = 0
+    for item in order_by:
+        if _order_extra_needed(item, items):
+            positions[id(item)] = counter
+            counter += 1
+    return positions
 
 
 def _order_extra_needed(
@@ -1174,15 +1187,23 @@ def _apply_set_operator(op: str, left: Relation, right: Relation) -> Relation:
     if op == "UNION":
         merged = _distinct(Relation(left.columns, left.rows + right.rows))
         return merged
-    if op not in ("INTERSECT", "EXCEPT"):
-        raise ExecutionError(f"unknown set operator: {op}")
-    rows = []
-    seen: set = set()
-    for key, row in zip(left_keys, left.rows):
-        if (key in right_keys) == (op == "INTERSECT") and key not in seen:
-            seen.add(key)
-            rows.append(row)
-    return Relation(left.columns, rows)
+    if op == "INTERSECT":
+        rows = []
+        seen: set = set()
+        for key, row in zip(left_keys, left.rows):
+            if key in right_keys and key not in seen:
+                seen.add(key)
+                rows.append(row)
+        return Relation(left.columns, rows)
+    if op == "EXCEPT":
+        rows = []
+        seen = set()
+        for key, row in zip(left_keys, left.rows):
+            if key not in right_keys and key not in seen:
+                seen.add(key)
+                rows.append(row)
+        return Relation(left.columns, rows)
+    raise ExecutionError(f"unknown set operator: {op}")
 
 
 def _ordinal_getter(expr: nodes.Expression, visible: int):
@@ -1202,14 +1223,16 @@ def _ordinal_getter(expr: nodes.Expression, visible: int):
 def _sorted_rows(
     rows: list[tuple[Any, ...]], terms: list[tuple[Any, bool]]
 ) -> list[tuple[Any, ...]]:
-    """Stable sort by ``(compiled getter, descending)`` ORDER BY terms:
-    one stable pass per term, least significant first. NULLs are the
-    smallest value, so they sort last under DESC — as in SQLite."""
-    for getter, descending in reversed(terms):
-        rows = sorted(
-            rows, key=lambda row: sort_key(getter(row)), reverse=descending
-        )
-    return rows
+    """Stable sort by ``(compiled getter, descending)`` ORDER BY terms."""
+
+    def key(row: tuple) -> list:
+        parts = []
+        for getter, descending in terms:
+            part = sort_key(getter(row))
+            parts.append(_invert(part) if descending else part)
+        return parts
+
+    return sorted(rows, key=key)
 
 
 def _find_column(
@@ -1219,3 +1242,33 @@ def _find_column(
         if column_name == name:
             return index
     return None
+
+
+def _invert(part: tuple) -> tuple:
+    """Invert a sort_key part for descending order.
+
+    NULLs are the smallest value (group 0), so inverting the group makes
+    them sort last under DESC — matching SQLite semantics.
+    """
+    group, type_rank, value = part
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return (-group, -type_rank, -value)
+    if isinstance(value, str):
+        return (-group, -type_rank, _InvertedString(value))
+    return (-group, -type_rank, value)
+
+
+class _InvertedString(str):
+    """A string that sorts in reverse order."""
+
+    def __lt__(self, other: str) -> bool:  # type: ignore[override]
+        return str.__gt__(self, other)
+
+    def __gt__(self, other: str) -> bool:  # type: ignore[override]
+        return str.__lt__(self, other)
+
+    def __le__(self, other: str) -> bool:  # type: ignore[override]
+        return str.__ge__(self, other)
+
+    def __ge__(self, other: str) -> bool:  # type: ignore[override]
+        return str.__le__(self, other)

@@ -144,9 +144,15 @@ class _Count(Aggregate):
         return self._count
 
 
-class _CountStar(_Count):
+class _CountStar(Aggregate):
+    def __init__(self) -> None:
+        self._count = 0
+
     def add(self, value: Any) -> None:
         self._count += 1
+
+    def result(self) -> int:
+        return self._count
 
 
 class _Sum(Aggregate):

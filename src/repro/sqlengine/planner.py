@@ -28,11 +28,13 @@ into a :class:`SelectPlan` — the structure the executor runs and
    executor's scope (CTE first, then view, then table); their bodies
    execute as sub-selects and pushed conjuncts apply to their output.
 
-6. **Columnar shape** — a grouped select over sequential scans whose
+6. **Columnar shape** — a grouped select over table scans whose
    pushed conjuncts each read one column, under inner hash joins on
    the equi conjunct alone, with one-column group keys and
    COUNT/SUM/AVG/MIN/MAX over columns, is marked ``columnar``: the
    executor runs it as batch operators and EXPLAIN tags its nodes.
+   Decided before rules 2 and 4, which then apply to row-based cores
+   only: batch operators read whole column vectors.
 
 The planner is deliberately *rule*-based, not cost-based: given the
 same statement and schema it always produces the same plan, which is
@@ -230,19 +232,24 @@ def build_plan(
                     (column[1], conjunct)
                     for column, conjunct in zip(columns, leaf.pushed)
                 ]
-        if optimize and isinstance(leaf.plan, ScanPlan) and leaf.schema:
-            leaf.plan.access = _choose_access(
-                leaf, context.indexes(leaf.plan.table)
-            )
-
-    if optimize:
-        _prune_projections(select, leaves, conditions)
 
     plan = SelectPlan(
         select=select, source=source, residual=_combine(residual)
     )
-    if optimize and plan.residual is None and _columnar_source(source):
+    if not optimize:
+        return plan
+    if plan.residual is None and _columnar_source(source):
         plan.columnar = _columnar_plan(select, leaves)
+    if plan.columnar is None:
+        # Row-based scans only: batch operators read whole column
+        # vectors, which an index path or a pruned projection cannot
+        # feed (and a mask over 100k rows costs what an index does).
+        for leaf in leaves:
+            if isinstance(leaf.plan, ScanPlan) and leaf.schema:
+                leaf.plan.access = _choose_access(
+                    leaf, context.indexes(leaf.plan.table)
+                )
+        _prune_projections(select, leaves, conditions)
     return plan
 
 
@@ -720,9 +727,7 @@ def _columnar_source(plan: Optional[SourcePlan]) -> bool:
     """Sequential scans with mask-able filters under vector-probing
     inner joins: the sources that yield position vectors."""
     if isinstance(plan, ScanPlan):
-        return isinstance(plan.access, SeqAccess) and (
-            plan.filter is None or plan.predicates is not None
-        )
+        return plan.filter is None or plan.predicates is not None
     return (
         isinstance(plan, JoinPlan)
         and plan.keys is not None
@@ -843,24 +848,36 @@ def _render_source(
         if plan.columns is not None:
             lines.append(f"{pad}  Columns: {', '.join(plan.columns)}")
         return
-    if isinstance(plan, (ViewScanPlan, CteScanPlan, SubqueryScanPlan)):
-        if isinstance(plan, SubqueryScanPlan):
-            lines.append(f"{pad}Subquery({plan.binding})")
-        else:
-            kind = "ViewScan" if isinstance(plan, ViewScanPlan) else "CteScan"
-            lines.append(f"{pad}{kind}({_binding_label(plan.name, plan)})")
+    if isinstance(plan, ViewScanPlan):
+        lines.append(f"{pad}ViewScan({_binding_label(plan.name, plan)})")
         if plan.filter is not None:
             lines.append(f"{pad}  Filter: {plan.filter.to_sql()}")
-        query = getattr(plan, "query", None)  # a CTE body renders above
-        if render_subselect is not None and query is not None:
-            lines.extend(render_subselect(query, depth + 1))
+        if render_subselect is not None and plan.query is not None:
+            lines.extend(render_subselect(plan.query, depth + 1))
+        return
+    if isinstance(plan, CteScanPlan):
+        lines.append(f"{pad}CteScan({_binding_label(plan.name, plan)})")
+        if plan.filter is not None:
+            lines.append(f"{pad}  Filter: {plan.filter.to_sql()}")
+        return
+    if isinstance(plan, SubqueryScanPlan):
+        lines.append(f"{pad}Subquery({plan.binding})")
+        if plan.filter is not None:
+            lines.append(f"{pad}  Filter: {plan.filter.to_sql()}")
+        if render_subselect is not None and plan.query is not None:
+            lines.extend(render_subselect(plan.query, depth + 1))
         return
     if isinstance(plan, JoinPlan):
         label = _STRATEGY_LABEL.get(plan.strategy, "NestedLoopJoin")
         lines.append(f"{pad}{label}({plan.join_type}){mark}")
-        for side in (plan.left, plan.right):
-            if side is not None:
-                _render_source(side, lines, depth + 1, render_subselect, mark)
+        if plan.left is not None:
+            _render_source(
+                plan.left, lines, depth + 1, render_subselect, mark
+            )
+        if plan.right is not None:
+            _render_source(
+                plan.right, lines, depth + 1, render_subselect, mark
+            )
         return
     lines.append(f"{pad}{type(plan).__name__}")
 

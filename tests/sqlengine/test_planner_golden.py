@@ -62,7 +62,6 @@ class TestGoldenPlans:
         ) == [
             "HashJoin(INNER) [columnar]",
             "  SeqScan(orders) [columnar]",
-            "    Columns: user_id, amount",
             "  SeqScan(users) [columnar]",
             "    Filter: (users.region = 'west')",
             "Aggregate by users.region [columnar]",
@@ -85,6 +84,19 @@ class TestGoldenPlans:
             "Having: (COUNT(*) > 1)",
         ]
 
+    def test_columnar_shape_keeps_its_sequential_scan(self, db):
+        # idx_user covers the predicate, and a row projection takes it;
+        # the covered aggregate masks the column vector instead (an
+        # index path yields rows, which would decline the whole plan).
+        assert plan(db, "SELECT amount FROM orders WHERE user_id = 7")[0] == (
+            "IndexScan(orders.user_id = 7 via idx_user)"
+        )
+        assert plan(db, "SELECT COUNT(*) FROM orders WHERE user_id = 7") == [
+            "SeqScan(orders) [columnar]",
+            "  Filter: (user_id = 7)",
+            "Aggregate [columnar]",
+        ]
+
     @pytest.mark.parametrize(
         "statement, lines",
         [
@@ -99,11 +111,6 @@ class TestGoldenPlans:
                 "orders.user_id = users.user_id AND orders.amount > 5",
                 ["HashJoin(INNER)", "  SeqScan(orders)", "  SeqScan(users)",
                  "Aggregate"],
-            ),
-            (  # an index access path
-                "SELECT COUNT(*) FROM orders WHERE user_id = 7",
-                ["IndexScan(orders.user_id = 7 via idx_user)",
-                 "  Filter: (user_id = 7)", "Aggregate"],
             ),
             (  # an aggregate argument that is not a column
                 "SELECT SUM(amount * 2) FROM orders",
@@ -131,7 +138,6 @@ class TestGoldenPlans:
         ) == [
             "Cte big:",
             "  SeqScan(orders) [columnar]",
-            "    Columns: user_id, amount",
             "  Aggregate by user_id [columnar]",
             "CteScan(big)",
             "  Filter: (total > 100)",

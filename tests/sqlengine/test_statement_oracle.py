@@ -97,12 +97,16 @@ def statements(draw):
     joined = draw(st.booleans())
     atoms = draw(st.lists(fact_atom, max_size=2))
     keys = draw(st.lists(fact_key, max_size=2, unique=True))
-    aggregates = draw(st.lists(fact_aggregate, min_size=1, max_size=3, unique=True))
     source = "fact"
     if joined:
         source = "fact JOIN dim ON fact.k = dim.k"
         atoms += draw(st.lists(dim_atom, max_size=1))
         keys = (keys + draw(st.lists(dim_key, max_size=1)))[:2]
+    # A GROUP BY needs no aggregate at all; a bare select list does.
+    aggregates = draw(
+        st.lists(fact_aggregate, min_size=not keys, max_size=3, unique=True)
+    )
+    if joined:
         aggregates += draw(st.lists(dim_aggregate, max_size=1))
     sql = f"SELECT {', '.join(keys + aggregates)} FROM {source}"
     if atoms:
@@ -177,6 +181,32 @@ class TestColumnarStatements:
         assert canonical(rows) == canonical(expected), (sql, rows, expected)
         assert is_columnar(ours, sql), sql
         assert not is_columnar(naive, sql), sql
+
+
+class TestNoSurvivingRow:
+    """GROUP BY over nothing has no group, whether or not the statement
+    carries an aggregate; a bare aggregate has its one NULL row."""
+
+    @pytest.mark.parametrize("fact", [[], [(1, 0, 1, 1.0, "a")]])
+    @pytest.mark.parametrize(
+        "sql, expected",
+        [
+            ("SELECT g FROM fact WHERE x > 1e9 GROUP BY g", []),
+            ("SELECT UPPER(g), k FROM fact WHERE x > 1e9 GROUP BY UPPER(g), k", []),
+            ("SELECT g, COUNT(*) FROM fact WHERE x > 1e9 GROUP BY g", []),
+            ("SELECT g FROM fact WHERE x > 1e9 GROUP BY g HAVING COUNT(*) >= 0", []),
+            (
+                "SELECT dim.label FROM fact JOIN dim ON fact.k = dim.k "
+                "GROUP BY dim.label",
+                [],
+            ),
+            ("SELECT COUNT(*), SUM(q), g FROM fact WHERE x > 1e9", [(0, None, None)]),
+        ],
+    )
+    def test_matches_the_row_pipeline(self, fact, sql, expected):
+        ours, naive = engines(fact, [])
+        assert is_columnar(ours, sql)
+        assert ours.execute(sql).rows == naive.execute(sql).rows == expected
 
 
 def agree(fact, dim, sql, **schemas):
