@@ -23,6 +23,16 @@ is profiled from its start, so the warm-up share the long-lived
 serving threads ran is included (a few percent of the ops). Profiling
 itself costs 2-3x in wall time and is heaviest on small functions:
 find candidates here, then measure them with the benchmark proper.
+
+``--counts`` prints instead how many times per operation a fixed list
+of functions ran (:data:`COUNTS`: registry lookups, label sorts, lock
+exits, spans, event loops, SQL parses, regex substitutions). Call
+counts do not drift with the machine the way times do, so they say
+where work was saved and compare across sessions. To count only the
+timed region, that mode profiles the main thread's timed ``run_ops``
+and the threads started inside it — the client threads — and leaves
+out threads started earlier (the serving engine's, idle on cached
+turns).
 """
 
 from __future__ import annotations
@@ -40,6 +50,17 @@ from benchmarks.e2e.workloads import SIZING_SECONDS, WORKLOADS
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOP_FUNCTIONS = 30
+
+#: ``--counts`` rows: (label, file suffix or "~" for built-ins, function).
+COUNTS = (
+    ("registry lookups", "obs/metrics.py", "_get_or_create"),
+    ("label sorts", "obs/metrics.py", "_label_key"),
+    ("thread-lock exits", "~", "<method '__exit__' of '_thread.lock' objects>"),
+    ("spans recorded", "obs/tracer.py", "_record"),
+    ("event loops created", "asyncio/events.py", "new_event_loop"),
+    ("SQL parses", "sqlengine/parser.py", "parse_sql"),
+    ("re.Pattern.sub", "~", "<method 'sub' of 're.Pattern' objects>"),
+)
 
 
 def cpu_profile() -> cProfile.Profile:
@@ -89,9 +110,13 @@ class ThreadProfiles:
         return stats
 
 
-def profile_round(workload: str, seed: int, seconds: float):
+def profile_round(
+    workload: str, seed: int, seconds: float, timed_threads_only: bool = False
+):
     """Run one round; returns ``(round result, merged stats, threads
-    left out because they were still running)``."""
+    left out because they were still running)``. With
+    ``timed_threads_only`` only threads started inside the timed region
+    are profiled besides the main thread."""
     profiles = ThreadProfiles()
     main = cpu_profile()
     run_ops = rounds.run_ops
@@ -99,14 +124,19 @@ def profile_round(workload: str, seed: int, seconds: float):
     def timed_only(stack, plan, ops, *rest):
         if ops is not plan.ops:  # the warm-up pass
             return run_ops(stack, plan, ops, *rest)
+        if timed_threads_only:
+            profiles.install()
         main.enable()
         try:
             return run_ops(stack, plan, ops, *rest)
         finally:
             main.disable()
+            if timed_threads_only:
+                profiles.uninstall()
 
     rounds.run_ops = timed_only
-    profiles.install()
+    if not timed_threads_only:
+        profiles.install()
     try:
         result = rounds.run_round(workload, seed, seconds, traced=False)
     finally:
@@ -193,6 +223,30 @@ def report(result: dict, stats: pstats.Stats, unfinished: int) -> str:
     return "\n".join(lines)
 
 
+def count_report(result: dict, stats: pstats.Stats, unfinished: int) -> str:
+    calls = {label: 0 for label, _, _ in COUNTS}
+    for (filename, _line, name), row in stats.stats.items():
+        for label, where, function in COUNTS:
+            if name == function and (
+                filename == where if where == "~" else filename.endswith(where)
+            ):
+                calls[label] += row[1]
+    ok = max(result["succeeded"], 1)
+    lines = [
+        f"{result['workload']} seed {result['seed']}: {result['succeeded']} "
+        f"ok ops of {result['attempted']} ({result['failed']} failed); "
+        "calls per op over the timed region",
+    ]
+    if unfinished:
+        lines.append(
+            f"({unfinished} thread(s) still running at the end were left out)"
+        )
+    lines.append(f"{'count':<22} {'calls':>10} {'per op':>9}")
+    for label, _, _ in COUNTS:
+        lines.append(f"{label:<22} {calls[label]:>10d} {calls[label] / ok:>9.2f}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=tuple(WORKLOADS))
@@ -203,11 +257,17 @@ def main(argv=None) -> int:
         default=SIZING_SECONDS,
         help="length the round is sized for (sets the op count)",
     )
+    parser.add_argument(
+        "--counts",
+        action="store_true",
+        help="print calls per op of the COUNTS functions instead of CPU",
+    )
     args = parser.parse_args(argv)
     result, stats, unfinished = profile_round(
-        args.workload, args.seed, args.seconds
+        args.workload, args.seed, args.seconds, timed_threads_only=args.counts
     )
-    print(report(result, stats, unfinished))
+    render = count_report if args.counts else report
+    print(render(result, stats, unfinished))
     for failure in result["failures"]:
         print(failure, file=sys.stderr)
     return 1 if result["failed"] else 0

@@ -46,11 +46,16 @@ from repro.awel.operators import (
 )
 from repro.awel.runner import WorkflowRunner
 from repro.datasources.base import DataSource
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, MetricHandle
 from repro.obs.tracer import get_tracer
 from repro.smmf.client import ClientError
 from repro.viz.dashboard import Dashboard
 from repro.viz.spec import ChartSpec
+
+_STAGE_RUNS = MetricHandle(
+    Counter, "agent_stage_runs_total",
+    "compiled-plan stage executions by stage and agent", ("stage", "agent"),
+)
 
 
 class AgentOperator(Operator):
@@ -247,10 +252,7 @@ class PlanStageOperator(Operator):
             agent=self.agent.name,
         ):
             result = await self.run_stage(ctx, inputs)
-        get_registry().counter(
-            "agent_stage_runs_total",
-            "compiled-plan stage executions by stage and agent",
-        ).inc(stage=self.stage, agent=self.agent.name)
+        _STAGE_RUNS.labels(self.stage, self.agent.name)()
         return result
 
     async def run_stage(self, ctx: DAGContext, inputs: list[Any]) -> Any:

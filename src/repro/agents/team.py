@@ -27,7 +27,7 @@ from repro.agents.planner import Plan, PlannerAgent
 from repro.awel.runner import WorkflowRunner
 from repro.cache.keys import instance_token
 from repro.datasources.base import DataSource
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, Histogram, MetricHandle
 from repro.obs.tracer import get_tracer
 from repro.runtime import perf_clock, run_sync
 from repro.smmf.client import ClientError
@@ -42,6 +42,17 @@ _process_seed = int.from_bytes(os.urandom(8), "big")
 #: Client error statuses worth re-sending a whole planner request for
 #: (the client has already exhausted its own per-call retry budget).
 _RESENDABLE_STATUSES = frozenset({408, 429, 500, 502, 503, 504})
+
+_PLANS = MetricHandle(
+    Counter, "agent_plans_total", "analysis plan runs by outcome", ("status",)
+)
+_PLAN_LATENCY = MetricHandle(
+    Histogram, "agent_plan_latency_ms", "wall time of one full analysis plan"
+)
+_PLAN_RETRIES = MetricHandle(
+    Counter, "agent_plan_retries_total",
+    "planner requests re-sent after transient failures",
+)
 
 
 def new_conversation_id(rng: Optional[random.Random] = None) -> str:
@@ -147,7 +158,6 @@ class DataAnalysisTeam:
     async def arun(self, goal: str) -> AnalysisReport:
         """Async analysis run — concurrent teams share serving batches."""
         conversation_id = new_conversation_id(self._rng)
-        registry = get_registry()
         started = perf_clock()
         degraded_before = getattr(self.llm_client, "degraded_serves", 0)
         status = "error"
@@ -168,13 +178,8 @@ class DataAnalysisTeam:
             status = "degraded" if report.failures else "ok"
             return report
         finally:
-            registry.counter(
-                "agent_plans_total", "analysis plan runs by outcome"
-            ).inc(status=status)
-            registry.histogram(
-                "agent_plan_latency_ms",
-                "wall time of one full analysis plan",
-            ).observe((perf_clock() - started) * 1000.0)
+            _PLANS.labels(status)()
+            _PLAN_LATENCY.labels()((perf_clock() - started) * 1000.0)
 
     async def _arun(self, goal: str, conversation_id: str) -> AnalysisReport:
         plan_reply = await self._request_plan(goal, conversation_id)
@@ -232,10 +237,7 @@ class DataAnalysisTeam:
                 )
                 if not resendable or attempt > self.planner_retries:
                     raise
-                get_registry().counter(
-                    "agent_plan_retries_total",
-                    "planner requests re-sent after transient failures",
-                ).inc()
+                _PLAN_RETRIES.labels()()
                 continue
             self.memory.append(reply)
             return reply

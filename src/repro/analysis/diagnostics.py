@@ -91,6 +91,7 @@ DIAGNOSTIC_CODES: dict[str, tuple[Severity, str]] = {
     "OBS002": (Severity.ERROR, "counter-name-suffix"),
     "OBS003": (Severity.ERROR, "unknown-metric-prefix"),
     "OBS004": (Severity.WARNING, "histogram-unit-suffix"),
+    "OBS005": (Severity.WARNING, "registry-lookup-per-call"),
     # --- staticcheck: configuration parity -------------------------------
     "CFG001": (Severity.WARNING, "dead-config-field"),
 }

@@ -15,10 +15,18 @@ from typing import Any, Optional
 
 from repro.analysis.diagnostics import Diagnostic, has_errors
 from repro.analysis.sql_analyzer import SqlAnalyzer
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, MetricHandle
 from repro.sqlengine.catalog import Catalog, ColumnSchema, TableSchema
 from repro.sqlengine.errors import TypeCheckError
 from repro.sqlengine.types import DataType
+
+_DIAGNOSTICS = MetricHandle(
+    Counter, "analysis_diagnostics_total", "analyzer findings by code",
+    ("code", "severity"),
+)
+_OUTCOMES = MetricHandle(
+    Counter, "analysis_gate_total", "pre-execution gate outcomes", ("outcome",)
+)
 
 
 def catalog_for_source(source: Any) -> Catalog:
@@ -45,12 +53,11 @@ def catalog_for_source(source: Any) -> Catalog:
 
 
 def _count_diagnostics(diagnostics: list[Diagnostic]) -> None:
-    """Publish one ``analysis_diagnostics_total`` sample per finding."""
-    counter = get_registry().counter(
-        "analysis_diagnostics_total", "analyzer findings by code"
-    )
+    """Publish one ``analysis_diagnostics_total`` sample per finding
+    (the series exists, empty, after the first analysis)."""
+    _DIAGNOSTICS.instrument()
     for item in diagnostics:
-        counter.inc(code=item.code, severity=item.severity.value)
+        _DIAGNOSTICS.labels(item.code, item.severity.value)()
 
 
 @dataclass
@@ -144,15 +151,12 @@ def _gate_uncached(
     from repro.llm.prompts import build_sql_repair_prompt
     from repro.smmf.client import ClientError
 
-    outcomes = get_registry().counter(
-        "analysis_gate_total", "pre-execution gate outcomes"
-    )
     catalog = catalog_for_source(source)
     analyzer = SqlAnalyzer(catalog)
     diagnostics = analyzer.analyze_sql(sql)
     _count_diagnostics(diagnostics)
     if not has_errors(diagnostics):
-        outcomes.inc(outcome="clean")
+        _OUTCOMES.labels("clean")()
         return GateResult(sql, diagnostics)
     attempts = 0
     for _ in range(max_repairs):
@@ -170,7 +174,7 @@ def _gate_uncached(
         candidate_diags = analyzer.analyze_sql(candidate)
         _count_diagnostics(candidate_diags)
         if not has_errors(candidate_diags):
-            outcomes.inc(outcome="repaired")
+            _OUTCOMES.labels("repaired")()
             return GateResult(
                 candidate,
                 candidate_diags,
@@ -179,7 +183,7 @@ def _gate_uncached(
                 attempts=attempts,
             )
         sql, diagnostics = candidate, candidate_diags
-    outcomes.inc(outcome="rejected")
+    _OUTCOMES.labels("rejected")()
     return GateResult(
         sql, diagnostics, ok=False, repaired=False, attempts=attempts
     )

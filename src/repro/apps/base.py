@@ -13,10 +13,17 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, Histogram, MetricHandle
 from repro.obs.tracer import get_tracer
 from repro.runtime import perf_clock
 from repro.tenancy.context import current_tenant
+
+_REQUESTS = MetricHandle(
+    Counter, "app_requests_total", "chat turns per application", ("app", "ok")
+)
+_LATENCY = MetricHandle(
+    Histogram, "app_latency_ms", "end-to-end chat turn latency", ("app",)
+)
 
 
 @dataclass
@@ -39,10 +46,8 @@ def _traced_chat(chat: Callable[..., "AppResponse"]) -> Callable:
 
     @functools.wraps(chat)
     def wrapped(self: "Application", text: str) -> "AppResponse":
-        tracer = get_tracer()
-        registry = get_registry()
         started = perf_clock()
-        with tracer.span("app.chat", app=self.name) as span:
+        with get_tracer().span("app.chat", app=self.name) as span:
             # Root spans carry the tenant only when a tenant scope is
             # active, so untenanted traces are unchanged.
             tenant = current_tenant()
@@ -52,12 +57,8 @@ def _traced_chat(chat: Callable[..., "AppResponse"]) -> Callable:
             response = chat(self, text)
             span.set_attribute("ok", response.ok)
         elapsed_ms = (perf_clock() - started) * 1000.0
-        registry.counter(
-            "app_requests_total", "chat turns per application"
-        ).inc(app=self.name, ok=str(response.ok).lower())
-        registry.histogram(
-            "app_latency_ms", "end-to-end chat turn latency"
-        ).observe(elapsed_ms, app=self.name)
+        _REQUESTS.labels(self.name, str(response.ok).lower())()
+        _LATENCY.labels(self.name)(elapsed_ms)
         return response
 
     wrapped.__obs_wrapped__ = True

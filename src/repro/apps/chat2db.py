@@ -7,6 +7,7 @@ the result conversationally with the generated SQL attached.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from repro.analysis.gate import gate_sql
@@ -20,6 +21,7 @@ _SHOW_TABLES = re.compile(r"^(show|list)\s+(the\s+)?tables?\b", re.IGNORECASE)
 _DESCRIBE = re.compile(r"^(describe|profile)\s+(\w+)", re.IGNORECASE)
 
 
+@functools.lru_cache(maxsize=512)
 def _is_read_only(sql: str) -> bool:
     """True when the statement cannot mutate data or schema."""
     from repro.sqlengine import SqlSyntaxError, nodes, parse_sql

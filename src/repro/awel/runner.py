@@ -18,7 +18,7 @@ from repro.awel.operators import (
     StreamMapOperator,
     UnstreamifyOperator,
 )
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, Histogram, MetricHandle
 from repro.obs.tracer import get_tracer
 from repro.runtime import perf_clock, run_sync
 
@@ -30,6 +30,20 @@ _STREAM_OPERATORS = (
     StreamFilterOperator,
     ReduceOperator,
     UnstreamifyOperator,
+)
+
+
+_DAG_RUNS = MetricHandle(
+    Counter, "awel_dag_runs_total", "DAG executions by outcome",
+    ("dag", "status"),
+)
+_OPERATOR_LATENCY = MetricHandle(
+    Histogram, "awel_operator_latency_ms",
+    "wall time of one operator execution", ("type",),
+)
+_OPERATOR_RUNS = MetricHandle(
+    Counter, "awel_operator_runs_total",
+    "operator executions by type and mode", ("type", "mode"),
 )
 
 
@@ -52,18 +66,15 @@ class WorkflowRunner:
     async def run_async(
         self, payload: Any = None, ctx: Optional[DAGContext] = None
     ) -> DAGContext:
-        runs = get_registry().counter(
-            "awel_dag_runs_total", "DAG executions by outcome"
-        )
         try:
             with get_tracer().span(
                 "awel.dag", dag=self.dag.name, nodes=len(self.dag.nodes)
             ):
                 result = await self._run_async(payload, ctx)
         except Exception:
-            runs.inc(dag=self.dag.name, status="error")
+            _DAG_RUNS.labels(self.dag.name, "error")()
             raise
-        runs.inc(dag=self.dag.name, status="ok")
+        _DAG_RUNS.labels(self.dag.name, "ok")()
         return result
 
     async def _run_async(
@@ -71,7 +82,6 @@ class WorkflowRunner:
     ) -> DAGContext:
         ctx = ctx or DAGContext(payload)
         tracer = get_tracer()
-        registry = get_registry()
         loop = asyncio.get_running_loop()
         futures: dict[str, asyncio.Future] = {
             node_id: loop.create_future() for node_id in self.dag.nodes
@@ -116,17 +126,10 @@ class WorkflowRunner:
                     mode=mode,
                 ):
                     result = await node.execute(ctx, upstream_values)
-                registry.histogram(
-                    "awel_operator_latency_ms",
-                    "wall time of one operator execution",
-                ).observe(
-                    (perf_clock() - started) * 1000.0,
-                    type=type(node).__name__,
+                _OPERATOR_LATENCY.labels(type(node).__name__)(
+                    (perf_clock() - started) * 1000.0
                 )
-                registry.counter(
-                    "awel_operator_runs_total",
-                    "operator executions by type and mode",
-                ).inc(type=type(node).__name__, mode=mode)
+                _OPERATOR_RUNS.labels(type(node).__name__, mode)()
             except Exception as exc:
                 if not futures[node.node_id].done():
                     futures[node.node_id].set_exception(exc)

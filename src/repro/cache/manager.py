@@ -32,10 +32,33 @@ from typing import Any, Callable, Optional
 from repro.cache.config import TIER_NAMES, CacheConfig
 from repro.cache.semantic import SemanticPromptIndex
 from repro.cache.store import CacheStats, CacheStore
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, Histogram, MetricHandle
 from repro.obs.tracer import get_tracer
 from repro.runtime import perf_clock
 from repro.tenancy.context import current_tenant
+
+# The ``tenant`` label exists only for tenant-scoped lookups (a None
+# value drops it), so untenanted label sets match pre-tenancy builds.
+_REQUESTS = MetricHandle(
+    Counter, "cache_requests_total", "cache lookups by tier and outcome",
+    ("tier", "outcome", "tenant"),
+)
+_HIT_LATENCY = MetricHandle(
+    Histogram, "cache_hit_latency_ms", "latency of cache hits",
+    ("tier", "tenant"),
+)
+_MISS_COMPUTE = MetricHandle(
+    Histogram, "cache_miss_compute_ms", "compute latency behind cache misses",
+    ("tier", "tenant"),
+)
+_SEMANTIC_HITS = MetricHandle(
+    Counter, "cache_semantic_hits_total",
+    "inference answers served via embedding similarity", ("tier",),
+)
+_EVICTIONS = MetricHandle(
+    Counter, "cache_evictions_total", "entries evicted by tier",
+    ("tier", "reason", "tenant"),
+)
 
 
 class CacheManager:
@@ -127,7 +150,7 @@ class CacheManager:
                     capacity=capacity,
                     ttl_seconds=shared.ttl_seconds,
                     clock=self._clock,
-                    on_evict=self._partition_evict_hook(tenant, tier),
+                    on_evict=self._evict_hook(tier, tenant),
                 )
             return store
 
@@ -150,9 +173,6 @@ class CacheManager:
         store = self._store_for(tier, tenant)
         if store is None:
             store = self._stores[tier]
-        # The tenant label exists only for tenant-scoped lookups, so
-        # label sets on the untenanted path match pre-tenancy builds.
-        extra = {} if tenant is None else {"tenant": tenant}
         started = perf_clock()
         with get_tracer().span(
             "cache.lookup", tier=tier, **span_attributes
@@ -160,19 +180,12 @@ class CacheManager:
             value, hit = store.get_or_compute(key, compute)
             span.set_attribute("cache.hit", hit)
         elapsed_ms = (perf_clock() - started) * 1000.0
-        registry = get_registry()
-        registry.counter(
-            "cache_requests_total", "cache lookups by tier and outcome"
-        ).inc(tier=tier, outcome="hit" if hit else "miss", **extra)
         if hit:
-            registry.histogram(
-                "cache_hit_latency_ms", "latency of cache hits"
-            ).observe(elapsed_ms, tier=tier, **extra)
+            _REQUESTS.labels(tier, "hit", tenant)()
+            _HIT_LATENCY.labels(tier, tenant)(elapsed_ms)
         else:
-            registry.histogram(
-                "cache_miss_compute_ms",
-                "compute latency behind cache misses",
-            ).observe(elapsed_ms, tier=tier, **extra)
+            _REQUESTS.labels(tier, "miss", tenant)()
+            _MISS_COMPUTE.labels(tier, tenant)(elapsed_ms)
         return value
 
     def semantic_fetch(self, key: Any) -> tuple[bool, Any]:
@@ -186,10 +199,7 @@ class CacheManager:
             return False, None
         found, value = store.peek(key)
         if found:
-            get_registry().counter(
-                "cache_semantic_hits_total",
-                "inference answers served via embedding similarity",
-            ).inc(tier="inference")
+            _SEMANTIC_HITS.labels("inference")()
         return found, value
 
     def peek_stale(self, tier: str, key: Any) -> tuple[bool, Any]:
@@ -204,21 +214,11 @@ class CacheManager:
             return False, None
         return store.peek_stale(key)
 
-    def _evict_hook(self, tier: str):
-        def on_evict(_key: Any, reason: str) -> None:
-            get_registry().counter(
-                "cache_evictions_total", "entries evicted by tier"
-            ).inc(tier=tier, reason=reason)
-
-        return on_evict
-
-    def _partition_evict_hook(self, tenant: str, tier: str):
+    def _evict_hook(self, tier: str, tenant: Optional[str] = None):
         # Partition evictions are the tenant's own budget at work —
         # the tenant label makes noisy-neighbor churn attributable.
         def on_evict(_key: Any, reason: str) -> None:
-            get_registry().counter(
-                "cache_evictions_total", "entries evicted by tier"
-            ).inc(tier=tier, reason=reason, tenant=tenant)
+            _EVICTIONS.labels(tier, reason, tenant)()
 
         return on_evict
 

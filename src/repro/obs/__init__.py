@@ -27,6 +27,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    MetricHandle,
     MetricsRegistry,
     get_registry,
     set_registry,
@@ -41,6 +42,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonLinesExporter",
+    "MetricHandle",
     "MetricsRegistry",
     "NOOP_SPAN",
     "STATUS_ERROR",

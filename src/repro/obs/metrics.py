@@ -7,7 +7,8 @@ so ``model_requests_total`` can be read per model and summed overall.
 
 Everything is dependency-free and deterministic; the snapshot format
 is plain dicts for dashboards, benchmarks and the ``/metrics`` REPL
-command. Instruments are thread-safe (one registry lock).
+command. Instruments are thread-safe (one lock each). Per-request code
+records through a module-level :class:`MetricHandle`.
 """
 
 from __future__ import annotations
@@ -89,8 +90,15 @@ class Gauge:
         self._lock = threading.Lock()
 
     def set(self, value: float, **labels: Any) -> None:
+        self._set(_label_key(labels), value)
+
+    def bind(self, **labels: Any) -> Callable[[float], None]:
+        """``set`` for one label set (see :meth:`Counter.bind`)."""
+        return partial(self._set, _label_key(labels))
+
+    def _set(self, key: LabelKey, value: float) -> None:
         with self._lock:
-            self._values[_label_key(labels)] = float(value)
+            self._values[key] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         key = _label_key(labels)
@@ -145,7 +153,13 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
+        self._observe(_label_key(labels), value)
+
+    def bind(self, **labels: Any) -> Callable[[float], None]:
+        """``observe`` for one label set (see :meth:`Counter.bind`)."""
+        return partial(self._observe, _label_key(labels))
+
+    def _observe(self, key: LabelKey, value: float) -> None:
         # bisect_left keeps exact-bound observations in their own
         # bucket (value <= bound), the Prometheus ``le`` convention.
         index = bisect_left(self.bounds, value)
@@ -225,16 +239,20 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     def _get_or_create(self, name: str, factory, kind) -> Any:
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = self._instruments[name] = factory()
-            elif not isinstance(instrument, kind):
-                raise TypeError(
-                    f"metric {name!r} already registered as "
-                    f"{type(instrument).__name__}"
-                )
-            return instrument
+        # staticcheck: allow LCK003 - double-checked fast path; the
+        # miss branch re-reads under the lock before writing.
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            with self._lock:
+                instrument = self._instruments.get(name)
+                if instrument is None:
+                    instrument = self._instruments[name] = factory()
+        if not isinstance(instrument, kind):
+            raise TypeError(
+                f"metric {name!r} already registered as "
+                f"{type(instrument).__name__}"
+            )
+        return instrument
 
     def counter(self, name: str, description: str = "") -> Counter:
         return self._get_or_create(
@@ -271,8 +289,9 @@ class MetricsRegistry:
         return {name: inst.snapshot() for name, inst in instruments}
 
     def reset(self) -> None:
+        # A new dict, not ``clear()``: handles re-resolve on a new dict.
         with self._lock:
-            self._instruments.clear()
+            self._instruments = {}
 
 
 #: Process-wide registry used by all built-in instrumentation.
@@ -288,3 +307,52 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     global _registry
     previous, _registry = _registry, registry
     return previous
+
+
+class MetricHandle:
+    """One instrument, declared at module level, recorded through with
+    neither a registry lookup nor a label sort per event.
+
+    ``labels`` takes one ``str`` per label name, in order (``None``
+    omits that label), and returns the memoised ``inc``/``set``/
+    ``observe`` for that label set. The instrument is resolved from the
+    current registry, again after :func:`set_registry` or a reset.
+    Values must be ``str``: ``1`` and ``True`` share a memo key.
+    """
+
+    def __init__(
+        self,
+        kind: type,
+        name: str,
+        description: str = "",
+        labels: Sequence[str] = (),
+        buckets: Optional[Sequence[float]] = None,
+    ) -> None:
+        self.kind = kind
+        self.label_names = tuple(labels)
+        extra = (buckets,) if kind is Histogram else ()
+        self._args = (name, description, *extra)
+        #: (instruments it came from, instrument, {values: recorder})
+        self._state: tuple[Any, Any, dict] = (None, None, {})
+
+    def labels(self, *values: Optional[str]) -> Callable[..., None]:
+        state = self._current()
+        recorder = state[2].get(values)
+        if recorder is None:
+            named = zip(self.label_names, values)
+            recorder = state[2][values] = state[1].bind(
+                **{name: value for name, value in named if value is not None}
+            )
+        return recorder
+
+    def instrument(self) -> Any:
+        """The instrument, created if need be (an empty series)."""
+        return self._current()[1]
+
+    def _current(self) -> tuple[Any, Any, dict]:
+        state, registry = self._state, _registry
+        if state[0] is not registry._instruments:
+            instrument = getattr(registry, self.kind.kind)(*self._args)
+            # Replaced whole, so no thread pairs two registries' parts.
+            state = self._state = (registry._instruments, instrument, {})
+        return state

@@ -5,13 +5,26 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, Histogram, MetricHandle
 from repro.obs.tracer import get_tracer
 from repro.rag.embedder import HashingEmbedder
 from repro.rag.graph_index import GraphIndex
 from repro.rag.inverted_index import InvertedIndex
 from repro.rag.vectorstore import VectorStore
 from repro.runtime import perf_clock
+
+_RETRIEVALS = MetricHandle(
+    Counter, "rag_retrievals_total", "retrieval calls per strategy",
+    ("strategy",),
+)
+_LATENCY = MetricHandle(
+    Histogram, "rag_retrieval_latency_ms", "retrieval latency per strategy",
+    ("strategy",),
+)
+_CANDIDATES = MetricHandle(
+    Histogram, "rag_candidates", "candidates returned per retrieval",
+    ("strategy",), buckets=(0, 1, 2, 5, 10, 20, 50, 100),
+)
 
 
 @dataclass
@@ -57,20 +70,9 @@ def _traced_retrieve(retrieve):
         ) as span:
             hits = retrieve(self, query, k=k)
             span.set_attribute("candidates", len(hits))
-        registry = get_registry()
-        registry.counter(
-            "rag_retrievals_total", "retrieval calls per strategy"
-        ).inc(strategy=self.name)
-        registry.histogram(
-            "rag_retrieval_latency_ms", "retrieval latency per strategy"
-        ).observe(
-            (perf_clock() - started) * 1000.0, strategy=self.name
-        )
-        registry.histogram(
-            "rag_candidates",
-            "candidates returned per retrieval",
-            buckets=(0, 1, 2, 5, 10, 20, 50, 100),
-        ).observe(len(hits), strategy=self.name)
+        _RETRIEVALS.labels(self.name)()
+        _LATENCY.labels(self.name)((perf_clock() - started) * 1000.0)
+        _CANDIDATES.labels(self.name)(len(hits))
         return hits
 
     wrapped.__obs_wrapped__ = True

@@ -7,8 +7,16 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Histogram, MetricHandle
 from repro.runtime import perf_clock
+
+_SEARCH_LATENCY = MetricHandle(
+    Histogram, "vectorstore_search_latency_ms", "dense top-k search latency"
+)
+_SEARCH_CANDIDATES = MetricHandle(
+    Histogram, "vectorstore_search_candidates",
+    "results returned per dense search", buckets=(0, 1, 2, 5, 10, 20, 50, 100),
+)
 
 
 @dataclass
@@ -81,15 +89,8 @@ class VectorStore:
         """Top-k items by cosine similarity to ``query``."""
         started = perf_clock()
         hits = self._search(query, k)
-        registry = get_registry()
-        registry.histogram(
-            "vectorstore_search_latency_ms", "dense top-k search latency"
-        ).observe((perf_clock() - started) * 1000.0)
-        registry.histogram(
-            "vectorstore_search_candidates",
-            "results returned per dense search",
-            buckets=(0, 1, 2, 5, 10, 20, 50, 100),
-        ).observe(len(hits))
+        _SEARCH_LATENCY.labels()((perf_clock() - started) * 1000.0)
+        _SEARCH_CANDIDATES.labels()(len(hits))
         return hits
 
     def _search(self, query: np.ndarray, k: int = 5) -> list[VectorHit]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Gauge, MetricHandle
 from repro.resilience.config import BreakerConfig
 
 CLOSED = "closed"
@@ -32,11 +32,10 @@ HALF_OPEN = "half_open"
 _STATE_VALUES = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
 
 
-def _state_gauge():
-    return get_registry().gauge(
-        "resilience_breaker_state",
-        "per-worker breaker state (0=closed, 1=half-open, 2=open)",
-    )
+_STATE = MetricHandle(
+    Gauge, "resilience_breaker_state",
+    "per-worker breaker state (0=closed, 1=half-open, 2=open)", ("worker",),
+)
 
 
 class CircuitBreaker:
@@ -179,6 +178,4 @@ class BreakerBoard:
         return {worker_id: self.state(worker_id) for worker_id in ids}
 
     def _publish(self, worker_id: str) -> None:
-        _state_gauge().set(
-            _STATE_VALUES[self.state(worker_id)], worker=worker_id
-        )
+        _STATE.labels(worker_id)(_STATE_VALUES[self.state(worker_id)])

@@ -21,15 +21,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, MetricHandle
 from repro.resilience.breaker import CLOSED, BreakerBoard
 from repro.smmf.registry import ModelRegistry
 
 
-def _probe_counter():
-    return get_registry().counter(
-        "resilience_probes_total", "health probes by outcome"
-    )
+_PROBES = MetricHandle(
+    Counter, "resilience_probes_total", "health probes by outcome",
+    ("outcome",),
+)
 
 
 class HealthMonitor:
@@ -74,7 +74,7 @@ class HealthMonitor:
                 if self.breakers is not None:
                     self.breakers.probe_succeeded(worker_id)
                 readmitted.append(worker_id)
-                _probe_counter().inc(outcome="recovered")
+                _PROBES.labels("recovered")()
             else:
-                _probe_counter().inc(outcome="down")
+                _PROBES.labels("down")()
         return readmitted

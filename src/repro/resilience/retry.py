@@ -17,7 +17,7 @@ import random
 import time
 from typing import Awaitable, Callable, Iterator, Optional, TypeVar
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, MetricHandle
 from repro.obs.tracer import get_tracer
 from repro.resilience.config import RetryConfig
 from repro.runtime import default_rng
@@ -28,10 +28,10 @@ T = TypeVar("T")
 Classifier = Callable[[BaseException], tuple[bool, Optional[float]]]
 
 
-def _retry_counter():
-    return get_registry().counter(
-        "resilience_retries_total", "retried attempts by layer and policy"
-    )
+_RETRIES = MetricHandle(
+    Counter, "resilience_retries_total",
+    "retried attempts by layer and policy", ("layer", "error"),
+)
 
 
 class RetryPolicy:
@@ -91,7 +91,7 @@ class RetryPolicy:
         budget = self.config.budget_s
         if budget is not None and waited + delay > budget:
             raise exc
-        _retry_counter().inc(layer=self.layer, error=type(exc).__name__)
+        _RETRIES.labels(self.layer, type(exc).__name__)()
         with get_tracer().span(
             "smmf.retry",
             layer=self.layer,

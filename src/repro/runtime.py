@@ -28,6 +28,7 @@ import asyncio
 import concurrent.futures
 import contextvars
 import random
+import threading
 import time
 from typing import Any, Callable, Coroutine, Optional, TypeVar
 
@@ -89,21 +90,50 @@ def default_rng(seed: int = 0) -> random.Random:
     return random.Random(seed)
 
 
+class _ThreadLoop:
+    """One thread's loop; dropped with the thread's locals when the
+    thread exits, which closes the loop (selector, self-pipe, executor)."""
+
+    def __init__(self) -> None:
+        self.loop = asyncio.new_event_loop()
+
+    def __del__(self) -> None:
+        self.loop.close()
+
+
+_thread_loops = threading.local()
+
+
 def run_sync(coro: Coroutine[Any, Any, T]) -> T:
     """Run ``coro`` to completion from synchronous code.
 
     The one sync shim over every async call path (``WorkflowRunner.run``,
-    ``DataAnalysisTeam.run``). With no loop running it is ``asyncio.run``
-    on the caller's thread. Called from inside a running loop (an
-    operator of one DAG synchronously invoking another workflow) the
-    coroutine runs on a private loop in a helper thread, with the
-    caller's context carried over so its spans stay parented to the
-    enclosing trace.
+    ``DataAnalysisTeam.run``). With no loop running it is a task on the
+    calling thread's own loop (kept, with its executor, until the thread
+    exits) in the caller's context at this call (tenant scope, parent
+    span); tasks it leaves behind are cancelled before it returns, as
+    ``asyncio.run`` does. Called from inside a running loop (an operator
+    of one DAG synchronously invoking another workflow) the coroutine
+    runs on a private loop in a helper thread, with the caller's context
+    carried over so its spans stay parented to the enclosing trace.
     """
     try:
         asyncio.get_running_loop()
     except RuntimeError:
-        return asyncio.run(coro)
+        owner = getattr(_thread_loops, "owner", None)
+        if owner is None:
+            owner = _thread_loops.owner = _ThreadLoop()
+        loop = owner.loop
+        try:
+            return loop.run_until_complete(loop.create_task(coro))
+        finally:
+            leftovers = asyncio.all_tasks(loop)
+            for task in leftovers:
+                task.cancel()
+            if leftovers:
+                loop.run_until_complete(
+                    asyncio.gather(*leftovers, return_exceptions=True)
+                )
     context = contextvars.copy_context()
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
         return pool.submit(context.run, asyncio.run, coro).result()

@@ -5,13 +5,22 @@ from __future__ import annotations
 import abc
 from typing import Callable, Optional
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, Histogram, MetricHandle
 from repro.obs.tracer import get_tracer
 from repro.rag.privacy import PrivacyScrubber
 from repro.runtime import perf_clock
 from repro.server.request import Request, Response, error
 
 Handler = Callable[[Request], Response]
+
+_REQUESTS = MetricHandle(
+    Counter, "server_requests_total", "requests through the server router",
+    ("method", "path", "status"),
+)
+_LATENCY = MetricHandle(
+    Histogram, "server_latency_ms",
+    "request latency through the middleware chain", ("path",),
+)
 
 
 class Middleware(abc.ABC):
@@ -31,7 +40,6 @@ class TracingMiddleware(Middleware):
     """
 
     def __call__(self, request: Request, next_handler: Handler) -> Response:
-        registry = get_registry()
         started = perf_clock()
         with get_tracer().span(
             "server.request", method=request.method, path=request.path
@@ -39,16 +47,10 @@ class TracingMiddleware(Middleware):
             response = next_handler(request)
             span.set_attribute("status_code", response.status)
         elapsed_ms = (perf_clock() - started) * 1000.0
-        registry.counter(
-            "server_requests_total", "requests through the server router"
-        ).inc(
-            method=request.method,
-            path=request.path,
-            status=str(response.status),
-        )
-        registry.histogram(
-            "server_latency_ms", "request latency through the middleware chain"
-        ).observe(elapsed_ms, path=request.path)
+        _REQUESTS.labels(
+            request.method, request.path, str(response.status)
+        )()
+        _LATENCY.labels(request.path)(elapsed_ms)
         return response
 
 

@@ -6,11 +6,15 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, MetricHandle
 from repro.server.middleware import Handler, Middleware
 from repro.server.request import Request, Response, error
 
 _PARAM = re.compile(r"\{(\w+)\}")
+
+_UNROUTED = MetricHandle(
+    Counter, "server_unrouted_total", "requests matching no route", ("reason",)
+)
 
 
 class RouterError(Exception):
@@ -82,17 +86,14 @@ class Router:
                 name: match.group(name) for name in route.param_names
             }
             return route.handler(request, **params)
-        unrouted = get_registry().counter(
-            "server_unrouted_total", "requests matching no route"
-        )
         if saw_path:
-            unrouted.inc(reason="method_not_allowed")
+            _UNROUTED.labels("method_not_allowed")()
             return error(
                 405,
                 f"method {request.method} not allowed",
                 code="method_not_allowed",
             )
-        unrouted.inc(reason="not_found")
+        _UNROUTED.labels("not_found")()
         return error(
             404, f"no route for {request.path}", code="route_not_found"
         )

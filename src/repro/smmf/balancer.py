@@ -7,8 +7,18 @@ import random
 import threading
 from typing import Optional
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, Histogram, MetricHandle
 from repro.smmf.registry import WorkerRecord
+
+_CHOICES = MetricHandle(
+    Counter, "balancer_choices_total", "routing decisions per policy",
+    ("policy", "model"),
+)
+_CHOSEN_INFLIGHT = MetricHandle(
+    Histogram, "balancer_chosen_inflight",
+    "queue depth of the chosen worker at pick time", ("policy",),
+    buckets=(0, 1, 2, 4, 8, 16, 32, 64),
+)
 
 
 class LoadBalancer(abc.ABC):
@@ -40,15 +50,8 @@ def _metered_choose(choose):
         self: "LoadBalancer", candidates: list[WorkerRecord]
     ) -> WorkerRecord:
         record = choose(self, candidates)
-        registry = get_registry()
-        registry.counter(
-            "balancer_choices_total", "routing decisions per policy"
-        ).inc(policy=self.name, model=record.model_name)
-        registry.histogram(
-            "balancer_chosen_inflight",
-            "queue depth of the chosen worker at pick time",
-            buckets=(0, 1, 2, 4, 8, 16, 32, 64),
-        ).observe(record.worker.load_snapshot()[0], policy=self.name)
+        _CHOICES.labels(self.name, record.model_name)()
+        _CHOSEN_INFLIGHT.labels(self.name)(record.worker.load_snapshot()[0])
         return record
 
     wrapped.__obs_wrapped__ = True

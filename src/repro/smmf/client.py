@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional
 
 from repro.cache.keys import inference_key, instance_token, normalize_prompt
 from repro.cache.manager import get_cache_manager
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, MetricHandle
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.retry import RetryPolicy
 from repro.smmf.api_server import ApiRequest, ApiServer
@@ -30,6 +30,11 @@ from repro.tenancy.context import current_tenant
 #: a ``retry_after`` hint), 503 is a transient serving failure (all
 #: replicas down mid-recovery, scheduler restarting).
 _TRANSIENT_STATUSES = (429, 503)
+
+_STALE_SERVED = MetricHandle(
+    Counter, "resilience_stale_served_total",
+    "turns answered from stale cache after a serving failure",
+)
 
 
 def _classify_client_error(
@@ -153,11 +158,7 @@ class LLMClient:
         except ClientError as exc:
             if stale is not None and exc.status == 503:
                 self.stale_serves += 1
-                get_registry().counter(
-                    "resilience_stale_served_total",
-                    "turns answered from stale cache after a serving "
-                    "failure",
-                ).inc()
+                _STALE_SERVED.labels()()
                 return stale[0]
             raise
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 from typing import Any, Callable, Optional
 
 from repro.llm.base import GenerationRequest, GenerationResponse, LLMError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, MetricHandle
 from repro.obs.tracer import get_tracer
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.config import ResilienceConfig
@@ -18,6 +18,11 @@ from repro.smmf.balancer import LoadBalancer, RoundRobinBalancer
 from repro.smmf.metrics import MetricsCollector
 from repro.smmf.registry import ModelRegistry, WorkerRecord
 from repro.smmf.worker import ModelWorker, WorkerCrashed, WorkerExecution
+
+_FALLBACKS = MetricHandle(
+    Counter, "resilience_fallbacks_total",
+    "requests degraded to the fallback model", ("model", "fallback"),
+)
 
 
 class SmmfError(Exception):
@@ -286,10 +291,7 @@ class ModelController:
                 or fallback not in self.registry.model_names()
             ):
                 raise
-            get_registry().counter(
-                "resilience_fallbacks_total",
-                "requests degraded to the fallback model",
-            ).inc(model=model_name, fallback=fallback)
+            _FALLBACKS.labels(model_name, fallback)()
             result, record, retries, _ = self._route(
                 fallback, execute, allow_fallback=False
             )

@@ -14,7 +14,25 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, Histogram, MetricHandle
+
+_REQUESTS = MetricHandle(
+    Counter, "model_requests_total", "inference requests per model",
+    ("model", "outcome"),
+)
+_LATENCY = MetricHandle(
+    Histogram, "model_latency_ms", "per-model serving latency", ("model",)
+)
+_RETRIES = MetricHandle(
+    Counter, "model_retries_total", "failover retries per model", ("model",)
+)
+_TOKENS = MetricHandle(
+    Counter, "model_tokens_total", "tokens processed per model",
+    ("model", "kind"),
+)
+_WORKER_REQUESTS = MetricHandle(
+    Counter, "worker_requests_total", "requests served per worker", ("worker",)
+)
 
 
 @dataclass
@@ -62,33 +80,19 @@ class MetricsCollector:
             self._worker_requests[worker_id] = (
                 self._worker_requests.get(worker_id, 0) + 1
             )
-        registry = get_registry()
-        registry.counter(
-            "model_requests_total", "inference requests per model"
-        ).inc(model=model, outcome="success")
-        registry.histogram(
-            "model_latency_ms", "per-model serving latency"
-        ).observe(latency_ms, model=model)
+        _REQUESTS.labels(model, "success")()
+        _LATENCY.labels(model)(latency_ms)
         if retries:
-            registry.counter(
-                "model_retries_total", "failover retries per model"
-            ).inc(retries, model=model)
-        tokens = registry.counter(
-            "model_tokens_total", "tokens processed per model"
-        )
-        tokens.inc(prompt_tokens, model=model, kind="prompt")
-        tokens.inc(completion_tokens, model=model, kind="completion")
-        registry.counter(
-            "worker_requests_total", "requests served per worker"
-        ).inc(worker=worker_id)
+            _RETRIES.labels(model)(retries)
+        _TOKENS.labels(model, "prompt")(prompt_tokens)
+        _TOKENS.labels(model, "completion")(completion_tokens)
+        _WORKER_REQUESTS.labels(worker_id)()
 
     def record_failure(self, model: str) -> None:
         with self._lock:
             metrics = self._models.setdefault(model, ModelMetrics())
             metrics.failures += 1
-        get_registry().counter(
-            "model_requests_total", "inference requests per model"
-        ).inc(model=model, outcome="failure")
+        _REQUESTS.labels(model, "failure")()
 
     def model(self, name: str) -> ModelMetrics:
         with self._lock:

@@ -11,22 +11,20 @@ from repro.llm.base import (
     GenerationResponse,
     LanguageModel,
 )
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, Gauge, MetricHandle
 from repro.obs.tracer import get_tracer
 
 _worker_ids = itertools.count(1)
 
 
-def _queue_depth_gauge():
-    return get_registry().gauge(
-        "worker_inflight", "requests currently executing per worker"
-    )
-
-
-def _stream_counter():
-    return get_registry().counter(
-        "worker_streams_total", "streams by worker and outcome"
-    )
+_INFLIGHT = MetricHandle(
+    Gauge, "worker_inflight", "requests currently executing per worker",
+    ("worker",),
+)
+_STREAMS = MetricHandle(
+    Counter, "worker_streams_total", "streams by worker and outcome",
+    ("worker", "outcome"),
+)
 
 
 class WorkerCrashed(Exception):
@@ -103,17 +101,16 @@ class ModelWorker:
                 )
 
     def _begin(self, amount: int = 1) -> None:
+        # Published under the lock, so racing ends cannot reorder it.
         with self._lock:
             self.inflight += amount
-            depth = self.inflight
-        _queue_depth_gauge().set(depth, worker=self.worker_id)
+            _INFLIGHT.labels(self.worker_id)(self.inflight)
 
     def _end(self, amount: int = 1, served: int = 0) -> None:
         with self._lock:
             self.inflight -= amount
             self.served += served
-            depth = self.inflight
-        _queue_depth_gauge().set(depth, worker=self.worker_id)
+            _INFLIGHT.labels(self.worker_id)(self.inflight)
 
     # -- execution ---------------------------------------------------------
 
@@ -196,19 +193,15 @@ class ModelWorker:
         except GeneratorExit:
             with self._lock:
                 self.abandoned_streams += 1
-            _stream_counter().inc(
-                worker=self.worker_id, outcome="abandoned"
-            )
+            _STREAMS.labels(self.worker_id, "abandoned")()
             raise
         except Exception:
-            _stream_counter().inc(worker=self.worker_id, outcome="error")
+            _STREAMS.labels(self.worker_id, "error")()
             raise
         finally:
             self._end(served=1 if completed else 0)
             if completed:
-                _stream_counter().inc(
-                    worker=self.worker_id, outcome="completed"
-                )
+                _STREAMS.labels(self.worker_id, "completed")()
 
     def kill(self) -> None:
         """Simulate the worker process dying."""
@@ -362,6 +355,4 @@ class WorkerExecution:
         if cancelled:
             with self._worker._lock:
                 self._worker.cancelled_streams += 1
-            _stream_counter().inc(
-                worker=self._worker.worker_id, outcome="cancelled"
-            )
+            _STREAMS.labels(self._worker.worker_id, "cancelled")()

@@ -11,6 +11,9 @@
 - **OBS004** histogram-unit-suffix: histogram names carry their unit
   as the suffix (``_ms``, ``_size``, ...); WARNING because new units
   are legitimate — add them here and to the docs together.
+- **OBS005** registry-lookup-per-call: ``registry.counter("...")`` in a
+  function other than ``__init__`` pays a lookup and a label sort per
+  call; record through a ``MetricHandle``, whose names OBS002–4 check.
 """
 
 from __future__ import annotations
@@ -38,21 +41,50 @@ HISTOGRAM_SUFFIXES = (
 _INSTRUMENT_METHODS = {"counter", "gauge", "histogram"}
 
 
-def _literal_name(call: ast.Call) -> Optional[tuple[str, int]]:
-    if call.args and isinstance(call.args[0], ast.Constant):
-        value = call.args[0].value
+def _literal_name(args: list[ast.expr]) -> Optional[tuple[str, int]]:
+    if args and isinstance(args[0], ast.Constant):
+        value = args[0].value
         if isinstance(value, str):
-            return value, call.args[0].lineno
+            return value, args[0].lineno
     return None
 
 
-def _span_receiver(node: ast.expr, module: SourceModule) -> bool:
-    """True when ``<node>.span(...)`` is a tracer span call."""
+def _metric_name(call: ast.Call, module: SourceModule) -> Optional[tuple]:
+    """``(kind, name, line)`` of ``registry.counter("name")`` or of
+    ``MetricHandle(Counter, "name", ...)``; None for anything else."""
+    func, args = call.func, call.args
+    if isinstance(func, ast.Attribute) and func.attr in _INSTRUMENT_METHODS:
+        kind = func.attr
+    elif (module.dotted_name(func) or "").endswith("MetricHandle") and args:
+        kind = (module.dotted_name(args[0]) or "").rsplit(".", 1)[-1].lower()
+        args = args[1:]
+    else:
+        return None
+    literal = _literal_name(args)
+    if literal is None or kind not in _INSTRUMENT_METHODS:
+        return None
+    return (kind, *literal)
+
+
+def _receiver(node: ast.expr, module: SourceModule, kind: str) -> bool:
+    """True when ``<node>.method(...)`` is called on a tracer or a
+    registry (``kind``): ``get_<kind>()`` or a name containing it."""
     if isinstance(node, ast.Call):
         name = module.dotted_name(node.func) or ""
-        return name.endswith("get_tracer")
+        return name.endswith(f"get_{kind}")
     name = module.dotted_name(node) or ""
-    return "tracer" in name.lower()
+    return kind in name.lower()
+
+
+def _per_call_nodes(tree: ast.Module) -> set[int]:
+    """Every node inside a function other than ``__init__``."""
+    return {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and function.name != "__init__"
+        for node in ast.walk(function)
+    }
 
 
 def _with_context_calls(tree: ast.Module) -> set[int]:
@@ -68,99 +100,96 @@ def _with_context_calls(tree: ast.Module) -> set[int]:
 
 def _module_findings(module: SourceModule) -> Iterable[Finding]:
     managed = _with_context_calls(module.tree)
+    per_call = _per_call_nodes(module.tree)
     defines_tracer = module.rel.endswith("obs/tracer.py")
+
+    def finding(code: str, line: int, message: str, subject: str, hint: str):
+        found = diagnostic(
+            code, message, source="static", subject=subject, hint=hint
+        )
+        return Finding(found, module.rel, line)
+
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if not isinstance(func, ast.Attribute):
-            continue
-
         # OBS001 — span calls must be with-managed (the tracer module
         # itself constructs and returns spans, so it is exempt).
         if (
-            func.attr == "span"
+            isinstance(func, ast.Attribute)
+            and func.attr == "span"
             and not defines_tracer
             and id(node) not in managed
-            and _span_receiver(func.value, module)
+            and _receiver(func.value, module, "tracer")
         ):
-            yield Finding(
-                diagnostic(
-                    "OBS001",
-                    "span opened without a context manager never "
-                    "finishes and corrupts span parenting",
-                    source="static",
-                    subject="span",
-                    hint="wrap the call in `with tracer.span(...) "
-                    "as span:`",
-                ),
-                module.rel,
+            yield finding(
+                "OBS001",
                 node.lineno,
+                "span opened without a context manager never "
+                "finishes and corrupts span parenting",
+                "span",
+                "wrap the call in `with tracer.span(...) as span:`",
             )
             continue
 
-        if func.attr not in _INSTRUMENT_METHODS:
+        metric = _metric_name(node, module)
+        if metric is None:
             continue
-        literal = _literal_name(node)
-        if literal is None:
-            continue
-        name, line = literal
+        kind, name, line = metric
+
+        # OBS005 — look names up in a constructor or a handle only.
+        if (
+            id(node) in per_call
+            and isinstance(func, ast.Attribute)
+            and _receiver(func.value, module, "registry")
+        ):
+            yield finding(
+                "OBS005",
+                line,
+                f"metric {name!r} is looked up in the registry on every call",
+                name,
+                "record through a module-level MetricHandle",
+            )
 
         # OBS002 — counters count events; the unit is "events total".
-        if func.attr == "counter" and not name.endswith("_total"):
-            yield Finding(
-                diagnostic(
-                    "OBS002",
-                    f"counter name {name!r} must end with '_total'",
-                    source="static",
-                    subject=name,
-                    hint="rename, or use a gauge/histogram if the "
-                    "value is not a monotonic count",
-                ),
-                module.rel,
+        if kind == "counter" and not name.endswith("_total"):
+            yield finding(
+                "OBS002",
                 line,
+                f"counter name {name!r} must end with '_total'",
+                name,
+                "rename, or use a gauge/histogram if the value is not a "
+                "monotonic count",
             )
 
         # OBS003 — the first segment namespaces the owning layer.
-        prefix = name.split("_", 1)[0]
-        if prefix not in KNOWN_PREFIXES:
-            yield Finding(
-                diagnostic(
-                    "OBS003",
-                    f"metric name {name!r} does not start with a "
-                    "known layer prefix",
-                    source="static",
-                    subject=name,
-                    hint="known prefixes: "
-                    + ", ".join(sorted(KNOWN_PREFIXES)),
-                ),
-                module.rel,
+        if name.split("_", 1)[0] not in KNOWN_PREFIXES:
+            yield finding(
+                "OBS003",
                 line,
+                f"metric name {name!r} does not start with a known layer "
+                "prefix",
+                name,
+                "known prefixes: " + ", ".join(sorted(KNOWN_PREFIXES)),
             )
 
         # OBS004 — histograms carry their unit as the suffix.
-        if func.attr == "histogram" and not name.endswith(
-            HISTOGRAM_SUFFIXES
-        ):
-            yield Finding(
-                diagnostic(
-                    "OBS004",
-                    f"histogram name {name!r} should end with a unit "
-                    f"suffix {HISTOGRAM_SUFFIXES}",
-                    source="static",
-                    subject=name,
-                    hint="append the unit, or extend the suffix list "
-                    "and docs/observability.md together",
-                ),
-                module.rel,
+        if kind == "histogram" and not name.endswith(HISTOGRAM_SUFFIXES):
+            yield finding(
+                "OBS004",
                 line,
+                f"histogram name {name!r} should end with a unit suffix "
+                f"{HISTOGRAM_SUFFIXES}",
+                name,
+                "append the unit, or extend the suffix list and "
+                "docs/observability.md together",
             )
 
 
 @register(
     "OBS",
     "observability conventions",
-    ("OBS001", "OBS002", "OBS003", "OBS004"),
+    ("OBS001", "OBS002", "OBS003", "OBS004", "OBS005"),
 )
 def check(project: Project) -> Iterable[Finding]:
     for module in project:

@@ -30,7 +30,7 @@ from typing import Any, Callable, Optional
 
 from repro.cache.manager import get_cache_manager
 from repro.core.session import ChatTurn, SessionRecord
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, Histogram, MetricHandle
 from repro.runtime import perf_clock
 from repro.tenancy.config import QuotaConfig, TenancyConfig
 from repro.tenancy.context import tenant_scope
@@ -42,6 +42,14 @@ from repro.tenancy.registry import (
     TenantRegistry,
 )
 from repro.tenancy.sessions import SessionStore
+
+_TURNS = MetricHandle(
+    Counter, "tenant_turns_total", "completed tenant turns", ("tenant", "ok")
+)
+_TURN_LATENCY = MetricHandle(
+    Histogram, "tenant_turn_latency_ms", "end-to-end tenant turn latency",
+    ("tenant",),
+)
 
 
 class TenantForbidden(TenancyError):
@@ -237,13 +245,8 @@ class TenantFabric:
                             )
                         )
         elapsed_ms = (perf_clock() - started) * 1000.0
-        registry = get_registry()
-        registry.counter(
-            "tenant_turns_total", "completed tenant turns"
-        ).inc(tenant=tenant_id, ok=str(response.ok).lower())
-        registry.histogram(
-            "tenant_turn_latency_ms", "end-to-end tenant turn latency"
-        ).observe(elapsed_ms, tenant=tenant_id)
+        _TURNS.labels(tenant_id, str(response.ok).lower())()
+        _TURN_LATENCY.labels(tenant_id)(elapsed_ms)
         return record, response
 
     def _default_app(self, tenant_id: str) -> str:

@@ -20,9 +20,21 @@ import threading
 import time
 from typing import Any, Callable, Iterator, Optional
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, Gauge, MetricHandle
 from repro.serving.scheduler import SchedulerOverloaded
 from repro.tenancy.config import QuotaConfig
+
+_INFLIGHT = MetricHandle(
+    Gauge, "tenant_inflight", "turns currently running per tenant", ("tenant",)
+)
+_THROTTLED = MetricHandle(
+    Counter, "tenant_throttled_total",
+    "turns rejected at admission by per-tenant quota", ("tenant", "reason"),
+)
+_REQUESTS = MetricHandle(
+    Counter, "tenant_requests_total", "tenant turns by outcome",
+    ("tenant", "outcome"),
+)
 
 
 class TenantThrottled(SchedulerOverloaded):
@@ -102,26 +114,20 @@ class QuotaManager:
         acquires an in-flight slot atomically; raises
         :class:`TenantThrottled` (with a refill-derived ``retry_after``
         hint) when either limit is exhausted. Nothing is charged on a
-        rejection.
+        rejection. ``tenant_inflight`` is published under the lock.
         """
         self._admit(tenant_id)
         try:
             yield
         finally:
-            registry = get_registry()
             with self._lock:
-                self._inflight[tenant_id] = max(
-                    0, self._inflight.get(tenant_id, 0) - 1
-                )
-                inflight = self._inflight[tenant_id]
-            registry.gauge(
-                "tenant_inflight", "turns currently running per tenant"
-            ).set(inflight, tenant=tenant_id)
+                inflight = max(0, self._inflight.get(tenant_id, 0) - 1)
+                self._inflight[tenant_id] = inflight
+                _INFLIGHT.labels(tenant_id)(inflight)
 
     def _admit(self, tenant_id: str) -> None:
         quota = self.quota_for(tenant_id)
         now = self._clock()
-        registry = get_registry()
         with self._lock:
             bucket = self._buckets.get(tenant_id)
             if bucket is None:
@@ -151,27 +157,18 @@ class QuotaManager:
                 self._admitted[tenant_id] = (
                     self._admitted.get(tenant_id, 0) + 1
                 )
+                _INFLIGHT.labels(tenant_id)(inflight + 1)
                 reason, retry_after = "", 0.0
         if reason:
-            registry.counter(
-                "tenant_throttled_total",
-                "turns rejected at admission by per-tenant quota",
-            ).inc(tenant=tenant_id, reason=reason)
-            registry.counter(
-                "tenant_requests_total", "tenant turns by outcome"
-            ).inc(tenant=tenant_id, outcome="throttled")
+            _THROTTLED.labels(tenant_id, reason)()
+            _REQUESTS.labels(tenant_id, "throttled")()
             raise TenantThrottled(
                 tenant_id,
                 f"tenant {tenant_id!r} over quota ({reason}); "
                 f"retry in {retry_after:.2f}s",
                 retry_after=max(retry_after, 0.001),
             )
-        registry.counter(
-            "tenant_requests_total", "tenant turns by outcome"
-        ).inc(tenant=tenant_id, outcome="admitted")
-        registry.gauge(
-            "tenant_inflight", "turns currently running per tenant"
-        ).set(inflight + 1, tenant=tenant_id)
+        _REQUESTS.labels(tenant_id, "admitted")()
 
     def _retry_hint(self, quota: QuotaConfig) -> float:
         # An in-flight rejection frees no tokens on a schedule; hint
@@ -201,10 +198,7 @@ class QuotaManager:
             covered = self._inflight.get(tenant_id, 0) > 0
         if exhausted and not covered:
             retry_after = self._retry_hint(quota)
-            get_registry().counter(
-                "tenant_throttled_total",
-                "turns rejected at admission by per-tenant quota",
-            ).inc(tenant=tenant_id, reason="scheduler")
+            _THROTTLED.labels(tenant_id, "scheduler")()
             raise TenantThrottled(
                 tenant_id,
                 f"tenant {tenant_id!r} over quota at the scheduler; "

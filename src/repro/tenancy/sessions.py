@@ -26,9 +26,17 @@ from collections import OrderedDict
 from typing import Any, Callable, Iterator, Optional
 
 from repro.core.session import SessionRecord, new_session_id
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Counter, Gauge, MetricHandle
 from repro.tenancy.config import TenancyConfig
 from repro.tenancy.registry import TenancyError
+
+_SESSIONS = MetricHandle(
+    Gauge, "tenant_sessions", "stored sessions per tenant", ("tenant",)
+)
+_EVICTIONS = MetricHandle(
+    Counter, "tenant_session_evictions_total",
+    "sessions dropped by LRU bound or TTL expiry", ("tenant", "reason"),
+)
 
 
 class UnknownSession(TenancyError):
@@ -97,11 +105,7 @@ class SessionStore:
             order = self._order.setdefault(tenant_id, OrderedDict())
             order[record.session_id] = None
             self._evict_tenant_locked(tenant_id)
-            size = len(order)
-        registry = get_registry()
-        registry.gauge(
-            "tenant_sessions", "stored sessions per tenant"
-        ).set(size, tenant=tenant_id)
+            _SESSIONS.labels(tenant_id)(len(order))
         return record
 
     def get(self, session_id: str) -> SessionRecord:
@@ -194,19 +198,18 @@ class SessionStore:
                 self._drop_locked(record, "lru")
 
     def _drop_locked(self, record: SessionRecord, reason: str) -> None:
+        # Drop, TTL expiry and LRU eviction all publish the count here.
         self._records.pop(record.session_id, None)
         order = self._order.get(record.tenant_id)
         if order is not None:
             order.pop(record.session_id, None)
+            _SESSIONS.labels(record.tenant_id)(len(order))
         if reason == "ttl":
             self._expirations[record.tenant_id] = (
                 self._expirations.get(record.tenant_id, 0) + 1
             )
         if reason != "explicit":
-            get_registry().counter(
-                "tenant_session_evictions_total",
-                "sessions dropped by LRU bound or TTL expiry",
-            ).inc(tenant=record.tenant_id, reason=reason)
+            _EVICTIONS.labels(record.tenant_id, reason)()
         if reason == "lru":
             self._evictions[record.tenant_id] = (
                 self._evictions.get(record.tenant_id, 0) + 1

@@ -1,8 +1,19 @@
-"""Counters, gauges, histogram bucketing and the registry."""
+"""Counters, gauges, histogram bucketing, the registry and handles."""
+
+import sys
+import threading
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricHandle,
+    MetricsRegistry,
+    get_registry,
+    set_registry,
+)
 
 
 class TestCounter:
@@ -46,6 +57,15 @@ class TestGauge:
         assert gauge.value(worker="w2") == 0
 
 
+    def test_bound_gauge_sets_the_labelled_series(self):
+        gauge = Gauge("inflight")
+        depth = gauge.bind(worker="w1")
+        depth(3)
+        depth(1)
+        assert gauge.value(worker="w1") == 1
+        assert gauge.value(worker="w2") == 0
+
+
 class TestHistogramBucketing:
     def test_observations_land_in_upper_bound_buckets(self):
         hist = Histogram("latency", buckets=(1.0, 10.0, 100.0))
@@ -63,6 +83,17 @@ class TestHistogramBucketing:
         assert hist.sum(path="/a") == 6.0
         assert hist.mean(path="/a") == 3.0
         assert hist.mean(path="/missing") == 0.0
+
+    def test_bound_histogram_observes_the_labelled_series(self):
+        hist = Histogram("latency", buckets=(1.0, 10.0))
+        latency = hist.bind(path="/a")
+        latency(0.5)
+        latency(5.0)
+        assert hist.count(path="/a") == 2
+        assert hist.sum(path="/a") == 5.5
+        assert hist.bucket_counts(path="/a") == {
+            "1.0": 1, "10.0": 1, "+Inf": 0,
+        }
 
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(ValueError):
@@ -106,3 +137,97 @@ class TestRegistry:
         registry.reset()
         assert registry.names() == []
         assert registry.get("hits") is None
+
+
+class TestMetricHandle:
+    def test_records_into_the_registry_current_at_each_call(self):
+        turns = MetricHandle(Counter, "app_requests_total", "turns", ("app",))
+        first, second = MetricsRegistry(), MetricsRegistry()
+        previous = set_registry(first)
+        try:
+            turns.labels("chat2db")()
+            set_registry(second)
+            turns.labels("chat2db")()
+            turns.labels("chat2db")(2)
+            set_registry(first)
+            turns.labels("chat2db")()
+        finally:
+            set_registry(previous)
+        assert first.counter("app_requests_total").value(app="chat2db") == 2
+        assert second.counter("app_requests_total").value(app="chat2db") == 3
+
+    def test_a_reset_registry_is_resolved_again(self, registry):
+        depth = MetricHandle(Gauge, "worker_inflight", "", ("worker",))
+        depth.labels("w1")(4)
+        registry.reset()
+        depth.labels("w1")(2)
+        assert registry.gauge("worker_inflight").value(worker="w1") == 2
+
+    def test_snapshot_matches_direct_recording(self, registry):
+        latency = MetricHandle(
+            Histogram, "cache_hit_latency_ms", "hits", ("tier", "tenant"),
+            buckets=(1.0,),
+        )
+        latency.labels("sql", None)(0.5)
+        latency.labels("sql", "acme")(3.0)
+        direct = MetricsRegistry()
+        hist = direct.histogram("cache_hit_latency_ms", "hits", (1.0,))
+        hist.observe(0.5, tier="sql")
+        hist.observe(3.0, tenant="acme", tier="sql")
+        assert registry.snapshot() == direct.snapshot()
+
+    def test_none_drops_the_label(self, registry):
+        lookups = MetricHandle(
+            Counter, "cache_requests_total", "", ("tier", "outcome", "tenant")
+        )
+        lookups.labels("sql", "hit", None)()
+        lookups.labels("sql", "hit", "acme")()
+        assert registry.snapshot()["cache_requests_total"]["values"] == {
+            "outcome=hit,tenant=acme,tier=sql": 1.0,
+            "outcome=hit,tier=sql": 1.0,
+        }
+
+    def test_instrument_exists_before_its_first_event(self, registry):
+        diagnostics = MetricHandle(Counter, "analysis_diagnostics_total")
+        assert diagnostics.instrument() is registry.get(
+            "analysis_diagnostics_total"
+        )
+        assert registry.snapshot()["analysis_diagnostics_total"] == {
+            "kind": "counter",
+            "values": {},
+        }
+
+    def test_kind_collision_is_an_error(self, registry):
+        get_registry().gauge("worker_inflight")
+        with pytest.raises(TypeError):
+            MetricHandle(Counter, "worker_inflight").labels()
+
+    def test_no_event_is_lost_across_concurrent_registry_swaps(self):
+        """Threads record through one handle while the registry is
+        swapped under them: every event lands in exactly one registry."""
+        turns = MetricHandle(Counter, "app_requests_total", "", ("app",))
+        registries = [MetricsRegistry() for _ in range(4)]
+        previous = set_registry(registries[0])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def record():
+                for _ in range(2_000):
+                    turns.labels("chat2db")()
+
+            threads = [threading.Thread(target=record) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for registry in registries[1:]:
+                set_registry(registry)
+            for thread in threads:
+                thread.join(10.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            set_registry(previous)
+        total = sum(
+            registry.counter("app_requests_total").value(app="chat2db")
+            for registry in registries
+        )
+        assert total == 16_000

@@ -16,12 +16,9 @@ import pytest
 from repro.agents.base import ConversableAgent
 from repro.agents.memory import AgentMemory
 from repro.agents.messages import AgentMessage
-from repro.awel import DAG, InputOperator, MapOperator, WorkflowRunner
 from repro.llm.base import LanguageModel, LLMError, chunk_text
-from repro.obs.tracer import Tracer, set_tracer
 from repro.resilience import ResilienceConfig, RetryConfig
 from repro.resilience.retry import RetryPolicy
-from repro.runtime import run_sync
 from repro.serving import SchedulerOverloaded, ServingConfig
 from repro.smmf import ModelSpec, deploy
 from repro.smmf.api_server import ApiServer
@@ -353,45 +350,3 @@ class TestReceiveParity:
             "fresh answer 1",
             "fresh answer 2",
         )
-
-
-class TestRunSync:
-    @pytest.fixture
-    def tracer(self):
-        fresh = Tracer()
-        previous = set_tracer(fresh)
-        yield fresh
-        set_tracer(previous)
-
-    @staticmethod
-    def _runner():
-        with DAG("inner") as dag:
-            InputOperator(name="in") >> MapOperator(
-                lambda value: value + 1, name="inc"
-            )
-        return WorkflowRunner(dag)
-
-    def test_plain_call_runs_on_the_callers_thread(self):
-        async def answer():
-            return 42
-
-        assert run_sync(answer()) == 42
-
-    def test_nested_run_keeps_the_span_parented(self, tracer):
-        """``run_sync`` from inside a running loop hops to a helper
-        thread carrying the caller's context: the inner ``awel.dag``
-        span stays a child of the span that was open at the call."""
-        runner = self._runner()
-
-        async def outer():
-            with tracer.span("caller") as caller:
-                ctx = runner.run(1)
-            return caller, ctx
-
-        caller, ctx = asyncio.run(outer())
-        assert ctx.results["inc"] == 2
-        spans = tracer.trace(caller.trace_id)
-        inner = [span for span in spans if span.name == "awel.dag"]
-        assert len(inner) == 1
-        assert inner[0].parent_id == caller.span_id
-        assert inner[0].status == "ok"
