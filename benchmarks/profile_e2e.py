@@ -26,9 +26,10 @@ find candidates here, then measure them with the benchmark proper.
 
 ``--counts`` prints instead how many times per operation a fixed list
 of functions ran (:data:`COUNTS`: registry lookups, label sorts, lock
-exits, spans, event loops, SQL parses, regex substitutions). Call
-counts do not drift with the machine the way times do, so they say
-where work was saved and compare across sessions. To count only the
+exits, spans, event loops, SQL parses, plans built, row DISTINCT
+passes, regex substitutions). Call counts do not drift with the
+machine the way times do, so they say where work was saved and
+compare across sessions. To count only the
 timed region, that mode profiles the main thread's timed ``run_ops``
 and the threads started inside it — the client threads — and leaves
 out threads started earlier (the serving engine's, idle on cached
@@ -59,6 +60,8 @@ COUNTS = (
     ("spans recorded", "obs/tracer.py", "_record"),
     ("event loops created", "asyncio/events.py", "new_event_loop"),
     ("SQL parses", "sqlengine/parser.py", "parse_sql"),
+    ("plans built", "sqlengine/planner.py", "build_plan"),
+    ("row DISTINCT passes", "sqlengine/executor.py", "_distinct"),
     ("re.Pattern.sub", "~", "<method 'sub' of 're.Pattern' objects>"),
 )
 

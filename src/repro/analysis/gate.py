@@ -11,13 +11,16 @@ never executed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.analysis.diagnostics import Diagnostic, has_errors
 from repro.analysis.sql_analyzer import SqlAnalyzer
 from repro.obs.metrics import Counter, MetricHandle
 from repro.sqlengine.catalog import Catalog, ColumnSchema, TableSchema
+from repro.sqlengine.database import Database
 from repro.sqlengine.errors import TypeCheckError
+from repro.sqlengine.nodes import Statement
+from repro.sqlengine.parser import parse_sql
 from repro.sqlengine.types import DataType
 
 _DIAGNOSTICS = MetricHandle(
@@ -50,6 +53,15 @@ def catalog_for_source(source: Any) -> Catalog:
             columns.append(ColumnSchema(name, data_type))
         rebuilt.create_table(TableSchema(info.name, columns))
     return rebuilt
+
+
+def parser_for_source(source: Any) -> Callable[[str], Statement]:
+    """How to parse SQL bound for ``source``: an engine-backed source's
+    :meth:`Database.parse`, so the gate, the read-only check and
+    execution share one prepared statement; :func:`parse_sql` for every
+    other connector."""
+    database = getattr(source, "database", None)
+    return database.parse if isinstance(database, Database) else parse_sql
 
 
 def _count_diagnostics(diagnostics: list[Diagnostic]) -> None:
@@ -153,7 +165,8 @@ def _gate_uncached(
 
     catalog = catalog_for_source(source)
     analyzer = SqlAnalyzer(catalog)
-    diagnostics = analyzer.analyze_sql(sql)
+    parse = parser_for_source(source)
+    diagnostics = analyzer.analyze_sql(sql, parse)
     _count_diagnostics(diagnostics)
     if not has_errors(diagnostics):
         _OUTCOMES.labels("clean")()
@@ -171,7 +184,7 @@ def _gate_uncached(
             candidate = client.generate(model, prompt, task="text2sql")
         except ClientError:
             break
-        candidate_diags = analyzer.analyze_sql(candidate)
+        candidate_diags = analyzer.analyze_sql(candidate, parse)
         _count_diagnostics(candidate_diags)
         if not has_errors(candidate_diags):
             _OUTCOMES.labels("repaired")()

@@ -21,7 +21,7 @@ reports :class:`~repro.analysis.diagnostics.Diagnostic` objects instead
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.analysis.diagnostics import Diagnostic, diagnostic
 from repro.sqlengine import nodes
@@ -169,10 +169,13 @@ class SqlAnalyzer:
 
     # -- public API --------------------------------------------------------
 
-    def analyze_sql(self, sql: str) -> list[Diagnostic]:
-        """Parse and analyze; syntax errors become ``SQL000`` findings."""
+    def analyze_sql(
+        self, sql: str, parse: Callable[[str], nodes.Statement] = parse_sql
+    ) -> list[Diagnostic]:
+        """Parse (with ``parse``, e.g. a database's prepared-statement
+        memo) and analyze; syntax errors become ``SQL000`` findings."""
         try:
-            statement = parse_sql(sql)
+            statement = parse(sql)
         except SqlSyntaxError as exc:
             return [
                 diagnostic(

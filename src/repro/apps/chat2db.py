@@ -7,27 +7,27 @@ the result conversationally with the generated SQL attached.
 
 from __future__ import annotations
 
-import functools
 import re
+from typing import Callable
 
-from repro.analysis.gate import gate_sql
+from repro.analysis.gate import gate_sql, parser_for_source
 from repro.apps.base import Application, AppResponse
 from repro.datasources.base import DataSource, DataSourceError
 from repro.datasources.inspector import profile_source
 from repro.llm.prompts import build_text2sql_prompt
 from repro.smmf.client import ClientError, LLMClient
+from repro.sqlengine import SqlSyntaxError, nodes, parse_sql
 
 _SHOW_TABLES = re.compile(r"^(show|list)\s+(the\s+)?tables?\b", re.IGNORECASE)
 _DESCRIBE = re.compile(r"^(describe|profile)\s+(\w+)", re.IGNORECASE)
 
 
-@functools.lru_cache(maxsize=512)
-def _is_read_only(sql: str) -> bool:
+def _is_read_only(
+    sql: str, parse: Callable[[str], nodes.Statement] = parse_sql
+) -> bool:
     """True when the statement cannot mutate data or schema."""
-    from repro.sqlengine import SqlSyntaxError, nodes, parse_sql
-
     try:
-        statement = parse_sql(sql)
+        statement = parse(sql)
     except SqlSyntaxError:
         return False
     return isinstance(statement, (nodes.Select, nodes.Explain))
@@ -141,7 +141,9 @@ class Chat2DbApp(Application):
                     },
                 )
             sql = gated.sql
-        if self.read_only and not _is_read_only(sql):
+        if self.read_only and not _is_read_only(
+            sql, parser_for_source(self._source)
+        ):
             return AppResponse(
                 text=(
                     "That would modify the database, and this chat is "

@@ -69,21 +69,21 @@ def sql_key(
     version: int,
     canonical_sql: str,
     parameters: tuple,
-    index_epoch: int = 0,
+    schema_epoch: int = 0,
 ) -> tuple:
-    """SQL tier: database identity, data version, index epoch,
+    """SQL tier: database identity, data version, schema epoch,
     canonical SQL and parameters.
 
-    ``index_epoch`` counts CREATE/DROP INDEX events: a changed index
-    set changes the plan, so cached results keyed on the old epoch are
-    never served for the new plan's queries.
+    ``schema_epoch`` counts schema changes (table, view and index DDL,
+    ROLLBACK): a changed schema changes the plan, so cached results
+    keyed on the old epoch are never served for the new plan's queries.
     """
     return (
         "sql",
         token,
         database,
         version,
-        index_epoch,
+        schema_epoch,
         canonical_sql,
         parameters,
     )

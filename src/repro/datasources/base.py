@@ -13,6 +13,12 @@ class DataSourceError(Exception):
     """Raised when a connector cannot satisfy a request."""
 
 
+def quote_identifier(name: str) -> str:
+    """``name`` as a double-quoted SQL identifier, so a keyword such as
+    ``order`` or a name with a space reads as one table or column."""
+    return f'"{name}"'
+
+
 @dataclass
 class TableInfo:
     """Lightweight table description shown to users and LLM prompts."""
@@ -71,9 +77,11 @@ class DataSource(abc.ABC):
             for column, ctype in zip(info.columns, info.column_types):
                 if ctype != "TEXT":
                     continue
+                quoted = quote_identifier(column)
                 values = self.query(
-                    f"SELECT DISTINCT {column} FROM {info.name} "
-                    f"WHERE {column} IS NOT NULL LIMIT {max_values_per_column}"
+                    f"SELECT DISTINCT {quoted} FROM "
+                    f"{quote_identifier(info.name)} WHERE {quoted} IS NOT "
+                    f"NULL LIMIT {max_values_per_column}"
                 ).column(column)
                 if values:
                     rendered = ", ".join(str(v) for v in values)
@@ -93,7 +101,9 @@ class DataSource(abc.ABC):
             raise DataSourceError(
                 f"source {self.name!r} has no table {table!r}"
             )
-        return self.query(f"SELECT * FROM {table} LIMIT {int(limit)}")
+        return self.query(
+            f"SELECT * FROM {quote_identifier(table)} LIMIT {int(limit)}"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.datasources.base import DataSource
+from repro.datasources.base import DataSource, quote_identifier
 
 
 @dataclass
@@ -44,15 +44,17 @@ def profile_source(
     for info in source.tables():
         if table is not None and info.name.lower() != table.lower():
             continue
+        name = quote_identifier(info.name)
         for column in info.columns:
+            quoted = quote_identifier(column)
             stats = source.query(
-                f"SELECT COUNT(DISTINCT {column}), "
-                f"COUNT(*) - COUNT({column}), "
-                f"MIN({column}), MAX({column}) FROM {info.name}"
+                f"SELECT COUNT(DISTINCT {quoted}), "
+                f"COUNT(*) - COUNT({quoted}), "
+                f"MIN({quoted}), MAX({quoted}) FROM {name}"
             ).rows[0]
             samples = source.query(
-                f"SELECT DISTINCT {column} FROM {info.name} "
-                f"WHERE {column} IS NOT NULL LIMIT {int(sample_limit)}"
+                f"SELECT DISTINCT {quoted} FROM {name} "
+                f"WHERE {quoted} IS NOT NULL LIMIT {int(sample_limit)}"
             ).column(column)
             profiles.append(
                 ColumnProfile(

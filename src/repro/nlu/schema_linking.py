@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.datasources.base import DataSource
+from repro.datasources.base import DataSource, quote_identifier
 from repro.nlu.lexicon import Lexicon, LexiconEntry
 
 
@@ -48,9 +48,11 @@ class SchemaIndex:
             for column, ctype in zip(info.columns, info.column_types):
                 column_types[(info.name, column)] = ctype
                 if ctype == "TEXT":
+                    quoted = quote_identifier(column)
                     values = source.query(
-                        f"SELECT DISTINCT {column} FROM {info.name} "
-                        f"WHERE {column} IS NOT NULL "
+                        f"SELECT DISTINCT {quoted} FROM "
+                        f"{quote_identifier(info.name)} "
+                        f"WHERE {quoted} IS NOT NULL "
                         f"LIMIT {max_values_per_column}"
                     ).column(column)
                     for value in values:

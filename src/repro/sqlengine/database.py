@@ -15,11 +15,11 @@ from typing import Any, Iterable, Optional, Sequence
 
 from repro.cache.keys import instance_token, sql_key
 from repro.cache.manager import get_cache_manager
+from repro.sqlengine import nodes
 from repro.sqlengine.catalog import Catalog, ColumnSchema, TableSchema
 from repro.sqlengine.errors import CatalogError
 from repro.sqlengine.executor import Executor, Relation
 from repro.sqlengine.locking import ReadWriteLock
-from repro.sqlengine.nodes import Statement
 from repro.sqlengine.parser import parse_sql
 from repro.sqlengine.table import Table
 from repro.sqlengine.types import DataType, infer_type
@@ -83,6 +83,35 @@ class ResultSet:
         return "\n".join(lines)
 
 
+#: Statements after which every plan is stale (so is ROLLBACK).
+_SCHEMA_CHANGES = (
+    nodes.CreateTable, nodes.DropTable, nodes.CreateView, nodes.DropView,
+    nodes.CreateIndex, nodes.DropIndex,
+)
+
+
+class _Prepared:
+    """A prepared SELECT: its parse, its canonical SQL and the plans of
+    its cores (docs/sqlengine.md § Prepared statements)."""
+
+    __slots__ = ("statement", "canonical", "_plans")
+
+    def __init__(self, statement: nodes.Select) -> None:
+        self.statement = statement
+        self.canonical = statement.to_sql()
+        self._plans: tuple = (None, {})
+
+    def plans(self, db: "Database") -> dict:
+        """The plans built under ``db``'s schema epoch, ``optimize`` and
+        ``enable_hash_join`` (every plan input); a change starts afresh."""
+        stamp = (db.schema_epoch, db.optimize, db.enable_hash_join)
+        built, plans = self._plans
+        if built != stamp:
+            plans = {}
+            self._plans = (stamp, plans)
+        return plans
+
+
 class Database:
     """An in-memory SQL database.
 
@@ -114,24 +143,21 @@ class Database:
         #: programmatic write bumps it; the SQL result cache embeds it
         #: in every key, so a write instantly retires all cached reads.
         self.data_version = 0
-        #: Counts CREATE/DROP INDEX events (and ROLLBACKs, which can
-        #: restore a dropped index). Part of every SQL cache key, so a
-        #: changed index set — hence a changed plan — never serves a
-        #: result cached under the old plan.
-        self.index_epoch = 0
+        #: Bumped by table, view and index DDL, ROLLBACK, ``create_table``
+        #: and ``create_index``, never by data changes. Every plan input
+        #: is schema: prepared plans live until it moves, and it is part
+        #: of every SQL cache key too.
+        self.schema_epoch = 0
         self._cache_token = instance_token()
         #: Guards statement execution: concurrent SELECTs share the
         #: read side; DML/DDL takes the write side exclusively.
         self._rwlock = ReadWriteLock()
-        #: Raw SQL text -> (Select statement, canonical SQL). Parsing
-        #: dominates a cached SELECT (the result lookup is cheap), so
-        #: the hot path memoizes it; only used while the SQL cache
-        #: tier is enabled, so disabled behavior is untouched.
-        #: Guarded by ``_memo_lock`` (readers run concurrently).
-        self._parse_memo: OrderedDict[str, tuple] = OrderedDict()
+        #: Raw SQL text -> :class:`_Prepared`, oldest first. A hit is
+        #: one lock-free dict read; a miss inserts under ``_memo_lock``.
+        self._prepared: OrderedDict[str, _Prepared] = OrderedDict()
         self._memo_lock = threading.Lock()
 
-    _PARSE_MEMO_CAPACITY = 512
+    _PREPARED_CAPACITY = 512
 
     # -- execution -------------------------------------------------------
 
@@ -140,77 +166,92 @@ class Database:
     ) -> ResultSet:
         """Parse and execute one SQL statement.
 
-        SELECT results are served from the SQL cache tier (when
-        enabled), keyed on this database's identity, its current data
-        version and the statement's canonical SQL — so two spellings of
-        the same query share an entry, and any write invalidates it.
+        A SELECT is prepared once per text (:meth:`parse`); the SQL cache
+        tier, when enabled, serves its result keyed on this database, its
+        data version and schema epoch and the canonical SQL — so two
+        spellings share an entry, and any write invalidates it.
         """
-        from repro.sqlengine import nodes as _nodes
-
-        manager = get_cache_manager()
-        if not manager.enabled("sql"):
-            return self.execute_statement(parse_sql(sql), parameters)
-        with self._memo_lock:
-            memo = self._parse_memo.get(sql)
-        if memo is None:
-            statement = parse_sql(sql)
-            if not isinstance(statement, _nodes.Select):
-                return self.execute_statement(statement, parameters)
-            memo = (statement, statement.to_sql())
-            with self._memo_lock:
-                self._parse_memo[sql] = memo
-                if len(self._parse_memo) > self._PARSE_MEMO_CAPACITY:
-                    self._parse_memo.popitem(last=False)
-        statement, canonical = memo
+        statement, prepared = self._prepare(sql)
         params = tuple(parameters)
+        manager = get_cache_manager()
+
+        def run() -> ResultSet:
+            return self.execute_statement(statement, params, prepared=prepared)
+
+        if prepared is None or not manager.enabled("sql"):
+            return run()
+        key = sql_key(
+            self._cache_token,
+            self.name,
+            self.data_version,
+            prepared.canonical,
+            params,
+            schema_epoch=self.schema_epoch,
+        )
         try:
-            key = sql_key(
-                self._cache_token,
-                self.name,
-                self.data_version,
-                canonical,
-                params,
-                index_epoch=self.index_epoch,
-            )
             hash(key)
         except TypeError:
-            # Unhashable parameter values: execute without caching.
-            return self.execute_statement(statement, params)
+            return run()  # unhashable parameter values: no caching
         frozen = manager.cached(
-            "sql",
-            key,
-            lambda: _freeze_result(self.execute_statement(statement, params)),
-            database=self.name,
+            "sql", key, lambda: _freeze_result(run()), database=self.name
         )
         return _thaw_result(frozen)
 
-    def execute_statement(
-        self, statement: Statement, parameters: Sequence[Any] = ()
-    ) -> ResultSet:
-        from repro.sqlengine import nodes as _nodes
+    def parse(self, sql: str) -> nodes.Statement:
+        """``parse_sql(sql)``; a SELECT comes from the memo that execution
+        reads, so checking a statement and then running it parses once."""
+        return self._prepare(sql)[0]
 
-        if isinstance(statement, (_nodes.Select, _nodes.Explain)):
-            with self._rwlock.reading():
-                return self._run_statement(statement, parameters)
+    def _prepare(
+        self, sql: str
+    ) -> tuple[nodes.Statement, Optional[_Prepared]]:
+        # staticcheck: allow LCK003 - double-checked fast path; the
+        # miss branch re-reads under the lock (setdefault) before writing.
+        prepared = self._prepared.get(sql)
+        if prepared is not None:
+            return prepared.statement, prepared
+        statement = parse_sql(sql)
+        if not isinstance(statement, nodes.Select):
+            return statement, None
+        fresh = _Prepared(statement)
+        with self._memo_lock:
+            prepared = self._prepared.setdefault(sql, fresh)
+            if len(self._prepared) > self._PREPARED_CAPACITY:
+                self._prepared.popitem(last=False)
+        return prepared.statement, prepared
+
+    def execute_statement(
+        self,
+        statement: nodes.Statement,
+        parameters: Sequence[Any] = (),
+        prepared: Optional[_Prepared] = None,
+    ) -> ResultSet:
+        """Execute a parsed statement; ``prepared`` is the memo entry a
+        SELECT came from, whose plans it reuses."""
+        if isinstance(statement, (nodes.Select, nodes.Explain)):
+            with self._rwlock.reading():  # which holds the schema epoch
+                plans = prepared.plans(self) if prepared else None
+                return self._run_statement(statement, parameters, plans)
         with self._rwlock.writing():
             # DDL/DML (and transaction control, whose COMMIT/ROLLBACK
             # swap table state) invalidate every cached read. Bumping
             # before execution errs on the side of extra invalidation:
             # a failed write costs a recompute, never a stale read.
             self.data_version += 1
-            if isinstance(
-                statement, (_nodes.CreateIndex, _nodes.DropIndex)
-            ) or (
-                isinstance(statement, _nodes.TransactionStatement)
+            if isinstance(statement, _SCHEMA_CHANGES) or (
+                isinstance(statement, nodes.TransactionStatement)
                 and statement.action == "ROLLBACK"
             ):
-                self.index_epoch += 1
-            if isinstance(statement, _nodes.TransactionStatement):
+                self.schema_epoch += 1
+            if isinstance(statement, nodes.TransactionStatement):
                 return self._execute_transaction(statement.action)
             return self._run_statement(statement, parameters)
 
     def _run_statement(
-        self, statement: Statement, parameters: Sequence[Any]
+        self,
+        statement: nodes.Statement,
+        parameters: Sequence[Any],
+        plans: Optional[dict] = None,
     ) -> ResultSet:
         executor = Executor(
             self.catalog,
@@ -219,6 +260,7 @@ class Database:
             enable_hash_join=self.enable_hash_join,
             views=self._views,
             optimize=self.optimize,
+            plans=plans,
         )
         return _to_result(executor.execute(statement))
 
@@ -275,7 +317,7 @@ class Database:
                     kind=kind,
                 )
             )
-            self.index_epoch += 1
+            self.schema_epoch += 1
             self.data_version += 1
 
     def view_names(self) -> list[str]:
@@ -322,6 +364,7 @@ class Database:
         schema = TableSchema(name, schemas, comment=comment)
         with self._rwlock.writing():
             self.data_version += 1
+            self.schema_epoch += 1
             self.catalog.create_table(schema)
             self._tables[name.lower()] = Table(schema)
         return schema

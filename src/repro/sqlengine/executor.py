@@ -33,6 +33,7 @@ from repro.sqlengine.indexes import IndexInfo, SortedIndex
 from repro.sqlengine.planner import (
     ColumnarPlan,
     CteScanPlan,
+    DictionaryPlan,
     IndexEqAccess,
     IndexRangeAccess,
     JoinPlan,
@@ -103,6 +104,7 @@ class Executor:
         enable_hash_join: bool = True,
         views: Optional[dict[str, nodes.Select]] = None,
         optimize: bool = True,
+        plans: Optional[dict] = None,
     ) -> None:
         self._catalog = catalog
         self._tables = tables
@@ -112,6 +114,9 @@ class Executor:
         #: WITH-clause scope frames, innermost last; each maps a
         #: lower-cased CTE name to its materialized slot.
         self._cte_stack: list[dict[str, _CteSlot]] = []
+        #: Plans by core node and WITH scope: a prepared statement's,
+        #: which outlive this execution, or this execution's own.
+        self._plans = {} if plans is None else plans
         self._evaluator = Evaluator(
             run_subquery=self._run_subquery, parameters=parameters
         )
@@ -198,7 +203,8 @@ class Executor:
         first = dataclasses.replace(
             select, order_by=(), limit=None, offset=None, compound=()
         )
-        result = self._execute_select_core(first, outer)
+        # ``first`` is a new node per run: planned, never memoised.
+        result = self._execute_select_core(first, outer, memo=False)
         for op, query in select.compound:
             other = self._execute_select_core(query, outer)
             if len(other.columns) != len(result.columns):
@@ -229,13 +235,13 @@ class Executor:
                     for item in select.order_by
                 ],
             )
-        return Relation(relation.columns, self._limited(select, rows))
+        return Relation(relation.columns, rows[self._window(select)])
 
-    def _limited(self, select: nodes.Select, rows: list) -> list:
-        """``rows`` cut to the statement's LIMIT/OFFSET: a negative
-        LIMIT is no limit and a negative OFFSET is 0, as in sqlite."""
+    def _window(self, select: nodes.Select) -> slice:
+        """The statement's LIMIT/OFFSET as a slice: a negative LIMIT is
+        no limit and a negative OFFSET is 0, as in sqlite."""
         if select.limit is None:
-            return list(rows)
+            return slice(None)
         base_ctx = RowContext([], [])
         limit = self._evaluator.evaluate(select.limit, base_ctx)
         offset = 0
@@ -244,7 +250,7 @@ class Executor:
         if not isinstance(limit, int) or not isinstance(offset, int):
             raise ExecutionError("LIMIT/OFFSET must be integers")
         offset = max(offset, 0)
-        return rows[offset : offset + limit if limit >= 0 else None]
+        return slice(offset, offset + limit if limit >= 0 else None)
 
     # -- SELECT pipeline -------------------------------------------------
 
@@ -252,12 +258,17 @@ class Executor:
         self,
         select: nodes.Select,
         outer: Optional[RowContext],
+        memo: bool = True,
     ) -> Relation:
-        plan = self._build_plan(select)
+        plan = self._build_plan(select, memo)
         groups = None
-        if plan.columnar is not None:
-            # Batch operators accumulate the groups; None (a Decline)
-            # reruns the statement below, row by row.
+        # Batch operators answer the distinct values or accumulate the
+        # groups; None (a Decline) reruns the statement below, row by row.
+        if isinstance(plan.columnar, DictionaryPlan):
+            relation = self._dictionary_rows(plan)
+            if relation is not None:
+                return relation
+        elif plan.columnar is not None:
             groups = self._columnar_groups(plan.columnar, plan.source)
         if groups is not None:
             columns = _source_layout(plan.source)
@@ -448,7 +459,7 @@ class Executor:
                 ),
             )
 
-        rows = self._limited(select, relation.rows)
+        rows = relation.rows[self._window(select)]
 
         # Strip hidden ORDER BY helper columns.
         keep = [
@@ -464,13 +475,25 @@ class Executor:
 
     # -- plan construction and runtime -------------------------------------
 
-    def _build_plan(self, select: nodes.Select) -> SelectPlan:
-        return build_plan(
-            select,
-            _PlannerContext(self),
-            optimize=self.optimize,
-            enable_hash_join=self.enable_hash_join,
+    def _build_plan(self, select: nodes.Select, memo: bool = True) -> SelectPlan:
+        """The core's plan, built once per WITH scope (CTE scans resolve
+        against its column lists). A stored plan keeps its node's id."""
+        key = (id(select),) + tuple(
+            (name, None if slot.columns is None else tuple(slot.columns))
+            for frame in self._cte_stack
+            for name, slot in frame.items()
         )
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = build_plan(
+                select,
+                _PlannerContext(self),
+                optimize=self.optimize,
+                enable_hash_join=self.enable_hash_join,
+            )
+            if memo:
+                self._plans[key] = plan
+        return plan
 
     def _resolve_name(self, name: str) -> tuple[Optional[str], Any]:
         """Resolve a FROM-clause name: CTE scopes (innermost first),
@@ -641,6 +664,24 @@ class Executor:
             for batch, pick in zip(sides, picks)
             for key, (table, positions) in batch.items()
         }
+
+    def _dictionary_rows(self, plan: SelectPlan) -> Optional[Relation]:
+        """The dictionary shape's rows: the column's distinct values cut
+        to LIMIT/OFFSET, or None when it has no faithful dictionary."""
+        table = self._storage(plan.source.table)
+        try:
+            codes, values = table.vector(
+                table.schema.column_index(plan.columnar.column), "dict"
+            )
+        except columnar.Decline:
+            return None
+        if plan.source.filter is None and (codes < 0).any():
+            # NULL counts, and codes number values in first-seen order:
+            # those before the first NULL are 0 to the largest code seen.
+            at = int(codes[: np.argmax(codes < 0)].max(initial=-1)) + 1
+            values = [*values[:at], None, *values[at:]]
+        rows = [(value,) for value in values[self._window(plan.select)]]
+        return Relation([(None, plan.select.items[0].output_name)], rows)
 
     def _columnar_groups(
         self, spec: ColumnarPlan, source: SourcePlan

@@ -34,7 +34,9 @@ into a :class:`SelectPlan` — the structure the executor runs and
    COUNT/SUM/AVG/MIN/MAX over columns, is marked ``columnar``: the
    executor runs it as batch operators and EXPLAIN tags its nodes.
    Decided before rules 2 and 4, which then apply to row-based cores
-   only: batch operators read whole column vectors.
+   only: batch operators read whole column vectors. So is the
+   dictionary shape, ``SELECT DISTINCT c FROM t [WHERE c IS NOT NULL]``
+   over one table scan, whose answer is the column's dictionary values.
 
 The planner is deliberately *rule*-based, not cost-based: given the
 same statement and schema it always produces the same plan, which is
@@ -150,6 +152,16 @@ class ColumnarPlan:
 
 
 @dataclass
+class DictionaryPlan:
+    """How ``SELECT DISTINCT c FROM t [WHERE c IS NOT NULL]`` runs: its
+    rows are ``c``'s dictionary values, the column's distinct values in
+    first-seen order, and NULL where first seen if the scan has no
+    filter (docs/sqlengine.md § Columnar execution)."""
+
+    column: str
+
+
+@dataclass
 class SelectPlan:
     """A planned single SELECT core (no compound operands)."""
 
@@ -159,7 +171,7 @@ class SelectPlan:
     residual: Optional[nodes.Expression]
     #: Set when the whole core runs columnar; the one decision both
     #: the executor and ``EXPLAIN`` read.
-    columnar: Optional[ColumnarPlan] = None
+    columnar: Optional[ColumnarPlan | DictionaryPlan] = None
 
 
 class PlannerContext(Protocol):
@@ -239,7 +251,9 @@ def build_plan(
     if not optimize:
         return plan
     if plan.residual is None and _columnar_source(source):
-        plan.columnar = _columnar_plan(select, leaves)
+        plan.columnar = _columnar_plan(select, leaves) or _dictionary_plan(
+            select, leaves
+        )
     if plan.columnar is None:
         # Row-based scans only: batch operators read whole column
         # vectors, which an index path or a pruned projection cannot
@@ -779,6 +793,26 @@ def _columnar_plan(
     return plan
 
 
+def _dictionary_plan(
+    select: nodes.Select, leaves: list[_Leaf]
+) -> Optional[DictionaryPlan]:
+    """The dictionary shape of a select over one columnar scan, or None.
+    A compound's ORDER BY sorts the whole compound, not this core."""
+    item = select.items[0].expression
+    column = _single_column(item, leaves)
+    if not (
+        select.distinct
+        and len(select.items) == len(leaves) == 1
+        and isinstance(item, nodes.ColumnRef)
+        and column is not None
+        and not (select.group_by or select.having)
+        and (select.compound or not select.order_by)
+        and leaves[0].pushed in ([], [nodes.IsNull(item, negated=True)])
+    ):
+        return None
+    return DictionaryPlan(column[1])
+
+
 # ---------------------------------------------------------------------------
 # EXPLAIN rendering
 # ---------------------------------------------------------------------------
@@ -820,7 +854,8 @@ def render_plan(
     if select.having is not None:
         lines.append(f"{pad}Having: {select.having.to_sql()}")
     if select.distinct:
-        lines.append(f"{pad}Distinct")
+        dictionary = isinstance(plan.columnar, DictionaryPlan)
+        lines.append(f"{pad}Distinct{mark if dictionary else ''}")
     if select.order_by:
         keys = ", ".join(o.to_sql() for o in select.order_by)
         lines.append(f"{pad}Sort: {keys}")

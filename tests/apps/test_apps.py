@@ -111,6 +111,24 @@ class TestChat2DbApp:
         assert not _is_read_only("DROP TABLE orders")
         assert not _is_read_only("not sql at all")
 
+    def test_generated_sql_is_parsed_once(self, client, monkeypatch):
+        # The gate, the read-only check and execution share the
+        # database's prepared statement.
+        from repro.sqlengine import database
+
+        parsed = []
+        parse_sql = database.parse_sql
+
+        def counting(sql):
+            parsed.append(sql)
+            return parse_sql(sql)
+
+        monkeypatch.setattr(database, "parse_sql", counting)
+        app = Chat2DbApp(client, EngineSource(build_sales_database(n_orders=10)))
+        response = app.chat("How many products are there?")
+        assert response.ok
+        assert parsed.count(response.metadata["sql"]) == 1
+
     def test_read_only_by_default(self, client, source):
         assert Chat2DbApp(client, source).read_only
 

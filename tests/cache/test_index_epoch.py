@@ -1,4 +1,4 @@
-"""Index DDL must retire cached SELECT results (the ``index_epoch``).
+"""Index DDL must retire cached SELECT results (the ``schema_epoch``).
 
 ``data_version`` already retires reads on every write, but index DDL is
 subtler: ``CREATE INDEX`` / ``DROP INDEX`` change *how* a query is
@@ -6,8 +6,10 @@ planned without changing any row. A result cached under the old plan is
 still value-correct — but serving it would mask plan changes and, after
 a ROLLBACK restores pre-transaction index state, could disagree with
 what the current plan produces. The database therefore keys every SQL
-cache entry on an ``index_epoch`` that bumps alongside ``data_version``
-on index DDL, programmatic index creation, and ROLLBACK.
+cache entry on a ``schema_epoch`` that bumps alongside ``data_version``
+on index (and table and view) DDL, programmatic index creation, and
+ROLLBACK; the same epoch retires prepared plans
+(``tests/sqlengine/test_prepared.py``).
 """
 
 import pytest
@@ -29,38 +31,38 @@ def db():
 class TestSqlKeyEpoch:
     def test_epoch_is_part_of_the_key(self):
         base = ("tok", "db", 3, "SELECT 1", ())
-        assert sql_key(*base, index_epoch=0) != sql_key(*base, index_epoch=1)
+        assert sql_key(*base, schema_epoch=0) != sql_key(*base, schema_epoch=1)
 
     def test_epoch_defaults_to_zero(self):
         base = ("tok", "db", 3, "SELECT 1", ())
-        assert sql_key(*base) == sql_key(*base, index_epoch=0)
+        assert sql_key(*base) == sql_key(*base, schema_epoch=0)
 
 
 class TestEpochBumps:
     def test_create_and_drop_index_bump(self, db):
-        before = db.index_epoch
+        before = db.schema_epoch
         db.execute("CREATE INDEX idx_v ON t (v)")
-        after_create = db.index_epoch
+        after_create = db.schema_epoch
         db.execute("DROP INDEX idx_v")
-        assert before < after_create < db.index_epoch
+        assert before < after_create < db.schema_epoch
 
     def test_programmatic_create_index_bumps(self, db):
-        before = db.index_epoch
+        before = db.schema_epoch
         db.create_index("idx_v", "t", ["v"])
-        assert db.index_epoch > before
+        assert db.schema_epoch > before
 
     def test_rollback_bumps(self, db):
         db.execute("CREATE INDEX idx_v ON t (v)")
         db.execute("BEGIN")
         db.execute("DROP INDEX idx_v")
-        before = db.index_epoch
+        before = db.schema_epoch
         db.execute("ROLLBACK")  # restores the dropped index
-        assert db.index_epoch > before
+        assert db.schema_epoch > before
 
     def test_plain_select_does_not_bump(self, db):
-        before = db.index_epoch
+        before = db.schema_epoch
         db.execute("SELECT COUNT(*) FROM t")
-        assert db.index_epoch == before
+        assert db.schema_epoch == before
 
 
 class TestCachedSelectsRetire:

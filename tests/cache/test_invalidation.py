@@ -136,9 +136,9 @@ class TestPromptContext:
         seen = []
         execute = type(db).execute_statement
 
-        def spy(self, statement, parameters=()):
+        def spy(self, statement, *args, **kwargs):
             seen.append(statement)
-            return execute(self, statement, parameters)
+            return execute(self, statement, *args, **kwargs)
 
         monkeypatch.setattr(type(db), "execute_statement", spy)
         return seen

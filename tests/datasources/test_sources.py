@@ -228,3 +228,49 @@ class TestInspector:
     def test_profile_describe_text(self, sales_source):
         text = profile_source(sales_source, "items")[0].describe()
         assert "items.id" in text
+
+
+class TestAwkwardIdentifiers:
+    """Header-derived names that are keywords or hold a space: every
+    SQL statement the prompt and profile code builds quotes them."""
+
+    @pytest.fixture
+    def awkward(self):
+        db = Database()
+        db.load_table(
+            "order",
+            [
+                {"id": 1, "order": "a", "first name": "x"},
+                {"id": 2, "order": None, "first name": "y"},
+                {"id": 3, "order": "a", "first name": "x"},
+            ],
+        )
+        return EngineSource(db)
+
+    def test_prompt_context(self, awkward):
+        assert awkward.prompt_context()[1:] == (
+            "order.order: a",
+            "order.first name: x, y",
+        )
+
+    def test_schema_index(self, awkward):
+        from repro.nlu.schema_linking import SchemaIndex
+
+        index = SchemaIndex.from_source(awkward)
+        assert index.value_index["x"] == [("order", "first name")]
+        assert index.value_index["a"] == [("order", "order")]
+
+    def test_profile_source(self, awkward):
+        profiles = {p.column: p for p in profile_source(awkward)}
+        assert profiles["order"].null_count == 1
+        assert profiles["first name"].sample_values == ["x", "y"]
+
+    def test_sample_rows(self, awkward):
+        assert len(awkward.sample_rows("order", limit=2)) == 2
+
+    def test_quoted_probe_reads_the_dictionary(self, awkward):
+        plan = awkward.query(
+            'EXPLAIN SELECT DISTINCT "first name" FROM "order" '
+            'WHERE "first name" IS NOT NULL LIMIT 20'
+        ).column("plan")
+        assert "Distinct [columnar]" in plan

@@ -191,6 +191,54 @@ class TestConcurrentDatabase:
                 t.join(timeout=10)
         assert errors == []
 
+    def test_prepared_statements_race_eviction_and_ddl(self, db):
+        """Readers share, build into and evict prepared statements while
+        a writer moves the schema epoch: every answer stays right (a
+        stale plan would read a dropped index) and the memo bounded."""
+        db._PREPARED_CAPACITY = 4
+        texts = [
+            f"SELECT COUNT(*) FROM ledger WHERE account = 'acct{i}'"
+            for i in range(5)
+        ] + [
+            "SELECT DISTINCT account FROM ledger WHERE account IS NOT NULL "
+            f"LIMIT {n}"
+            for n in (1, 2, 3)
+        ]
+        expected = {text: db.execute(text).rows for text in texts}
+        stop = threading.Event()
+        errors = []
+
+        def reader(offset):
+            while not stop.is_set():
+                offset += 1
+                text = texts[offset % len(texts)]
+                try:
+                    assert db.execute(text).rows == expected[text], text
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+                    return
+
+        readers = [
+            threading.Thread(target=reader, args=(n,))
+            for n in range(self.N_READERS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in readers:
+                t.start()
+            for _ in range(20):
+                db.execute("DROP INDEX idx_acct")
+                db.execute("CREATE INDEX idx_acct ON ledger (account)")
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for t in readers:
+                t.join(timeout=10)
+        assert not any(t.is_alive() for t in readers)
+        assert errors == []
+        assert len(db._prepared) <= 4
+
     def test_concurrent_inserts_from_many_threads(self, db):
         def writer(base):
             for i in range(10):

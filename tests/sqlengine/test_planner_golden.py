@@ -3,7 +3,8 @@
 These pin the *entire* rendered plan, line for line, for one query per
 planner feature: index point lookup, sorted range scan, projection
 pruning, predicate pushdown through a hash join, CTE scans, the
-columnar marking of a covered and of a declined shape, and the naive
+columnar marking of a covered and of a declined shape, the dictionary
+``SELECT DISTINCT`` of a prompt probe, and the naive
 (``optimize=False``) reference pipeline. docs/sqlengine.md quotes
 the same plans; if a rendering change breaks these tests, update the
 docs in the same commit.
@@ -95,6 +96,19 @@ class TestGoldenPlans:
             "SeqScan(orders) [columnar]",
             "  Filter: (user_id = 7)",
             "Aggregate [columnar]",
+        ]
+
+    def test_dictionary_distinct(self, db):
+        # The prompt probe reads the column's dictionary, which holds
+        # its distinct values in first-seen order: no per-row pass.
+        assert plan(
+            db, "SELECT DISTINCT region FROM users "
+            "WHERE region IS NOT NULL LIMIT 20"
+        ) == [
+            "SeqScan(users) [columnar]",
+            "  Filter: (region IS NOT NULL)",
+            "Distinct [columnar]",
+            "Limit: 20",
         ]
 
     @pytest.mark.parametrize(
