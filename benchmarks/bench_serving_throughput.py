@@ -3,9 +3,9 @@ sequential dispatch.
 
 Three claims worth certifying:
 
-1. With the serving scheduler enabled, 16 concurrent clients over
-   latency-simulating workers sustain **at least 3x the
-   requests/second** of single-threaded sequential dispatch, and the
+1. 16 concurrent clients over latency-simulating workers sustain
+   **at least 3x the requests/second** of one client sending one
+   request at a time through the same engine, and the
    scheduler actually coalesces (**mean batch size > 1**) rather than
    winning on thread parallelism alone.
 2. At concurrency 64 the speedup over sequential dispatch stays
@@ -21,9 +21,9 @@ Methodology: :class:`repro.serving.LatencySimModel` stands in for GPU
 inference (one fixed latency window per forward pass, small marginal
 cost per batched sequence — the economics that make micro-batching pay
 on real accelerators). The baseline deploys the same four replicas
-with no scheduler and issues every request from one thread; measured
-runs deploy with :class:`ServingConfig` enabled and issue the same
-workload through ``LLMClient.generate_many``, timed best-of-three
+behind the same engine and issues every request from one client
+thread, one at a time (each a cohort of one); measured runs issue the
+same workload through ``LLMClient.generate_many``, timed best-of-three
 fresh deployments after an untimed warmup. The inference cache is
 pinned off by the harness conftest and every prompt is distinct, so
 every request reaches a worker. Numbers land in ``BENCH_serving.json``
@@ -75,7 +75,6 @@ def _prompts(count=REQUESTS):
 
 def _config():
     return ServingConfig(
-        enabled=True,
         queue_capacity=512,
         max_batch_size=16,
         pool_width=REPLICAS,
@@ -137,14 +136,17 @@ def test_scheduler_throughput_vs_sequential():
     # -- warmup: spin up thread pools / code paths, discard timings -----
     _run_scheduled(_prompts(32), CONCURRENCY)
 
-    # -- baseline: no scheduler, one caller, one request at a time ------
-    _, baseline_client = deploy(_specs())
-    start = time.perf_counter()
-    baseline_answers = [
-        baseline_client.generate("sim", prompt, task="chat")
-        for prompt in _prompts()
-    ]
-    sequential_s = time.perf_counter() - start
+    # -- baseline: one client thread, one request at a time -------------
+    baseline_controller, baseline_client = deploy(_specs(), serving=_config())
+    try:
+        start = time.perf_counter()
+        baseline_answers = [
+            baseline_client.generate("sim", prompt, task="chat")
+            for prompt in _prompts()
+        ]
+        sequential_s = time.perf_counter() - start
+    finally:
+        baseline_controller.scheduler.close()
 
     # -- measured: 16 concurrent clients --------------------------------
     scheduled_answers, scheduled_s, stats = _best_of(_prompts(), CONCURRENCY)

@@ -54,11 +54,6 @@ _HELP = (
 
 def render_serving_stats(stats: dict) -> str:
     """Plain-text serving scheduler stats for the CLI and REPL."""
-    if not stats.get("enabled", True):
-        return (
-            "serving scheduler disabled; boot with "
-            "ServingConfig(enabled=True)"
-        )
     lines = [f"mode: {stats['mode']}"]
     rows = [
         ("queue depth", "queue_depth"),
@@ -458,11 +453,10 @@ _SERVE_DEMO_STREAM_BUFFER = 2
 def serve_main(argv: list[str]) -> int:
     """``repro serve``: the continuous-batching engine, demonstrated.
 
-    Boots with the serving scheduler enabled, drives a burst of
-    concurrent chat turns plus two token streams through it (one
-    stream is cancelled mid-generation), and prints the scheduler
-    stats — in-flight batch occupancy, admissions into live batches,
-    cancellations. ``--json`` emits the raw stats dict on stdout;
+    Boots the stack, drives a burst of concurrent chat turns plus two
+    token streams through its engine (one stream is cancelled
+    mid-generation), and prints the scheduler stats — in-flight batch
+    occupancy, admissions into live batches, cancellations. ``--json`` emits the raw stats dict on stdout;
     progress text goes to stderr.
     """
     import json
@@ -493,10 +487,7 @@ def serve_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
     config = DbGptConfig(
-        serving=ServingConfig(
-            enabled=True,
-            stream_buffer=_SERVE_DEMO_STREAM_BUFFER,
-        )
+        serving=ServingConfig(stream_buffer=_SERVE_DEMO_STREAM_BUFFER)
     )
     dbgpt = DBGPT.boot(config)
     if args.csv:

@@ -63,10 +63,8 @@ class DbGptConfig:
     #: Multi-tier cache configuration (see ``docs/caching.md``).
     #: ``CacheConfig.disabled()`` turns the subsystem off entirely.
     cache: CacheConfig = field(default_factory=CacheConfig)
-    #: Concurrent-serving scheduler (see ``docs/serving.md``). Off by
-    #: default: a single-threaded caller has nobody to batch with;
-    #: enable it (``ServingConfig(enabled=True)``) when many sessions
-    #: hit one instance concurrently.
+    #: Tuning for the continuous-batching engine every model request
+    #: goes through (see ``docs/serving.md``); it cannot be turned off.
     serving: ServingConfig = field(default_factory=ServingConfig)
     #: Resilience layer — retry/backoff, per-worker circuit breakers,
     #: health recovery and degraded routing (``docs/resilience.md``).

@@ -287,13 +287,12 @@ class DBGPT:
     # -- serving -------------------------------------------------------------
 
     def serving_stats(self) -> dict:
-        """Scheduler statistics (``{"enabled": False}`` without one)."""
+        """Serving engine statistics (``GET /v1/serving``)."""
         return self.client.serving_stats()
 
     def shutdown(self) -> None:
-        """Stop background serving threads (no-op when none run)."""
-        if self.controller.scheduler is not None:
-            self.controller.scheduler.close()
+        """Stop the serving engine's threads (no-op if it never ran)."""
+        self.controller.scheduler.close()
 
     # -- caching -------------------------------------------------------------
 

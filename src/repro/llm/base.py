@@ -55,10 +55,9 @@ def count_tokens(text: str) -> int:
 def chunk_text(text: str) -> list[str]:
     """Split a completion into the token-sized chunks streaming emits.
 
-    One canonical chunking shared by :meth:`LanguageModel.stream` and
-    the continuous-batching engine's per-member streams, so a response
-    streams identically whichever path delivered it: the first word
-    bare, every following word with its leading space.
+    The continuous-batching engine chunks every streamed member's
+    response with this: the first word bare, every following word
+    with its leading space, so the chunks join back to the text.
     """
     words = text.split(" ")
     return [
@@ -126,16 +125,6 @@ class LanguageModel(abc.ABC):
         engine's fused steps exploit.
         """
         return [self.generate(request) for request in requests]
-
-    def stream(self, request: GenerationRequest):
-        """Yield the completion in token-sized chunks.
-
-        The deterministic models produce the full completion and chunk
-        it; the interface matches how serving stacks stream tokens, so
-        client-side streaming code paths are real.
-        """
-        response = self.generate(request)
-        yield from chunk_text(response.text)
 
     def start_batch(
         self, requests: list[GenerationRequest]

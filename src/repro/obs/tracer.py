@@ -41,6 +41,8 @@ class Tracer:
         self._span_ids = itertools.count(1)
         #: trace_id -> finished spans, oldest trace first (ring buffer).
         self._traces: OrderedDict[str, list[Span]] = OrderedDict()
+        #: The trace whose root span closed last.
+        self._last_root: Optional[str] = None
         self._lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
@@ -117,6 +119,8 @@ class Tracer:
                     while len(self._traces) > self._max_traces:
                         self._traces.popitem(last=False)
         spans.append(span)
+        if span.parent_id is None:
+            self._last_root = span.trace_id
         if self.exporter is not None:
             self.exporter.export(span)
 
@@ -132,18 +136,12 @@ class Tracer:
             return list(self._traces.get(trace_id, []))
 
     def last_trace(self) -> list[Span]:
-        """The most recently *completed* trace.
-
-        A trace is complete once its root span finished; because
-        ``_record`` runs at span close, the newest trace whose root is
-        present is the answer.
+        """The most recently *completed* trace: the one whose root span
+        closed last. A trace that opened later but finished earlier
+        (a fused batch's root, inside a longer request) is not it.
         """
         with self._lock:
-            for trace_id in reversed(self._traces):
-                spans = self._traces[trace_id]
-                if any(span.parent_id is None for span in spans):
-                    return list(spans)
-        return []
+            return list(self._traces.get(self._last_root, []))
 
     def clear(self) -> None:
         with self._lock:

@@ -15,16 +15,15 @@ from typing import Optional
 class ServingConfig:
     """Knobs for the SMMF continuous-batching scheduler.
 
-    ``enabled`` is the master switch. It defaults to **off**: the
-    scheduler exists to serve *concurrent* clients, and a
-    single-threaded caller would only pay the hop to the engine's
-    loop for nothing. When disabled, the dispatch path is
-    behaviorally identical to a build without the subsystem
-    (certified by the disabled-parity tests, mirroring the cache
-    tier).
+    Every :class:`repro.smmf.ModelController` dispatches through the
+    engine; there is no scheduler-less path to switch to. ``enabled``
+    is kept only because existing callers spell
+    ``ServingConfig(enabled=True)`` — among them the production
+    profile of the end-to-end benchmark (``benchmarks/e2e/stack.py``);
+    ``False`` is rejected.
     """
 
-    enabled: bool = False
+    enabled: bool = True
     #: Hard bound on queued-but-undispatched requests. Admission past
     #: this sheds the request with a 429-style error instead of letting
     #: latency grow without bound.
@@ -45,6 +44,11 @@ class ServingConfig:
     stream_buffer: int = 32
 
     def __post_init__(self) -> None:
+        if not self.enabled:
+            raise ValueError(
+                "the serving engine cannot be disabled; SMMF has no "
+                "other dispatch path"
+            )
         if self.queue_capacity <= 0:
             raise ValueError("queue_capacity must be positive")
         if self.max_batch_size <= 0:
@@ -55,8 +59,3 @@ class ServingConfig:
             raise ValueError("default_timeout_s must be positive (or None)")
         if self.stream_buffer <= 0:
             raise ValueError("stream_buffer must be positive")
-
-    @classmethod
-    def disabled(cls) -> "ServingConfig":
-        """The default: no scheduler, dispatch exactly as before."""
-        return cls(enabled=False)

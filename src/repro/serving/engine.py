@@ -1,8 +1,8 @@
 """The asyncio continuous-batching serving engine.
 
-This is the scheduler behind SMMF (mounted by
-``ServingConfig(enabled=True)``): an event loop on a dedicated daemon
-thread runs step-level scheduling against the worker pool, vLLM-style.
+This is SMMF's one dispatch path (every ``ModelController`` builds
+one): an event loop on a dedicated daemon thread runs step-level
+scheduling against the worker pool, vLLM-style.
 Every batch stays **live**: between fused forward passes the engine
 admits newly arrived compatible requests into the in-flight execution,
 and a member whose stream consumer cancels is released
@@ -104,13 +104,12 @@ class _Execution:
         #: True once the first fused pass ran — admissions after that
         #: are the continuous-batching capability being exercised.
         self.stepped = False
-        self.admitted_in_flight = 0
 
 
 class RequestScheduler:
     """Continuous-batching admission queue over a controller.
 
-    The one scheduler a deployment mounts in front of its worker
+    The one scheduler every controller puts in front of its worker
     pool. The event loop and its bounded step executor start lazily
     on first submit; an unused scheduler costs nothing.
     """
@@ -122,7 +121,7 @@ class RequestScheduler:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self._controller = controller
-        self.config = config or ServingConfig(enabled=True)
+        self.config = config or ServingConfig()
         self._clock = clock
         self._lock = threading.Lock()
         self._queue: deque[_Pending] = deque()
@@ -260,6 +259,7 @@ class RequestScheduler:
                 request=request,
                 enqueued_at=now,
                 deadline=deadline,
+                context=contextvars.copy_context(),
             )
             if stream:
                 pending.stream = TokenStream(
@@ -541,13 +541,19 @@ class RequestScheduler:
     async def _run_single(self, pending: _Pending) -> None:
         """Cohorts of one non-streaming request dispatch through the
         controller's plain ``generate`` — per-request failover, no
-        batch machinery."""
+        batch machinery. It runs in the caller's ``Context``, so its
+        ``smmf.*`` spans nest under the caller's trace exactly as a
+        direct call's would; a fused batch serves many callers and
+        keeps the engine's clean context."""
         model = pending.model
         self._count_step(model, 1)
         outcome = "completed"
         try:
             response = await self._in_executor(
-                self._controller.generate, model, pending.request
+                pending.context.run,
+                self._controller.generate,
+                model,
+                pending.request,
             )
             pending.resolve(response)
         except BaseException as exc:  # noqa: BLE001 - forwarded to waiter
@@ -678,7 +684,6 @@ class RequestScheduler:
                     for member_id, pending in zip(member_ids, cohort):
                         members[member_id] = _Member(pending)
                     if stepped:
-                        execution.admitted_in_flight += len(cohort)
                         with self._lock:
                             self._admitted_into_flight += len(cohort)
                     self._observe_wait(cohort)

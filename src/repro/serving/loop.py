@@ -1,11 +1,11 @@
 """A dedicated asyncio event loop on a daemon thread.
 
-The serving engine, the RAG federation fan-out and the sync client
-shims all need an event loop that exists independently of whatever
-thread the caller happens to be on: applications call ``DBGPT.chat``
-from plain threads, benchmarks drive ``asyncio`` clients from their
-own loop, and the continuous-batching engine must keep admitting work
-while every caller blocks. :class:`LoopRunner` hosts that loop on one
+The serving engine and the RAG federation fan-out need an event loop
+that exists independently of whatever thread the caller happens to be
+on: applications call ``DBGPT.chat`` from plain threads, benchmarks
+drive ``asyncio`` clients from their own loop, and the
+continuous-batching engine must keep admitting work while every
+caller blocks. :class:`LoopRunner` hosts that loop on one
 daemon thread and exposes a thread-safe bridge in both directions:
 
 - :meth:`run` — submit a coroutine from *any other* thread and block
@@ -26,6 +26,7 @@ import asyncio
 import concurrent.futures
 import contextvars
 import threading
+import weakref
 from typing import Any, Coroutine, Optional
 
 
@@ -33,35 +34,57 @@ class LoopRunnerClosed(RuntimeError):
     """The runner was shut down before (or while) the work ran."""
 
 
+def _run_loop(
+    loop: asyncio.AbstractEventLoop, ready: threading.Event
+) -> None:
+    asyncio.set_event_loop(loop)
+    loop.call_soon(ready.set)
+    try:
+        loop.run_forever()
+    finally:
+        # Drain callbacks scheduled between stop() and here, then
+        # close for real; tasks still pending are cancelled.
+        pending = asyncio.all_tasks(loop)
+        for task in pending:
+            task.cancel()
+        if pending:
+            loop.run_until_complete(
+                asyncio.gather(*pending, return_exceptions=True)
+            )
+        loop.close()
+
+
+def _stop_loop(
+    loop: asyncio.AbstractEventLoop, thread: threading.Thread
+) -> None:
+    """Stop ``loop`` and join the thread running it."""
+    loop.call_soon_threadsafe(loop.stop)
+    if thread is not threading.current_thread():
+        thread.join(timeout=5.0)
+
+
 class LoopRunner:
-    """One asyncio loop on one daemon thread, shared by sync callers."""
+    """One asyncio loop on one daemon thread, shared by sync callers.
+
+    A runner nobody closed stops when it is collected or, at the
+    latest, at interpreter exit — before the daemon thread would be
+    killed with tasks still pending on its loop. Neither the thread
+    nor that finalizer refers back to the runner.
+    """
 
     def __init__(self, name: str = "repro-loop") -> None:
         self._loop = asyncio.new_event_loop()
         self._closed = False
-        self._ready = threading.Event()
+        ready = threading.Event()
         self._thread = threading.Thread(
-            target=self._run_forever, name=name, daemon=True
+            target=_run_loop, args=(self._loop, ready), name=name,
+            daemon=True,
         )
         self._thread.start()
-        self._ready.wait()
-
-    def _run_forever(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.call_soon(self._ready.set)
-        try:
-            self._loop.run_forever()
-        finally:
-            # Drain callbacks scheduled between stop() and here, then
-            # close for real; tasks still pending are cancelled.
-            pending = asyncio.all_tasks(self._loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                self._loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            self._loop.close()
+        ready.wait()
+        self._stop = weakref.finalize(
+            self, _stop_loop, self._loop, self._thread
+        )
 
     @property
     def loop(self) -> asyncio.AbstractEventLoop:
@@ -133,9 +156,7 @@ class LoopRunner:
         if self._closed:
             return
         self._closed = True
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        if not self.is_loop_thread():
-            self._thread.join(timeout=5.0)
+        self._stop()
 
 
 _shared_lock = threading.Lock()
@@ -143,12 +164,11 @@ _shared_runner: Optional[LoopRunner] = None
 
 
 def get_loop_runner() -> LoopRunner:
-    """The process-wide shared runner (lazily started, never closed).
+    """The process-wide shared runner (lazily started, stopped at
+    interpreter exit).
 
     Used by sync entry points that need an event loop briefly — the
-    federation fan-out, the client's sync streaming shim — so they
-    don't pay a loop startup per call. The thread is a daemon; it dies
-    with the process.
+    federation fan-out — so they don't pay a loop startup per call.
     """
     global _shared_runner
     with _shared_lock:

@@ -8,6 +8,7 @@ to HTTP statuses, the batch-compatibility :func:`shape_key`, and the
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -83,12 +84,15 @@ class _Pending:
     threading event, async callers register a callback (fired exactly
     once, on whatever thread resolves the request) that relays into
     their own event loop. ``stream`` is set for streaming submissions.
+    ``context`` is the submitting caller's ``contextvars`` context: a
+    cohort of one runs in it, so its spans stay in the caller's trace.
     """
 
     model: str
     request: GenerationRequest
     enqueued_at: float
     deadline: Optional[float]
+    context: contextvars.Context
     done: threading.Event = field(default_factory=threading.Event)
     response: Optional[GenerationResponse] = None
     error: Optional[BaseException] = None

@@ -4,7 +4,8 @@ Implements the paper's two-layer design:
 
 - **model deployment layer** — :class:`ModelController` owns the
   registry metadata, admits workers via registration + heartbeats, and
-  routes requests; the :class:`ApiServer` exposes the controller through
+  routes requests, every one through its continuous-batching engine
+  (:class:`repro.serving.RequestScheduler`); the :class:`ApiServer` exposes the controller through
   an HTTP-shaped request/response interface consumed by
   :class:`LLMClient`.
 - **model inference layer** — each :class:`ModelWorker` hosts one

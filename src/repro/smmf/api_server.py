@@ -9,14 +9,11 @@ in-process (DESIGN.md records the substitution).
 from __future__ import annotations
 
 import asyncio
-import contextvars
-import functools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.llm.base import GenerationRequest, LLMError
-from repro.serving.engine import RequestScheduler
 from repro.serving.scheduler import (
     DeadlineExceeded,
     SchedulerClosed,
@@ -58,46 +55,6 @@ class ApiStreamResponse:
     status: int
     body: dict[str, Any]
     chunks: Optional[Any] = None
-
-
-async def _drain_in_executor(
-    open_chunks: Callable[..., Iterator[str]], *args: Any
-):
-    """Adapt a sync chunk stream to async without blocking the loop.
-
-    The stream is opened, pulled and closed on the default executor
-    inside one ``Context`` held for the stream's life: the worker's
-    generator enters spans whose ``ContextVar`` tokens must be reset
-    in the context that set them, which ``asyncio.to_thread``'s fresh
-    copy per hop would break. The three stay strictly sequential: a
-    consumer cancelled mid-pull waits the pull out before closing,
-    because its executor thread still owns both the ``Context`` and
-    the running generator.
-    """
-    loop = asyncio.get_running_loop()
-    context = contextvars.copy_context()
-    sentinel = object()
-    chunks = await loop.run_in_executor(
-        None, context.run, open_chunks, *args
-    )
-    pull: Optional[asyncio.Future] = None
-    try:
-        while True:
-            pull = loop.run_in_executor(
-                None, context.run, next, chunks, sentinel
-            )
-            # Shielded: cancelling the consumer must not mark the
-            # pull done while its thread is still running.
-            chunk = await asyncio.shield(pull)
-            if chunk is sentinel:
-                return
-            yield chunk
-    finally:
-        if pull is not None and not pull.done():
-            await asyncio.wait([pull])
-        close = getattr(chunks, "close", None)
-        if close is not None:
-            await loop.run_in_executor(None, context.run, close)
 
 
 class _InvalidRequest(Exception):
@@ -214,27 +171,19 @@ class ApiServer:
             model, generation_request, timeout_s = self._parse_generation(
                 body
             )
-            scheduler = self.controller.scheduler
-            if scheduler is not None:
-                response = scheduler.schedule(
-                    model, generation_request, timeout_s=timeout_s
-                )
-            else:
-                response = self.controller.generate(
-                    model, generation_request
-                )
+            response = self.controller.scheduler.schedule(
+                model, generation_request, timeout_s=timeout_s
+            )
         except Exception as exc:
             return self._guard(exc)
         return self._generated(response)
 
-    async def _agenerate(
-        self, body: dict[str, Any], scheduler: RequestScheduler
-    ) -> ApiResponse:
+    async def _agenerate(self, body: dict[str, Any]) -> ApiResponse:
         try:
             model, generation_request, timeout_s = self._parse_generation(
                 body
             )
-            response = await scheduler.aschedule(
+            response = await self.controller.scheduler.aschedule(
                 model, generation_request, timeout_s=timeout_s
             )
         except Exception as exc:
@@ -244,30 +193,24 @@ class ApiServer:
     async def ahandle(self, request: ApiRequest) -> ApiResponse:
         """Async :meth:`handle`.
 
-        ``POST /v1/generate`` awaits the scheduler's ``aschedule``
-        when one is mounted, so no thread is parked per in-flight
-        request and concurrent callers coalesce into shared batches;
-        every other route (and the scheduler-less fallback) runs the
-        sync handler off the loop.
+        ``POST /v1/generate`` awaits the scheduler's ``aschedule``, so
+        no thread is parked per in-flight request and concurrent
+        callers coalesce into shared batches; every other route runs
+        the sync handler off the loop.
         """
         if (request.method.upper(), request.path) == _GENERATE_ROUTE:
-            scheduler = self.controller.scheduler
-            if scheduler is not None:
-                return await self._agenerate(request.body, scheduler)
+            return await self._agenerate(request.body)
         return await asyncio.to_thread(self.handle, request)
 
     def _open_stream(
         self,
         request: ApiRequest,
-        engine_entry: Callable[[RequestScheduler], Callable[..., Any]],
-        fallback: Callable[[str, GenerationRequest], Any],
+        open_chunks: Callable[..., Any],
     ) -> ApiStreamResponse:
         """The shared body of :meth:`handle_stream` and
         :meth:`ahandle_stream`: route match, body parsing, opening the
         stream and the admission-error mapping. The callers differ
-        only in which scheduler method (``engine_entry`` picks it off
-        the mounted scheduler) and scheduler-less fallback produce the
-        chunk iterator."""
+        only in which scheduler method produces the chunk iterator."""
         route = (request.method.upper(), request.path)
         if route != ("POST", "/v1/generate/stream"):
             return ApiStreamResponse(
@@ -278,17 +221,13 @@ class ApiServer:
                     "code": "route_not_found",
                 },
             )
-        scheduler = self.controller.scheduler
         try:
             model, generation_request, timeout_s = self._parse_generation(
                 request.body
             )
-            if scheduler is not None:
-                chunks = engine_entry(scheduler)(
-                    model, generation_request, timeout_s=timeout_s
-                )
-            else:
-                chunks = fallback(model, generation_request)
+            chunks = open_chunks(
+                model, generation_request, timeout_s=timeout_s
+            )
         except Exception as exc:
             mapped = self._guard(exc)
             return ApiStreamResponse(mapped.status, mapped.body)
@@ -297,35 +236,20 @@ class ApiServer:
     def handle_stream(self, request: ApiRequest) -> ApiStreamResponse:
         """``POST /v1/generate/stream``: token streaming.
 
-        With a scheduler mounted the stream rides the engine's
-        bounded per-request :class:`TokenStream` (end-to-end
-        backpressure; closing the returned iterator cancels the member
-        mid-generation). Otherwise it falls back to the controller's
-        direct streaming path.
+        The stream rides the engine's bounded per-request
+        :class:`TokenStream` (end-to-end backpressure; closing the
+        returned iterator cancels the member mid-generation).
         """
-        return self._open_stream(
-            request,
-            lambda scheduler: scheduler.stream,
-            self.controller.stream,
-        )
+        return self._open_stream(request, self.controller.scheduler.stream)
 
     async def ahandle_stream(self, request: ApiRequest) -> ApiStreamResponse:
         """Async ``POST /v1/generate/stream``: ``chunks`` is an async
-        iterator. With a scheduler mounted this is async end-to-end
-        (admission in the caller's task, chunks awaited off the
-        engine's loop); the fallback opens and drains the controller's
-        sync stream on the default executor one chunk at a time."""
-        return self._open_stream(
-            request,
-            lambda scheduler: scheduler.astream,
-            functools.partial(_drain_in_executor, self.controller.stream),
-        )
+        iterator, async end-to-end (admission in the caller's task,
+        chunks awaited off the engine's loop)."""
+        return self._open_stream(request, self.controller.scheduler.astream)
 
     def _serving(self) -> ApiResponse:
-        scheduler = self.controller.scheduler
-        if scheduler is None:
-            return ApiResponse(200, {"enabled": False})
-        return ApiResponse(200, {"enabled": True, **scheduler.stats()})
+        return ApiResponse(200, self.controller.scheduler.stats())
 
     def _health(self) -> ApiResponse:
         workers = self.controller.workers()

@@ -115,10 +115,10 @@ class LLMClient:
 
         Successful responses are cached in the inference tier; errors
         are never cached, so a failed call retries the stack next time.
-        ``timeout_s`` is the serving deadline: with the micro-batching
-        scheduler enabled, a request still queued when it expires fails
-        with a 504 instead of waiting forever (it does not key the
-        cache — a deadline is an SLO, not part of the answer).
+        ``timeout_s`` is the serving deadline: a request still queued
+        in the serving engine when it expires fails with a 504 instead
+        of waiting forever (it does not key the cache — a deadline is
+        an SLO, not part of the answer).
         """
         manager = get_cache_manager()
         if not manager.enabled("inference"):
@@ -186,12 +186,12 @@ class LLMClient:
         """Generate for many prompts concurrently; results align with
         ``prompts``.
 
-        Requests are issued from a client-side thread pool, so with the
-        serving scheduler enabled they queue together and coalesce
-        into vectorized worker calls; each request still
-        goes through :meth:`generate`, so the inference cache and its
-        single-flight deduplication apply per prompt. The first failure
-        is re-raised after all requests settle.
+        Requests are issued from a client-side thread pool, so they
+        queue together in the serving engine and coalesce into
+        vectorized worker calls; each request still goes through
+        :meth:`generate`, so the inference cache and its single-flight
+        deduplication apply per prompt. The first failure is re-raised
+        after all requests settle.
         """
         if not prompts:
             return []
@@ -242,7 +242,7 @@ class LLMClient:
 
         With the inference cache tier disabled the call is async
         end-to-end: the request awaits :meth:`ApiServer.ahandle`
-        (riding the continuous engine's ``aschedule`` when mounted)
+        (riding the continuous engine's ``aschedule``)
         and transient rejections back off via the retry policy's
         async path — no thread parked per in-flight request, so
         concurrent agents coalesce into shared batches. With the
@@ -284,12 +284,12 @@ class LLMClient:
 
         Streams bypass the inference cache (a partial transcript is
         not a cacheable answer). Closing the returned generator — or
-        just breaking out of the ``for`` — cancels the request: with
-        the continuous engine its batch slot and worker in-flight
-        count free mid-generation. Admission and mid-stream failures
-        both raise :class:`ClientError` with the same codes as
-        :meth:`generate`, plus ``stream_closed`` (server shut down
-        mid-stream) and ``client_cancelled``.
+        just breaking out of the ``for`` — cancels the request: its
+        batch slot and worker in-flight count free mid-generation.
+        Admission and mid-stream failures both raise
+        :class:`ClientError` with the same codes as :meth:`generate`,
+        plus ``stream_closed`` (server shut down mid-stream) and
+        ``client_cancelled``.
         """
         result = self._server.handle_stream(
             self._stream_request(
@@ -310,9 +310,8 @@ class LLMClient:
     ):
         """Async :meth:`stream`: an async generator of chunks.
 
-        With the continuous engine this is async end-to-end — no
-        thread is parked per stream; chunks are awaited straight off
-        the engine's bounded per-stream buffer.
+        Async end-to-end — no thread is parked per stream; chunks are
+        awaited straight off the engine's bounded per-stream buffer.
         """
         result = await self._server.ahandle_stream(
             self._stream_request(
@@ -326,9 +325,7 @@ class LLMClient:
         except BaseException as exc:
             raise self._error(ApiServer._guard(exc)) from exc
         finally:
-            aclose = getattr(result.chunks, "aclose", None)
-            if aclose is not None:
-                await aclose()
+            await result.chunks.aclose()
 
     @staticmethod
     def _request_body(
@@ -383,9 +380,7 @@ class LLMClient:
         except BaseException as exc:
             raise self._error(ApiServer._guard(exc)) from exc
         finally:
-            close = getattr(chunks, "close", None)
-            if close is not None:
-                close()
+            chunks.close()
 
     def _generate_uncached(
         self,
@@ -434,7 +429,7 @@ class LLMClient:
         return response.body["text"]
 
     def serving_stats(self) -> dict[str, Any]:
-        """Scheduler statistics (``{"enabled": False}`` without one)."""
+        """Serving engine statistics (``GET /v1/serving``)."""
         return self._server.handle(ApiRequest("GET", "/v1/serving")).body
 
     def models(self) -> list[str]:

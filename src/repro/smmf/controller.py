@@ -14,6 +14,8 @@ from repro.resilience.breaker import BreakerBoard
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.health import HealthMonitor
 from repro.resilience.retry import RetryPolicy
+from repro.serving.config import ServingConfig
+from repro.serving.engine import RequestScheduler
 from repro.smmf.balancer import LoadBalancer, RoundRobinBalancer
 from repro.smmf.metrics import MetricsCollector
 from repro.smmf.registry import ModelRegistry, WorkerRecord
@@ -68,6 +70,7 @@ class ModelController:
         heartbeat_timeout: float = 30.0,
         max_retries: int = 2,
         resilience: Optional[ResilienceConfig] = None,
+        serving: Optional[ServingConfig] = None,
     ) -> None:
         self.registry = ModelRegistry(heartbeat_timeout)
         self.balancer = balancer or RoundRobinBalancer()
@@ -75,10 +78,10 @@ class ModelController:
         self.max_retries = max_retries
         self._clock = 0.0
         self._clock_lock = threading.Lock()
-        #: Optional micro-batching scheduler in front of the pool (set
-        #: by :func:`repro.smmf.deploy.deploy` when serving is enabled;
-        #: the API server routes through it when present).
-        self.scheduler = None
+        #: The continuous-batching engine in front of the pool: the
+        #: API server's only dispatch path. Its loop starts on the
+        #: first submit; :meth:`RequestScheduler.close` stops it.
+        self.scheduler = RequestScheduler(self, serving)
         self.resilience = (
             resilience if resilience is not None and resilience.enabled
             else None
@@ -374,45 +377,6 @@ class ModelController:
                 degraded=degraded,
             )
         return ExecutionLease(self, model_name, wexec, record, degraded)
-
-    def stream(self, model_name: str, request: GenerationRequest):
-        """Streaming inference with the same failover as generate().
-
-        Failover covers the time until the first chunk is produced; a
-        crash mid-stream surfaces to the caller (tokens were already
-        delivered, so transparent retry would duplicate output).
-        """
-
-        def start(record: WorkerRecord):
-            iterator = record.worker.handle_stream(request)
-            return iterator, next(iterator, None)
-
-        try:
-            (iterator, first), record, retries, _ = self._route(
-                model_name, start, allow_fallback=False
-            )
-        except _AllReplicasFailed as exc:
-            self.metrics.record_failure(model_name)
-            raise SmmfError(
-                f"all replicas of {model_name!r} failed to start a "
-                f"stream (last error: {exc.last_error})"
-            )
-
-        def chunks(first_chunk=first, rest=iterator):
-            if first_chunk is not None:
-                yield first_chunk
-            yield from rest
-
-        latency = float(record.metadata.get("latency_ms", 0.0))
-        self.metrics.record_success(
-            model=model_name,
-            worker_id=record.worker.worker_id,
-            latency_ms=latency,
-            prompt_tokens=0,
-            completion_tokens=0,
-            retries=retries,
-        )
-        return chunks()
 
     def _exhausted_error(
         self,

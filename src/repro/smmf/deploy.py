@@ -6,7 +6,6 @@ from typing import Iterable, Optional
 
 from repro.resilience.config import ResilienceConfig
 from repro.serving.config import ServingConfig
-from repro.serving.engine import RequestScheduler
 from repro.smmf.api_server import ApiServer
 from repro.smmf.balancer import LoadBalancer
 from repro.smmf.client import LLMClient
@@ -26,9 +25,8 @@ def deploy(
 
     This is the one-call "private deployment" path the paper's SMMF
     promises: every model runs locally under the caller's control.
-    Passing an enabled :class:`ServingConfig` mounts the micro-batching
-    scheduler in front of the pool (see ``docs/serving.md``); without
-    one, dispatch is the direct path it has always been. An enabled
+    ``serving`` tunes the continuous-batching engine every request
+    goes through (see ``docs/serving.md``). An enabled
     :class:`ResilienceConfig` arms retry policies, per-worker circuit
     breakers and health recovery on both the controller and the client
     (see ``docs/resilience.md``).
@@ -37,6 +35,7 @@ def deploy(
         balancer=balancer,
         heartbeat_timeout=heartbeat_timeout,
         resilience=resilience,
+        serving=serving,
     )
     for spec in specs:
         for _replica in range(spec.replicas):
@@ -48,7 +47,5 @@ def deploy(
                 )
             worker = ModelWorker(model, latency_ms=spec.latency_ms)
             controller.register_worker(worker, latency_ms=spec.latency_ms)
-    if serving is not None and serving.enabled:
-        controller.scheduler = RequestScheduler(controller, serving)
     server = ApiServer(controller)
     return controller, LLMClient(server, resilience=resilience)

@@ -53,8 +53,6 @@ class ModelWorker:
         self.inflight = 0
         self.served = 0
         self.failed = 0
-        #: Streams whose consumer walked away before exhaustion.
-        self.abandoned_streams = 0
         #: Streams cancelled mid-generation through the continuous
         #: engine (slot released before the response finished).
         self.cancelled_streams = 0
@@ -82,7 +80,6 @@ class ModelWorker:
                 "inflight": self.inflight,
                 "served": self.served,
                 "failed": self.failed,
-                "abandoned_streams": self.abandoned_streams,
                 "cancelled_streams": self.cancelled_streams,
                 "alive": self.alive,
                 "prefix_entries": self.model.cached_prefixes(),
@@ -157,51 +154,6 @@ class ModelWorker:
             self._end(len(requests))
             raise
         return WorkerExecution(self, execution)
-
-    def handle_stream(self, request: GenerationRequest):
-        """Streaming inference: returns a generator of chunks.
-
-        Liveness/failure-injection checks run eagerly at call time (not
-        at first ``next``), the stream runs inside the same
-        ``smmf.worker`` span discipline as :meth:`handle`, and a
-        consumer that abandons the generator mid-stream is counted
-        distinctly (``abandoned_streams`` / ``worker_streams_total``)
-        instead of silently skipping ``served``.
-        """
-        self._check_up()
-        return self._stream_body(request)
-
-    def _stream_body(self, request: GenerationRequest):
-        self._begin()
-        completed = False
-        try:
-            with get_tracer().span(
-                "smmf.worker",
-                worker=self.worker_id,
-                model=self.model.name,
-                stream=True,
-            ) as span:
-                span.set_attribute("cache.hit", False)
-                chunks = 0
-                try:
-                    for chunk in self.model.stream(request):
-                        chunks += 1
-                        yield chunk
-                finally:
-                    span.set_attribute("chunks", chunks)
-            completed = True
-        except GeneratorExit:
-            with self._lock:
-                self.abandoned_streams += 1
-            _STREAMS.labels(self.worker_id, "abandoned")()
-            raise
-        except Exception:
-            _STREAMS.labels(self.worker_id, "error")()
-            raise
-        finally:
-            self._end(served=1 if completed else 0)
-            if completed:
-                _STREAMS.labels(self.worker_id, "completed")()
 
     def kill(self) -> None:
         """Simulate the worker process dying."""

@@ -95,9 +95,9 @@ class TenantFabric:
             get_cache_manager().enable_tenant_partitions(
                 self.config.cache_partition_capacity
             )
-        scheduler = getattr(dbgpt.controller, "scheduler", None)
-        if scheduler is not None:
-            scheduler.set_admission_hook(self._scheduler_admission_hook)
+        dbgpt.controller.scheduler.set_admission_hook(
+            self._scheduler_admission_hook
+        )
 
     # -- control plane -------------------------------------------------------
 

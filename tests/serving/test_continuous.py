@@ -22,6 +22,7 @@ from repro.llm.base import (
     chunk_text,
 )
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.tracer import Tracer, set_tracer
 from repro.serving import RequestScheduler, ServingConfig
 from repro.smmf import ModelSpec, SmmfError, deploy
 from repro.smmf.api_server import ApiServer
@@ -173,7 +174,7 @@ class TestContinuousDispatch:
             stats = scheduler.stats()
             assert set(stats) == harness_keys | set(cli_rows) | {"mode"}
             served = client.serving_stats()
-            assert served == {"enabled": True, **stats}
+            assert served == stats
             rendered = render_serving_stats(served)
         finally:
             scheduler.close()
@@ -194,6 +195,64 @@ class TestContinuousDispatch:
             assert "".join(chunks) == "echo: hello world"
         finally:
             scheduler.close()
+
+
+class TestTraceContext:
+    """A cohort of one runs in its caller's ``Context``, as a direct
+    call would; a fused batch serves many callers, so its spans are
+    roots of their own."""
+
+    @pytest.fixture
+    def tracer(self):
+        fresh = Tracer()
+        previous = set_tracer(fresh)
+        yield fresh
+        set_tracer(previous)
+
+    def test_cohort_of_one_nests_under_the_caller(self, tracer):
+        _, client, _ = make_stack(ServingConfig(), lambda: GatedModel())
+        with tracer.span("caller") as caller:
+            assert client.generate("chat", "one", task="chat") == "echo: one"
+            assert asyncio.run(
+                client.agenerate("chat", "two", task="chat")
+            ) == "echo: two"
+        spans = tracer.trace(caller.trace_id)
+        generates = [s for s in spans if s.name == "smmf.generate"]
+        workers = [s for s in spans if s.name == "smmf.worker"]
+        assert len(generates) == len(workers) == 2
+        assert {s.parent_id for s in generates} == {caller.span_id}
+        assert {s.parent_id for s in workers} == {
+            s.span_id for s in generates
+        }
+        assert tracer.trace_ids() == [caller.trace_id]
+
+    def test_fused_batch_span_is_a_root(self, tracer):
+        model = GatedModel()
+        _, _, scheduler = make_stack(
+            ServingConfig(pool_width=1), lambda: model
+        )
+        gate = pin_the_only_slot(scheduler, model)
+        with tracer.span("caller") as caller:
+            cohort = [
+                scheduler.submit(
+                    "chat",
+                    GenerationRequest(f"q{i}", task="chat", max_tokens=128),
+                )
+                for i in range(3)
+            ]
+        model.release.set()
+        for pending in [gate, *cohort]:
+            assert pending.done.wait(timeout=5.0)
+        batches = [
+            span
+            for trace_id in tracer.trace_ids()
+            for span in tracer.trace(trace_id)
+            if span.name == "smmf.batch"
+        ]
+        assert [span.attributes["batch.size"] for span in batches] == [3]
+        assert batches[0].parent_id is None
+        assert batches[0].trace_id != caller.trace_id
+        assert [s.name for s in tracer.trace(caller.trace_id)] == ["caller"]
 
 
 class TestMidBatchAdmission:

@@ -32,7 +32,6 @@ class TestWorkerStatsSnapshot:
             "inflight": 0,
             "served": 1,
             "failed": 1,
-            "abandoned_streams": 0,
             "cancelled_streams": 0,
             "alive": True,
             "prefix_entries": 0,

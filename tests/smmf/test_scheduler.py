@@ -14,6 +14,7 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cache.manager import CacheManager, set_cache_manager
+from repro.core import DBGPT
 from repro.llm import ChatModel
 from repro.llm.base import (
     GenerationRequest,
@@ -431,44 +432,24 @@ class TestSingleFlight:
             scheduler.close()
 
 
-class TestDisabledParity:
-    def test_disabled_config_attaches_no_scheduler(self):
-        controller, client = deploy(
-            [ModelSpec("chat", lambda: ChatModel("chat"))],
-            serving=ServingConfig(),
-        )
-        assert controller.scheduler is None
-        assert client.serving_stats() == {"enabled": False}
+class TestEngineIsTheOnlyPath:
+    def test_every_way_to_build_a_controller_mounts_the_engine(self):
+        dbgpt = DBGPT.boot()
+        controller, _ = deploy([ModelSpec("chat", lambda: ChatModel("chat"))])
+        for built in (dbgpt.controller, controller, ModelController()):
+            assert isinstance(built.scheduler, RequestScheduler)
 
-    def test_disabled_emits_no_serving_metrics(self, registry):
-        _, client = deploy(
-            [ModelSpec("chat", lambda: ChatModel("chat"))],
-            serving=ServingConfig(),
-        )
-        client.generate("chat", "hello", task="chat")
-        assert not any(
-            name.startswith("serving_") for name in registry.names()
-        )
+    def test_serving_config_cannot_disable_the_engine(self):
+        assert ServingConfig().enabled is True
+        with pytest.raises(ValueError, match="cannot be disabled"):
+            ServingConfig(enabled=False)
 
-    def test_enabled_and_disabled_answers_match(self):
-        prompts = [f"question {i}" for i in range(4)]
-        _, plain_client = deploy(
-            [ModelSpec("chat", lambda: ChatModel("chat"))]
+    def test_deploy_forwards_its_serving_config(self):
+        config = ServingConfig(pool_width=3)
+        controller, _ = deploy(
+            [ModelSpec("chat", lambda: ChatModel("chat"))], serving=config
         )
-        plain = [
-            plain_client.generate("chat", p, task="chat") for p in prompts
-        ]
-        config = ServingConfig(enabled=True)
-        controller, client, scheduler = make_stack(
-            config, lambda: ChatModel("chat")
-        )
-        try:
-            scheduled = [
-                client.generate("chat", p, task="chat") for p in prompts
-            ]
-        finally:
-            scheduler.close()
-        assert scheduled == plain
+        assert controller.scheduler.config is config
 
 
 class TestWorkerConcurrency:
@@ -501,29 +482,3 @@ class TestWorkerConcurrency:
         worker = ModelWorker(ChatModel("chat"))
         worker.handle(GenerationRequest("hello"))
         assert worker.load_snapshot() == (0, 1)
-
-
-class TestStreamAccounting:
-    def test_abandoned_stream_counted_not_served(self, registry):
-        worker = ModelWorker(ChatModel("chat"))
-        stream = worker.handle_stream(GenerationRequest("hello world"))
-        next(stream)
-        stream.close()
-        assert worker.abandoned_streams == 1
-        assert worker.served == 0
-        assert worker.inflight == 0
-        counter = registry.get("worker_streams_total")
-        assert counter.value(
-            worker=worker.worker_id, outcome="abandoned"
-        ) == 1
-
-    def test_completed_stream_counted_served(self, registry):
-        worker = ModelWorker(ChatModel("chat"))
-        chunks = list(worker.handle_stream(GenerationRequest("hello")))
-        assert chunks
-        assert worker.served == 1
-        assert worker.abandoned_streams == 0
-        counter = registry.get("worker_streams_total")
-        assert counter.value(
-            worker=worker.worker_id, outcome="completed"
-        ) == 1

@@ -16,7 +16,7 @@ import pytest
 from repro.agents.base import ConversableAgent
 from repro.agents.memory import AgentMemory
 from repro.agents.messages import AgentMessage
-from repro.llm.base import LanguageModel, LLMError, chunk_text
+from repro.llm.base import LanguageModel, LLMError
 from repro.resilience import ResilienceConfig, RetryConfig
 from repro.resilience.retry import RetryPolicy
 from repro.serving import SchedulerOverloaded, ServingConfig
@@ -28,8 +28,7 @@ RETRY = RetryConfig(max_attempts=3, base_delay_s=0.05, jitter=0.5)
 
 
 class EchoModel(LanguageModel):
-    """Echoes the prompt; ``poison`` prompts are rejected outright and
-    ``cutoff`` prompts fail after the first streamed chunk."""
+    """Echoes the prompt; ``poison`` prompts are rejected outright."""
 
     def __init__(self):
         super().__init__("chat", frozenset({"chat"}))
@@ -38,13 +37,6 @@ class EchoModel(LanguageModel):
         if "poison" in request.prompt:
             raise LLMError("poisoned prompt")
         return f"echo: {request.prompt}"
-
-    def stream(self, request):
-        chunks = chunk_text(self.complete(request))
-        yield chunks[0]
-        if "cutoff" in request.prompt:
-            raise LLMError("generation cut off")
-        yield from chunks[1:]
 
 
 class Stack:
@@ -80,18 +72,15 @@ CONTINUOUS = ServingConfig(enabled=True)
 
 @pytest.fixture
 def engine_stack():
-    """The continuous engine only: sheds and deadline expiries do not
-    exist without a scheduler."""
     built = Stack(CONTINUOUS)
     yield built
     built.scheduler.close()
 
 
-@pytest.fixture(params=["serving-off", "continuous"])
-def stack(request):
-    if request.param == "continuous":
-        return request.getfixturevalue("engine_stack")
-    return Stack(ServingConfig())
+@pytest.fixture(params=["continuous"])
+def stack(engine_stack):
+    """``engine_stack`` under the id its scenarios have always had."""
+    return engine_stack
 
 
 def _error_triple(exc):
@@ -200,15 +189,6 @@ class TestStreamParity:
     ):
         sync, awaited = _stream_both(stack, model, prompt)
         assert sync == awaited == ([], expected)
-
-    def test_failure_after_the_first_chunk(self, stack):
-        # The engine batches through ``start_batch`` and never calls
-        # ``model.stream``, so only the direct path can be cut off;
-        # either way both twins must tell the same story.
-        sync, awaited = _stream_both(stack, "chat", "cutoff now please")
-        assert sync == awaited
-        if stack.scheduler is None:
-            assert sync == (["echo:"], (422, "llm_error", None))
 
     def test_shed_and_expired_streams(self, engine_stack):
         stack = engine_stack

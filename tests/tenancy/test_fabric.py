@@ -79,9 +79,7 @@ class TestFabricLifecycle:
         dbgpt = DBGPT.boot()
         try:
             assert dbgpt.fabric is None
-            assert dbgpt.controller.scheduler is None or (
-                dbgpt.controller.scheduler._admission_hook is None
-            )
+            assert dbgpt.controller.scheduler._admission_hook is None
             with pytest.raises(RuntimeError):
                 dbgpt.register_tenant("acme")
             with pytest.raises(RuntimeError):
