@@ -34,7 +34,8 @@ bench-serving:
 	$(PYTHON) -m pytest benchmarks/bench_serving_throughput.py -q
 
 # Survival rate and breaker recovery under a deterministic fault
-# timeline; writes BENCH_resilience.json.
+# timeline, retries + fallback vs a retries-off, no-fallback baseline;
+# writes BENCH_resilience.json.
 bench-resilience:
 	$(PYTHON) -m pytest benchmarks/bench_resilience.py -q
 
@@ -51,7 +52,8 @@ bench-multitenant:
 	$(PYTHON) -m pytest benchmarks/bench_multitenant.py -q
 
 # Multi-hop agent plan completion under 20% sql-coder flapping,
-# resilience on vs off; writes BENCH_agents.json.
+# retries + fallback vs a retries-off, no-fallback baseline; writes
+# BENCH_agents.json.
 bench-agents:
 	$(PYTHON) -m pytest benchmarks/bench_agents.py -q
 

@@ -5,8 +5,8 @@ agent plans (planner → per-chart schema-link/sqlgen/execute/viz →
 aggregate → narrative) keep **at least a 99% completion rate** while
 the sql-coder pool flaps on a 20% duty cycle — down windows degrade
 SQL generation to the reserve fallback model instead of losing the
-plan — whereas the same team without resilience loses every plan whose
-chart hops land inside a down window.
+plan — whereas the same team with retries off and no fallback loses
+every plan whose chart hops land inside a down window.
 
 Methodology: both stacks replay the *identical* deterministic fault
 timeline (:mod:`repro.resilience.chaos`) against the controller's
@@ -81,22 +81,18 @@ def build_team(resilient):
     A single sql-coder replica flaps down 20% of every period, so down
     windows are total outages for the plan's chart hops; the reserve
     pool exists in both stacks, but only the resilient one has the
-    fallback route that can reach it.
+    fallback route that can reach it. The baseline runs with retries
+    off and no fallback (same breakers and probes).
     """
-    resilience = (
-        ResilienceConfig(
-            enabled=True,
-            retry=RetryConfig(
-                max_attempts=3, base_delay_s=0.5, jitter=0.0
-            ),
-            breaker=BreakerConfig(
-                failure_threshold=3, reset_timeout_s=2.0
-            ),
-            probe_interval_s=1.0,
-            fallback_model="reserve",
-        )
-        if resilient
-        else None
+    resilience = ResilienceConfig(
+        retry=(
+            RetryConfig(max_attempts=3, base_delay_s=0.5, jitter=0.0)
+            if resilient
+            else RetryConfig(max_attempts=1)
+        ),
+        breaker=BreakerConfig(failure_threshold=3, reset_timeout_s=2.0),
+        probe_interval_s=1.0,
+        fallback_model="reserve" if resilient else None,
     )
     controller = ModelController(resilience=resilience)
     controller.register_worker(

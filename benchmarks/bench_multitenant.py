@@ -8,7 +8,7 @@ rate in the contended phase must stay within 10% of a baseline phase
 measured without the noisy tenant, while the noisy tenant itself is
 shed with structured 429 bodies carrying ``retry_after``.
 
-Methodology: one booted, tenancy-enabled stack over a shared sales
+Methodology: one booted stack over a shared sales
 source. Every tenant's working set is warmed first so both phases
 measure the same (cached) steady state. The baseline phase runs only
 the compliant fleet; the contended phase re-runs the identical fleet
@@ -25,11 +25,11 @@ import threading
 import time
 
 from repro.cache.manager import get_cache_manager
-from repro.core import DBGPT, DbGptConfig
+from repro.core import DBGPT
 from repro.datasets import build_sales_database
 from repro.datasources import EngineSource
 from repro.server.request import Request
-from repro.tenancy import QuotaConfig, TenancyConfig
+from repro.tenancy import QuotaConfig
 
 TENANTS = [f"tenant-{index}" for index in range(8)]
 SESSIONS_PER_TENANT = 16
@@ -64,8 +64,7 @@ def _percentile(samples, fraction):
 
 
 def _boot():
-    config = DbGptConfig(tenancy=TenancyConfig(enabled=True))
-    dbgpt = DBGPT.boot(config)
+    dbgpt = DBGPT.boot()
     dbgpt.register_source(EngineSource(build_sales_database(n_orders=200)))
     for tenant_id in TENANTS:
         dbgpt.register_tenant(tenant_id, quota=COMPLIANT_QUOTA)

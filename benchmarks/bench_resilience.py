@@ -4,10 +4,9 @@ The claim worth certifying: with the resilience layer armed, a
 three-replica pool under a scripted fault timeline — 20% duty-cycle
 flapping, two total-outage storms, and crash injections — keeps **at
 least 99% of requests succeeding** (storm turns degrade to a fallback
-model instead of failing), while the same stack with resilience off
-loses every storm-window request and leaves a crashed worker out of
-rotation for good. A tripped breaker recovers within one health-probe
-interval.
+model instead of failing), while the same stack with retries off and
+no fallback loses every storm-window request. A tripped breaker
+recovers within one health-probe interval.
 
 Methodology: both stacks run the *identical* deterministic chaos
 timeline (:mod:`repro.resilience.chaos`) against the controller's
@@ -79,20 +78,17 @@ def build_events():
 
 
 def build_stack(resilient):
-    resilience = (
-        ResilienceConfig(
-            enabled=True,
-            retry=RetryConfig(
-                max_attempts=2, base_delay_s=0.05, jitter=0.1
-            ),
-            breaker=BreakerConfig(
-                failure_threshold=2, reset_timeout_s=5.0
-            ),
-            probe_interval_s=PROBE_INTERVAL_S,
-            fallback_model="reserve",
-        )
-        if resilient
-        else None
+    """The baseline runs with retries off and no fallback route; both
+    stacks share the breaker and probe settings."""
+    resilience = ResilienceConfig(
+        retry=(
+            RetryConfig(max_attempts=2, base_delay_s=0.05, jitter=0.1)
+            if resilient
+            else RetryConfig(max_attempts=1)
+        ),
+        breaker=BreakerConfig(failure_threshold=2, reset_timeout_s=5.0),
+        probe_interval_s=PROBE_INTERVAL_S,
+        fallback_model="reserve" if resilient else None,
     )
     controller = ModelController(resilience=resilience)
     for _replica in range(REPLICAS):
@@ -129,19 +125,18 @@ def drive(controller, workers, injector):
                 degraded += 1
         except Exception:
             failures += 1
-        if controller.breakers is not None:
-            # A mid-step probe can half-open the breaker before this
-            # poll sees OPEN, so watch the cumulative trip counter.
-            breaker = controller.breakers.breaker(flaky.worker_id)
-            if opened_at is None and breaker.opens > 0:
-                opened_at = controller.clock
-                served_at_open = flaky.served
-            elif (
-                opened_at is not None
-                and recovered_at is None
-                and flaky.served > served_at_open
-            ):
-                recovered_at = controller.clock
+        # A mid-step probe can half-open the breaker before this poll
+        # sees OPEN, so watch the cumulative trip counter.
+        breaker = controller.breakers.breaker(flaky.worker_id)
+        if opened_at is None and breaker.opens > 0:
+            opened_at = controller.clock
+            served_at_open = flaky.served
+        elif (
+            opened_at is not None
+            and recovered_at is None
+            and flaky.served > served_at_open
+        ):
+            recovered_at = controller.clock
     recovery_s = (
         recovered_at - opened_at
         if opened_at is not None and recovered_at is not None
@@ -161,7 +156,6 @@ def test_resilience_under_flapping():
         resilient=False
     )
     baseline = drive(baseline_controller, _workers, injector)
-    flaky_record = baseline_controller.workers("chat")[0]
 
     resilient_controller, workers, injector = build_stack(
         resilient=True
@@ -183,9 +177,6 @@ def test_resilience_under_flapping():
             **{k: v for k, v in baseline.items()
                if k != "breaker_recovery_s"},
             "success_rate": round(baseline["success_rate"], 4),
-            # The pre-resilience one-way door: the crashed worker is
-            # still out of rotation when the run ends.
-            "crashed_worker_readmitted": flaky_record.healthy,
         },
         "resilient": {
             **resilient,
@@ -219,10 +210,6 @@ def test_resilience_under_flapping():
     )
     assert resilient["degraded"] > 0, (
         "no degraded turns — the fallback route never engaged"
-    )
-    assert not flaky_record.healthy, (
-        "baseline re-admitted the crashed worker without a resilience "
-        "path — the benchmark premise is stale"
     )
     recovery = resilient["breaker_recovery_s"]
     assert recovery is not None and recovery <= PROBE_INTERVAL_S + 0.5, (

@@ -24,6 +24,7 @@ import threading
 from typing import Optional
 
 from repro.agents.messages import AgentMessage
+from repro.fileio import write_text_atomic
 
 
 class AgentMemory:
@@ -116,10 +117,10 @@ class AgentMemory:
 
     def _persist_locked(self) -> None:
         payload = [m.to_dict() for m in self._messages]
-        self._path.write_text(json.dumps(payload, ensure_ascii=False))
+        write_text_atomic(self._path, json.dumps(payload, ensure_ascii=False))
 
     def _load_locked(self) -> None:
-        payload = json.loads(self._path.read_text())
+        payload = json.loads(self._path.read_text(encoding="utf-8"))
         self._messages = [AgentMessage.from_dict(item) for item in payload]
 
 

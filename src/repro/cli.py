@@ -85,7 +85,7 @@ def render_health(rows: list) -> str:
         state = "up" if row["alive"] and row["healthy"] else "down"
         lines.append(
             f"{row['worker']:<12} {row['model']:<12} {state:<8} "
-            f"{row['breaker'] or '-':<10} "
+            f"{row['breaker']:<10} "
             f"{row['down_reason'] or '-':<8} "
             f"{row['inflight']:>8} {row['served']:>7} {row['failed']:>7}"
         )
@@ -392,14 +392,12 @@ def cache_main(argv: list[str]) -> int:
 def health_main(argv: list[str]) -> int:
     """``repro health``: worker health and breaker states.
 
-    Boots the demo stack (resilience enabled so breaker columns are
-    live), optionally runs a short kill/recover demonstration, and
+    Boots the demo stack, optionally runs a short kill/recover demonstration, and
     prints the per-worker health table. ``--json`` emits the raw rows.
     """
     import json
 
     from repro.core.config import DbGptConfig
-    from repro.resilience import ResilienceConfig
 
     parser = argparse.ArgumentParser(
         prog="repro.cli health",
@@ -419,7 +417,7 @@ def health_main(argv: list[str]) -> int:
         help="emit the health rows as JSON instead of a table",
     )
     args = parser.parse_args(argv)
-    config = DbGptConfig(resilience=ResilienceConfig(enabled=True))
+    config = DbGptConfig()
     dbgpt = DBGPT.boot(config)
     if args.csv:
         dbgpt.register_source(CsvSource(args.csv))
@@ -533,7 +531,7 @@ def serve_main(argv: list[str]) -> int:
 def tenants_main(argv: list[str]) -> int:
     """``repro tenants``: the multi-tenant fabric, demonstrated.
 
-    Boots with tenancy enabled, registers two tenants over the demo
+    Boots the demo stack, registers two tenants over the demo
     sales database (one with a tighter quota), drives a few turns per
     tenant, and prints the per-tenant control-plane table — shard
     placement, session counts, quota state, cache hit rate. ``--json``
@@ -541,8 +539,7 @@ def tenants_main(argv: list[str]) -> int:
     """
     import json
 
-    from repro.core.config import DbGptConfig
-    from repro.tenancy import QuotaConfig, TenancyConfig
+    from repro.tenancy import QuotaConfig
 
     parser = argparse.ArgumentParser(
         prog="repro.cli tenants",
@@ -563,8 +560,7 @@ def tenants_main(argv: list[str]) -> int:
         help="emit the tenant rows as JSON instead of a table",
     )
     args = parser.parse_args(argv)
-    config = DbGptConfig(tenancy=TenancyConfig(enabled=True))
-    dbgpt = DBGPT.boot(config)
+    dbgpt = DBGPT.boot()
     if args.csv:
         dbgpt.register_source(CsvSource(args.csv))
     else:
@@ -607,17 +603,15 @@ def tenants_main(argv: list[str]) -> int:
 def agents_main(argv: list[str]) -> int:
     """``repro agents``: one generative analysis plan, end to end.
 
-    Boots the demo stack (resilience enabled), assembles the planner /
-    chart-agent / aggregator team over the sales database, compiles the
-    plan into an AWEL DAG and executes it. Prints the plan, the
+    Boots the demo stack, assembles the planner / chart-agent /
+    aggregator team over the sales database, compiles the plan into an
+    AWEL DAG and executes it. Prints the plan, the
     resulting dashboard, any recorded failures, and the archived
     conversation. ``--chaos`` kills one sql-coder replica mid-plan to
     demonstrate that the plan still completes; ``--trace`` prints the
     ``agent.plan`` span tree afterwards.
     """
     from repro.agents import DataAnalysisTeam
-    from repro.core.config import DbGptConfig
-    from repro.resilience import ResilienceConfig
 
     parser = argparse.ArgumentParser(
         prog="repro.cli agents",
@@ -642,8 +636,7 @@ def agents_main(argv: list[str]) -> int:
         help="print the agent.plan span tree after the run",
     )
     args = parser.parse_args(argv)
-    config = DbGptConfig(resilience=ResilienceConfig(enabled=True))
-    dbgpt = DBGPT.boot(config)
+    dbgpt = DBGPT.boot()
     if args.csv:
         dbgpt.register_source(CsvSource(args.csv))
     else:

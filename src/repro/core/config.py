@@ -67,14 +67,12 @@ class DbGptConfig:
     #: goes through (see ``docs/serving.md``); it cannot be turned off.
     serving: ServingConfig = field(default_factory=ServingConfig)
     #: Resilience layer — retry/backoff, per-worker circuit breakers,
-    #: health recovery and degraded routing (``docs/resilience.md``).
-    #: Off by default: the disabled path is behaviorally identical to
-    #: a build without the subsystem.
+    #: health recovery and degraded routing (``docs/resilience.md``);
+    #: it cannot be turned off.
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     #: Multi-tenant session fabric — registry + shard router, session
-    #: store, admission quotas, partitioned caches (``docs/tenancy.md``).
-    #: Off by default; the disabled path is behaviorally identical to a
-    #: build without the subsystem.
+    #: store, admission quotas, partitioned caches (``docs/tenancy.md``);
+    #: it cannot be turned off.
     tenancy: TenancyConfig = field(default_factory=TenancyConfig)
 
     def model_names(self) -> list[str]:

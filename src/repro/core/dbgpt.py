@@ -38,6 +38,10 @@ from repro.server.middleware import (
 from repro.server.service import DbGptServer
 from repro.smmf.deploy import deploy
 from repro.smmf.spec import ModelSpec
+# A module, not a name: the fabric imports ``repro.core.session``, so
+# importing ``repro.tenancy.fabric`` first reaches this module while
+# the fabric is still half-built.
+from repro.tenancy import fabric as tenancy_fabric
 
 
 def _model_factory(config: ModelConfig):
@@ -109,14 +113,8 @@ class DBGPT:
         self._apps: dict[str, Application] = {}
         self._sessions: dict[str, ChatSession] = {}
         self._default_source: Optional[DataSource] = None
-        #: The multi-tenant session fabric; None unless
-        #: ``config.tenancy.enabled`` (the disabled path never imports
-        #: the subsystem, let alone runs it).
-        self.fabric = None
-        if self.config.tenancy.enabled:
-            from repro.tenancy.fabric import TenantFabric
-
-            self.fabric = TenantFabric(self, self.config.tenancy)
+        #: The multi-tenant session fabric (``docs/tenancy.md``).
+        self.fabric = tenancy_fabric.TenantFabric(self, self.config.tenancy)
 
     @classmethod
     def boot(cls, config: Optional[DbGptConfig] = None) -> "DBGPT":
@@ -199,22 +197,14 @@ class DBGPT:
 
     # -- tenancy -------------------------------------------------------------
 
-    def _require_fabric(self):
-        if self.fabric is None:
-            raise RuntimeError(
-                "tenancy is disabled; boot with "
-                "DbGptConfig(tenancy=TenancyConfig(enabled=True))"
-            )
-        return self.fabric
-
     def register_tenant(self, tenant_id: str, **kwargs):
-        """Register a tenant on the fabric (tenancy must be enabled).
+        """Register a tenant on the fabric.
 
         See :meth:`repro.tenancy.fabric.TenantFabric.register_tenant`
         for the resource-binding keywords (``source``, ``documents``,
         ``model_preference``, ``quota``).
         """
-        return self._require_fabric().register_tenant(tenant_id, **kwargs)
+        return self.fabric.register_tenant(tenant_id, **kwargs)
 
     def tenant_chat(
         self,
@@ -225,13 +215,13 @@ class DBGPT:
     ):
         """One tenant turn through the fabric; returns
         ``(session_record, response)``."""
-        return self._require_fabric().chat(
+        return self.fabric.chat(
             tenant_id, text, session_id=session_id, app_name=app_name
         )
 
     def tenants(self) -> list[dict]:
         """Control-plane rows for every registered tenant."""
-        return self._require_fabric().describe()
+        return self.fabric.describe()
 
     # -- server layer -----------------------------------------------------------
 
@@ -240,9 +230,9 @@ class DBGPT:
     ) -> DbGptServer:
         """Mount all applications behind the HTTP-shaped server.
 
-        With tenancy enabled the ``/v1`` multi-tenant surface mounts
-        too, and per-tenant bearer tokens (``auth_principals``)
-        authenticate callers as their tenant.
+        The ``/v1`` multi-tenant surface mounts too, and per-tenant
+        bearer tokens (``auth_principals``) authenticate callers as
+        their tenant.
         """
         if middlewares is None:
             # Tracing sits outermost so auth rejections and privacy
@@ -257,7 +247,7 @@ class DBGPT:
                 )
             if self.config.privacy:
                 middlewares.append(PrivacyMiddleware())
-        server = DbGptServer(middlewares, fabric=self.fabric)
+        server = DbGptServer(self.fabric, middlewares)
         for application in self._apps.values():
             server.register_app(application)
         return server

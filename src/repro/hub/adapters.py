@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.fileio import write_text_atomic
 from repro.llm.sql_coder import SqlCoderModel
 from repro.nlu.lexicon import Lexicon, LexiconEntry
 
@@ -28,7 +29,6 @@ class LexiconAdapter:
 
     def save(self, path) -> None:
         import json
-        import pathlib
 
         entries = []
         for phrase in self.lexicon.phrases():
@@ -42,9 +42,10 @@ class LexiconAdapter:
                         "weight": entry.weight,
                     }
                 )
-        pathlib.Path(path).write_text(
+        write_text_atomic(
+            path,
             json.dumps({"name": self.name, "entries": entries},
-                       ensure_ascii=False)
+                       ensure_ascii=False),
         )
 
     @classmethod
@@ -52,7 +53,7 @@ class LexiconAdapter:
         import json
         import pathlib
 
-        payload = json.loads(pathlib.Path(path).read_text())
+        payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
         lexicon = Lexicon.from_entries(
             LexiconEntry(
                 phrase=item["phrase"],

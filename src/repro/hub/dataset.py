@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.datasets.spider import Text2SqlExample, generate_examples
+from repro.fileio import write_text_atomic
 
 
 @dataclass
@@ -67,13 +68,11 @@ class Text2SqlDataset:
             "train": [vars(e) for e in self.train],
             "test": [vars(e) for e in self.test],
         }
-        pathlib.Path(path).write_text(
-            json.dumps(payload, ensure_ascii=False)
-        )
+        write_text_atomic(path, json.dumps(payload, ensure_ascii=False))
 
     @classmethod
     def load(cls, path: pathlib.Path | str) -> "Text2SqlDataset":
-        payload = json.loads(pathlib.Path(path).read_text())
+        payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
         return cls(
             domain=payload["domain"],
             train=[Text2SqlExample(**e) for e in payload["train"]],

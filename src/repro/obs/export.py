@@ -14,6 +14,7 @@ import pathlib
 import threading
 from typing import Union
 
+from repro.fileio import write_text_atomic
 from repro.obs.span import Span
 
 PathLike = Union[str, pathlib.Path]
@@ -38,10 +39,13 @@ def dump_spans(spans: list[Span], path: PathLike) -> int:
     """Write a batch of spans to ``path`` (overwrites); returns count."""
     target = pathlib.Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        for span in spans:
-            handle.write(json.dumps(span.to_dict(), ensure_ascii=False))
-            handle.write("\n")
+    write_text_atomic(
+        target,
+        "".join(
+            json.dumps(span.to_dict(), ensure_ascii=False) + "\n"
+            for span in spans
+        ),
+    )
     return len(spans)
 
 

@@ -14,6 +14,7 @@ from typing import Any, Iterable, Optional
 
 from repro.cache.keys import instance_token, retrieval_key
 from repro.cache.manager import get_cache_manager
+from repro.fileio import write_text_atomic
 from repro.rag.document import Chunk, Document
 from repro.rag.embedder import HashingEmbedder
 from repro.rag.graph_index import GraphIndex
@@ -237,7 +238,6 @@ class KnowledgeBase:
         deterministic functions of them and are rebuilt on load.
         """
         import json
-        import pathlib
 
         payload = []
         for chunk in self._chunks.values():
@@ -257,9 +257,10 @@ class KnowledgeBase:
                     "entities": sorted(entities),
                 }
             )
-        pathlib.Path(path).write_text(
+        write_text_atomic(
+            path,
             json.dumps({"name": self.name, "chunks": payload},
-                       ensure_ascii=False)
+                       ensure_ascii=False),
         )
 
     @classmethod
@@ -268,7 +269,7 @@ class KnowledgeBase:
         import json
         import pathlib
 
-        payload = json.loads(pathlib.Path(path).read_text())
+        payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
         kb = cls(name=payload.get("name", "knowledge"), **kwargs)
         for item in payload["chunks"]:
             kb.add_chunk(

@@ -11,14 +11,15 @@ traffic; this package makes the pool survive faults (see
 - :class:`CircuitBreaker` / :class:`BreakerBoard` — per-worker
   closed → open → half-open machines the balancer consults instead of
   the old one-way ``record.healthy = False``.
-- :class:`HealthMonitor` — clock-driven probes that re-admit crashed,
-  killed-then-restarted or swept workers.
+- :class:`HealthMonitor` — clock-driven probes that re-admit
+  breaker-tripped, killed-then-restarted or swept workers.
 - :mod:`repro.resilience.chaos` — deterministic fault-injection
   harness (scripted kill/restart/flap timelines) driving the chaos
   test suite and ``benchmarks/bench_resilience.py``.
 
-Everything defaults **off** (:class:`ResilienceConfig`): the disabled
-path is behaviorally identical to a build without the subsystem.
+Every controller and client runs all of it; :class:`ResilienceConfig`
+tunes it and cannot switch it off (retries off is
+``RetryConfig(max_attempts=1)``).
 """
 
 from repro.resilience.breaker import (

@@ -108,6 +108,14 @@ class CircuitBreaker:
             self._half_open_inflight = 0
             self._state = CLOSED
 
+    def release(self) -> None:
+        """An admitted request ended with no verdict on the worker
+        (neither served nor crashed): give back its half-open trial
+        slot, or the breaker would wait on it forever."""
+        with self._lock:
+            if self._state == HALF_OPEN and self._half_open_inflight > 0:
+                self._half_open_inflight -= 1
+
     def record_failure(self) -> None:
         with self._lock:
             self._failures += 1
@@ -156,6 +164,9 @@ class BreakerBoard:
 
     def acquire(self, worker_id: str) -> bool:
         return self.breaker(worker_id).acquire()
+
+    def release(self, worker_id: str) -> None:
+        self.breaker(worker_id).release()
 
     def record_success(self, worker_id: str) -> None:
         self.breaker(worker_id).record_success()

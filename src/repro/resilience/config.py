@@ -73,15 +73,18 @@ class BreakerConfig:
 
 @dataclass
 class ResilienceConfig:
-    """Master configuration for retry, breakers and recovery.
+    """Configuration for retry, breakers and recovery.
 
-    ``enabled`` defaults to **off**: with it off, routing, failover and
-    the client round trip are behaviorally identical to a build without
-    the subsystem (certified by the disabled-parity tests, mirroring
-    the cache and serving subsystems).
+    Every :class:`repro.smmf.ModelController` and
+    :class:`repro.smmf.LLMClient` runs the resilience layer; there is
+    no path without it. ``enabled`` is kept only because existing
+    callers spell ``ResilienceConfig(enabled=True)`` — among them the
+    production profile of the end-to-end benchmark
+    (``benchmarks/e2e/stack.py``); ``False`` is rejected. Retries off
+    is ``retry=RetryConfig(max_attempts=1)``.
     """
 
-    enabled: bool = False
+    enabled: bool = True
     retry: RetryConfig = field(default_factory=RetryConfig)
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     #: How often the health monitor re-probes a non-serving worker.
@@ -96,10 +99,10 @@ class ResilienceConfig:
     serve_stale: bool = False
 
     def __post_init__(self) -> None:
+        if not self.enabled:
+            raise ValueError(
+                "the resilience layer cannot be disabled; SMMF has no "
+                "other recovery path"
+            )
         if self.probe_interval_s <= 0:
             raise ValueError("probe_interval_s must be positive")
-
-    @classmethod
-    def disabled(cls) -> "ResilienceConfig":
-        """The default: no retries, no breakers, no recovery loop."""
-        return cls(enabled=False)

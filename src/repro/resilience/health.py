@@ -1,12 +1,11 @@
 """Health recovery: probe non-serving workers back into rotation.
 
-The pre-resilience stack had a one-way door: a crash or a missed
-heartbeat marked a worker unhealthy and only an explicit
-``registry.heartbeat`` ever re-admitted it. The monitor closes the
-loop — every time the controller's logical clock advances it probes
-workers that are out of rotation (unhealthy record, dead process, or
-open breaker), at most once per ``probe_interval_s`` each, and a
-successful probe re-admits the worker:
+A missed heartbeat marks a worker unhealthy, crashes trip its breaker,
+and a killed process stays down until restarted. The monitor closes
+the loop — every time the controller's logical clock advances it
+probes workers that are out of rotation (unhealthy record, dead
+process, or open breaker), at most once per ``probe_interval_s`` each,
+and a successful probe re-admits the worker:
 
 - the registry record gets a fresh heartbeat (``healthy = True``),
 - an open breaker is forced half-open, so the next balancer pick can
@@ -38,8 +37,8 @@ class HealthMonitor:
     def __init__(
         self,
         registry: ModelRegistry,
+        breakers: BreakerBoard,
         probe_interval_s: float = 1.0,
-        breakers: Optional[BreakerBoard] = None,
     ) -> None:
         if probe_interval_s <= 0:
             raise ValueError("probe_interval_s must be positive")
@@ -51,10 +50,7 @@ class HealthMonitor:
     def _needs_probe(self, record) -> bool:
         if not record.healthy or not record.worker.alive:
             return True
-        return (
-            self.breakers is not None
-            and self.breakers.state(record.worker.worker_id) != CLOSED
-        )
+        return self.breakers.state(record.worker.worker_id) != CLOSED
 
     def probe(
         self, now: float, model_name: Optional[str] = None
@@ -71,8 +67,7 @@ class HealthMonitor:
             self._last_probe[worker_id] = now
             if record.worker.probe():
                 self.registry.heartbeat(worker_id, now)
-                if self.breakers is not None:
-                    self.breakers.probe_succeeded(worker_id)
+                self.breakers.probe_succeeded(worker_id)
                 readmitted.append(worker_id)
                 _PROBES.labels("recovered")()
             else:

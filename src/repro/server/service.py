@@ -19,19 +19,17 @@ from repro.server.router import Router
 class DbGptServer:
     """Serve registered applications at ``POST /api/chat/{app}``.
 
-    Also exposes ``GET /api/apps`` (discovery) and ``GET /api/health``.
-    With a tenant fabric attached the multi-tenant surface mounts too:
+    Also exposes ``GET /api/apps`` (discovery) and ``GET /api/health``,
+    and, over the tenant ``fabric``, the multi-tenant surface:
     ``POST /v1/sessions`` (create/resume by id), ``GET`` and ``DELETE``
     on ``/v1/sessions/{session_id}``, ``POST /v1/chat`` (takes
-    ``tenant_id``/``session_id``) and ``GET /v1/tenants``. Without a
-    fabric none of the ``/v1`` routes exist — the server is exactly
-    the pre-tenancy one.
+    ``tenant_id``/``session_id``) and ``GET /v1/tenants``.
     """
 
     def __init__(
         self,
+        fabric: Any,
         middlewares: Optional[list[Middleware]] = None,
-        fabric: Any = None,
     ) -> None:
         self.router = Router(middlewares)
         self.fabric = fabric
@@ -40,18 +38,15 @@ class DbGptServer:
         self.router.add_route("GET", "/api/health", self._health)
         self.router.add_route("GET", "/api/openapi", self._openapi)
         self.router.add_route("POST", "/api/chat/{app}", self._chat)
-        if fabric is not None:
-            self.router.add_route(
-                "POST", "/v1/sessions", self._create_session
-            )
-            self.router.add_route(
-                "GET", "/v1/sessions/{session_id}", self._get_session
-            )
-            self.router.add_route(
-                "DELETE", "/v1/sessions/{session_id}", self._drop_session
-            )
-            self.router.add_route("POST", "/v1/chat", self._tenant_chat)
-            self.router.add_route("GET", "/v1/tenants", self._list_tenants)
+        self.router.add_route("POST", "/v1/sessions", self._create_session)
+        self.router.add_route(
+            "GET", "/v1/sessions/{session_id}", self._get_session
+        )
+        self.router.add_route(
+            "DELETE", "/v1/sessions/{session_id}", self._drop_session
+        )
+        self.router.add_route("POST", "/v1/chat", self._tenant_chat)
+        self.router.add_route("GET", "/v1/tenants", self._list_tenants)
 
     def register_app(self, app: Application) -> None:
         key = app.name.lower()
@@ -165,7 +160,7 @@ class DbGptServer:
         }
         return Response(200 if response.ok else 422, payload)
 
-    # -- tenant surface (mounted only with a fabric) -------------------------
+    # -- tenant surface ----------------------------------------------------
 
     def _resolve_tenant(self, request: Request) -> Any:
         """The effective tenant id, or an error Response.

@@ -84,18 +84,10 @@ class LLMClient:
     ) -> None:
         self._server = server
         self._cache_token = instance_token()
-        self._resilience = (
-            resilience if resilience is not None and resilience.enabled
-            else None
+        self._resilience = resilience or ResilienceConfig()
+        self._retry_policy = RetryPolicy(
+            self._resilience.retry, sleep=sleep, rng=rng, layer="client"
         )
-        self._retry_policy: Optional[RetryPolicy] = None
-        if self._resilience is not None:
-            self._retry_policy = RetryPolicy(
-                self._resilience.retry,
-                sleep=sleep,
-                rng=rng,
-                layer="client",
-            )
         #: Lifetime count of turns served stale from cache (degraded).
         self.stale_serves = 0
         #: Lifetime count of responses the server marked ``degraded``
@@ -168,7 +160,7 @@ class LLMClient:
         lookup path can expire-evict it. The snapshot is served only
         if the stack then 503s (the stack being down, not the request
         being wrong); a 1-tuple so a cached empty string still counts."""
-        if self._resilience is None or not self._resilience.serve_stale:
+        if not self._resilience.serve_stale:
             return None
         found, text = manager.peek_stale("inference", key)
         return (text,) if found else None
@@ -264,8 +256,6 @@ class LLMClient:
         body = self._request_body(
             model, prompt, task, max_tokens, metadata, timeout_s
         )
-        if self._retry_policy is None:
-            return await self._aroundtrip(body)
         return await self._retry_policy.arun(
             lambda: self._aroundtrip(body),
             classify=_classify_client_error,
@@ -393,8 +383,8 @@ class LLMClient:
     ) -> str:
         """One logical round trip through the serving stack.
 
-        With resilience enabled, transient rejections (429/503) are
-        retried under the :class:`RetryPolicy` — a 429's
+        Transient rejections (429/503) are retried under the
+        :class:`RetryPolicy` — a 429's
         ``retry_after`` hint floors the backoff, so shed requests wait
         out the backlog the server predicted instead of failing the
         user's turn.
@@ -402,8 +392,6 @@ class LLMClient:
         body = self._request_body(
             model, prompt, task, max_tokens, metadata, timeout_s
         )
-        if self._retry_policy is None:
-            return self._roundtrip(body)
         return self._retry_policy.run(
             lambda: self._roundtrip(body),
             classify=_classify_client_error,

@@ -47,21 +47,13 @@ class ModelController:
     """Routes requests to model workers with retry-based failover.
 
     A crashed worker is retried on the remaining replicas (up to
-    ``max_retries``); what happens to the *crashed* worker depends on
-    the resilience configuration:
-
-    - **disabled** (default): the record is marked unhealthy with
-      ``down_reason="crash"``. It stays out of rotation until routing
-      hits a wall (no healthy candidates) and lazy re-admission finds
-      the worker process alive again — the post-``restart()`` recovery
-      the pre-resilience stack lacked.
-    - **enabled**: a per-worker circuit breaker records the failure
-      (closed → open on consecutive crashes → half-open probe), the
-      balancer consults breakers instead of the one-way healthy flag,
-      timed retry rounds (exponential backoff on the logical clock)
-      re-sweep after the health monitor has had a chance to re-admit
-      recovered workers, and an exhausted model can degrade to a
-      configured fallback model (responses marked ``degraded``).
+    ``max_retries``). A per-worker circuit breaker records the failure
+    (closed → open on consecutive crashes → half-open probe), the
+    balancer consults breakers, timed retry rounds (exponential backoff
+    on the logical clock) re-sweep after the health monitor has had a
+    chance to re-admit recovered workers, and an exhausted model can
+    degrade to a configured fallback model (responses marked
+    ``degraded``).
     """
 
     def __init__(
@@ -82,30 +74,23 @@ class ModelController:
         #: API server's only dispatch path. Its loop starts on the
         #: first submit; :meth:`RequestScheduler.close` stops it.
         self.scheduler = RequestScheduler(self, serving)
-        self.resilience = (
-            resilience if resilience is not None and resilience.enabled
-            else None
+        self.resilience = resilience or ResilienceConfig()
+        self.breakers = BreakerBoard(self.resilience.breaker, self._now)
+        self.health = HealthMonitor(
+            self.registry,
+            self.breakers,
+            probe_interval_s=self.resilience.probe_interval_s,
         )
-        self.breakers: Optional[BreakerBoard] = None
-        self.health: Optional[HealthMonitor] = None
-        self._retry_policy: Optional[RetryPolicy] = None
-        if self.resilience is not None:
-            self.breakers = BreakerBoard(self.resilience.breaker, self._now)
-            self.health = HealthMonitor(
-                self.registry,
-                probe_interval_s=self.resilience.probe_interval_s,
-                breakers=self.breakers,
-            )
-            # Controller retries advance the *logical* clock (which is
-            # also what runs health probes and breaker timeouts), so
-            # recovery tests are deterministic; the seeded rng keeps
-            # the jittered delay sequence reproducible too.
-            self._retry_policy = RetryPolicy(
-                self.resilience.retry,
-                sleep=self.advance_clock,
-                rng=random.Random(0),
-                layer="controller",
-            )
+        # Controller retries advance the *logical* clock (which is also
+        # what runs health probes and breaker timeouts), so recovery
+        # tests are deterministic; the seeded rng keeps the jittered
+        # delay sequence reproducible too.
+        self._retry_policy = RetryPolicy(
+            self.resilience.retry,
+            sleep=self.advance_clock,
+            rng=random.Random(0),
+            layer="controller",
+        )
 
     # -- time ------------------------------------------------------------
 
@@ -123,15 +108,14 @@ class ModelController:
     def advance_clock(self, seconds: float) -> float:
         """Advance the controller's logical clock (tests/benchmarks).
 
-        With resilience enabled, every advance also runs due health
-        probes, so recovery happens as a side effect of time passing —
-        traffic latency, retry backoff, or an explicit advance.
+        Every advance also runs due health probes, so recovery happens
+        as a side effect of time passing — traffic latency, retry
+        backoff, or an explicit advance.
         """
         with self._clock_lock:
             self._clock += seconds
             now = self._clock
-        if self.health is not None:
-            self.health.probe(now)
+        self.health.probe(now)
         return now
 
     @property
@@ -176,29 +160,13 @@ class ModelController:
                     "alive": stats["alive"],
                     "healthy": record.healthy,
                     "down_reason": record.down_reason,
-                    "breaker": (
-                        self.breakers.state(worker.worker_id)
-                        if self.breakers is not None
-                        else None
-                    ),
+                    "breaker": self.breakers.state(worker.worker_id),
                     "inflight": stats["inflight"],
                     "served": stats["served"],
                     "failed": stats["failed"],
                 }
             )
         return rows
-
-    # -- failure accounting ------------------------------------------------
-
-    def _record_worker_failure(self, record: WorkerRecord) -> None:
-        if self.breakers is not None:
-            self.breakers.record_failure(record.worker.worker_id)
-        else:
-            self.registry.mark_crashed(record.worker.worker_id)
-
-    def _record_worker_success(self, record: WorkerRecord) -> None:
-        if self.breakers is not None:
-            self.breakers.record_success(record.worker.worker_id)
 
     # -- routing ----------------------------------------------------------
 
@@ -218,46 +186,37 @@ class ModelController:
         attempts = 0
         tried: set[str] = set()
         last_error: Optional[Exception] = None
-        readmission_tried = False
         while attempts <= self.max_retries:
             candidates = [
                 record
                 for record in self.registry.healthy_workers(model_name)
                 if record.worker.worker_id not in tried
-                and (
-                    self.breakers is None
-                    or self.breakers.available(record.worker.worker_id)
-                )
+                and self.breakers.available(record.worker.worker_id)
             ]
             if not candidates:
-                # Last resort before giving up: crash-marked workers
-                # whose process has been restarted rejoin rotation.
-                if not readmission_tried:
-                    readmission_tried = True
-                    if self.registry.readmit_recovered(
-                        model_name, exclude=tried
-                    ):
-                        continue
                 break
             record = self.balancer.choose(candidates)
-            worker = record.worker
-            tried.add(worker.worker_id)
-            if self.breakers is not None and not self.breakers.acquire(
-                worker.worker_id
-            ):
+            worker_id = record.worker.worker_id
+            tried.add(worker_id)
+            if not self.breakers.acquire(worker_id):
                 # Lost a half-open probe slot to a concurrent request.
                 continue
             attempts += 1
             try:
                 result = execute(record)
             except WorkerCrashed as exc:
-                self._record_worker_failure(record)
+                self.breakers.record_failure(worker_id)
                 last_error = exc
                 continue
             except LLMError:
-                self._record_worker_success(record)
+                self.breakers.record_success(worker_id)
                 raise
-            self._record_worker_success(record)
+            except BaseException:
+                # No verdict on the replica: hand back a half-open
+                # trial slot rather than wedging the breaker.
+                self.breakers.release(worker_id)
+                raise
+            self.breakers.record_success(worker_id)
             return result, record, attempts - 1
         raise _AllReplicasFailed(last_error)
 
@@ -272,13 +231,9 @@ class ModelController:
         Returns ``(result, record, retries, degraded)``; raises
         :class:`_AllReplicasFailed` once the whole ladder is exhausted.
         """
-        run_sweep = lambda: self._sweep(model_name, execute)  # noqa: E731
-        if self._retry_policy is None:
-            result, record, retries = run_sweep()
-            return result, record, retries, False
         try:
             result, record, retries = self._retry_policy.run(
-                run_sweep,
+                lambda: self._sweep(model_name, execute),
                 classify=lambda exc: (
                     isinstance(exc, _AllReplicasFailed),
                     None,
@@ -454,13 +409,13 @@ class ExecutionLease:
         try:
             computed = self._wexec.step()
         except WorkerCrashed:
-            self._controller._record_worker_failure(self.record)
+            self._controller.breakers.record_failure(self.worker_id)
             raise
         except LLMError:
-            self._controller._record_worker_success(self.record)
+            self._controller.breakers.record_success(self.worker_id)
             self._controller.metrics.record_failure(self.model_name)
             raise
-        self._controller._record_worker_success(self.record)
+        self._controller.breakers.record_success(self.worker_id)
         if computed:
             latency = float(self.record.metadata.get("latency_ms", 0.0))
             # One fused pass occupies the replica for one latency

@@ -26,10 +26,10 @@ def deploy(
     This is the one-call "private deployment" path the paper's SMMF
     promises: every model runs locally under the caller's control.
     ``serving`` tunes the continuous-batching engine every request
-    goes through (see ``docs/serving.md``). An enabled
-    :class:`ResilienceConfig` arms retry policies, per-worker circuit
-    breakers and health recovery on both the controller and the client
-    (see ``docs/resilience.md``).
+    goes through (see ``docs/serving.md``); ``resilience`` tunes the
+    retry policies, per-worker circuit breakers and health recovery
+    both the controller and the client run (see
+    ``docs/resilience.md``; ``None`` means the defaults).
     """
     controller = ModelController(
         balancer=balancer,

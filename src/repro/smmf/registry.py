@@ -21,11 +21,10 @@ class WorkerRecord:
     model_name: str
     heartbeat: float = 0.0
     healthy: bool = True
-    #: Why ``healthy`` went False: ``"crash"`` (routing saw a
-    #: WorkerCrashed) or ``"sweep"`` (stale heartbeat). ``None`` while
-    #: healthy. Crash-marked records are eligible for lazy
-    #: re-admission once the worker process is back up; sweep-marked
-    #: ones need a real heartbeat (or a resilience health probe).
+    #: Why ``healthy`` went False: ``"sweep"`` (stale heartbeat) is the
+    #: only reason; ``None`` while healthy. A real heartbeat or a
+    #: successful health probe re-admits the worker. Crashes do not
+    #: touch the record — the worker's circuit breaker tracks them.
     down_reason: Optional[str] = None
     metadata: dict[str, Any] = field(default_factory=dict)
 
@@ -98,46 +97,6 @@ class ModelRegistry:
                     record.healthy = False
                     stale.append(worker_id)
         return stale
-
-    def mark_crashed(self, worker_id: str) -> None:
-        """Take a worker out of rotation after a crash (one request's
-        failover saw :class:`~repro.smmf.worker.WorkerCrashed`)."""
-        with self._lock:
-            record = self._records.get(worker_id)
-            if record is None:
-                return
-            record.healthy = False
-            record.down_reason = "crash"
-
-    def readmit_recovered(
-        self,
-        model_name: str,
-        exclude: Optional[set[str]] = None,
-    ) -> list[str]:
-        """Re-admit crash-marked workers whose process is back up.
-
-        The last-resort recovery the routing loop runs when no healthy
-        candidate remains: a worker that crashed but has since been
-        restarted (``worker.alive`` is True again) rejoins rotation
-        instead of staying out forever. Sweep-marked workers are left
-        alone — silence needs a heartbeat, not an optimistic retry.
-        Returns the re-admitted worker ids.
-        """
-        exclude = exclude or set()
-        readmitted: list[str] = []
-        with self._lock:
-            for worker_id in self._by_model.get(model_name, []):
-                record = self._records[worker_id]
-                if (
-                    not record.healthy
-                    and record.down_reason == "crash"
-                    and record.worker.alive
-                    and worker_id not in exclude
-                ):
-                    record.healthy = True
-                    record.down_reason = None
-                    readmitted.append(worker_id)
-        return readmitted
 
     def healthy_workers(self, model_name: str) -> list[WorkerRecord]:
         with self._lock:

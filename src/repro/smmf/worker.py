@@ -164,8 +164,8 @@ class ModelWorker:
         """Bring the worker back up, clearing injected faults.
 
         Restarting re-enables execution but does *not* re-admit the
-        worker into routing by itself — the controller's recovery path
-        (lazy re-admission, or a resilience health probe) does that.
+        worker into routing by itself — the controller's health probe
+        does that.
         The replica comes back cold: a crashed process lost whatever
         its model kept between requests.
         """

@@ -3,9 +3,8 @@
 Four pillars over the singleton facade: a tenant registry with
 consistent-hash shard routing, a bounded server-side session store, a
 quota layer in front of the serving scheduler, and tenant-partitioned
-caching + observability. Everything is off until
-``TenancyConfig(enabled=True)``; the disabled path is behaviorally
-identical to the pre-tenancy system (see ``docs/tenancy.md``).
+caching + observability. Every booted facade carries a fabric; there
+is no single-tenant path (see ``docs/tenancy.md``).
 
 This module deliberately imports only the config and the ambient
 tenant context at load time — :mod:`repro.cache.manager` imports the

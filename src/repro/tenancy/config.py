@@ -2,10 +2,8 @@
 
 Everything here is plain data so :class:`repro.core.config.DbGptConfig`
 can embed a :class:`TenancyConfig` without importing anything heavy.
-Like the serving, resilience and cache subsystems, tenancy defaults
-**off**: a disabled configuration leaves the singleton behavior of the
-facade byte-identical to a build without the subsystem (no fabric, no
-session routes, no cache partitions, no quota checks).
+Like the serving and resilience subsystems, tenancy cannot be turned
+off: every booted facade carries its fabric.
 """
 
 from __future__ import annotations
@@ -45,9 +43,15 @@ class QuotaConfig:
 class TenancyConfig:
     """Configuration for :class:`repro.tenancy.fabric.TenantFabric`.
 
-    ``enabled`` is the master switch. ``shards``/``virtual_nodes``
-    parameterize the consistent-hash ring that places tenants on
-    shards (adding a shard moves a bounded key range). The session
+    Every booted :class:`repro.core.DBGPT` builds its fabric; there is
+    no single-tenant path. ``enabled`` is kept only because existing
+    callers spell ``TenancyConfig(enabled=True)`` — among them the
+    production profile of the end-to-end benchmark
+    (``benchmarks/e2e/stack.py``); ``False`` is rejected.
+
+    ``shards``/``virtual_nodes`` parameterize the consistent-hash ring
+    that places tenants on shards (adding a shard moves a bounded key
+    range). The session
     store keeps at most ``max_sessions_per_tenant`` conversations per
     tenant (LRU eviction beyond that, never evicting a session with an
     in-flight turn) and expires idle sessions after
@@ -56,7 +60,7 @@ class TenancyConfig:
     never evict or poison another tenant's cached entries.
     """
 
-    enabled: bool = False
+    enabled: bool = True
     #: Physical shards in the initial ring.
     shards: int = 4
     #: Virtual nodes per shard on the hash ring; more nodes smooth the
@@ -73,6 +77,11 @@ class TenancyConfig:
     cache_partition_capacity: int = 256
 
     def __post_init__(self) -> None:
+        if not self.enabled:
+            raise ValueError(
+                "the tenant fabric cannot be disabled; the facade has "
+                "no single-tenant path"
+            )
         if self.shards <= 0:
             raise ValueError("shards must be positive")
         if self.virtual_nodes <= 0:
@@ -86,8 +95,3 @@ class TenancyConfig:
             raise ValueError("session_ttl_seconds must be positive (or None)")
         if self.cache_partition_capacity < 0:
             raise ValueError("cache_partition_capacity must be >= 0")
-
-    @classmethod
-    def disabled(cls) -> "TenancyConfig":
-        """The default: no fabric, identical to a pre-tenancy build."""
-        return cls(enabled=False)

@@ -30,7 +30,7 @@ _current_tenant: ContextVar[Optional[str]] = ContextVar(
 
 def current_tenant() -> Optional[str]:
     """The tenant the current request is running for (None outside
-    any tenant scope — i.e. always, when tenancy is disabled)."""
+    any tenant scope)."""
     return _current_tenant.get()
 
 

@@ -18,8 +18,7 @@ tenant-aware system. It owns the four pillars:
   what stamps the ``tenant`` attribute on root spans and routes cache
   traffic to the tenant's private partition.
 
-The fabric exists only when ``TenancyConfig.enabled`` is True;
-without it the facade behaves exactly as before the subsystem.
+Every booted :class:`repro.core.DBGPT` builds its fabric.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class TenantFabric:
         rng: Optional[random.Random] = None,
     ) -> None:
         self._dbgpt = dbgpt
-        self.config = config or TenancyConfig(enabled=True)
+        self.config = config or TenancyConfig()
         self.registry = TenantRegistry(
             HashRing(self.config.shards, self.config.virtual_nodes)
         )

@@ -57,7 +57,7 @@ class SessionStore:
         clock: Callable[[], float] = time.monotonic,
         rng: Optional[random.Random] = None,
     ) -> None:
-        self.config = config or TenancyConfig(enabled=True)
+        self.config = config or TenancyConfig()
         self._clock = clock
         self._rng = rng
         self._lock = threading.Lock()

@@ -68,7 +68,6 @@ class TickingServer:
 
 def resilience_config(fallback=None):
     return ResilienceConfig(
-        enabled=True,
         retry=RetryConfig(
             max_attempts=3, base_delay_s=0.5, jitter=0.0
         ),
@@ -175,8 +174,9 @@ class TestPlanSurvivesChaos:
         ]
 
     def test_chaos_off_baseline_loses_the_plan(self):
-        """The same outage without the resilience layer is fatal: every
-        chart hop 503s, no step yields a chart, the plan errors out."""
+        """The same outage without a fallback route is fatal: retries
+        cannot revive the only replica, every chart hop 503s, no step
+        yields a chart, the plan errors out."""
         team, _controller, _injector, _client = build_team(
             [ChaosEvent(0.05, 0, KILL)],
             resilience=None,

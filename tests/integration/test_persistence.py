@@ -1,13 +1,81 @@
 """Tests for knowledge-base and adapter persistence round trips."""
 
+import os
+
 import pytest
 
+from repro.agents.memory import AgentMemory
+from repro.agents.messages import AgentMessage
 from repro.datasets import build_corpus, build_spider_database
+from repro.datasets.spider import Text2SqlExample
 from repro.datasources import EngineSource
 from repro.hub import FineTuner, LexiconAdapter, Text2SqlDataset, evaluate_model
 from repro.llm import SqlCoderModel
 from repro.nlu import SchemaIndex
+from repro.obs.export import dump_spans, load_spans
+from repro.obs.span import Span
 from repro.rag import Document, KnowledgeBase, PrivacyScrubber
+
+
+def _save_memory(path, size):
+    memory = AgentMemory(path)  # reloads what is already there
+    while len(memory) < size:
+        memory.append(AgentMessage("planner", "coder", f"m{len(memory)}"))
+
+
+def _save_kb(path, size):
+    kb = KnowledgeBase()
+    for index in range(size):
+        kb.add_document(Document(f"d{index}", f"document number {index}"))
+    kb.save(path)
+
+
+def _save_adapter(path, size):
+    adapter = LexiconAdapter("a")
+    for index in range(size):
+        adapter.lexicon.add_synonym(f"phrase{index}", "table", "orders")
+    adapter.save(path)
+
+
+#: name -> (write ``size`` items to path, reload and count them).
+_WRITERS = {
+    "agent_memory": (_save_memory, lambda path: len(AgentMemory(path))),
+    "knowledge_base": (
+        _save_kb, lambda path: len(KnowledgeBase.load_file(path))
+    ),
+    "spans": (
+        lambda path, size: dump_spans(
+            [Span(f"s{i}", "t", i) for i in range(size)], path
+        ),
+        lambda path: len(load_spans(path)),
+    ),
+    "dataset": (
+        lambda path, size: Text2SqlDataset(
+            "d", [Text2SqlExample("q", "SELECT 1", "d")] * size, []
+        ).save(path),
+        lambda path: len(Text2SqlDataset.load(path).train),
+    ),
+    "adapter": (_save_adapter, lambda path: len(LexiconAdapter.load(path))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_write_killed_part_way_leaves_the_previous_file(
+    name, tmp_path, monkeypatch
+):
+    save, count = _WRITERS[name]
+    path = tmp_path / "state.json"
+    save(path, 2)
+
+    def killed(fd):
+        raise OSError("killed before the new bytes were durable")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", killed)
+        with pytest.raises(OSError, match="killed"):
+            save(path, 3)
+    assert count(path) == 2
+    assert os.listdir(tmp_path) == ["state.json"]  # no temp file left
 
 
 class TestKnowledgeBasePersistence:

@@ -6,6 +6,8 @@
   policy (shed requests wait the hint out instead of failing).
 - ``kill()``/``restart()`` mutate worker state under the worker lock.
 - A stale cache entry can answer the turn when the stack is down.
+- A half-open trial that raises neither a crash nor a model error
+  hands its slot back instead of wedging the breaker.
 """
 
 import threading
@@ -15,11 +17,17 @@ import pytest
 from repro.cache.config import CacheConfig
 from repro.cache.manager import CacheManager, set_cache_manager
 from repro.llm.base import GenerationRequest, LLMError
-from repro.resilience import ResilienceConfig, RetryConfig
+from repro.resilience import (
+    HALF_OPEN,
+    BreakerConfig,
+    ResilienceConfig,
+    RetryConfig,
+)
 from repro.serving import ServingConfig
 from repro.smmf import ModelSpec, deploy
 from repro.smmf.api_server import ApiResponse, ApiServer
 from repro.smmf.client import ClientError, LLMClient
+from repro.smmf.controller import ModelController, SmmfError
 from repro.smmf.worker import ModelWorker
 
 from tests.resilience.conftest import (
@@ -112,6 +120,41 @@ class TestPoisonBatchIsolation:
             scheduler.close()
 
 
+class _BuggyModel(EchoModel):
+    """Echoes, except that a ``"bug"`` prompt raises a plain
+    exception: neither a worker crash nor an :class:`LLMError`."""
+
+    def complete(self, request):
+        if request.prompt == "bug":
+            raise RuntimeError("model bug")
+        return super().complete(request)
+
+
+class TestHalfOpenTrialSlot:
+    def test_unexpected_error_on_the_trial_releases_the_slot(self):
+        controller = ModelController(
+            resilience=ResilienceConfig(
+                retry=RetryConfig(max_attempts=1),
+                breaker=BreakerConfig(
+                    failure_threshold=1, reset_timeout_s=5.0
+                ),
+            )
+        )
+        worker = ModelWorker(_BuggyModel(), latency_ms=0.0)
+        controller.register_worker(worker, latency_ms=0.0)
+        worker.inject_failures(1)
+        with pytest.raises(SmmfError):
+            controller.generate("chat", GenerationRequest("x"))
+        controller.advance_clock(5.0)
+        assert controller.breakers.state(worker.worker_id) == HALF_OPEN
+        with pytest.raises(RuntimeError, match="model bug"):
+            controller.generate("chat", GenerationRequest("bug"))
+        # The trial ended without a verdict; the next request takes the
+        # slot it handed back and its success closes the breaker.
+        response = controller.generate("chat", GenerationRequest("hi"))
+        assert response.text == "echo: hi"
+
+
 class _ScriptedServer:
     """Stands in for the API server: replays a list of responses."""
 
@@ -135,9 +178,7 @@ class TestRetryAfterWiring:
         sleeper = Sleeper()
         client = LLMClient(
             _ScriptedServer(responses),
-            resilience=ResilienceConfig(
-                enabled=True, retry=RetryConfig(**retry)
-            ),
+            resilience=ResilienceConfig(retry=RetryConfig(**retry)),
             sleep=sleeper,
         )
         return client, sleeper
@@ -190,7 +231,10 @@ class TestRetryAfterWiring:
             [ApiResponse(429, {"error": "shed", "retry_after": 0.1}),
              _ok()]
         )
-        client = LLMClient(server)
+        client = LLMClient(
+            server,
+            resilience=ResilienceConfig(retry=RetryConfig(max_attempts=1)),
+        )
         with pytest.raises(ClientError):
             client.generate("chat", "hello", task="chat")
         assert len(server.requests) == 1
@@ -208,7 +252,6 @@ class TestStaleServe:
             )
         )
         resilience = ResilienceConfig(
-            enabled=True,
             retry=RetryConfig(max_attempts=1),
             serve_stale=serve_stale,
         )

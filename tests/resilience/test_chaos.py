@@ -138,7 +138,6 @@ class TestAcceptanceScenario:
 
     def test_three_replicas_survive_twenty_percent_flap(self, registry):
         resilience = ResilienceConfig(
-            enabled=True,
             retry=RetryConfig(
                 max_attempts=3, base_delay_s=0.05, jitter=0.0
             ),
@@ -205,7 +204,6 @@ class TestAcceptanceScenario:
 
     def test_restarted_flapper_rejoins_within_one_probe_interval(self):
         resilience = ResilienceConfig(
-            enabled=True,
             retry=RetryConfig(max_attempts=2, base_delay_s=0.01,
                               jitter=0.0),
             breaker=BreakerConfig(failure_threshold=1,

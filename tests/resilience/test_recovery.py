@@ -1,11 +1,9 @@
 """Recovery paths: restart re-admission, health probes, degradation.
 
-The regression at the heart of this suite: before the resilience PR a
-worker that crashed stayed out of rotation *forever* — ``restart()``
-brought the process back but nothing ever re-admitted the registry
-record. Both routing modes must recover now: the disabled path via
-lazy re-admission when failover hits a wall, the enabled path via
-breaker half-opening and clock-driven health probes.
+The regression at the heart of this suite: a worker that crashed once
+stayed out of rotation *forever* — ``restart()`` brought the process
+back but nothing ever re-admitted the registry record. Breaker
+half-opening and clock-driven health probes bring it back now.
 """
 
 import pytest
@@ -15,6 +13,7 @@ from repro.resilience import (
     CLOSED,
     HALF_OPEN,
     OPEN,
+    BreakerBoard,
     BreakerConfig,
     HealthMonitor,
     ResilienceConfig,
@@ -28,9 +27,8 @@ from tests.resilience.conftest import EchoModel
 
 
 def fast_resilience(**overrides):
-    """An enabled config with tiny deterministic delays."""
+    """A config with tiny deterministic delays."""
     defaults = dict(
-        enabled=True,
         retry=RetryConfig(max_attempts=2, base_delay_s=0.01, jitter=0.0),
         breaker=BreakerConfig(failure_threshold=2, reset_timeout_s=5.0),
         probe_interval_s=1.0,
@@ -56,31 +54,31 @@ def ask(controller, prompt="hello", model="chat"):
 
 
 class TestRestartReadmission:
-    """The ISSUE regression: kill -> exhaust failover -> restart ->
-    the next request succeeds (no resilience config needed)."""
+    """Kill or crash -> exhaust failover -> recover -> the next request
+    succeeds: a health probe re-admits whatever answers it."""
 
-    def test_restarted_worker_serves_again_disabled_path(self):
-        controller = make_controller(replicas=2)
+    def test_restarted_worker_serves_again(self):
+        controller = make_controller(replicas=2, resilience=fast_resilience())
         workers = [r.worker for r in controller.workers("chat")]
-        # Crash-inject both replicas so failover exhausts the pool and
-        # marks every record unhealthy (down_reason="crash").
+        # Two crashes each: both retry rounds fail and both breakers
+        # trip (threshold 2).
         for worker in workers:
-            worker.inject_failures(1)
+            worker.inject_failures(2)
         with pytest.raises(SmmfError, match="all replicas"):
             ask(controller)
         assert all(
-            r.down_reason == "crash" for r in controller.workers("chat")
+            controller.breakers.state(w.worker_id) == OPEN for w in workers
         )
-        # The workers never died (crash injection, not kill), so the
-        # very next request lazily re-admits them.
+        # The workers never died (crash injection, not kill): the next
+        # request's retry backoff runs the probes that re-admit them.
         response = ask(controller, "after recovery")
         assert response.text == "echo: after recovery"
 
     def test_killed_then_restarted_worker_rejoins(self):
-        controller = make_controller(replicas=2)
+        controller = make_controller(replicas=2, resilience=fast_resilience())
         workers = [r.worker for r in controller.workers("chat")]
         for worker in workers:
-            worker.inject_failures(1)
+            worker.inject_failures(2)
         with pytest.raises(SmmfError):
             ask(controller)
         # One replica's process dies for good; the other restarts.
@@ -90,16 +88,18 @@ class TestRestartReadmission:
         response = ask(controller, "back up")
         assert response.text == "echo: back up"
         assert workers[1].served == 1
+        assert controller.breakers.state(workers[0].worker_id) == OPEN
+        assert controller.breakers.state(workers[1].worker_id) == CLOSED
 
     def test_dead_workers_are_not_readmitted(self):
-        controller = make_controller(replicas=2)
+        controller = make_controller(replicas=2, resilience=fast_resilience())
         for record in controller.workers("chat"):
-            record.worker.inject_failures(1)
+            record.worker.inject_failures(2)
         with pytest.raises(SmmfError):
             ask(controller)
         for record in controller.workers("chat"):
             record.worker.kill()
-        # alive is False: lazy re-admission must leave them out.
+        # alive is False: every probe fails, nothing is re-admitted.
         with pytest.raises(SmmfError, match="all replicas"):
             ask(controller)
 
@@ -111,26 +111,12 @@ class TestRestartReadmission:
         assert controller.health_sweep() == [worker.worker_id]
         record = controller.workers("chat")[0]
         assert record.down_reason == "sweep"
-        # The process is alive, but silence is not a crash: routing
-        # must not re-admit a swept worker on its own.
-        with pytest.raises(SmmfError):
-            ask(controller)
-        controller.heartbeat(worker.worker_id)
+        # Silence is not re-admitted on hope: the request's own retry
+        # backoff probes the worker, and the passed probe is the
+        # heartbeat that brings it back.
         assert ask(controller).text == "echo: hello"
-
-    def test_registry_readmit_excludes_requested_ids(self):
-        registry = ModelRegistry()
-        worker = ModelWorker(EchoModel(), latency_ms=0.0)
-        registry.register(worker)
-        registry.mark_crashed(worker.worker_id)
-        assert (
-            registry.readmit_recovered(
-                "chat", exclude={worker.worker_id}
-            )
-            == []
-        )
-        assert registry.readmit_recovered("chat") == [worker.worker_id]
-        assert registry.record(worker.worker_id).healthy
+        assert record.healthy
+        assert record.down_reason is None
 
 
 class TestBreakerRouting:
@@ -201,33 +187,42 @@ class TestBreakerRouting:
         assert counter.value(outcome="recovered") == 1
 
 
+def make_monitor(registry):
+    breakers = BreakerBoard(BreakerConfig(), clock=lambda: 0.0)
+    return HealthMonitor(registry, breakers, probe_interval_s=1.0)
+
+
 class TestHealthMonitor:
     def test_probe_rate_limited_per_worker(self):
         registry = ModelRegistry()
         worker = ModelWorker(EchoModel(), latency_ms=0.0)
         registry.register(worker)
-        monitor = HealthMonitor(registry, probe_interval_s=1.0)
+        monitor = make_monitor(registry)
         worker.kill()
-        registry.mark_crashed(worker.worker_id)
-        assert monitor.probe(0.0) == []
+        assert registry.sweep(31.0) == [worker.worker_id]
+        assert monitor.probe(31.0) == []
         worker.restart()
         # Inside the interval the worker is not probed again, even
         # though it would now pass.
-        assert monitor.probe(0.5) == []
-        assert monitor.probe(1.0) == [worker.worker_id]
+        assert monitor.probe(31.5) == []
+        assert monitor.probe(32.0) == [worker.worker_id]
         assert registry.record(worker.worker_id).healthy
 
     def test_healthy_workers_are_not_probed(self):
         registry = ModelRegistry()
         worker = ModelWorker(EchoModel(), latency_ms=0.0)
         registry.register(worker)
-        monitor = HealthMonitor(registry, probe_interval_s=1.0)
+        monitor = make_monitor(registry)
         assert monitor.probe(0.0) == []
         assert monitor.probe(100.0) == []
 
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):
-            HealthMonitor(ModelRegistry(), probe_interval_s=0.0)
+            HealthMonitor(
+                ModelRegistry(),
+                BreakerBoard(BreakerConfig(), clock=lambda: 0.0),
+                probe_interval_s=0.0,
+            )
 
 
 class TestDegradedFallback:
@@ -297,10 +292,8 @@ class TestHealthSnapshot:
         assert row["alive"] is True
         assert row["breaker"] == OPEN
         assert row["failed"] == 2
-
-    def test_snapshot_without_resilience_has_no_breaker(self):
-        controller = make_controller(replicas=1)
-        (row,) = controller.health_snapshot()
-        assert row["breaker"] is None
-        assert row["healthy"] is True
-        assert row["down_reason"] is None
+        del rows[flaky.worker_id]
+        ((_, steady),) = rows.items()
+        assert steady["breaker"] == CLOSED
+        assert steady["healthy"] is True
+        assert steady["down_reason"] is None

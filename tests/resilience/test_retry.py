@@ -197,6 +197,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ResilienceConfig(probe_interval_s=0.0)
 
-    def test_disabled_constructor(self):
-        assert ResilienceConfig.disabled().enabled is False
-        assert ResilienceConfig().enabled is False
+    def test_cannot_be_disabled(self):
+        assert ResilienceConfig().enabled is True
+        with pytest.raises(ValueError, match="cannot be disabled"):
+            ResilienceConfig(enabled=False)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.base import Application, AppResponse
+from repro.core import DBGPT
 from repro.server import (
     AuthMiddleware,
     DbGptServer,
@@ -134,10 +135,12 @@ class TestMiddleware:
 class TestDbGptServer:
     @pytest.fixture
     def server(self):
-        server = DbGptServer()
+        dbgpt = DBGPT.boot()
+        server = DbGptServer(dbgpt.fabric)
         server.register_app(_EchoApp())
         server.register_app(_FailingApp())
-        return server
+        yield server
+        dbgpt.shutdown()
 
     def test_list_apps(self, server):
         response = server.handle(Request("GET", "/api/apps"))

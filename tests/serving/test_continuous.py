@@ -23,6 +23,7 @@ from repro.llm.base import (
 )
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.tracer import Tracer, set_tracer
+from repro.resilience import BreakerConfig, ResilienceConfig
 from repro.serving import RequestScheduler, ServingConfig
 from repro.smmf import ModelSpec, SmmfError, deploy
 from repro.smmf.api_server import ApiServer
@@ -69,10 +70,13 @@ class GatedModel(LanguageModel):
         ]
 
 
-def make_stack(config, model_factory, replicas=1, name="chat"):
+def make_stack(
+    config, model_factory, replicas=1, name="chat", resilience=None
+):
     controller, client = deploy(
         [ModelSpec(name, model_factory, replicas=replicas, latency_ms=0.0)],
         serving=config,
+        resilience=resilience,
     )
     return controller, client, controller.scheduler
 
@@ -534,8 +538,9 @@ class LeaseCrashModel(GatedModel):
 
 def make_crash_stack(config, sabotage):
     """Two tagged replicas behind one gate; ``sabotage(worker,
-    workers)`` runs once, on the first replica to be leased. Returns
-    ``(controller, scheduler, models, leases)``."""
+    workers)`` runs once, on the first replica to be leased. One crash
+    opens a replica's breaker. Returns ``(controller, scheduler,
+    models, leases)``."""
     models, leases = [], []
 
     def on_first_lease(model):
@@ -555,7 +560,14 @@ def make_crash_stack(config, sabotage):
         models.append(model)
         return model
 
-    controller, _, scheduler = make_stack(config, factory, replicas=2)
+    controller, _, scheduler = make_stack(
+        config,
+        factory,
+        replicas=2,
+        resilience=ResilienceConfig(
+            breaker=BreakerConfig(failure_threshold=1)
+        ),
+    )
     return controller, scheduler, models, leases
 
 
@@ -568,14 +580,6 @@ class TestMidRunFailover:
         controller, scheduler, models, leases = make_crash_stack(
             config, lambda worker, workers: worker.inject_failures(1)
         )
-        marked = []
-        mark_crashed = controller.registry.mark_crashed
-
-        def recording_mark(worker_id):
-            marked.append(worker_id)
-            mark_crashed(worker_id)
-
-        controller.registry.mark_crashed = recording_mark
         try:
             gate = pin_the_only_slot(scheduler, models[0])
             streamed = scheduler.submit_stream(
@@ -611,7 +615,11 @@ class TestMidRunFailover:
         assert crashed.batch_sizes == []
         assert workers[crashed].failed == 3
         assert workers[crashed].inflight == 0
-        assert marked == [workers[crashed].worker_id]
+        opens = {
+            model: controller.breakers.breaker(worker.worker_id).opens
+            for model, worker in workers.items()
+        }
+        assert opens == {crashed: 1, survivor: 0}
         assert survivor.batch_sizes == [3]
         assert workers[survivor].inflight == 0
         assert sum(worker.served for worker in workers.values()) == 4
@@ -621,12 +629,13 @@ class TestMidRunFailover:
         assert outcomes.value(model="chat", outcome="error") == 0
 
     def test_nothing_joins_the_execution_whose_replica_died(self):
-        """The crash-injected replica is marked down but would still
-        answer, so a request admitted into its execution shows up as
-        that replica's text."""
+        """The crash-injected replica's breaker is open but the replica
+        would still answer, so a request admitted into its execution
+        shows up as that replica's text. The second armed fault keeps
+        its health probe failing."""
         config = ServingConfig(enabled=True, pool_width=2, stream_buffer=2)
         _, scheduler, models, leases = make_crash_stack(
-            config, lambda worker, workers: worker.inject_failures(1)
+            config, lambda worker, workers: worker.inject_failures(2)
         )
         try:
             streamed = scheduler.submit_stream(

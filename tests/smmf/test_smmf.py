@@ -17,6 +17,7 @@ from repro.smmf import (
     WorkerCrashed,
     deploy,
 )
+from repro.resilience import OPEN
 from repro.smmf.registry import ModelRegistry, RegistryError
 from repro.smmf.client import ClientError
 
@@ -168,12 +169,18 @@ class TestControllerAndFailover:
             controller.generate("ghost", GenerationRequest("x"))
 
     def test_crashed_worker_marked_unhealthy(self):
+        """``failure_threshold`` consecutive crashes open the replica's
+        breaker, and traffic routes around it."""
         controller, client = deploy([chat_spec(replicas=2)])
-        records = controller.workers("chat")
-        records[0].worker.fail_next = 1
-        client.generate("chat", "x")
-        healthy = controller.registry.healthy_workers("chat")
-        assert len(healthy) == 1
+        broken, other = [r.worker for r in controller.workers("chat")]
+        # Armed beyond the threshold, so its health probe fails too.
+        broken.inject_failures(100)
+        threshold = controller.resilience.breaker.failure_threshold
+        for index in range(2 * threshold):
+            client.generate("chat", f"x{index}")
+        assert broken.failed == threshold
+        assert controller.breakers.state(broken.worker_id) == OPEN
+        assert other.served == 2 * threshold
 
     def test_clock_advances_with_latency(self):
         controller, client = deploy([chat_spec(latency_ms=100.0)])
@@ -200,6 +207,15 @@ class TestApiServerAndClient:
 
     def test_generate_endpoint(self, client):
         assert client.generate("chat", "say hi", task="chat")
+        body = client._server.handle(
+            ApiRequest(
+                "POST",
+                "/v1/generate",
+                {"model": "chat", "prompt": "hello", "task": "chat"},
+            )
+        ).body
+        # Only a fallback-routed answer carries the marker.
+        assert "degraded" not in body
 
     def test_models_endpoint(self, client):
         assert client.models() == ["chat"]
@@ -250,6 +266,15 @@ class TestDeploy:
     def test_factory_name_mismatch_rejected(self):
         with pytest.raises(ValueError, match="must agree"):
             deploy([ModelSpec("a", lambda: ChatModel("b"))])
+
+    def test_default_deploy_is_the_production_profile(self):
+        controller, client = deploy([chat_spec()])
+        for each in (controller, ModelController()):
+            assert each.breakers is not None
+            assert each.health is not None
+            assert each._retry_policy is not None
+        for each in (client, LLMClient(ApiServer(controller))):
+            assert each._retry_policy is not None
 
     def test_replicas_isolated_instances(self):
         controller, _client = deploy([chat_spec(replicas=3)])

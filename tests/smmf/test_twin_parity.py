@@ -44,7 +44,7 @@ class Stack:
     twin — so retry jitter draws the same sequence on both sides."""
 
     def __init__(self, serving):
-        resilience = ResilienceConfig(enabled=True, retry=RETRY)
+        resilience = ResilienceConfig(retry=RETRY)
         self.controller, _ = deploy(
             [ModelSpec("chat", EchoModel, latency_ms=0.0)],
             serving=serving,

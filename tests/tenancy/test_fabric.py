@@ -75,17 +75,21 @@ class TestFabricLifecycle:
         assert app.name == "knowledge_qa"
         assert "knowledge_qa" in tenant_dbgpt.fabric.app_names("acme")
 
-    def test_disabled_path_has_no_fabric(self):
+    def test_default_boot_is_the_production_profile(self):
         dbgpt = DBGPT.boot()
         try:
-            assert dbgpt.fabric is None
-            assert dbgpt.controller.scheduler._admission_hook is None
-            with pytest.raises(RuntimeError):
-                dbgpt.register_tenant("acme")
-            with pytest.raises(RuntimeError):
-                dbgpt.tenant_chat("acme", "hi")
+            assert dbgpt.fabric is not None
+            assert dbgpt.controller.scheduler._admission_hook is not None
+            assert dbgpt.controller.breakers is not None
+            assert dbgpt.controller.health is not None
+            assert dbgpt.controller._retry_policy is not None
+            assert dbgpt.client._retry_policy is not None
+            dbgpt.register_tenant("acme")
+            assert [row["tenant"] for row in dbgpt.tenants()] == ["acme"]
         finally:
             dbgpt.shutdown()
+        with pytest.raises(ValueError, match="cannot be disabled"):
+            TenancyConfig(enabled=False)
 
 
 class TestQuotasAtTheFabric:

@@ -48,7 +48,7 @@ def test_inflight_gauge_after_two_turns_finish_together(
 def test_sessions_gauge_follows_drop_and_ttl_expiry(_isolated_registry):
     clock = FakeClock()
     store = SessionStore(
-        TenancyConfig(enabled=True, session_ttl_seconds=60.0),
+        TenancyConfig(session_ttl_seconds=60.0),
         clock=clock,
         rng=random.Random(3),
     )
@@ -70,7 +70,7 @@ def test_sessions_gauge_follows_drop_and_ttl_expiry(_isolated_registry):
 
 def test_sessions_gauge_follows_lru_eviction(_isolated_registry):
     store = SessionStore(
-        TenancyConfig(enabled=True, max_sessions_per_tenant=2),
+        TenancyConfig(max_sessions_per_tenant=2),
         clock=FakeClock(),
         rng=random.Random(5),
     )

@@ -11,7 +11,6 @@ from repro.tenancy import QuotaConfig, TenancyConfig
 
 
 def boot_server(principals=None, **tenancy_kwargs):
-    tenancy_kwargs.setdefault("enabled", True)
     config = DbGptConfig(
         tenancy=TenancyConfig(**tenancy_kwargs),
         auth_principals=principals,
@@ -216,23 +215,6 @@ class TestPrincipalAuth:
 
 
 class TestDisabledParity:
-    def test_no_v1_routes_without_fabric(self):
-        dbgpt = DBGPT.boot()
-        try:
-            dbgpt.register_source(
-                EngineSource(build_sales_database(n_orders=10))
-            )
-            server = dbgpt.server()
-            response = post(
-                server, "/v1/chat", {"tenant_id": "acme", "message": "hi"}
-            )
-            assert response.status == 404
-            assert response.body["code"] == "route_not_found"
-            routes = [pattern for _, pattern in server.router.routes()]
-            assert not any(r.startswith("/v1") for r in routes)
-        finally:
-            dbgpt.shutdown()
-
     def test_legacy_surface_unchanged(self, stack):
         _, server = stack
         health = server.handle(Request("GET", "/api/health"))

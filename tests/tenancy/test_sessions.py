@@ -23,7 +23,6 @@ class FakeClock:
 
 def make_store(max_sessions=3, ttl=None, clock=None):
     config = TenancyConfig(
-        enabled=True,
         max_sessions_per_tenant=max_sessions,
         session_ttl_seconds=ttl,
     )
