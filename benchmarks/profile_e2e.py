@@ -26,8 +26,8 @@ find candidates here, then measure them with the benchmark proper.
 
 ``--counts`` prints instead how many times per operation a fixed list
 of functions ran (:data:`COUNTS`: registry lookups, label sorts, lock
-exits, spans, event loops, SQL parses, plans built, row DISTINCT
-passes, regex substitutions). Call counts do not drift with the
+exits, spans, event loops, ``asyncio.to_thread`` hops, SQL parses,
+plans built, row DISTINCT passes, regex substitutions). Call counts do not drift with the
 machine the way times do, so they say where work was saved and
 compare across sessions. To count only the
 timed region, that mode profiles the main thread's timed ``run_ops``
@@ -52,13 +52,17 @@ from benchmarks.e2e.workloads import SIZING_SECONDS, WORKLOADS
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOP_FUNCTIONS = 30
 
-#: ``--counts`` rows: (label, file suffix or "~" for built-ins, function).
+#: ``--counts`` rows: (label, file suffix or "~" for built-ins, function
+#: [, only the calls made from this function]).
 COUNTS = (
     ("registry lookups", "obs/metrics.py", "_get_or_create"),
     ("label sorts", "obs/metrics.py", "_label_key"),
     ("thread-lock exits", "~", "<method '__exit__' of '_thread.lock' objects>"),
     ("spans recorded", "obs/tracer.py", "_record"),
     ("event loops created", "asyncio/events.py", "new_event_loop"),
+    # ``to_thread`` is a coroutine, which the profiler counts once per
+    # resumption; the executor submission it makes is one per hop.
+    ("to_thread hops", "asyncio/base_events.py", "run_in_executor", "to_thread"),
     ("SQL parses", "sqlengine/parser.py", "parse_sql"),
     ("plans built", "sqlengine/planner.py", "build_plan"),
     ("row DISTINCT passes", "sqlengine/executor.py", "_distinct"),
@@ -227,13 +231,21 @@ def report(result: dict, stats: pstats.Stats, unfinished: int) -> str:
 
 
 def count_report(result: dict, stats: pstats.Stats, unfinished: int) -> str:
-    calls = {label: 0 for label, _, _ in COUNTS}
+    calls = {label: 0 for label, *_ in COUNTS}
     for (filename, _line, name), row in stats.stats.items():
-        for label, where, function in COUNTS:
+        for label, where, function, *caller in COUNTS:
             if name == function and (
                 filename == where if where == "~" else filename.endswith(where)
             ):
-                calls[label] += row[1]
+                calls[label] += (
+                    sum(
+                        counts[1]
+                        for (_file, _at, by), counts in row[4].items()
+                        if by == caller[0]
+                    )
+                    if caller
+                    else row[1]
+                )
     ok = max(result["succeeded"], 1)
     lines = [
         f"{result['workload']} seed {result['seed']}: {result['succeeded']} "
@@ -245,7 +257,7 @@ def count_report(result: dict, stats: pstats.Stats, unfinished: int) -> str:
             f"({unfinished} thread(s) still running at the end were left out)"
         )
     lines.append(f"{'count':<22} {'calls':>10} {'per op':>9}")
-    for label, _, _ in COUNTS:
+    for label, *_ in COUNTS:
         lines.append(f"{label:<22} {calls[label]:>10d} {calls[label] / ok:>9.2f}")
     return "\n".join(lines)
 

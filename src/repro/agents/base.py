@@ -122,23 +122,14 @@ class ConversableAgent(Agent):
 
     async def areceive(self, message: AgentMessage) -> AgentMessage:
         """Async :meth:`receive`: the recall check runs inline (fast,
-        lock-guarded memory scan) and reply generation awaits, so
-        concurrent agent branches never block the event loop — their
-        LLM calls land in the serving scheduler together and coalesce
-        into shared batches."""
-        return self._recalled(message) or await self.agenerate_reply(
-            message
+        lock-guarded memory scan) and :meth:`generate_reply` runs off
+        the loop (``asyncio.to_thread`` carries the caller's context so
+        spans stay parented), so concurrent agent branches never block
+        the event loop — their LLM calls land in the serving scheduler
+        together and coalesce into shared batches."""
+        return self._recalled(message) or await asyncio.to_thread(
+            self.generate_reply, message
         )
-
-    async def agenerate_reply(self, message: AgentMessage) -> AgentMessage:
-        """Async reply generation.
-
-        The default runs the synchronous :meth:`generate_reply` off the
-        loop (``asyncio.to_thread`` carries the caller's context so
-        spans stay parented), which keeps every agent awaitable; agents
-        with natively-async work override this instead.
-        """
-        return await asyncio.to_thread(self.generate_reply, message)
 
     # -- LLM access --------------------------------------------------------
 

@@ -81,6 +81,7 @@ DIAGNOSTIC_CODES: dict[str, tuple[Severity, str]] = {
     "ASY001": (Severity.ERROR, "blocking-call-in-async"),
     "ASY002": (Severity.ERROR, "unbounded-queue-get-in-async"),
     "ASY003": (Severity.ERROR, "blocking-sync-primitive-in-async"),
+    "ASY004": (Severity.WARNING, "thread-hop-twin"),
     # --- staticcheck: determinism ----------------------------------------
     "DET001": (Severity.ERROR, "wall-clock-call"),
     "DET002": (Severity.ERROR, "ambient-random-call"),

@@ -2,7 +2,8 @@
 
 One :class:`CacheManager` owns the three tier stores. Wired call
 sites (the SMMF client, the RAG knowledge base and embedder, the SQL
-engine) never touch stores directly — they call :meth:`cached`, which
+engine) never touch stores directly — they call :meth:`cached` (or,
+from a coroutine, :meth:`acached`), which
 
 - runs the lookup/compute under **single-flight** deduplication,
 - opens a ``cache.lookup`` span carrying ``tier`` and a ``cache.hit``
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Awaitable, Callable, Optional
 
 from repro.cache.config import TIER_NAMES, CacheConfig
 from repro.cache.semantic import SemanticPromptIndex
@@ -179,6 +180,35 @@ class CacheManager:
         ) as span:
             value, hit = store.get_or_compute(key, compute)
             span.set_attribute("cache.hit", hit)
+        self._record(tier, tenant, hit, started)
+        return value
+
+    async def acached(
+        self,
+        tier: str,
+        key: Any,
+        compute: Callable[[], Awaitable[Any]],
+        **span_attributes: Any,
+    ) -> Any:
+        """:meth:`cached` for an awaitable ``compute``: same store,
+        single-flight, span and metrics, awaited instead of blocked on."""
+        tenant = current_tenant()
+        store = self._store_for(tier, tenant)
+        if store is None:
+            store = self._stores[tier]
+        started = perf_clock()
+        with get_tracer().span(
+            "cache.lookup", tier=tier, **span_attributes
+        ) as span:
+            value, hit = await store.aget_or_compute(key, compute)
+            span.set_attribute("cache.hit", hit)
+        self._record(tier, tenant, hit, started)
+        return value
+
+    @staticmethod
+    def _record(
+        tier: str, tenant: Optional[str], hit: bool, started: float
+    ) -> None:
         elapsed_ms = (perf_clock() - started) * 1000.0
         if hit:
             _REQUESTS.labels(tier, "hit", tenant)()
@@ -186,7 +216,6 @@ class CacheManager:
         else:
             _REQUESTS.labels(tier, "miss", tenant)()
             _MISS_COMPUTE.labels(tier, tenant)(elapsed_ms)
-        return value
 
     def semantic_fetch(self, key: Any) -> tuple[bool, Any]:
         """Read an exact-store entry found via the semantic index.

@@ -7,10 +7,11 @@
   fake clock, so expiry is deterministic without sleeping),
 - **per-store statistics** (hits, misses, coalesced waits, puts,
   evictions, expirations),
-- **single-flight deduplication**: concurrent ``get_or_compute`` calls
-  for the same missing key run the compute callable exactly once; the
-  other callers block until the leader finishes and then share its
-  result (or its exception — errors are never cached).
+- **single-flight deduplication**: concurrent ``get_or_compute`` (or
+  ``aget_or_compute``) calls for the same missing key run the compute
+  exactly once; the other callers, threads or coroutines, wait for the
+  leader and then share its result (or its exception — errors are
+  never cached).
 
 Values are stored as given; callers that cache mutable objects are
 responsible for freezing them (the SQL tier stores row tuples, the RAG
@@ -20,14 +21,29 @@ caller might mutate.
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Awaitable, Callable, Optional
 
 #: Internal sentinel distinguishing "no entry" from a cached ``None``.
 _MISS = object()
+
+
+def _wake(loop: asyncio.AbstractEventLoop, landed: asyncio.Future) -> None:
+    """An async waiter's flight callback, run by the landing thread."""
+    try:
+        loop.call_soon_threadsafe(_settle, landed)
+    except RuntimeError:  # the waiter's loop closed without cancelling it
+        pass
+
+
+def _settle(landed: asyncio.Future) -> None:
+    if not landed.done():
+        landed.set_result(None)
 
 
 @dataclass
@@ -74,14 +90,16 @@ class _Entry:
 
 
 class _Flight:
-    """One in-flight compute other threads can wait on."""
+    """One in-flight compute others wait on: threads on ``event``,
+    coroutines through ``callbacks``."""
 
-    __slots__ = ("event", "value", "error")
+    __slots__ = ("event", "value", "error", "callbacks")
 
     def __init__(self) -> None:
         self.event = threading.Event()
-        self.value: Any = None
+        self.value: Any = _MISS
         self.error: Optional[BaseException] = None
+        self.callbacks: list[Callable[[], None]] = []
 
 
 class CacheStore:
@@ -197,51 +215,113 @@ class CacheStore:
             return count
 
     # -- single-flight -----------------------------------------------------
+    # ``get_or_compute`` and ``aget_or_compute`` share ``_claim`` and
+    # ``_land`` and differ only in how a waiter waits, so a sync leader
+    # serves async waiters and the other way round.
+
+    def _claim(
+        self, key: Any, on_land: Optional[Callable[[], None]] = None
+    ) -> tuple[Any, Optional[_Flight], bool]:
+        """``(value, flight, leader)`` under one lock hold: a hit has no
+        flight, the first miss leads a new one, later misses wait on it
+        (registering ``on_land``)."""
+        with self._lock:
+            value = self._get_locked(key)
+            if value is not _MISS:
+                self._stats.hits += 1
+                return value, None, False
+            flight = self._flights.get(key)
+            if flight is None:
+                flight = self._flights[key] = _Flight()
+                self._stats.misses += 1
+                return _MISS, flight, True
+            if on_land is not None:
+                flight.callbacks.append(on_land)
+            return _MISS, flight, False
+
+    def _land(
+        self, key: Any, flight: _Flight, value: Any = _MISS, error=None
+    ) -> None:
+        """Publish the leader's outcome (errors are never cached) and
+        wake every waiter. A cancelled leader lands neither value nor
+        error, so its waiters claim again instead of inheriting it."""
+        with self._lock:
+            if value is not _MISS:
+                self.put(key, value)
+            self._flights.pop(key, None)
+            flight.value = value
+            if not isinstance(error, asyncio.CancelledError):
+                flight.error = error
+            callbacks, flight.callbacks = flight.callbacks, []
+        flight.event.set()
+        for callback in callbacks:
+            callback()
+
+    def _landed(self, flight: _Flight) -> Any:
+        """A waiter's share: the value, the leader's error raised, or
+        :data:`_MISS` to claim again."""
+        if flight.error is not None:
+            raise flight.error
+        if flight.value is not _MISS:
+            with self._lock:
+                self._stats.coalesced += 1
+        return flight.value
 
     def get_or_compute(
         self, key: Any, compute: Callable[[], Any]
     ) -> tuple[Any, bool]:
         """``(value, hit)`` — computing at most once per key at a time.
 
-        The first thread to miss becomes the leader and runs
-        ``compute`` (outside the store lock); any thread that misses
-        the same key meanwhile waits for the leader instead of
-        recomputing. A raising compute propagates its exception to the
-        leader *and* every waiter, and caches nothing.
+        The first caller to miss becomes the leader and runs
+        ``compute`` (outside the store lock); any caller that misses
+        the same key meanwhile — thread or coroutine — waits for the
+        leader instead of recomputing. A raising compute propagates its
+        exception to the leader *and* every waiter, and caches nothing.
         """
-        with self._lock:
-            value = self._get_locked(key)
-            if value is not _MISS:
-                self._stats.hits += 1
-                return value, True
-            flight = self._flights.get(key)
+        while True:
+            value, flight, leader = self._claim(key)
             if flight is None:
-                flight = self._flights[key] = _Flight()
-                leader = True
-                self._stats.misses += 1
-            else:
-                leader = False
-        if not leader:
+                return value, True
+            if leader:
+                try:
+                    value = compute()
+                except BaseException as exc:
+                    self._land(key, flight, error=exc)
+                    raise
+                self._land(key, flight, value)
+                return value, False
             flight.event.wait()
-            if flight.error is not None:
-                raise flight.error
-            with self._lock:
-                self._stats.coalesced += 1
-            return flight.value, True
-        try:
-            value = compute()
-        except BaseException as exc:
-            flight.error = exc
-            with self._lock:
-                self._flights.pop(key, None)
-            flight.event.set()
-            raise
-        self.put(key, value)
-        flight.value = value
-        with self._lock:
-            self._flights.pop(key, None)
-        flight.event.set()
-        return value, False
+            value = self._landed(flight)
+            if value is not _MISS:
+                return value, True
+
+    async def aget_or_compute(
+        self, key: Any, compute: Callable[[], Awaitable[Any]]
+    ) -> tuple[Any, bool]:
+        """:meth:`get_or_compute` for an awaitable ``compute``; a waiter
+        awaits a future its flight callback settles, so the loop never
+        blocks."""
+        loop = asyncio.get_running_loop()
+        while True:
+            landed = loop.create_future()
+            on_land = functools.partial(_wake, loop, landed)
+            value, flight, leader = self._claim(key, on_land)
+            if flight is None:
+                return value, True
+            if leader:
+                try:
+                    value = await compute()
+                except BaseException as exc:
+                    self._land(key, flight, error=exc)
+                    raise
+                self._land(key, flight, value)
+                return value, False
+            # A cancelled waiter just stops waiting: its callback later
+            # finds the future done, and the flight serves the others.
+            await landed
+            value = self._landed(flight)
+            if value is not _MISS:
+                return value, True
 
     # -- introspection -----------------------------------------------------
 

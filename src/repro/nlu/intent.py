@@ -30,11 +30,31 @@ class IntentResult:
     ascending: bool = False
 
 
-_TOP_PATTERN = re.compile(
-    r"\btop\s+(\d+)\b|\b(\d+)\s*个\b|(?:highest|largest|lowest|smallest)"
-    r"\s+(\d+)\b"
-)
 _NUMBER = re.compile(r"\d+")
+
+#: The single-intent keyword groups, in the order ``classify`` tries
+#: them once the counting and top-N shapes are ruled out.
+_AGGREGATES = (
+    (Intent.AVG, ("average", "mean", "avg")),
+    (Intent.SUM, ("total", "sum")),
+    (Intent.MAX, ("maximum", "largest", "biggest")),
+    (Intent.MIN, ("minimum", "smallest", "cheapest")),
+)
+
+
+def _has_word(lowered: str, *words: str) -> bool:
+    """Whether any of ``words`` occurs with no ASCII letter on either
+    side — ``(?<![a-z])word(?![a-z])`` by plain string search."""
+    for word in words:
+        start = lowered.find(word)
+        while start != -1:
+            end = start + len(word)
+            if not (start and "a" <= lowered[start - 1] <= "z") and not (
+                end < len(lowered) and "a" <= lowered[end] <= "z"
+            ):
+                return True
+            start = lowered.find(word, start + 1)
+    return False
 
 
 class IntentClassifier:
@@ -45,23 +65,12 @@ class IntentClassifier:
     tables here stay in one language.
     """
 
-    @staticmethod
-    def _has_word(lowered: str, *words: str) -> bool:
-        return any(
-            re.search(r"(?<![a-z])" + re.escape(w) + r"(?![a-z])", lowered)
-            for w in words
-        )
-
     def classify(self, text: str) -> IntentResult:
         lowered = text.lower()
 
-        has_count = "how many" in lowered or self._has_word(lowered, "count")
-        has_per = self._has_word(lowered, "per") or self._has_word(
-            lowered, "for each", "by each"
-        )
-        has_distinct = self._has_word(
-            lowered, "distinct", "unique", "different"
-        )
+        has_count = "how many" in lowered or _has_word(lowered, "count")
+        has_per = _has_word(lowered, "per", "for each", "by each")
+        has_distinct = _has_word(lowered, "distinct", "unique", "different")
         if has_count and has_per:
             return IntentResult(Intent.GROUP_COUNT)
         if has_count and has_distinct:
@@ -71,16 +80,11 @@ class IntentClassifier:
         if top is not None:
             return top
 
-        if has_distinct and self._has_word(lowered, "distinct", "unique"):
+        if has_distinct and _has_word(lowered, "distinct", "unique"):
             return IntentResult(Intent.DISTINCT)
-        if self._has_word(lowered, "average", "mean", "avg"):
-            return IntentResult(Intent.AVG)
-        if self._has_word(lowered, "total", "sum"):
-            return IntentResult(Intent.SUM)
-        if self._has_word(lowered, "maximum", "largest", "biggest"):
-            return IntentResult(Intent.MAX)
-        if self._has_word(lowered, "minimum", "smallest", "cheapest"):
-            return IntentResult(Intent.MIN)
+        for intent, words in _AGGREGATES:
+            if _has_word(lowered, *words):
+                return IntentResult(intent)
         if has_count:
             return IntentResult(Intent.COUNT)
         return IntentResult(Intent.LIST)

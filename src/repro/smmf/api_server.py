@@ -8,7 +8,6 @@ in-process (DESIGN.md records the substitution).
 
 from __future__ import annotations
 
-import asyncio
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -195,12 +194,12 @@ class ApiServer:
 
         ``POST /v1/generate`` awaits the scheduler's ``aschedule``, so
         no thread is parked per in-flight request and concurrent
-        callers coalesce into shared batches; every other route runs
-        the sync handler off the loop.
+        callers coalesce into shared batches; every other route is a
+        lock-only read, answered inline.
         """
         if (request.method.upper(), request.path) == _GENERATE_ROUTE:
             return await self._agenerate(request.body)
-        return await asyncio.to_thread(self.handle, request)
+        return self.handle(request)
 
     def _open_stream(
         self,

@@ -11,14 +11,13 @@ instance, so two serving stacks in one process never share entries.
 
 from __future__ import annotations
 
-import asyncio
 import contextvars
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Optional
 
-from repro.cache.keys import inference_key, instance_token, normalize_prompt
+from repro.cache.keys import inference_key, instance_token
 from repro.cache.manager import get_cache_manager
 from repro.obs.metrics import Counter, MetricHandle
 from repro.resilience.config import ResilienceConfig
@@ -117,53 +116,24 @@ class LLMClient:
             return self._generate_uncached(
                 model, prompt, task, max_tokens, metadata, timeout_s
             )
-        key = inference_key(
-            self._cache_token, model, prompt, task, max_tokens, metadata
+        turn = _CachedTurn(
+            self, manager, model, prompt, task, max_tokens, metadata
         )
 
         def compute() -> str:
-            semantic = manager.semantic
-            group = (self._cache_token, model, task or "", int(max_tokens))
-            # The semantic index is shared across partitions, so under
-            # a tenant scope the group carries the tenant: one tenant's
-            # prompts can never alias onto another's cached answers.
-            tenant = current_tenant()
-            if tenant is not None:
-                group = group + (tenant,)
-            normalized = normalize_prompt(prompt)
-            if semantic is not None:
-                alias = semantic.find(group, normalized)
-                if alias is not None:
-                    found, text = manager.semantic_fetch(alias)
-                    if found:
-                        return text
-            text = self._generate_uncached(
-                model, prompt, task, max_tokens, metadata, timeout_s
+            alias = turn.alias()
+            if alias is not None:
+                return alias[0]
+            return turn.learned(
+                self._generate_uncached(
+                    model, prompt, task, max_tokens, metadata, timeout_s
+                )
             )
-            if semantic is not None:
-                semantic.add(group, normalized, key)
-            return text
 
-        stale = self._peek_stale(manager, key)
         try:
-            return manager.cached("inference", key, compute, model=model)
+            return manager.cached("inference", turn.key, compute, model=model)
         except ClientError as exc:
-            if stale is not None and exc.status == 503:
-                self.stale_serves += 1
-                _STALE_SERVED.labels()()
-                return stale[0]
-            raise
-
-    def _peek_stale(self, manager, key: Any) -> Optional[tuple[str]]:
-        """Degradation ladder, last rung: snapshot the cached answer
-        for this exact request — fresh *or expired* — before the
-        lookup path can expire-evict it. The snapshot is served only
-        if the stack then 503s (the stack being down, not the request
-        being wrong); a 1-tuple so a cached empty string still counts."""
-        if not self._resilience.serve_stale:
-            return None
-        found, text = manager.peek_stale("inference", key)
-        return (text,) if found else None
+            return turn.stale_or_raise(exc)
 
     def generate_many(
         self,
@@ -230,36 +200,40 @@ class LLMClient:
         metadata: Optional[dict[str, Any]] = None,
         timeout_s: Optional[float] = None,
     ) -> str:
-        """Async-friendly :meth:`generate`.
+        """Async :meth:`generate`, async end-to-end: no thread is
+        parked per request, so concurrent agents share batches.
 
-        With the inference cache tier disabled the call is async
-        end-to-end: the request awaits :meth:`ApiServer.ahandle`
-        (riding the continuous engine's ``aschedule``)
-        and transient rejections back off via the retry policy's
-        async path — no thread parked per in-flight request, so
-        concurrent agents coalesce into shared batches. With the
-        cache enabled, the blocking path runs off the loop
-        (``asyncio.to_thread``): the cache's single-flight
-        de-duplication is synchronous by design, and its hit path
-        never blocks long.
+        The inference-tier lookup shares one single-flight with sync
+        callers (a thread computing a key serves coroutines waiting on
+        it, and the other way round); a miss awaits ``ahandle`` (the
+        engine's ``aschedule``), backing off via the retry policy's
+        async path.
         """
-        if get_cache_manager().enabled("inference"):
-            return await asyncio.to_thread(
-                self.generate,
-                model,
-                prompt,
-                task=task,
-                max_tokens=max_tokens,
-                metadata=metadata,
-                timeout_s=timeout_s,
+        manager = get_cache_manager()
+        if not manager.enabled("inference"):
+            return await self._agenerate_uncached(
+                model, prompt, task, max_tokens, metadata, timeout_s
             )
-        body = self._request_body(
-            model, prompt, task, max_tokens, metadata, timeout_s
+        turn = _CachedTurn(
+            self, manager, model, prompt, task, max_tokens, metadata
         )
-        return await self._retry_policy.arun(
-            lambda: self._aroundtrip(body),
-            classify=_classify_client_error,
-        )
+
+        async def compute() -> str:
+            alias = turn.alias()
+            if alias is not None:
+                return alias[0]
+            return turn.learned(
+                await self._agenerate_uncached(
+                    model, prompt, task, max_tokens, metadata, timeout_s
+                )
+            )
+
+        try:
+            return await manager.acached(
+                "inference", turn.key, compute, model=model
+            )
+        except ClientError as exc:
+            return turn.stale_or_raise(exc)
 
     def stream(
         self,
@@ -397,6 +371,23 @@ class LLMClient:
             classify=_classify_client_error,
         )
 
+    async def _agenerate_uncached(
+        self,
+        model: str,
+        prompt: str,
+        task: Optional[str],
+        max_tokens: int,
+        metadata: Optional[dict[str, Any]],
+        timeout_s: Optional[float] = None,
+    ) -> str:
+        body = self._request_body(
+            model, prompt, task, max_tokens, metadata, timeout_s
+        )
+        return await self._retry_policy.arun(
+            lambda: self._aroundtrip(body),
+            classify=_classify_client_error,
+        )
+
     def _roundtrip(self, body: dict[str, Any]) -> str:
         return self._unpack(
             self._server.handle(self._generate_request(body))
@@ -431,3 +422,56 @@ class LLMClient:
         return self._server.handle(ApiRequest("GET", "/v1/metrics")).body[
             "metrics"
         ]
+
+
+class _CachedTurn:
+    """One inference-tier turn's bookkeeping, shared by ``generate`` and
+    ``agenerate``: the exact key, the semantic alias and the
+    degradation ladder's last rung (stale-on-503)."""
+
+    __slots__ = ("client", "manager", "request", "key", "stale", "_group")
+
+    def __init__(self, client: LLMClient, manager: Any, *request: Any):
+        """``request``: ``(model, prompt, task, max_tokens, metadata)``."""
+        self.client, self.manager, self.request = client, manager, request
+        self.key = inference_key(client._cache_token, *request)
+        # Snapshot the cached answer for this exact request — fresh *or
+        # expired* — before the lookup can expire-evict it; served only
+        # if the stack then 503s. A 1-tuple so "" still counts.
+        self.stale: Optional[tuple[str]] = None
+        if client._resilience.serve_stale:
+            found, text = manager.peek_stale("inference", self.key)
+            if found:
+                self.stale = (text,)
+
+    def alias(self) -> Optional[tuple[str]]:
+        """An exact miss's answer by semantic similarity, as a 1-tuple."""
+        if self.manager.semantic is None:
+            return None
+        model, _prompt, task, max_tokens, _metadata = self.request
+        group = (self.client._cache_token, model, task or "", int(max_tokens))
+        # The semantic index is shared across partitions, so under a
+        # tenant scope the group carries the tenant: one tenant's
+        # prompts can never alias onto another's cached answers.
+        tenant = current_tenant()
+        self._group = group if tenant is None else group + (tenant,)
+        # ``inference_key`` ends with the normalized prompt.
+        alias = self.manager.semantic.find(self._group, self.key[-1])
+        if alias is not None:
+            found, text = self.manager.semantic_fetch(alias)
+            if found:
+                return (text,)
+        return None
+
+    def learned(self, text: str) -> str:
+        """Index a fresh answer under the group :meth:`alias` searched."""
+        if self.manager.semantic is not None:
+            self.manager.semantic.add(self._group, self.key[-1], self.key)
+        return text
+
+    def stale_or_raise(self, exc: ClientError) -> str:
+        if self.stale is None or exc.status != 503:
+            raise exc
+        self.client.stale_serves += 1
+        _STALE_SERVED.labels()()
+        return self.stale[0]

@@ -19,6 +19,10 @@ every concurrently scheduled task.
   ``await``-ed calls are fine — that is how asyncio's own primitives
   are used — including anywhere under an ``await`` expression
   (``await asyncio.wait_for(event.wait(), ...)``).
+- **ASY004** thread-hop-twin: ``async def aX`` whose whole body
+  (docstring aside) is ``await asyncio.to_thread(self.X, ...)`` — an
+  "async" twin that parks a thread per call instead of sharing one
+  async implementation.
 
 Nested non-async ``def`` bodies are skipped: they run wherever the
 caller runs them (usually an executor thread), not on the loop.
@@ -212,7 +216,43 @@ def _module_findings(module: SourceModule) -> Iterable[Finding]:
             )
 
 
-@register("ASY", "async hygiene", ("ASY001", "ASY002", "ASY003"))
+def _thread_hop_twins(module: SourceModule) -> Iterable[Finding]:
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.AsyncFunctionDef):
+            continue
+        docstring = ast.get_docstring(node) is not None
+        body = node.body[1:] if docstring else node.body
+        statement = body[0] if len(body) == 1 else None
+        awaited = getattr(statement, "value", None)
+        call = getattr(awaited, "value", None)
+        twin = f"self.{node.name[1:]}"
+        if (
+            isinstance(statement, (ast.Return, ast.Expr))
+            and isinstance(awaited, ast.Await)
+            and isinstance(call, ast.Call)
+            and module.dotted_name(call.func) == "asyncio.to_thread"
+            and call.args
+            and node.name.startswith("a")
+            and module.dotted_name(call.args[0]) == twin
+        ):
+            yield Finding(
+                diagnostic(
+                    "ASY004",
+                    f"async def {node.name} only runs {twin} on a thread",
+                    source="static",
+                    subject=node.name,
+                    hint="make the async path the implementation, or "
+                    "delete the twin",
+                ),
+                module.rel,
+                node.lineno,
+            )
+
+
+@register(
+    "ASY", "async hygiene", ("ASY001", "ASY002", "ASY003", "ASY004")
+)
 def check(project: Project) -> Iterable[Finding]:
     for module in project:
         yield from _module_findings(module)
+        yield from _thread_hop_twins(module)

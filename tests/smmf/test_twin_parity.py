@@ -13,9 +13,12 @@ import random
 
 import pytest
 
+import repro.runtime
 from repro.agents.base import ConversableAgent
 from repro.agents.memory import AgentMemory
 from repro.agents.messages import AgentMessage
+from repro.cache.config import CacheConfig
+from repro.cache.manager import CacheManager, set_cache_manager
 from repro.llm.base import LanguageModel, LLMError
 from repro.resilience import ResilienceConfig, RetryConfig
 from repro.resilience.retry import RetryPolicy
@@ -23,6 +26,8 @@ from repro.serving import SchedulerOverloaded, ServingConfig
 from repro.smmf import ModelSpec, deploy
 from repro.smmf.api_server import ApiServer
 from repro.smmf.client import ClientError, LLMClient
+from repro.tenancy.context import tenant_scope
+from tests.cache.conftest import FakeClock
 
 RETRY = RetryConfig(max_attempts=3, base_delay_s=0.05, jitter=0.5)
 
@@ -43,10 +48,10 @@ class Stack:
     """One deployment with two identically seeded clients — one per
     twin — so retry jitter draws the same sequence on both sides."""
 
-    def __init__(self, serving):
-        resilience = ResilienceConfig(retry=RETRY)
+    def __init__(self, serving, model=EchoModel, serve_stale=False):
+        resilience = ResilienceConfig(retry=RETRY, serve_stale=serve_stale)
         self.controller, _ = deploy(
-            [ModelSpec("chat", EchoModel, latency_ms=0.0)],
+            [ModelSpec("chat", model, latency_ms=0.0)],
             serving=serving,
             resilience=resilience,
         )
@@ -87,22 +92,28 @@ def _error_triple(exc):
     return (exc.status, exc.code, exc.retry_after)
 
 
+def _ask(stack, side, model, prompt, **kwargs):
+    """``(text, error triple)`` from one twin: ``generate`` on the
+    ``sync`` side, ``agenerate`` on the ``async`` side."""
+    client = stack.clients[side]
+    try:
+        if side == "sync":
+            text = client.generate(model, prompt, task="chat", **kwargs)
+        else:
+            text = asyncio.run(
+                client.agenerate(model, prompt, task="chat", **kwargs)
+            )
+    except ClientError as exc:
+        return None, _error_triple(exc)
+    return text, None
+
+
 def _generate_both(stack, model, prompt, **kwargs):
     """``(text, error triple)`` from ``generate`` and ``agenerate``."""
-    outcomes = []
-    for side in ("sync", "async"):
-        client = stack.clients[side]
-        try:
-            if side == "sync":
-                text = client.generate(model, prompt, task="chat", **kwargs)
-            else:
-                text = asyncio.run(
-                    client.agenerate(model, prompt, task="chat", **kwargs)
-                )
-            outcomes.append((text, None))
-        except ClientError as exc:
-            outcomes.append((None, _error_triple(exc)))
-    return outcomes
+    return [
+        _ask(stack, side, model, prompt, **kwargs)
+        for side in ("sync", "async")
+    ]
 
 
 def _stream_both(stack, model, prompt, **kwargs):
@@ -330,3 +341,168 @@ class TestReceiveParity:
             "fresh answer 1",
             "fresh answer 2",
         )
+
+
+# -- the inference cache tier ------------------------------------------------
+
+
+class CountingEcho(EchoModel):
+    def __init__(self, served):
+        super().__init__()
+        self.served = served
+
+    def complete(self, request):
+        self.served.append(request.prompt)
+        return super().complete(request)
+
+
+class CachedStack(Stack):
+    """:class:`Stack` with the inference tier on: a 10 s TTL on a fake
+    clock, the semantic lookup and stale serving. The two clients have
+    their own cache keys, so each twin meets the same cold cache."""
+
+    def __init__(self):
+        self.served = []
+        super().__init__(
+            CONTINUOUS,
+            model=lambda: CountingEcho(self.served),
+            serve_stale=True,
+        )
+        self.clock = FakeClock()
+        self.manager = CacheManager(
+            CacheConfig(
+                semantic_lookup=True, semantic_threshold=0.8
+            ).with_tier("inference", ttl_seconds=10.0),
+            clock=self.clock,
+        )
+
+    def counts(self):
+        row = self.manager.stats()["inference"]
+        return len(self.served), row["hits"], row["misses"]
+
+
+@pytest.fixture
+def cached_stack():
+    built = CachedStack()
+    previous = set_cache_manager(built.manager)
+    yield built
+    set_cache_manager(previous)
+    built.scheduler.close()
+
+
+def _per_side(stack, scenario):
+    """``scenario(ask)`` once per twin, each followed by what it cost:
+    ``(outcome, (model calls, cache hits, cache misses))``."""
+    reports = []
+    for side in ("sync", "async"):
+        before = stack.counts()
+        outcome = scenario(
+            lambda prompt, model="chat", **kw: _ask(
+                stack, side, model, prompt, **kw
+            )
+        )
+        after = stack.counts()
+        reports.append(
+            (outcome, tuple(b - a for a, b in zip(before, after)))
+        )
+    return reports
+
+
+QUESTION = (
+    "how many orders were placed in the north region "
+    "during the last quarter of the year"
+)
+
+
+class TestCachedGenerateParity:
+    def test_same_text_and_the_same_hits_and_misses(self, cached_stack):
+        def scenario(ask):
+            return [ask("hello"), ask("hello"), ask("  hello  "), ask("bye")]
+
+        sync, awaited = _per_side(cached_stack, scenario)
+        assert sync == awaited
+        outcome, cost = sync
+        assert outcome == [("echo: hello", None)] * 3 + [("echo: bye", None)]
+        assert cost == (2, 2, 2)
+
+    def test_a_cached_answer_is_served_stale_on_a_503(self, cached_stack):
+        stack = cached_stack
+        first = [_ask(stack, side, "chat", QUESTION) for side in stack.clients]
+        stack.controller.workers("chat")[0].worker.kill()
+        stack.clock.advance(60.0)  # both cached answers are now expired
+        again = [_ask(stack, side, "chat", QUESTION) for side in stack.clients]
+        assert first == again == [("echo: " + QUESTION, None)] * 2
+        assert [c.stale_serves for c in stack.clients.values()] == [1, 1]
+        # The stack was retried before the stale rung answered.
+        assert len(stack.sleeps["sync"]) == RETRY.max_attempts - 1
+        assert stack.sleeps["sync"] == stack.sleeps["async"]
+
+    def test_a_503_without_a_cached_answer_still_fails(self, cached_stack):
+        cached_stack.controller.workers("chat")[0].worker.kill()
+        sync, awaited = _generate_both(cached_stack, "chat", QUESTION)
+        assert sync == awaited == (None, (503, "smmf_unavailable", None))
+
+    def test_a_semantic_alias_hit(self, cached_stack):
+        def scenario(ask):
+            return [ask(QUESTION), ask(QUESTION + "?")]
+
+        sync, awaited = _per_side(cached_stack, scenario)
+        assert sync == awaited
+        outcome, cost = sync
+        assert outcome == [("echo: " + QUESTION, None)] * 2
+        # Two exact misses, one model call: the second was an alias.
+        assert cost == (1, 0, 2)
+
+    def test_tenant_groups_never_alias_across_tenants(self, cached_stack):
+        def scenario(ask):
+            with tenant_scope("acme"):
+                first = ask(QUESTION)
+            with tenant_scope("globex"):
+                second = ask(QUESTION + "?")
+            return [first, second]
+
+        sync, awaited = _per_side(cached_stack, scenario)
+        assert sync == awaited
+        outcome, cost = sync
+        assert outcome == [
+            ("echo: " + QUESTION, None),
+            ("echo: " + QUESTION + "?", None),
+        ]
+        assert cost == (2, 0, 2)
+
+    def test_errors_are_never_cached(self, cached_stack):
+        def scenario(ask):
+            return [ask("poison pill"), ask("poison pill")]
+
+        sync, awaited = _per_side(cached_stack, scenario)
+        assert sync == awaited
+        outcome, cost = sync
+        assert outcome == [(None, (422, "llm_error", None))] * 2
+        assert cost == (2, 0, 2)
+        assert len(cached_stack.manager.store("inference")) == 0
+
+    def test_a_sync_cache_hit_enters_no_event_loop(
+        self, cached_stack, monkeypatch
+    ):
+        client = cached_stack.clients["sync"]
+        answer = client.generate("chat", "hello", task="chat")
+        entered = []
+
+        def spy(name, original):
+            def wrapper(*args, **kwargs):
+                entered.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for owner, name in (
+            (asyncio, "new_event_loop"),
+            (asyncio, "run"),
+            (asyncio.BaseEventLoop, "run_until_complete"),
+            (asyncio.BaseEventLoop, "run_forever"),
+            (repro.runtime, "run_sync"),
+        ):
+            monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+        assert client.generate("chat", "hello", task="chat") == answer
+        assert entered == []
+        assert cached_stack.counts() == (1, 1, 1)

@@ -177,3 +177,88 @@ class TestAsy003SyncPrimitives:
             self._thread.join()
         """
         assert analyze(source, {"ASY"}) == []
+
+
+class TestAsy004ThreadHopTwin:
+    def test_return_await_to_thread_of_the_sync_twin_flagged(self):
+        source = """\
+        import asyncio
+
+        class Client:
+            async def agenerate(self, model, prompt, **kwargs):
+                return await asyncio.to_thread(
+                    self.generate, model, prompt, **kwargs
+                )
+        """
+        found = analyze(source, {"ASY"})
+        assert codes(found) == ["ASY004"]
+        assert found[0].diagnostic.subject == "agenerate"
+        assert found[0].line == 4
+
+    def test_docstring_and_bare_await_still_flagged(self):
+        source = """\
+        import asyncio
+
+        class Server:
+            async def ahandle(self, request):
+                \"\"\"Async handle.\"\"\"
+                await asyncio.to_thread(self.handle, request)
+        """
+        assert codes(analyze(source, {"ASY"})) == ["ASY004"]
+
+    def test_from_import_alias_resolved(self):
+        source = """\
+        from asyncio import to_thread
+
+        class Store:
+            async def aflush(self):
+                return await to_thread(self.flush)
+        """
+        assert codes(analyze(source, {"ASY"})) == ["ASY004"]
+
+    def test_a_body_that_does_more_is_clean(self):
+        source = """\
+        import asyncio
+
+        class Client:
+            async def agenerate(self, prompt):
+                if self.cached(prompt):
+                    return self.lookup(prompt)
+                return await asyncio.to_thread(self.generate, prompt)
+        """
+        assert analyze(source, {"ASY"}) == []
+
+    def test_other_callee_or_receiver_is_clean(self):
+        source = """\
+        import asyncio
+
+        class Policy:
+            async def arun(self, delay):
+                return await asyncio.to_thread(self._sleep, delay)
+
+            async def aask(self, client, prompt):
+                return await asyncio.to_thread(client.ask, prompt)
+
+            async def fetch(self):
+                return await asyncio.to_thread(self.etch)
+        """
+        assert analyze(source, {"ASY"}) == []
+
+    def test_an_async_implementation_is_clean(self):
+        source = """\
+        class Client:
+            async def agenerate(self, prompt):
+                return await self._server.ahandle(prompt)
+        """
+        assert analyze(source, {"ASY"}) == []
+
+    def test_waivable_with_a_reason(self):
+        source = """\
+        import asyncio
+
+        class Agent:
+            # staticcheck: allow ASY004 - the default subclasses override
+            async def areply(self, message):
+                return await asyncio.to_thread(self.reply, message)
+        """
+        assert analyze(source, {"ASY"}) == []
