@@ -45,15 +45,13 @@ def _percentile(samples, fraction):
 def _overall_hit_rate(stats):
     hits = misses = 0
     for row in stats.values():
-        if not row.get("enabled"):
-            continue
         hits += row["hits"] + row["coalesced"]
         misses += row["misses"]
     return hits / (hits + misses) if hits + misses else 0.0
 
 
 def test_cache_speedup_on_text2sql():
-    dbgpt = DBGPT.boot()  # default config: every tier enabled
+    dbgpt = DBGPT.boot()
     dbgpt.register_source(EngineSource(build_sales_database(n_orders=400)))
 
     cold_times, warm_times = [], []

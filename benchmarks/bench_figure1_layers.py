@@ -16,13 +16,13 @@ QUESTION = "How many orders are there?"
 EXPECTED = "The answer is 300."
 
 
-def test_application_layer_direct(benchmark, sales_dbgpt):
+def test_application_layer_direct(cold_benchmark, sales_dbgpt):
     app = sales_dbgpt.app("chat2data")
-    result = benchmark(lambda: app.chat(QUESTION))
+    result = cold_benchmark(lambda: app.chat(QUESTION))
     assert result.text == EXPECTED
 
 
-def test_server_layer_round_trip(benchmark, sales_dbgpt):
+def test_server_layer_round_trip(cold_benchmark, sales_dbgpt):
     server = sales_dbgpt.server()
     request = Request(
         "POST", "/api/chat/chat2data", {"message": QUESTION}
@@ -33,18 +33,18 @@ def test_server_layer_round_trip(benchmark, sales_dbgpt):
             Request(request.method, request.path, dict(request.body))
         )
 
-    response = benchmark(call)
+    response = cold_benchmark(call)
     assert response.status == 200
     assert response.body["text"] == EXPECTED
 
 
-def test_module_layer_smmf_call(benchmark, sales_dbgpt):
+def test_module_layer_smmf_call(cold_benchmark, sales_dbgpt):
     from repro.llm import build_text2sql_prompt
 
     source = sales_dbgpt.sources.get("sales")
     prompt = build_text2sql_prompt(source, QUESTION)
 
-    sql = benchmark(
+    sql = cold_benchmark(
         lambda: sales_dbgpt.client.generate(
             "sql-coder", prompt, task="text2sql"
         )
@@ -52,7 +52,7 @@ def test_module_layer_smmf_call(benchmark, sales_dbgpt):
     assert sql == "SELECT COUNT(*) FROM orders"
 
 
-def test_protocol_layer_awel_wrapping(benchmark, sales_dbgpt):
+def test_protocol_layer_awel_wrapping(cold_benchmark, sales_dbgpt):
     app = sales_dbgpt.app("chat2data")
 
     def build_and_run():
@@ -62,5 +62,5 @@ def test_protocol_layer_awel_wrapping(benchmark, sales_dbgpt):
             question >> answer
         return run_dag(dag, QUESTION)
 
-    result = benchmark(build_and_run)
+    result = cold_benchmark(build_and_run)
     assert result == EXPECTED

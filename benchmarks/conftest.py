@@ -12,9 +12,12 @@ numbers recorded in EXPERIMENTS.md.
 
 import pytest
 
-from repro.cache.config import CacheConfig
-from repro.cache.manager import CacheManager, set_cache_manager
-from repro.core import DBGPT, DbGptConfig
+from repro.cache.manager import (
+    CacheManager,
+    get_cache_manager,
+    set_cache_manager,
+)
+from repro.core import DBGPT
 from repro.datasets import build_sales_database
 from repro.datasources import EngineSource
 
@@ -50,25 +53,44 @@ def _run_shape_tests_under_benchmark_only(benchmark):
 
 @pytest.fixture(autouse=True)
 def _isolated_cache_manager():
-    """Reset the process-wide cache manager around every benchmark.
+    """Give every benchmark a fresh, empty process-wide cache manager.
 
-    A benchmark that boots ``DBGPT`` installs that instance's cache
-    configuration globally; without a reset it would leak into later
-    benchmarks and silently turn their measured workloads into cache
-    lookups (``bench_cache.py`` measures the cached path on purpose).
+    A benchmark that boots ``DBGPT`` installs that instance's manager
+    globally; without a reset its entries would leak into later
+    benchmarks and answer their measured workloads from cache.
     """
-    previous = set_cache_manager(CacheManager(CacheConfig.disabled()))
+    previous = set_cache_manager(CacheManager())
     yield
     set_cache_manager(previous)
+
+
+def clear_caches() -> None:
+    """Empty every tier of the current manager (a ``pedantic`` setup
+    must return None, so not ``CacheManager.clear`` itself)."""
+    get_cache_manager().clear()
+
+
+@pytest.fixture
+def cold_benchmark(benchmark):
+    """``benchmark`` with every cache tier emptied before each round,
+    outside the timed region, so a repeated call times the layers
+    behind the cache rather than a lookup (``bench_cache.py`` times the
+    cached path on purpose)."""
+
+    def run(fn, rounds=30):
+        return benchmark.pedantic(fn, setup=clear_caches, rounds=rounds)
+
+    return run
 
 
 @pytest.fixture(scope="session")
 def sales_dbgpt():
     """One booted DB-GPT over the seeded sales workload.
 
-    Caching is pinned off: this fixture backs latency and model-call
-    benchmarks whose claims are about the uncached layers.
+    Its components cache in whichever manager the running benchmark
+    installed; benchmarks whose claims are about the layers behind the
+    cache empty it between calls (``cold_benchmark``, ``clear_caches``).
     """
-    dbgpt = DBGPT.boot(DbGptConfig(cache=CacheConfig.disabled()))
+    dbgpt = DBGPT.boot()
     dbgpt.register_source(EngineSource(build_sales_database(n_orders=300)))
     return dbgpt

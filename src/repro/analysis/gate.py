@@ -127,8 +127,7 @@ def gate_sql(
     from repro.cache.manager import get_cache_manager
 
     database = getattr(source, "database", None)
-    manager = get_cache_manager()
-    if database is None or not manager.enabled("sql"):
+    if database is None:
         return _gate_uncached(
             client, model, source, question, sql, max_repairs
         )
@@ -141,7 +140,7 @@ def gate_sql(
         question,
         sql,
     )
-    return manager.cached(
+    return get_cache_manager().cached(
         "sql",
         key,
         lambda: _gate_uncached(

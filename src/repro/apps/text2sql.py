@@ -60,14 +60,11 @@ def schema_knowledge_base(source: DataSource) -> Optional[KnowledgeBase]:
             count += 1
         return kb if count else None
 
-    manager = get_cache_manager()
-    if not manager.enabled("rag"):
-        return build()
     cards = tuple(
         f"{info.name}|{info.describe()}|{info.comment}"
         for info in source.tables()
     )
-    return manager.cached(
+    return get_cache_manager().cached(
         "rag", ("schema-kb", source.name, cards), build
     )
 

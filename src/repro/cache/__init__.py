@@ -30,7 +30,7 @@ from repro.cache.manager import (
     set_cache_manager,
 )
 from repro.cache.semantic import SemanticPromptIndex
-from repro.cache.store import CacheStats, CacheStore
+from repro.cache.store import CacheStats, CacheStore, Uncached
 
 __all__ = [
     "CacheConfig",
@@ -40,6 +40,7 @@ __all__ = [
     "SemanticPromptIndex",
     "TIER_NAMES",
     "TierConfig",
+    "Uncached",
     "configure_cache",
     "embedding_key",
     "get_cache_manager",

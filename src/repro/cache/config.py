@@ -30,7 +30,6 @@ TIER_NAMES = ("inference", "rag", "sql")
 class TierConfig:
     """Bounds for one cache tier."""
 
-    enabled: bool = True
     #: Maximum number of entries kept (LRU eviction beyond this).
     capacity: int = 512
     #: Seconds before an entry expires; ``None`` disables expiry.
@@ -47,12 +46,9 @@ class TierConfig:
 class CacheConfig:
     """Configuration for every tier plus the semantic lookup.
 
-    ``enabled`` is the master switch: when False, every tier is off
-    regardless of its own flag and the wired code paths behave exactly
-    as if the cache subsystem did not exist.
+    Every tier is always on; a tier is sized, never switched off.
     """
 
-    enabled: bool = True
     inference: TierConfig = field(default_factory=TierConfig)
     rag: TierConfig = field(
         default_factory=lambda: TierConfig(capacity=2048)
@@ -74,14 +70,6 @@ class CacheConfig:
                 f"unknown cache tier {name!r}; known: {TIER_NAMES}"
             )
         return getattr(self, name)
-
-    def tier_enabled(self, name: str) -> bool:
-        return self.enabled and self.tier(name).enabled
-
-    @classmethod
-    def disabled(cls) -> "CacheConfig":
-        """A configuration with every tier switched off."""
-        return cls(enabled=False)
 
     def with_tier(self, name: str, **changes) -> "CacheConfig":
         """A copy with one tier's settings replaced."""

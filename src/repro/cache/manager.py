@@ -11,17 +11,12 @@ from a coroutine, :meth:`acached`), which
 - publishes hit/miss/eviction counters and latency histograms through
   the unified :mod:`repro.obs` metrics registry.
 
-When a tier is disabled, :meth:`enabled` is False and call sites take
-their original, pre-cache code path — no span, no metric, no key
-construction — so a disabled configuration behaves byte-identically
-to a build without the subsystem.
-
-The module-level manager starts **disabled**: components built outside
-a booted instance (bare ``deploy()``, a standalone ``Database``) behave
-exactly as they did before this subsystem existed. ``DBGPT.boot``
-installs the instance's configuration via :func:`configure_cache`, and
-:class:`repro.core.config.DbGptConfig` enables all tiers by default —
-so the product default is "caching on".
+Every tier always exists, so each call site has exactly one path:
+the lookup, with its compute callback. The module-level manager is a
+full :class:`CacheManager` from import, so components built outside a
+booted instance (bare ``deploy()``, a standalone ``Database``) cache
+like booted ones; ``DBGPT.boot`` installs the instance's sizing via
+:func:`configure_cache`.
 """
 
 from __future__ import annotations
@@ -63,7 +58,7 @@ _EVICTIONS = MetricHandle(
 
 
 class CacheManager:
-    """Owns one :class:`CacheStore` per enabled tier.
+    """Owns one :class:`CacheStore` per tier.
 
     With tenant partitions enabled (the tenancy fabric calls
     :meth:`enable_tenant_partitions`), lookups made inside a
@@ -71,8 +66,8 @@ class CacheManager:
     lazily-created per-``(tenant, tier)`` store with its own capacity
     budget: one tenant's working set can neither evict another's
     entries nor poison them, and metrics for those lookups carry a
-    ``tenant`` label. Lookups outside any tenant scope — the entire
-    disabled path — use the shared stores exactly as before.
+    ``tenant`` label. Lookups outside any tenant scope use the shared
+    stores.
     """
 
     def __init__(
@@ -90,15 +85,14 @@ class CacheManager:
         self._stores: dict[str, CacheStore] = {}
         for tier in TIER_NAMES:
             settings = self.config.tier(tier)
-            if self.config.enabled and settings.enabled:
-                self._stores[tier] = CacheStore(
-                    capacity=settings.capacity,
-                    ttl_seconds=settings.ttl_seconds,
-                    clock=clock,
-                    on_evict=self._evict_hook(tier),
-                )
+            self._stores[tier] = CacheStore(
+                capacity=settings.capacity,
+                ttl_seconds=settings.ttl_seconds,
+                clock=clock,
+                on_evict=self._evict_hook(tier),
+            )
         self.semantic: Optional[SemanticPromptIndex] = None
-        if self.enabled("inference") and self.config.semantic_lookup:
+        if self.config.semantic_lookup:
             self.semantic = SemanticPromptIndex(
                 threshold=self.config.semantic_threshold,
                 capacity=self.config.semantic_capacity,
@@ -106,12 +100,9 @@ class CacheManager:
 
     # -- tier access -------------------------------------------------------
 
-    def enabled(self, tier: str) -> bool:
-        return tier in self._stores
-
-    def store(self, tier: str) -> Optional[CacheStore]:
-        """The tier's store, or None when the tier is disabled."""
-        return self._stores.get(tier)
+    def store(self, tier: str) -> CacheStore:
+        """The tier's shared store."""
+        return self._stores[tier]
 
     # -- tenant partitions ---------------------------------------------------
 
@@ -127,18 +118,12 @@ class CacheManager:
         with self._lock:
             self._partition_capacity = capacity
 
-    def partitions_enabled(self) -> bool:
-        with self._lock:
-            return self._partition_capacity is not None
-
-    def _store_for(
-        self, tier: str, tenant: Optional[str]
-    ) -> Optional[CacheStore]:
+    def _store_for(self, tier: str, tenant: Optional[str]) -> CacheStore:
         """The store serving this lookup: the tenant's partition when
         partition mode is on and a tenant scope is active, else the
         shared tier store."""
-        shared = self._stores.get(tier)
-        if shared is None or tenant is None:
+        shared = self._stores[tier]
+        if tenant is None:
             return shared
         with self._lock:
             capacity = self._partition_capacity
@@ -166,14 +151,12 @@ class CacheManager:
     ) -> Any:
         """Serve ``key`` from ``tier``, computing (once) on a miss.
 
-        Must only be called when :meth:`enabled` returned True for the
-        tier; disabled tiers take the caller's original code path so
-        their behavior stays byte-identical to pre-cache builds.
+        ``compute`` may return :class:`~repro.cache.store.Uncached` to
+        hand its value to this caller and its coalesced waiters without
+        storing it.
         """
         tenant = current_tenant()
         store = self._store_for(tier, tenant)
-        if store is None:
-            store = self._stores[tier]
         started = perf_clock()
         with get_tracer().span(
             "cache.lookup", tier=tier, **span_attributes
@@ -194,8 +177,6 @@ class CacheManager:
         single-flight, span and metrics, awaited instead of blocked on."""
         tenant = current_tenant()
         store = self._store_for(tier, tenant)
-        if store is None:
-            store = self._stores[tier]
         started = perf_clock()
         with get_tracer().span(
             "cache.lookup", tier=tier, **span_attributes
@@ -224,8 +205,6 @@ class CacheManager:
         store's hit/miss statistics; a dedicated counter records it.
         """
         store = self._store_for("inference", current_tenant())
-        if store is None:
-            return False, None
         found, value = store.peek(key)
         if found:
             _SEMANTIC_HITS.labels("inference")()
@@ -235,13 +214,10 @@ class CacheManager:
         """Read an entry even if expired, without touching statistics.
 
         Used by the resilience layer to serve stale answers when the
-        stack behind the cache is down; ``(False, None)`` when the
-        tier is disabled or the key was never cached.
+        stack behind the cache is down; ``(False, None)`` when the key
+        was never cached.
         """
-        store = self._store_for(tier, current_tenant())
-        if store is None:
-            return False, None
-        return store.peek_stale(key)
+        return self._store_for(tier, current_tenant()).peek_stale(key)
 
     def _evict_hook(self, tier: str, tenant: Optional[str] = None):
         # Partition evictions are the tenant's own budget at work —
@@ -273,16 +249,11 @@ class CacheManager:
         return dropped
 
     def stats(self) -> dict[str, dict[str, Any]]:
-        """Per-tier statistics (disabled tiers report only that)."""
+        """Per-tier statistics."""
         snapshot: dict[str, dict[str, Any]] = {}
-        for tier in TIER_NAMES:
-            store = self._stores.get(tier)
-            if store is None:
-                snapshot[tier] = {"enabled": False}
-                continue
+        for tier, store in self._stores.items():
             stats: CacheStats = store.stats()
             snapshot[tier] = {
-                "enabled": True,
                 "size": len(store),
                 "capacity": store.capacity,
                 "ttl_seconds": store.ttl_seconds,
@@ -318,9 +289,6 @@ class CacheManager:
         )
         lines = [header, "-" * len(header)]
         for tier, row in self.stats().items():
-            if not row["enabled"]:
-                lines.append(f"{tier:<10} {'(disabled)':>9}")
-                continue
             size = f"{row['size']}/{row['capacity']}"
             evicted = row["evictions"] + row["expirations"]
             lines.append(
@@ -331,11 +299,10 @@ class CacheManager:
         return "\n".join(lines)
 
 
-#: Process-wide manager used by every wired call site. Starts disabled
-#: so unbooted components are unaffected; ``DBGPT.boot`` installs the
-#: instance's :class:`~repro.core.config.DbGptConfig` configuration
-#: (which enables all tiers by default).
-_manager = CacheManager(CacheConfig.disabled())
+#: Process-wide manager used by every wired call site. Unbooted
+#: components cache in it from import; ``DBGPT.boot`` replaces it with
+#: one sized by the instance's :class:`~repro.core.config.DbGptConfig`.
+_manager = CacheManager()
 
 
 def get_cache_manager() -> CacheManager:

@@ -11,7 +11,8 @@
   ``aget_or_compute``) calls for the same missing key run the compute
   exactly once; the other callers, threads or coroutines, wait for the
   leader and then share its result (or its exception — errors are
-  never cached).
+  never cached). A compute that returns :class:`Uncached` hands its
+  value to the leader and the waiters without storing it.
 
 Values are stored as given; callers that cache mutable objects are
 responsible for freezing them (the SQL tier stores row tuples, the RAG
@@ -31,6 +32,16 @@ from typing import Any, Awaitable, Callable, Optional
 
 #: Internal sentinel distinguishing "no entry" from a cached ``None``.
 _MISS = object()
+
+
+class Uncached:
+    """A compute result to share with the flight but not store: an
+    answer that must not outlive the condition that produced it."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
 
 
 def _wake(loop: asyncio.AbstractEventLoop, landed: asyncio.Future) -> None:
@@ -241,12 +252,15 @@ class CacheStore:
 
     def _land(
         self, key: Any, flight: _Flight, value: Any = _MISS, error=None
-    ) -> None:
-        """Publish the leader's outcome (errors are never cached) and
-        wake every waiter. A cancelled leader lands neither value nor
-        error, so its waiters claim again instead of inheriting it."""
+    ) -> Any:
+        """Publish the leader's outcome (errors and :class:`Uncached`
+        values are never cached), wake every waiter and return the
+        value. A cancelled leader lands neither value nor error, so its
+        waiters claim again instead of inheriting it."""
         with self._lock:
-            if value is not _MISS:
+            if isinstance(value, Uncached):
+                value = value.value
+            elif value is not _MISS:
                 self.put(key, value)
             self._flights.pop(key, None)
             flight.value = value
@@ -256,6 +270,7 @@ class CacheStore:
         flight.event.set()
         for callback in callbacks:
             callback()
+        return value
 
     def _landed(self, flight: _Flight) -> Any:
         """A waiter's share: the value, the leader's error raised, or
@@ -288,8 +303,7 @@ class CacheStore:
                 except BaseException as exc:
                     self._land(key, flight, error=exc)
                     raise
-                self._land(key, flight, value)
-                return value, False
+                return self._land(key, flight, value), False
             flight.event.wait()
             value = self._landed(flight)
             if value is not _MISS:
@@ -314,8 +328,7 @@ class CacheStore:
                 except BaseException as exc:
                     self._land(key, flight, error=exc)
                     raise
-                self._land(key, flight, value)
-                return value, False
+                return self._land(key, flight, value), False
             # A cancelled waiter just stops waiting: its callback later
             # finds the future done, and the flight serves the others.
             await landed

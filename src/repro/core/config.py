@@ -60,8 +60,8 @@ class DbGptConfig:
     memory_path: Optional[str] = None
     #: Default retrieval strategy for knowledge QA.
     retrieval_strategy: str = "hybrid"
-    #: Multi-tier cache configuration (see ``docs/caching.md``).
-    #: ``CacheConfig.disabled()`` turns the subsystem off entirely.
+    #: Multi-tier cache sizing (see ``docs/caching.md``); every tier
+    #: is always on.
     cache: CacheConfig = field(default_factory=CacheConfig)
     #: Tuning for the continuous-batching engine every model request
     #: goes through (see ``docs/serving.md``); it cannot be turned off.

@@ -35,10 +35,7 @@ class EngineSource(DataSource):
     ) -> tuple[str, ...]:
         """Served from the ``sql`` cache tier under the database's data
         version, so any write retires it like every other cached read."""
-        manager = get_cache_manager()
         compute = super().prompt_context
-        if not manager.enabled("sql"):
-            return compute(max_values_per_column)
         database = self.database
         key = (
             "prompt_context",
@@ -47,7 +44,7 @@ class EngineSource(DataSource):
             database.data_version,
             max_values_per_column,
         )
-        return manager.cached(
+        return get_cache_manager().cached(
             "sql",
             key,
             lambda: compute(max_values_per_column),

@@ -129,16 +129,12 @@ class HashingEmbedder:
         :meth:`embed` uncached. Returned vectors are shared across
         hits; callers must treat them as read-only.
         """
-        # Function-level import: the cache's semantic index imports
-        # this module, so the reverse edge must stay lazy.
-        from repro.cache.manager import get_cache_manager
-
-        manager = get_cache_manager()
-        if not manager.enabled("rag") or (
-            word_weight is not None and cache_tag is None
-        ):
+        if word_weight is not None and cache_tag is None:
             return self.embed(text, word_weight)
+        # Function-level imports: the cache's semantic index imports
+        # this module, so the reverse edge must stay lazy.
         from repro.cache.keys import embedding_key
+        from repro.cache.manager import get_cache_manager
 
         key = embedding_key(
             self.dim,
@@ -147,7 +143,7 @@ class HashingEmbedder:
             cache_tag or (),
             text,
         )
-        return manager.cached(
+        return get_cache_manager().cached(
             "rag", key, lambda: self.embed(text, word_weight)
         )
 

@@ -167,19 +167,16 @@ class KnowledgeBase:
     ) -> list[RetrievedChunk]:
         """Top-k chunks for ``query`` under the chosen strategy.
 
-        Results are served from the RAG cache tier (when enabled),
-        keyed on this knowledge base's identity and mutation version —
-        indexing a new document retires every cached result. The
-        ``embed_memo`` only changes *how* the query embedding is
-        computed, never the result, so it stays out of the key.
+        Results are served from the RAG cache tier, keyed on this
+        knowledge base's identity and mutation version — indexing a new
+        document retires every cached result. The ``embed_memo`` only
+        changes *how* the query embedding is computed, never the
+        result, so it stays out of the key.
         """
-        manager = get_cache_manager()
-        if not manager.enabled("rag"):
-            return self._retrieve_direct(query, k, strategy, rerank, embed_memo)
         key = retrieval_key(
             self._cache_token, self._version, strategy, k, rerank, query
         )
-        frozen = manager.cached(
+        frozen = get_cache_manager().cached(
             "rag",
             key,
             lambda: tuple(

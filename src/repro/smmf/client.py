@@ -15,10 +15,11 @@ import contextvars
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 from repro.cache.keys import inference_key, instance_token
 from repro.cache.manager import get_cache_manager
+from repro.cache.store import Uncached
 from repro.obs.metrics import Counter, MetricHandle
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.retry import RetryPolicy
@@ -29,6 +30,10 @@ from repro.tenancy.context import current_tenant
 #: a ``retry_after`` hint), 503 is a transient serving failure (all
 #: replicas down mid-recovery, scheduler restarting).
 _TRANSIENT_STATUSES = (429, 503)
+
+#: A fresh answer from the serving stack; a degraded one is
+#: :class:`Uncached`.
+_Answer = Union[str, Uncached]
 
 _STALE_SERVED = MetricHandle(
     Counter, "resilience_stale_served_total",
@@ -105,17 +110,15 @@ class LLMClient:
         """Generate text; raises :class:`ClientError` on any failure.
 
         Successful responses are cached in the inference tier; errors
-        are never cached, so a failed call retries the stack next time.
+        and degraded answers (served by the fallback model) are never
+        cached, so a failed or degraded call retries the stack next
+        time.
         ``timeout_s`` is the serving deadline: a request still queued
         in the serving engine when it expires fails with a 504 instead
         of waiting forever (it does not key the cache — a deadline is
         an SLO, not part of the answer).
         """
         manager = get_cache_manager()
-        if not manager.enabled("inference"):
-            return self._generate_uncached(
-                model, prompt, task, max_tokens, metadata, timeout_s
-            )
         turn = _CachedTurn(
             self, manager, model, prompt, task, max_tokens, metadata
         )
@@ -210,10 +213,6 @@ class LLMClient:
         async path.
         """
         manager = get_cache_manager()
-        if not manager.enabled("inference"):
-            return await self._agenerate_uncached(
-                model, prompt, task, max_tokens, metadata, timeout_s
-            )
         turn = _CachedTurn(
             self, manager, model, prompt, task, max_tokens, metadata
         )
@@ -354,7 +353,7 @@ class LLMClient:
         max_tokens: int,
         metadata: Optional[dict[str, Any]],
         timeout_s: Optional[float] = None,
-    ) -> str:
+    ) -> _Answer:
         """One logical round trip through the serving stack.
 
         Transient rejections (429/503) are retried under the
@@ -379,7 +378,7 @@ class LLMClient:
         max_tokens: int,
         metadata: Optional[dict[str, Any]],
         timeout_s: Optional[float] = None,
-    ) -> str:
+    ) -> _Answer:
         body = self._request_body(
             model, prompt, task, max_tokens, metadata, timeout_s
         )
@@ -388,23 +387,26 @@ class LLMClient:
             classify=_classify_client_error,
         )
 
-    def _roundtrip(self, body: dict[str, Any]) -> str:
+    def _roundtrip(self, body: dict[str, Any]) -> _Answer:
         return self._unpack(
             self._server.handle(self._generate_request(body))
         )
 
-    async def _aroundtrip(self, body: dict[str, Any]) -> str:
+    async def _aroundtrip(self, body: dict[str, Any]) -> _Answer:
         return self._unpack(
             await self._server.ahandle(self._generate_request(body))
         )
 
-    def _unpack(self, response) -> str:
+    def _unpack(self, response) -> _Answer:
         """What every unary round trip does with the server's answer,
-        sync or async: raise on rejection, count a degraded serve,
-        return the text."""
+        sync or async: raise on rejection, return the text. A degraded
+        answer is counted and wrapped :class:`Uncached`: it reaches the
+        caller and any coalesced waiters but is never stored under the
+        requested model's key."""
         self._raise_for_status(response)
         if response.body.get("degraded"):
             self.degraded_serves += 1
+            return Uncached(response.body["text"])
         return response.body["text"]
 
     def serving_stats(self) -> dict[str, Any]:
@@ -463,9 +465,10 @@ class _CachedTurn:
                 return (text,)
         return None
 
-    def learned(self, text: str) -> str:
-        """Index a fresh answer under the group :meth:`alias` searched."""
-        if self.manager.semantic is not None:
+    def learned(self, text: _Answer) -> _Answer:
+        """Index a fresh answer under the group :meth:`alias` searched
+        (a degraded, :class:`Uncached` one stays out of the index)."""
+        if self.manager.semantic is not None and isinstance(text, str):
             self.manager.semantic.add(self._group, self.key[-1], self.key)
         return text
 

@@ -167,18 +167,17 @@ class Database:
         """Parse and execute one SQL statement.
 
         A SELECT is prepared once per text (:meth:`parse`); the SQL cache
-        tier, when enabled, serves its result keyed on this database, its
+        tier serves its result keyed on this database, its
         data version and schema epoch and the canonical SQL — so two
         spellings share an entry, and any write invalidates it.
         """
         statement, prepared = self._prepare(sql)
         params = tuple(parameters)
-        manager = get_cache_manager()
 
         def run() -> ResultSet:
             return self.execute_statement(statement, params, prepared=prepared)
 
-        if prepared is None or not manager.enabled("sql"):
+        if prepared is None:
             return run()
         key = sql_key(
             self._cache_token,
@@ -192,7 +191,7 @@ class Database:
             hash(key)
         except TypeError:
             return run()  # unhashable parameter values: no caching
-        frozen = manager.cached(
+        frozen = get_cache_manager().cached(
             "sql", key, lambda: _freeze_result(run()), database=self.name
         )
         return _thaw_result(frozen)

@@ -72,8 +72,8 @@ class TenancyConfig:
     session_ttl_seconds: Optional[float] = None
     #: Default admission quota; individual tenants may override.
     quota: QuotaConfig = field(default_factory=QuotaConfig)
-    #: Per-tenant, per-tier cache entry budget (0 disables cache
-    #: partitioning — tenants then share the instance-wide stores).
+    #: Per-tenant, per-tier cache entry budget; every tenant-scoped
+    #: lookup is served from the tenant's own partition.
     cache_partition_capacity: int = 256
 
     def __post_init__(self) -> None:
@@ -93,5 +93,5 @@ class TenancyConfig:
             and self.session_ttl_seconds <= 0
         ):
             raise ValueError("session_ttl_seconds must be positive (or None)")
-        if self.cache_partition_capacity < 0:
-            raise ValueError("cache_partition_capacity must be >= 0")
+        if self.cache_partition_capacity <= 0:
+            raise ValueError("cache_partition_capacity must be positive")

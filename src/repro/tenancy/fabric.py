@@ -90,10 +90,9 @@ class TenantFabric:
             clock=clock,
         )
         self._tenant_apps: dict[str, dict[str, Any]] = {}
-        if self.config.cache_partition_capacity > 0:
-            get_cache_manager().enable_tenant_partitions(
-                self.config.cache_partition_capacity
-            )
+        get_cache_manager().enable_tenant_partitions(
+            self.config.cache_partition_capacity
+        )
         dbgpt.controller.scheduler.set_admission_hook(
             self._scheduler_admission_hook
         )

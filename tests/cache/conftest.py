@@ -2,21 +2,12 @@
 
 import pytest
 
-from repro.cache.config import CacheConfig
-from repro.cache.manager import CacheManager, set_cache_manager
-
 
 @pytest.fixture
-def enabled_cache():
-    """Install a fresh fully-enabled manager for one test.
-
-    The suite-wide autouse fixture keeps the global manager disabled;
-    tests that exercise the wired tiers opt in through this.
-    """
-    manager = CacheManager(CacheConfig())
-    previous = set_cache_manager(manager)
-    yield manager
-    set_cache_manager(previous)
+def enabled_cache(_isolated_cache_manager):
+    """The test's fresh process-wide manager (the suite-wide autouse
+    fixture installs it)."""
+    return _isolated_cache_manager
 
 
 class FakeClock:

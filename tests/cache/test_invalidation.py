@@ -170,19 +170,3 @@ class TestPromptContext:
         assert "atlantis" in "\n".join(after)
         # A different value budget is a different entry.
         assert source.prompt_context(1) != after
-
-    def test_prompt_is_byte_identical_with_the_tier_off(self, enabled_cache):
-        from repro.cache.config import CacheConfig
-        from repro.cache.manager import CacheManager, set_cache_manager
-        from repro.llm.prompts import build_text2sql_prompt
-
-        source = EngineSource(build_sales_database(n_orders=20))
-        cached = build_text2sql_prompt(source, self.QUESTION)
-        assert build_text2sql_prompt(source, self.QUESTION) == cached
-        previous = set_cache_manager(
-            CacheManager(CacheConfig().with_tier("sql", enabled=False))
-        )
-        try:
-            assert build_text2sql_prompt(source, self.QUESTION) == cached
-        finally:
-            set_cache_manager(previous)

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.cache.store import CacheStore
+from repro.cache.store import CacheStore, Uncached
 
 WAIT_S = 10.0
 
@@ -369,3 +369,26 @@ class TestStress:
         stats = store.stats()
         assert stats.misses == keys
         assert stats.lookups == (8 + 4 * 8) * rounds * keys
+
+
+class TestUncachedValue:
+    def test_the_flight_shares_a_value_it_never_stores(self):
+        store = ObservedStore()
+        leader = SyncLeader(store, outcome=Uncached("degraded"))
+        join = sync_waiters(store, 2)
+        assert leader.finish() == ("degraded", False)
+        assert join() == [("degraded", True)] * 2
+        assert store.peek("k") == (False, None)
+        assert store.get_or_compute("k", lambda: "fresh") == ("fresh", False)
+
+    def test_an_async_leader_returns_it_unstored(self):
+        store = CacheStore()
+
+        async def compute():
+            return Uncached("degraded")
+
+        assert asyncio.run(store.aget_or_compute("k", compute)) == (
+            "degraded",
+            False,
+        )
+        assert len(store) == 0

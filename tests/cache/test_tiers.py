@@ -1,10 +1,20 @@
 """The three wired tiers: SMMF inference, RAG retrieval, SQL results."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.apps.text2sql import Text2SqlApp, schema_knowledge_base
-from repro.cache.config import CacheConfig
-from repro.cache.manager import CacheManager, set_cache_manager
+from repro.cache.config import CacheConfig, TierConfig
+from repro.cache.manager import (
+    CacheManager,
+    get_cache_manager,
+    set_cache_manager,
+)
+from repro.core import DBGPT
+from repro.datasets import build_sales_database
 from repro.datasources import EngineSource
 from repro.llm import ChatModel
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
@@ -61,12 +71,13 @@ class TestInferenceTier:
         assert total_served(controller_a) == 1
         assert total_served(controller_b) == 1
 
-    def test_disabled_tier_always_reaches_worker(self):
-        set_cache_manager(CacheManager(CacheConfig.disabled()))
+    def test_bare_deploy_client_serves_repeat_from_inference_tier(self):
         controller, client = deploy([chat_spec()])
         client.generate("chat", "hello")
         client.generate("chat", "hello")
-        assert total_served(controller) == 2
+        assert total_served(controller) == 1
+        stats = get_cache_manager().store("inference").stats()
+        assert (stats.hits, stats.misses) == (1, 1)
 
     def test_errors_are_never_cached(self, enabled_cache):
         controller, client = deploy([chat_spec()])
@@ -204,6 +215,27 @@ class TestSqlTier:
         two = db.execute("SELECT name FROM items WHERE id = ?", (2,))
         assert one.rows != two.rows
 
+    def test_bare_database_serves_repeat_select_from_sql_tier(self):
+        # A fresh interpreter: the manager a bare Database consults is
+        # the one built at import, not one a test installed.
+        script = (
+            "from repro.cache.manager import get_cache_manager\n"
+            "from repro.sqlengine.database import Database\n"
+            "db = Database('shop')\n"
+            "db.execute('CREATE TABLE t (id INTEGER)')\n"
+            "db.execute('INSERT INTO t VALUES (1)')\n"
+            "for _ in range(2):\n"
+            "    db.execute('SELECT id FROM t')\n"
+            "stats = get_cache_manager().store('sql').stats()\n"
+            "print(stats.hits, stats.misses)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout
+        assert out.split() == ["1", "1"]
+
     def test_two_databases_never_share_entries(self, enabled_cache):
         db_a = self.build_db()
         db_b = self.build_db()
@@ -234,3 +266,51 @@ class TestSchemaKbMemoization:
         kb_after = schema_knowledge_base(source)
         assert kb_before is not kb_after
         assert len(kb_after) > len(kb_before)
+
+
+class TestNoOffSwitch:
+    def test_configs_reject_an_enabled_flag(self):
+        with pytest.raises(TypeError):
+            CacheConfig(enabled=False)
+        with pytest.raises(TypeError):
+            TierConfig(enabled=False)
+
+
+class TestWiredStack:
+    QUESTIONS = [
+        ("text2sql", "How many orders are there?"),
+        ("chat2db", "What is the total amount per region?"),
+        ("chat2db", "How many orders are there?"),
+        ("text2sql", "How many orders are there?"),  # warm repeat
+    ]
+
+    @staticmethod
+    def boot():
+        dbgpt = DBGPT.boot()
+        dbgpt.register_source(
+            EngineSource(build_sales_database(n_orders=40))
+        )
+        return dbgpt
+
+    def test_answers_identical_with_and_without_cache(self):
+        dbgpt = self.boot()
+
+        def answers():
+            return [
+                dbgpt.chat(app, question).text
+                for app, question in self.QUESTIONS
+            ]
+
+        cold = answers()
+        warm = answers()
+        assert dbgpt.clear_caches() > 0
+        recomputed = answers()
+        assert cold == warm == recomputed
+
+    def test_enabled_emits_cache_spans_and_metrics(self, fresh_registry):
+        dbgpt = self.boot()
+        dbgpt.chat("chat2db", "How many orders are there?")
+        names = {span.name for span in dbgpt.last_trace()}
+        assert "cache.lookup" in names
+        requests = fresh_registry.counter("cache_requests_total")
+        assert requests.total() > 0

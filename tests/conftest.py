@@ -2,22 +2,21 @@
 
 import pytest
 
-from repro.cache.config import CacheConfig
 from repro.cache.manager import CacheManager, set_cache_manager
 from repro.serving.engine import RequestScheduler
 
 
 @pytest.fixture(autouse=True)
 def _isolated_cache_manager():
-    """Reset the process-wide cache manager around every test.
+    """Give every test a fresh, empty process-wide cache manager.
 
-    Each test starts from the module default (disabled) so cached
-    state can never leak between tests; a test that boots ``DBGPT``
-    or calls ``configure_cache`` gets its own fresh manager for the
-    duration of that test only.
+    Cached state can never leak between tests; a test that boots
+    ``DBGPT`` or calls ``configure_cache`` gets its own fresh manager
+    for the duration of that test only. Yields the test's manager.
     """
-    previous = set_cache_manager(CacheManager(CacheConfig.disabled()))
-    yield
+    manager = CacheManager()
+    previous = set_cache_manager(manager)
+    yield manager
     set_cache_manager(previous)
 
 

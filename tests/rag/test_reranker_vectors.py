@@ -5,6 +5,7 @@ re-embedding reranker produces, under whichever IDF snapshot is live.
 
 import pytest
 
+from repro.cache.manager import get_cache_manager
 from repro.datasets import build_corpus
 from repro.rag import Document, KnowledgeBase
 from repro.rag.reranker import OverlapReranker
@@ -71,6 +72,9 @@ def test_only_the_query_is_embedded(corpus, monkeypatch):
         return embed(text, word_weight)
 
     monkeypatch.setattr(kb._embedder, "embed", spy)
+    # Drop the cached result and query embedding so the retrieval
+    # runs again; the chunks come from the built store.
+    get_cache_manager().clear("rag")
     assert len(kb.retrieve(query, k=K, rerank=True)) == K
     assert set(embedded) == {query}
 

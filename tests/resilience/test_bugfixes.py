@@ -8,8 +8,11 @@
 - A stale cache entry can answer the turn when the stack is down.
 - A half-open trial that raises neither a crash nor a model error
   hands its slot back instead of wedging the breaker.
+- A degraded answer (served by the fallback model) is never cached
+  under the requested model's key.
 """
 
+import asyncio
 import threading
 
 import pytest
@@ -357,3 +360,47 @@ class TestWorkerLockDiscipline:
         (row,) = body["detail"]
         assert row["model"] == "chat"
         assert row["alive"] is True
+
+
+class NamedModel(EchoModel):
+    """Answers name the model that produced them."""
+
+    def complete(self, request):
+        return f"{self.name}: {request.prompt}"
+
+
+class TestDegradedAnswersAreNotCached:
+    @pytest.mark.parametrize("call", ["generate", "agenerate"])
+    def test_primary_answers_again_once_it_recovers(self, call):
+        manager = CacheManager(CacheConfig(semantic_lookup=True))
+        set_cache_manager(manager)
+        controller, client = deploy(
+            [
+                ModelSpec(name, lambda name=name: NamedModel(name),
+                          latency_ms=0.0)
+                for name in ("sql", "chat")
+            ],
+            resilience=ResilienceConfig(
+                retry=RetryConfig(max_attempts=1),
+                fallback_model="chat",
+            ),
+        )
+
+        def ask(prompt):
+            if call == "generate":
+                return client.generate("sql", prompt)
+            return asyncio.run(client.agenerate("sql", prompt))
+
+        primary = controller.workers("sql")[0].worker
+        primary.kill()
+        assert ask("q") == "chat: q"
+        assert client.degraded_serves == 1
+        primary.restart()
+        controller.advance_clock(60.0)  # past the probe interval
+        assert ask("fresh") == "sql: fresh"
+        # The repeat reaches the recovered primary: the fallback's
+        # answer was handed to its caller but never stored or indexed.
+        assert ask("q") == "sql: q"
+        assert client.degraded_serves == 1
+        assert len(manager.store("inference")) == 2
+        assert len(manager.semantic) == 2

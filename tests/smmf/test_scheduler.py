@@ -12,8 +12,6 @@ import threading
 
 import pytest
 
-from repro.cache.config import CacheConfig
-from repro.cache.manager import CacheManager, set_cache_manager
 from repro.core import DBGPT
 from repro.llm import ChatModel
 from repro.llm.base import (
@@ -395,7 +393,6 @@ class TestSingleFlight:
         """With the inference cache on, N concurrent identical prompts
         produce exactly one model execution — the leader computes, the
         rest wait on the same in-flight entry."""
-        set_cache_manager(CacheManager(CacheConfig()))
         model = RecordingModel()
         config = ServingConfig(enabled=True)
         controller, client, scheduler = make_stack(config, lambda: model)

@@ -140,8 +140,8 @@ class TestBalancers:
 class TestControllerAndFailover:
     def test_routing_spreads_round_robin(self):
         controller, client = deploy([chat_spec(replicas=3)])
-        for _ in range(6):
-            client.generate("chat", "hi")
+        for i in range(6):
+            client.generate("chat", f"hi {i}")  # distinct: no cache hits
         counts = [
             controller.metrics.worker_requests(r.worker.worker_id)
             for r in controller.workers("chat")
