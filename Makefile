@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint staticcheck staticcheck-baseline bench bench-cache bench-serving bench-resilience bench-sqlengine bench-multitenant bench-agents bench-e2e-smoke profile-e2e verify docs-check trace-demo
+.PHONY: test lint staticcheck staticcheck-baseline bench bench-cache bench-serving bench-resilience bench-sqlengine bench-engine-ablation bench-multitenant bench-agents bench-e2e-smoke profile-e2e verify docs-check trace-demo
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -46,6 +46,12 @@ bench-resilience:
 bench-sqlengine:
 	$(PYTHON) -m pytest benchmarks/bench_sqlengine.py -q
 
+# The engine's two optimizer ablations: hash join vs nested loop and a
+# secondary-index lookup vs a sequential scan, same answers, each
+# required to win.
+bench-engine-ablation:
+	$(PYTHON) -m pytest benchmarks/bench_engine_ablation.py -q
+
 # Noisy-neighbor isolation: 8 compliant tenants x 16 concurrent
 # sessions vs one tenant 10x over quota; writes BENCH_multitenant.json.
 bench-multitenant:
@@ -85,6 +91,6 @@ trace-demo:
 # The repo self-check: static analysis over the examples and the
 # source tree itself, doc link integrity, one traced end-to-end
 # request, tier-1, then the cache, serving, resilience, sql engine,
-# multi-tenant isolation and agent-plan chaos smokes and the
-# full-stack benchmark smoke.
-verify: lint staticcheck docs-check trace-demo test bench-cache bench-serving bench-resilience bench-sqlengine bench-multitenant bench-agents bench-e2e-smoke
+# engine ablation, multi-tenant isolation and agent-plan chaos smokes
+# and the full-stack benchmark smoke.
+verify: lint staticcheck docs-check trace-demo test bench-cache bench-serving bench-resilience bench-sqlengine bench-engine-ablation bench-multitenant bench-agents bench-e2e-smoke

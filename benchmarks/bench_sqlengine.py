@@ -183,10 +183,12 @@ def test_sqlengine_benchmark() -> None:
     ]
     assert "SeqScan(events) [columnar]" in _plan_text(db, grouped_queries[0])
     event_rows = db.execute("SELECT * FROM events").rows
+    # Timed before the answer is checked: a statement that already ran
+    # keeps its grouped state, and a rerun would time that.
+    grouped_p50 = statistics.median(_time_queries(db, grouped_queries))
     assert sorted(db.execute(grouped_queries[0]).rows) == sorted(
         _grouped_by_hand(event_rows, grouped_bounds[0])
     )
-    grouped_p50 = statistics.median(_time_queries(db, grouped_queries))
     grouped_hand_p50 = statistics.median(
         _time_calls(
             lambda bound: _grouped_by_hand(event_rows, bound), grouped_bounds
@@ -251,7 +253,13 @@ def test_sqlengine_benchmark() -> None:
         )
         hash_db.insert_rows(table, rows)
     assert "HashJoin(INNER)" in _plan_text(hash_db, join_sql)
-    hash_times = _time_queries(hash_db, [join_sql] * 3)
+    # Every row passes, under a bound that differs per repeat: a repeat
+    # of one statement would read the grouped state of the last run.
+    hash_times = _time_calls(
+        lambda bound: hash_db.execute(f"{join_sql} WHERE facts.id > ?", (bound,)),
+        [-1, -2, -3],
+        reset=lambda: get_cache_manager().clear("sql"),
+    )
     hash_p50 = statistics.median(hash_times)
 
     loop_db = Database(name="bench_loop", enable_hash_join=False)

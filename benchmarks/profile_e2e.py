@@ -27,7 +27,8 @@ find candidates here, then measure them with the benchmark proper.
 ``--counts`` prints instead how many times per operation a fixed list
 of functions ran (:data:`COUNTS`: registry lookups, label sorts, lock
 exits, spans, event loops, ``asyncio.to_thread`` hops, SQL parses,
-plans built, row DISTINCT passes, regex substitutions). Call counts do not drift with the
+plans built, row DISTINCT passes, regex substitutions, prompt contexts
+built and grouped cores built from row 0). Call counts do not drift with the
 machine the way times do, so they say where work was saved and
 compare across sessions. To count only the
 timed region, that mode profiles the main thread's timed ``run_ops``
@@ -66,6 +67,8 @@ COUNTS = (
     ("SQL parses", "sqlengine/parser.py", "parse_sql"),
     ("plans built", "sqlengine/planner.py", "build_plan"),
     ("row DISTINCT passes", "sqlengine/executor.py", "_distinct"),
+    ("prompt contexts built", "datasources/base.py", "prompt_context"),
+    ("grouped cores from row 0", "sqlengine/executor.py", "_empty_groups"),
     ("re.Pattern.sub", "~", "<method 'sub' of 're.Pattern' objects>"),
 )
 

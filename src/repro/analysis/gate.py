@@ -119,8 +119,10 @@ def gate_sql(
     For engine-backed sources the verdict is served from the SQL cache
     tier: gating is a deterministic function of the statement, the
     schema and the (cached) model, so a repeated question skips
-    re-analysis. The key embeds the database's data version — any DDL
-    retires cached verdicts. Callers must treat the result as
+    re-analysis. The key embeds the source's schema epoch and the data
+    versions of the tables its prompt context samples (a repair prompt
+    embeds that context), so DDL and writes to those tables retire
+    cached verdicts. Callers must treat the result as
     read-only (they already do: diagnostics are exported via
     :meth:`GateResult.diagnostics_payload`, which copies).
     """
@@ -134,7 +136,7 @@ def gate_sql(
     key = (
         "gate",
         database._cache_token,
-        database.data_version,
+        source.sampled_versions(),
         model,
         int(max_repairs),
         question,

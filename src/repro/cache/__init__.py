@@ -7,8 +7,8 @@ Three tiers accelerate the three hot paths of a chat turn (see
   entirely. Optional embedding-similarity ("semantic") lookup.
 - **rag** — query embeddings, retrieval results and memoized
   schema-card indexes.
-- **sql** — SELECT results, invalidated by a monotonic data version
-  every DDL/DML statement bumps.
+- **sql** — SELECT results, invalidated by the per-table data versions
+  a write bumps and the schema epoch DDL and ROLLBACK bump.
 
 Every tier publishes hit/miss/eviction metrics through ``repro.obs``
 and marks its spans with a ``cache.hit`` attribute.

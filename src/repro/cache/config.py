@@ -11,8 +11,9 @@ Three tiers exist, one per layer the subsystem accelerates:
     indexes, keyed on the owning index plus its mutation version.
 ``sql``
     SELECT results, keyed on (database, canonical SQL, parameters,
-    data version) — every DDL/DML statement bumps the version, so a
-    write can never be followed by a stale cached read.
+    schema epoch, data versions of the tables read) — a write bumps its
+    table's version and DDL or ROLLBACK the epoch, so a write can never
+    be followed by a stale cached read.
 
 Every knob is plain data so :class:`repro.core.config.DbGptConfig`
 can embed a :class:`CacheConfig` without importing anything heavy.

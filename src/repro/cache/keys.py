@@ -9,9 +9,9 @@ Every key embeds two things that make reuse safe:
   monotonic counter, never from ``id()``, because CPython reuses ids
   after garbage collection and a recycled id could silently serve
   another instance's entries.
-- a **version** where the underlying data can change — the database's
-  data version, a knowledge base's mutation count, an IDF table's
-  document count. Writes bump the version, which retires every key
+- a **version** where the underlying data can change — the data
+  versions of the tables a statement reads, a knowledge base's mutation
+  count, an IDF table's document count. Writes bump the version, which retires every key
   minted under the old one; stale entries then age out via LRU/TTL.
 """
 
@@ -71,8 +71,8 @@ def sql_key(
     parameters: tuple,
     schema_epoch: int = 0,
 ) -> tuple:
-    """SQL tier: database identity, data version, schema epoch,
-    canonical SQL and parameters.
+    """SQL tier: database identity, the data versions of the tables the
+    statement reads, schema epoch, canonical SQL and parameters.
 
     ``schema_epoch`` counts schema changes (table, view and index DDL,
     ROLLBACK): a changed schema changes the plan, so cached results

@@ -15,6 +15,7 @@ class EngineSource(DataSource):
     def __init__(self, database: Database, name: str | None = None) -> None:
         super().__init__(name or database.name)
         self.database = database
+        self._sampled: tuple = (None, None)  # per schema epoch
 
     def tables(self) -> list[TableInfo]:
         infos = []
@@ -30,18 +31,35 @@ class EngineSource(DataSource):
             )
         return infos
 
+    def sampled_versions(self) -> tuple:
+        """The schema epoch and the data versions of the tables whose
+        values :meth:`prompt_context` samples (those with a TEXT column):
+        everything a prompt built from this source depends on. The table
+        set is found once per schema epoch."""
+        epoch, read = self._sampled
+        if epoch != self.database.schema_epoch:
+            self._sampled = epoch, read = self.database.version_reader(
+                lambda: [
+                    info.name
+                    for info in self.tables()
+                    if "TEXT" in info.column_types
+                ]
+            )
+        return epoch, read()
+
     def prompt_context(
         self, max_values_per_column: int = 20
     ) -> tuple[str, ...]:
-        """Served from the ``sql`` cache tier under the database's data
-        version, so any write retires it like every other cached read."""
+        """Served from the ``sql`` cache tier under
+        :meth:`sampled_versions`, so a write retires it only when it
+        touches a table whose values the prompt shows."""
         compute = super().prompt_context
         database = self.database
         key = (
             "prompt_context",
             database._cache_token,
             database.name,
-            database.data_version,
+            self.sampled_versions(),
             max_values_per_column,
         )
         return get_cache_manager().cached(

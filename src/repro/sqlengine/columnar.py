@@ -128,34 +128,50 @@ def group(
     return np.argsort(order)[inverse], first[order]
 
 
-def aggregate(
+def fold(
     name: str,
+    partial: tuple,
     group_of: np.ndarray,
     groups: int,
     data: Optional[np.ndarray] = None,
     nulls: Optional[np.ndarray] = None,
-) -> list:
-    """One aggregate's result per group as Python values. Sums
-    accumulate per group in entry order from 0.0 (``bincount``), as
-    ``_Sum``/``_Avg`` do, so float bits agree."""
+) -> tuple:
+    """``partial`` (per group: non-NULL count, sum or extreme; values
+    folded, their largest magnitude) extended by a batch of entries. A
+    sum continues in entry order (``np.add.at``), as ``_Sum``/``_Avg``
+    do, so its float bits equal one pass over all the entries."""
+    counts, acc, folded, largest = partial
     if nulls is not None:
         group_of, data = group_of[~nulls], data[~nulls]
-    counts = np.bincount(group_of, minlength=groups).tolist()
+    counts = np.append(counts, np.zeros(groups - len(counts), np.int64))
+    counts += np.bincount(group_of, minlength=groups)
+    if name == "COUNT":
+        return counts, None, 0, 0
+    folded += len(data)
+    if name == "SUM" and data.dtype.kind == "i":
+        largest = max(largest, int(np.abs(data).max(initial=0)))
+        if folded * largest >= 2 * EXACT:
+            raise Decline  # a float64 partial sum could round
+    if acc is None:
+        acc = np.zeros(0, np.float64 if name == "AVG" else data.dtype)
+    if name in ("SUM", "AVG"):
+        acc = np.append(acc, np.zeros(groups - len(acc), acc.dtype))
+        with np.errstate(all="ignore"):  # inf - inf is NaN, as in Python
+            np.add.at(acc, group_of, data.astype(acc.dtype, copy=False))
+    else:  # fold from the far end of the type's range
+        top = np.inf if acc.dtype.kind == "f" else np.iinfo(acc.dtype).max
+        far, extreme = (top, np.minimum) if name == "MIN" else (-top, np.maximum)
+        acc = np.append(acc, np.full(groups - len(acc), far, acc.dtype))
+        extreme.at(acc, group_of, data)
+    return counts, acc, folded, largest
+
+
+def results(name: str, partial: tuple) -> list:
+    """One aggregate's result per group as Python values (NULL: no value)."""
+    counts, acc = partial[0].tolist(), partial[1]
     if name == "COUNT":
         return counts
-    if name in ("SUM", "AVG"):
-        exact = name == "SUM" and data.dtype.kind == "i"
-        if exact and len(data) * int(np.abs(data).max(initial=0)) >= 2 * EXACT:
-            raise Decline  # a float64 partial sum could round
-        totals = np.bincount(group_of, weights=data, minlength=groups)
-        results = [int(t) for t in totals] if exact else totals.tolist()
-        if name == "AVG":
-            results = [t / (c or 1) for t, c in zip(results, counts)]
-    else:  # fold from the far end of the data's range
-        fold, far = (
-            (np.minimum, data.max) if name == "MIN" else (np.maximum, data.min)
-        )
-        best = np.full(groups, far(initial=0), data.dtype)
-        fold.at(best, group_of, data)
-        results = best.tolist()
-    return [r if c else None for r, c in zip(results, counts)]
+    values = acc.tolist()
+    if name == "AVG":
+        values = [total / (count or 1) for total, count in zip(values, counts)]
+    return [value if count else None for value, count in zip(values, counts)]

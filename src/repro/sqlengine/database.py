@@ -8,10 +8,12 @@ readers cannot starve a writer.
 
 from __future__ import annotations
 
+import functools
+import operator
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.cache.keys import instance_token, sql_key
 from repro.cache.manager import get_cache_manager
@@ -91,15 +93,18 @@ _SCHEMA_CHANGES = (
 
 
 class _Prepared:
-    """A prepared SELECT: its parse, its canonical SQL and the plans of
-    its cores (docs/sqlengine.md § Prepared statements)."""
+    """A prepared SELECT: its parse, its canonical SQL, the plans of its
+    cores (with their grouped state) and its read set
+    (docs/sqlengine.md § Prepared statements)."""
 
-    __slots__ = ("statement", "canonical", "_plans")
+    __slots__ = ("statement", "canonical", "_plans", "_reads")
 
     def __init__(self, statement: nodes.Select) -> None:
         self.statement = statement
         self.canonical = statement.to_sql()
         self._plans: tuple = (None, {})
+        #: (schema epoch, :meth:`Database.version_reader` of the read set).
+        self._reads: tuple = (None, None)
 
     def plans(self, db: "Database") -> dict:
         """The plans built under ``db``'s schema epoch, ``optimize`` and
@@ -139,14 +144,14 @@ class Database:
         self._views: dict[str, Any] = {}
         #: Transaction snapshot stack: (catalog, tables, views) triples.
         self._snapshots: list[tuple] = []
-        #: Monotonic catalog/data version. Every mutating statement and
-        #: programmatic write bumps it; the SQL result cache embeds it
-        #: in every key, so a write instantly retires all cached reads.
-        self.data_version = 0
+        #: Per-table data versions, by lower-cased name, bumped by every
+        #: write to the table; a cached read's key carries its read set's.
+        self._versions: defaultdict[str, int] = defaultdict(int)
         #: Bumped by table, view and index DDL, ROLLBACK, ``create_table``
         #: and ``create_index``, never by data changes. Every plan input
         #: is schema: prepared plans live until it moves, and it is part
-        #: of every SQL cache key too.
+        #: of every SQL cache key too (ROLLBACK restores old data without
+        #: moving any table's version).
         self.schema_epoch = 0
         self._cache_token = instance_token()
         #: Guards statement execution: concurrent SELECTs share the
@@ -167,9 +172,10 @@ class Database:
         """Parse and execute one SQL statement.
 
         A SELECT is prepared once per text (:meth:`parse`); the SQL cache
-        tier serves its result keyed on this database, its
-        data version and schema epoch and the canonical SQL — so two
-        spellings share an entry, and any write invalidates it.
+        tier serves its result keyed on this database, its schema epoch,
+        the data versions of the tables the statement reads and the
+        canonical SQL — so two spellings share an entry, and a write
+        retires exactly the reads of the table it wrote.
         """
         statement, prepared = self._prepare(sql)
         params = tuple(parameters)
@@ -179,13 +185,18 @@ class Database:
 
         if prepared is None:
             return run()
+        epoch, read = prepared._reads
+        if epoch != self.schema_epoch:
+            prepared._reads = epoch, read = self.version_reader(
+                lambda: nodes.table_names(statement)
+            )
         key = sql_key(
             self._cache_token,
             self.name,
-            self.data_version,
+            read(),
             prepared.canonical,
             params,
-            schema_epoch=self.schema_epoch,
+            schema_epoch=epoch,
         )
         try:
             hash(key)
@@ -195,6 +206,27 @@ class Database:
             "sql", key, lambda: _freeze_result(run()), database=self.name
         )
         return _thaw_result(frozen)
+
+    def version_reader(
+        self, names: Callable[[], Iterable[str]]
+    ) -> tuple[int, Callable[[], Any]]:
+        """The schema epoch and a call reading the data versions of the
+        base tables among ``names()`` (a view's definition's, a CTE's
+        shadowed table: over-approximating costs a recompute), read under
+        the read lock, as DDL bumps the epoch before changing the catalog."""
+        with self._rwlock.reading():
+            pending, seen = [name.lower() for name in names()], set()
+            while pending:
+                name = pending.pop()
+                if name in self._views and name not in seen:
+                    pending += map(str.lower, nodes.table_names(self._views[name]))
+                seen.add(name)
+            tables = sorted(seen.intersection(self._tables))
+            epoch = self.schema_epoch
+        if not tables:
+            return epoch, tuple
+        read = operator.itemgetter(*tables)
+        return epoch, functools.partial(read, self._versions)
 
     def parse(self, sql: str) -> nodes.Statement:
         """``parse_sql(sql)``; a SELECT comes from the memo that execution
@@ -232,11 +264,12 @@ class Database:
                 plans = prepared.plans(self) if prepared else None
                 return self._run_statement(statement, parameters, plans)
         with self._rwlock.writing():
-            # DDL/DML (and transaction control, whose COMMIT/ROLLBACK
-            # swap table state) invalidate every cached read. Bumping
+            # DML retires the reads of the table it writes; DDL and
+            # ROLLBACK (which restores old data) every read. Bumping
             # before execution errs on the side of extra invalidation:
             # a failed write costs a recompute, never a stale read.
-            self.data_version += 1
+            if isinstance(statement, (nodes.Insert, nodes.Update, nodes.Delete)):
+                self._versions[statement.table.lower()] += 1
             if isinstance(statement, _SCHEMA_CHANGES) or (
                 isinstance(statement, nodes.TransactionStatement)
                 and statement.action == "ROLLBACK"
@@ -317,7 +350,6 @@ class Database:
                 )
             )
             self.schema_epoch += 1
-            self.data_version += 1
 
     def view_names(self) -> list[str]:
         return sorted(self._views)
@@ -362,7 +394,6 @@ class Database:
             )
         schema = TableSchema(name, schemas, comment=comment)
         with self._rwlock.writing():
-            self.data_version += 1
             self.schema_epoch += 1
             self.catalog.create_table(schema)
             self._tables[name.lower()] = Table(schema)
@@ -374,7 +405,7 @@ class Database:
         """Bulk insert positional rows."""
         with self._rwlock.writing():
             storage = self._storage(table)
-            self.data_version += 1
+            self._versions[table.lower()] += 1
             count = 0
             for row in rows:
                 storage.insert(row)
@@ -387,7 +418,7 @@ class Database:
         """Bulk insert mapping rows; missing columns get their default."""
         with self._rwlock.writing():
             storage = self._storage(table)
-            self.data_version += 1
+            self._versions[table.lower()] += 1
             schema = storage.schema
             count = 0
             for record in records:

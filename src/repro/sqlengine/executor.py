@@ -19,8 +19,10 @@ that shadows views and tables for the duration of the owning select.
 from __future__ import annotations
 
 import operator
+import sys
+import weakref
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -587,24 +589,26 @@ class Executor:
 
     # -- batch operators (docs/sqlengine.md § Columnar execution) -----------
 
-    def _selection(self, plan: ScanPlan, table: Table) -> np.ndarray:
-        """Heap positions passing the scan's pushed conjuncts, applied
-        in order. A conjunct is evaluated wherever no earlier one was
-        false — where three-valued AND evaluates it row by row — so it
-        can only fail where the closure would."""
-        alive = np.ones(len(table), bool)
+    def _selection(self, plan: ScanPlan, table: Table, start=0) -> np.ndarray:
+        """Heap positions from ``start`` on passing the scan's pushed
+        conjuncts, applied in order. A conjunct is evaluated wherever no
+        earlier one was false — where three-valued AND evaluates it row
+        by row — so it can only fail where the closure would."""
+        alive = np.ones(len(table) - start, bool)
         maybe = alive.copy()
         for column, conjunct in plan.predicates or ():
             index = table.schema.column_index(column)
             tests = self._number_tests(conjunct, table.schema.columns[index])
             if tests is not None:
-                data, null = table.vector(index, "num")
+                data, null = (v[start:] for v in table.vector(index, "num"))
                 true = ~null
                 for compare, bound in tests:
                     true &= compare(data, bound)
             else:
+                codes, values = table.vector(index, "dict")
                 state = columnar.distinct_map(
-                    *table.vector(index, "dict"),
+                    codes[start:],
+                    values,
                     self._column_fn(conjunct, plan, column),
                     lambda result: 2 if result is None else bool(result),
                     maybe,
@@ -612,7 +616,7 @@ class Executor:
                 true, null = state == 1, state == 2
             alive &= true
             maybe &= true | null
-        return np.flatnonzero(alive)
+        return np.flatnonzero(alive) + start
 
     def _number_tests(
         self, conjunct: nodes.Expression, column: ColumnSchema
@@ -647,14 +651,15 @@ class Executor:
         layout = RowContext([(scan.binding, column)], [None])
         return self._evaluator.compile(expr, layout)
 
-    def _batch(self, plan: SourcePlan) -> dict[int, tuple[Table, np.ndarray]]:
+    def _batch(self, plan: SourcePlan, start=0) -> dict[int, tuple]:
         """Run a columnar source: per scan, keyed by ``id`` in layout
-        order, the heap positions of its side of every joined entry."""
+        order, the heap positions of its side of every joined entry; the
+        leftmost scan (every join's probe side) from row ``start`` on."""
         if isinstance(plan, ScanPlan):
             table = self._storage(plan.table)
-            return {id(plan): (table, self._selection(plan, table))}
+            return {id(plan): (table, self._selection(plan, table, start))}
         assert isinstance(plan, JoinPlan) and plan.keys is not None
-        sides = [self._batch(plan.left), self._batch(plan.right)]
+        sides = [self._batch(plan.left, start), self._batch(plan.right)]
         picks = columnar.join(
             *_gather(sides[0], *plan.keys[0], "dict"),
             *_gather(sides[1], *plan.keys[1], "dict"),
@@ -686,57 +691,81 @@ class Executor:
     def _columnar_groups(
         self, spec: ColumnarPlan, source: SourcePlan
     ) -> Optional[list[tuple[Any, ...]]]:
-        """What :meth:`_row_groups` returns, accumulated by the batch
-        operators; None when the data makes them decline."""
+        """What :meth:`_row_groups` returns, folded by the batch operators
+        into the plan's grouped state — only the new rows when just the
+        leftmost scan's table grew (docs/sqlengine.md § Grouped state);
+        None when the data makes them decline."""
+        tables = [self._storage(scan.table) for scan in _scans(source)]
+        params = tuple((type(p), p) for p in self._evaluator._parameters)
+        # Live weak references compare as their tables do: by identity.
+        tag = params, *(
+            (weakref.ref(t), t.rewrites, len(t) if at else 0)
+            for at, t in enumerate(tables)
+        )
+        state, rows = spec.state, len(tables[0])
+        if state is None or state.tag != tag or state.folded > rows:
+            state = _empty_groups(spec, tag)
+        elif state.folded == rows:
+            return _group_rows(spec, state, tables)
         try:
-            batch = self._batch(source)
-            keys = []
-            for scan, column, expr in spec.keys:
-                codes, values = _gather(batch, scan, column, "dict")
-                if isinstance(expr, nodes.ColumnRef):
-                    keys.append((codes + 1, len(values) + 1))
-                    continue
+            state = self._fold_groups(spec, source, state, rows)
+        except columnar.Decline:
+            return None
+        spec.state = state  # replaced, never mutated: readers share it
+        return _group_rows(spec, state, tables)
+
+    def _fold_groups(self, spec: ColumnarPlan, source: SourcePlan, state, rows):
+        """The :class:`_GroupState` with leftmost heap rows to ``rows`` in."""
+        batch = self._batch(source, state.folded)
+        keys, ids = [], []
+        for (scan, column, expr), known in zip(spec.keys, state.ids):
+            codes, values = _gather(batch, scan, column, "dict")
+            if known is None:  # dictionary codes survive appends
+                keys.append((codes + 1, len(values) + 1))
+            else:
                 # Any other key runs once per distinct column value;
                 # equal results share a group as dict keys would.
-                ids: dict[Any, int] = {}
+                known = dict(known)
                 codes = columnar.distinct_map(
                     codes,
                     values,
                     self._column_fn(expr, scan, column),
-                    lambda result: ids.setdefault(_hashable(result), len(ids)),
+                    lambda result: known.setdefault(_hashable(result), len(known)),
                 )
-                keys.append((codes, len(ids)))
-            size = len(next(iter(batch.values()))[1])
-            group_of, first = columnar.group(keys, size)
-            groups = len(first) if keys else 1
-            results = []
-            for name, target in spec.aggregates:
-                data = nulls = None
-                if target is not None:
-                    column = target[0].schema.column(target[1])
-                    if column.data_type in NUMBER_TYPES:
-                        data, nulls = _gather(batch, *target, "num")
-                    else:  # COUNT over any other type: NULL is code -1
-                        data = _gather(batch, *target, "dict")[0]
-                        nulls = data < 0
-                results.append(
-                    columnar.aggregate(name, group_of, groups, data, nulls)
-                )
-        except columnar.Decline:
-            return None
-        # Groups carry whole heap rows (nothing is copied per input
-        # row); without GROUP BY, aggregates over no rows have one NULL
-        # row.
+                keys.append((codes, len(known)))
+            ids.append(known)
+        size = len(next(iter(batch.values()))[1])
+        local, first = columnar.group(keys, size)
+        starts = list(zip(*[codes[first].tolist() for codes, _ in keys]))
+        starts = starts or [()] * len(first)  # no GROUP BY: one group
+        index, fresh = dict(state.index), []
+        for at, key in zip(first.tolist(), starts):
+            if key not in index:
+                index[key] = len(index)
+                fresh.append(at)
+        group_of = np.array([index[key] for key in starts], np.int64)[local]
+        groups = max(len(index), 0 if spec.keys else 1)
+        partials = []
+        for (name, target), partial in zip(spec.aggregates, state.partials):
+            data = nulls = None
+            if target is not None:
+                column = target[0].schema.column(target[1])
+                if column.data_type in NUMBER_TYPES:
+                    data, nulls = _gather(batch, *target, "num")
+                else:  # COUNT over any other type: NULL is code -1
+                    data = _gather(batch, *target, "dict")[0]
+                    nulls = data < 0
+            partials.append(
+                columnar.fold(name, partial, group_of, groups, data, nulls)
+            )
+        # Groups carry whole heap rows: nothing is kept per input row.
         parts = [
-            table.rows_at(positions[first].tolist())
-            if spec.keys or len(first)
-            else [(None,) * len(table.schema.columns)]
+            table.rows_at(positions[fresh].tolist())
             for table, positions in batch.values()
         ]
-        return [
-            sum(entry[: len(parts)], ()) + entry[len(parts) :]
-            for entry in zip(*parts, *results)
-        ]
+        firsts = state.firsts + [sum(entry, ()) for entry in zip(*parts)]
+        partials = tuple(partials)
+        return _GroupState(state.tag, rows, index, tuple(ids), firsts, partials)
 
     def _access_rows(
         self,
@@ -1117,11 +1146,52 @@ def _gather(batch: dict, scan: ScanPlan, column: str, kind: str) -> tuple:
     return first[positions], second[positions] if kind == "num" else second
 
 
+def _scans(plan: SourcePlan) -> list[ScanPlan]:
+    """A columnar source's scans in layout order, leftmost first."""
+    if isinstance(plan, ScanPlan):
+        return [plan]
+    return _scans(plan.left) + _scans(plan.right)
+
+
 def _source_layout(plan: SourcePlan) -> list[tuple[Optional[str], str]]:
     """The layout of a columnar source: its scans' whole heap rows."""
-    if isinstance(plan, ScanPlan):
-        return [(plan.binding, name) for name in plan.schema.column_names]
-    return _source_layout(plan.left) + _source_layout(plan.right)
+    return [(s.binding, n) for s in _scans(plan) for n in s.schema.column_names]
+
+
+class _GroupState(NamedTuple):
+    """A columnar grouped core's groups so far (docs/sqlengine.md
+    § Grouped state), sized by the groups, never by the input rows."""
+
+    tag: tuple  # bind parameters; per scan (weak table, rewrites, rows)
+    folded: int  # leftmost scan's heap rows folded in
+    index: dict  # key ids (column code + 1, or expression id) -> group
+    ids: tuple  # per key: None for a column, else its result -> id
+    firsts: list  # per group: its first entry's heap rows
+    partials: tuple  # per aggregate: its :func:`columnar.fold` partial
+
+    def nbytes(self) -> int:
+        held = [self.index, self.firsts, *filter(None, self.ids)]
+        held += [a for p in self.partials for a in p[:2] if a is not None]
+        return sum(sys.getsizeof(item) for item in held)
+
+
+def _empty_groups(spec: ColumnarPlan, tag: tuple) -> _GroupState:
+    """A state with nothing folded in: the core is built from row 0."""
+    ids = tuple(None if type(k[2]) is nodes.ColumnRef else {} for k in spec.keys)
+    empty = ((np.zeros(0, np.int64), None, 0, 0),) * len(spec.aggregates)
+    return _GroupState(tag, 0, {}, ids, [], empty)
+
+
+def _group_rows(spec: ColumnarPlan, state: _GroupState, tables: list) -> list:
+    """The groups as ``first rows + aggregate results``; without GROUP
+    BY, aggregates over no rows have one all-NULL row."""
+    results = [
+        columnar.results(name, partial)
+        for (name, _target), partial in zip(spec.aggregates, state.partials)
+    ]
+    width = sum(len(table.schema.columns) for table in tables)
+    firsts = state.firsts or ([] if spec.keys else [(None,) * width])
+    return [entry[0] + entry[1:] for entry in zip(firsts, *results)]
 
 
 def _rowcount_relation(count: int) -> Relation:

@@ -28,6 +28,8 @@ from repro.sqlengine.types import DataType, coerce
 class RowContext:
     """Column bindings for one row, chained to an optional outer context."""
 
+    read = False  # whether :meth:`lookup` ran: a subquery read its outer row
+
     def __init__(
         self,
         columns: Sequence[tuple[Optional[str], str]],
@@ -57,6 +59,7 @@ class RowContext:
         return clone
 
     def lookup(self, name: str, table: Optional[str] = None) -> Any:
+        self.read = True
         index = self.find(name, table)
         if index is not None:
             return self.values[index]
@@ -505,11 +508,23 @@ class Evaluator:
     def _subquery(
         self, select: nodes.Select, layout: RowContext
     ) -> Callable[[Sequence[Any]], list]:
-        """The subquery's result rows with ``row`` as its outer scope."""
+        """The subquery's result rows with ``row`` as its outer scope; a run
+        that read nothing of it (uncorrelated) serves every later row."""
         run_subquery = self._run_subquery
         if run_subquery is None:
             raise ExecutionError("subqueries are not available here")
-        return lambda row: run_subquery(select, layout.with_values(row)).rows
+        kept: list = []
+
+        def rows(row: Sequence[Any]) -> list:
+            if kept:
+                return kept[0]
+            scope = layout.with_values(row)
+            result = run_subquery(select, scope).rows
+            if not scope.read:
+                kept.append(result)
+            return result
+
+        return rows
 
     def _function(
         self, expr: nodes.FunctionCall, layout: RowContext

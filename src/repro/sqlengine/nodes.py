@@ -7,6 +7,7 @@ Text-to-SQL evaluator (canonical exact-match) both rely on.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
@@ -534,3 +535,14 @@ def walk_expressions(expr: Expression):
         children = ()
     for child in children:
         yield from walk_expressions(child)
+
+
+def table_names(node: Any):
+    """Yield the name of every :class:`NamedTable` anywhere in ``node``
+    (subqueries, CTE bodies and compound arms too), CTE names included."""
+    if isinstance(node, NamedTable):
+        yield node.name
+    elif isinstance(node, tuple) or dataclasses.is_dataclass(node):
+        items = node if isinstance(node, tuple) else vars(node).values()
+        for item in items:
+            yield from table_names(item)

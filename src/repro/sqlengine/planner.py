@@ -149,6 +149,8 @@ class ColumnarPlan:
     #: (name, its argument's (scan, column); None for ``COUNT(*)``) per
     #: aggregate call, in :func:`collect_aggregates` order.
     aggregates: list[tuple[str, Optional[tuple[ScanPlan, str]]]]
+    #: The executor's grouped state, which lives as long as the plan.
+    state: Any = field(default=None, compare=False, repr=False)
 
 
 @dataclass

@@ -44,6 +44,8 @@ class Table:
         #: valid prefix; it is replaced, never mutated, which lets
         #: ``clone`` share it with a transaction snapshot.
         self._vectors: dict[tuple[int, str], tuple[int, tuple]] = {}
+        #: ``replace_rows`` calls: between two, the heap only grows.
+        self.rewrites = 0
         for index, column in enumerate(schema.columns):
             if column.primary_key or column.unique:
                 self._unique_indexes[index] = {}
@@ -139,6 +141,7 @@ class Table:
                 index[value] = position
         self._rows = validated
         self._vectors = {}
+        self.rewrites += 1
         self._unique_indexes = new_indexes
         for secondary in self._secondary.values():
             secondary.rebuild(self._rows)

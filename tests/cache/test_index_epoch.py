@@ -1,15 +1,17 @@
-"""Index DDL must retire cached SELECT results (the ``schema_epoch``).
+"""Index DDL and ROLLBACK must retire cached reads (the ``schema_epoch``).
 
-``data_version`` already retires reads on every write, but index DDL is
-subtler: ``CREATE INDEX`` / ``DROP INDEX`` change *how* a query is
-planned without changing any row. A result cached under the old plan is
-still value-correct — but serving it would mask plan changes and, after
-a ROLLBACK restores pre-transaction index state, could disagree with
-what the current plan produces. The database therefore keys every SQL
-cache entry on a ``schema_epoch`` that bumps alongside ``data_version``
-on index (and table and view) DDL, programmatic index creation, and
-ROLLBACK; the same epoch retires prepared plans
-(``tests/sqlengine/test_prepared.py``).
+A write retires the cached reads of the table it writes (its data
+version, ``test_table_versions.py``). Index DDL is subtler:
+``CREATE INDEX`` / ``DROP INDEX`` change *how* a query is planned
+without changing any row. A result cached under the old plan is still
+value-correct — but serving it would mask plan changes and, after a
+ROLLBACK restores pre-transaction index state, could disagree with what
+the current plan produces. ROLLBACK also restores old rows without
+moving any table's data version. The database therefore keys every SQL
+cache entry (and the prompt context and gate verdict) on a
+``schema_epoch`` that table, view and index DDL, programmatic index
+creation and ROLLBACK bump; the same epoch retires prepared plans and
+their grouped state (``tests/sqlengine/test_prepared.py``).
 """
 
 import pytest
@@ -74,8 +76,7 @@ class TestCachedSelectsRetire:
         assert stats["hits"] == 1 and stats["misses"] == 1
 
         db.execute("CREATE INDEX idx_v ON t (v)")
-        result = db.execute(sql)  # same data version? no — but even if
-        # the write bump were removed, the epoch alone forces a miss.
+        result = db.execute(sql)  # no data version moved: the epoch did
         assert result.rows == [(50,)]
         stats = enabled_cache.stats()["sql"]
         assert stats["misses"] == 2
@@ -88,3 +89,40 @@ class TestCachedSelectsRetire:
         hits_before = enabled_cache.stats()["sql"]["hits"]
         assert db.execute(sql).rows == [(20,)]
         assert enabled_cache.stats()["sql"]["hits"] == hits_before + 1
+
+
+class TestEverythingRetires:
+    """Reads of every table, and the prompt context, miss after index
+    DDL and after ROLLBACK, even a ROLLBACK of a transaction that wrote
+    one table only."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            ["CREATE INDEX idx_region ON users (region)"],
+            [
+                "BEGIN",
+                "INSERT INTO orders VALUES (9001, 1, 1, 1, 5.0, '2023-07-01')",
+                "ROLLBACK",
+            ],
+        ],
+    )
+    def test_all_reads_miss(self, enabled_cache, change):
+        from repro.datasets import build_sales_database
+        from repro.datasources import EngineSource
+
+        source = EngineSource(build_sales_database(n_orders=20))
+        reads = [
+            "SELECT COUNT(*) FROM users",
+            "SELECT COUNT(*) FROM products",
+            "SELECT COUNT(*) FROM orders",
+        ]
+        before = [source.database.execute(sql).rows for sql in reads]
+        context = source.prompt_context()
+        misses = enabled_cache.stats()["sql"]["misses"]
+        for statement in change:
+            source.database.execute(statement)
+        assert [source.database.execute(sql).rows for sql in reads] == before
+        assert source.prompt_context() == context
+        # Every read missed again, the context's value probes included.
+        assert enabled_cache.stats()["sql"]["misses"] == 2 * misses

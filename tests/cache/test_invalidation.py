@@ -76,7 +76,7 @@ class TestWriteInvalidation:
         assert db.execute("SELECT COUNT(*) FROM orders").rows[0][0] == count + 1
         db.execute("ROLLBACK")
         # And after rollback the in-transaction result must not be
-        # served either: the version only ever moves forward.
+        # served either: ROLLBACK moves the schema epoch.
         assert db.execute("SELECT COUNT(*) FROM orders").rows[0][0] == count
 
     def test_text2sql_cached_between_writes(self, stack):
@@ -128,7 +128,8 @@ class TestWriteInvalidation:
 
 class TestPromptContext:
     """The schema + sample-values part of a Text-to-SQL prompt is served
-    from the SQL tier under the database's data version."""
+    from the SQL tier under the schema epoch and the data versions of
+    the tables it samples."""
 
     QUESTION = "How many orders are there?"
 
