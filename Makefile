@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint staticcheck staticcheck-baseline bench bench-cache bench-serving bench-resilience bench-sqlengine bench-engine-ablation bench-multitenant bench-agents bench-e2e-smoke profile-e2e verify docs-check trace-demo
+.PHONY: test lint staticcheck staticcheck-baseline bench bench-cache bench-serving bench-resilience bench-sqlengine bench-engine-ablation bench-tracing-overhead bench-multitenant bench-agents bench-e2e-smoke profile-e2e verify docs-check trace-demo
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -52,6 +52,12 @@ bench-sqlengine:
 bench-engine-ablation:
 	$(PYTHON) -m pytest benchmarks/bench_engine_ablation.py -q
 
+# Tracing costs under 5% of an uncached text2sql turn: traced and
+# untraced phases alternate, the smallest of three estimates is held to
+# the budget (~3 s).
+bench-tracing-overhead:
+	$(PYTHON) -m pytest benchmarks/bench_tracing_overhead.py -q
+
 # Noisy-neighbor isolation: 8 compliant tenants x 16 concurrent
 # sessions vs one tenant 10x over quota; writes BENCH_multitenant.json.
 bench-multitenant:
@@ -91,6 +97,6 @@ trace-demo:
 # The repo self-check: static analysis over the examples and the
 # source tree itself, doc link integrity, one traced end-to-end
 # request, tier-1, then the cache, serving, resilience, sql engine,
-# engine ablation, multi-tenant isolation and agent-plan chaos smokes
-# and the full-stack benchmark smoke.
-verify: lint staticcheck docs-check trace-demo test bench-cache bench-serving bench-resilience bench-sqlengine bench-engine-ablation bench-multitenant bench-agents bench-e2e-smoke
+# engine ablation, tracing overhead, multi-tenant isolation and
+# agent-plan chaos smokes and the full-stack benchmark smoke.
+verify: lint staticcheck docs-check trace-demo test bench-cache bench-serving bench-resilience bench-sqlengine bench-engine-ablation bench-tracing-overhead bench-multitenant bench-agents bench-e2e-smoke

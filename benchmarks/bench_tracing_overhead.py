@@ -84,13 +84,16 @@ def test_tracing_overhead_under_five_percent():
     # question exercises the full traced workload rather than a cache
     # lookup (bench_cache.py measures the cached path).
     dbgpt = DBGPT.boot()
-    dbgpt.register_source(EngineSource(build_sales_database(n_orders=100)))
-
-    # Warm both paths (index builds, prompt value caches, pyc).
-    for _ in range(WARMUP):
-        dbgpt.chat("text2sql", QUESTION)
-
-    estimates = [_measure_overhead(dbgpt) for _ in range(REPETITIONS)]
+    try:
+        dbgpt.register_source(
+            EngineSource(build_sales_database(n_orders=100))
+        )
+        # Warm both paths (index builds, prompt value caches, pyc).
+        for _ in range(WARMUP):
+            dbgpt.chat("text2sql", QUESTION)
+        estimates = [_measure_overhead(dbgpt) for _ in range(REPETITIONS)]
+    finally:
+        dbgpt.shutdown()
     overhead = min(estimates)
 
     print("\ntracing overhead on the text2sql hot path")

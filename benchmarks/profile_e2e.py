@@ -28,10 +28,10 @@ find candidates here, then measure them with the benchmark proper.
 of functions ran (:data:`COUNTS`: registry lookups, label sorts, lock
 exits, spans, event loops, ``asyncio.to_thread`` hops, SQL parses,
 plans built, row DISTINCT passes, regex substitutions, prompt contexts
-built and grouped cores built from row 0). Call counts do not drift with the
-machine the way times do, so they say where work was saved and
-compare across sessions. To count only the
-timed region, that mode profiles the main thread's timed ``run_ops``
+built, grouped cores built from row 0, clock reads and metric
+records). Call counts do not drift with the machine the way times do,
+so they say where work was saved and compare across sessions. To
+count only the timed region, that mode profiles the main thread's timed ``run_ops``
 and the threads started inside it — the client threads — and leaves
 out threads started earlier (the serving engine's, idle on cached
 turns).
@@ -70,6 +70,11 @@ COUNTS = (
     ("prompt contexts built", "datasources/base.py", "prompt_context"),
     ("grouped cores from row 0", "sqlengine/executor.py", "_empty_groups"),
     ("re.Pattern.sub", "~", "<method 'sub' of 're.Pattern' objects>"),
+    # Rows sharing a label add up.
+    ("clock reads", "repro/runtime.py", "perf_clock"),
+    ("clock reads", "repro/runtime.py", "mono_clock"),
+    ("metric records", "obs/metrics.py", "_add"),
+    ("metric records", "obs/metrics.py", "_observe"),
 )
 
 
@@ -260,7 +265,7 @@ def count_report(result: dict, stats: pstats.Stats, unfinished: int) -> str:
             f"({unfinished} thread(s) still running at the end were left out)"
         )
     lines.append(f"{'count':<22} {'calls':>10} {'per op':>9}")
-    for label, *_ in COUNTS:
+    for label in calls:
         lines.append(f"{label:<22} {calls[label]:>10d} {calls[label] / ok:>9.2f}")
     return "\n".join(lines)
 

@@ -148,7 +148,6 @@ def gate_sql(
         lambda: _gate_uncached(
             client, model, source, question, sql, max_repairs
         ),
-        database=database.name,
     )
 
 

@@ -15,7 +15,6 @@ from typing import Any, Callable, Optional
 
 from repro.obs.metrics import Counter, Histogram, MetricHandle
 from repro.obs.tracer import get_tracer
-from repro.runtime import perf_clock
 from repro.tenancy.context import current_tenant
 
 _REQUESTS = MetricHandle(
@@ -46,19 +45,20 @@ def _traced_chat(chat: Callable[..., "AppResponse"]) -> Callable:
 
     @functools.wraps(chat)
     def wrapped(self: "Application", text: str) -> "AppResponse":
-        started = perf_clock()
-        with get_tracer().span("app.chat", app=self.name) as span:
+        with get_tracer().span(
+            "app.chat",
+            _LATENCY.labels(self.name),
+            app=self.name,
+            chars=len(text),
+        ) as span:
             # Root spans carry the tenant only when a tenant scope is
             # active, so untenanted traces are unchanged.
             tenant = current_tenant()
             if tenant is not None:
                 span.set_attribute("tenant", tenant)
-            span.set_attribute("chars", len(text))
             response = chat(self, text)
             span.set_attribute("ok", response.ok)
-        elapsed_ms = (perf_clock() - started) * 1000.0
         _REQUESTS.labels(self.name, str(response.ok).lower())()
-        _LATENCY.labels(self.name)(elapsed_ms)
         return response
 
     wrapped.__obs_wrapped__ = True

@@ -20,7 +20,7 @@ from repro.awel.operators import (
 )
 from repro.obs.metrics import Counter, Histogram, MetricHandle
 from repro.obs.tracer import get_tracer
-from repro.runtime import perf_clock, run_sync
+from repro.runtime import run_sync
 
 #: Operators whose execution produces or consumes lazy streams; their
 #: spans are tagged ``mode=stream`` (everything else is ``batch``).
@@ -117,19 +117,17 @@ class WorkflowRunner:
                 # The span context manager guarantees closure on the
                 # exception path: a raising operator still ends its
                 # span with status="error" and the exception type.
-                started = perf_clock()
+                kind = type(node).__name__
                 mode = _operator_mode(node)
                 with tracer.span(
                     "awel.operator",
+                    _OPERATOR_LATENCY.labels(kind),
                     operator=node.node_id,
-                    type=type(node).__name__,
+                    type=kind,
                     mode=mode,
                 ):
                     result = await node.execute(ctx, upstream_values)
-                _OPERATOR_LATENCY.labels(type(node).__name__)(
-                    (perf_clock() - started) * 1000.0
-                )
-                _OPERATOR_RUNS.labels(type(node).__name__, mode)()
+                _OPERATOR_RUNS.labels(kind, mode)()
             except Exception as exc:
                 if not futures[node.node_id].done():
                     futures[node.node_id].set_exception(exc)

@@ -11,7 +11,7 @@ Three tiers accelerate the three hot paths of a chat turn (see
   a write bumps and the schema epoch DDL and ROLLBACK bump.
 
 Every tier publishes hit/miss/eviction metrics through ``repro.obs``
-and marks its spans with a ``cache.hit`` attribute.
+and marks each outcome on the caller's span as ``cache.<tier>``.
 """
 
 from repro.cache.config import TIER_NAMES, CacheConfig, TierConfig

@@ -1,4 +1,4 @@
-"""The process-wide cache manager: tiers, metrics, spans.
+"""The process-wide cache manager: tiers, metrics, lookup outcomes.
 
 One :class:`CacheManager` owns the three tier stores. Wired call
 sites (the SMMF client, the RAG knowledge base and embedder, the SQL
@@ -6,8 +6,11 @@ engine) never touch stores directly — they call :meth:`cached` (or,
 from a coroutine, :meth:`acached`), which
 
 - runs the lookup/compute under **single-flight** deduplication,
-- opens a ``cache.lookup`` span carrying ``tier`` and a ``cache.hit``
-  attribute (visible in ``repro trace`` / ``/trace``),
+- opens no span of its own: it appends the outcome (``hit`` or
+  ``miss``) to a ``cache.<tier>`` attribute of the caller's span, so
+  ``repro trace`` / ``/trace`` show ``cache.sql=miss,hit`` on the span
+  that looked up twice, and a miss's compute spans nest directly
+  under the caller,
 - publishes hit/miss/eviction counters and latency histograms through
   the unified :mod:`repro.obs` metrics registry.
 
@@ -29,7 +32,7 @@ from repro.cache.config import TIER_NAMES, CacheConfig
 from repro.cache.semantic import SemanticPromptIndex
 from repro.cache.store import CacheStats, CacheStore
 from repro.obs.metrics import Counter, Histogram, MetricHandle
-from repro.obs.tracer import get_tracer
+from repro.obs.span import current_span
 from repro.runtime import perf_clock
 from repro.tenancy.context import current_tenant
 
@@ -55,6 +58,8 @@ _EVICTIONS = MetricHandle(
     Counter, "cache_evictions_total", "entries evicted by tier",
     ("tier", "reason", "tenant"),
 )
+#: The span attribute each tier's outcomes go under.
+_OUTCOME_ATTRIBUTES = {tier: f"cache.{tier}" for tier in TIER_NAMES}
 
 
 class CacheManager:
@@ -143,11 +148,7 @@ class CacheManager:
     # -- the one call sites use --------------------------------------------
 
     def cached(
-        self,
-        tier: str,
-        key: Any,
-        compute: Callable[[], Any],
-        **span_attributes: Any,
+        self, tier: str, key: Any, compute: Callable[[], Any]
     ) -> Any:
         """Serve ``key`` from ``tier``, computing (once) on a miss.
 
@@ -158,31 +159,20 @@ class CacheManager:
         tenant = current_tenant()
         store = self._store_for(tier, tenant)
         started = perf_clock()
-        with get_tracer().span(
-            "cache.lookup", tier=tier, **span_attributes
-        ) as span:
-            value, hit = store.get_or_compute(key, compute)
-            span.set_attribute("cache.hit", hit)
+        value, hit = store.get_or_compute(key, compute)
         self._record(tier, tenant, hit, started)
         return value
 
     async def acached(
-        self,
-        tier: str,
-        key: Any,
-        compute: Callable[[], Awaitable[Any]],
-        **span_attributes: Any,
+        self, tier: str, key: Any, compute: Callable[[], Awaitable[Any]]
     ) -> Any:
         """:meth:`cached` for an awaitable ``compute``: same store,
-        single-flight, span and metrics, awaited instead of blocked on."""
+        single-flight, outcome and metrics, awaited instead of blocked
+        on."""
         tenant = current_tenant()
         store = self._store_for(tier, tenant)
         started = perf_clock()
-        with get_tracer().span(
-            "cache.lookup", tier=tier, **span_attributes
-        ) as span:
-            value, hit = await store.aget_or_compute(key, compute)
-            span.set_attribute("cache.hit", hit)
+        value, hit = await store.aget_or_compute(key, compute)
         self._record(tier, tenant, hit, started)
         return value
 
@@ -191,12 +181,20 @@ class CacheManager:
         tier: str, tenant: Optional[str], hit: bool, started: float
     ) -> None:
         elapsed_ms = (perf_clock() - started) * 1000.0
+        outcome = "hit" if hit else "miss"
+        _REQUESTS.labels(tier, outcome, tenant)()
         if hit:
-            _REQUESTS.labels(tier, "hit", tenant)()
             _HIT_LATENCY.labels(tier, tenant)(elapsed_ms)
         else:
-            _REQUESTS.labels(tier, "miss", tenant)()
             _MISS_COMPUTE.labels(tier, tenant)(elapsed_ms)
+        span = current_span()
+        if span is not None:
+            # Every outcome of the tier under this span, in order.
+            attribute = _OUTCOME_ATTRIBUTES[tier]
+            earlier = span.attributes.get(attribute)
+            span.attributes[attribute] = (
+                outcome if earlier is None else f"{earlier},{outcome}"
+            )
 
     def semantic_fetch(self, key: Any) -> tuple[bool, Any]:
         """Read an exact-store entry found via the semantic index.

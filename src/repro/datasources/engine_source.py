@@ -63,10 +63,7 @@ class EngineSource(DataSource):
             max_values_per_column,
         )
         return get_cache_manager().cached(
-            "sql",
-            key,
-            lambda: compute(max_values_per_column),
-            database=database.name,
+            "sql", key, lambda: compute(max_values_per_column)
         )
 
     def query(self, sql: str, parameters: Sequence[Any] = ()) -> ResultSet:

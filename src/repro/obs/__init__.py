@@ -4,8 +4,8 @@ The three pieces, all dependency-free (see ``docs/observability.md``):
 
 - :class:`Tracer` — hierarchical spans over every chat request, with a
   context-local current-span stack that is correct across threads and
-  asyncio tasks, a bounded ring buffer of finished traces, and optional
-  JSON-lines export.
+  asyncio tasks, a bounded ring buffer of finished traces, and
+  JSON-lines dump/reload (:mod:`repro.obs.export`).
 - :class:`MetricsRegistry` — unified counters, gauges and fixed-bucket
   histograms; every layer publishes here under documented names.
 - :mod:`repro.obs.render` — the span-tree pretty printer behind the
@@ -16,12 +16,7 @@ The three pieces, all dependency-free (see ``docs/observability.md``):
 ...     span.set_attribute("ok", True)
 """
 
-from repro.obs.export import (
-    JsonLinesExporter,
-    dump_spans,
-    group_traces,
-    load_spans,
-)
+from repro.obs.export import dump_spans, group_traces, load_spans
 from repro.obs.metrics import (
     DEFAULT_BUCKETS_MS,
     Counter,
@@ -41,7 +36,6 @@ __all__ = [
     "DEFAULT_BUCKETS_MS",
     "Gauge",
     "Histogram",
-    "JsonLinesExporter",
     "MetricHandle",
     "MetricsRegistry",
     "NOOP_SPAN",

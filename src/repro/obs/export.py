@@ -1,38 +1,21 @@
-"""Span exporters: durable JSON-lines output and its reload path.
+"""Span files: JSON-lines output and its reload path.
 
-``JsonLinesExporter`` appends one JSON object per finished span, so a
-long-running process leaves a replayable record; :func:`load_spans`
-reads the file back into :class:`~repro.obs.span.Span` objects and
-:func:`group_traces` reassembles them per trace — the round-trip the
-exporter tests certify.
+:func:`dump_spans` writes finished spans one JSON object a line, so a
+run leaves a replayable record; :func:`load_spans` reads the file back
+into :class:`~repro.obs.span.Span` objects and :func:`group_traces`
+reassembles them per trace — the round-trip the export tests certify.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import threading
 from typing import Union
 
 from repro.fileio import write_text_atomic
 from repro.obs.span import Span
 
 PathLike = Union[str, pathlib.Path]
-
-
-class JsonLinesExporter:
-    """Append finished spans to a ``.jsonl`` file as they close."""
-
-    def __init__(self, path: PathLike) -> None:
-        self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-
-    def export(self, span: Span) -> None:
-        line = json.dumps(span.to_dict(), ensure_ascii=False)
-        with self._lock:
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
 
 
 def dump_spans(spans: list[Span], path: PathLike) -> int:

@@ -7,8 +7,10 @@ so ``model_requests_total`` can be read per model and summed overall.
 
 Everything is dependency-free and deterministic; the snapshot format
 is plain dicts for dashboards, benchmarks and the ``/metrics`` REPL
-command. Instruments are thread-safe (one lock each). Per-request code
-records through a module-level :class:`MetricHandle`.
+command. Instruments are thread-safe. Counters and histograms record
+without a lock, each thread into its own shard, and a read sums the
+shards; a gauge's ``inc``/``dec`` read-modify-write takes its lock.
+Per-request code records through a module-level :class:`MetricHandle`.
 """
 
 from __future__ import annotations
@@ -32,16 +34,66 @@ def _label_key(labels: dict[str, Any]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-class Counter:
-    """A monotonically increasing sum per label set."""
+class _Sharded:
+    """Per-thread shards under :class:`Counter` and :class:`Histogram`.
 
-    kind = "counter"
+    Each thread records into its own shard (label key -> series), found
+    through a ``threading.local``: no two threads write one shard, so
+    recording takes no lock and loses no update. ``_lock`` guards the
+    shard list only: a thread's first record adds its shard, folding
+    in those of exited threads (their counts stay, the list stays as
+    long as the live recorders), and a read sums a copy of the list.
+    """
 
     def __init__(self, name: str, description: str = "") -> None:
         self.name = name
         self.description = description
-        self._values: dict[LabelKey, float] = {}
+        self._local = threading.local()
+        #: (owner, shard) pairs; exited owners' shards fold into one
+        #: owned by None. Replaced whole, never mutated.
+        self._shards: list[tuple[Optional[threading.Thread], dict]] = []
         self._lock = threading.Lock()
+
+    def _own_shard(self) -> dict:
+        shard: dict = {}
+        with self._lock:
+            shards = [(threading.current_thread(), shard)]
+            retired = []
+            for owner, kept in self._shards:
+                if owner is not None and owner.is_alive():
+                    shards.append((owner, kept))
+                else:
+                    retired.append(kept)
+            if retired:
+                shards.append((None, self._fold(retired)))
+            self._shards = shards
+        self._local.shard = shard
+        return shard
+
+    def _merged(self) -> dict:
+        """Every label set's series, summed over the shards."""
+        with self._lock:
+            shards = [shard for _owner, shard in self._shards]
+        return self._fold(shards)
+
+    def _fold(self, shards: list[dict]) -> dict:
+        # ``dict.copy`` is one step, so an owner's insert cannot race it.
+        total: dict = {}
+        for shard in shards:
+            for key, series in shard.copy().items():
+                total[key] = self._merge(total.get(key), series)
+        return total
+
+    @staticmethod
+    def _merge(total: Any, series: Any) -> Any:
+        """``total`` (or None) plus ``series``, as a new value."""
+        raise NotImplementedError
+
+
+class Counter(_Sharded):
+    """A monotonically increasing sum per label set."""
+
+    kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         self._add(_label_key(labels), amount)
@@ -55,27 +107,31 @@ class Counter:
     def _add(self, key: LabelKey, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+        try:
+            shard = self._local.shard
+        except AttributeError:
+            shard = self._own_shard()
+        shard[key] = shard.get(key, 0.0) + amount
+
+    @staticmethod
+    def _merge(total: Optional[float], series: float) -> float:
+        return series if total is None else total + series
 
     def value(self, **labels: Any) -> float:
-        with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
+        return self._merged().get(_label_key(labels), 0.0)
 
     def total(self) -> float:
         """Sum across every label set."""
-        with self._lock:
-            return sum(self._values.values())
+        return sum(self._merged().values(), 0.0)
 
     def snapshot(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "kind": self.kind,
-                "values": {
-                    _render_labels(key): value
-                    for key, value in sorted(self._values.items())
-                },
-            }
+        return {
+            "kind": self.kind,
+            "values": {
+                _render_labels(key): value
+                for key, value in sorted(self._merged().items())
+            },
+        }
 
 
 class Gauge:
@@ -123,13 +179,15 @@ class Gauge:
             }
 
 
-class Histogram:
+class Histogram(_Sharded):
     """Fixed-bucket distribution per label set.
 
     Buckets are upper bounds (``value <= bound`` lands in that bucket);
     observations beyond the last bound count in a ``+Inf`` overflow
     bucket. ``sum``/``count`` give exact means even though bucket
-    membership is coarse.
+    membership is coarse. The count is the sum of the bucket counts,
+    so no read disagrees with itself; a read taken while a thread is
+    recording may miss that one observation's share of ``sum``.
     """
 
     kind = "histogram"
@@ -145,12 +203,8 @@ class Histogram:
             raise ValueError("histogram needs at least one bucket bound")
         if list(bounds) != sorted(bounds):
             raise ValueError("bucket bounds must be sorted ascending")
-        self.name = name
-        self.description = description
+        super().__init__(name, description)
         self.bounds = bounds
-        #: label key -> (per-bucket counts incl. +Inf, sum, count)
-        self._series: dict[LabelKey, list] = {}
-        self._lock = threading.Lock()
 
     def observe(self, value: float, **labels: Any) -> None:
         self._observe(_label_key(labels), value)
@@ -163,66 +217,62 @@ class Histogram:
         # bisect_left keeps exact-bound observations in their own
         # bucket (value <= bound), the Prometheus ``le`` convention.
         index = bisect_left(self.bounds, value)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = [
-                    [0] * (len(self.bounds) + 1), 0.0, 0,
-                ]
-            series[0][index] += 1
-            series[1] += value
-            series[2] += 1
+        try:
+            shard = self._local.shard
+        except AttributeError:
+            shard = self._own_shard()
+        # One flat list per series: the bucket counts (+Inf last), then
+        # the sum, so a reader copies a series in one slice.
+        series = shard.get(key)
+        if series is None:
+            series = shard[key] = [0] * (len(self.bounds) + 1) + [0.0]
+        series[index] += 1
+        series[-1] += value
+
+    @staticmethod
+    def _merge(total: Optional[list], series: list) -> list:
+        series = series[:]  # one step: a live series is read whole
+        if total is None:
+            return series
+        return [mine + theirs for mine, theirs in zip(total, series)]
+
+    def _series(self, labels: dict[str, Any]) -> list:
+        """Bucket counts (``+Inf`` last), then the sum, over the shards."""
+        series = self._merged().get(_label_key(labels))
+        return series or [0] * (len(self.bounds) + 1) + [0.0]
 
     def count(self, **labels: Any) -> int:
-        with self._lock:
-            series = self._series.get(_label_key(labels))
-            return series[2] if series else 0
+        return sum(self._series(labels)[:-1])
 
     def sum(self, **labels: Any) -> float:
-        with self._lock:
-            series = self._series.get(_label_key(labels))
-            return series[1] if series else 0.0
+        return self._series(labels)[-1]
 
     def mean(self, **labels: Any) -> float:
-        with self._lock:
-            series = self._series.get(_label_key(labels))
-            if not series or series[2] == 0:
-                return 0.0
-            return series[1] / series[2]
+        series = self._series(labels)
+        count = sum(series[:-1])
+        return series[-1] / count if count else 0.0
 
     def bucket_counts(self, **labels: Any) -> dict[str, int]:
         """``{upper_bound: count}`` with ``"+Inf"`` for the overflow."""
-        with self._lock:
-            series = self._series.get(_label_key(labels))
-            counts = (
-                list(series[0])
-                if series
-                else [0] * (len(self.bounds) + 1)
-            )
-        rendered = {str(bound): n for bound, n in zip(self.bounds, counts)}
-        rendered["+Inf"] = counts[-1]
+        series = self._series(labels)
+        rendered = {str(bound): n for bound, n in zip(self.bounds, series)}
+        rendered["+Inf"] = series[-2]
         return rendered
 
     def snapshot(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "kind": self.kind,
-                "values": {
-                    _render_labels(key): {
-                        "count": series[2],
-                        "sum": round(series[1], 6),
-                        "mean": round(series[1] / series[2], 6)
-                        if series[2]
-                        else 0.0,
-                        "buckets": {
-                            str(bound): n
-                            for bound, n in zip(self.bounds, series[0])
-                        }
-                        | {"+Inf": series[0][-1]},
-                    }
-                    for key, series in sorted(self._series.items())
-                },
+        values = {}
+        for key, series in sorted(self._merged().items()):
+            count = sum(series[:-1])
+            values[_render_labels(key)] = {
+                "count": count,
+                "sum": round(series[-1], 6),
+                "mean": round(series[-1] / count, 6) if count else 0.0,
+                "buckets": {
+                    str(bound): n for bound, n in zip(self.bounds, series)
+                }
+                | {"+Inf": series[-2]},
             }
+        return {"kind": self.kind, "values": values}
 
 
 def _render_labels(key: LabelKey) -> str:
@@ -336,7 +386,9 @@ class MetricHandle:
         self._state: tuple[Any, Any, dict] = (None, None, {})
 
     def labels(self, *values: Optional[str]) -> Callable[..., None]:
-        state = self._current()
+        state = self._state
+        if state[0] is not _registry._instruments:
+            state = self._current()
         recorder = state[2].get(values)
         if recorder is None:
             named = zip(self.label_names, values)

@@ -14,7 +14,7 @@ from repro.obs.span import Span
 #: Attribute keys promoted into the tree line when present, in order.
 _DETAIL_KEYS = (
     "app", "dag", "operator", "model", "worker", "strategy",
-    "method", "path", "status_code", "tier", "database",
+    "method", "path", "status_code",
 )
 
 
@@ -61,10 +61,12 @@ def _render_span(
         for key in _DETAIL_KEYS
         if key in span.attributes
     ]
-    if "cache.hit" in span.attributes:
-        details.append(
-            f"cache.hit={str(bool(span.attributes['cache.hit'])).lower()}"
-        )
+    # The cache manager's ``cache.<tier>=miss,hit`` outcomes.
+    details.extend(
+        f"{key}={value}"
+        for key, value in span.attributes.items()
+        if key.startswith("cache.")
+    )
     detail = f" ({', '.join(details)})" if details else ""
     share = (
         f" [{span.duration_ms / total_ms:6.1%}]" if total_ms > 0 else ""

@@ -8,19 +8,19 @@ closes it on exit — including exception exits, which mark the span
 ``status="error"`` and record the exception type — and retains finished
 traces in a bounded ring buffer for ``repro trace`` / ``/trace``.
 
-An optional exporter (see :mod:`repro.obs.export`) receives every
-finished span for durable JSON-lines output.
+An optional ``exporter`` — any object with ``export(span)`` — receives
+every finished span as it closes (benchmarks count spans with one);
+:func:`repro.obs.export.dump_spans` writes retained traces to a file.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Optional
 
-from repro.obs.span import NOOP_SPAN, Span, _current_span
+from repro.obs.span import NOOP_SPAN, Span, TimingSpan, _current_span
 
 
 class Tracer:
@@ -53,17 +53,26 @@ class Tracer:
     def disable(self) -> None:
         self.enabled = False
 
-    def span(self, name: str, **attributes: Any) -> Any:
+    def span(
+        self,
+        name: str,
+        latency: Optional[Callable[[float], None]] = None,
+        **attributes: Any,
+    ) -> Any:
         """A context manager opening a child span of the current context
         for the duration of the ``with`` block.
 
         On a raising block the span still ends — with ``status="error"``
         and the exception class name recorded — and the exception
-        propagates unchanged. While the tracer is disabled the shared
-        :data:`~repro.obs.span.NOOP_SPAN` is returned instead.
+        propagates unchanged. ``latency`` (a bound histogram, e.g.
+        ``MetricHandle.labels(...)``) receives the span's duration in
+        milliseconds when the block exits cleanly. While the tracer is
+        disabled the shared :data:`~repro.obs.span.NOOP_SPAN` is returned
+        instead, or a :class:`~repro.obs.span.TimingSpan` when a
+        ``latency`` is given, so the metric is recorded either way.
         """
         if not self.enabled:
-            return NOOP_SPAN
+            return NOOP_SPAN if latency is None else TimingSpan(latency)
         parent = _current_span.get()
         if parent is None:
             trace_id = f"trace-{next(self._trace_ids):04d}"
@@ -72,31 +81,11 @@ class Tracer:
             trace_id = parent.trace_id
             parent_id = parent.span_id
         span = Span(
-            name=name,
-            trace_id=trace_id,
-            span_id=next(self._span_ids),
-            parent_id=parent_id,
-            attributes=attributes,
+            name, trace_id, next(self._span_ids), parent_id, attributes
         )
         span._tracer = self
+        span._latency = latency
         return span
-
-    def traced(
-        self, name: Optional[str] = None, **attributes: Any
-    ) -> Callable:
-        """Decorator form: trace every call of the wrapped function."""
-
-        def decorate(fn: Callable) -> Callable:
-            span_name = name or fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                with self.span(span_name, **attributes):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
 
     def current_span(self) -> Optional[Span]:
         """The innermost open span in this context, if any."""

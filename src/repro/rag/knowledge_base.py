@@ -185,7 +185,6 @@ class KnowledgeBase:
                     query, k, strategy, rerank, embed_memo
                 )
             ),
-            strategy=strategy,
         )
         return [
             RetrievedChunk(self._chunks[chunk_id], score, strategy_name)

@@ -11,7 +11,6 @@ from repro.rag.embedder import HashingEmbedder
 from repro.rag.graph_index import GraphIndex
 from repro.rag.inverted_index import InvertedIndex
 from repro.rag.vectorstore import VectorStore
-from repro.runtime import perf_clock
 
 _RETRIEVALS = MetricHandle(
     Counter, "rag_retrievals_total", "retrieval calls per strategy",
@@ -64,14 +63,15 @@ def _traced_retrieve(retrieve):
     def wrapped(
         self: "Retriever", query: str, k: int = 5
     ) -> list[RetrievalHit]:
-        started = perf_clock()
         with get_tracer().span(
-            "rag.retrieve", strategy=self.name, k=k
+            "rag.retrieve",
+            _LATENCY.labels(self.name),
+            strategy=self.name,
+            k=k,
         ) as span:
             hits = retrieve(self, query, k=k)
             span.set_attribute("candidates", len(hits))
         _RETRIEVALS.labels(self.name)()
-        _LATENCY.labels(self.name)((perf_clock() - started) * 1000.0)
         _CANDIDATES.labels(self.name)(len(hits))
         return hits
 

@@ -8,7 +8,6 @@ from typing import Callable, Optional
 from repro.obs.metrics import Counter, Histogram, MetricHandle
 from repro.obs.tracer import get_tracer
 from repro.rag.privacy import PrivacyScrubber
-from repro.runtime import perf_clock
 from repro.server.request import Request, Response, error
 
 Handler = Callable[[Request], Response]
@@ -40,17 +39,17 @@ class TracingMiddleware(Middleware):
     """
 
     def __call__(self, request: Request, next_handler: Handler) -> Response:
-        started = perf_clock()
         with get_tracer().span(
-            "server.request", method=request.method, path=request.path
+            "server.request",
+            _LATENCY.labels(request.path),
+            method=request.method,
+            path=request.path,
         ) as span:
             response = next_handler(request)
             span.set_attribute("status_code", response.status)
-        elapsed_ms = (perf_clock() - started) * 1000.0
         _REQUESTS.labels(
             request.method, request.path, str(response.status)
         )()
-        _LATENCY.labels(request.path)(elapsed_ms)
         return response
 
 

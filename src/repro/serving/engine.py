@@ -182,7 +182,10 @@ class RequestScheduler:
         )
         self._queue_depth = registry.gauge(
             "serving_queue_depth", "requests admitted but not dispatched"
-        )
+        ).bind()
+        #: Bound recorders by (instrument name, model, outcome), made on
+        #: first use, so recording sorts no labels.
+        self._recorders: dict[tuple, Callable[[float], None]] = {}
 
     # -- sync facade -------------------------------------------------------
 
@@ -246,7 +249,7 @@ class RequestScheduler:
             if len(self._queue) >= self.config.queue_capacity:
                 self._shed += 1
                 retry_after = self._retry_after_locked()
-                self._shed_total.inc(model=model)
+                self._recorder(self._shed_total, model)()
                 self._count_outcome(model, "shed")
                 raise SchedulerOverloaded(
                     f"serving queue full "
@@ -532,8 +535,8 @@ class RequestScheduler:
     def _observe_wait(self, batch: list[_Pending]) -> None:
         now = self._clock()
         for pending in batch:
-            self._wait_ms.observe(
-                (now - pending.enqueued_at) * 1000.0, model=pending.model
+            self._recorder(self._wait_ms, pending.model)(
+                (now - pending.enqueued_at) * 1000.0
             )
 
     # -- single-request fast path -----------------------------------------
@@ -760,8 +763,8 @@ class RequestScheduler:
         ]
 
     def _count_step(self, model: str, size: int) -> None:
-        self._batch_size.observe(size, model=model)
-        self._batches_total.inc(model=model)
+        self._recorder(self._batch_size, model)(size)
+        self._recorder(self._batches_total, model)()
         with self._lock:
             self._dispatched_batches += 1
             self._dispatched_requests += size
@@ -769,7 +772,20 @@ class RequestScheduler:
     def _count_outcome(
         self, model: str, outcome: str, count: int = 1
     ) -> None:
-        self._requests_total.inc(count, model=model, outcome=outcome)
+        self._recorder(self._requests_total, model, outcome)(count)
+
+    def _recorder(
+        self, instrument: Any, model: str, outcome: Optional[str] = None
+    ) -> Callable[[float], None]:
+        """``instrument``'s recorder for this model (and outcome)."""
+        key = (instrument.name, model, outcome)
+        recorder = self._recorders.get(key)
+        if recorder is None:
+            labels = {"model": model}
+            if outcome is not None:
+                labels["outcome"] = outcome
+            recorder = self._recorders[key] = instrument.bind(**labels)
+        return recorder
 
     async def _isolate(
         self, execution: _Execution, todo: list[int], error: LLMError
@@ -783,7 +799,7 @@ class RequestScheduler:
                 self._settle_reject(member.pending, error)
                 self._count_outcome(execution.model, "error")
             return
-        self._isolations_total.inc(model=execution.model)
+        self._recorder(self._isolations_total, execution.model)()
         requests = [
             execution.members[member_id].pending.request
             for member_id in todo
@@ -865,7 +881,7 @@ class RequestScheduler:
                 continue
             if not member.lease_done:
                 execution.lease.release(member_id, cancelled=True)
-            self._cancelled_total.inc(model=execution.model)
+            self._recorder(self._cancelled_total, execution.model)()
             self._count_outcome(execution.model, "cancelled")
             with self._lock:
                 self._cancelled += 1
@@ -972,7 +988,7 @@ class RequestScheduler:
 
     def _expire_one_locked(self, pending: _Pending, now: float) -> None:
         self._expired += 1
-        self._expired_total.inc(model=pending.model)
+        self._recorder(self._expired_total, pending.model)()
         self._count_outcome(pending.model, "expired")
         self._settle_reject(
             pending,
@@ -998,4 +1014,4 @@ class RequestScheduler:
         return round(0.005 * backlog_rounds, 4)
 
     def _queue_gauge_locked(self) -> None:
-        self._queue_depth.set(len(self._queue))
+        self._queue_depth(len(self._queue))

@@ -134,7 +134,7 @@ class LLMClient:
             )
 
         try:
-            return manager.cached("inference", turn.key, compute, model=model)
+            return manager.cached("inference", turn.key, compute)
         except ClientError as exc:
             return turn.stale_or_raise(exc)
 
@@ -228,9 +228,7 @@ class LLMClient:
             )
 
         try:
-            return await manager.acached(
-                "inference", turn.key, compute, model=model
-            )
+            return await manager.acached("inference", turn.key, compute)
         except ClientError as exc:
             return turn.stale_or_raise(exc)
 

@@ -123,10 +123,6 @@ class ModelWorker:
                 worker=self.worker_id,
                 model=self.model.name,
             ) as span:
-                # A worker execution is by definition the cache-miss
-                # path: turns served by the inference cache never get
-                # here (the client short-circuits before the server).
-                span.set_attribute("cache.hit", False)
                 response = self.model.generate(request)
                 span.set_attributes(
                     prompt_tokens=response.prompt_tokens,
@@ -270,7 +266,6 @@ class WorkerExecution:
             continuous=True,
         ) as span:
             span.set_attribute("batch.size", len(todo))
-            span.set_attribute("cache.hit", False)
             computed = self.execution.step()
             span.set_attributes(
                 prompt_tokens=sum(

@@ -203,7 +203,7 @@ class Database:
         except TypeError:
             return run()  # unhashable parameter values: no caching
         frozen = get_cache_manager().cached(
-            "sql", key, lambda: _freeze_result(run()), database=self.name
+            "sql", key, lambda: _freeze_result(run())
         )
         return _thaw_result(frozen)
 

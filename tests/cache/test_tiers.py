@@ -307,10 +307,32 @@ class TestWiredStack:
         recomputed = answers()
         assert cold == warm == recomputed
 
-    def test_enabled_emits_cache_spans_and_metrics(self, fresh_registry):
+    def test_lookups_mark_the_caller_span_and_count(self, fresh_registry):
+        """No lookup opens a span: the root (chat2db looks up from its
+        own turn) carries every outcome per tier, in order, and they
+        are exactly the ``cache_requests_total`` increments."""
         dbgpt = self.boot()
-        dbgpt.chat("chat2db", "How many orders are there?")
-        names = {span.name for span in dbgpt.last_trace()}
-        assert "cache.lookup" in names
         requests = fresh_registry.counter("cache_requests_total")
-        assert requests.total() > 0
+        for turn in ("cold", "warm"):
+            before = requests.snapshot()["values"]
+            dbgpt.chat("chat2db", "How many orders are there?")
+            after = requests.snapshot()["values"]
+            spans = dbgpt.last_trace()
+            assert "cache.lookup" not in {span.name for span in spans}
+            (root,) = [span for span in spans if span.parent_id is None]
+            counted = {}
+            for tier in ("inference", "rag", "sql"):
+                outcomes = root.attributes.get(f"cache.{tier}", "")
+                for outcome in filter(None, outcomes.split(",")):
+                    label = f"outcome={outcome},tier={tier}"
+                    counted[label] = counted.get(label, 0) + 1
+            deltas = {
+                label: value - before.get(label, 0)
+                for label, value in after.items()
+                if value != before.get(label, 0)
+            }
+            assert counted == deltas and deltas
+            if turn == "warm":
+                assert set(deltas) == {
+                    "outcome=hit,tier=inference", "outcome=hit,tier=sql",
+                }

@@ -1,12 +1,6 @@
 """Exporter round-trip: spans survive the JSON-lines format exactly."""
 
-from repro.obs import (
-    JsonLinesExporter,
-    Tracer,
-    dump_spans,
-    group_traces,
-    load_spans,
-)
+from repro.obs import dump_spans, group_traces, load_spans
 
 
 def _reloadable(span, reloaded):
@@ -47,21 +41,6 @@ def test_error_span_round_trips_error_type(tmp_path, tracer):
     (reloaded,) = load_spans(path)
     assert reloaded.status == "error"
     assert reloaded.error_type == "ValueError"
-
-
-def test_live_exporter_appends_each_finished_span(tmp_path):
-    path = tmp_path / "live.jsonl"
-    tracer = Tracer(exporter=JsonLinesExporter(path))
-    with tracer.span("root"):
-        with tracer.span("child"):
-            pass
-    with tracer.span("second-root"):
-        pass
-    reloaded = load_spans(path)
-    # Children close (and export) before their parents.
-    assert [span.name for span in reloaded] == [
-        "child", "root", "second-root",
-    ]
 
 
 def test_group_traces_reassembles_per_trace(tmp_path, tracer):

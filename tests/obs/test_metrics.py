@@ -231,3 +231,105 @@ class TestMetricHandle:
             for registry in registries
         )
         assert total == 16_000
+
+
+class TestShardedRecording:
+    """Counters and histograms record without a lock, each thread into
+    its own shard; reads sum the shards. No sleeps: a tiny switch
+    interval makes the threads interleave between bytecodes."""
+
+    THREADS = 8
+    RECORDS = 2_000
+
+    @pytest.fixture(autouse=True)
+    def _interleave(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+
+    def run_threads(self, target, count=None):
+        threads = [
+            threading.Thread(target=target)
+            for _ in range(count or self.THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+            assert not thread.is_alive()
+
+    def test_no_update_is_lost(self):
+        counter = Counter("requests_total")
+        histogram = Histogram("latency_ms", buckets=(1.0, 10.0))
+        hits = counter.bind(outcome="hit")
+        latency = histogram.bind(path="/a")
+
+        def record():
+            for _ in range(self.RECORDS):
+                hits()
+                counter.inc(2, outcome="miss")
+                latency(0.5)
+                histogram.observe(20.0, path="/a")
+
+        self.run_threads(record)
+        expected = self.THREADS * self.RECORDS
+        assert counter.value(outcome="hit") == expected
+        assert counter.value(outcome="miss") == 2 * expected
+        assert counter.total() == 3 * expected
+        assert histogram.count(path="/a") == 2 * expected
+        assert histogram.sum(path="/a") == expected * 20.5
+        assert histogram.bucket_counts(path="/a") == {
+            "1.0": expected, "10.0": 0, "+Inf": expected,
+        }
+
+    def test_a_dead_threads_counts_survive(self):
+        counter = Counter("requests_total")
+        histogram = Histogram("latency_ms", buckets=(1.0,))
+
+        def record():
+            counter.inc(route="a")
+            histogram.observe(0.5)
+
+        # One at a time: each new thread's first record folds the
+        # shards of the threads before it, which have all exited.
+        for _ in range(20):
+            self.run_threads(record, count=1)
+        counter.inc(route="a")
+        histogram.observe(0.5)
+        assert counter.value(route="a") == 21
+        assert counter.snapshot()["values"] == {"route=a": 21.0}
+        assert histogram.count() == 21 and histogram.sum() == 10.5
+        # Exited threads' shards fold into one, so the shard list stays
+        # as long as the live recording threads plus that one.
+        assert len(counter._shards) <= 3
+        assert len(histogram._shards) <= 3
+
+    def test_every_snapshot_agrees_with_itself(self):
+        histogram = Histogram("latency_ms", buckets=(1.0, 10.0))
+        done = threading.Event()
+        snapshots = []
+
+        def record():
+            for index in range(self.RECORDS):
+                histogram.observe(float(index % 20), path="/a")
+
+        def read():
+            while not done.is_set():
+                snapshots.append(histogram.snapshot())
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            self.run_threads(record, count=4)
+        finally:
+            done.set()
+            reader.join(30.0)
+        snapshots.append(histogram.snapshot())
+        counts = []
+        for snapshot in snapshots:
+            for series in snapshot["values"].values():
+                assert series["count"] == sum(series["buckets"].values())
+                counts.append(series["count"])
+        assert counts == sorted(counts)
+        assert counts[-1] == 4 * self.RECORDS

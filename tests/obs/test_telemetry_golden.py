@@ -51,12 +51,12 @@ FAILING_TURN = ("chat2db", "show me the zorblax")
 _WORKER = re.compile(r"worker-(\d+)")
 
 
-def run_scenario() -> dict:
+def run_scenario(traced: bool = True) -> dict:
     """Run the scenario against fresh global telemetry; returns the
     registry summary the golden records."""
     registry = MetricsRegistry()
     previous_registry = set_registry(registry)
-    previous_tracer = set_tracer(Tracer())
+    previous_tracer = set_tracer(Tracer(enabled=traced))
     dbgpt = None
     try:
         dbgpt = DBGPT.boot(
@@ -123,6 +123,13 @@ def summarize(snapshot: dict) -> dict:
 def test_snapshot_matches_the_golden():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert run_scenario() == golden
+
+
+def test_untraced_snapshot_matches_the_golden():
+    """Latency histograms fed by spans are observed exactly once with
+    the tracer off too, so the metrics do not depend on tracing."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert run_scenario(traced=False) == golden
 
 
 if __name__ == "__main__":

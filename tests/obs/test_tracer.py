@@ -1,10 +1,21 @@
 """Span lifecycle: nesting, parenting, error closure, retention."""
 
 import asyncio
+import itertools
 
 import pytest
 
 from repro.obs import NOOP_SPAN, STATUS_ERROR, STATUS_OK, Span, Tracer
+from repro.runtime import set_clocks
+
+
+@pytest.fixture
+def ticking_clock():
+    """Span clocks that read 0.0, 0.25, 0.5, ... seconds."""
+    ticks = itertools.count()
+    previous = set_clocks(mono=lambda: next(ticks) * 0.25)
+    yield
+    set_clocks(*previous)
 
 
 class TestNesting:
@@ -123,16 +134,23 @@ class TestRetention:
             pass
         assert len(tracer.trace_ids()) == 1
 
-    def test_traced_decorator(self, tracer):
-        @tracer.traced("worker.step", shard=1)
-        def step(x):
-            return x * 2
+    def test_exporter_receives_each_finished_span(self):
+        class Collect:
+            def __init__(self):
+                self.names = []
 
-        assert step(21) == 42
-        spans = tracer.last_trace()
-        assert spans[0].name == "worker.step"
-        assert spans[0].attributes == {"shard": 1}
+            def export(self, span):
+                self.names.append(span.name)
 
+        exporter = Collect()
+        tracer = Tracer(exporter=exporter)
+        with tracer.span("root"):
+            with tracer.span("child"):
+                pass
+        with tracer.span("second-root"):
+            pass
+        # Children close (and export) before their parents.
+        assert exporter.names == ["child", "root", "second-root"]
 
 class TestSpanData:
     def test_finish_is_idempotent(self):
@@ -149,3 +167,41 @@ class TestSpanData:
         assert span.duration_ms == 0.0
         span.finish()
         assert span.duration_ms >= 0.0
+
+
+class TestLatencyRecorder:
+    """A span given a bound histogram observes its own duration, from
+    the two clock reads it makes anyway, once, on a clean exit."""
+
+    def test_clean_exit_observes_the_span_duration(
+        self, tracer, ticking_clock
+    ):
+        observed = []
+        with tracer.span("timed", observed.append, k=1) as span:
+            pass
+        assert observed == [span.duration_ms] == [250.0]
+        assert span.attributes == {"k": 1}
+
+    def test_raising_block_observes_nothing(self, tracer):
+        observed = []
+        with pytest.raises(ValueError):
+            with tracer.span("timed", observed.append):
+                raise ValueError("boom")
+        assert observed == []
+        assert tracer.last_trace()[0].status == STATUS_ERROR
+
+    def test_disabled_tracer_still_observes_once(self, tracer, ticking_clock):
+        tracer.disable()
+        observed = []
+        with tracer.span("timed", observed.append, k=1) as span:
+            span.set_attribute("ignored", True)
+            # A timing-only span is no parent: nothing is current.
+            assert tracer.current_span() is None
+        assert observed == [250.0]
+        assert span is not NOOP_SPAN
+        with pytest.raises(ValueError):
+            with tracer.span("timed", observed.append):
+                raise ValueError("boom")
+        assert observed == [250.0]
+        assert tracer.span("plain") is NOOP_SPAN
+        assert tracer.trace_ids() == []

@@ -221,16 +221,14 @@ class TestTraceContext:
                 client.agenerate("chat", "two", task="chat")
             ) == "echo: two"
         spans = tracer.trace(caller.trace_id)
-        lookups = [s for s in spans if s.name == "cache.lookup"]
         generates = [s for s in spans if s.name == "smmf.generate"]
         workers = [s for s in spans if s.name == "smmf.worker"]
-        assert len(lookups) == len(generates) == len(workers) == 2
-        # The caller's span is current inside its cache lookup, which
-        # is where the cohort of one runs.
-        assert {s.parent_id for s in lookups} == {caller.span_id}
-        assert {s.parent_id for s in generates} == {
-            s.span_id for s in lookups
-        }
+        assert len(generates) == len(workers) == 2
+        assert "cache.lookup" not in {s.name for s in spans}
+        # The cache lookup opens no span: the caller's span is current
+        # where the cohort of one runs, and carries both misses.
+        assert caller.attributes["cache.inference"] == "miss,miss"
+        assert {s.parent_id for s in generates} == {caller.span_id}
         assert {s.parent_id for s in workers} == {
             s.span_id for s in generates
         }
