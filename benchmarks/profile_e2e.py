@@ -26,7 +26,8 @@ find candidates here, then measure them with the benchmark proper.
 
 ``--counts`` prints instead how many times per operation a fixed list
 of functions ran (:data:`COUNTS`: registry lookups, label sorts, lock
-exits, spans, event loops, ``asyncio.to_thread`` hops, SQL parses,
+exits, spans, event loops, asyncio tasks, loop runs,
+``asyncio.to_thread`` hops, SQL parses,
 plans built, row DISTINCT passes, regex substitutions, prompt contexts
 built, grouped cores built from row 0, clock reads and metric
 records). Call counts do not drift with the machine the way times do,
@@ -61,6 +62,8 @@ COUNTS = (
     ("thread-lock exits", "~", "<method '__exit__' of '_thread.lock' objects>"),
     ("spans recorded", "obs/tracer.py", "_record"),
     ("event loops created", "asyncio/events.py", "new_event_loop"),
+    ("asyncio tasks created", "asyncio/base_events.py", "create_task"),
+    ("loop runs", "asyncio/base_events.py", "run_until_complete"),
     # ``to_thread`` is a coroutine, which the profiler counts once per
     # resumption; the executor submission it makes is one per hop.
     ("to_thread hops", "asyncio/base_events.py", "run_in_executor", "to_thread"),

@@ -223,9 +223,6 @@ class SqlAnalyzer:
         schema = self._catalog.table(name)
         return {c.name.lower(): c.data_type for c in schema.columns}
 
-    def _known_table(self, name: str) -> bool:
-        return self._catalog is not None and self._catalog.has_table(name)
-
     def _lookup_cte(
         self, name: str
     ) -> tuple[bool, Optional[dict[str, Optional[DataType]]]]:

@@ -30,6 +30,8 @@ class DAG:
         self.nodes: dict[str, "Operator"] = {}
         self._downstream: dict[str, list[str]] = {}
         self._upstream: dict[str, list[str]] = {}
+        #: Bumped by every node or edge added; runners re-plan on it.
+        self.version = 0
 
     # -- construction ------------------------------------------------------
 
@@ -54,6 +56,7 @@ class DAG:
         self.nodes[node.node_id] = node
         self._downstream.setdefault(node.node_id, [])
         self._upstream.setdefault(node.node_id, [])
+        self.version += 1
 
     def add_edge(self, upstream: "Operator", downstream: "Operator") -> None:
         for node in (upstream, downstream):
@@ -68,6 +71,7 @@ class DAG:
             )
         self._downstream[upstream.node_id].append(downstream.node_id)
         self._upstream[downstream.node_id].append(upstream.node_id)
+        self.version += 1
 
     # -- topology ----------------------------------------------------------
 
@@ -112,8 +116,9 @@ class DAG:
             raise CycleError(f"cycle detected among nodes: {remaining}")
         return [self.nodes[node_id] for node_id in order]
 
-    def validate(self) -> None:
-        """Check acyclicity and adjacency-map consistency.
+    def validate(self) -> list["Operator"]:
+        """Check acyclicity and adjacency-map consistency; returns the
+        topological order.
 
         Operators registered in ``nodes`` but absent from the adjacency
         maps would be silently dropped by scheduling (and misreported
@@ -130,7 +135,7 @@ class DAG:
                 "register nodes via add_node so both adjacency maps "
                 "know them"
             )
-        self.topological_order()
+        return self.topological_order()
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -156,9 +161,3 @@ class DAGContext:
 
     def mark(self, label: str) -> None:
         self.events.append((self.clock, label))
-
-    def first_event(self, label: str) -> Optional[int]:
-        for tick, event_label in self.events:
-            if event_label == label:
-                return tick
-        return None

@@ -9,7 +9,3 @@ class AwelError(Exception):
 
 class CycleError(AwelError):
     """The DAG contains a cycle."""
-
-
-class SkippedBranch(Exception):
-    """Internal control-flow marker: this node's branch was not taken."""

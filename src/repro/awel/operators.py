@@ -23,6 +23,10 @@ class Operator:
     stream element) charges to the run clock.
     """
 
+    #: The ``mode`` of this operator's spans and run counts: operators
+    #: that produce or consume lazy streams say ``stream``.
+    mode = "batch"
+
     def __init__(
         self,
         name: Optional[str] = None,
@@ -148,6 +152,8 @@ class BranchOperator(Operator):
 class StreamifyOperator(Operator):
     """Turn a list input into a lazy stream."""
 
+    mode = "stream"
+
     async def execute(self, ctx: DAGContext, inputs: list[Any]) -> Any:
         value = _single_input(self, inputs)
         if isinstance(value, AsyncStream):
@@ -161,6 +167,8 @@ class StreamifyOperator(Operator):
 
 class StreamMapOperator(Operator):
     """Element-wise lazy transform of a stream."""
+
+    mode = "stream"
 
     def __init__(self, fn: Callable[[Any], Any], **kwargs: Any) -> None:
         super().__init__(**kwargs)
@@ -176,6 +184,8 @@ class StreamMapOperator(Operator):
 class StreamFilterOperator(Operator):
     """Lazy element filter over a stream."""
 
+    mode = "stream"
+
     def __init__(self, predicate: Callable[[Any], bool], **kwargs: Any) -> None:
         super().__init__(**kwargs)
         self._predicate = predicate
@@ -189,6 +199,8 @@ class StreamFilterOperator(Operator):
 
 class ReduceOperator(Operator):
     """Fold a stream into one value."""
+
+    mode = "stream"
 
     def __init__(
         self,
@@ -210,6 +222,8 @@ class ReduceOperator(Operator):
 
 class UnstreamifyOperator(Operator):
     """Materialize a stream back into a list (a batch barrier)."""
+
+    mode = "stream"
 
     async def execute(self, ctx: DAGContext, inputs: list[Any]) -> Any:
         value = _single_input(self, inputs)

@@ -1,4 +1,4 @@
-"""Workflow execution: async scheduling over the DAG."""
+"""Workflow execution: a DAG's chains, scheduled over asyncio."""
 
 from __future__ import annotations
 
@@ -12,26 +12,10 @@ from repro.awel.operators import (
     BranchOperator,
     JoinOperator,
     Operator,
-    ReduceOperator,
-    StreamFilterOperator,
-    StreamifyOperator,
-    StreamMapOperator,
-    UnstreamifyOperator,
 )
-from repro.obs.metrics import Counter, Histogram, MetricHandle
+from repro.obs.metrics import Counter, Histogram, MetricHandle, registry_token
 from repro.obs.tracer import get_tracer
 from repro.runtime import run_sync
-
-#: Operators whose execution produces or consumes lazy streams; their
-#: spans are tagged ``mode=stream`` (everything else is ``batch``).
-_STREAM_OPERATORS = (
-    StreamifyOperator,
-    StreamMapOperator,
-    StreamFilterOperator,
-    ReduceOperator,
-    UnstreamifyOperator,
-)
-
 
 _DAG_RUNS = MetricHandle(
     Counter, "awel_dag_runs_total", "DAG executions by outcome",
@@ -47,114 +31,173 @@ _OPERATOR_RUNS = MetricHandle(
 )
 
 
-def _operator_mode(node: Operator) -> str:
-    return "stream" if isinstance(node, _STREAM_OPERATORS) else "batch"
+class _Step:
+    """One operator as a plan runs it, with its metric series bound."""
+
+    def __init__(self, dag: DAG, node: Operator) -> None:
+        kind, mode = type(node).__name__, node.mode
+        self.node = node
+        self.node_id = node.node_id
+        self.upstream = tuple(dag.upstream_of(node.node_id))
+        self.downstream = tuple(dag.downstream_of(node.node_id))
+        self.is_join = isinstance(node, JoinOperator)
+        self.is_branch = isinstance(node, BranchOperator)
+        self.latency = _OPERATOR_LATENCY.labels(kind)
+        self.runs = _OPERATOR_RUNS.labels(kind, mode)
+        self.attributes = {
+            "operator": node.node_id, "type": kind, "mode": mode
+        }
+
+
+class _Plan:
+    """A validated DAG cut into chains: maximal runs of nodes where
+    each inner edge is the only out-edge of its tail and the only
+    in-edge of its head. Chains are listed in the topological order of
+    their heads; ``depends[i]`` holds the chains chain ``i`` reads."""
+
+    def __init__(self, dag: DAG) -> None:
+        self.version = dag.version
+        self.registry = registry_token()
+        self.order = [_Step(dag, node) for node in dag.validate()]
+        self.chains: list[list[_Step]] = []
+        self.depends: list[tuple[int, ...]] = []
+        chain_of: dict[str, int] = {}
+        for step in self.order:
+            ups = step.upstream
+            if len(ups) == 1 and len(dag.downstream_of(ups[0])) == 1:
+                index = chain_of[ups[0]]
+                self.chains[index].append(step)
+            else:
+                index = len(self.chains)
+                self.chains.append([step])
+                self.depends.append(
+                    tuple(sorted({chain_of[up] for up in ups}))
+                )
+            chain_of[step.node_id] = index
+        self.span_attributes = {"dag": dag.name, "nodes": len(dag.nodes)}
+        self.ok = _DAG_RUNS.labels(dag.name, "ok")
+        self.error = _DAG_RUNS.labels(dag.name, "error")
 
 
 class WorkflowRunner:
-    """Executes a DAG asynchronously.
+    """Executes a DAG asynchronously, chain by chain.
 
-    Every operator runs as its own task that awaits its upstream
-    results, so independent subgraphs proceed concurrently — the
-    "asynchronous operations" AWEL advertises.
+    The DAG is cut into chains once (see :class:`_Plan`; a DAG edited
+    afterwards is re-planned on its next run). The first chain runs
+    inline in :meth:`run_async`'s own coroutine and every other chain
+    as one task that awaits the chains it reads from, so a pipeline
+    costs no task at all while independent subgraphs still proceed
+    concurrently — the "asynchronous operations" AWEL advertises.
+
+    Per node, in topological order:
+
+    - a node with a failed upstream fails too, without running;
+    - a direct downstream a branch did not choose is SKIPPED;
+    - a SKIPPED input skips the node, except that a join runs on its
+      other inputs (and is SKIPPED only when all are);
+    - otherwise the operator runs; if it raises (or a branch chooses a
+      node that is not its downstream) it fails.
+
+    Independent chains finish despite a failure; the run then raises
+    the error of the earliest failed node in topological order.
     """
 
     def __init__(self, dag: DAG) -> None:
-        dag.validate()
         self.dag = dag
+        self._plan = _Plan(dag)
 
     async def run_async(
         self, payload: Any = None, ctx: Optional[DAGContext] = None
     ) -> DAGContext:
+        plan = self._plan
+        if (
+            plan.version != self.dag.version
+            or plan.registry is not registry_token()
+        ):
+            plan = self._plan = _Plan(self.dag)
         try:
-            with get_tracer().span(
-                "awel.dag", dag=self.dag.name, nodes=len(self.dag.nodes)
-            ):
-                result = await self._run_async(payload, ctx)
+            with get_tracer().span("awel.dag", **plan.span_attributes):
+                result = await self._run_async(plan, payload, ctx)
         except Exception:
-            _DAG_RUNS.labels(self.dag.name, "error")()
+            plan.error()
             raise
-        _DAG_RUNS.labels(self.dag.name, "ok")()
+        plan.ok()
         return result
 
     async def _run_async(
-        self, payload: Any = None, ctx: Optional[DAGContext] = None
+        self, plan: _Plan, payload: Any, ctx: Optional[DAGContext]
     ) -> DAGContext:
-        ctx = ctx or DAGContext(payload)
+        if ctx is None:
+            ctx = DAGContext(payload)
+        results = ctx.results
         tracer = get_tracer()
-        loop = asyncio.get_running_loop()
-        futures: dict[str, asyncio.Future] = {
-            node_id: loop.create_future() for node_id in self.dag.nodes
-        }
+        #: node id -> the error it failed with (its own or inherited).
+        failed: dict[str, Exception] = {}
+        not_taken: set[str] = set()
+        #: chain index -> what to await for that chain to have run.
+        done: list[Any] = []
 
-        async def run_node(node: Operator) -> None:
-            # Any failure — including one raised while awaiting an
-            # upstream — must resolve this node's future, or downstream
-            # tasks would await it forever and deadlock the run.
-            try:
-                upstream_ids = self.dag.upstream_of(node.node_id)
-                upstream_values = [
-                    await futures[up_id] for up_id in upstream_ids
-                ]
-                if futures[node.node_id].done():
-                    # A branch pre-resolved this node as a not-taken path.
-                    return
-                # Branch-skip semantics: drop skipped inputs for joins;
-                # otherwise a skipped input skips this node too.
-                if any(value is SKIPPED for value in upstream_values):
-                    if isinstance(node, JoinOperator):
-                        upstream_values = [
-                            v for v in upstream_values if v is not SKIPPED
-                        ]
-                        if not upstream_values:
-                            futures[node.node_id].set_result(SKIPPED)
-                            ctx.results[node.node_id] = SKIPPED
-                            return
-                    else:
-                        futures[node.node_id].set_result(SKIPPED)
-                        ctx.results[node.node_id] = SKIPPED
-                        return
-                # The span context manager guarantees closure on the
-                # exception path: a raising operator still ends its
-                # span with status="error" and the exception type.
-                kind = type(node).__name__
-                mode = _operator_mode(node)
-                with tracer.span(
-                    "awel.operator",
-                    _OPERATOR_LATENCY.labels(kind),
-                    operator=node.node_id,
-                    type=kind,
-                    mode=mode,
-                ):
-                    result = await node.execute(ctx, upstream_values)
-                _OPERATOR_RUNS.labels(kind, mode)()
-            except Exception as exc:
-                if not futures[node.node_id].done():
-                    futures[node.node_id].set_exception(exc)
-                raise
-            ctx.results[node.node_id] = result
-            futures[node.node_id].set_result(result)
-            if isinstance(node, BranchOperator):
-                chosen = node.choose(result)
-                for down_id in self.dag.downstream_of(node.node_id):
-                    if down_id != chosen:
-                        _mark_branch_skipped(self.dag, down_id, ctx, futures)
+        async def run_chain(index: int) -> None:
+            for dependency in plan.depends[index]:
+                await done[dependency]
+            for step in plan.chains[index]:
+                node_id = step.node_id
+                inputs = []
+                for up in step.upstream:
+                    if up in failed:
+                        failed[node_id] = failed[up]
+                        break
+                    inputs.append(results[up])
+                else:
+                    if node_id in not_taken:
+                        results[node_id] = SKIPPED
+                        continue
+                    if any(value is SKIPPED for value in inputs):
+                        if step.is_join:
+                            inputs = [v for v in inputs if v is not SKIPPED]
+                        if not step.is_join or not inputs:
+                            results[node_id] = SKIPPED
+                            continue
+                    try:
+                        # The span closes on the exception path too,
+                        # with status="error" and the exception type.
+                        with tracer.span(
+                            "awel.operator", step.latency, **step.attributes
+                        ):
+                            value = await step.node.execute(ctx, inputs)
+                        step.runs()
+                        if step.is_branch:
+                            chosen = step.node.choose(value)
+                            not_taken.update(
+                                d for d in step.downstream if d != chosen
+                            )
+                    except Exception as exc:
+                        failed[node_id] = exc
+                        continue
+                    results[node_id] = value
 
         tasks = [
-            asyncio.create_task(run_node(node))
-            for node in self.dag.topological_order()
+            asyncio.create_task(run_chain(index))
+            for index in range(1, len(plan.chains))
         ]
-        done, _pending = await asyncio.wait(
-            tasks, return_when=asyncio.ALL_COMPLETED
-        )
-        # Mark future exceptions retrieved (cascaded copies of the task
-        # errors) so asyncio does not warn about them at GC time.
-        for future in futures.values():
-            if future.done() and not future.cancelled():
-                future.exception()
-        errors = [t.exception() for t in done if t.exception() is not None]
-        if errors:
-            raise errors[0]
+        if tasks:
+            done.append(asyncio.get_running_loop().create_future())
+            done.extend(tasks)
+        try:
+            await run_chain(0)
+            if tasks:
+                done[0].set_result(None)
+                for task in tasks:
+                    await task
+        finally:
+            for task in tasks:
+                task.cancel()
+        if failed:
+            raise next(
+                failed[step.node_id]
+                for step in plan.order
+                if step.node_id in failed
+            )
         return ctx
 
     def run(self, payload: Any = None) -> DAGContext:
@@ -166,23 +209,6 @@ class WorkflowRunner:
         operator); see :func:`repro.runtime.run_sync`.
         """
         return run_sync(self.run_async(payload))
-
-
-def _mark_branch_skipped(
-    dag: DAG,
-    node_id: str,
-    ctx: DAGContext,
-    futures: dict[str, "asyncio.Future"],
-) -> None:
-    """Pre-resolve a not-taken branch head as SKIPPED.
-
-    Only the direct downstream is marked; transitive propagation is
-    handled by each node observing SKIPPED inputs.
-    """
-    future = futures[node_id]
-    if not future.done():
-        future.set_result(SKIPPED)
-        ctx.results[node_id] = SKIPPED
 
 
 def run_dag(dag: DAG, payload: Any = None) -> Any:

@@ -6,8 +6,8 @@ AWEL workflows can be kicked off manually, by an HTTP-shaped request
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any
 
 from repro.awel.dag import DAG, DAGContext
 from repro.awel.errors import AwelError
@@ -35,7 +35,7 @@ class ManualTrigger:
         return ctx
 
 
-class HttpTrigger:
+class HttpTrigger(ManualTrigger):
     """Adapt HTTP-shaped requests into workflow runs.
 
     ``path`` is matched exactly; the request body becomes the payload.
@@ -43,18 +43,12 @@ class HttpTrigger:
     """
 
     def __init__(self, dag: DAG, path: str, method: str = "POST") -> None:
-        self._runner = WorkflowRunner(dag)
+        super().__init__(dag)
         self.path = path
         self.method = method.upper()
-        self.runs: list[TriggerResult] = []
 
     def matches(self, method: str, path: str) -> bool:
         return method.upper() == self.method and path == self.path
-
-    def fire(self, body: dict[str, Any]) -> DAGContext:
-        ctx = self._runner.run(body)
-        self.runs.append(TriggerResult(body, ctx))
-        return ctx
 
     def mount(self, router) -> None:
         """Register this trigger on a server-layer router.
@@ -76,7 +70,7 @@ class HttpTrigger:
         router.add_route(self.method, self.path, handler)
 
 
-class ScheduleTrigger:
+class ScheduleTrigger(ManualTrigger):
     """Fire every ``interval`` logical ticks.
 
     Wall-clock scheduling would make tests flaky; the logical clock
@@ -91,10 +85,9 @@ class ScheduleTrigger:
     ) -> None:
         if interval <= 0:
             raise AwelError("interval must be positive")
-        self._runner = WorkflowRunner(dag)
+        super().__init__(dag)
         self.interval = interval
         self.payload = payload
-        self.runs: list[TriggerResult] = []
         self._since_last = 0
 
     def tick(self, ticks: int = 1) -> list[DAGContext]:
@@ -103,7 +96,5 @@ class ScheduleTrigger:
         self._since_last += ticks
         while self._since_last >= self.interval:
             self._since_last -= self.interval
-            ctx = self._runner.run(self.payload)
-            self.runs.append(TriggerResult(self.payload, ctx))
-            fired.append(ctx)
+            fired.append(self.fire(self.payload))
         return fired

@@ -62,6 +62,25 @@ _EVICTIONS = MetricHandle(
 _OUTCOME_ATTRIBUTES = {tier: f"cache.{tier}" for tier in TIER_NAMES}
 
 
+class _Partitions(dict):
+    """``(tenant, tier)`` -> that tenant's private store. Reading an
+    existing partition, or copying the map, is one dict operation with
+    no lock; ``__missing__`` creates a partition under the lock, after
+    a re-read, so racing first lookups share the one store created."""
+
+    def __init__(self, create: Callable[[tuple[str, str]], CacheStore]):
+        super().__init__()
+        self._create = create
+        self._lock = threading.Lock()
+
+    def __missing__(self, key: tuple[str, str]) -> CacheStore:
+        with self._lock:
+            store = self.get(key)
+            if store is None:
+                store = self[key] = self._create(key)
+            return store
+
+
 class CacheManager:
     """Owns one :class:`CacheStore` per tier.
 
@@ -82,10 +101,9 @@ class CacheManager:
     ) -> None:
         self.config = config or CacheConfig()
         self._clock = clock
-        self._lock = threading.Lock()
-        #: Per-(tenant, tier) private stores; populated lazily once
-        #: partition mode is on. Guarded by ``self._lock``.
-        self._partitions: dict[tuple[str, str], CacheStore] = {}
+        #: Per-(tenant, tier) stores, made on first use once partition
+        #: mode is on (``_partition_capacity`` set, by one store).
+        self._partitions = _Partitions(self._new_partition)
         self._partition_capacity: Optional[int] = None
         self._stores: dict[str, CacheStore] = {}
         for tier in TIER_NAMES:
@@ -120,30 +138,24 @@ class CacheManager:
         """
         if capacity <= 0:
             raise ValueError("partition capacity must be positive")
-        with self._lock:
-            self._partition_capacity = capacity
+        self._partition_capacity = capacity
 
     def _store_for(self, tier: str, tenant: Optional[str]) -> CacheStore:
         """The store serving this lookup: the tenant's partition when
         partition mode is on and a tenant scope is active, else the
         shared tier store."""
-        shared = self._stores[tier]
-        if tenant is None:
-            return shared
-        with self._lock:
-            capacity = self._partition_capacity
-            if capacity is None:
-                return shared
-            key = (tenant, tier)
-            store = self._partitions.get(key)
-            if store is None:
-                store = self._partitions[key] = CacheStore(
-                    capacity=capacity,
-                    ttl_seconds=shared.ttl_seconds,
-                    clock=self._clock,
-                    on_evict=self._evict_hook(tier, tenant),
-                )
-            return store
+        if tenant is None or self._partition_capacity is None:
+            return self._stores[tier]
+        return self._partitions[tenant, tier]
+
+    def _new_partition(self, key: tuple[str, str]) -> CacheStore:
+        tenant, tier = key
+        return CacheStore(
+            capacity=self._partition_capacity,
+            ttl_seconds=self._stores[tier].ttl_seconds,
+            clock=self._clock,
+            on_evict=self._evict_hook(tier, tenant),
+        )
 
     # -- the one call sites use --------------------------------------------
 
@@ -237,9 +249,7 @@ class CacheManager:
         for name, store in self._stores.items():
             if tier is None or name == tier:
                 dropped += store.clear()
-        with self._lock:
-            partitions = list(self._partitions.items())
-        for (_tenant, name), store in partitions:
+        for (_tenant, name), store in self._partitions.copy().items():
             if tier is None or name == tier:
                 dropped += store.clear()
         if self.semantic is not None and tier in (None, "inference"):
@@ -267,10 +277,8 @@ class CacheManager:
         Empty until partition mode is on and tenants have cached
         something; the shared stores' numbers stay in :meth:`stats`.
         """
-        with self._lock:
-            partitions = list(self._partitions.items())
         snapshot: dict[str, dict[str, dict[str, Any]]] = {}
-        for (tenant, tier), store in partitions:
+        for (tenant, tier), store in self._partitions.copy().items():
             stats: CacheStats = store.stats()
             snapshot.setdefault(tenant, {})[tier] = {
                 "size": len(store),

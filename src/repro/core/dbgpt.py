@@ -30,7 +30,6 @@ from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.server.middleware import (
     AuthMiddleware,
-    LoggingMiddleware,
     Middleware,
     PrivacyMiddleware,
     TracingMiddleware,
@@ -237,7 +236,7 @@ class DBGPT:
         if middlewares is None:
             # Tracing sits outermost so auth rejections and privacy
             # scrubbing are visible inside the request span.
-            middlewares = [TracingMiddleware(), LoggingMiddleware()]
+            middlewares = [TracingMiddleware()]
             if self.config.auth_token or self.config.auth_principals:
                 middlewares.append(
                     AuthMiddleware(

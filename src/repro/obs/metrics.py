@@ -359,6 +359,13 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     return previous
 
 
+def registry_token() -> object:
+    """Changes with :func:`set_registry` and with a reset: what a caller
+    bound through :meth:`MetricHandle.labels` records into the current
+    registry for as long as this returns the same object."""
+    return _registry._instruments
+
+
 class MetricHandle:
     """One instrument, declared at module level, recorded through with
     neither a registry lookup nor a label sort per event.

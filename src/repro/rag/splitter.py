@@ -16,12 +16,6 @@ class Splitter(abc.ABC):
     def split(self, document: Document) -> list[Chunk]:
         """Return the chunks of ``document`` in order."""
 
-    def split_all(self, documents: list[Document]) -> list[Chunk]:
-        chunks: list[Chunk] = []
-        for document in documents:
-            chunks.extend(self.split(document))
-        return chunks
-
     @staticmethod
     def _make_chunks(document: Document, pieces: list[str]) -> list[Chunk]:
         chunks = []

@@ -1,14 +1,13 @@
 """The (optional) server layer.
 
 Manages external inputs — HTTP-shaped requests — and routes them to
-applications in the module layer, with a middleware chain (logging,
+applications in the module layer, with a middleware chain (tracing,
 auth, privacy scrubbing). Applications remain directly callable when no
 server is needed, matching the paper's "optional component" design.
 """
 
 from repro.server.middleware import (
     AuthMiddleware,
-    LoggingMiddleware,
     Middleware,
     PrivacyMiddleware,
     TracingMiddleware,
@@ -20,7 +19,6 @@ from repro.server.service import DbGptServer
 __all__ = [
     "AuthMiddleware",
     "DbGptServer",
-    "LoggingMiddleware",
     "Middleware",
     "PrivacyMiddleware",
     "Request",

@@ -53,18 +53,6 @@ class TracingMiddleware(Middleware):
         return response
 
 
-class LoggingMiddleware(Middleware):
-    """Records (method, path, status) tuples for observability."""
-
-    def __init__(self) -> None:
-        self.entries: list[tuple[str, str, int]] = []
-
-    def __call__(self, request: Request, next_handler: Handler) -> Response:
-        response = next_handler(request)
-        self.entries.append((request.method, request.path, response.status))
-        return response
-
-
 class AuthMiddleware(Middleware):
     """Bearer-token check (private deployments gate access).
 

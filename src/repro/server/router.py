@@ -38,10 +38,11 @@ class Router:
 
     def __init__(self, middlewares: Optional[list[Middleware]] = None) -> None:
         self._routes: list[Route] = []
-        self._middlewares = list(middlewares or [])
-
-    def add_middleware(self, middleware: Middleware) -> None:
-        self._middlewares.append(middleware)
+        # The chain is composed once, here, not per request.
+        handler: Handler = self._resolve_handler
+        for middleware in reversed(list(middlewares or [])):
+            handler = _wrap(middleware, handler)
+        self._chain = handler
 
     def add_route(
         self,
@@ -68,10 +69,7 @@ class Router:
         return [(route.method, route.pattern) for route in self._routes]
 
     def dispatch(self, request: Request) -> Response:
-        handler = self._resolve_handler
-        for middleware in reversed(self._middlewares):
-            handler = _wrap(middleware, handler)
-        return handler(request)
+        return self._chain(request)
 
     def _resolve_handler(self, request: Request) -> Response:
         saw_path = False

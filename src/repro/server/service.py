@@ -38,14 +38,14 @@ class DbGptServer:
         self.router.add_route("GET", "/api/health", self._health)
         self.router.add_route("GET", "/api/openapi", self._openapi)
         self.router.add_route("POST", "/api/chat/{app}", self._chat)
-        self.router.add_route("POST", "/v1/sessions", self._create_session)
-        self.router.add_route(
+        self._tenant_route("POST", "/v1/sessions", self._create_session)
+        self._tenant_route(
             "GET", "/v1/sessions/{session_id}", self._get_session
         )
-        self.router.add_route(
+        self._tenant_route(
             "DELETE", "/v1/sessions/{session_id}", self._drop_session
         )
-        self.router.add_route("POST", "/v1/chat", self._tenant_chat)
+        self._tenant_route("POST", "/v1/chat", self._tenant_chat)
         self.router.add_route("GET", "/v1/tenants", self._list_tenants)
 
     def register_app(self, app: Application) -> None:
@@ -82,26 +82,10 @@ class DbGptServer:
                     "code": "route_not_found",
                 },
             )
-        app = parts[2]
-        application = self._apps.get(app.lower())
-        if application is None:
-            return StreamingResponse(
-                404,
-                {
-                    "error": f"no app named {app!r}; "
-                    f"known: {self.app_names()}",
-                    "code": "unknown_app",
-                },
-            )
-        message = request.body.get("message")
-        if not isinstance(message, str) or not message.strip():
-            return StreamingResponse(
-                400,
-                {
-                    "error": "body requires a non-empty 'message'",
-                    "code": "invalid_request",
-                },
-            )
+        target = self._chat_target(request, parts[2])
+        if isinstance(target, Response):
+            return StreamingResponse(target.status, target.body)
+        application, message = target
         chunks, _response = application.stream_chat(message)
         return StreamingResponse(200, {}, chunks=chunks)
 
@@ -137,7 +121,9 @@ class DbGptServer:
             }
         )
 
-    def _chat(self, request: Request, app: str) -> Response:
+    def _chat_target(self, request: Request, app: str) -> Any:
+        """``(application, message)`` of a chat request, or the error
+        response that answers it."""
         application = self._apps.get(app.lower())
         if application is None:
             return error(
@@ -145,13 +131,13 @@ class DbGptServer:
                 f"no app named {app!r}; known: {self.app_names()}",
                 code="unknown_app",
             )
-        message = request.body.get("message")
-        if not isinstance(message, str) or not message.strip():
-            return error(
-                400,
-                "body requires a non-empty 'message'",
-                code="invalid_request",
-            )
+        return _bad_message(request) or (application, request.body["message"])
+
+    def _chat(self, request: Request, app: str) -> Response:
+        target = self._chat_target(request, app)
+        if isinstance(target, Response):
+            return target
+        application, message = target
         response = application.chat(message)
         payload: dict[str, Any] = {
             "text": response.text,
@@ -189,6 +175,21 @@ class DbGptServer:
             )
         return tenant_id
 
+    def _tenant_route(self, method: str, pattern: str, handler: Any) -> None:
+        """Mount a tenant-surface handler whose tenancy failures become
+        structured error responses."""
+
+        def mapped(request: Request, **params: str) -> Response:
+            try:
+                return handler(request, **params)
+            except Exception as exc:  # noqa: BLE001 - mapped to codes
+                response = self._map_tenancy_error(exc)
+                if response is None:
+                    raise
+                return response
+
+        self.router.add_route(method, pattern, mapped)
+
     def _map_tenancy_error(self, exc: Exception) -> Optional[Response]:
         """Structured responses for tenancy control-plane failures."""
         from repro.tenancy.fabric import TenantForbidden
@@ -224,16 +225,9 @@ class DbGptServer:
                 "body requires a non-empty 'app'",
                 code="invalid_request",
             )
-        session_id = request.body.get("session_id")
-        try:
-            record = self.fabric.open_session(
-                tenant_id, app_name, session_id=session_id
-            )
-        except Exception as exc:  # noqa: BLE001 - mapped to structured codes
-            mapped = self._map_tenancy_error(exc)
-            if mapped is None:
-                raise
-            return mapped
+        record = self.fabric.open_session(
+            tenant_id, app_name, session_id=request.body.get("session_id")
+        )
         return Response(
             201,
             {
@@ -253,13 +247,7 @@ class DbGptServer:
         return self.fabric.session(tenant_id, session_id)
 
     def _get_session(self, request: Request, session_id: str) -> Response:
-        try:
-            record = self._session_record(request, session_id)
-        except Exception as exc:  # noqa: BLE001 - mapped to structured codes
-            mapped = self._map_tenancy_error(exc)
-            if mapped is None:
-                raise
-            return mapped
+        record = self._session_record(request, session_id)
         if isinstance(record, Response):
             return record
         with record.lock:
@@ -277,48 +265,34 @@ class DbGptServer:
         )
 
     def _drop_session(self, request: Request, session_id: str) -> Response:
-        try:
-            record = self._session_record(request, session_id)
-            if isinstance(record, Response):
-                return record
-            self.fabric.store.drop(session_id)
-        except Exception as exc:  # noqa: BLE001 - mapped to structured codes
-            mapped = self._map_tenancy_error(exc)
-            if mapped is not None:
-                return mapped
-            from repro.tenancy.registry import TenancyError
+        from repro.tenancy.registry import TenancyError
+        from repro.tenancy.sessions import UnknownSession
 
-            if isinstance(exc, TenancyError):
-                # An in-flight turn pins the session; deletion must wait.
-                return error(409, str(exc), code="session_busy")
+        record = self._session_record(request, session_id)
+        if isinstance(record, Response):
+            return record
+        try:
+            self.fabric.store.drop(session_id)
+        except UnknownSession:
             raise
+        except TenancyError as exc:
+            # An in-flight turn pins the session; deletion must wait.
+            return error(409, str(exc), code="session_busy")
         return ok({"session_id": session_id, "deleted": True})
 
     def _tenant_chat(self, request: Request) -> Response:
         tenant_id = self._resolve_tenant(request)
         if isinstance(tenant_id, Response):
             return tenant_id
-        message = request.body.get("message")
-        if not isinstance(message, str) or not message.strip():
-            return error(
-                400,
-                "body requires a non-empty 'message'",
-                code="invalid_request",
-            )
-        session_id = request.body.get("session_id")
-        app_name = request.body.get("app")
-        try:
-            record, response = self.fabric.chat(
-                tenant_id,
-                message,
-                session_id=session_id,
-                app_name=app_name,
-            )
-        except Exception as exc:  # noqa: BLE001 - mapped to structured codes
-            mapped = self._map_tenancy_error(exc)
-            if mapped is None:
-                raise
-            return mapped
+        invalid = _bad_message(request)
+        if invalid is not None:
+            return invalid
+        record, response = self.fabric.chat(
+            tenant_id,
+            request.body["message"],
+            session_id=request.body.get("session_id"),
+            app_name=request.body.get("app"),
+        )
         payload: dict[str, Any] = {
             "text": response.text,
             "ok": response.ok,
@@ -330,3 +304,13 @@ class DbGptServer:
 
     def _list_tenants(self, request: Request) -> Response:
         return ok({"tenants": self.fabric.describe()})
+
+
+def _bad_message(request: Request) -> Optional[Response]:
+    """The error response for a body without a non-empty ``message``."""
+    message = request.body.get("message")
+    if isinstance(message, str) and message.strip():
+        return None
+    return error(
+        400, "body requires a non-empty 'message'", code="invalid_request"
+    )

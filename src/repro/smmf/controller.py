@@ -131,9 +131,6 @@ class ModelController:
             worker, now=self._now(), metadata={"latency_ms": latency_ms}
         )
 
-    def deregister_worker(self, worker_id: str) -> None:
-        self.registry.deregister(worker_id)
-
     def heartbeat(self, worker_id: str) -> None:
         self.registry.heartbeat(worker_id, self._now())
 

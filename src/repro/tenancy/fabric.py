@@ -219,29 +219,39 @@ class TenantFabric:
         """
         self.registry.get(tenant_id)
         if session_id is not None:
-            record = self.session(tenant_id, session_id)
+            record = self.store.get(session_id, pin=True)
+            if record.tenant_id != tenant_id:
+                self.store.unpin(record)
+                raise TenantForbidden(tenant_id, session_id)
         else:
             record = self.open_session(
                 tenant_id, app_name or self._default_app(tenant_id)
             )
-        app = self.app_for(tenant_id, app_name or record.app_name)
-        started = perf_clock()
-        with self.quotas.turn(tenant_id):
-            with self.store.turn(record):
-                with tenant_scope(tenant_id):
-                    # The record lock is held across the whole turn so
-                    # concurrent sends into one session serialize and
-                    # history order matches execution order.
-                    with record.lock:
-                        response = app.chat(text)
-                        record.append_turn(
-                            ChatTurn(
-                                user=text,
-                                assistant=response.text,
-                                ok=response.ok,
-                                metadata=dict(response.metadata),
-                            )
+            self.store.pin(record)
+        admitted = False
+        try:
+            app = self.app_for(tenant_id, app_name or record.app_name)
+            started = perf_clock()
+            self.quotas.admit(tenant_id)
+            admitted = True
+            with tenant_scope(tenant_id):
+                # The record lock is held across the whole turn so
+                # concurrent sends into one session serialize and
+                # history order matches execution order.
+                with record.lock:
+                    response = app.chat(text)
+                    record.append_turn(
+                        ChatTurn(
+                            user=text,
+                            assistant=response.text,
+                            ok=response.ok,
+                            metadata=dict(response.metadata),
                         )
+                    )
+        finally:
+            if admitted:
+                self.quotas.release(tenant_id)
+            self.store.unpin(record)
         elapsed_ms = (perf_clock() - started) * 1000.0
         _TURNS.labels(tenant_id, str(response.ok).lower())()
         _TURN_LATENCY.labels(tenant_id)(elapsed_ms)

@@ -15,10 +15,9 @@ throttling decision) is deterministic in tests without sleeping.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.obs.metrics import Counter, Gauge, MetricHandle
 from repro.serving.scheduler import SchedulerOverloaded
@@ -105,27 +104,17 @@ class QuotaManager:
 
     # -- admission ----------------------------------------------------------
 
-    @contextlib.contextmanager
-    def turn(self, tenant_id: str) -> Iterator[None]:
-        """Admit one chat turn for ``tenant_id`` and hold its
-        in-flight slot for the duration of the block.
+    def admit(self, tenant_id: str) -> None:
+        """Admit one chat turn for ``tenant_id``; the turn holds an
+        in-flight slot until :meth:`release`.
 
         Charges ``tokens_per_turn`` from the tenant's bucket and
         acquires an in-flight slot atomically; raises
         :class:`TenantThrottled` (with a refill-derived ``retry_after``
         hint) when either limit is exhausted. Nothing is charged on a
-        rejection. ``tenant_inflight`` is published under the lock.
+        rejection, and a rejected turn has nothing to release.
+        ``tenant_inflight`` is published under the lock.
         """
-        self._admit(tenant_id)
-        try:
-            yield
-        finally:
-            with self._lock:
-                inflight = max(0, self._inflight.get(tenant_id, 0) - 1)
-                self._inflight[tenant_id] = inflight
-                _INFLIGHT.labels(tenant_id)(inflight)
-
-    def _admit(self, tenant_id: str) -> None:
         quota = self.quota_for(tenant_id)
         now = self._clock()
         with self._lock:
@@ -170,6 +159,13 @@ class QuotaManager:
             )
         _REQUESTS.labels(tenant_id, "admitted")()
 
+    def release(self, tenant_id: str) -> None:
+        """Free the in-flight slot of a turn :meth:`admit` let in."""
+        with self._lock:
+            inflight = max(0, self._inflight.get(tenant_id, 0) - 1)
+            self._inflight[tenant_id] = inflight
+            _INFLIGHT.labels(tenant_id)(inflight)
+
     def _retry_hint(self, quota: QuotaConfig) -> float:
         # An in-flight rejection frees no tokens on a schedule; hint
         # one turn's refill time as the natural backoff unit.
@@ -180,7 +176,7 @@ class QuotaManager:
     def check(self, tenant_id: str) -> None:
         """Non-charging admission probe (the serving scheduler hook).
 
-        Turns admitted through :meth:`turn` hold an in-flight slot, so
+        Turns admitted through :meth:`admit` hold an in-flight slot, so
         their downstream LLM calls always pass. What this rejects is
         tenant-tagged work that *bypassed* turn admission while the
         tenant's bucket is empty — admitting it would only spend batch

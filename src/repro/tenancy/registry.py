@@ -156,10 +156,6 @@ class TenantRegistry:
             raise UnknownTenant(tenant_id)
         return tenant
 
-    def maybe_get(self, tenant_id: str) -> Optional[Tenant]:
-        with self._lock:
-            return self._tenants.get(tenant_id)
-
     def remove(self, tenant_id: str) -> Tenant:
         with self._lock:
             tenant = self._tenants.pop(tenant_id, None)

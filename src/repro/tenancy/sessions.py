@@ -18,12 +18,11 @@ Two invariants the tests pin:
 
 from __future__ import annotations
 
-import contextlib
 import random
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.core.session import SessionRecord, new_session_id
 from repro.obs.metrics import Counter, Gauge, MetricHandle
@@ -108,9 +107,10 @@ class SessionStore:
             _SESSIONS.labels(tenant_id)(len(order))
         return record
 
-    def get(self, session_id: str) -> SessionRecord:
-        """The session, freshness-checked; raises
-        :class:`UnknownSession` when missing or expired."""
+    def get(self, session_id: str, pin: bool = False) -> SessionRecord:
+        """The session, freshness-checked and, with ``pin``, pinned in
+        the same lock hold; raises :class:`UnknownSession` when missing
+        or expired."""
         now = self._clock()
         with self._lock:
             record = self._records.get(session_id)
@@ -120,6 +120,8 @@ class SessionStore:
             if record is None:
                 raise UnknownSession(session_id)
             self._touch_locked(record, now)
+            if pin:
+                record.inflight += 1
             return record
 
     def drop(self, session_id: str) -> SessionRecord:
@@ -136,9 +138,8 @@ class SessionStore:
             self._drop_locked(record, "explicit")
             return record
 
-    @contextlib.contextmanager
-    def turn(self, record: SessionRecord) -> Iterator[None]:
-        """Pin ``record`` for the duration of one turn.
+    def pin(self, record: SessionRecord) -> None:
+        """Pin ``record`` for one turn, until :meth:`unpin`.
 
         While pinned the record can neither be LRU-evicted nor
         TTL-expired, so a session is never dropped out from under its
@@ -146,13 +147,14 @@ class SessionStore:
         """
         with self._lock:
             record.inflight += 1
-        try:
-            yield
-        finally:
-            now = self._clock()
-            with self._lock:
-                record.inflight -= 1
-                self._touch_locked(record, now)
+
+    def unpin(self, record: SessionRecord) -> None:
+        """End a turn's pin; the turn counts as the session's latest
+        activity."""
+        now = self._clock()
+        with self._lock:
+            record.inflight -= 1
+            self._touch_locked(record, now)
 
     # -- internals (store lock held) ----------------------------------------
 

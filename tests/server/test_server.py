@@ -7,7 +7,7 @@ from repro.core import DBGPT
 from repro.server import (
     AuthMiddleware,
     DbGptServer,
-    LoggingMiddleware,
+    Middleware,
     PrivacyMiddleware,
     Request,
     Response,
@@ -71,14 +71,29 @@ class TestRouter:
         assert router.routes() == [("GET", "/a")]
 
 
+class _Recorder(Middleware):
+    """Records (method, path, status) for every request it passes on."""
+
+    def __init__(self):
+        self.entries = []
+
+    def __call__(self, request, next_handler):
+        response = next_handler(request)
+        self.entries.append((request.method, request.path, response.status))
+        return response
+
+
 class TestMiddleware:
     def test_logging_records_entries(self):
-        logging = LoggingMiddleware()
-        router = Router([logging])
+        recorder = _Recorder()
+        router = Router([recorder])
         router.add_route("GET", "/x", lambda req: ok({}))
         router.dispatch(Request("GET", "/x"))
         router.dispatch(Request("GET", "/missing"))
-        assert logging.entries == [("GET", "/x", 200), ("GET", "/missing", 404)]
+        assert recorder.entries == [
+            ("GET", "/x", 200),
+            ("GET", "/missing", 404),
+        ]
 
     def test_auth_blocks_without_token(self):
         router = Router([AuthMiddleware("secret")])
@@ -117,9 +132,8 @@ class TestMiddleware:
     def test_middleware_order_outside_in(self):
         calls = []
 
-        class Recorder(LoggingMiddleware):
+        class Recorder(Middleware):
             def __init__(self, tag):
-                super().__init__()
                 self.tag = tag
 
             def __call__(self, request, next_handler):

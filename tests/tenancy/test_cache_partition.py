@@ -1,5 +1,9 @@
 """Tests for tenant-partitioned caching."""
 
+import sys
+import threading
+
+import repro.cache.manager as manager_module
 from repro.cache.config import CacheConfig
 from repro.cache.manager import CacheManager, set_cache_manager
 from repro.obs.metrics import get_registry
@@ -60,6 +64,37 @@ class TestPartitionSelection:
                 == "private"
             )
         assert manager.cached("inference", "k", lambda: "x") == "shared"
+
+    def test_racing_first_lookups_create_one_store(self, monkeypatch):
+        manager = make_manager()
+        created = []
+
+        class CountingStore(manager_module.CacheStore):
+            def __init__(self, *args, **kwargs):
+                created.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(manager_module, "CacheStore", CountingStore)
+        start = threading.Barrier(8)
+        seen = []
+
+        def touch():
+            start.wait()
+            seen.append(manager._store_for("sql", "acme"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=touch) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(created) == 1
+        assert len(seen) == 8
+        assert all(store is created[0] for store in seen)
 
     def test_partitions_disabled_without_enable(self):
         manager = make_manager(partition_capacity=0)

@@ -132,6 +132,67 @@ class TestQuotasAtTheFabric:
         )
 
 
+class _RaisingApp(Application):
+    name = "raising"
+    description = "every turn raises"
+
+    def chat(self, text: str) -> AppResponse:
+        raise RuntimeError("app blew up")
+
+
+class TestTurnBookkeeping:
+    """A turn's pin and in-flight slot are released on every exit."""
+
+    def test_throttled_turn_charges_and_pins_nothing(self, tenant_dbgpt):
+        tenant_dbgpt.register_tenant(
+            "acme", quota=QuotaConfig(refill_per_second=0.001, burst=1.0)
+        )
+        fabric = tenant_dbgpt.fabric
+        record, _ = tenant_dbgpt.tenant_chat(
+            "acme", "How many orders are there?", app_name="chat2db"
+        )
+        tokens = fabric.quotas.snapshot()["acme"]["tokens"]
+        with pytest.raises(TenantThrottled):
+            tenant_dbgpt.tenant_chat(
+                "acme", "Show the tables.", session_id=record.session_id
+            )
+        assert record.inflight == 0
+        row = fabric.quotas.snapshot()["acme"]
+        assert row["inflight"] == 0
+        assert row["admitted"] == 1
+        assert row["tokens"] == pytest.approx(tokens, abs=0.01)
+
+    def test_raising_app_releases_and_unpins(self, tenant_dbgpt):
+        tenant_dbgpt.register_tenant("acme")
+        tenant_dbgpt._apps["raising"] = _RaisingApp()
+        fabric = tenant_dbgpt.fabric
+        record = fabric.open_session("acme", "raising")
+        with pytest.raises(RuntimeError, match="blew up"):
+            tenant_dbgpt.tenant_chat(
+                "acme", "hello", session_id=record.session_id
+            )
+        assert record.inflight == 0
+        assert fabric.quotas.snapshot()["acme"]["inflight"] == 0
+        assert (
+            get_registry().get("tenant_inflight").value(tenant="acme") == 0
+        )
+
+    def test_foreign_session_is_forbidden_and_left_unpinned(
+        self, tenant_dbgpt
+    ):
+        from repro.tenancy.fabric import TenantForbidden
+
+        tenant_dbgpt.register_tenant("acme")
+        tenant_dbgpt.register_tenant("globex")
+        record = tenant_dbgpt.fabric.open_session("acme", "chat2db")
+        with pytest.raises(TenantForbidden):
+            tenant_dbgpt.tenant_chat(
+                "globex", "hello", session_id=record.session_id
+            )
+        assert record.inflight == 0
+        assert "globex" not in tenant_dbgpt.fabric.quotas.snapshot()
+
+
 class _ProbeApp(Application):
     """Tracks how many chats run concurrently (must stay 1 within a
     session: the record lock serializes same-session turns)."""

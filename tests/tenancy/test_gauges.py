@@ -28,15 +28,14 @@ def test_inflight_gauge_after_two_turns_finish_together(
         QuotaConfig(refill_per_second=100.0, burst=100.0, max_inflight=4),
         clock=FakeClock(),
     )
-    first, second = quotas.turn("acme"), quotas.turn("acme")
-    first.__enter__()
-    second.__enter__()
+    quotas.admit("acme")
+    quotas.admit("acme")
     gauge = _isolated_registry.get("tenant_inflight")
     assert gauge.value(tenant="acme") == 2
 
     leave_together(
-        lambda: first.__exit__(None, None, None),
-        lambda: second.__exit__(None, None, None),
+        lambda: quotas.release("acme"),
+        lambda: quotas.release("acme"),
         instrument=gauge,
         owner=quotas,
     )

@@ -1,5 +1,7 @@
 """Tests for admission-time tenant quotas."""
 
+import contextlib
+
 import pytest
 
 from repro.serving.scheduler import SchedulerOverloaded
@@ -18,6 +20,17 @@ class FakeClock:
         self.now += seconds
 
 
+@contextlib.contextmanager
+def turn(manager, tenant_id):
+    """One turn as the fabric runs it: admit, then release however the
+    block ends."""
+    manager.admit(tenant_id)
+    try:
+        yield
+    finally:
+        manager.release(tenant_id)
+
+
 def make_manager(clock=None, **quota_kwargs):
     quota_kwargs.setdefault("refill_per_second", 1.0)
     quota_kwargs.setdefault("burst", 2.0)
@@ -30,10 +43,10 @@ class TestTokenBucket:
     def test_burst_then_throttled(self):
         manager = make_manager()
         for _ in range(2):
-            with manager.turn("acme"):
+            with turn(manager, "acme"):
                 pass
         with pytest.raises(TenantThrottled) as exc_info:
-            with manager.turn("acme"):
+            with turn(manager, "acme"):
                 pass
         assert exc_info.value.retry_after > 0
         assert exc_info.value.tenant_id == "acme"
@@ -42,20 +55,20 @@ class TestTokenBucket:
         clock = FakeClock()
         manager = make_manager(clock)
         for _ in range(2):
-            with manager.turn("acme"):
+            with turn(manager, "acme"):
                 pass
         clock.advance(1.0)
-        with manager.turn("acme"):
+        with turn(manager, "acme"):
             pass
 
     def test_retry_after_matches_refill_deficit(self):
         clock = FakeClock()
         manager = make_manager(clock)
         for _ in range(2):
-            with manager.turn("acme"):
+            with turn(manager, "acme"):
                 pass
         with pytest.raises(TenantThrottled) as exc_info:
-            with manager.turn("acme"):
+            with turn(manager, "acme"):
                 pass
         # Empty bucket, 1 token/s refill: one full token away.
         assert exc_info.value.retry_after == pytest.approx(1.0, abs=0.01)
@@ -63,47 +76,47 @@ class TestTokenBucket:
     def test_buckets_are_per_tenant(self):
         manager = make_manager()
         for _ in range(2):
-            with manager.turn("noisy"):
+            with turn(manager, "noisy"):
                 pass
         with pytest.raises(TenantThrottled):
-            with manager.turn("noisy"):
+            with turn(manager, "noisy"):
                 pass
-        with manager.turn("quiet"):
+        with turn(manager, "quiet"):
             pass
 
     def test_rejection_charges_nothing(self):
         clock = FakeClock()
         manager = make_manager(clock)
         for _ in range(2):
-            with manager.turn("acme"):
+            with turn(manager, "acme"):
                 pass
         for _ in range(5):
             with pytest.raises(TenantThrottled):
-                with manager.turn("acme"):
+                with turn(manager, "acme"):
                     pass
         clock.advance(1.0)
         # Refill admits exactly one turn: the rejections cost nothing.
-        with manager.turn("acme"):
+        with turn(manager, "acme"):
             pass
 
 
 class TestInflightCap:
     def test_max_inflight_enforced(self):
         manager = make_manager(burst=100.0, max_inflight=1)
-        with manager.turn("acme"):
+        with turn(manager, "acme"):
             with pytest.raises(TenantThrottled):
-                with manager.turn("acme"):
+                with turn(manager, "acme"):
                     pass
         # Slot freed after the first turn completed.
-        with manager.turn("acme"):
+        with turn(manager, "acme"):
             pass
 
     def test_failed_turn_releases_slot(self):
         manager = make_manager(burst=100.0, max_inflight=1)
         with pytest.raises(RuntimeError):
-            with manager.turn("acme"):
+            with turn(manager, "acme"):
                 raise RuntimeError("turn blew up")
-        with manager.turn("acme"):
+        with turn(manager, "acme"):
             pass
 
 
@@ -117,7 +130,7 @@ class TestSchedulerIntegration:
 
     def test_check_passes_while_turn_admitted(self):
         manager = make_manager()
-        with manager.turn("acme"):
+        with turn(manager, "acme"):
             # Exhaust the bucket from other turns' charges.
             manager._buckets["acme"].tokens = 0.0
             # The admitted turn covers its own downstream calls.
@@ -126,7 +139,7 @@ class TestSchedulerIntegration:
     def test_check_rejects_uncovered_exhausted_tenant(self):
         manager = make_manager()
         for _ in range(2):
-            with manager.turn("acme"):
+            with turn(manager, "acme"):
                 pass
         with pytest.raises(TenantThrottled):
             manager.check("acme")
@@ -138,13 +151,13 @@ class TestSchedulerIntegration:
 class TestSnapshot:
     def test_snapshot_rows(self):
         manager = make_manager()
-        with manager.turn("acme"):
+        with turn(manager, "acme"):
             rows = manager.snapshot()
             assert rows["acme"]["inflight"] == 1
             assert rows["acme"]["admitted"] == 1
         with pytest.raises(TenantThrottled):
-            with manager.turn("acme"):
-                with manager.turn("acme"):
+            with turn(manager, "acme"):
+                with turn(manager, "acme"):
                     pass
         assert manager.snapshot()["acme"]["throttled"] >= 1
 
@@ -155,11 +168,11 @@ class TestSnapshot:
             quota_lookup=lambda t: tight if t == "limited" else None,
             clock=FakeClock(),
         )
-        with manager.turn("limited"):
+        with turn(manager, "limited"):
             pass
         with pytest.raises(TenantThrottled):
-            with manager.turn("limited"):
+            with turn(manager, "limited"):
                 pass
         for _ in range(10):
-            with manager.turn("roomy"):
+            with turn(manager, "roomy"):
                 pass

@@ -1,5 +1,6 @@
 """Tests for the server-side session store."""
 
+import contextlib
 import random
 
 import pytest
@@ -29,6 +30,16 @@ def make_store(max_sessions=3, ttl=None, clock=None):
     return SessionStore(
         config, clock=clock or FakeClock(), rng=random.Random(7)
     )
+
+
+@contextlib.contextmanager
+def pinned(store, record):
+    """One turn's pin, as the fabric holds it."""
+    store.pin(record)
+    try:
+        yield
+    finally:
+        store.unpin(record)
 
 
 class TestSessionIds:
@@ -101,7 +112,7 @@ class TestSessionStore:
     def test_pinned_session_never_evicted(self):
         store = make_store(max_sessions=1)
         record = store.create("acme", "chat2db")
-        with store.turn(record):
+        with pinned(store, record):
             newer = store.create("acme", "chat2db")
             # The pinned record survives; the bound is transiently
             # exceeded rather than dropping a session mid-turn.
@@ -115,14 +126,24 @@ class TestSessionStore:
         clock = FakeClock()
         store = make_store(ttl=5.0, clock=clock)
         record = store.create("acme", "chat2db")
-        with store.turn(record):
+        with pinned(store, record):
             clock.advance(60.0)
             assert store.get(record.session_id) is record
+
+    def test_get_pins_under_the_same_lookup(self):
+        store = make_store(max_sessions=1)
+        record = store.create("acme", "chat2db")
+        assert store.get(record.session_id, pin=True) is record
+        assert record.inflight == 1
+        store.create("acme", "chat2db")
+        assert record.session_id in store
+        store.unpin(record)
+        assert record.inflight == 0
 
     def test_drop_refuses_inflight(self):
         store = make_store()
         record = store.create("acme", "chat2db")
-        with store.turn(record):
+        with pinned(store, record):
             with pytest.raises(TenancyError):
                 store.drop(record.session_id)
         store.drop(record.session_id)
