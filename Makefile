@@ -21,6 +21,8 @@ staticcheck:
 staticcheck-baseline:
 	$(PYTHON) -m repro.cli check src/ --write-baseline
 
+# Every bench_*.py drill-down (and the e2e harness's unit tests) in one
+# pytest run: the paper artifacts and every gated bench below.
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q
 
@@ -96,7 +98,7 @@ trace-demo:
 
 # The repo self-check: static analysis over the examples and the
 # source tree itself, doc link integrity, one traced end-to-end
-# request, tier-1, then the cache, serving, resilience, sql engine,
-# engine ablation, tracing overhead, multi-tenant isolation and
-# agent-plan chaos smokes and the full-stack benchmark smoke.
-verify: lint staticcheck docs-check trace-demo test bench-cache bench-serving bench-resilience bench-sqlengine bench-engine-ablation bench-tracing-overhead bench-multitenant bench-agents bench-e2e-smoke
+# request, tier-1, then every bench_*.py drill-down once (`bench`, one
+# pytest run, which also writes the BENCH_*.json artifacts CI
+# re-checks) and the full-stack benchmark smoke.
+verify: lint staticcheck docs-check trace-demo test bench bench-e2e-smoke

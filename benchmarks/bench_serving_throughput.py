@@ -23,7 +23,8 @@ cost per batched sequence — the economics that make micro-batching pay
 on real accelerators). The baseline deploys the same four replicas
 behind the same engine and issues every request from one client
 thread, one at a time (each a cohort of one); measured runs issue the
-same workload through ``LLMClient.generate_many``, timed best-of-three
+same workload as ``asyncio.gather`` over ``LLMClient.agenerate``, at
+most ``concurrency`` in flight behind a semaphore, timed best-of-three
 fresh deployments after an untimed warmup. The inference cache is
 pinned off by the harness conftest and every prompt is distinct, so
 every request reaches a worker. Numbers land in ``BENCH_serving.json``
@@ -32,12 +33,14 @@ is a drill-down bench: the end-to-end serving numbers are
 ``gen_concurrent`` in ``benchmarks/e2e``.
 """
 
+import asyncio
 import json
 import pathlib
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.runtime import run_sync
 from repro.serving import LatencySimModel, ServingConfig
 from repro.smmf import ModelSpec, deploy
 
@@ -81,14 +84,24 @@ def _config():
     )
 
 
+async def _generate_all(client, prompts, concurrency):
+    """Every prompt through ``agenerate``, ``concurrency`` clients at a
+    time; answers align with ``prompts``."""
+    clients = asyncio.Semaphore(concurrency)
+
+    async def one(prompt):
+        async with clients:
+            return await client.agenerate("sim", prompt, task="chat")
+
+    return await asyncio.gather(*(one(prompt) for prompt in prompts))
+
+
 def _run_scheduled(prompts, concurrency):
     """Deploy with the scheduler, push the workload, return metrics."""
     controller, client = deploy(_specs(), serving=_config())
     try:
         start = time.perf_counter()
-        answers = client.generate_many(
-            "sim", prompts, task="chat", max_concurrency=concurrency
-        )
+        answers = run_sync(_generate_all(client, prompts, concurrency))
         elapsed = time.perf_counter() - start
         stats = controller.scheduler.stats()
     finally:

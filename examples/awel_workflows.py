@@ -1,8 +1,8 @@
-"""AWEL in a few lines: batch, branch and stream workflows.
+"""AWEL in a few lines: batch, branch, triggered and stream workflows.
 
 Demonstrates the protocol layer: declaring agentic workflows as DAGs
-of operators, Airflow-style, including the stream mode whose first
-result arrives before the batch would finish.
+of operators, Airflow-style, starting a run from a trigger, and the
+stream mode whose first result arrives before the batch would finish.
 
 Run with::
 
@@ -16,6 +16,7 @@ from repro.awel import (
     BranchOperator,
     InputOperator,
     JoinOperator,
+    ManualTrigger,
     MapOperator,
     ReduceOperator,
     StreamMapOperator,
@@ -82,6 +83,22 @@ def branching_pipeline() -> None:
     print(f"branch large > {run_dag(dag, list(range(10)))}")
 
 
+def triggered_pipeline() -> None:
+    """Airflow-style trigger: each fire is one run with its own payload,
+    and the run's context comes back to the caller."""
+    with DAG("revenue-report") as dag:
+        rows = InputOperator(name="rows")
+        total = MapOperator(
+            lambda rows: sum(amount for _region, amount in rows), name="total"
+        )
+        rows >> total
+
+    trigger = ManualTrigger(dag)
+    for batch in ([("north", 120.0), ("south", 80.0)], [("east", 45.0)]):
+        ctx = trigger.fire(batch)
+        print(f"manual trigger> total {ctx.results['total']}")
+
+
 async def stream_pipeline() -> None:
     """Stream mode: first chart is ready before the last row arrives."""
     rows = [("north", 120.0), ("south", 80.0), ("east", 45.0), ("west", 30.0)]
@@ -108,6 +125,7 @@ def main() -> None:
     dbgpt.register_source(EngineSource(build_sales_database(n_orders=200)))
     batch_pipeline(dbgpt)
     branching_pipeline()
+    triggered_pipeline()
     asyncio.run(stream_pipeline())
 
 

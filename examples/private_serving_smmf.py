@@ -13,6 +13,7 @@ Run with::
 from repro.core import DBGPT, DbGptConfig, ModelConfig
 from repro.datasets import build_sales_database
 from repro.datasources import EngineSource
+from repro.obs import get_registry
 from repro.server import Request
 
 
@@ -36,10 +37,9 @@ def main() -> None:
     print("\n== Load balancing across sql-coder replicas ==")
     for _ in range(6):
         dbgpt.chat("chat2data", "How many orders are there?")
+    served = get_registry().counter("worker_requests_total")
     for record in dbgpt.controller.workers("sql-coder"):
-        count = dbgpt.controller.metrics.worker_requests(
-            record.worker.worker_id
-        )
+        count = int(served.value(worker=record.worker.worker_id))
         print(f"  {record.worker.worker_id}: {count} requests")
 
     print("\n== Failure injection and failover ==")
@@ -49,7 +49,7 @@ def main() -> None:
     print(f"  answer despite crash: {response.text}")
     print(
         "  retries recorded:",
-        dbgpt.controller.metrics.model("sql-coder").retries,
+        dbgpt.model_metrics()["sql-coder"]["retries"],
     )
     healthy = dbgpt.controller.registry.healthy_workers("sql-coder")
     print(f"  healthy sql-coder replicas now: {len(healthy)}")

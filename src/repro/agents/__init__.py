@@ -5,8 +5,9 @@ The paper's module-layer component for complex data interaction tasks
 agents execute each analysis dimension, and an aggregator assembles the
 report — with the *entire communication history archived in local
 storage* (:class:`AgentMemory`), the reliability mechanism the paper
-highlights against MetaGPT/AutoGen. Users can also custom-define agents
-(:class:`AgentRegistry`), the flexibility claim against LlamaIndex.
+highlights against MetaGPT/AutoGen. Users custom-define agents, the
+flexibility claim against LlamaIndex, by subclassing
+:class:`ConversableAgent`.
 """
 
 from repro.agents.actions import Action, ActionResult, ChartAction, SqlAction
@@ -27,7 +28,6 @@ from repro.agents.data_agents import (
 from repro.agents.memory import AgentMemory
 from repro.agents.messages import AgentMessage
 from repro.agents.planner import Plan, PlannerAgent, PlanStep
-from repro.agents.registry import AgentRegistry
 from repro.agents.team import (
     AnalysisReport,
     DataAnalysisTeam,
@@ -42,7 +42,6 @@ __all__ = [
     "AgentMemory",
     "AgentMessage",
     "AgentOperator",
-    "AgentRegistry",
     "ForecastAgent",
     "SeasonalForecaster",
     "build_analysis_dag",

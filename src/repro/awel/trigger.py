@@ -6,7 +6,6 @@ AWEL workflows can be kicked off manually, by an HTTP-shaped request
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.awel.dag import DAG, DAGContext
@@ -14,25 +13,19 @@ from repro.awel.errors import AwelError
 from repro.awel.runner import WorkflowRunner
 
 
-@dataclass
-class TriggerResult:
-    """One fired run."""
-
-    payload: Any
-    context: DAGContext
-
-
 class ManualTrigger:
-    """Fire a DAG on demand with an explicit payload."""
+    """Fire a DAG on demand with an explicit payload.
+
+    A trigger keeps nothing of a run: :meth:`fire` hands the run's
+    context to the caller, so a mounted trigger does not grow per
+    request.
+    """
 
     def __init__(self, dag: DAG) -> None:
         self._runner = WorkflowRunner(dag)
-        self.runs: list[TriggerResult] = []
 
     def fire(self, payload: Any = None) -> DAGContext:
-        ctx = self._runner.run(payload)
-        self.runs.append(TriggerResult(payload, ctx))
-        return ctx
+        return self._runner.run(payload)
 
 
 class HttpTrigger(ManualTrigger):

@@ -4,7 +4,7 @@ Three tiers accelerate the three hot paths of a chat turn (see
 ``docs/caching.md``):
 
 - **inference** — SMMF responses; a cached turn skips the worker pool
-  entirely. Optional embedding-similarity ("semantic") lookup.
+  entirely.
 - **rag** — query embeddings, retrieval results and memoized
   schema-card indexes.
 - **sql** — SELECT results, invalidated by the per-table data versions
@@ -19,7 +19,6 @@ from repro.cache.keys import (
     embedding_key,
     inference_key,
     instance_token,
-    normalize_prompt,
     retrieval_key,
     sql_key,
 )
@@ -29,7 +28,6 @@ from repro.cache.manager import (
     get_cache_manager,
     set_cache_manager,
 )
-from repro.cache.semantic import SemanticPromptIndex
 from repro.cache.store import CacheStats, CacheStore, Uncached
 
 __all__ = [
@@ -37,7 +35,6 @@ __all__ = [
     "CacheManager",
     "CacheStats",
     "CacheStore",
-    "SemanticPromptIndex",
     "TIER_NAMES",
     "TierConfig",
     "Uncached",
@@ -46,7 +43,6 @@ __all__ = [
     "get_cache_manager",
     "inference_key",
     "instance_token",
-    "normalize_prompt",
     "retrieval_key",
     "set_cache_manager",
     "sql_key",

@@ -3,9 +3,8 @@
 Three tiers exist, one per layer the subsystem accelerates:
 
 ``inference``
-    SMMF responses, keyed on (client, model, normalized prompt,
-    generation parameters). Optionally extended with an
-    embedding-similarity ("semantic") lookup.
+    SMMF responses, keyed on (client, model, exact prompt, generation
+    parameters).
 ``rag``
     Query embeddings, retrieval results and memoized schema-card
     indexes, keyed on the owning index plus its mutation version.
@@ -45,7 +44,7 @@ class TierConfig:
 
 @dataclass
 class CacheConfig:
-    """Configuration for every tier plus the semantic lookup.
+    """Configuration for every tier.
 
     Every tier is always on; a tier is sized, never switched off.
     """
@@ -57,13 +56,6 @@ class CacheConfig:
     sql: TierConfig = field(
         default_factory=lambda: TierConfig(capacity=2048)
     )
-    #: When True, an exact inference miss falls back to an
-    #: embedding-similarity search over previously cached prompts.
-    semantic_lookup: bool = False
-    #: Minimum cosine similarity for a semantic hit.
-    semantic_threshold: float = 0.95
-    #: Maximum prompts remembered per (client, model, params) group.
-    semantic_capacity: int = 512
 
     def tier(self, name: str) -> TierConfig:
         if name not in TIER_NAMES:

@@ -28,14 +28,6 @@ def instance_token() -> int:
     return next(_instance_tokens)
 
 
-def normalize_prompt(prompt: str) -> str:
-    """Collapse runs of whitespace so trivially reformatted prompts
-    share a cache entry. Case and content are preserved — they change
-    what a model would generate. ``str.split()`` splits on exactly what
-    the regex ``\\s`` matches: the old ``re.sub`` fold, without a regex."""
-    return " ".join(prompt.split())
-
-
 def freeze_metadata(metadata: Optional[dict[str, Any]]) -> tuple:
     """A hashable, order-insensitive rendering of request metadata."""
     if not metadata:
@@ -51,7 +43,8 @@ def inference_key(
     max_tokens: int,
     metadata: Optional[dict[str, Any]] = None,
 ) -> tuple:
-    """SMMF tier: (client, model, normalized prompt, parameters)."""
+    """SMMF tier: (client, model, parameters, prompt). The prompt is
+    keyed exactly: a whitespace variant is a separate entry."""
     return (
         "llm",
         token,
@@ -59,7 +52,7 @@ def inference_key(
         task or "",
         int(max_tokens),
         freeze_metadata(metadata),
-        normalize_prompt(prompt),
+        prompt,
     )
 
 

@@ -29,7 +29,6 @@ import time
 from typing import Any, Awaitable, Callable, Optional
 
 from repro.cache.config import TIER_NAMES, CacheConfig
-from repro.cache.semantic import SemanticPromptIndex
 from repro.cache.store import CacheStats, CacheStore
 from repro.obs.metrics import Counter, Histogram, MetricHandle
 from repro.obs.span import current_span
@@ -49,10 +48,6 @@ _HIT_LATENCY = MetricHandle(
 _MISS_COMPUTE = MetricHandle(
     Histogram, "cache_miss_compute_ms", "compute latency behind cache misses",
     ("tier", "tenant"),
-)
-_SEMANTIC_HITS = MetricHandle(
-    Counter, "cache_semantic_hits_total",
-    "inference answers served via embedding similarity", ("tier",),
 )
 _EVICTIONS = MetricHandle(
     Counter, "cache_evictions_total", "entries evicted by tier",
@@ -113,12 +108,6 @@ class CacheManager:
                 ttl_seconds=settings.ttl_seconds,
                 clock=clock,
                 on_evict=self._evict_hook(tier),
-            )
-        self.semantic: Optional[SemanticPromptIndex] = None
-        if self.config.semantic_lookup:
-            self.semantic = SemanticPromptIndex(
-                threshold=self.config.semantic_threshold,
-                capacity=self.config.semantic_capacity,
             )
 
     # -- tier access -------------------------------------------------------
@@ -208,18 +197,6 @@ class CacheManager:
                 outcome if earlier is None else f"{earlier},{outcome}"
             )
 
-    def semantic_fetch(self, key: Any) -> tuple[bool, Any]:
-        """Read an exact-store entry found via the semantic index.
-
-        Uses ``peek`` so the alias read does not distort the exact
-        store's hit/miss statistics; a dedicated counter records it.
-        """
-        store = self._store_for("inference", current_tenant())
-        found, value = store.peek(key)
-        if found:
-            _SEMANTIC_HITS.labels("inference")()
-        return found, value
-
     def peek_stale(self, tier: str, key: Any) -> tuple[bool, Any]:
         """Read an entry even if expired, without touching statistics.
 
@@ -252,8 +229,6 @@ class CacheManager:
         for (_tenant, name), store in self._partitions.copy().items():
             if tier is None or name == tier:
                 dropped += store.clear()
-        if self.semantic is not None and tier in (None, "inference"):
-            self.semantic.clear()
         return dropped
 
     def stats(self) -> dict[str, dict[str, Any]]:
@@ -267,8 +242,6 @@ class CacheManager:
                 "ttl_seconds": store.ttl_seconds,
                 **stats.to_dict(),
             }
-        if self.semantic is not None:
-            snapshot["inference"]["semantic_entries"] = len(self.semantic)
         return snapshot
 
     def tenant_stats(self) -> dict[str, dict[str, dict[str, Any]]]:

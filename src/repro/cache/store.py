@@ -157,7 +157,7 @@ class CacheStore:
 
     def peek(self, key: Any) -> tuple[bool, Any]:
         """Like :meth:`lookup` but without touching statistics or LRU
-        order (used by the semantic alias path and by tests)."""
+        order (``in`` uses it)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or self._expired(entry):

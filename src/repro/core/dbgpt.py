@@ -35,6 +35,7 @@ from repro.server.middleware import (
     TracingMiddleware,
 )
 from repro.server.service import DbGptServer
+from repro.smmf.controller import model_metrics
 from repro.smmf.deploy import deploy
 from repro.smmf.spec import ModelSpec
 # A module, not a name: the fabric imports ``repro.core.session``, so
@@ -254,7 +255,7 @@ class DBGPT:
     # -- observability -------------------------------------------------------
 
     def model_metrics(self) -> dict:
-        return self.controller.metrics.snapshot()
+        return model_metrics()
 
     @property
     def tracer(self):

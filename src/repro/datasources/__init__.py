@@ -8,7 +8,6 @@ of backing store. This package provides one uniform interface
 - :class:`EngineSource` — a :class:`repro.sqlengine.Database`
 - :class:`CsvSource` — a directory of CSV files (one table each)
 - :class:`ExcelSource` — a :class:`Workbook` of sheets (chat2excel)
-- :class:`MemorySource` — plain Python records
 
 plus a :class:`DataSourceRegistry` that resolves URI-style connection
 strings (``engine://name``, ``csv:///path``, ...).
@@ -19,7 +18,6 @@ from repro.datasources.csv_source import CsvSource, read_csv_records
 from repro.datasources.engine_source import EngineSource
 from repro.datasources.excel_source import ExcelSource, Sheet, Workbook
 from repro.datasources.inspector import ColumnProfile, profile_source
-from repro.datasources.memory_source import MemorySource
 from repro.datasources.registry import DataSourceRegistry
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "DataSourceRegistry",
     "EngineSource",
     "ExcelSource",
-    "MemorySource",
     "Sheet",
     "TableInfo",
     "Workbook",

@@ -9,13 +9,12 @@ the same improvement mechanism (domain vocabulary acquisition), fully
 measurable with exact-match and execution accuracy.
 """
 
-from repro.hub.adapters import AdapterRegistry, LexiconAdapter
+from repro.hub.adapters import LexiconAdapter
 from repro.hub.dataset import Text2SqlDataset
 from repro.hub.evaluator import EvalReport, evaluate_model
 from repro.hub.trainer import FineTuner, TrainingReport
 
 __all__ = [
-    "AdapterRegistry",
     "EvalReport",
     "FineTuner",
     "LexiconAdapter",

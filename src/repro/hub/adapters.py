@@ -77,29 +77,3 @@ class LexiconAdapter:
             lexicon=merged,
         )
 
-
-class AdapterRegistry:
-    """Named adapter store (per-domain fine-tunes)."""
-
-    def __init__(self) -> None:
-        self._adapters: dict[str, LexiconAdapter] = {}
-
-    def register(self, adapter: LexiconAdapter) -> None:
-        key = adapter.name.lower()
-        if key in self._adapters:
-            raise ValueError(f"adapter {adapter.name!r} already registered")
-        self._adapters[key] = adapter
-
-    def get(self, name: str) -> LexiconAdapter:
-        adapter = self._adapters.get(name.lower())
-        if adapter is None:
-            raise KeyError(
-                f"no adapter named {name!r}; known: {self.names()}"
-            )
-        return adapter
-
-    def names(self) -> list[str]:
-        return sorted(a.name for a in self._adapters.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name.lower() in self._adapters

@@ -1,9 +1,10 @@
 """Unified metrics: counters, gauges and fixed-bucket histograms.
 
-One process-wide :class:`MetricsRegistry` replaces the scattered
-per-module counters (``smmf/metrics.py`` now publishes here). Metric
-instruments are label-aware: each unique label set keeps its own value,
-so ``model_requests_total`` can be read per model and summed overall.
+One process-wide :class:`MetricsRegistry` is the only store of metric
+values; every other view (the SMMF per-model summary among them) is
+derived from it. Metric instruments are label-aware: each unique label
+set keeps its own value, so ``model_requests_total`` can be read per
+model and summed overall.
 
 Everything is dependency-free and deterministic; the snapshot format
 is plain dicts for dashboards, benchmarks and the ``/metrics`` REPL
@@ -75,6 +76,10 @@ class _Sharded:
         with self._lock:
             shards = [shard for _owner, shard in self._shards]
         return self._fold(shards)
+
+    def label_sets(self) -> list[dict[str, str]]:
+        """Every label set recorded so far, as ``{name: value}``."""
+        return [dict(key) for key in self._merged()]
 
     def _fold(self, shards: list[dict]) -> dict:
         # ``dict.copy`` is one step, so an owner's insert cannot race it.

@@ -18,6 +18,9 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from repro.cache.keys import embedding_key
+from repro.cache.manager import get_cache_manager
+
 _WORD = re.compile(r"[a-z0-9]+|[一-鿿]")
 
 #: Process-unique tokens for IDF tables (see ``repro.cache.keys`` for
@@ -131,11 +134,6 @@ class HashingEmbedder:
         """
         if word_weight is not None and cache_tag is None:
             return self.embed(text, word_weight)
-        # Function-level imports: the cache's semantic index imports
-        # this module, so the reverse edge must stay lazy.
-        from repro.cache.keys import embedding_key
-        from repro.cache.manager import get_cache_manager
-
         key = embedding_key(
             self.dim,
             self.use_bigrams,

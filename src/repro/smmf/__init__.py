@@ -24,9 +24,8 @@ from repro.smmf.balancer import (
     RoundRobinBalancer,
 )
 from repro.smmf.client import ClientError, LLMClient
-from repro.smmf.controller import ModelController, SmmfError
+from repro.smmf.controller import ModelController, SmmfError, model_metrics
 from repro.smmf.deploy import deploy
-from repro.smmf.metrics import MetricsCollector
 from repro.smmf.registry import ModelRegistry, WorkerRecord
 from repro.smmf.spec import ModelSpec
 from repro.smmf.worker import ModelWorker, WorkerCrashed
@@ -39,7 +38,6 @@ __all__ = [
     "LLMClient",
     "LeastBusyBalancer",
     "LoadBalancer",
-    "MetricsCollector",
     "ModelController",
     "ModelRegistry",
     "ModelSpec",
@@ -50,4 +48,5 @@ __all__ = [
     "WorkerCrashed",
     "WorkerRecord",
     "deploy",
+    "model_metrics",
 ]

@@ -20,7 +20,7 @@ from repro.serving.scheduler import (
     StreamCancelled,
     StreamClosed,
 )
-from repro.smmf.controller import ModelController, SmmfError
+from repro.smmf.controller import ModelController, SmmfError, model_metrics
 
 
 @dataclass
@@ -92,9 +92,7 @@ class ApiServer:
         if route == ("GET", "/v1/health"):
             return self._health()
         if route == ("GET", "/v1/metrics"):
-            return ApiResponse(
-                200, {"metrics": self.controller.metrics.snapshot()}
-            )
+            return ApiResponse(200, {"metrics": model_metrics()})
         if route == ("GET", "/v1/serving"):
             return self._serving()
         return ApiResponse(

@@ -1,20 +1,17 @@
 """Client SDK applications use to talk to SMMF.
 
-Since the caching PR the client fronts the serving stack with the
-**inference cache tier**: repeated ``generate`` calls with the same
-(model, normalized prompt, parameters) are answered from cache and
-never reach the worker pool. With the optional semantic lookup
-enabled, an exact miss may still be served by the cached answer of a
-sufficiently similar prompt. Cache keys are scoped to one client
-instance, so two serving stacks in one process never share entries.
+The client fronts the serving stack with the **inference cache
+tier**: repeated ``generate``/``agenerate`` calls with the same (model,
+exact prompt, parameters) are answered from cache and never reach the
+worker pool. Cache keys are scoped to one client instance, so two
+serving stacks in one process never share entries. To fan many prompts
+out concurrently, ``asyncio.gather`` their ``agenerate`` calls.
 """
 
 from __future__ import annotations
 
-import contextvars
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Optional, Union
 
 from repro.cache.keys import inference_key, instance_token
@@ -24,7 +21,6 @@ from repro.obs.metrics import Counter, MetricHandle
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.retry import RetryPolicy
 from repro.smmf.api_server import ApiRequest, ApiServer
-from repro.tenancy.context import current_tenant
 
 #: Statuses worth retrying: 429 is scheduler backpressure (comes with
 #: a ``retry_after`` hint), 503 is a transient serving failure (all
@@ -122,77 +118,16 @@ class LLMClient:
         turn = _CachedTurn(
             self, manager, model, prompt, task, max_tokens, metadata
         )
-
-        def compute() -> str:
-            alias = turn.alias()
-            if alias is not None:
-                return alias[0]
-            return turn.learned(
-                self._generate_uncached(
-                    model, prompt, task, max_tokens, metadata, timeout_s
-                )
-            )
-
         try:
-            return manager.cached("inference", turn.key, compute)
+            return manager.cached(
+                "inference",
+                turn.key,
+                lambda: self._generate_uncached(
+                    model, prompt, task, max_tokens, metadata, timeout_s
+                ),
+            )
         except ClientError as exc:
             return turn.stale_or_raise(exc)
-
-    def generate_many(
-        self,
-        model: str,
-        prompts: list[str],
-        task: Optional[str] = None,
-        max_tokens: int = 512,
-        metadata: Optional[dict[str, Any]] = None,
-        timeout_s: Optional[float] = None,
-        max_concurrency: int = 16,
-    ) -> list[str]:
-        """Generate for many prompts concurrently; results align with
-        ``prompts``.
-
-        Requests are issued from a client-side thread pool, so they
-        queue together in the serving engine and coalesce into
-        vectorized worker calls; each request still goes through
-        :meth:`generate`, so the inference cache and its single-flight
-        deduplication apply per prompt. The first failure is re-raised
-        after all requests settle.
-        """
-        if not prompts:
-            return []
-        if len(prompts) == 1:
-            return [
-                self.generate(
-                    model,
-                    prompts[0],
-                    task=task,
-                    max_tokens=max_tokens,
-                    metadata=metadata,
-                    timeout_s=timeout_s,
-                )
-            ]
-        workers = min(max_concurrency, len(prompts))
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="llm-client"
-        ) as pool:
-            futures = []
-            for prompt in prompts:
-                # Propagate the caller's context so spans opened in
-                # pool threads stay children of the current trace.
-                context = contextvars.copy_context()
-                futures.append(
-                    pool.submit(
-                        context.run,
-                        self.generate,
-                        model,
-                        prompt,
-                        task,
-                        max_tokens,
-                        metadata,
-                        timeout_s,
-                    )
-                )
-            return [future.result() for future in futures]
 
     async def agenerate(
         self,
@@ -216,19 +151,14 @@ class LLMClient:
         turn = _CachedTurn(
             self, manager, model, prompt, task, max_tokens, metadata
         )
-
-        async def compute() -> str:
-            alias = turn.alias()
-            if alias is not None:
-                return alias[0]
-            return turn.learned(
-                await self._agenerate_uncached(
-                    model, prompt, task, max_tokens, metadata, timeout_s
-                )
-            )
-
         try:
-            return await manager.acached("inference", turn.key, compute)
+            return await manager.acached(
+                "inference",
+                turn.key,
+                lambda: self._agenerate_uncached(
+                    model, prompt, task, max_tokens, metadata, timeout_s
+                ),
+            )
         except ClientError as exc:
             return turn.stale_or_raise(exc)
 
@@ -426,14 +356,14 @@ class LLMClient:
 
 class _CachedTurn:
     """One inference-tier turn's bookkeeping, shared by ``generate`` and
-    ``agenerate``: the exact key, the semantic alias and the
-    degradation ladder's last rung (stale-on-503)."""
+    ``agenerate``: the key and the degradation ladder's last rung
+    (stale-on-503)."""
 
-    __slots__ = ("client", "manager", "request", "key", "stale", "_group")
+    __slots__ = ("client", "key", "stale")
 
     def __init__(self, client: LLMClient, manager: Any, *request: Any):
         """``request``: ``(model, prompt, task, max_tokens, metadata)``."""
-        self.client, self.manager, self.request = client, manager, request
+        self.client = client
         self.key = inference_key(client._cache_token, *request)
         # Snapshot the cached answer for this exact request — fresh *or
         # expired* — before the lookup can expire-evict it; served only
@@ -443,32 +373,6 @@ class _CachedTurn:
             found, text = manager.peek_stale("inference", self.key)
             if found:
                 self.stale = (text,)
-
-    def alias(self) -> Optional[tuple[str]]:
-        """An exact miss's answer by semantic similarity, as a 1-tuple."""
-        if self.manager.semantic is None:
-            return None
-        model, _prompt, task, max_tokens, _metadata = self.request
-        group = (self.client._cache_token, model, task or "", int(max_tokens))
-        # The semantic index is shared across partitions, so under a
-        # tenant scope the group carries the tenant: one tenant's
-        # prompts can never alias onto another's cached answers.
-        tenant = current_tenant()
-        self._group = group if tenant is None else group + (tenant,)
-        # ``inference_key`` ends with the normalized prompt.
-        alias = self.manager.semantic.find(self._group, self.key[-1])
-        if alias is not None:
-            found, text = self.manager.semantic_fetch(alias)
-            if found:
-                return (text,)
-        return None
-
-    def learned(self, text: _Answer) -> _Answer:
-        """Index a fresh answer under the group :meth:`alias` searched
-        (a degraded, :class:`Uncached` one stays out of the index)."""
-        if self.manager.semantic is not None and isinstance(text, str):
-            self.manager.semantic.add(self._group, self.key[-1], self.key)
-        return text
 
     def stale_or_raise(self, exc: ClientError) -> str:
         if self.stale is None or exc.status != 503:

@@ -8,7 +8,7 @@ from dataclasses import replace
 from typing import Any, Callable, Optional
 
 from repro.llm.base import GenerationRequest, GenerationResponse, LLMError
-from repro.obs.metrics import Counter, MetricHandle
+from repro.obs.metrics import Counter, Histogram, MetricHandle
 from repro.obs.tracer import get_tracer
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.config import ResilienceConfig
@@ -17,7 +17,6 @@ from repro.resilience.retry import RetryPolicy
 from repro.serving.config import ServingConfig
 from repro.serving.engine import RequestScheduler
 from repro.smmf.balancer import LoadBalancer, RoundRobinBalancer
-from repro.smmf.metrics import MetricsCollector
 from repro.smmf.registry import ModelRegistry, WorkerRecord
 from repro.smmf.worker import ModelWorker, WorkerCrashed, WorkerExecution
 
@@ -25,6 +24,63 @@ _FALLBACKS = MetricHandle(
     Counter, "resilience_fallbacks_total",
     "requests degraded to the fallback model", ("model", "fallback"),
 )
+_REQUESTS = MetricHandle(
+    Counter, "model_requests_total", "inference requests per model",
+    ("model", "outcome"),
+)
+_LATENCY = MetricHandle(
+    Histogram, "model_latency_ms", "per-model serving latency", ("model",)
+)
+_RETRIES = MetricHandle(
+    Counter, "model_retries_total", "failover retries per model", ("model",)
+)
+_TOKENS = MetricHandle(
+    Counter, "model_tokens_total", "tokens processed per model",
+    ("model", "kind"),
+)
+_WORKER_REQUESTS = MetricHandle(
+    Counter, "worker_requests_total", "requests served per worker", ("worker",)
+)
+
+
+def _record_success(
+    model: str,
+    worker_id: str,
+    latency_ms: float,
+    response: GenerationResponse,
+    retries: int = 0,
+) -> None:
+    _REQUESTS.labels(model, "success")()
+    _LATENCY.labels(model)(latency_ms)
+    if retries:
+        _RETRIES.labels(model)(retries)
+    _TOKENS.labels(model, "prompt")(response.prompt_tokens)
+    _TOKENS.labels(model, "completion")(response.completion_tokens)
+    _WORKER_REQUESTS.labels(worker_id)()
+
+
+def model_metrics() -> dict[str, dict[str, float]]:
+    """Per-model serving aggregates (``DBGPT.model_metrics()``, ``GET
+    /v1/metrics``), derived from the registry's ``model_*`` series and
+    so process-wide, like every registry series."""
+    requests, latency, retries, tokens = (
+        handle.instrument()
+        for handle in (_REQUESTS, _LATENCY, _RETRIES, _TOKENS)
+    )
+    models = sorted({labels["model"] for labels in requests.label_sets()})
+    return {
+        model: {
+            "requests": int(requests.value(model=model, outcome="success")),
+            "failures": int(requests.value(model=model, outcome="failure")),
+            "retries": int(retries.value(model=model)),
+            "prompt_tokens": int(tokens.value(model=model, kind="prompt")),
+            "completion_tokens": int(
+                tokens.value(model=model, kind="completion")
+            ),
+            "mean_latency_ms": round(latency.mean(model=model), 3),
+        }
+        for model in models
+    }
 
 
 class SmmfError(Exception):
@@ -66,7 +122,6 @@ class ModelController:
     ) -> None:
         self.registry = ModelRegistry(heartbeat_timeout)
         self.balancer = balancer or RoundRobinBalancer()
-        self.metrics = MetricsCollector()
         self.max_retries = max_retries
         self._clock = 0.0
         self._clock_lock = threading.Lock()
@@ -268,22 +323,17 @@ class ModelController:
                 model_name, lambda rec: rec.worker.handle(request)
             )
         except _AllReplicasFailed as exc:
-            self.metrics.record_failure(model_name)
+            _REQUESTS.labels(model_name, "failure")()
             raise self._exhausted_error(model_name, exc.last_error)
         except LLMError:
-            self.metrics.record_failure(model_name)
+            _REQUESTS.labels(model_name, "failure")()
             raise
         if degraded:
             response = replace(response, degraded=True)
             span.set_attribute("degraded", True)
         latency = float(record.metadata.get("latency_ms", 0.0))
-        self.metrics.record_success(
-            model=model_name,
-            worker_id=record.worker.worker_id,
-            latency_ms=latency,
-            prompt_tokens=response.prompt_tokens,
-            completion_tokens=response.completion_tokens,
-            retries=retries,
+        _record_success(
+            model_name, record.worker.worker_id, latency, response, retries
         )
         span.set_attributes(
             worker=record.worker.worker_id, retries=retries
@@ -319,7 +369,7 @@ class ModelController:
                 )
             except _AllReplicasFailed as exc:
                 for _request in requests:
-                    self.metrics.record_failure(model_name)
+                    _REQUESTS.labels(model_name, "failure")()
                 raise self._exhausted_error(
                     model_name, exc.last_error, batch=len(requests)
                 )
@@ -410,7 +460,7 @@ class ExecutionLease:
             raise
         except LLMError:
             self._controller.breakers.record_success(self.worker_id)
-            self._controller.metrics.record_failure(self.model_name)
+            _REQUESTS.labels(self.model_name, "failure")()
             raise
         self._controller.breakers.record_success(self.worker_id)
         if computed:
@@ -431,13 +481,11 @@ class ExecutionLease:
         """Member delivered: worker ``served`` + success metrics."""
         response = self.response(member)
         self._wexec.complete(member)
-        self._controller.metrics.record_success(
-            model=self.model_name,
-            worker_id=self.worker_id,
-            latency_ms=float(self.record.metadata.get("latency_ms", 0.0)),
-            prompt_tokens=response.prompt_tokens,
-            completion_tokens=response.completion_tokens,
-            retries=0,
+        _record_success(
+            self.model_name,
+            self.worker_id,
+            float(self.record.metadata.get("latency_ms", 0.0)),
+            response,
         )
         return response
 
@@ -448,14 +496,8 @@ class ExecutionLease:
         self._wexec.complete_many(members)
         latency = float(self.record.metadata.get("latency_ms", 0.0))
         for member in members:
-            response = self.response(member)
-            self._controller.metrics.record_success(
-                model=self.model_name,
-                worker_id=self.worker_id,
-                latency_ms=latency,
-                prompt_tokens=response.prompt_tokens,
-                completion_tokens=response.completion_tokens,
-                retries=0,
+            _record_success(
+                self.model_name, self.worker_id, latency, self.response(member)
             )
 
     def release(self, member: int, *, cancelled: bool = False) -> None:

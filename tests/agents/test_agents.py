@@ -6,7 +6,6 @@ from repro.agents import (
     AgentError,
     AgentMemory,
     AgentMessage,
-    AgentRegistry,
     AnalystAgent,
     ChartAgent,
     DataAnalysisTeam,
@@ -229,25 +228,6 @@ class TestAnalystAgent:
         )
         reply = agent.generate_reply(message)
         assert "revenue 100" in reply.content
-
-
-class TestAgentRegistry:
-    def test_register_and_create(self):
-        registry = AgentRegistry()
-        registry.register("echo", lambda memory: _EchoAgent(memory))
-        agent = registry.create("echo", memory=AgentMemory())
-        assert agent.name == "echo"
-        assert "echo" in registry
-
-    def test_duplicate_role_rejected(self):
-        registry = AgentRegistry()
-        registry.register("echo", lambda memory: _EchoAgent(memory))
-        with pytest.raises(AgentError):
-            registry.register("ECHO", lambda memory: _EchoAgent(memory))
-
-    def test_unknown_role(self):
-        with pytest.raises(AgentError, match="no agent registered"):
-            AgentRegistry().create("ghost")
 
 
 class TestDataAnalysisTeam:

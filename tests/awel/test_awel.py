@@ -1,6 +1,8 @@
 """Tests for AWEL: DAG construction, operators, streams, triggers."""
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
@@ -328,10 +330,19 @@ class TestTriggers:
         return dag
 
     def test_manual_trigger_records_runs(self):
+        """The run's record is the context ``fire`` returns."""
         trigger = ManualTrigger(self.make_dag())
         ctx = trigger.fire(41)
+        assert ctx.payload == 41
         assert ctx.results["out"] == 42
-        assert len(trigger.runs) == 1
+
+    def test_a_fired_context_dies_with_its_caller(self):
+        trigger = ManualTrigger(self.make_dag())
+        ctx = trigger.fire(41)
+        fired = weakref.ref(ctx)
+        del ctx
+        gc.collect()
+        assert fired() is None
 
     def test_schedule_trigger_interval(self):
         trigger = ScheduleTrigger(self.make_dag(), interval=3, payload=1)

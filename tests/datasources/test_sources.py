@@ -8,7 +8,6 @@ from repro.datasources import (
     DataSourceRegistry,
     EngineSource,
     ExcelSource,
-    MemorySource,
     Sheet,
     Workbook,
     profile_source,
@@ -56,23 +55,6 @@ class TestEngineSource:
 
     def test_has_table_case_insensitive(self, sales_source):
         assert sales_source.has_table("ITEMS")
-
-
-class TestMemorySource:
-    def test_records_queryable(self):
-        source = MemorySource(
-            "mem", {"people": [{"name": "ada", "age": 30}]}
-        )
-        assert source.query("SELECT age FROM people").scalar() == 30
-
-    def test_empty_records_rejected(self):
-        with pytest.raises(DataSourceError):
-            MemorySource("mem", {"empty": []})
-
-    def test_add_table(self):
-        source = MemorySource("mem", {"a": [{"x": 1}]})
-        source.add_table("b", [{"y": 2}])
-        assert source.has_table("b")
 
 
 class TestCsvSource:

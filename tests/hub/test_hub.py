@@ -6,7 +6,6 @@ from repro.datasets import build_spider_database
 from repro.datasets.spider import list_domains
 from repro.datasources import EngineSource
 from repro.hub import (
-    AdapterRegistry,
     FineTuner,
     LexiconAdapter,
     Text2SqlDataset,
@@ -140,24 +139,6 @@ class TestAdapters:
         adapter = LexiconAdapter("clinic-adapter")
         tuned = adapter.apply_to(SqlCoderModel("base"))
         assert tuned.name == "base+clinic-adapter"
-
-    def test_registry(self):
-        registry = AdapterRegistry()
-        adapter = LexiconAdapter("a1")
-        registry.register(adapter)
-        assert registry.get("A1") is adapter
-        assert "a1" in registry
-        assert registry.names() == ["a1"]
-
-    def test_registry_duplicate(self):
-        registry = AdapterRegistry()
-        registry.register(LexiconAdapter("a1"))
-        with pytest.raises(ValueError):
-            registry.register(LexiconAdapter("a1"))
-
-    def test_registry_unknown(self):
-        with pytest.raises(KeyError):
-            AdapterRegistry().get("ghost")
 
 
 class TestCrossDomainGeneralization:

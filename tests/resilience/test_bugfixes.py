@@ -372,7 +372,7 @@ class NamedModel(EchoModel):
 class TestDegradedAnswersAreNotCached:
     @pytest.mark.parametrize("call", ["generate", "agenerate"])
     def test_primary_answers_again_once_it_recovers(self, call):
-        manager = CacheManager(CacheConfig(semantic_lookup=True))
+        manager = CacheManager()
         set_cache_manager(manager)
         controller, client = deploy(
             [
@@ -399,8 +399,7 @@ class TestDegradedAnswersAreNotCached:
         controller.advance_clock(60.0)  # past the probe interval
         assert ask("fresh") == "sql: fresh"
         # The repeat reaches the recovered primary: the fallback's
-        # answer was handed to its caller but never stored or indexed.
+        # answer was handed to its caller but never stored.
         assert ask("q") == "sql: q"
         assert client.degraded_serves == 1
         assert len(manager.store("inference")) == 2
-        assert len(manager.semantic) == 2

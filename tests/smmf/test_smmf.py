@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import DBGPT, DbGptConfig, ModelConfig
 from repro.llm import ChatModel, GenerationRequest
+from repro.obs.metrics import get_registry
 from repro.smmf import (
     ApiRequest,
     ApiServer,
@@ -16,8 +18,9 @@ from repro.smmf import (
     SmmfError,
     WorkerCrashed,
     deploy,
+    model_metrics,
 )
-from repro.resilience import OPEN
+from repro.resilience import OPEN, ResilienceConfig
 from repro.smmf.registry import ModelRegistry, RegistryError
 from repro.smmf.client import ClientError
 
@@ -142,8 +145,9 @@ class TestControllerAndFailover:
         controller, client = deploy([chat_spec(replicas=3)])
         for i in range(6):
             client.generate("chat", f"hi {i}")  # distinct: no cache hits
+        served = get_registry().counter("worker_requests_total")
         counts = [
-            controller.metrics.worker_requests(r.worker.worker_id)
+            served.value(worker=r.worker.worker_id)
             for r in controller.workers("chat")
         ]
         assert counts == [2, 2, 2]
@@ -154,7 +158,7 @@ class TestControllerAndFailover:
         records[0].worker.fail_next = 1
         text = client.generate("chat", "hello")
         assert text
-        assert controller.metrics.model("chat").retries == 1
+        assert model_metrics()["chat"]["retries"] == 1
 
     def test_all_replicas_down_raises(self):
         controller, _client = deploy([chat_spec(replicas=2)])
@@ -229,6 +233,49 @@ class TestApiServerAndClient:
         client.generate("chat", "x")
         metrics = client.metrics()
         assert metrics["chat"]["requests"] == 1
+
+    def test_metrics_endpoint_is_the_registry_summary(self):
+        dbgpt = DBGPT.boot(
+            DbGptConfig(
+                models=[
+                    ModelConfig("chat", "chat", replicas=2, latency_ms=1.23456)
+                ]
+            )
+        )
+        client = dbgpt.client
+        dbgpt.controller.workers("chat")[0].worker.fail_next = 1
+        client.generate("chat", "retried onto the second replica")
+        client.generate("chat", "served first time")
+        with pytest.raises(ClientError):
+            client.generate("ghost", "no such model")
+
+        summary = client.metrics()
+        assert summary == dbgpt.model_metrics()
+        latency = get_registry().histogram("model_latency_ms")
+        tokens = get_registry().counter("model_tokens_total")
+        assert summary["chat"] == {
+            "requests": 2,
+            "failures": 0,
+            "retries": 1,
+            "prompt_tokens": tokens.value(model="chat", kind="prompt"),
+            "completion_tokens": tokens.value(
+                model="chat", kind="completion"
+            ),
+            "mean_latency_ms": round(
+                latency.sum(model="chat") / latency.count(model="chat"), 3
+            ),
+        }
+        assert summary["chat"]["mean_latency_ms"] == 1.235
+        # Each of the client's attempts at the unknown model failed.
+        attempts = ResilienceConfig().retry.max_attempts
+        assert summary["ghost"] == {
+            "requests": 0,
+            "failures": attempts,
+            "retries": 0,
+            "prompt_tokens": 0,
+            "completion_tokens": 0,
+            "mean_latency_ms": 0.0,
+        }
 
     def test_missing_fields_400(self):
         _controller, client = deploy([chat_spec()])
