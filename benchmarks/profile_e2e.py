@@ -29,7 +29,12 @@ of functions ran (:data:`COUNTS`: registry lookups, label sorts, lock
 exits, spans, event loops, asyncio tasks, loop runs,
 ``asyncio.to_thread`` hops, SQL parses,
 plans built, row DISTINCT passes, regex substitutions, prompt contexts
-built, grouped cores built from row 0, clock reads and metric
+built, grouped cores built from row 0, grouped folds — each
+``_fold_groups``, from row 0 or onto a state — scan selections
+(``_selection``, one per columnar scan run), numpy sorts/searches —
+``ndarray.argsort``, ``.sort`` and ``.searchsorted``, which
+``np.argsort``, ``np.unique`` and ``np.searchsorted`` reach, charged by
+name wherever called — clock reads and metric
 records). Call counts do not drift with the machine the way times do,
 so they say where work was saved and compare across sessions. To
 count only the timed region, that mode profiles the main thread's timed ``run_ops``
@@ -72,6 +77,12 @@ COUNTS = (
     ("row DISTINCT passes", "sqlengine/executor.py", "_distinct"),
     ("prompt contexts built", "datasources/base.py", "prompt_context"),
     ("grouped cores from row 0", "sqlengine/executor.py", "_empty_groups"),
+    ("grouped folds", "sqlengine/executor.py", "_fold_groups"),
+    ("scan selections", "sqlengine/executor.py", "_selection"),
+    # ``np.argsort``/``np.unique``/``np.searchsorted`` reach these methods.
+    ("numpy sorts/searches", "~", "<method 'argsort' of 'numpy.ndarray' objects>"),
+    ("numpy sorts/searches", "~", "<method 'sort' of 'numpy.ndarray' objects>"),
+    ("numpy sorts/searches", "~", "<method 'searchsorted' of 'numpy.ndarray' objects>"),
     ("re.Pattern.sub", "~", "<method 'sub' of 're.Pattern' objects>"),
     # Rows sharing a label add up.
     ("clock reads", "repro/runtime.py", "perf_clock"),
@@ -267,9 +278,9 @@ def count_report(result: dict, stats: pstats.Stats, unfinished: int) -> str:
         lines.append(
             f"({unfinished} thread(s) still running at the end were left out)"
         )
-    lines.append(f"{'count':<22} {'calls':>10} {'per op':>9}")
+    lines.append(f"{'count':<24} {'calls':>10} {'per op':>9}")
     for label in calls:
-        lines.append(f"{label:<22} {calls[label]:>10d} {calls[label] / ok:>9.2f}")
+        lines.append(f"{label:<24} {calls[label]:>10d} {calls[label] / ok:>9.2f}")
     return "\n".join(lines)
 
 

@@ -35,22 +35,31 @@ def main() -> None:
         print(f"  {record.worker.worker_id}: model={record.model_name}")
 
     print("\n== Load balancing across sql-coder replicas ==")
-    for _ in range(6):
-        dbgpt.chat("chat2data", "How many orders are there?")
+    questions = [
+        "How many orders are there?",
+        "How many users are there?",
+        "How many products are there?",
+        "What is the total amount of orders?",
+        "What is the average price of products?",
+        "How many orders are there per region?",
+    ]
+    for question in questions:  # all distinct: no cache hits
+        dbgpt.chat("chat2data", question)
     served = get_registry().counter("worker_requests_total")
     for record in dbgpt.controller.workers("sql-coder"):
         count = int(served.value(worker=record.worker.worker_id))
         print(f"  {record.worker.worker_id}: {count} requests")
 
     print("\n== Failure injection and failover ==")
+    # Six requests went round the three replicas twice, so round-robin
+    # sends the next one, a question not asked yet, to the first.
     victim = dbgpt.controller.workers("sql-coder")[0]
     victim.worker.fail_next = 1
-    response = dbgpt.chat("chat2data", "How many users are there?")
-    print(f"  answer despite crash: {response.text}")
-    print(
-        "  retries recorded:",
-        dbgpt.model_metrics()["sql-coder"]["retries"],
-    )
+    response = dbgpt.chat("chat2data", "What is the maximum amount of orders?")
+    retries = dbgpt.model_metrics()["sql-coder"]["retries"]
+    print(f"  {victim.worker.worker_id} crashed; answer: {response.text}")
+    print("  retries recorded:", retries)
+    assert retries >= 1 and response.text, "the injected crash was not failed over"
     healthy = dbgpt.controller.registry.healthy_workers("sql-coder")
     print(f"  healthy sql-coder replicas now: {len(healthy)}")
 
@@ -73,6 +82,7 @@ def main() -> None:
     print("\n== Serving metrics ==")
     for model, metrics in dbgpt.model_metrics().items():
         print(f"  {model}: {metrics}")
+    dbgpt.shutdown()
 
 
 if __name__ == "__main__":

@@ -45,20 +45,18 @@ def numeric(values: list, dtype: type, prior: Optional[tuple]) -> tuple:
 
 
 def dictionary(values: list, prior: Optional[tuple]) -> tuple:
-    """``(codes, distinct)`` extending ``prior`` by ``values``; values
-    equal as dict keys — the row path's grouping and hash-join
-    equality — share a code."""
-    index: dict[Any, int] = {None: -1}
-    if prior is not None:
-        index.update((value, code) for code, value in enumerate(prior[1]))
+    """``(codes, distinct, index)`` extending ``prior`` by ``values``;
+    values equal as dict keys — the row path's grouping and hash-join
+    equality — share a code, which ``index`` holds. It is copied, never
+    mutated (clones share vectors): a copy costs far less than a rebuild."""
+    codes, distinct, index = prior or (np.zeros(0, np.int64), [], {None: -1})
+    index = dict(index)
     try:
-        codes = [index.setdefault(value, len(index) - 1) for value in values]
+        fresh = [index.setdefault(value, len(index) - 1) for value in values]
     except TypeError:  # unhashable
         raise Decline from None
-    codes = np.array(codes, np.int64)
-    if prior is not None:
-        codes = np.append(prior[0], codes)
-    return codes, list(index)[1:]
+    codes = np.append(codes, np.array(fresh, np.int64))
+    return codes, distinct + list(index)[len(distinct) + 1 :], index
 
 
 def distinct_map(
@@ -85,47 +83,65 @@ def distinct_map(
     return lookup[codes + 1]
 
 
-def join(
-    left: np.ndarray, left_values: list, right: np.ndarray, right_values: list
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inner equi-join of two dictionary-coded key columns: aligned
-    entry indices into each side, left entries in order and each one's
-    matches in right order (the hash join's probe order). NULL matches
-    nothing."""
-    index = {value: code for code, value in enumerate(right_values)}
-    probe = np.array(
-        [-1] + [index.get(value, -1) for value in left_values], np.int64
-    )[left + 1]
-    build = np.flatnonzero(right >= 0)
-    build = build[np.argsort(right[build], kind="stable")]
-    keys = right[build]
-    low = np.searchsorted(keys, probe, "left")
-    counts = np.searchsorted(keys, probe, "right") - low
-    starts = np.cumsum(counts) - counts
-    left_index = np.repeat(np.arange(len(probe)), counts)
-    within = np.arange(len(left_index)) - np.repeat(starts, counts)
-    return left_index, build[np.repeat(low, counts) + within]
+def build(codes: np.ndarray, values: list) -> tuple:
+    """A join's build side from its dictionary-coded key: entries with a
+    key in code order, entry order within a code (the hash join's); per
+    code + 1 the ``(start, count)`` of its run there, NULL's empty; each
+    value's code + 1; and the spans per probe code + 1, none yet."""
+    order = np.flatnonzero(codes >= 0)
+    order = order[np.argsort(codes[order], kind="stable")]
+    counts = np.bincount(codes[order] + 1, minlength=len(values) + 1)
+    spans = np.stack([np.cumsum(counts) - counts, counts])
+    found = {value: code + 1 for code, value in enumerate(values)}
+    return order, spans, found, spans[:, :1]
 
 
-def group(
-    keys: list[tuple[np.ndarray, int]], size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group id per entry and the first entry of each group, from
-    ``(codes, code space)`` per key; groups are numbered in order of
-    first appearance, as the row path's dict emits them."""
-    if not keys:
-        return np.zeros(size, np.int64), np.zeros(min(size, 1), np.int64)
-    combined, space = keys[0]
-    for codes, count in keys[1:]:
+def join(codes: np.ndarray, values: list, side: tuple) -> tuple:
+    """Inner equi-join of a dictionary-coded key (``codes`` into
+    ``values``) against a :func:`build` side: the side, its probe spans
+    extended to ``values`` (codes survive appends), and aligned entry
+    indices into each side, matches in the hash join's probe order."""
+    order, spans, found, probe = side
+    if probe.shape[1] <= len(values):
+        extra = [found.get(value, 0) for value in values[probe.shape[1] - 1 :]]
+        probe = np.hstack([probe, spans[:, extra]])
+    low, counts = probe[:, codes + 1]
+    left = np.repeat(np.arange(len(codes)), counts)
+    low = np.repeat(low - np.cumsum(counts) + counts, counts)
+    return (order, spans, found, probe), (left, order[low + np.arange(len(left))])
+
+
+#: Batches this small group by a dict pass, which beats a sort there and
+#: makes no numpy call that releases the GIL (docs/sqlengine.md).
+DICT_PASS = 256
+
+
+def group(keys: list[tuple[np.ndarray, int]], size: int, index: dict) -> tuple:
+    """``index`` (key-id tuple -> group) extended by the batch's new
+    groups in order of first appearance, as the row path's dict numbers
+    them, the group of each entry and the first entry of each new group,
+    from ``(ids, id space)`` per key."""
+    index, known = dict(index), len(index)
+    if size <= DICT_PASS:
+        rows = zip(*[ids.tolist() for ids, _ in keys]) if keys else [()] * size
+        group_of = [index.setdefault(key, len(index)) for key in rows]
+        first = dict(zip(group_of[::-1], range(size - 1, -1, -1)))
+        fresh = [first[new] for new in range(known, len(index))]
+        return index, np.array(group_of, np.int64), fresh
+    combined, space = np.zeros(size, np.int64), 1
+    for ids, count in keys:
         space *= count
         if space >= 2**62:
             raise Decline
-        combined = combined * count + codes
-    _, first, inverse = np.unique(
-        combined, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)  # sorted-code groups by first appearance
-    return np.argsort(order)[inverse], first[order]
+        combined = combined * count + ids
+    _, first, inverse = np.unique(combined, return_index=True, return_inverse=True)
+    rows = list(zip(*[ids[first].tolist() for ids, _ in keys])) or [()] * len(first)
+    first, fresh = first.tolist(), []
+    for at in sorted(range(len(first)), key=first.__getitem__):
+        if rows[at] not in index:
+            index[rows[at]] = len(index)
+            fresh.append(first[at])
+    return index, np.array([index[row] for row in rows], np.int64)[inverse], fresh
 
 
 def fold(

@@ -651,22 +651,25 @@ class Executor:
         layout = RowContext([(scan.binding, column)], [None])
         return self._evaluator.compile(expr, layout)
 
-    def _batch(self, plan: SourcePlan, start=0) -> dict[int, tuple]:
+    def _batch(self, plan: SourcePlan, builds: dict, start=0) -> dict[int, tuple]:
         """Run a columnar source: per scan, keyed by ``id`` in layout
         order, the heap positions of its side of every joined entry; the
-        leftmost scan (every join's probe side) from row ``start`` on."""
+        leftmost scan (every join's probe side) from row ``start`` on.
+        A join's build side is taken from ``builds``, else made there."""
         if isinstance(plan, ScanPlan):
             table = self._storage(plan.table)
             return {id(plan): (table, self._selection(plan, table, start))}
         assert isinstance(plan, JoinPlan) and plan.keys is not None
-        sides = [self._batch(plan.left, start), self._batch(plan.right)]
-        picks = columnar.join(
-            *_gather(sides[0], *plan.keys[0], "dict"),
-            *_gather(sides[1], *plan.keys[1], "dict"),
-        )
+        left = self._batch(plan.left, builds, start)
+        right, side = builds.get(id(plan), (None, None))
+        if right is None:  # the first fold of a state
+            right = self._batch(plan.right, builds)
+            side = columnar.build(*_gather(right, *plan.keys[1], "dict"))
+        side, picks = columnar.join(*_gather(left, *plan.keys[0], "dict"), side)
+        builds[id(plan)] = right, side
         return {
             key: (table, positions[pick])
-            for batch, pick in zip(sides, picks)
+            for batch, pick in zip((left, right), picks)
             for key, (table, positions) in batch.items()
         }
 
@@ -716,7 +719,8 @@ class Executor:
 
     def _fold_groups(self, spec: ColumnarPlan, source: SourcePlan, state, rows):
         """The :class:`_GroupState` with leftmost heap rows to ``rows`` in."""
-        batch = self._batch(source, state.folded)
+        builds = dict(state.builds)  # the state is replaced, never mutated
+        batch = self._batch(source, builds, state.folded)
         keys, ids = [], []
         for (scan, column, expr), known in zip(spec.keys, state.ids):
             codes, values = _gather(batch, scan, column, "dict")
@@ -735,15 +739,7 @@ class Executor:
                 keys.append((codes, len(known)))
             ids.append(known)
         size = len(next(iter(batch.values()))[1])
-        local, first = columnar.group(keys, size)
-        starts = list(zip(*[codes[first].tolist() for codes, _ in keys]))
-        starts = starts or [()] * len(first)  # no GROUP BY: one group
-        index, fresh = dict(state.index), []
-        for at, key in zip(first.tolist(), starts):
-            if key not in index:
-                index[key] = len(index)
-                fresh.append(at)
-        group_of = np.array([index[key] for key in starts], np.int64)[local]
+        index, group_of, fresh = columnar.group(keys, size, state.index)
         groups = max(len(index), 0 if spec.keys else 1)
         partials = []
         for (name, target), partial in zip(spec.aggregates, state.partials):
@@ -765,7 +761,9 @@ class Executor:
         ]
         firsts = state.firsts + [sum(entry, ()) for entry in zip(*parts)]
         partials = tuple(partials)
-        return _GroupState(state.tag, rows, index, tuple(ids), firsts, partials)
+        return _GroupState(
+            state.tag, rows, index, tuple(ids), firsts, partials, builds
+        )
 
     def _access_rows(
         self,
@@ -1168,10 +1166,16 @@ class _GroupState(NamedTuple):
     ids: tuple  # per key: None for a column, else its result -> id
     firsts: list  # per group: its first entry's heap rows
     partials: tuple  # per aggregate: its :func:`columnar.fold` partial
+    #: Per join ``id``: its right side's batch and :func:`columnar.build`
+    #: side, sized by the right tables, which the tag pins.
+    builds: dict
 
     def nbytes(self) -> int:
         held = [self.index, self.firsts, *filter(None, self.ids)]
         held += [a for p in self.partials for a in p[:2] if a is not None]
+        for right, side in self.builds.values():
+            held += [positions for _table, positions in right.values()]
+            held += side
         return sum(sys.getsizeof(item) for item in held)
 
 
@@ -1179,7 +1183,7 @@ def _empty_groups(spec: ColumnarPlan, tag: tuple) -> _GroupState:
     """A state with nothing folded in: the core is built from row 0."""
     ids = tuple(None if type(k[2]) is nodes.ColumnRef else {} for k in spec.keys)
     empty = ((np.zeros(0, np.int64), None, 0, 0),) * len(spec.aggregates)
-    return _GroupState(tag, 0, {}, ids, [], empty)
+    return _GroupState(tag, 0, {}, ids, [], empty, {})
 
 
 def _group_rows(spec: ColumnarPlan, state: _GroupState, tables: list) -> list:

@@ -87,7 +87,7 @@ class Table:
             self._vectors[(column, kind)] = (len(self._rows), vector)
         if vector is None:
             raise columnar.Decline
-        return vector
+        return vector[:2]  # a dictionary keeps its value index to itself
 
     def insert(self, values: Iterable[Any]) -> None:
         row = self._validate_row(tuple(values))

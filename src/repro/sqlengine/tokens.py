@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class TokenType(enum.Enum):
@@ -43,9 +42,9 @@ SINGLE_CHAR_OPERATORS = frozenset("+-*/%=<>")
 PUNCTUATION = frozenset("(),.;")
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token.
+class Token(NamedTuple):
+    """A single lexical token; a tuple, which the lexer builds faster
+    than a frozen dataclass.
 
     ``value`` holds the normalized payload: upper-cased keyword text,
     the raw identifier, a Python int/float for numbers, or the unescaped

@@ -10,7 +10,10 @@ equal a fresh recompute exactly — values, Python types, row order —
 and stdlib ``sqlite3`` as a multiset.
 """
 
+import collections
+import cProfile
 import functools
+import pstats
 import sqlite3
 import sys
 import threading
@@ -27,7 +30,7 @@ from hypothesis.stateful import (
 )
 
 from repro.sqlengine import Database, parse_sql
-from repro.sqlengine import executor
+from repro.sqlengine import columnar, executor
 
 FACT = "CREATE TABLE fact (id INTEGER, k INTEGER, q INTEGER, x REAL, g TEXT)"
 DIM = "CREATE TABLE dim (k INTEGER, label TEXT, w INTEGER)"
@@ -49,6 +52,12 @@ SHAPES = (
     "SELECT dim.label, SUM(fact.q) FROM dim JOIN fact ON dim.k = fact.k "
     "GROUP BY dim.label",
     "SELECT label, COUNT(*), AVG(w) FROM dim WHERE w > 0 GROUP BY label",
+)
+
+#: Bare columns read the group's first entry (sqlite picks any row).
+FIRST_ENTRY = (
+    "SELECT fact.g, fact.id, dim.w, COUNT(*) FROM fact "
+    "JOIN dim ON fact.k = dim.k GROUP BY fact.g"
 )
 
 fact_rows = st.lists(
@@ -225,13 +234,29 @@ class TestFolding:
 
     def test_appended_rows_fold_into_the_state(self, builds):
         db = dashboard_db()
+        db.execute("INSERT INTO fact VALUES (200, 7, 3, 0.5, 'b')")  # no dim.k
+        db.execute("INSERT INTO dim VALUES (9, 'z', 2)")  # no fact.k yet
         db.execute(self.SQL)
         assert len(builds) == 1
-        db.execute("INSERT INTO fact VALUES (200, 1, 3, 0.75, 'a')")
-        served = db.execute(self.SQL).rows
-        assert len(builds) == 1  # folded, not rebuilt
-        fresh = db.execute_statement(parse_sql(self.SQL)).rows
-        assert repr(served) == repr(fresh)
+        # fact.k: matched; new to its dictionary but in dim; NULL; new
+        # and not in dim; known but not in dim; the new key once more.
+        for id, k in enumerate((1, 9, None, 8, 7, 9), 201):
+            db.execute("INSERT INTO fact VALUES (?, ?, 3, 0.75, 'a')", (id, k))
+            built = len(builds)
+            served = db.execute(self.SQL).rows
+            assert len(builds) == built  # folded, not rebuilt
+            fresh = db.execute_statement(parse_sql(self.SQL)).rows
+            assert repr(served) == repr(fresh), k
+
+    def test_a_fold_reads_only_the_fact_rows_and_sorts_nothing(self):
+        db = dashboard_db()
+        db.execute(self.SQL)
+        db.insert_rows("fact", [(200 + i, i % 7, 1, 0.5, "a") for i in range(20)])
+        calls = profiled_calls(lambda: db.execute(self.SQL))
+        assert calls["_fold_groups"] == 1
+        assert calls["_selection"] == 1  # the fact scan; dim is on the state
+        for method in ("argsort", "sort", "searchsorted"):
+            assert calls[f"<method '{method}' of 'numpy.ndarray' objects>"] == 0
 
     @pytest.mark.parametrize(
         "write",
@@ -254,12 +279,16 @@ class TestFolding:
 
     def test_state_grows_with_groups_not_rows(self):
         db = dashboard_db()
-        sql = "SELECT g, SUM(q), MIN(x) FROM fact GROUP BY g"
+        sql = (
+            "SELECT dim.label, SUM(fact.q), MIN(fact.x) FROM fact "
+            "JOIN dim ON fact.k = dim.k GROUP BY dim.label"
+        )
         db.execute(sql)
         (state,) = grouped_states(db)
+        assert state.builds  # the join's build side is held, and counted
         before = state.nbytes()
         db.insert_rows(
-            "fact", [(i, 1, 2, 0.5, "ab"[i % 2]) for i in range(200, 5200)]
+            "fact", [(i, i % 5, 2, 0.5, "ab"[i % 2]) for i in range(200, 5200)]
         )
         db.execute(sql)
         (state,) = grouped_states(db)
@@ -276,6 +305,44 @@ class TestFolding:
             assert db.execute(sql, (bound,)).rows == db.execute_statement(
                 parse_sql(sql), (bound,)
             ).rows
+
+
+@pytest.mark.parametrize("dict_pass", [0, 10**6])
+def test_sorted_and_dict_grouping_answer_as_the_row_pipeline(
+    monkeypatch, dict_pass
+):
+    """Every batch grouped by a sort (a 0-row dict-pass bound) or by a
+    dict pass: each shape built over 600 rows and then folded must be
+    the row pipeline's answer, bit for bit (``i / 10`` sums round), and
+    a bare column must come from its group's first entry."""
+    monkeypatch.setattr(columnar, "DICT_PASS", dict_pass)
+    ours, rows = Database("ours"), Database("rows", optimize=False)
+    fact = [
+        (i, None if i % 11 == 0 else i % 6, i % 7 - 3, i / 10, "ab"[i % 2])
+        for i in range(600)
+    ]
+    dim = [(k % 5, "nse"[k % 3] if k % 4 else None, k % 3) for k in range(7)]
+    for db in (ours, rows):
+        db.execute(FACT)
+        db.execute(DIM)
+        db.insert_rows("dim", dim)
+        db.insert_rows("fact", fact)
+    for appended in ([], [(600 + i, i % 9, i, 0.3, "b") for i in range(30)]):
+        for db in (ours, rows):
+            db.insert_rows("fact", appended)
+        for sql in SHAPES + (FIRST_ENTRY,):
+            assert repr(ours.execute(sql).rows) == repr(rows.execute(sql).rows)
+
+
+def profiled_calls(run):
+    """Calls by function name made while ``run`` runs: ``cProfile``
+    counts the ``ndarray`` methods, which cannot be patched."""
+    profile = cProfile.Profile()
+    profile.runcall(run)
+    calls = collections.Counter()
+    for (_file, _line, name), row in pstats.Stats(profile).stats.items():
+        calls[name] += row[1]
+    return calls
 
 
 def grouped_states(db):
