@@ -34,8 +34,8 @@ built, grouped cores built from row 0, grouped folds — each
 (``_selection``, one per columnar scan run), numpy sorts/searches —
 ``ndarray.argsort``, ``.sort`` and ``.searchsorted``, which
 ``np.argsort``, ``np.unique`` and ``np.searchsorted`` reach, charged by
-name wherever called — clock reads and metric
-records). Call counts do not drift with the machine the way times do,
+name wherever called — clock reads, metric records and label
+resolutions (``MetricHandle.labels``)). Call counts do not drift with the machine the way times do,
 so they say where work was saved and compare across sessions. To
 count only the timed region, that mode profiles the main thread's timed ``run_ops``
 and the threads started inside it — the client threads — and leaves
@@ -89,6 +89,7 @@ COUNTS = (
     ("clock reads", "repro/runtime.py", "mono_clock"),
     ("metric records", "obs/metrics.py", "_add"),
     ("metric records", "obs/metrics.py", "_observe"),
+    ("label resolutions", "obs/metrics.py", "labels"),
 )
 
 

@@ -29,7 +29,7 @@ from repro.cache.keys import instance_token
 from repro.datasources.base import DataSource
 from repro.obs.metrics import Counter, Histogram, MetricHandle
 from repro.obs.tracer import get_tracer
-from repro.runtime import perf_clock, run_sync
+from repro.runtime import run_sync
 from repro.smmf.client import ClientError
 from repro.viz.dashboard import Dashboard
 
@@ -43,11 +43,10 @@ _process_seed = int.from_bytes(os.urandom(8), "big")
 #: (the client has already exhausted its own per-call retry budget).
 _RESENDABLE_STATUSES = frozenset({408, 429, 500, 502, 503, 504})
 
-_PLANS = MetricHandle(
-    Counter, "agent_plans_total", "analysis plan runs by outcome", ("status",)
-)
+#: ``status``: ``ok``, ``degraded`` (recorded failures) or ``error``.
 _PLAN_LATENCY = MetricHandle(
-    Histogram, "agent_plan_latency_ms", "wall time of one full analysis plan"
+    Histogram, "agent_plan_latency_ms", "wall time of one full analysis plan",
+    ("status",),
 )
 _PLAN_RETRIES = MetricHandle(
     Counter, "agent_plan_retries_total",
@@ -158,14 +157,14 @@ class DataAnalysisTeam:
     async def arun(self, goal: str) -> AnalysisReport:
         """Async analysis run — concurrent teams share serving batches."""
         conversation_id = new_conversation_id(self._rng)
-        started = perf_clock()
         degraded_before = getattr(self.llm_client, "degraded_serves", 0)
-        status = "error"
-        try:
-            with get_tracer().span(
-                "agent.plan", conversation=conversation_id, goal=goal
-            ):
-                report = await self._arun(goal, conversation_id)
+        with get_tracer().span(
+            "agent.plan",
+            _PLAN_LATENCY.labels,
+            conversation=conversation_id,
+            goal=goal,
+        ) as span:
+            report = await self._arun(goal, conversation_id)
             degraded = (
                 getattr(self.llm_client, "degraded_serves", 0)
                 - degraded_before
@@ -175,11 +174,8 @@ class DataAnalysisTeam:
                     f"degraded: {degraded} response(s) served by the "
                     "fallback model"
                 )
-            status = "degraded" if report.failures else "ok"
-            return report
-        finally:
-            _PLANS.labels(status)()
-            _PLAN_LATENCY.labels()((perf_clock() - started) * 1000.0)
+            span.set_outcome("degraded" if report.failures else "ok")
+        return report
 
     async def _arun(self, goal: str, conversation_id: str) -> AnalysisReport:
         plan_reply = await self._request_plan(goal, conversation_id)

@@ -1,8 +1,8 @@
 """Shared application interface.
 
 Every concrete application's ``chat`` is automatically wrapped with a
-root ``app.chat`` span (one per user turn) plus request/latency
-metrics, so nothing in the subclasses needs to know observability
+root ``app.chat`` span (one per user turn) plus a latency metric by
+outcome, so nothing in the subclasses needs to know observability
 exists — see ``docs/observability.md`` for the span and metric names.
 """
 
@@ -13,15 +13,14 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.obs.metrics import Counter, Histogram, MetricHandle
+from repro.obs.metrics import Histogram, MetricHandle
 from repro.obs.tracer import get_tracer
 from repro.tenancy.context import current_tenant
 
-_REQUESTS = MetricHandle(
-    Counter, "app_requests_total", "chat turns per application", ("app", "ok")
-)
+#: ``ok``: the answer's (``true``/``false``), or ``error`` if it raised.
 _LATENCY = MetricHandle(
-    Histogram, "app_latency_ms", "end-to-end chat turn latency", ("app",)
+    Histogram, "app_latency_ms", "end-to-end chat turn latency",
+    ("app", "ok"),
 )
 
 
@@ -47,7 +46,7 @@ def _traced_chat(chat: Callable[..., "AppResponse"]) -> Callable:
     def wrapped(self: "Application", text: str) -> "AppResponse":
         with get_tracer().span(
             "app.chat",
-            _LATENCY.labels(self.name),
+            functools.partial(_LATENCY.labels, self.name),
             app=self.name,
             chars=len(text),
         ) as span:
@@ -58,7 +57,7 @@ def _traced_chat(chat: Callable[..., "AppResponse"]) -> Callable:
                 span.set_attribute("tenant", tenant)
             response = chat(self, text)
             span.set_attribute("ok", response.ok)
-        _REQUESTS.labels(self.name, str(response.ok).lower())()
+            span.set_outcome(str(response.ok).lower())
         return response
 
     wrapped.__obs_wrapped__ = True
@@ -70,7 +69,7 @@ class Application(abc.ABC):
 
     Subclasses implement ``chat``; at class-creation time the
     implementation is wrapped so every turn opens one root span and
-    records request/latency metrics. The wrap only applies to ``chat``
+    records its latency by outcome. The wrap only applies to ``chat``
     defined in that class body, so inherited (already wrapped)
     implementations are not double-counted.
     """

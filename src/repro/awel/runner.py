@@ -21,13 +21,10 @@ _DAG_RUNS = MetricHandle(
     Counter, "awel_dag_runs_total", "DAG executions by outcome",
     ("dag", "status"),
 )
+#: ``status``: ``ok``, or ``error`` when the operator raised.
 _OPERATOR_LATENCY = MetricHandle(
     Histogram, "awel_operator_latency_ms",
-    "wall time of one operator execution", ("type",),
-)
-_OPERATOR_RUNS = MetricHandle(
-    Counter, "awel_operator_runs_total",
-    "operator executions by type and mode", ("type", "mode"),
+    "wall time of one operator execution", ("type", "mode", "status"),
 )
 
 
@@ -42,8 +39,10 @@ class _Step:
         self.downstream = tuple(dag.downstream_of(node.node_id))
         self.is_join = isinstance(node, JoinOperator)
         self.is_branch = isinstance(node, BranchOperator)
-        self.latency = _OPERATOR_LATENCY.labels(kind)
-        self.runs = _OPERATOR_RUNS.labels(kind, mode)
+        self.latency = {
+            status: _OPERATOR_LATENCY.labels(kind, mode, status)
+            for status in ("ok", "error")
+        }.__getitem__
         self.attributes = {
             "operator": node.node_id, "type": kind, "mode": mode
         }
@@ -165,7 +164,6 @@ class WorkflowRunner:
                             "awel.operator", step.latency, **step.attributes
                         ):
                             value = await step.node.execute(ctx, inputs)
-                        step.runs()
                         if step.is_branch:
                             chosen = step.node.choose(value)
                             not_taken.update(

@@ -37,10 +37,7 @@ from repro.tenancy.context import current_tenant
 
 # The ``tenant`` label exists only for tenant-scoped lookups (a None
 # value drops it), so untenanted label sets match pre-tenancy builds.
-_REQUESTS = MetricHandle(
-    Counter, "cache_requests_total", "cache lookups by tier and outcome",
-    ("tier", "outcome", "tenant"),
-)
+# Each lookup is observed once: a hit (coalesced waiters too) or a miss.
 _HIT_LATENCY = MetricHandle(
     Histogram, "cache_hit_latency_ms", "latency of cache hits",
     ("tier", "tenant"),
@@ -183,7 +180,6 @@ class CacheManager:
     ) -> None:
         elapsed_ms = (perf_clock() - started) * 1000.0
         outcome = "hit" if hit else "miss"
-        _REQUESTS.labels(tier, outcome, tenant)()
         if hit:
             _HIT_LATENCY.labels(tier, tenant)(elapsed_ms)
         else:

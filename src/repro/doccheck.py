@@ -7,11 +7,18 @@ link appears in. External (``http(s)://``, ``mailto:``) and
 in-page (``#anchor``) links are skipped; a ``path#anchor`` target is
 checked for the path part only.
 
+An ``observability.md`` among the files also has its metric table
+(the ``### Exported metric names`` section) checked against the
+metrics the ``repro`` package declares, as the OBS staticcheck rules
+read them: every declared metric must have a row and every row a
+declaration, and a ``MetricHandle``'s row lists its label names in
+their declared order.
+
 Run::
 
     python -m repro.doccheck README.md docs
 
-Exit status is the number of broken links (0 == everything resolves).
+Exit status is the number of problems (0 == everything resolves).
 """
 
 from __future__ import annotations
@@ -20,6 +27,10 @@ import pathlib
 import re
 import sys
 from typing import Optional
+
+import repro
+from repro.staticcheck.model import load_project
+from repro.staticcheck.rules.obs import declared_metrics
 
 #: Inline links. The target group stops at the first ')' or whitespace,
 #: which is enough for the plain relative links this repo uses.
@@ -31,6 +42,15 @@ _REF_LINK = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 _CODE_FENCE = re.compile(r"```.*?```", re.DOTALL)
 
 _SKIP_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
+
+#: The metric table's section, up to the next heading.
+_METRIC_SECTION = re.compile(
+    r"^### Exported metric names\n(.*?)(?=^#)", re.MULTILINE | re.DOTALL
+)
+#: ``| `name` | kind | labels | meaning |``
+_METRIC_ROW = re.compile(
+    r"^\|\s*`([a-z][a-z0-9_]*)`\s*\|[^|]*\|([^|]*)\|", re.MULTILINE
+)
 
 
 def iter_links(markdown: str) -> list[str]:
@@ -53,6 +73,38 @@ def check_file(path: pathlib.Path) -> list[str]:
         if not (path.parent / resolved).exists():
             broken.append(target)
     return broken
+
+
+def documented_metrics(markdown: str) -> dict[str, tuple[str, ...]]:
+    """``{name: label names}`` from the metric table."""
+    section = _METRIC_SECTION.search(markdown + "\n#")
+    rows = _METRIC_ROW.findall(section.group(1)) if section else []
+    return {
+        name: tuple(re.findall(r"`(\w+)`", labels)) for name, labels in rows
+    }
+
+
+def check_metric_table(doc: pathlib.Path, sources: list[str]) -> list[str]:
+    """Where ``doc``'s metric table and the metrics ``sources``
+    declare disagree, one line each."""
+    documented = documented_metrics(doc.read_text(encoding="utf-8"))
+    declared = declared_metrics(load_project(sources))
+    problems = [
+        f"metric {name!r} is declared in the source but not documented"
+        for name in sorted(declared.keys() - documented.keys())
+    ]
+    problems += [
+        f"metric {name!r} is documented but not declared in the source"
+        for name in sorted(documented.keys() - declared.keys())
+    ]
+    for name in sorted(declared.keys() & documented.keys()):
+        labels = declared[name]
+        if labels is not None and labels != documented[name]:
+            problems.append(
+                f"metric {name!r} declares labels {list(labels)}, "
+                f"documented as {list(documented[name])}"
+            )
+    return problems
 
 
 def collect_markdown(paths: list[str]) -> list[pathlib.Path]:
@@ -91,9 +143,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         for target in check_file(path):
             print(f"{path}: broken link -> {target}")
             failures += 1
+        if path.name == "observability.md":
+            package = pathlib.Path(repro.__file__).parent
+            for problem in check_metric_table(path, [str(package)]):
+                print(f"{path}: {problem}")
+                failures += 1
     print(
         f"doccheck: {len(files)} files, {checked_links} relative links, "
-        f"{failures} broken"
+        f"{failures} problems"
     )
     return failures
 

@@ -4,8 +4,9 @@ A :class:`Span` records what ran (``name``), where it sits in the
 request tree (``trace_id``/``span_id``/``parent_id``), when it ran
 (monotonic ``start``/``end``) and how it went (``status`` plus the
 exception type on error paths). A span given a latency recorder feeds
-its own duration to it on a clean exit, so a block that is both traced
-and timed reads the clock twice, not four times. The span is its own
+its own duration, on exit, to the histogram the recorder picks for the
+span's outcome (set by the block, ``error`` if it raised), so a block
+that is both traced and timed reads the clock twice. The span is its own
 context manager — ``with tracer.span(...)`` enters it onto the
 context-local stack and closing (including on the exception path)
 happens in ``__exit__`` — so the hot path pays no extra wrapper
@@ -47,7 +48,7 @@ class Span:
     __slots__ = (
         "name", "trace_id", "span_id", "parent_id", "start", "end",
         "status", "attributes", "error_type", "_tracer", "_token",
-        "_latency",
+        "_latency", "_outcome",
     )
 
     def __init__(
@@ -76,9 +77,10 @@ class Span:
         #: Owning tracer + context token, set by ``Tracer.span`` / enter.
         self._tracer: Any = None
         self._token: Any = None
-        #: A bound latency histogram (``MetricHandle.labels(...)``) that
-        #: a clean exit feeds this span's duration in milliseconds.
-        self._latency: Optional[Callable[[float], None]] = None
+        #: Maps the outcome to the bound histogram that the exit feeds
+        #: this span's duration in milliseconds.
+        self._latency: Optional[Callable[[str], Callable]] = None
+        self._outcome = STATUS_OK
 
     @property
     def ended(self) -> bool:
@@ -96,6 +98,10 @@ class Span:
 
     def set_attributes(self, **attributes: Any) -> None:
         self.attributes.update(attributes)
+
+    def set_outcome(self, outcome: str) -> None:
+        """The latency's outcome label (a raise records ``error``)."""
+        self._outcome = outcome
 
     def finish(
         self,
@@ -121,13 +127,13 @@ class Span:
         if self.end is None:
             self.end = mono_clock()
         if exc_type is not None:
-            self.status = STATUS_ERROR
+            self.status = self._outcome = STATUS_ERROR
             self.error_type = exc_type.__name__
-        elif self._latency is not None:
-            self._latency((self.end - self.start) * 1000.0)
         if self._token is not None:
             _current_span.reset(self._token)
             self._token = None
+        if self._latency is not None:
+            self._latency(self._outcome)((self.end - self.start) * 1000.0)
         if self._tracer is not None:
             self._tracer._record(self)
         return False
@@ -190,6 +196,9 @@ class NoopSpan:
     def set_attributes(self, **attributes: Any) -> None:
         pass
 
+    def set_outcome(self, outcome: str) -> None:
+        pass
+
     def finish(self, status=None, error_type=None) -> None:
         pass
 
@@ -207,13 +216,18 @@ NOOP_SPAN = NoopSpan()
 class TimingSpan(NoopSpan):
     """What a disabled tracer hands out for a span that carries a
     latency recorder: no trace and no parent, only the latency, which
-    a clean exit observes as an enabled span's would."""
+    the exit observes under the outcome as an enabled span's would."""
 
-    def __init__(self, latency: Callable[[float], None]) -> None:
+    _outcome = STATUS_OK
+
+    def __init__(self, latency: Callable[[str], Callable]) -> None:
         self._latency = latency
         self.start = mono_clock()
 
+    def set_outcome(self, outcome: str) -> None:
+        self._outcome = outcome
+
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            self._latency((mono_clock() - self.start) * 1000.0)
+        outcome = self._outcome if exc_type is None else STATUS_ERROR
+        self._latency(outcome)((mono_clock() - self.start) * 1000.0)
         return False

@@ -56,7 +56,7 @@ class Tracer:
     def span(
         self,
         name: str,
-        latency: Optional[Callable[[float], None]] = None,
+        latency: Optional[Callable[[str], Callable]] = None,
         **attributes: Any,
     ) -> Any:
         """A context manager opening a child span of the current context
@@ -64,9 +64,10 @@ class Tracer:
 
         On a raising block the span still ends — with ``status="error"``
         and the exception class name recorded — and the exception
-        propagates unchanged. ``latency`` (a bound histogram, e.g.
-        ``MetricHandle.labels(...)``) receives the span's duration in
-        milliseconds when the block exits cleanly. While the tracer is
+        propagates unchanged. ``latency`` maps the outcome — what the
+        block passed to ``span.set_outcome``, else ``"ok"``, or
+        ``"error"`` when it raised — to a bound histogram, which the
+        exit feeds the span's duration in milliseconds. While the tracer is
         disabled the shared :data:`~repro.obs.span.NOOP_SPAN` is returned
         instead, or a :class:`~repro.obs.span.TimingSpan` when a
         ``latency`` is given, so the metric is recorded either way.

@@ -4,21 +4,19 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import partial
 
-from repro.obs.metrics import Counter, Histogram, MetricHandle
+from repro.obs.metrics import Histogram, MetricHandle
 from repro.obs.tracer import get_tracer
 from repro.rag.embedder import HashingEmbedder
 from repro.rag.graph_index import GraphIndex
 from repro.rag.inverted_index import InvertedIndex
 from repro.rag.vectorstore import VectorStore
 
-_RETRIEVALS = MetricHandle(
-    Counter, "rag_retrievals_total", "retrieval calls per strategy",
-    ("strategy",),
-)
+#: ``status``: ``ok``, or ``error`` when the retrieval raised.
 _LATENCY = MetricHandle(
     Histogram, "rag_retrieval_latency_ms", "retrieval latency per strategy",
-    ("strategy",),
+    ("strategy", "status"),
 )
 _CANDIDATES = MetricHandle(
     Histogram, "rag_candidates", "candidates returned per retrieval",
@@ -65,13 +63,12 @@ def _traced_retrieve(retrieve):
     ) -> list[RetrievalHit]:
         with get_tracer().span(
             "rag.retrieve",
-            _LATENCY.labels(self.name),
+            partial(_LATENCY.labels, self.name),
             strategy=self.name,
             k=k,
         ) as span:
             hits = retrieve(self, query, k=k)
             span.set_attribute("candidates", len(hits))
-        _RETRIEVALS.labels(self.name)()
         _CANDIDATES.labels(self.name)(len(hits))
         return hits
 

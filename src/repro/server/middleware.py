@@ -3,22 +3,21 @@
 from __future__ import annotations
 
 import abc
+from functools import partial
 from typing import Callable, Optional
 
-from repro.obs.metrics import Counter, Histogram, MetricHandle
+from repro.obs.metrics import Histogram, MetricHandle
 from repro.obs.tracer import get_tracer
 from repro.rag.privacy import PrivacyScrubber
 from repro.server.request import Request, Response, error
 
 Handler = Callable[[Request], Response]
 
-_REQUESTS = MetricHandle(
-    Counter, "server_requests_total", "requests through the server router",
-    ("method", "path", "status"),
-)
+#: ``status``: the HTTP status, or ``error`` when the handler raised.
 _LATENCY = MetricHandle(
     Histogram, "server_latency_ms",
-    "request latency through the middleware chain", ("path",),
+    "request latency through the middleware chain",
+    ("method", "path", "status"),
 )
 
 
@@ -35,21 +34,19 @@ class TracingMiddleware(Middleware):
 
     Installed outermost by default (see ``DBGPT.server``) so every
     other middleware and the application handler nest inside it; also
-    records request-count and latency metrics per route.
+    records each request's latency by route and status.
     """
 
     def __call__(self, request: Request, next_handler: Handler) -> Response:
         with get_tracer().span(
             "server.request",
-            _LATENCY.labels(request.path),
+            partial(_LATENCY.labels, request.method, request.path),
             method=request.method,
             path=request.path,
         ) as span:
             response = next_handler(request)
             span.set_attribute("status_code", response.status)
-        _REQUESTS.labels(
-            request.method, request.path, str(response.status)
-        )()
+            span.set_outcome(str(response.status))
         return response
 
 

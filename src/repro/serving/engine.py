@@ -155,22 +155,9 @@ class RequestScheduler:
         self._requests_total = registry.counter(
             "serving_requests_total", "scheduler admissions by outcome"
         )
-        self._shed_total = registry.counter(
-            "serving_shed_total", "requests shed at admission (queue full)"
-        )
-        self._expired_total = registry.counter(
-            "serving_deadline_expired_total", "requests expired while queued"
-        )
-        self._cancelled_total = registry.counter(
-            "serving_stream_cancelled_total",
-            "streams cancelled by their consumer mid-generation",
-        )
         self._isolations_total = registry.counter(
             "serving_batch_isolations_total",
             "fused batches re-dispatched per-request after a model error",
-        )
-        self._batches_total = registry.counter(
-            "serving_batches_total", "dispatched batches"
         )
         self._batch_size = registry.histogram(
             "serving_batch_size",
@@ -249,7 +236,6 @@ class RequestScheduler:
             if len(self._queue) >= self.config.queue_capacity:
                 self._shed += 1
                 retry_after = self._retry_after_locked()
-                self._recorder(self._shed_total, model)()
                 self._count_outcome(model, "shed")
                 raise SchedulerOverloaded(
                     f"serving queue full "
@@ -764,7 +750,6 @@ class RequestScheduler:
 
     def _count_step(self, model: str, size: int) -> None:
         self._recorder(self._batch_size, model)(size)
-        self._recorder(self._batches_total, model)()
         with self._lock:
             self._dispatched_batches += 1
             self._dispatched_requests += size
@@ -881,7 +866,6 @@ class RequestScheduler:
                 continue
             if not member.lease_done:
                 execution.lease.release(member_id, cancelled=True)
-            self._recorder(self._cancelled_total, execution.model)()
             self._count_outcome(execution.model, "cancelled")
             with self._lock:
                 self._cancelled += 1
@@ -988,7 +972,6 @@ class RequestScheduler:
 
     def _expire_one_locked(self, pending: _Pending, now: float) -> None:
         self._expired += 1
-        self._recorder(self._expired_total, pending.model)()
         self._count_outcome(pending.model, "expired")
         self._settle_reject(
             pending,

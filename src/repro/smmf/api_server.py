@@ -251,11 +251,8 @@ class ApiServer:
     def _health(self) -> ApiResponse:
         workers = self.controller.workers()
         up = sum(1 for r in workers if r.healthy and r.worker.alive)
-        status = 200 if up == len(workers) and workers else 503
-        if workers and up:
-            status = 200
         return ApiResponse(
-            status,
+            200 if up else 503,
             {
                 "workers": len(workers),
                 "healthy": up,

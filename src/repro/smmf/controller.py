@@ -48,12 +48,9 @@ def _record_success(
     worker_id: str,
     latency_ms: float,
     response: GenerationResponse,
-    retries: int = 0,
 ) -> None:
     _REQUESTS.labels(model, "success")()
     _LATENCY.labels(model)(latency_ms)
-    if retries:
-        _RETRIES.labels(model)(retries)
     _TOKENS.labels(model, "prompt")(response.prompt_tokens)
     _TOKENS.labels(model, "completion")(response.completion_tokens)
     _WORKER_REQUESTS.labels(worker_id)()
@@ -67,7 +64,9 @@ def model_metrics() -> dict[str, dict[str, float]]:
         handle.instrument()
         for handle in (_REQUESTS, _LATENCY, _RETRIES, _TOKENS)
     )
-    models = sorted({labels["model"] for labels in requests.label_sets()})
+    # A fallback model's replicas can crash before it serves anything.
+    labelled = requests.label_sets() + retries.label_sets()
+    models = sorted({labels["model"] for labels in labelled})
     return {
         model: {
             "requests": int(requests.value(model=model, outcome="success")),
@@ -226,10 +225,12 @@ class ModelController:
         self,
         model_name: str,
         execute: Callable[[WorkerRecord], Any],
-    ) -> tuple[Any, WorkerRecord, int]:
+    ) -> tuple[Any, WorkerRecord]:
         """One failover sweep: try each admissible replica at most once.
 
-        Returns ``(result, record, retries)`` on success. Raises
+        Returns ``(result, record)`` on success; every crashed attempt
+        counts in ``model_retries_total``, whatever the request's
+        outcome. Raises
         :class:`_AllReplicasFailed` when every candidate crashed or
         none was admissible; :class:`LLMError` propagates untouched (a
         bad prompt is not a worker failure, so it must not burn
@@ -258,6 +259,7 @@ class ModelController:
                 result = execute(record)
             except WorkerCrashed as exc:
                 self.breakers.record_failure(worker_id)
+                _RETRIES.labels(model_name)()
                 last_error = exc
                 continue
             except LLMError:
@@ -269,7 +271,7 @@ class ModelController:
                 self.breakers.release(worker_id)
                 raise
             self.breakers.record_success(worker_id)
-            return result, record, attempts - 1
+            return result, record
         raise _AllReplicasFailed(last_error)
 
     def _route(
@@ -277,21 +279,21 @@ class ModelController:
         model_name: str,
         execute: Callable[[WorkerRecord], Any],
         allow_fallback: bool = True,
-    ) -> tuple[Any, WorkerRecord, int, bool]:
+    ) -> tuple[Any, WorkerRecord, bool]:
         """Sweep + resilience: timed retry rounds, then fallback.
 
-        Returns ``(result, record, retries, degraded)``; raises
+        Returns ``(result, record, degraded)``; raises
         :class:`_AllReplicasFailed` once the whole ladder is exhausted.
         """
         try:
-            result, record, retries = self._retry_policy.run(
+            result, record = self._retry_policy.run(
                 lambda: self._sweep(model_name, execute),
                 classify=lambda exc: (
                     isinstance(exc, _AllReplicasFailed),
                     None,
                 ),
             )
-            return result, record, retries, False
+            return result, record, False
         except _AllReplicasFailed:
             fallback = self.resilience.fallback_model
             if (
@@ -302,10 +304,10 @@ class ModelController:
             ):
                 raise
             _FALLBACKS.labels(model_name, fallback)()
-            result, record, retries, _ = self._route(
+            result, record, _ = self._route(
                 fallback, execute, allow_fallback=False
             )
-            return result, record, retries, True
+            return result, record, True
 
     def generate(
         self, model_name: str, request: GenerationRequest
@@ -319,7 +321,7 @@ class ModelController:
         self, model_name: str, request: GenerationRequest, span
     ) -> GenerationResponse:
         try:
-            response, record, retries, degraded = self._route(
+            response, record, degraded = self._route(
                 model_name, lambda rec: rec.worker.handle(request)
             )
         except _AllReplicasFailed as exc:
@@ -332,12 +334,8 @@ class ModelController:
             response = replace(response, degraded=True)
             span.set_attribute("degraded", True)
         latency = float(record.metadata.get("latency_ms", 0.0))
-        _record_success(
-            model_name, record.worker.worker_id, latency, response, retries
-        )
-        span.set_attributes(
-            worker=record.worker.worker_id, retries=retries
-        )
+        _record_success(model_name, record.worker.worker_id, latency, response)
+        span.set_attribute("worker", record.worker.worker_id)
         self.advance_clock(latency / 1000.0)
         return response
 
@@ -363,7 +361,7 @@ class ModelController:
             batch_size=len(requests),
         ) as span:
             try:
-                wexec, record, retries, degraded = self._route(
+                wexec, record, degraded = self._route(
                     model_name,
                     lambda rec: rec.worker.start_batch(requests),
                 )
@@ -374,9 +372,7 @@ class ModelController:
                     model_name, exc.last_error, batch=len(requests)
                 )
             span.set_attributes(
-                worker=record.worker.worker_id,
-                retries=retries,
-                degraded=degraded,
+                worker=record.worker.worker_id, degraded=degraded
             )
         return ExecutionLease(self, model_name, wexec, record, degraded)
 

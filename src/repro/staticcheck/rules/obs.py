@@ -66,6 +66,31 @@ def _metric_name(call: ast.Call, module: SourceModule) -> Optional[tuple]:
     return (kind, *literal)
 
 
+def declared_metrics(project: Project) -> dict[str, Optional[tuple]]:
+    """``{name: label names}`` of every metric the project declares,
+    read as the OBS rules read them. The label names are a
+    ``MetricHandle``'s literal tuple; None for a registry lookup,
+    which names its labels only when it records."""
+    declared: dict[str, Optional[tuple]] = {}
+    for module in project:
+        for node in ast.walk(module.tree):
+            metric = isinstance(node, ast.Call) and _metric_name(node, module)
+            if metric and declared.get(metric[1]) is None:
+                declared[metric[1]] = _label_names(node)
+    return declared
+
+
+def _label_names(call: ast.Call) -> Optional[tuple]:
+    if isinstance(call.func, ast.Attribute):
+        return None
+    keywords = {keyword.arg: keyword.value for keyword in call.keywords}
+    labels = call.args[3] if len(call.args) > 3 else keywords.get("labels")
+    try:
+        return () if labels is None else tuple(ast.literal_eval(labels))
+    except ValueError:
+        return None
+
+
 def _receiver(node: ast.expr, module: SourceModule, kind: str) -> bool:
     """True when ``<node>.method(...)`` is called on a tracer or a
     registry (``kind``): ``get_<kind>()`` or a name containing it."""

@@ -29,7 +29,7 @@ from typing import Any, Callable, Optional
 
 from repro.cache.manager import get_cache_manager
 from repro.core.session import ChatTurn, SessionRecord
-from repro.obs.metrics import Counter, Histogram, MetricHandle
+from repro.obs.metrics import Histogram, MetricHandle
 from repro.runtime import perf_clock
 from repro.tenancy.config import QuotaConfig, TenancyConfig
 from repro.tenancy.context import tenant_scope
@@ -42,12 +42,10 @@ from repro.tenancy.registry import (
 )
 from repro.tenancy.sessions import SessionStore
 
-_TURNS = MetricHandle(
-    Counter, "tenant_turns_total", "completed tenant turns", ("tenant", "ok")
-)
+#: ``ok``: the answer's (``true``/``false``), or ``error`` if it raised.
 _TURN_LATENCY = MetricHandle(
     Histogram, "tenant_turn_latency_ms", "end-to-end tenant turn latency",
-    ("tenant",),
+    ("tenant", "ok"),
 )
 
 
@@ -229,6 +227,7 @@ class TenantFabric:
             )
             self.store.pin(record)
         admitted = False
+        ok = "error"
         try:
             app = self.app_for(tenant_id, app_name or record.app_name)
             started = perf_clock()
@@ -248,13 +247,14 @@ class TenantFabric:
                             metadata=dict(response.metadata),
                         )
                     )
+            ok = str(response.ok).lower()
         finally:
             if admitted:
                 self.quotas.release(tenant_id)
+                _TURN_LATENCY.labels(tenant_id, ok)(
+                    (perf_clock() - started) * 1000.0
+                )
             self.store.unpin(record)
-        elapsed_ms = (perf_clock() - started) * 1000.0
-        _TURNS.labels(tenant_id, str(response.ok).lower())()
-        _TURN_LATENCY.labels(tenant_id)(elapsed_ms)
         return record, response
 
     def _default_app(self, tenant_id: str) -> str:

@@ -184,8 +184,8 @@ class TestReplanning:
             runner.run(1)
         finally:
             set_registry(previous)
-        runs = fresh.get("awel_operator_runs_total")
-        assert runs.value(type="MapOperator", mode="batch") == 3
+        runs = fresh.get("awel_operator_latency_ms")
+        assert runs.count(type="MapOperator", mode="batch", status="ok") == 3
         dag_runs = fresh.get("awel_dag_runs_total")
         assert dag_runs.value(dag="pipeline", status="ok") == 1
 

@@ -2,8 +2,8 @@
 
 Each tier's outcomes under one span are kept in order as
 ``cache.<tier>`` (``"miss,hit"``), a miss's compute spans nest directly
-under the caller, and the ``cache_*`` counters are unchanged. No
-sleeps: the coalesced-waiter test counts claims on a semaphore.
+under the caller, and the hit and miss latency histograms count the
+lookups by outcome. No sleeps: the coalesced-waiter test counts claims on a semaphore.
 """
 
 import asyncio
@@ -34,7 +34,16 @@ def registry():
 
 
 def lookups(registry):
-    return registry.counter("cache_requests_total").snapshot()["values"]
+    """Lookups by rendered label set: the hit and miss histograms'
+    observation counts, under an ``outcome`` label."""
+    counts = {}
+    for outcome, name in (
+        ("hit", "cache_hit_latency_ms"), ("miss", "cache_miss_compute_ms")
+    ):
+        values = registry.histogram(name).snapshot()["values"]
+        for labels, series in values.items():
+            counts[f"outcome={outcome},{labels}"] = float(series["count"])
+    return counts
 
 
 def test_sync_lookups_mark_the_caller(tracer, registry):

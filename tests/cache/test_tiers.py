@@ -271,13 +271,25 @@ class TestWiredStack:
     def test_lookups_mark_the_caller_span_and_count(self, fresh_registry):
         """No lookup opens a span: the root (chat2db looks up from its
         own turn) carries every outcome per tier, in order, and they
-        are exactly the ``cache_requests_total`` increments."""
+        are exactly the observations the hit and miss histograms
+        gain."""
         dbgpt = self.boot()
-        requests = fresh_registry.counter("cache_requests_total")
+
+        def lookups():
+            counts = {}
+            for outcome, name in (
+                ("hit", "cache_hit_latency_ms"),
+                ("miss", "cache_miss_compute_ms"),
+            ):
+                histogram = fresh_registry.histogram(name)
+                for labels, series in histogram.snapshot()["values"].items():
+                    counts[f"outcome={outcome},{labels}"] = series["count"]
+            return counts
+
         for turn in ("cold", "warm"):
-            before = requests.snapshot()["values"]
+            before = lookups()
             dbgpt.chat("chat2db", "How many orders are there?")
-            after = requests.snapshot()["values"]
+            after = lookups()
             spans = dbgpt.last_trace()
             assert "cache.lookup" not in {span.name for span in spans}
             (root,) = [span for span in spans if span.parent_id is None]

@@ -73,19 +73,17 @@ class TestText2SqlTrace:
         dbgpt.chat("text2sql", "What is the total amount per region?")
         names = set(registry.names())
         assert {
-            "app_requests_total",
             "app_latency_ms",
             "model_requests_total",
             "worker_requests_total",
             "balancer_choices_total",
             "awel_dag_runs_total",
             "awel_operator_latency_ms",
-            "rag_retrievals_total",
+            "rag_retrieval_latency_ms",
         } <= names
-        assert registry.get("app_requests_total").value(
+        assert registry.get("app_latency_ms").count(
             app="text2sql", ok="true"
         ) == 1
-        assert registry.get("app_latency_ms").count(app="text2sql") == 1
         assert registry.get("awel_dag_runs_total").value(
             dag="text2sql", status="ok"
         ) == 1

@@ -170,38 +170,50 @@ class TestSpanData:
 
 
 class TestLatencyRecorder:
-    """A span given a bound histogram observes its own duration, from
-    the two clock reads it makes anyway, once, on a clean exit."""
+    """A span given a latency recorder observes its own duration, from
+    the two clock reads it makes anyway, once, under the outcome the
+    recorder is chosen by at exit."""
+
+    @staticmethod
+    def recorder(observed):
+        """A latency chooser that logs ``(outcome, ms)``."""
+        return lambda outcome: lambda ms: observed.append((outcome, ms))
 
     def test_clean_exit_observes_the_span_duration(
         self, tracer, ticking_clock
     ):
         observed = []
-        with tracer.span("timed", observed.append, k=1) as span:
+        with tracer.span("timed", self.recorder(observed), k=1) as span:
             pass
-        assert observed == [span.duration_ms] == [250.0]
+        assert observed == [("ok", span.duration_ms)] == [("ok", 250.0)]
         assert span.attributes == {"k": 1}
+        with tracer.span("timed", self.recorder(observed)) as span:
+            span.set_outcome("404")
+        assert observed[1:] == [("404", 250.0)]
 
-    def test_raising_block_observes_nothing(self, tracer):
+    def test_raising_block_observes_under_error(self, tracer):
         observed = []
         with pytest.raises(ValueError):
-            with tracer.span("timed", observed.append):
+            with tracer.span("timed", self.recorder(observed)) as span:
+                span.set_outcome("200")
                 raise ValueError("boom")
-        assert observed == []
+        assert [outcome for outcome, _ms in observed] == ["error"]
         assert tracer.last_trace()[0].status == STATUS_ERROR
+        assert tracer.current_span() is None
 
     def test_disabled_tracer_still_observes_once(self, tracer, ticking_clock):
         tracer.disable()
         observed = []
-        with tracer.span("timed", observed.append, k=1) as span:
+        with tracer.span("timed", self.recorder(observed), k=1) as span:
             span.set_attribute("ignored", True)
+            span.set_outcome("false")
             # A timing-only span is no parent: nothing is current.
             assert tracer.current_span() is None
-        assert observed == [250.0]
+        assert observed == [("false", 250.0)]
         assert span is not NOOP_SPAN
         with pytest.raises(ValueError):
-            with tracer.span("timed", observed.append):
+            with tracer.span("timed", self.recorder(observed)):
                 raise ValueError("boom")
-        assert observed == [250.0]
+        assert observed[1:] == [("error", 250.0)]
         assert tracer.span("plain") is NOOP_SPAN
         assert tracer.trace_ids() == []

@@ -320,7 +320,7 @@ class TestCancellation:
         immediately — while most of its output is still undelivered —
         and the cancellation is visible on every ledger: worker
         in-flight gauge, worker cancel counter, scheduler stats, and
-        ``serving_stream_cancelled_total``.
+        ``serving_requests_total{outcome=cancelled}``.
         """
         model = GatedModel()
         config = ServingConfig(
@@ -347,9 +347,8 @@ class TestCancellation:
             stats = scheduler.stats()
             assert stats["cancelled"] == 1
             assert stats["inflight_members"] == 0
-            counter = registry.get("serving_stream_cancelled_total")
-            assert counter is not None
-            assert counter.value(model="chat") == 1
+            counter = registry.get("serving_requests_total")
+            assert counter.value(model="chat", outcome="cancelled") == 1
         finally:
             scheduler.close()
 

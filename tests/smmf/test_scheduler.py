@@ -237,8 +237,8 @@ class TestBackpressure:
                 )
             assert excinfo.value.retry_after > 0
             assert scheduler.stats()["shed"] == 1
-            shed = registry.get("serving_shed_total")
-            assert shed is not None and shed.total() == 1
+            outcomes = registry.get("serving_requests_total")
+            assert outcomes.value(model="chat", outcome="shed") == 1
             assert (
                 registry.get("serving_queue_depth").value() == 2
             )
@@ -310,8 +310,8 @@ class TestDeadlines:
             assert gate.done.wait(timeout=5.0)
             assert gate.error is None
             assert scheduler.stats()["expired"] == 1
-            expired = registry.get("serving_deadline_expired_total")
-            assert expired is not None and expired.total() == 1
+            outcomes = registry.get("serving_requests_total")
+            assert outcomes.value(model="chat", outcome="expired") == 1
             # The doomed request never executed.
             assert model.single_calls == 1
         finally:

@@ -229,6 +229,29 @@ class TestApiServerAndClient:
         assert health["workers"] == 1
         assert health["healthy"] == 1
 
+    def test_health_status_is_200_while_any_worker_is_up(self):
+        controller, _client = deploy([chat_spec(replicas=2)])
+        server = ApiServer(controller)
+
+        def health():
+            response = server.handle(ApiRequest("GET", "/v1/health"))
+            return response.status, response.body["healthy"]
+
+        try:
+            assert health() == (200, 2)
+            controller.workers("chat")[0].worker.kill()
+            assert health() == (200, 1)
+            controller.workers("chat")[1].worker.kill()
+            assert health() == (503, 0)
+        finally:
+            controller.scheduler.close()
+        bare = ModelController()
+        try:
+            response = ApiServer(bare).handle(ApiRequest("GET", "/v1/health"))
+            assert (response.status, response.body["workers"]) == (503, 0)
+        finally:
+            bare.scheduler.close()
+
     def test_metrics_endpoint(self, client):
         client.generate("chat", "x")
         metrics = client.metrics()

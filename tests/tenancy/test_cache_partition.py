@@ -140,21 +140,20 @@ class TestMetricsParity:
         manager = make_manager()
         manager.cached("inference", "k", lambda: "v")
         manager.cached("inference", "k", lambda: "v")
-        counter = get_registry().counter("cache_requests_total", "")
-        # Exactly the pre-tenancy label sets: (tier, outcome).
-        assert counter.value(tier="inference", outcome="miss") == 1
-        assert counter.value(tier="inference", outcome="hit") == 1
+        registry = get_registry()
+        # Exactly the pre-tenancy label sets: (tier,).
+        for name in ("cache_miss_compute_ms", "cache_hit_latency_ms"):
+            histogram = registry.histogram(name)
+            assert histogram.label_sets() == [{"tier": "inference"}]
+            assert histogram.count(tier="inference") == 1
 
     def test_tenant_metrics_carry_tenant_label(self):
         manager = make_manager()
         with tenant_scope("acme"):
             manager.cached("inference", "k", lambda: "v")
             manager.cached("inference", "k", lambda: "v")
-        counter = get_registry().counter("cache_requests_total", "")
-        assert (
-            counter.value(tier="inference", outcome="hit", tenant="acme")
-            == 1
-        )
+        hits = get_registry().histogram("cache_hit_latency_ms")
+        assert hits.count(tier="inference", tenant="acme") == 1
 
 
 class TestOperations:

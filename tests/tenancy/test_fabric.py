@@ -124,12 +124,8 @@ class TestQuotasAtTheFabric:
         tenant_dbgpt.tenant_chat(
             "acme", "How many orders are there?", app_name="chat2db"
         )
-        assert (
-            get_registry()
-            .counter("tenant_turns_total", "")
-            .value(tenant="acme", ok="true")
-            == 1
-        )
+        turns = get_registry().histogram("tenant_turn_latency_ms")
+        assert turns.count(tenant="acme", ok="true") == 1
 
 
 class _RaisingApp(Application):

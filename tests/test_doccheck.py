@@ -1,0 +1,120 @@
+"""``make docs-check``: the metric table agrees with the declarations.
+
+Each fixture is a small source tree and an ``observability.md`` whose
+table differs from it in one way; the checker names that difference.
+"""
+
+import pathlib
+
+import pytest
+
+from repro import doccheck
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+SOURCE = '''
+from repro.obs.metrics import Counter, Histogram, MetricHandle
+
+_LATENCY = MetricHandle(
+    Histogram, "app_latency_ms", "turn latency", ("app", "ok")
+)
+_PLANS = MetricHandle(Counter, "agent_plan_retries_total", "re-sent plans")
+
+
+class Scheduler:
+    def __init__(self, registry):
+        self._requests = registry.counter("serving_requests_total", "")
+'''
+
+ROWS = {
+    "app_latency_ms": "| `app_latency_ms` | histogram | `app`, `ok` | Turns |",
+    "agent_plan_retries_total": (
+        "| `agent_plan_retries_total` | counter | — | Re-sent plans |"
+    ),
+    "serving_requests_total": (
+        "| `serving_requests_total` | counter | `model`, `outcome` | x |"
+    ),
+}
+
+
+def write_tree(tmp_path, rows, source=SOURCE):
+    package = tmp_path / "src"
+    package.mkdir()
+    (package / "module.py").write_text(source, encoding="utf-8")
+    doc = tmp_path / "observability.md"
+    doc.write_text(
+        "# Observability\n\n### Exported metric names\n\n"
+        "| Metric | Kind | Labels | Meaning |\n|---|---|---|---|\n"
+        + "\n".join(rows)
+        + "\n\n### Deleted counters\n\n| Deleted | Read instead |\n"
+        "|---|---|\n| `app_requests_total` | counter | x | y |\n",
+        encoding="utf-8",
+    )
+    return doc, [str(package)]
+
+
+def test_a_matching_table_has_no_problems(tmp_path):
+    doc, sources = write_tree(tmp_path, ROWS.values())
+    assert doccheck.check_metric_table(doc, sources) == []
+
+
+def test_a_declared_metric_missing_from_the_table(tmp_path):
+    rows = [row for name, row in ROWS.items() if name != "app_latency_ms"]
+    doc, sources = write_tree(tmp_path, rows)
+    assert doccheck.check_metric_table(doc, sources) == [
+        "metric 'app_latency_ms' is declared in the source but not "
+        "documented"
+    ]
+
+
+def test_a_registry_declared_metric_missing_from_the_table(tmp_path):
+    rows = [r for n, r in ROWS.items() if n != "serving_requests_total"]
+    doc, sources = write_tree(tmp_path, rows)
+    assert doccheck.check_metric_table(doc, sources) == [
+        "metric 'serving_requests_total' is declared in the source but "
+        "not documented"
+    ]
+
+
+def test_a_documented_metric_the_source_does_not_declare(tmp_path):
+    extra = "| `app_requests_total` | counter | `app`, `ok` | Turns |"
+    doc, sources = write_tree(tmp_path, [*ROWS.values(), extra])
+    assert doccheck.check_metric_table(doc, sources) == [
+        "metric 'app_requests_total' is documented but not declared in "
+        "the source"
+    ]
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        (
+            "| `app_latency_ms` | histogram | `app` | Turns |",
+            "metric 'app_latency_ms' declares labels ['app', 'ok'], "
+            "documented as ['app']",
+        ),
+        (
+            "| `app_latency_ms` | histogram | `ok`, `app` | Turns |",
+            "metric 'app_latency_ms' declares labels ['app', 'ok'], "
+            "documented as ['ok', 'app']",
+        ),
+    ],
+)
+def test_a_row_that_disagrees_with_its_declaration(tmp_path, row, problem):
+    rows = {**ROWS, "app_latency_ms": row}
+    doc, sources = write_tree(tmp_path, rows.values())
+    assert doccheck.check_metric_table(doc, sources) == [problem]
+
+
+def test_main_counts_table_problems_as_failures(tmp_path, capsys):
+    rows = [row for name, row in ROWS.items() if name != "app_latency_ms"]
+    doc, _sources = write_tree(tmp_path, rows)
+    # ``main`` checks any observability.md against the repro package.
+    assert doccheck.main([str(doc)]) > 0
+    out = capsys.readouterr().out
+    assert "metric 'app_latency_ms' is declared in the source" in out
+
+
+def test_the_repository_docs_pass():
+    paths = [str(ROOT / "README.md"), str(ROOT / "docs")]
+    assert doccheck.main(paths) == 0
