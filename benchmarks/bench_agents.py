@@ -1,8 +1,8 @@
 """Generative analysis plans under worker flapping: completion rate.
 
 The claim worth certifying: with the resilience layer armed, multi-hop
-agent plans (planner → per-chart schema-link/sqlgen/execute/viz →
-aggregate → narrative) keep **at least a 99% completion rate** while
+agent plans (planner → one chart agent exchange per step →
+aggregator) keep **at least a 99% completion rate** while
 the sql-coder pool flaps on a 20% duty cycle — down windows degrade
 SQL generation to the reserve fallback model instead of losing the
 plan — whereas the same team with retries off and no fallback loses

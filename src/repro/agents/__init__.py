@@ -10,21 +10,11 @@ flexibility claim against LlamaIndex, by subclassing
 :class:`ConversableAgent`.
 """
 
-from repro.agents.actions import Action, ActionResult, ChartAction, SqlAction
-from repro.agents.awel_integration import (
-    AgentOperator,
-    build_analysis_dag,
-    compile_plan_dag,
-    run_analysis_workflow,
-)
-from repro.agents.base import Agent, AgentError, ConversableAgent
+from repro.agents.actions import Action, ActionResult, ChartAction
+from repro.agents.awel_integration import AgentOperator, compile_plan_dag
+from repro.agents.base import AgentError, ConversableAgent
 from repro.agents.forecast import ForecastAgent, SeasonalForecaster
-from repro.agents.data_agents import (
-    AggregatorAgent,
-    AnalystAgent,
-    ChartAgent,
-    SqlAgent,
-)
+from repro.agents.data_agents import AggregatorAgent, ChartAgent
 from repro.agents.memory import AgentMemory
 from repro.agents.messages import AgentMessage
 from repro.agents.planner import Plan, PlannerAgent, PlanStep
@@ -37,20 +27,16 @@ from repro.agents.team import (
 __all__ = [
     "Action",
     "ActionResult",
-    "Agent",
     "AgentError",
     "AgentMemory",
     "AgentMessage",
     "AgentOperator",
     "ForecastAgent",
     "SeasonalForecaster",
-    "build_analysis_dag",
     "compile_plan_dag",
     "new_conversation_id",
-    "run_analysis_workflow",
     "AggregatorAgent",
     "AnalysisReport",
-    "AnalystAgent",
     "ChartAction",
     "ChartAgent",
     "ConversableAgent",
@@ -58,6 +44,4 @@ __all__ = [
     "Plan",
     "PlanStep",
     "PlannerAgent",
-    "SqlAction",
-    "SqlAgent",
 ]

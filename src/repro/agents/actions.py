@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.datasources.base import DataSource, DataSourceError
@@ -29,45 +29,6 @@ class Action(abc.ABC):
     @abc.abstractmethod
     def run(self, **kwargs: Any) -> ActionResult:
         """Execute the action."""
-
-
-class SqlAction(Action):
-    """Execute SQL against a data source.
-
-    With ``validate=True`` (the default) the statement passes the
-    semantic analyzer first; error-severity findings block execution so
-    an agent never runs SQL that cannot succeed against the schema.
-    """
-
-    name = "sql"
-
-    def __init__(self, source: DataSource, validate: bool = True) -> None:
-        self._source = source
-        self._validate = validate
-
-    def run(self, sql: str = "", **kwargs: Any) -> ActionResult:
-        if not sql:
-            return ActionResult(False, "no SQL given", error="empty sql")
-        if self._validate:
-            from repro.analysis.gate import review_sql
-            from repro.analysis.diagnostics import has_errors
-
-            diagnostics = review_sql(sql, source=self._source)
-            if has_errors(diagnostics):
-                rendered = "; ".join(d.render() for d in diagnostics)
-                return ActionResult(
-                    False,
-                    f"SQL rejected by the analyzer: {rendered}",
-                    payload=[d.to_dict() for d in diagnostics],
-                    error=rendered,
-                )
-        try:
-            result = self._source.query(sql)
-        except DataSourceError as exc:
-            return ActionResult(False, f"SQL failed: {exc}", error=str(exc))
-        return ActionResult(
-            True, result.format_table(max_rows=10), payload=result
-        )
 
 
 class ChartAction(Action):

@@ -1,9 +1,7 @@
-"""Agent base classes."""
+"""The agent base class."""
 
 from __future__ import annotations
 
-import abc
-import asyncio
 from typing import Any, Optional
 
 from repro.agents.memory import AgentMemory
@@ -14,27 +12,14 @@ class AgentError(Exception):
     """An agent could not complete its task."""
 
 
-class Agent(abc.ABC):
-    """An autonomous participant in the multi-agent conversation."""
+class ConversableAgent:
+    """An autonomous participant in the multi-agent conversation, wired
+    into shared memory and (optionally) SMMF.
 
-    def __init__(self, name: str, profile: str) -> None:
-        self.name = name
-        self.profile = profile
-
-    @abc.abstractmethod
-    def generate_reply(self, message: AgentMessage) -> AgentMessage:
-        """Produce a reply to ``message`` (already archived by send)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-class ConversableAgent(Agent):
-    """An agent wired into shared memory and (optionally) SMMF.
-
-    ``send`` archives the outbound message, delivers it, archives the
-    reply and returns it — the communication history is therefore
-    complete by construction.
+    Subclasses implement :meth:`generate_reply`. :meth:`exchange`
+    archives the request, delivers it, archives the reply and returns
+    it — the communication history is therefore complete by
+    construction.
     """
 
     def __init__(
@@ -46,46 +31,56 @@ class ConversableAgent(Agent):
         model: Optional[str] = None,
         use_recall: bool = True,
     ) -> None:
-        super().__init__(name, profile)
+        self.name = name
+        self.profile = profile
         self.memory = memory
         self.llm_client = llm_client
         self.model = model
         self.use_recall = use_recall
 
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"{type(self).__name__}(name={self.name!r})"
+
+    async def generate_reply(self, message: AgentMessage) -> AgentMessage:
+        """Produce a fresh reply to ``message`` (already archived)."""
+        raise NotImplementedError
+
     # -- messaging ---------------------------------------------------------
 
-    def send(
+    async def exchange(
         self,
-        recipient: "ConversableAgent",
         content: str,
+        *,
         conversation_id: str = "default",
         round: int = 0,
         metadata: Optional[dict[str, Any]] = None,
     ) -> AgentMessage:
+        """One archived exchange: archive the user's request,
+        :meth:`receive` it, archive the reply and return it."""
         message = AgentMessage(
-            sender=self.name,
-            recipient=recipient.name,
+            sender="user",
+            recipient=self.name,
             content=content,
             conversation_id=conversation_id,
             round=round,
             metadata=dict(metadata or {}),
         )
         self.memory.append(message)
-        reply = recipient.receive(message)
+        reply = await self.receive(message)
         self.memory.append(reply)
         return reply
 
-    def _recalled(self, message: AgentMessage) -> Optional[AgentMessage]:
-        """The archived answer to a similar earlier request, re-addressed
-        as the reply to ``message`` — or ``None`` (recall disabled or no
-        match), in which case the caller generates a fresh reply."""
-        if not self.use_recall:
-            return None
-        recalled = self.memory.recall_similar(
-            message.content, sender=self.name
+    async def receive(self, message: AgentMessage) -> AgentMessage:
+        """Handle an inbound message: the archived answer to a similar
+        earlier request, re-addressed as the reply to ``message``, or a
+        freshly generated reply (recall disabled or no match)."""
+        recalled = (
+            self.memory.recall_similar(message.content, sender=self.name)
+            if self.use_recall
+            else None
         )
         if recalled is None:
-            return None
+            return await self.generate_reply(message)
         return AgentMessage(
             sender=self.name,
             recipient=message.sender,
@@ -98,10 +93,6 @@ class ConversableAgent(Agent):
                 "request": message.content,
             },
         )
-
-    def receive(self, message: AgentMessage) -> AgentMessage:
-        """Handle an inbound message, consulting the archive first."""
-        return self._recalled(message) or self.generate_reply(message)
 
     def reply_to(
         self,
@@ -120,42 +111,14 @@ class ConversableAgent(Agent):
             metadata=merged,
         )
 
-    async def areceive(self, message: AgentMessage) -> AgentMessage:
-        """Async :meth:`receive`: the recall check runs inline (fast,
-        lock-guarded memory scan) and :meth:`generate_reply` runs off
-        the loop (``asyncio.to_thread`` carries the caller's context so
-        spans stay parented), so concurrent agent branches never block
-        the event loop — their LLM calls land in the serving scheduler
-        together and coalesce into shared batches."""
-        return self._recalled(message) or await asyncio.to_thread(
-            self.generate_reply, message
-        )
-
     # -- LLM access --------------------------------------------------------
 
-    def _bound_llm(self, task: Optional[str]) -> Any:
+    async def ask_llm(self, prompt: str, task: Optional[str] = None) -> str:
+        """The bound model's completion, through the client's async
+        path: concurrent agents submit to the serving engine together
+        and share batches."""
         if self.llm_client is None or self.model is None:
             raise AgentError(
                 f"agent {self.name!r} has no LLM binding for task {task!r}"
             )
-        return self.llm_client
-
-    def ask_llm(self, prompt: str, task: Optional[str] = None) -> str:
-        return self._bound_llm(task).generate(self.model, prompt, task=task)
-
-    async def aask_llm(self, prompt: str, task: Optional[str] = None) -> str:
-        """Async :meth:`ask_llm`, routed through the serving engine.
-
-        With the continuous-batching scheduler mounted the call goes
-        through its ``aschedule`` path end-to-end (no thread parked per
-        agent); a client without ``agenerate`` has its blocking round
-        trip run off the loop. Either way concurrent agents submit
-        together and share batches.
-        """
-        client = self._bound_llm(task)
-        agenerate = getattr(client, "agenerate", None)
-        if agenerate is not None:
-            return await agenerate(self.model, prompt, task=task)
-        return await asyncio.to_thread(
-            client.generate, self.model, prompt, task=task
-        )
+        return await self.llm_client.agenerate(self.model, prompt, task=task)

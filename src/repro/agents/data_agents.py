@@ -1,10 +1,8 @@
-"""The specialized data agents: SQL, chart, analyst, aggregator."""
+"""The specialized data agents: chart and aggregator."""
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.agents.actions import ChartAction, SqlAction
+from repro.agents.actions import ChartAction
 from repro.agents.base import AgentError, ConversableAgent
 from repro.agents.memory import AgentMemory
 from repro.agents.messages import AgentMessage
@@ -22,76 +20,6 @@ _DIMENSION_QUESTIONS = {
     "region": "What is the total {measure} per region?",
     "segment": "What is the total {measure} per segment?",
 }
-
-
-class SqlAgent(ConversableAgent):
-    """Answers natural-language questions with SQL over one source.
-
-    Includes the repair loop real Text-to-SQL deployments need: when
-    the generated SQL fails to execute, the error is reported and one
-    simplified retry is attempted.
-    """
-
-    def __init__(
-        self,
-        memory: AgentMemory,
-        llm_client,
-        source: DataSource,
-        model: str = "sql-coder",
-        name: str = "sql-agent",
-    ) -> None:
-        super().__init__(
-            name=name,
-            profile="Translates questions to SQL and executes them.",
-            memory=memory,
-            llm_client=llm_client,
-            model=model,
-        )
-        self.source = source
-        self._action = SqlAction(source)
-
-    def generate_reply(self, message: AgentMessage) -> AgentMessage:
-        question = message.content
-        prompt = build_text2sql_prompt(self.source, question)
-        try:
-            sql = self.ask_llm(prompt, task="text2sql")
-        except ClientError as exc:
-            return self.reply_to(
-                message,
-                f"I could not translate that question: {exc}",
-                metadata={"ok": False, "error": str(exc)},
-            )
-        result = self._action.run(sql=sql)
-        attempts = 1
-        if not result.ok:
-            # Repair loop: strip qualifiers and retry once.
-            simplified = question.rstrip("?.! ") + "?"
-            try:
-                sql = self.ask_llm(
-                    build_text2sql_prompt(self.source, simplified),
-                    task="text2sql",
-                )
-                result = self._action.run(sql=sql)
-                attempts += 1
-            except ClientError:
-                pass
-        if not result.ok:
-            return self.reply_to(
-                message,
-                f"The generated SQL failed: {result.error}",
-                metadata={"ok": False, "sql": sql, "error": result.error},
-            )
-        return self.reply_to(
-            message,
-            result.content,
-            metadata={
-                "ok": True,
-                "sql": sql,
-                "attempts": attempts,
-                "rows": [list(r) for r in result.payload.rows[:50]],
-                "columns": result.payload.columns,
-            },
-        )
 
 
 class ChartAgent(ConversableAgent):
@@ -117,71 +45,40 @@ class ChartAgent(ConversableAgent):
         self.measure = measure
         self._action = ChartAction(source)
 
-    def generate_reply(self, message: AgentMessage) -> AgentMessage:
-        link = self.link_schema(message)
-        if not link["ok"]:
-            return self.unknown_dimension_reply(message, link)
+    async def generate_reply(self, message: AgentMessage) -> AgentMessage:
+        """Ground the requested dimension in the source, ask the served
+        SQL coder for the chart query, run it and shape the rows into
+        a chart spec.
+
+        The query runs inline: the engine is pure Python under one
+        GIL, so a thread hop would add a handoff, not parallelism.
+        """
+        dimension = message.metadata.get("dimension")
+        chart_type = message.metadata.get("chart_type", "bar")
+        if dimension not in _DIMENSION_QUESTIONS:
+            return self.reply_to(
+                message,
+                f"I do not know how to chart dimension {dimension!r}.",
+                metadata={
+                    "ok": False, "error": f"unknown dimension {dimension}"
+                },
+            )
+        question = _DIMENSION_QUESTIONS[dimension].format(measure=self.measure)
         try:
-            sql = self.ask_llm(link["prompt"], task="text2sql")
+            sql = await self.ask_llm(
+                build_text2sql_prompt(self.source, question), task="text2sql"
+            )
         except ClientError as exc:
             return self.reply_to(
                 message,
                 f"chart query generation failed: {exc}",
                 metadata={"ok": False, "error": str(exc)},
             )
-        result = self.execute_chart(link, sql)
-        return self.chart_reply(message, link, sql, result)
-
-    # -- pipeline stages ---------------------------------------------------
-    # generate_reply above is the one-call form; the compiled AWEL plan
-    # (repro.agents.awel_integration.compile_plan_dag) runs the same
-    # stages as separate operators: link_schema -> (LLM text2sql) ->
-    # execute_chart -> chart_reply.
-
-    def link_schema(self, message: AgentMessage) -> dict:
-        """Schema linking: ground the requested dimension in the source.
-
-        Returns the stage context for the rest of the pipeline: the
-        grounded question, the text2sql prompt and the chart framing —
-        or ``ok=False`` when the dimension is unknown.
-        """
-        dimension = message.metadata.get("dimension")
-        chart_type = message.metadata.get("chart_type", "bar")
-        if dimension not in _DIMENSION_QUESTIONS:
-            return {
-                "ok": False,
-                "dimension": dimension,
-                "error": f"unknown dimension {dimension}",
-            }
-        question = _DIMENSION_QUESTIONS[dimension].format(measure=self.measure)
-        return {
-            "ok": True,
-            "dimension": dimension,
-            "chart_type": chart_type,
-            "question": question,
-            "prompt": build_text2sql_prompt(self.source, question),
-            "title": f"Total {self.measure} by {dimension}",
-        }
-
-    def unknown_dimension_reply(
-        self, message: AgentMessage, link: dict
-    ) -> AgentMessage:
-        return self.reply_to(
-            message,
-            f"I do not know how to chart dimension {link['dimension']!r}.",
-            metadata={"ok": False, "error": link["error"]},
+        result = self._action.run(
+            sql=sql,
+            chart_type=chart_type,
+            title=f"Total {self.measure} by {dimension}",
         )
-
-    def execute_chart(self, link: dict, sql: str):
-        """Execute the generated SQL and shape rows into a chart spec."""
-        return self._action.run(
-            sql=sql, chart_type=link["chart_type"], title=link["title"]
-        )
-
-    def chart_reply(
-        self, message: AgentMessage, link: dict, sql: str, result
-    ) -> AgentMessage:
-        """Visualization stage: wrap the action result into the reply."""
         if not result.ok:
             return self.reply_to(
                 message,
@@ -196,41 +93,19 @@ class ChartAgent(ConversableAgent):
                 "ok": True,
                 "sql": sql,
                 "chart": spec.to_json(),
-                "dimension": link["dimension"],
-                "chart_type": link["chart_type"],
+                "dimension": dimension,
+                "chart_type": chart_type,
             },
         )
 
 
-class AnalystAgent(ConversableAgent):
-    """Summarizes results in natural language via the chat model."""
-
-    def __init__(
-        self,
-        memory: AgentMemory,
-        llm_client,
-        model: str = "chat",
-        name: str = "analyst",
-    ) -> None:
-        super().__init__(
-            name=name,
-            profile="Writes narrative summaries of analysis results.",
-            memory=memory,
-            llm_client=llm_client,
-            model=model,
-        )
-
-    def generate_reply(self, message: AgentMessage) -> AgentMessage:
-        prompt = (
-            "Summarize the following result for the user:\n"
-            f"{message.content}\nSummary:"
-        )
-        summary = self.ask_llm(prompt, task="summary")
-        return self.reply_to(message, summary, metadata={"ok": True})
-
-
 class AggregatorAgent(ConversableAgent):
-    """Collects chart specs into the final dashboard (Figure 3, area 5)."""
+    """Collects chart specs into the final dashboard (Figure 3, area 5).
+
+    The request carries the chart specs, the report title and the plan
+    steps that failed; the reply carries all three plus the narrative,
+    so :func:`dashboard_of` rebuilds the dashboard from it.
+    """
 
     def __init__(
         self,
@@ -247,56 +122,47 @@ class AggregatorAgent(ConversableAgent):
             use_recall=False,
         )
 
-    def generate_reply(self, message: AgentMessage) -> AgentMessage:
-        dashboard, lines = self.assemble(message)
-        narrative = " ".join(lines)
-        if self.llm_client is not None:
-            try:
-                narrative = self.ask_llm(
-                    self.narrative_prompt(lines), task="summary"
-                )
-            except ClientError:
-                pass  # fall back to the plain-line narrative
-        return self.finalize(message, dashboard, narrative)
-
-    # -- pipeline stages ---------------------------------------------------
-    # The compiled AWEL plan runs assemble and finalize as separate
-    # operators, with the narrative refinement awaited in between.
-
-    def assemble(self, message: AgentMessage) -> tuple[Dashboard, list[str]]:
-        """Collect the chart specs into a dashboard plus summary lines."""
+    async def generate_reply(self, message: AgentMessage) -> AgentMessage:
         charts_json = message.metadata.get("charts", [])
         if not charts_json:
             raise AgentError("aggregator received no charts")
-        charts = [ChartSpec.from_json(text) for text in charts_json]
         dashboard = Dashboard(
             title=message.metadata.get("title", "Analysis report"),
-            charts=charts,
+            charts=[ChartSpec.from_json(text) for text in charts_json],
         )
         lines = [
             f"{spec.title}: {len(spec.points)} data points, "
             f"total {spec.total:g}"
-            for spec in charts
+            for spec in dashboard.charts
         ]
-        return dashboard, lines
-
-    def narrative_prompt(self, lines: list[str]) -> str:
-        return (
-            "Summarize the following result for the user:\n"
-            + "\n".join(lines)
-            + "\nSummary:"
-        )
-
-    def finalize(
-        self, message: AgentMessage, dashboard: Dashboard, narrative: str
-    ) -> AgentMessage:
-        dashboard.narrative = narrative
+        dashboard.narrative = " ".join(lines)
+        if self.llm_client is not None:
+            try:
+                dashboard.narrative = await self.ask_llm(
+                    "Summarize the following result for the user:\n"
+                    + "\n".join(lines)
+                    + "\nSummary:",
+                    task="summary",
+                )
+            except ClientError:
+                pass  # fall back to the plain-line narrative
         return self.reply_to(
             message,
             dashboard.render_text(),
             metadata={
                 "ok": True,
+                "title": dashboard.title,
                 "charts": [spec.to_json() for spec in dashboard.charts],
-                "narrative": narrative,
+                "narrative": dashboard.narrative,
+                "failures": list(message.metadata.get("failures", [])),
             },
         )
+
+
+def dashboard_of(reply: AgentMessage) -> Dashboard:
+    """The dashboard an :class:`AggregatorAgent` reply describes."""
+    return Dashboard(
+        title=reply.metadata["title"],
+        charts=[ChartSpec.from_json(text) for text in reply.metadata["charts"]],
+        narrative=reply.metadata["narrative"],
+    )

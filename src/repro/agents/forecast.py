@@ -127,11 +127,11 @@ class ForecastAgent(ConversableAgent):
         self.measure = measure
         self.period = period
 
-    def generate_reply(self, message: AgentMessage) -> AgentMessage:
+    async def generate_reply(self, message: AgentMessage) -> AgentMessage:
         horizon = int(message.metadata.get("horizon", 3))
         try:
-            labels, series = self._history()
-            result = self.forecast(horizon)
+            labels, series = await self.history()
+            result = self.forecast(series, horizon)
         except (AgentError, ClientError, DataSourceError, ValueError) as exc:
             return self.reply_to(
                 message,
@@ -173,8 +173,8 @@ class ForecastAgent(ConversableAgent):
             },
         )
 
-    def forecast(self, horizon: int = 3) -> ForecastResult:
-        _labels, series = self._history()
+    def forecast(self, series: list[float], horizon: int = 3) -> ForecastResult:
+        """Fit ``series`` and project it ``horizon`` periods ahead."""
         forecaster = SeasonalForecaster(self.period).fit(series)
         holdout = min(3, max(1, len(series) - 2))
         return ForecastResult(
@@ -184,9 +184,10 @@ class ForecastAgent(ConversableAgent):
             naive_mae=naive_backtest(series, holdout=holdout),
         )
 
-    def _history(self) -> tuple[list[str], list[float]]:
+    async def history(self) -> tuple[list[str], list[float]]:
+        """The monthly measure series: month labels and values."""
         question = f"What is the total {self.measure} per month?"
-        sql = self.ask_llm(
+        sql = await self.ask_llm(
             build_text2sql_prompt(self.source, question), task="text2sql"
         )
         result = self.source.query(sql)

@@ -52,8 +52,8 @@ class PlannerAgent(ConversableAgent):
         )
         self.schema = schema
 
-    def generate_reply(self, message: AgentMessage) -> AgentMessage:
-        plan = self.make_plan(message.content)
+    async def generate_reply(self, message: AgentMessage) -> AgentMessage:
+        plan = await self.make_plan(message.content)
         # asdict deep-copies the nested params dict: the archived
         # message must not alias the live PlanStep objects, or post-hoc
         # step mutation would silently rewrite the communication history.
@@ -63,9 +63,9 @@ class PlannerAgent(ConversableAgent):
             metadata={"plan": [asdict(step) for step in plan.steps]},
         )
 
-    def make_plan(self, goal: str) -> Plan:
+    async def make_plan(self, goal: str) -> Plan:
         prompt = build_plan_prompt(goal, schema=self.schema)
-        raw = self.ask_llm(prompt, task="plan")
+        raw = await self.ask_llm(prompt, task="plan")
         try:
             items = json.loads(raw)
         except json.JSONDecodeError as exc:

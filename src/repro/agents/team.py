@@ -1,13 +1,13 @@
 """Team orchestration: the generative data analysis flow of Figure 3.
 
 A user goal enters; the planner devises a strategy; the plan is
-compiled into an AWEL DAG (``schema-link → sqlgen → execute → viz``
-per chart step, joined into ``collect → aggregate → narrative``) and
-executed by the async workflow runner, so independent steps run
-concurrently and their LLM calls share serving batches. Every message
-is archived in the shared :class:`AgentMemory`, and the whole run is
-traced under one ``agent.plan`` span with per-stage ``agent.step``
-children.
+compiled into an AWEL DAG (one agent operator per step, joined into
+``collect → aggregate → report``) and executed by the async workflow
+runner, so independent steps run concurrently and their LLM calls
+share serving batches. Every message is archived in the shared
+:class:`AgentMemory`, and the whole run is traced under one
+``agent.plan`` span with an ``awel.operator`` child per agent
+exchange.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.agents.awel_integration import compile_plan_dag
-from repro.agents.base import AgentError, ConversableAgent
+from repro.agents.base import AgentError
 from repro.agents.data_agents import AggregatorAgent, ChartAgent
+from repro.agents.forecast import ForecastAgent
 from repro.agents.memory import AgentMemory
 from repro.agents.messages import AgentMessage
-from repro.agents.planner import Plan, PlannerAgent
+from repro.agents.planner import Plan, PlannerAgent, PlanStep
 from repro.awel.runner import WorkflowRunner
 from repro.cache.keys import instance_token
 from repro.datasources.base import DataSource
@@ -82,26 +83,11 @@ class AnalysisReport:
     failures: list[str] = field(default_factory=list)
 
 
-class _UserProxy(ConversableAgent):
-    """Stands in for the human user inside the conversation."""
-
-    def __init__(self, memory: AgentMemory) -> None:
-        super().__init__(
-            name="user",
-            profile="The human requesting the analysis.",
-            memory=memory,
-            use_recall=False,
-        )
-
-    def generate_reply(self, message: AgentMessage) -> AgentMessage:
-        return self.reply_to(message, "(received)")
-
-
 class DataAnalysisTeam:
     """Planner + chart agents + aggregator over one data source.
 
     ``run`` compiles each plan into an AWEL DAG and executes it; the
-    team survives serving-layer flap because each LLM-bound stage rides
+    team survives serving-layer flap because each agent's LLM calls ride
     the client's retry/failover/fallback machinery and a step that
     still fails is recorded in ``AnalysisReport.failures`` instead of
     killing the plan. Responses served by a degraded fallback model are
@@ -123,7 +109,6 @@ class DataAnalysisTeam:
         self.llm_client = llm_client
         self.planner_retries = planner_retries
         self._rng = rng
-        self.user = _UserProxy(self.memory)
         self.planner = PlannerAgent(
             self.memory, llm_client, schema=source.describe_schema()
         )
@@ -137,8 +122,6 @@ class DataAnalysisTeam:
             )
             for index in range(1, 4)
         ]
-        from repro.agents.forecast import ForecastAgent
-
         self.forecaster = ForecastAgent(
             self.memory, llm_client, source, measure=measure
         )
@@ -217,16 +200,10 @@ class DataAnalysisTeam:
         attempt = 0
         while True:
             attempt += 1
-            request = AgentMessage(
-                sender=self.user.name,
-                recipient=self.planner.name,
-                content=goal,
-                conversation_id=conversation_id,
-                round=0,
-            )
-            self.memory.append(request)
             try:
-                reply = await self.planner.areceive(request)
+                return await self.planner.exchange(
+                    goal, conversation_id=conversation_id
+                )
             except ClientError as exc:
                 resendable = (
                     getattr(exc, "status", None) in _RESENDABLE_STATUSES
@@ -234,14 +211,9 @@ class DataAnalysisTeam:
                 if not resendable or attempt > self.planner_retries:
                     raise
                 _PLAN_RETRIES.labels()()
-                continue
-            self.memory.append(reply)
-            return reply
 
 
-def _step_from_dict(item: dict) -> "PlanStep":
-    from repro.agents.planner import PlanStep
-
+def _step_from_dict(item: dict) -> PlanStep:
     return PlanStep(
         step=item["step"],
         action=item["action"],

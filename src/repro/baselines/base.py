@@ -42,6 +42,16 @@ class ModelGateway:
         self.calls: list[GatewayCall] = []
 
     def generate(self, model: str, prompt: str, task: str | None = None) -> str:
+        self._record(model, prompt)
+        return self._client.generate(model, prompt, task=task)
+
+    async def agenerate(
+        self, model: str, prompt: str, task: str | None = None
+    ) -> str:
+        self._record(model, prompt)
+        return await self._client.agenerate(model, prompt, task=task)
+
+    def _record(self, model: str, prompt: str) -> None:
         self.calls.append(
             GatewayCall(
                 model=model,
@@ -49,7 +59,6 @@ class ModelGateway:
                 external=model in self._external,
             )
         )
-        return self._client.generate(model, prompt, task=task)
 
     def external_prompts(self) -> list[str]:
         return [call.prompt for call in self.calls if call.external]

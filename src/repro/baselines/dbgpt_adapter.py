@@ -36,16 +36,6 @@ from repro.rag.knowledge_base import KnowledgeBase
 from repro.rag.privacy import PrivacyScrubber
 
 
-class _GatewayClient:
-    """Adapts the gateway to the LLMClient surface agents expect."""
-
-    def __init__(self, gateway: ModelGateway) -> None:
-        self._gateway = gateway
-
-    def generate(self, model, prompt, task=None, **_kwargs):
-        return self._gateway.generate(model, prompt, task=task)
-
-
 class DbGptAdapter(FrameworkAdapter):
     name = "DB-GPT"
 
@@ -61,7 +51,7 @@ class DbGptAdapter(FrameworkAdapter):
     # -- multi-agents ---------------------------------------------------------
 
     def run_agents(self, task: str, source: DataSource) -> AgentRunEvidence:
-        team = DataAnalysisTeam(source, _GatewayClient(self.gateway))
+        team = DataAnalysisTeam(source, self.gateway)
         report = team.run(task)
         roles = sorted(
             {
@@ -156,7 +146,7 @@ class DbGptAdapter(FrameworkAdapter):
     def generative_analysis(
         self, goal: str, source: DataSource
     ) -> AnalysisEvidence:
-        team = DataAnalysisTeam(source, _GatewayClient(self.gateway))
+        team = DataAnalysisTeam(source, self.gateway)
         report = team.run(goal)
         return AnalysisEvidence(
             plan_steps=len(report.plan.steps),

@@ -12,7 +12,8 @@ An ``observability.md`` among the files also has its metric table
 metrics the ``repro`` package declares, as the OBS staticcheck rules
 read them: every declared metric must have a row and every row a
 declaration, and a ``MetricHandle``'s row lists its label names in
-their declared order.
+their declared order. Its span table (``### Span names``) is checked
+the same way against the literal span names the package opens.
 
 Run::
 
@@ -30,7 +31,7 @@ from typing import Optional
 
 import repro
 from repro.staticcheck.model import load_project
-from repro.staticcheck.rules.obs import declared_metrics
+from repro.staticcheck.rules.obs import declared_metrics, declared_spans
 
 #: Inline links. The target group stops at the first ')' or whitespace,
 #: which is enough for the plain relative links this repo uses.
@@ -51,6 +52,12 @@ _METRIC_SECTION = re.compile(
 _METRIC_ROW = re.compile(
     r"^\|\s*`([a-z][a-z0-9_]*)`\s*\|[^|]*\|([^|]*)\|", re.MULTILINE
 )
+#: The span table's section, up to the next heading.
+_SPAN_SECTION = re.compile(
+    r"^### Span names\n(.*?)(?=^#)", re.MULTILINE | re.DOTALL
+)
+#: ``| `name` | layer | attributes |``
+_SPAN_ROW = re.compile(r"^\|\s*`([a-z][a-z0-9_.]*)`\s*\|", re.MULTILINE)
 
 
 def iter_links(markdown: str) -> list[str]:
@@ -107,6 +114,28 @@ def check_metric_table(doc: pathlib.Path, sources: list[str]) -> list[str]:
     return problems
 
 
+def documented_spans(markdown: str) -> set[str]:
+    """The span names in the span table."""
+    section = _SPAN_SECTION.search(markdown + "\n#")
+    return set(_SPAN_ROW.findall(section.group(1))) if section else set()
+
+
+def check_span_table(doc: pathlib.Path, sources: list[str]) -> list[str]:
+    """Where ``doc``'s span table and the spans ``sources`` open
+    disagree, one line each."""
+    documented = documented_spans(doc.read_text(encoding="utf-8"))
+    declared = declared_spans(load_project(sources))
+    problems = [
+        f"span {name!r} is opened in the source but not documented"
+        for name in sorted(declared - documented)
+    ]
+    problems += [
+        f"span {name!r} is documented but not opened in the source"
+        for name in sorted(documented - declared)
+    ]
+    return problems
+
+
 def collect_markdown(paths: list[str]) -> list[pathlib.Path]:
     """Expand files/directories into the Markdown files to check."""
     files: list[pathlib.Path] = []
@@ -145,7 +174,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             failures += 1
         if path.name == "observability.md":
             package = pathlib.Path(repro.__file__).parent
-            for problem in check_metric_table(path, [str(package)]):
+            problems = check_metric_table(path, [str(package)])
+            problems += check_span_table(path, [str(package)])
+            for problem in problems:
                 print(f"{path}: {problem}")
                 failures += 1
     print(

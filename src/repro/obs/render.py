@@ -13,7 +13,7 @@ from repro.obs.span import Span
 
 #: Attribute keys promoted into the tree line when present, in order.
 _DETAIL_KEYS = (
-    "app", "dag", "operator", "model", "worker", "strategy",
+    "app", "dag", "operator", "agent", "model", "worker", "strategy",
     "method", "path", "status_code",
 )
 

@@ -7,16 +7,13 @@ import random
 import threading
 from typing import Optional
 
-from repro.obs.metrics import Counter, Histogram, MetricHandle
+from repro.obs.metrics import Histogram, MetricHandle
 from repro.smmf.registry import WorkerRecord
 
-_CHOICES = MetricHandle(
-    Counter, "balancer_choices_total", "routing decisions per policy",
-    ("policy", "model"),
-)
+#: Its count per label set is the routing decisions per policy and model.
 _CHOSEN_INFLIGHT = MetricHandle(
     Histogram, "balancer_chosen_inflight",
-    "queue depth of the chosen worker at pick time", ("policy",),
+    "queue depth of the chosen worker at pick time", ("policy", "model"),
     buckets=(0, 1, 2, 4, 8, 16, 32, 64),
 )
 
@@ -25,9 +22,9 @@ class LoadBalancer(abc.ABC):
     """Choose one worker among the healthy candidates.
 
     Concrete policies implement ``choose``; at class-creation time it
-    is wrapped to record one ``balancer_choices_total`` sample and the
-    chosen worker's queue depth (``balancer_chosen_inflight``), so
-    balancing behaviour is observable without policy code changes.
+    is wrapped to record the chosen worker's queue depth
+    (``balancer_chosen_inflight``, by policy and model), so balancing
+    behaviour is observable without policy code changes.
     """
 
     name = "base"
@@ -50,8 +47,9 @@ def _metered_choose(choose):
         self: "LoadBalancer", candidates: list[WorkerRecord]
     ) -> WorkerRecord:
         record = choose(self, candidates)
-        _CHOICES.labels(self.name, record.model_name)()
-        _CHOSEN_INFLIGHT.labels(self.name)(record.worker.load_snapshot()[0])
+        _CHOSEN_INFLIGHT.labels(self.name, record.model_name)(
+            record.worker.load_snapshot()[0]
+        )
         return record
 
     wrapped.__obs_wrapped__ = True

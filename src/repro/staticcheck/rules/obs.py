@@ -80,6 +80,29 @@ def declared_metrics(project: Project) -> dict[str, Optional[tuple]]:
     return declared
 
 
+def declared_spans(project: Project) -> set[str]:
+    """The literal names of the spans the project opens, read as
+    OBS001 reads span calls (the tracer module's own excepted)."""
+    return {
+        node.args[0].value
+        for module in project
+        if not module.rel.endswith("obs/tracer.py")
+        for node in ast.walk(module.tree)
+        if isinstance(node, ast.Call)
+        and _span_call(node, module)
+        and _literal_name(node.args)
+    }
+
+
+def _span_call(call: ast.Call, module: SourceModule) -> bool:
+    """True for ``<tracer>.span(...)``."""
+    return (
+        isinstance(call.func, ast.Attribute)
+        and call.func.attr == "span"
+        and _receiver(call.func.value, module, "tracer")
+    )
+
+
 def _label_names(call: ast.Call) -> Optional[tuple]:
     if isinstance(call.func, ast.Attribute):
         return None
@@ -141,11 +164,9 @@ def _module_findings(module: SourceModule) -> Iterable[Finding]:
         # OBS001 — span calls must be with-managed (the tracer module
         # itself constructs and returns spans, so it is exempt).
         if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "span"
-            and not defines_tracer
+            not defines_tracer
             and id(node) not in managed
-            and _receiver(func.value, module, "tracer")
+            and _span_call(node, module)
         ):
             yield finding(
                 "OBS001",

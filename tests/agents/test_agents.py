@@ -1,16 +1,16 @@
 """Tests for memory, agents, planner and the analysis team."""
 
+import asyncio
+
 import pytest
 
 from repro.agents import (
     AgentError,
     AgentMemory,
     AgentMessage,
-    AnalystAgent,
     ChartAgent,
     DataAnalysisTeam,
     PlannerAgent,
-    SqlAgent,
 )
 from repro.agents.base import ConversableAgent
 from repro.datasets import build_sales_database
@@ -108,50 +108,78 @@ class _EchoAgent(ConversableAgent):
         super().__init__("echo", "echoes", memory, **kwargs)
         self.calls = 0
 
-    def generate_reply(self, message):
+    async def generate_reply(self, message):
         self.calls += 1
         return self.reply_to(message, f"echo:{message.content}")
+
+
+def ask(agent, content, **kwargs):
+    return asyncio.run(agent.exchange(content, **kwargs))
 
 
 class TestConversableAgent:
     def test_send_archives_both_sides(self):
         memory = AgentMemory()
-        a = _EchoAgent(memory)
-        b = _EchoAgent(memory)
-        b.name = "echo2"
-        reply = a.send(b, "ping", conversation_id="t")
+        agent = _EchoAgent(memory)
+        reply = ask(agent, "ping", conversation_id="t")
         assert reply.content == "echo:ping"
-        assert len(memory.conversation("t")) == 2
+        request, archived = memory.conversation("t")
+        assert (request.sender, request.recipient) == ("user", "echo")
+        assert archived is reply
+        assert (reply.sender, reply.recipient) == ("echo", "user")
 
     def test_recall_avoids_recomputation(self):
-        memory = AgentMemory()
-        asker = _EchoAgent(memory)
-        asker.name = "asker"
-        responder = _EchoAgent(memory)
-        asker.send(responder, "same question")
-        asker.send(responder, "same question")
+        responder = _EchoAgent(AgentMemory())
+        ask(responder, "same question")
+        ask(responder, "same question")
         assert responder.calls == 1  # second answer recalled from archive
 
     def test_recall_disabled_recomputes(self):
-        memory = AgentMemory()
-        asker = _EchoAgent(memory)
-        asker.name = "asker"
-        responder = _EchoAgent(memory, use_recall=False)
-        asker.send(responder, "same question")
-        asker.send(responder, "same question")
+        responder = _EchoAgent(AgentMemory(), use_recall=False)
+        ask(responder, "same question")
+        ask(responder, "same question")
         assert responder.calls == 2
+
+    def test_a_recall_hit_generates_nothing(self):
+        memory = AgentMemory()
+        agent = _EchoAgent(memory)
+        archived = ask(agent, "total sales by region", conversation_id="c1")
+        recalled = ask(
+            agent,
+            "Total  sales by REGION",
+            conversation_id="conv-2",
+            round=3,
+        )
+        assert agent.calls == 1
+        assert recalled.content == archived.content
+        assert recalled.metadata["recalled_from"] == archived.message_id
+        assert recalled.metadata["request"] == "Total  sales by REGION"
+        assert (recalled.conversation_id, recalled.round) == ("conv-2", 3)
+
+    def test_recall_miss_generates_a_fresh_reply(self):
+        agent = _EchoAgent(AgentMemory())
+        first = ask(agent, "first question")
+        second = ask(agent, "second question")
+        assert agent.calls == 2
+        assert (first.content, second.content) == (
+            "echo:first question",
+            "echo:second question",
+        )
+        assert "recalled_from" not in second.metadata
 
     def test_ask_llm_without_binding_raises(self):
         agent = _EchoAgent(AgentMemory())
         with pytest.raises(AgentError, match="no LLM binding"):
-            agent.ask_llm("prompt")
+            asyncio.run(agent.ask_llm("prompt"))
 
 
 class TestPlannerAgent:
     def test_make_plan_structure(self, client):
         planner = PlannerAgent(AgentMemory(), client)
-        plan = planner.make_plan(
-            "Build sales reports from at least three distinct dimensions"
+        plan = asyncio.run(
+            planner.make_plan(
+                "Build sales reports from at least three distinct dimensions"
+            )
         )
         assert len(plan.chart_steps) == 3
         assert plan.steps[-1].action == "aggregate"
@@ -163,31 +191,9 @@ class TestPlannerAgent:
             sender="user", recipient="planner",
             content="analyze sales from three dimensions",
         )
-        reply = planner.generate_reply(message)
+        reply = asyncio.run(planner.generate_reply(message))
         assert reply.metadata["plan"]
         assert "Plan for" in reply.content
-
-
-class TestSqlAgent:
-    def test_answers_question(self, client, source):
-        memory = AgentMemory()
-        agent = SqlAgent(memory, client, source)
-        message = AgentMessage(
-            sender="user", recipient=agent.name,
-            content="How many orders are there?",
-        )
-        reply = agent.generate_reply(message)
-        assert reply.metadata["ok"]
-        assert reply.metadata["rows"] == [[120]]
-
-    def test_untranslatable_question_reports_failure(self, client, source):
-        agent = SqlAgent(AgentMemory(), client, source)
-        message = AgentMessage(
-            sender="user", recipient=agent.name,
-            content="please summon the kraken immediately",
-        )
-        reply = agent.generate_reply(message)
-        assert not reply.metadata["ok"]
 
 
 class TestChartAgent:
@@ -201,7 +207,7 @@ class TestChartAgent:
             sender="user", recipient=agent.name, content="chart please",
             metadata={"dimension": dimension, "chart_type": chart_type},
         )
-        reply = agent.generate_reply(message)
+        reply = asyncio.run(agent.generate_reply(message))
         assert reply.metadata["ok"], reply.content
         from repro.viz import ChartSpec
 
@@ -215,19 +221,8 @@ class TestChartAgent:
             sender="user", recipient=agent.name, content="chart",
             metadata={"dimension": "astrology"},
         )
-        reply = agent.generate_reply(message)
+        reply = asyncio.run(agent.generate_reply(message))
         assert not reply.metadata["ok"]
-
-
-class TestAnalystAgent:
-    def test_summary(self, client):
-        agent = AnalystAgent(AgentMemory(), client)
-        message = AgentMessage(
-            sender="user", recipient=agent.name,
-            content="revenue 100\nrevenue 200",
-        )
-        reply = agent.generate_reply(message)
-        assert "revenue 100" in reply.content
 
 
 class TestDataAnalysisTeam:
@@ -266,6 +261,28 @@ class TestDataAnalysisTeam:
         assert "forecast" in forecast_chart.title
         # 12 months of history plus the 2 projected periods.
         assert len(forecast_chart.points) == 14
+
+    def test_a_plan_makes_no_thread_hop(self, client, source, monkeypatch):
+        """Every agent replies on the run's event loop: the planner,
+        chart, forecast and aggregator exchanges and the chart queries
+        park no thread."""
+        hops = []
+        real_to_thread = asyncio.to_thread
+
+        def counting_to_thread(fn, *args, **kwargs):
+            hops.append(getattr(fn, "__qualname__", repr(fn)))
+            return real_to_thread(fn, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "to_thread", counting_to_thread)
+        team = DataAnalysisTeam(source, client, use_recall=False)
+        report = team.run(
+            "sales report from three dimensions and forecast the next "
+            "2 months"
+        )
+        actions = [step.action for step in report.plan.steps]
+        assert actions == ["chart", "chart", "chart", "forecast", "aggregate"]
+        assert report.failures == []
+        assert hops == []
 
     def test_chart_type_alteration_after_run(self, client, source):
         team = DataAnalysisTeam(source, client)

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.agents import AgentMemory
-from repro.agents.awel_integration import (
-    AgentOperator,
-    build_analysis_dag,
-    run_analysis_workflow,
-)
+from repro.agents import AgentMemory, DataAnalysisTeam, Plan, PlanStep
+from repro.agents.awel_integration import AgentOperator, compile_plan_dag
 from repro.agents.base import ConversableAgent
 from repro.awel import DAG, AwelError, InputOperator, MapOperator, run_dag
 from repro.awel.runner import WorkflowRunner
@@ -38,7 +34,7 @@ class _UpperAgent(ConversableAgent):
     def __init__(self, memory):
         super().__init__("upper", "uppercases", memory, use_recall=False)
 
-    def generate_reply(self, message):
+    async def generate_reply(self, message):
         return self.reply_to(message, message.content.upper())
 
 
@@ -61,7 +57,7 @@ class TestAgentOperator:
             def __init__(self):
                 super().__init__("echo", "", memory, use_recall=False)
 
-            def generate_reply(self, message):
+            async def generate_reply(self, message):
                 return self.reply_to(
                     message, f"{message.content}|{message.metadata['tag']}"
                 )
@@ -88,47 +84,97 @@ class TestAgentOperator:
             run_dag(dag, None)
 
 
-class TestAnalysisWorkflow:
-    def test_declarative_flow_matches_imperative_team(self, client, source):
-        dashboard = run_analysis_workflow(
-            source, client, "sales report from three dimensions"
+def plan_for(goal, dimensions):
+    steps = [
+        PlanStep(
+            step=index,
+            action="chart",
+            description=f"by {params['dimension']}",
+            params=params,
         )
-        assert len(dashboard.charts) == 3
-        types = {c.chart_type.value for c in dashboard.charts}
+        for index, params in enumerate(dimensions, start=1)
+    ]
+    steps.append(PlanStep(step=len(steps) + 1, action="aggregate"))
+    return Plan(goal=goal, steps=steps)
+
+
+def run_plan(team, plan, conversation_id="workflow"):
+    dag = compile_plan_dag(
+        plan,
+        conversation_id=conversation_id,
+        chart_agents=team.chart_agents,
+        aggregator=team.aggregator,
+        forecaster=team.forecaster,
+    )
+    return WorkflowRunner(dag).run(plan).results["report"]
+
+
+THREE_DIMENSIONS = [
+    {"dimension": "category", "chart_type": "donut"},
+    {"dimension": "user", "chart_type": "bar"},
+    {"dimension": "month", "chart_type": "area"},
+]
+
+
+class TestAnalysisWorkflow:
+    """The Figure 3 flow as a compiled AWEL DAG of agent operators."""
+
+    def test_declarative_flow_matches_imperative_team(self, client, source):
+        goal = "sales report from three dimensions"
+        report = DataAnalysisTeam(source, client, use_recall=False).run(goal)
+        outcome = run_plan(
+            DataAnalysisTeam(source, client, use_recall=False), report.plan
+        )
+        assert outcome["failures"] == report.failures == []
+        assert [
+            (c.chart_type, c.title, c.points)
+            for c in outcome["dashboard"].charts
+        ] == [
+            (c.chart_type, c.title, c.points)
+            for c in report.dashboard.charts
+        ]
+        types = {c.chart_type.value for c in outcome["dashboard"].charts}
         assert types == {"donut", "bar", "area"}
 
     def test_custom_dimensions(self, client, source):
-        dashboard = run_analysis_workflow(
-            source,
-            client,
-            "regional report",
-            dimensions=[
-                {"dimension": "region", "chart_type": "bar"},
-                {"dimension": "segment", "chart_type": "donut"},
-            ],
+        team = DataAnalysisTeam(source, client)
+        outcome = run_plan(
+            team,
+            plan_for(
+                "regional report",
+                [
+                    {"dimension": "region", "chart_type": "bar"},
+                    {"dimension": "segment", "chart_type": "donut"},
+                ],
+            ),
         )
-        assert len(dashboard.charts) == 2
+        assert len(outcome["dashboard"].charts) == 2
 
     def test_memory_shared_across_operators(self, client, source):
         memory = AgentMemory()
-        run_analysis_workflow(
-            source, client, "sales report", memory=memory
-        )
-        senders = {m.sender for m in memory.by_agent("workflow")}
-        assert "workflow" in senders
-        agent_names = {
-            m.sender for m in memory.conversation("awel")
+        team = DataAnalysisTeam(source, client, memory=memory)
+        run_plan(team, plan_for("sales report", THREE_DIMENSIONS))
+        archived = memory.conversation("workflow")
+        # One request and one reply per step and for the aggregation.
+        assert len(archived) == 2 * 4
+        assert {m.sender for m in archived} == {
+            "user", "chart-agent-1", "chart-agent-2", "chart-agent-3",
+            "aggregator",
         }
-        assert "planner" in agent_names
-        assert "aggregator" in agent_names
 
     def test_dag_shape(self, client, source):
-        dag, _memory = build_analysis_dag(source, client)
-        # goal -> planner -> 3x (step -> chart) -> collect -> aggregate
-        # -> dashboard = 1 + 1 + 6 + 1 + 1 + 1 nodes.
-        assert len(dag) == 11
-        assert [n.node_id for n in dag.roots()] == ["goal"]
-        assert [n.node_id for n in dag.leaves()] == ["dashboard"]
+        team = DataAnalysisTeam(source, client)
+        dag = compile_plan_dag(
+            plan_for("sales report", THREE_DIMENSIONS),
+            conversation_id="shape",
+            chart_agents=team.chart_agents,
+            aggregator=team.aggregator,
+        )
+        # plan -> 3 chart steps -> collect -> aggregate -> report.
+        assert len(dag) == 7
+        assert [n.node_id for n in dag.roots()] == ["plan"]
+        assert [n.node_id for n in dag.leaves()] == ["report"]
+        assert dag.upstream_of("collect") == ["chart-1", "chart-2", "chart-3"]
 
 
 class TestRunnerDeadlockRegression:

@@ -1,5 +1,6 @@
 """Tests for the time-series forecasting agent (future-work item 1)."""
 
+import asyncio
 import math
 
 import numpy as np
@@ -96,7 +97,8 @@ class TestForecastAgent:
         return ForecastAgent(AgentMemory(), client, source)
 
     def test_forecast_from_sales_history(self, agent):
-        result = agent.forecast(horizon=3)
+        _labels, series = asyncio.run(agent.history())
+        result = agent.forecast(series, horizon=3)
         assert len(result.history) == 12
         assert len(result.predictions) == 3
         assert all(math.isfinite(v) for v in result.predictions)
@@ -106,7 +108,7 @@ class TestForecastAgent:
             sender="user", recipient=agent.name,
             content="forecast revenue", metadata={"horizon": 2},
         )
-        reply = agent.generate_reply(message)
+        reply = asyncio.run(agent.generate_reply(message))
         assert reply.metadata["ok"], reply.content
         assert len(reply.metadata["predictions"]) == 2
         from repro.viz import ChartSpec
@@ -132,7 +134,7 @@ class TestForecastAgent:
         message = AgentMessage(
             sender="user", recipient=agent.name, content="forecast",
         )
-        reply = agent.generate_reply(message)
+        reply = asyncio.run(agent.generate_reply(message))
         assert not reply.metadata["ok"]
         assert "could not produce a forecast" in reply.content
 
@@ -141,7 +143,42 @@ class TestForecastAgent:
         # from 12 months should project January below December.
         source = EngineSource(build_sales_database(n_orders=2000))
         agent = ForecastAgent(AgentMemory(), client, source)
-        result = agent.forecast(horizon=1)
+        _labels, series = asyncio.run(agent.history())
+        result = agent.forecast(series, horizon=1)
         december = result.history[-1]
         january_prediction = result.predictions[0]
         assert january_prediction < december
+
+    def test_a_reply_reads_the_history_once(self, client):
+        """One forecast step is one text2sql call and one query."""
+
+        class CountingClient:
+            def __init__(self):
+                self.calls = []
+
+            async def agenerate(self, model, prompt, task=None):
+                self.calls.append((model, task))
+                return await client.agenerate(model, prompt, task=task)
+
+        source = EngineSource(build_sales_database(n_orders=600))
+        queries = []
+        real_query = source.query
+
+        def counting_query(sql, *args, **kwargs):
+            queries.append(sql)
+            return real_query(sql, *args, **kwargs)
+
+        source.query = counting_query
+        counting = CountingClient()
+        agent = ForecastAgent(AgentMemory(), counting, source)
+        message = AgentMessage(
+            sender="user", recipient=agent.name, content="forecast",
+            metadata={"horizon": 2},
+        )
+        reply = asyncio.run(agent.generate_reply(message))
+        assert reply.metadata["ok"], reply.content
+        assert counting.calls == [("sql-coder", "text2sql")]
+        # Prompt building samples column values with DISTINCT queries;
+        # the rest is the history query itself.
+        history = [sql for sql in queries if "DISTINCT" not in sql]
+        assert len(history) == 1

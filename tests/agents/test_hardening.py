@@ -12,6 +12,7 @@ Each test here fails on the pre-fix code:
   archived message metadata.
 """
 
+import asyncio
 import copy
 import importlib
 import json
@@ -206,11 +207,14 @@ class TestPlannerSerializationAliasing:
                 )
             ],
         )
-        planner.make_plan = lambda goal: plan
+        async def make_plan(goal):
+            return plan
+
+        planner.make_plan = make_plan
         message = AgentMessage(
             sender="user", recipient="planner", content="g"
         )
-        reply = planner.generate_reply(message)
+        reply = asyncio.run(planner.generate_reply(message))
         archived = copy.deepcopy(reply.metadata["plan"])
 
         plan.steps[0].params["dimension"] = "corrupted"

@@ -63,7 +63,7 @@ def chart_plan(dimensions=("category", "user", "month"), forecast=False):
 
 
 class TestCompiledDagShape:
-    def test_chart_steps_become_stage_chains(self, client, source):
+    def test_chart_steps_become_agent_operators(self, client, source):
         team = DataAnalysisTeam(source, client)
         dag = compile_plan_dag(
             chart_plan(),
@@ -73,14 +73,17 @@ class TestCompiledDagShape:
             forecaster=team.forecaster,
         )
         node_ids = {node.node_id for node in dag.nodes.values()}
-        for step in (1, 2, 3):
-            for stage in ("schema-link", "sqlgen", "execute", "viz"):
-                assert f"{stage}-{step}" in node_ids
-        assert {"plan", "collect", "aggregate", "narrative", "report"} \
-            <= node_ids
-        # 1 input + 3 chart chains of 4 + collect/aggregate/narrative/
-        # report.
-        assert len(dag) == 17
+        # 1 input + one agent operator per chart step + collect/
+        # aggregate/report.
+        assert node_ids == {
+            "plan", "chart-1", "chart-2", "chart-3",
+            "collect", "aggregate", "report",
+        }
+        # Chart agents are assigned round-robin, one per step.
+        assert [dag.nodes[f"chart-{n}"].agent.name for n in (1, 2, 3)] == [
+            "chart-agent-1", "chart-agent-2", "chart-agent-3",
+        ]
+        assert dag.nodes["aggregate"].agent is team.aggregator
         assert [n.node_id for n in dag.roots()] == ["plan"]
         assert [n.node_id for n in dag.leaves()] == ["report"]
 
@@ -95,7 +98,9 @@ class TestCompiledDagShape:
         )
         node_ids = {node.node_id for node in dag.nodes.values()}
         assert "forecast-4" in node_ids
-        assert "sqlgen-4" not in node_ids
+        assert dag.nodes["forecast-4"].agent is team.forecaster
+        assert dag.upstream_of("forecast-4") == ["plan"]
+        assert dag.downstream_of("forecast-4") == ["collect"]
 
     def test_plan_without_executable_steps_raises(self, client, source):
         team = DataAnalysisTeam(source, client)
@@ -176,11 +181,19 @@ class TestPlanTracing:
         spans = tracer.last_trace()
         names = [span.name for span in spans]
         assert "agent.plan" in names
-        step_spans = [s for s in spans if s.name == "agent.step"]
-        stages = {s.attributes.get("stage") for s in step_spans}
-        assert {
-            "schema-link", "sqlgen", "execute", "viz",
-            "aggregate", "narrative",
-        } <= stages
+        # One awel.operator span per agent exchange, carrying the
+        # step's node id and the agent's name.
+        exchanges = {
+            s.attributes["operator"]: s.attributes["agent"]
+            for s in spans
+            if s.name == "awel.operator"
+            and s.attributes["type"] == "AgentOperator"
+        }
+        assert exchanges == {
+            "chart-1": "chart-agent-1",
+            "chart-2": "chart-agent-2",
+            "chart-3": "chart-agent-3",
+            "aggregate": "aggregator",
+        }
         root = next(s for s in spans if s.name == "agent.plan")
         assert root.attributes["conversation"] == report.conversation_id

@@ -76,7 +76,7 @@ class TestText2SqlTrace:
             "app_latency_ms",
             "model_requests_total",
             "worker_requests_total",
-            "balancer_choices_total",
+            "balancer_chosen_inflight",
             "awel_dag_runs_total",
             "awel_operator_latency_ms",
             "rag_retrieval_latency_ms",
@@ -87,6 +87,12 @@ class TestText2SqlTrace:
         assert registry.get("awel_dag_runs_total").value(
             dag="text2sql", status="ok"
         ) == 1
+        # One routing pick per model call: the pick histogram's count.
+        assert registry.get("balancer_chosen_inflight").count(
+            policy="round_robin", model="sql-coder"
+        ) == registry.get("model_requests_total").value(
+            model="sql-coder", outcome="success"
+        )
 
 
 class TestNestedWorkflow:

@@ -8,15 +8,11 @@ is an admission hook, and the deadline is already expired on arrival.
 """
 
 import asyncio
-import dataclasses
 import random
 
 import pytest
 
 import repro.runtime
-from repro.agents.base import ConversableAgent
-from repro.agents.memory import AgentMemory
-from repro.agents.messages import AgentMessage
 from repro.cache.config import CacheConfig
 from repro.cache.manager import CacheManager, set_cache_manager
 from repro.llm.base import LanguageModel, LLMError
@@ -293,54 +289,6 @@ class TestRetryPolicyParity:
         assert sync == awaited
         # 1.0 + 2.0 fit the budget; the third wait (4.0) would not.
         assert sync[:3] == (4.0, 3, [1.0, 2.0])
-
-
-class _CountingAgent(ConversableAgent):
-    def __init__(self, memory):
-        super().__init__("analyst", "answers questions", memory)
-        self.generated = 0
-
-    def generate_reply(self, message):
-        self.generated += 1
-        return self.reply_to(message, f"fresh answer {self.generated}")
-
-
-class TestReceiveParity:
-    def _ask(self, content):
-        return AgentMessage(
-            sender="user",
-            recipient="analyst",
-            content=content,
-            conversation_id="conv-2",
-            round=3,
-        )
-
-    def test_recall_hit_returns_equal_messages(self):
-        memory = AgentMemory()
-        agent = _CountingAgent(memory)
-        archived = agent.receive(self._ask("total sales by region"))
-        memory.append(archived)
-        assert agent.generated == 1
-
-        again = self._ask("Total sales by region")
-        sync = agent.receive(again)
-        awaited = asyncio.run(agent.areceive(again))
-        assert agent.generated == 1, "both twins must answer from recall"
-        assert dataclasses.replace(sync, message_id=0) == dataclasses.replace(
-            awaited, message_id=0
-        )
-        assert sync.content == archived.content
-        assert sync.metadata["recalled_from"] == archived.message_id
-        assert (sync.conversation_id, sync.round) == ("conv-2", 3)
-
-    def test_recall_miss_generates_on_both_sides(self):
-        agent = _CountingAgent(AgentMemory())
-        sync = agent.receive(self._ask("first question"))
-        awaited = asyncio.run(agent.areceive(self._ask("second question")))
-        assert (sync.content, awaited.content) == (
-            "fresh answer 1",
-            "fresh answer 2",
-        )
 
 
 # -- the inference cache tier ------------------------------------------------

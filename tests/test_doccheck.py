@@ -118,3 +118,68 @@ def test_main_counts_table_problems_as_failures(tmp_path, capsys):
 def test_the_repository_docs_pass():
     paths = [str(ROOT / "README.md"), str(ROOT / "docs")]
     assert doccheck.main(paths) == 0
+
+
+SPAN_SOURCE = '''
+from repro.obs.tracer import get_tracer
+
+
+def handle(tracer, match, name):
+    with get_tracer().span("app.chat", app="demo"):
+        with tracer.span("awel.operator", operator="x"):
+            pass
+    # Neither is a span the table names: a ``re.Match`` span, and a
+    # name that is not a literal.
+    match.span(1)
+    with tracer.span(name):
+        pass
+'''
+
+SPAN_ROWS = {
+    "app.chat": "| `app.chat` | Application | `app` |",
+    "awel.operator": "| `awel.operator` | Protocol | `operator` |",
+}
+
+
+def write_span_tree(tmp_path, rows):
+    package = tmp_path / "src"
+    package.mkdir()
+    (package / "module.py").write_text(SPAN_SOURCE, encoding="utf-8")
+    doc = tmp_path / "observability.md"
+    doc.write_text(
+        "# Observability\n\n### Span names\n\n"
+        "| Span | Layer | Attributes |\n|---|---|---|\n"
+        + "\n".join(rows)
+        + "\n\n## Metrics\n\n| `app.render` | not a span row |\n",
+        encoding="utf-8",
+    )
+    return doc, [str(package)]
+
+
+def test_a_matching_span_table_has_no_problems(tmp_path):
+    doc, sources = write_span_tree(tmp_path, SPAN_ROWS.values())
+    assert doccheck.check_span_table(doc, sources) == []
+
+
+def test_an_opened_span_missing_from_the_table(tmp_path):
+    doc, sources = write_span_tree(tmp_path, [SPAN_ROWS["app.chat"]])
+    assert doccheck.check_span_table(doc, sources) == [
+        "span 'awel.operator' is opened in the source but not documented"
+    ]
+
+
+def test_a_documented_span_the_source_does_not_open(tmp_path):
+    extra = "| `agent.step` | Module/Agents | `step` |"
+    doc, sources = write_span_tree(tmp_path, [*SPAN_ROWS.values(), extra])
+    assert doccheck.check_span_table(doc, sources) == [
+        "span 'agent.step' is documented but not opened in the source"
+    ]
+
+
+def test_main_counts_span_table_problems_as_failures(tmp_path, capsys):
+    doc, _sources = write_span_tree(tmp_path, [SPAN_ROWS["app.chat"]])
+    # ``main`` checks any observability.md against the repro package,
+    # which opens spans this fixture's table does not name.
+    assert doccheck.main([str(doc)]) > 0
+    out = capsys.readouterr().out
+    assert "span 'smmf.generate' is opened in the source" in out
