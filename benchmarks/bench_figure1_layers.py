@@ -11,6 +11,7 @@ import pytest
 
 from repro.awel import DAG, InputOperator, MapOperator, run_dag
 from repro.server import Request
+from repro.tenancy import QuotaConfig
 
 QUESTION = "How many orders are there?"
 EXPECTED = "The answer is 300."
@@ -23,9 +24,16 @@ def test_application_layer_direct(cold_benchmark, sales_dbgpt):
 
 
 def test_server_layer_round_trip(cold_benchmark, sales_dbgpt):
+    # Every served turn is a tenant turn; this tenant's quota never
+    # throttles the timed rounds.
+    sales_dbgpt.register_tenant(
+        "figure1", quota=QuotaConfig(refill_per_second=1e6, burst=1e6)
+    )
     server = sales_dbgpt.server()
     request = Request(
-        "POST", "/api/chat/chat2data", {"message": QUESTION}
+        "POST",
+        "/v1/chat",
+        {"tenant_id": "figure1", "app": "chat2data", "message": QUESTION},
     )
 
     def call():

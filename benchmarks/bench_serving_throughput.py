@@ -25,12 +25,13 @@ behind the same engine and issues every request from one client
 thread, one at a time (each a cohort of one); measured runs issue the
 same workload as ``asyncio.gather`` over ``LLMClient.agenerate``, at
 most ``concurrency`` in flight behind a semaphore, timed best-of-three
-fresh deployments after an untimed warmup. The inference cache is
-pinned off by the harness conftest and every prompt is distinct, so
-every request reaches a worker. Numbers land in ``BENCH_serving.json``
-at the repo root; CI re-asserts the same bars from the artifact. This
-is a drill-down bench: the end-to-end serving numbers are
-``gen_concurrent`` in ``benchmarks/e2e``.
+fresh deployments after an untimed warmup; the streams are
+``LLMClient.astream`` coroutines behind the same kind of semaphore.
+The inference cache is pinned off by the harness conftest and every
+prompt is distinct, so every request reaches a worker. Numbers land
+in ``BENCH_serving.json`` at the repo root; CI re-asserts the same
+bars from the artifact. This is a drill-down bench: the end-to-end
+serving numbers are ``gen_concurrent`` in ``benchmarks/e2e``.
 """
 
 import asyncio
@@ -38,7 +39,6 @@ import json
 import pathlib
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.runtime import run_sync
 from repro.serving import LatencySimModel, ServingConfig
@@ -121,20 +121,31 @@ def _best_of(prompts, concurrency, reps=3):
     return best
 
 
+async def _stream_all(client, count, concurrency):
+    """``count`` streams through ``astream``, ``concurrency`` at a
+    time; returns each one's time to first chunk in milliseconds."""
+    clients = asyncio.Semaphore(concurrency)
+
+    async def one(i):
+        async with clients:
+            start = time.perf_counter()
+            chunks = client.astream(
+                "sim", f"stream question {i}", task="chat"
+            )
+            first = await anext(chunks)
+            ttft = time.perf_counter() - start
+            rest = [chunk async for chunk in chunks]
+            assert first and isinstance(rest, list)
+            return ttft * 1000.0
+
+    return await asyncio.gather(*(one(i) for i in range(count)))
+
+
 def _measure_ttft():
     """p50/p95 time-to-first-token over concurrent end-to-end streams."""
     controller, client = deploy(_specs(), serving=_config())
     try:
-        def one_stream(i):
-            start = time.perf_counter()
-            chunks = client.stream("sim", f"stream question {i}", task="chat")
-            first = next(chunks)
-            ttft = time.perf_counter() - start
-            rest = list(chunks)
-            assert first and isinstance(rest, list)
-            return ttft * 1000.0
-        with ThreadPoolExecutor(max_workers=CONCURRENCY) as pool:
-            ttfts = sorted(pool.map(one_stream, range(STREAMS)))
+        ttfts = sorted(run_sync(_stream_all(client, STREAMS, CONCURRENCY)))
     finally:
         controller.scheduler.close()
     return {

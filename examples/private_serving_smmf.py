@@ -24,11 +24,13 @@ def main() -> None:
             ModelConfig("chat", "chat", replicas=2, latency_ms=8),
             ModelConfig("planner", "planner", replicas=1),
         ],
-        auth_token="demo-token",
+        # The bearer token authenticates its caller as tenant "demo".
+        auth_principals={"demo-token": "demo"},
         privacy=True,
     )
     dbgpt = DBGPT.boot(config)
     dbgpt.register_source(EngineSource(build_sales_database(n_orders=300)))
+    dbgpt.register_tenant("demo")
 
     print("== Deployed workers ==")
     for record in dbgpt.controller.workers():
@@ -66,14 +68,17 @@ def main() -> None:
     print("\n== Server layer with auth + privacy middleware ==")
     server = dbgpt.server()
     denied = server.handle(
-        Request("POST", "/api/chat/chat2data", {"message": "hi"})
+        Request("POST", "/v1/chat", {"app": "chat2data", "message": "hi"})
     )
     print(f"  without token: HTTP {denied.status}")
     allowed = server.handle(
         Request(
             "POST",
-            "/api/chat/chat2data",
-            {"message": "How many products are there? I am a@b.com"},
+            "/v1/chat",
+            {
+                "app": "chat2data",
+                "message": "How many products are there? I am a@b.com",
+            },
             headers={"Authorization": "Bearer demo-token"},
         )
     )

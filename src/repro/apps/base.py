@@ -75,7 +75,6 @@ class Application(abc.ABC):
     """
 
     name = "app"
-    description = ""
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -88,25 +87,6 @@ class Application(abc.ABC):
     @abc.abstractmethod
     def chat(self, text: str) -> AppResponse:
         """Handle one user utterance."""
-
-    def stream_chat(self, text: str):
-        """One user turn as ``(chunk_iterator, response_getter)``.
-
-        The default runs :meth:`chat` (spans and metrics included) and
-        re-chunks the finished answer, so every application streams;
-        apps backed by a streaming model path may override to forward
-        tokens as they are generated. ``response_getter()`` returns
-        the full :class:`AppResponse` once the iterator is exhausted —
-        streaming consumers still get ``ok``/``metadata``/``payload``.
-        """
-        from repro.llm.base import chunk_text
-
-        response = self.chat(text)
-
-        def chunks():
-            yield from chunk_text(response.text)
-
-        return chunks(), lambda: response
 
     def reset(self) -> None:
         """Clear any per-conversation state (default: stateless)."""

@@ -16,7 +16,6 @@ from repro.sqlengine import ResultSet
 
 class Chat2DataApp(Application):
     name = "chat2data"
-    description = "Ask analytical questions, get narrative answers."
 
     def __init__(
         self,

@@ -35,7 +35,6 @@ def _is_read_only(
 
 class Chat2DbApp(Application):
     name = "chat2db"
-    description = "Converse with a database: query, inspect, summarize."
 
     def __init__(
         self,

@@ -21,7 +21,6 @@ class Chat2ExcelApp(Application):
     """
 
     name = "chat2excel"
-    description = "Converse with Excel workbooks (one table per sheet)."
 
     def __init__(
         self,

@@ -26,7 +26,6 @@ _SHARE_WORDS = ("share", "proportion", "breakdown", "percentage", "split")
 
 class Chat2VizApp(Application):
     name = "chat2viz"
-    description = "Turn analytical questions into charts."
 
     def __init__(
         self,

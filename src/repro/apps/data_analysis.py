@@ -15,9 +15,6 @@ class GenerativeAnalysisApp(Application):
     """Run the multi-agent analysis flow and return the dashboard."""
 
     name = "data_analysis"
-    description = (
-        "Multi-agent generative data analysis: plan, chart, aggregate."
-    )
 
     def __init__(
         self,

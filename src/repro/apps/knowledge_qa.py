@@ -14,7 +14,6 @@ class KnowledgeQAApp(Application):
     """Answer questions from the knowledge base with citations."""
 
     name = "knowledge_qa"
-    description = "Question answering over the indexed knowledge base."
 
     def __init__(
         self,

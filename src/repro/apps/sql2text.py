@@ -9,7 +9,6 @@ from repro.smmf.client import ClientError, LLMClient
 
 class Sql2TextApp(Application):
     name = "sql2text"
-    description = "Explain what a SQL statement does."
 
     def __init__(self, client: LLMClient, model: str = "chat") -> None:
         self._client = client

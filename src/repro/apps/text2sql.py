@@ -85,7 +85,6 @@ class Text2SqlApp(Application):
     """
 
     name = "text2sql"
-    description = "Translate a natural-language question into SQL."
 
     def __init__(
         self,

@@ -462,7 +462,7 @@ def serve_main(argv: list[str]) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.core.config import DbGptConfig
-    from repro.runtime import mono_clock
+    from repro.runtime import mono_clock, run_sync
     from repro.serving import ServingConfig
 
     parser = argparse.ArgumentParser(
@@ -506,13 +506,17 @@ def serve_main(argv: list[str]) -> int:
         ]
         for future in futures:
             future.result()
-    # Two live token streams, one abandoned mid-generation so the
-    # cancellation counters have something to show.
-    for chunk in dbgpt.client.stream("chat", "stream me a reply"):
-        pass
-    aborted = dbgpt.client.stream("chat", "stream to abandon")
-    next(aborted, None)
-    aborted.close()
+
+    async def streams() -> None:
+        # Two live token streams, one abandoned mid-generation so the
+        # cancellation counters have something to show.
+        async for _chunk in dbgpt.client.astream("chat", "stream me a reply"):
+            pass
+        aborted = dbgpt.client.astream("chat", "stream to abandon")
+        await anext(aborted, None)
+        await aborted.aclose()
+
+    run_sync(streams())
     # The engine reaps the cancelled member on its own loop; read the
     # stats once its batch has retired.
     stats = dbgpt.serving_stats()
@@ -533,8 +537,8 @@ def tenants_main(argv: list[str]) -> int:
 
     Boots the demo stack, registers two tenants over the demo
     sales database (one with a tighter quota), drives a few turns per
-    tenant, and prints the per-tenant control-plane table — shard
-    placement, session counts, quota state, cache hit rate. ``--json``
+    tenant, and prints the per-tenant control-plane table — session
+    counts, quota state, cache hit rate. ``--json``
     emits the raw rows.
     """
     import json

@@ -70,7 +70,7 @@ class DbGptConfig:
     #: health recovery and degraded routing (``docs/resilience.md``);
     #: it cannot be turned off.
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    #: Multi-tenant session fabric — registry + shard router, session
+    #: Multi-tenant session fabric — tenant registry, session
     #: store, admission quotas, partitioned caches (``docs/tenancy.md``);
     #: it cannot be turned off.
     tenancy: TenancyConfig = field(default_factory=TenancyConfig)

@@ -179,15 +179,6 @@ class DBGPT:
         """One-shot interaction with an application."""
         return self.app(app_name).chat(text)
 
-    def stream_chat(self, app_name: str, text: str):
-        """Streaming interaction: ``(chunk_iterator, response_getter)``.
-
-        Chunks arrive as the turn is produced; once the iterator is
-        exhausted ``response_getter()`` returns the full
-        :class:`AppResponse` (``ok``, ``payload``, ``metadata``).
-        """
-        return self.app(app_name).stream_chat(text)
-
     def session(self, app_name: str) -> ChatSession:
         """Start (or resume) a chat session with an application."""
         key = app_name.lower()
@@ -228,11 +219,11 @@ class DBGPT:
     def server(
         self, middlewares: Optional[list[Middleware]] = None
     ) -> DbGptServer:
-        """Mount all applications behind the HTTP-shaped server.
+        """The HTTP-shaped server over the tenant fabric.
 
-        The ``/v1`` multi-tenant surface mounts too, and per-tenant
-        bearer tokens (``auth_principals``) authenticate callers as
-        their tenant.
+        Every served turn is a tenant turn (``POST /v1/chat``), and
+        per-tenant bearer tokens (``auth_principals``) authenticate
+        callers as their tenant.
         """
         if middlewares is None:
             # Tracing sits outermost so auth rejections and privacy
@@ -247,10 +238,7 @@ class DBGPT:
                 )
             if self.config.privacy:
                 middlewares.append(PrivacyMiddleware())
-        server = DbGptServer(self.fabric, middlewares)
-        for application in self._apps.values():
-            server.register_app(application)
-        return server
+        return DbGptServer(self.fabric, middlewares)
 
     # -- observability -------------------------------------------------------
 

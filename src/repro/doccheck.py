@@ -15,6 +15,11 @@ declaration, and a ``MetricHandle``'s row lists its label names in
 their declared order. Its span table (``### Span names``) is checked
 the same way against the literal span names the package opens.
 
+A ``tenancy.md`` among the files has its route table (the ``## HTTP
+surface`` section) checked against the routes ``DbGptServer`` mounts,
+read statically from the ``add_route``/``_tenant_route`` literals in
+``repro/server/service.py``: every ``(pattern, method)`` both ways.
+
 Run::
 
     python -m repro.doccheck README.md docs
@@ -24,6 +29,7 @@ Exit status is the number of problems (0 == everything resolves).
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import sys
@@ -58,6 +64,16 @@ _SPAN_SECTION = re.compile(
 )
 #: ``| `name` | layer | attributes |``
 _SPAN_ROW = re.compile(r"^\|\s*`([a-z][a-z0-9_.]*)`\s*\|", re.MULTILINE)
+#: The route table's section, up to the next heading.
+_ROUTE_SECTION = re.compile(
+    r"^## HTTP surface\n(.*?)(?=^#)", re.MULTILINE | re.DOTALL
+)
+#: ``| `/v1/chat` | POST | purpose |``
+_ROUTE_ROW = re.compile(
+    r"^\|\s*`(/[^`]*)`\s*\|\s*([A-Z]+)\s*\|", re.MULTILINE
+)
+#: The ``DbGptServer`` calls that mount a route: ``(method, pattern, ...)``.
+_MOUNTS = frozenset({"add_route", "_tenant_route"})
 
 
 def iter_links(markdown: str) -> list[str]:
@@ -136,6 +152,46 @@ def check_span_table(doc: pathlib.Path, sources: list[str]) -> list[str]:
     return problems
 
 
+def documented_routes(markdown: str) -> set[tuple[str, str]]:
+    """``(pattern, method)`` of every row in the route table."""
+    section = _ROUTE_SECTION.search(markdown + "\n#")
+    return set(_ROUTE_ROW.findall(section.group(1))) if section else set()
+
+
+def declared_routes(source: pathlib.Path) -> set[tuple[str, str]]:
+    """``(pattern, method)`` of every route ``source`` mounts with
+    literal arguments."""
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    return {
+        (node.args[1].value, node.args[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _MOUNTS
+        and len(node.args) >= 2
+        and all(
+            isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            for arg in node.args[:2]
+        )
+    }
+
+
+def check_route_table(doc: pathlib.Path, source: pathlib.Path) -> list[str]:
+    """Where ``doc``'s route table and the routes ``source`` mounts
+    disagree, one line each."""
+    documented = documented_routes(doc.read_text(encoding="utf-8"))
+    declared = declared_routes(source)
+    problems = [
+        f"route {method} {pattern} is mounted but not documented"
+        for pattern, method in sorted(declared - documented)
+    ]
+    problems += [
+        f"route {method} {pattern} is documented but not mounted"
+        for pattern, method in sorted(documented - declared)
+    ]
+    return problems
+
+
 def collect_markdown(paths: list[str]) -> list[pathlib.Path]:
     """Expand files/directories into the Markdown files to check."""
     files: list[pathlib.Path] = []
@@ -172,13 +228,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         for target in check_file(path):
             print(f"{path}: broken link -> {target}")
             failures += 1
+        package = pathlib.Path(repro.__file__).parent
+        problems = []
         if path.name == "observability.md":
-            package = pathlib.Path(repro.__file__).parent
             problems = check_metric_table(path, [str(package)])
             problems += check_span_table(path, [str(package)])
-            for problem in problems:
-                print(f"{path}: {problem}")
-                failures += 1
+        elif path.name == "tenancy.md":
+            problems = check_route_table(
+                path, package / "server" / "service.py"
+            )
+        for problem in problems:
+            print(f"{path}: {problem}")
+            failures += 1
     print(
         f"doccheck: {len(files)} files, {checked_links} relative links, "
         f"{failures} problems"

@@ -13,12 +13,19 @@ from repro.server.request import Request, Response, error
 
 Handler = Callable[[Request], Response]
 
-#: ``status``: the HTTP status, or ``error`` when the handler raised.
+#: ``path``: the matched route's pattern (``/v1/sessions/{session_id}``),
+#: or :data:`UNROUTED`; ``status``: the HTTP status, or ``error`` when
+#: the handler raised.
 _LATENCY = MetricHandle(
     Histogram, "server_latency_ms",
     "request latency through the middleware chain",
     ("method", "path", "status"),
 )
+
+#: The ``path`` label of every request no route takes (a 404 or 405;
+#: ``server_unrouted_total`` counts them by reason), so probed paths
+#: do not each add a series.
+UNROUTED = "unrouted"
 
 
 class Middleware(abc.ABC):
@@ -34,13 +41,19 @@ class TracingMiddleware(Middleware):
 
     Installed outermost by default (see ``DBGPT.server``) so every
     other middleware and the application handler nest inside it; also
-    records each request's latency by route and status.
+    records each request's latency by route pattern and status. The
+    span keeps the raw path.
     """
 
     def __call__(self, request: Request, next_handler: Handler) -> Response:
+        route = request.route
         with get_tracer().span(
             "server.request",
-            partial(_LATENCY.labels, request.method, request.path),
+            partial(
+                _LATENCY.labels,
+                request.method,
+                UNROUTED if route is None else route.pattern,
+            ),
             method=request.method,
             path=request.path,
         ) as span:

@@ -16,6 +16,9 @@ class Request:
     #: Identity attached by the auth middleware (a tenant id under the
     #: tenancy fabric); None until authenticated.
     principal: Optional[str] = None
+    #: The :class:`~repro.server.router.Route` taking this method and
+    #: path, matched before any middleware runs; None when none does.
+    route: Optional[Any] = None
 
     def header(self, name: str, default: str = "") -> str:
         for key, value in self.headers.items():
@@ -36,25 +39,6 @@ class Response:
 
     def json(self) -> str:
         return json.dumps(self.body, ensure_ascii=False)
-
-
-@dataclass
-class StreamingResponse:
-    """A chunked response: ``chunks`` iterates token chunks on a 200.
-
-    Non-200 statuses carry the same structured error body as
-    :class:`Response` and no chunk iterator. Closing the iterator
-    early cancels the underlying generation (the serving engine frees
-    the request's batch slot mid-stream).
-    """
-
-    status: int
-    body: dict[str, Any] = field(default_factory=dict)
-    chunks: Optional[Any] = None
-
-    @property
-    def ok(self) -> bool:
-        return 200 <= self.status < 300
 
 
 def ok(body: dict[str, Any]) -> Response:

@@ -27,7 +27,6 @@ class Route:
     pattern: str
     handler: Callable[..., Response]
     regex: re.Pattern[str]
-    param_names: list[str]
 
 
 class Router:
@@ -50,7 +49,6 @@ class Router:
         pattern: str,
         handler: Callable[..., Response],
     ) -> None:
-        param_names = _PARAM.findall(pattern)
         regex_text = "^" + _PARAM.sub(r"(?P<\1>[^/]+)", re.escape(pattern).replace(r"\{", "{").replace(r"\}", "}")) + "$"
         try:
             regex = re.compile(regex_text)
@@ -62,29 +60,29 @@ class Router:
                     f"route {method} {pattern} already registered"
                 )
         self._routes.append(
-            Route(method.upper(), pattern, handler, regex, param_names)
+            Route(method.upper(), pattern, handler, regex)
         )
 
     def routes(self) -> list[tuple[str, str]]:
         return [(route.method, route.pattern) for route in self._routes]
 
     def dispatch(self, request: Request) -> Response:
+        request.route = self._match(request)
         return self._chain(request)
 
-    def _resolve_handler(self, request: Request) -> Response:
-        saw_path = False
+    def _match(self, request: Request) -> Optional[Route]:
+        method = request.method.upper()
         for route in self._routes:
-            match = route.regex.match(request.path)
-            if match is None:
-                continue
-            saw_path = True
-            if route.method != request.method.upper():
-                continue
-            params = {
-                name: match.group(name) for name in route.param_names
-            }
+            if route.method == method and route.regex.match(request.path):
+                return route
+        return None
+
+    def _resolve_handler(self, request: Request) -> Response:
+        route = request.route
+        if route is not None:
+            params = route.regex.match(request.path).groupdict()
             return route.handler(request, **params)
-        if saw_path:
+        if any(route.regex.match(request.path) for route in self._routes):
             _UNROUTED.labels("method_not_allowed")()
             return error(
                 405,

@@ -4,26 +4,20 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.apps.base import Application
 from repro.server.middleware import Middleware
-from repro.server.request import (
-    Request,
-    Response,
-    StreamingResponse,
-    error,
-    ok,
-)
+from repro.server.request import Request, Response, error, ok
 from repro.server.router import Router
 
 
 class DbGptServer:
-    """Serve registered applications at ``POST /api/chat/{app}``.
+    """Serve the applications over the tenant ``fabric``.
 
-    Also exposes ``GET /api/apps`` (discovery) and ``GET /api/health``,
-    and, over the tenant ``fabric``, the multi-tenant surface:
+    ``POST /v1/chat`` (takes ``tenant_id``/``session_id``/``app``) is
+    the only route that runs an application, so every served turn is
+    admitted, pinned to a session and scoped to its tenant. Beside it:
     ``POST /v1/sessions`` (create/resume by id), ``GET`` and ``DELETE``
-    on ``/v1/sessions/{session_id}``, ``POST /v1/chat`` (takes
-    ``tenant_id``/``session_id``) and ``GET /v1/tenants``.
+    on ``/v1/sessions/{session_id}``, ``GET /v1/tenants``, and
+    ``GET /api/health`` and ``GET /api/openapi``.
     """
 
     def __init__(
@@ -33,11 +27,8 @@ class DbGptServer:
     ) -> None:
         self.router = Router(middlewares)
         self.fabric = fabric
-        self._apps: dict[str, Application] = {}
-        self.router.add_route("GET", "/api/apps", self._list_apps)
         self.router.add_route("GET", "/api/health", self._health)
         self.router.add_route("GET", "/api/openapi", self._openapi)
-        self.router.add_route("POST", "/api/chat/{app}", self._chat)
         self._tenant_route("POST", "/v1/sessions", self._create_session)
         self._tenant_route(
             "GET", "/v1/sessions/{session_id}", self._get_session
@@ -48,61 +39,13 @@ class DbGptServer:
         self._tenant_route("POST", "/v1/chat", self._tenant_chat)
         self.router.add_route("GET", "/v1/tenants", self._list_tenants)
 
-    def register_app(self, app: Application) -> None:
-        key = app.name.lower()
-        if key in self._apps:
-            raise ValueError(f"app {app.name!r} already registered")
-        self._apps[key] = app
-
-    def app_names(self) -> list[str]:
-        return sorted(self._apps)
-
     def handle(self, request: Request) -> Response:
         return self.router.dispatch(request)
 
-    def handle_stream(self, request: Request) -> StreamingResponse:
-        """``POST /api/chat/{app}/stream``: a chunked chat turn.
-
-        Validation failures return the same structured error bodies as
-        the unary route; a 200 carries the chunk iterator (closing it
-        early abandons the turn).
-        """
-        parts = request.path.strip("/").split("/")
-        if (
-            request.method.upper() != "POST"
-            or len(parts) != 4
-            or parts[:2] != ["api", "chat"]
-            or parts[3] != "stream"
-        ):
-            return StreamingResponse(
-                404,
-                {
-                    "error": f"no stream route {request.method} "
-                    f"{request.path}",
-                    "code": "route_not_found",
-                },
-            )
-        target = self._chat_target(request, parts[2])
-        if isinstance(target, Response):
-            return StreamingResponse(target.status, target.body)
-        application, message = target
-        chunks, _response = application.stream_chat(message)
-        return StreamingResponse(200, {}, chunks=chunks)
-
     # -- handlers -----------------------------------------------------------
 
-    def _list_apps(self, request: Request) -> Response:
-        return ok(
-            {
-                "apps": [
-                    {"name": app.name, "description": app.description}
-                    for app in self._apps.values()
-                ]
-            }
-        )
-
     def _health(self, request: Request) -> Response:
-        return ok({"status": "up", "apps": len(self._apps)})
+        return ok({"status": "up"})
 
     def _openapi(self, request: Request) -> Response:
         """A minimal OpenAPI-style description of the mounted routes."""
@@ -117,34 +60,8 @@ class DbGptServer:
                     pattern: sorted(methods)
                     for pattern, methods in sorted(paths.items())
                 },
-                "apps": self.app_names(),
             }
         )
-
-    def _chat_target(self, request: Request, app: str) -> Any:
-        """``(application, message)`` of a chat request, or the error
-        response that answers it."""
-        application = self._apps.get(app.lower())
-        if application is None:
-            return error(
-                404,
-                f"no app named {app!r}; known: {self.app_names()}",
-                code="unknown_app",
-            )
-        return _bad_message(request) or (application, request.body["message"])
-
-    def _chat(self, request: Request, app: str) -> Response:
-        target = self._chat_target(request, app)
-        if isinstance(target, Response):
-            return target
-        application, message = target
-        response = application.chat(message)
-        payload: dict[str, Any] = {
-            "text": response.text,
-            "ok": response.ok,
-            "metadata": response.metadata,
-        }
-        return Response(200 if response.ok else 422, payload)
 
     # -- tenant surface ----------------------------------------------------
 
@@ -284,12 +201,16 @@ class DbGptServer:
         tenant_id = self._resolve_tenant(request)
         if isinstance(tenant_id, Response):
             return tenant_id
-        invalid = _bad_message(request)
-        if invalid is not None:
-            return invalid
+        message = request.body.get("message")
+        if not isinstance(message, str) or not message.strip():
+            return error(
+                400,
+                "body requires a non-empty 'message'",
+                code="invalid_request",
+            )
         record, response = self.fabric.chat(
             tenant_id,
-            request.body["message"],
+            message,
             session_id=request.body.get("session_id"),
             app_name=request.body.get("app"),
         )
@@ -305,12 +226,3 @@ class DbGptServer:
     def _list_tenants(self, request: Request) -> Response:
         return ok({"tenants": self.fabric.describe()})
 
-
-def _bad_message(request: Request) -> Optional[Response]:
-    """The error response for a body without a non-empty ``message``."""
-    message = request.body.get("message")
-    if isinstance(message, str) and message.strip():
-        return None
-    return error(
-        400, "body requires a non-empty 'message'", code="invalid_request"
-    )

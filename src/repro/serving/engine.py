@@ -14,8 +14,8 @@ Admission is a hard-capacity queue with structured
 per-request deadlines, and the tenancy admission hook running
 synchronously in the caller's context. Callers wait either way:
 :meth:`schedule` blocks a thread, :meth:`aschedule` awaits a response
-without one, and :meth:`stream`/:meth:`astream` deliver token chunks
-through bounded per-stream queues
+without one, and :meth:`astream` delivers token chunks through bounded
+per-stream queues
 (:class:`repro.serving.streams.TokenStream`) with backpressure and
 cancellation propagation.
 
@@ -50,7 +50,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.llm.base import GenerationRequest, GenerationResponse, LLMError
 from repro.llm.base import chunk_text
@@ -297,32 +297,14 @@ class RequestScheduler:
         pending.add_done_callback(relay)
         return await future
 
-    def stream(
-        self,
-        model: str,
-        request: GenerationRequest,
-        timeout_s: Optional[float] = None,
-    ) -> Iterator[str]:
-        """Sync token stream; closing the generator mid-stream cancels
-        the member and frees its slot mid-generation."""
-        pending = self.submit_stream(model, request, timeout_s=timeout_s)
-        return self._drain_sync(pending)
-
-    @staticmethod
-    def _drain_sync(pending: _Pending) -> Iterator[str]:
-        stream = pending.stream
-        try:
-            yield from stream
-        finally:
-            stream.cancel()
-
     async def astream(
         self,
         model: str,
         request: GenerationRequest,
         timeout_s: Optional[float] = None,
     ):
-        """Async token stream with the same cancellation contract."""
+        """Async token stream; closing the generator mid-stream
+        cancels the member and frees its slot mid-generation."""
         pending = self.submit_stream(model, request, timeout_s=timeout_s)
         stream = pending.stream
         try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.llm.base import GenerationRequest, LLMError
 from repro.serving.scheduler import (
@@ -43,12 +43,10 @@ class ApiResponse:
 class ApiStreamResponse:
     """A chunked (SSE-shaped) response.
 
-    ``chunks`` is the token iterator on a 200 — a sync iterator from
-    :meth:`ApiServer.handle_stream`, an async iterator from
-    :meth:`ApiServer.ahandle_stream`. Admission failures surface as a
-    non-200 status with the same error body :class:`ApiResponse`
-    carries; mid-stream failures raise out of the iterator (the
-    connection would drop mid-transfer over real HTTP).
+    ``chunks`` is the async token iterator on a 200. Admission
+    failures surface as a non-200 status with the same error body
+    :class:`ApiResponse` carries; mid-stream failures raise out of the
+    iterator (the connection would drop mid-transfer over real HTTP).
     """
 
     status: int
@@ -199,15 +197,15 @@ class ApiServer:
             return await self._agenerate(request.body)
         return self.handle(request)
 
-    def _open_stream(
-        self,
-        request: ApiRequest,
-        open_chunks: Callable[..., Any],
-    ) -> ApiStreamResponse:
-        """The shared body of :meth:`handle_stream` and
-        :meth:`ahandle_stream`: route match, body parsing, opening the
-        stream and the admission-error mapping. The callers differ
-        only in which scheduler method produces the chunk iterator."""
+    async def ahandle_stream(self, request: ApiRequest) -> ApiStreamResponse:
+        """``POST /v1/generate/stream``: token streaming, async
+        end-to-end (admission in the caller's task, chunks awaited off
+        the engine's loop).
+
+        The stream rides the engine's bounded per-request
+        :class:`TokenStream` (end-to-end backpressure; closing the
+        returned iterator cancels the member mid-generation).
+        """
         route = (request.method.upper(), request.path)
         if route != ("POST", "/v1/generate/stream"):
             return ApiStreamResponse(
@@ -222,28 +220,13 @@ class ApiServer:
             model, generation_request, timeout_s = self._parse_generation(
                 request.body
             )
-            chunks = open_chunks(
+            chunks = self.controller.scheduler.astream(
                 model, generation_request, timeout_s=timeout_s
             )
         except Exception as exc:
             mapped = self._guard(exc)
             return ApiStreamResponse(mapped.status, mapped.body)
         return ApiStreamResponse(200, {}, chunks=chunks)
-
-    def handle_stream(self, request: ApiRequest) -> ApiStreamResponse:
-        """``POST /v1/generate/stream``: token streaming.
-
-        The stream rides the engine's bounded per-request
-        :class:`TokenStream` (end-to-end backpressure; closing the
-        returned iterator cancels the member mid-generation).
-        """
-        return self._open_stream(request, self.controller.scheduler.stream)
-
-    async def ahandle_stream(self, request: ApiRequest) -> ApiStreamResponse:
-        """Async ``POST /v1/generate/stream``: ``chunks`` is an async
-        iterator, async end-to-end (admission in the caller's task,
-        chunks awaited off the engine's loop)."""
-        return self._open_stream(request, self.controller.scheduler.astream)
 
     def _serving(self) -> ApiResponse:
         return ApiResponse(200, self.controller.scheduler.stats())

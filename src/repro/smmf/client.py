@@ -162,34 +162,6 @@ class LLMClient:
         except ClientError as exc:
             return turn.stale_or_raise(exc)
 
-    def stream(
-        self,
-        model: str,
-        prompt: str,
-        task: Optional[str] = None,
-        max_tokens: int = 512,
-        metadata: Optional[dict[str, Any]] = None,
-        timeout_s: Optional[float] = None,
-    ):
-        """Stream chunks of a response as they are generated.
-
-        Streams bypass the inference cache (a partial transcript is
-        not a cacheable answer). Closing the returned generator — or
-        just breaking out of the ``for`` — cancels the request: its
-        batch slot and worker in-flight count free mid-generation.
-        Admission and mid-stream failures both raise
-        :class:`ClientError` with the same codes as :meth:`generate`,
-        plus ``stream_closed`` (server shut down mid-stream) and
-        ``client_cancelled``.
-        """
-        result = self._server.handle_stream(
-            self._stream_request(
-                model, prompt, task, max_tokens, metadata, timeout_s
-            )
-        )
-        self._raise_for_status(result)
-        return self._relay_chunks(result.chunks)
-
     async def astream(
         self,
         model: str,
@@ -199,10 +171,19 @@ class LLMClient:
         metadata: Optional[dict[str, Any]] = None,
         timeout_s: Optional[float] = None,
     ):
-        """Async :meth:`stream`: an async generator of chunks.
+        """Stream chunks of a response as they are generated: an async
+        generator, async end-to-end — no thread is parked per stream;
+        chunks are awaited straight off the engine's bounded per-stream
+        buffer.
 
-        Async end-to-end — no thread is parked per stream; chunks are
-        awaited straight off the engine's bounded per-stream buffer.
+        Streams bypass the inference cache (a partial transcript is
+        not a cacheable answer). Closing the generator (``aclose()``,
+        or breaking out of the ``async for``) cancels the request: its
+        batch slot and worker in-flight count free mid-generation.
+        Admission and mid-stream failures both raise
+        :class:`ClientError` with the same codes as :meth:`generate`,
+        plus ``stream_closed`` (server shut down mid-stream) and
+        ``client_cancelled``.
         """
         result = await self._server.ahandle_stream(
             self._stream_request(
@@ -264,14 +245,6 @@ class LLMClient:
     def _raise_for_status(self, result) -> None:
         if result.status != 200:
             raise self._error(result)
-
-    def _relay_chunks(self, chunks):
-        try:
-            yield from chunks
-        except BaseException as exc:
-            raise self._error(ApiServer._guard(exc)) from exc
-        finally:
-            chunks.close()
 
     def _generate_uncached(
         self,

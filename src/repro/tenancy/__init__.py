@@ -1,10 +1,10 @@
 """repro.tenancy — the multi-tenant session fabric.
 
-Four pillars over the singleton facade: a tenant registry with
-consistent-hash shard routing, a bounded server-side session store, a
-quota layer in front of the serving scheduler, and tenant-partitioned
-caching + observability. Every booted facade carries a fabric; there
-is no single-tenant path (see ``docs/tenancy.md``).
+Four pillars over the singleton facade: a tenant registry, a bounded
+server-side session store, a quota layer in front of the serving
+scheduler, and tenant-partitioned caching + observability. Every
+booted facade carries a fabric; there is no single-tenant path (see
+``docs/tenancy.md``).
 
 This module deliberately imports only the config and the ambient
 tenant context at load time — :mod:`repro.cache.manager` imports the
@@ -21,7 +21,6 @@ from repro.tenancy.context import current_tenant, tenant_scope
 _LAZY = {
     "Tenant": "repro.tenancy.registry",
     "TenantRegistry": "repro.tenancy.registry",
-    "HashRing": "repro.tenancy.registry",
     "TenancyError": "repro.tenancy.registry",
     "UnknownTenant": "repro.tenancy.registry",
     "SessionStore": "repro.tenancy.sessions",

@@ -49,23 +49,15 @@ class TenancyConfig:
     production profile of the end-to-end benchmark
     (``benchmarks/e2e/stack.py``); ``False`` is rejected.
 
-    ``shards``/``virtual_nodes`` parameterize the consistent-hash ring
-    that places tenants on shards (adding a shard moves a bounded key
-    range). The session
-    store keeps at most ``max_sessions_per_tenant`` conversations per
-    tenant (LRU eviction beyond that, never evicting a session with an
-    in-flight turn) and expires idle sessions after
+    The session store keeps at most ``max_sessions_per_tenant``
+    conversations per tenant (LRU eviction beyond that, never evicting
+    a session with an in-flight turn) and expires idle sessions after
     ``session_ttl_seconds``. ``cache_partition_capacity`` is each
     tenant's private entry budget per cache tier — one tenant can
     never evict or poison another tenant's cached entries.
     """
 
     enabled: bool = True
-    #: Physical shards in the initial ring.
-    shards: int = 4
-    #: Virtual nodes per shard on the hash ring; more nodes smooth the
-    #: key distribution and shrink the range moved per topology change.
-    virtual_nodes: int = 64
     #: Per-tenant bound on stored sessions (LRU beyond this).
     max_sessions_per_tenant: int = 64
     #: Seconds an idle session survives; ``None`` disables expiry.
@@ -82,10 +74,6 @@ class TenancyConfig:
                 "the tenant fabric cannot be disabled; the facade has "
                 "no single-tenant path"
             )
-        if self.shards <= 0:
-            raise ValueError("shards must be positive")
-        if self.virtual_nodes <= 0:
-            raise ValueError("virtual_nodes must be positive")
         if self.max_sessions_per_tenant <= 0:
             raise ValueError("max_sessions_per_tenant must be positive")
         if (

@@ -3,9 +3,9 @@
 :class:`TenantFabric` is what turns the singleton facade into a
 tenant-aware system. It owns the four pillars:
 
-- the **tenant registry + consistent-hash router** mapping each
-  ``tenant_id`` to its shard and resource bindings (datasource,
-  knowledge base, fine-tuned model preference, quota override);
+- the **tenant registry** mapping each ``tenant_id`` to its resource
+  bindings (datasource, knowledge base, fine-tuned model preference,
+  quota override);
 - the **server-side session store** — sessions are created/resumed by
   id, history is persisted server-side, bounded per tenant;
 - **admission quotas** — per-tenant token buckets and in-flight caps
@@ -34,12 +34,7 @@ from repro.runtime import perf_clock
 from repro.tenancy.config import QuotaConfig, TenancyConfig
 from repro.tenancy.context import tenant_scope
 from repro.tenancy.quotas import QuotaManager
-from repro.tenancy.registry import (
-    HashRing,
-    TenancyError,
-    Tenant,
-    TenantRegistry,
-)
+from repro.tenancy.registry import TenancyError, Tenant, TenantRegistry
 from repro.tenancy.sessions import SessionStore
 
 #: ``ok``: the answer's (``true``/``false``), or ``error`` if it raised.
@@ -62,7 +57,7 @@ class TenantForbidden(TenancyError):
 
 
 class TenantFabric:
-    """Registry, router, session store and quotas over one facade.
+    """Registry, session store and quotas over one facade.
 
     ``dbgpt`` is the booted facade the fabric extends; tenants without
     their own datasource share its applications, tenants registered
@@ -78,9 +73,7 @@ class TenantFabric:
     ) -> None:
         self._dbgpt = dbgpt
         self.config = config or TenancyConfig()
-        self.registry = TenantRegistry(
-            HashRing(self.config.shards, self.config.virtual_nodes)
-        )
+        self.registry = TenantRegistry()
         self.store = SessionStore(self.config, clock=clock, rng=rng)
         self.quotas = QuotaManager(
             self.config.quota,
@@ -297,7 +290,6 @@ class TenantFabric:
                 {
                     "tenant": tenant_id,
                     "name": tenant.name,
-                    "shard": self.registry.shard_for(tenant_id),
                     "model": tenant.model_preference or "-",
                     "private_apps": sorted(
                         self._tenant_apps.get(tenant_id, {})
@@ -321,15 +313,15 @@ class TenantFabric:
         if not rows:
             return "no tenants registered"
         header = (
-            f"{'tenant':<12} {'shard':<10} {'model':<12} {'sessions':>8} "
+            f"{'tenant':<12} {'model':<12} {'sessions':>8} "
             f"{'inflight':>8} {'tokens':>8} {'throttled':>9} {'hit-rate':>8}"
         )
         lines = [header, "-" * len(header)]
         for row in rows:
             quota = row["quota"]
             lines.append(
-                f"{row['tenant']:<12} {row['shard']:<10} "
-                f"{row['model']:<12} {row['sessions']:>8} "
+                f"{row['tenant']:<12} {row['model']:<12} "
+                f"{row['sessions']:>8} "
                 f"{quota.get('inflight', 0):>8} "
                 f"{quota.get('tokens', '-'):>8} "
                 f"{quota.get('throttled', 0):>9} "

@@ -116,25 +116,26 @@ class TestSessions:
         assert len(session) == base + 8
 
 
+def served_turn(message, headers=None):
+    """A ``chat2data`` turn of tenant ``acme`` over ``POST /v1/chat``."""
+    body = {"tenant_id": "acme", "app": "chat2data", "message": message}
+    return Request("POST", "/v1/chat", body, headers or {})
+
+
 class TestServerIntegration:
-    def test_server_serves_apps(self, dbgpt):
-        server = dbgpt.server()
-        response = server.handle(
-            Request(
-                "POST", "/api/chat/chat2data",
-                {"message": "How many products are there?"},
-            )
-        )
+    @pytest.fixture(scope="class")
+    def server(self, dbgpt):
+        dbgpt.register_tenant("acme")
+        return dbgpt.server()
+
+    def test_server_serves_apps(self, server):
+        response = server.handle(served_turn("How many products are there?"))
         assert response.status == 200
         assert response.body["text"] == "The answer is 25."
 
-    def test_privacy_middleware_active_by_default(self, dbgpt):
-        server = dbgpt.server()
+    def test_privacy_middleware_active_by_default(self, server):
         response = server.handle(
-            Request(
-                "POST", "/api/chat/chat2data",
-                {"message": "How many orders are there? mail a@b.com"},
-            )
+            served_turn("How many orders are there? mail a@b.com")
         )
         # Whatever happened internally, the PII round-trips for the user
         # and the internal prompt was masked (verified via gateway tests
@@ -146,16 +147,18 @@ class TestServerIntegration:
         instance.register_source(
             EngineSource(build_sales_database(n_orders=10))
         )
+        instance.register_tenant("acme")
         server = instance.server()
-        denied = server.handle(Request("GET", "/api/apps"))
+        denied = server.handle(served_turn("How many orders are there?"))
         assert denied.status == 401
         allowed = server.handle(
-            Request(
-                "GET", "/api/apps",
+            served_turn(
+                "How many orders are there?",
                 headers={"Authorization": "Bearer s3cret"},
             )
         )
         assert allowed.status == 200
+        assert allowed.body["text"] == "The answer is 10."
 
     def test_memory_persistence_path(self, tmp_path):
         path = tmp_path / "memory.json"

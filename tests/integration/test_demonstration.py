@@ -23,7 +23,14 @@ GOAL = (
 def stack():
     dbgpt = DBGPT.boot(DbGptConfig(privacy=True))
     dbgpt.register_source(EngineSource(build_sales_database(n_orders=240)))
+    dbgpt.register_tenant("demo")
     return dbgpt, dbgpt.server()
+
+
+def served_turn(message):
+    """A ``chat2data`` turn of tenant ``demo`` over ``POST /v1/chat``."""
+    body = {"tenant_id": "demo", "app": "chat2data", "message": message}
+    return Request("POST", "/v1/chat", body)
 
 
 class TestDemonstrationWalkthrough:
@@ -75,22 +82,14 @@ class TestDemonstrationWalkthrough:
     def test_area_7_conversation_continues_via_server(self, stack):
         _dbgpt, server = stack
         response = server.handle(
-            Request(
-                "POST", "/api/chat/chat2data",
-                {"message": "What is the total amount per segment?"},
-            )
+            served_turn("What is the total amount per segment?")
         )
         assert response.status == 200
         assert "breakdown" in response.body["text"]
 
     def test_demo_also_works_in_chinese(self, stack):
         _dbgpt, server = stack
-        response = server.handle(
-            Request(
-                "POST", "/api/chat/chat2data",
-                {"message": "订单一共有多少个？"},
-            )
-        )
+        response = server.handle(served_turn("订单一共有多少个？"))
         assert response.status == 200
         assert "240" in response.body["text"]
 
@@ -100,14 +99,8 @@ class TestDemonstrationWalkthrough:
             "prompt_tokens", 0
         )
         response = server.handle(
-            Request(
-                "POST", "/api/chat/chat2data",
-                {
-                    "message": (
-                        "How many orders are there? ping me at "
-                        "demo@corp.example"
-                    )
-                },
+            served_turn(
+                "How many orders are there? ping me at demo@corp.example"
             )
         )
         assert response.status == 200

@@ -55,11 +55,17 @@ class TestModelOutage:
 
     def test_server_maps_outage_to_422_not_500(self, dbgpt):
         kill_model(dbgpt, "sql-coder")
+        dbgpt.register_tenant("acme")
         server = dbgpt.server()
         response = server.handle(
             Request(
-                "POST", "/api/chat/chat2data",
-                {"message": "How many orders are there?"},
+                "POST",
+                "/v1/chat",
+                {
+                    "tenant_id": "acme",
+                    "app": "chat2data",
+                    "message": "How many orders are there?",
+                },
             )
         )
         assert response.status == 422
@@ -129,5 +135,4 @@ class TestServerApi:
         server = dbgpt.server()
         response = server.handle(Request("GET", "/api/openapi"))
         assert response.status == 200
-        assert "/api/chat/{app}" in response.body["paths"]
-        assert "chat2db" in response.body["apps"]
+        assert response.body["paths"]["/v1/chat"] == ["POST"]

@@ -14,9 +14,10 @@ change to the published telemetry is intended.
 
 The scenario boots the production profile (serving, resilience and
 tenancy on, caches on by default) and, for every application, runs one
-uncached and one cached turn untenanted through the server and again
-tenanted through the fabric, plus one turn that fails and one request
-no route matches. Timings vary from run to run, so histograms are
+uncached and one cached turn of tenant ``globex`` through the server
+(``POST /v1/chat``) and again of tenant ``acme`` through the fabric
+directly, plus one served turn that fails and one request no route
+matches. Timings vary from run to run, so histograms are
 compared by observation count only; worker ids come from a process-wide
 counter and are renumbered in order of their number.
 """
@@ -51,6 +52,12 @@ FAILING_TURN = ("chat2db", "show me the zorblax")
 _WORKER = re.compile(r"worker-(\d+)")
 
 
+def served_turn(app: str, text: str) -> Request:
+    """One turn of tenant ``globex`` over ``POST /v1/chat``."""
+    body = {"tenant_id": "globex", "app": app, "message": text}
+    return Request("POST", "/v1/chat", body)
+
+
 def run_scenario(traced: bool = True) -> dict:
     """Run the scenario against fresh global telemetry; returns the
     registry summary the golden records."""
@@ -75,19 +82,15 @@ def run_scenario(traced: bool = True) -> dict:
             for doc_id, text in corpus.documents.items()
         )
         dbgpt.register_tenant("acme")
+        dbgpt.register_tenant("globex")
         server = dbgpt.server()
         for app, text in TURNS.items():
             for _ in range(2):
-                response = server.handle(
-                    Request("POST", f"/api/chat/{app}", {"message": text})
-                )
+                response = server.handle(served_turn(app, text))
                 assert response.status == 200, response.body
             for _ in range(2):
                 dbgpt.tenant_chat("acme", text, app_name=app)
-        app, text = FAILING_TURN
-        response = server.handle(
-            Request("POST", f"/api/chat/{app}", {"message": text})
-        )
+        response = server.handle(served_turn(*FAILING_TURN))
         assert response.status == 422 and response.body["ok"] is False
         assert server.handle(Request("GET", "/api/nowhere")).status == 404
         return summarize(registry.snapshot())

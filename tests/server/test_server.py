@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.base import Application, AppResponse
 from repro.core import DBGPT
+from repro.obs import MetricsRegistry, set_registry
 from repro.server import (
     AuthMiddleware,
     DbGptServer,
@@ -13,13 +14,13 @@ from repro.server import (
     Response,
     Router,
     RouterError,
+    TracingMiddleware,
 )
 from repro.server.request import ok
 
 
 class _EchoApp(Application):
     name = "echo"
-    description = "echoes messages"
 
     def chat(self, text: str) -> AppResponse:
         return AppResponse(text=f"echo: {text}")
@@ -27,7 +28,6 @@ class _EchoApp(Application):
 
 class _FailingApp(Application):
     name = "fails"
-    description = "always fails"
 
     def chat(self, text: str) -> AppResponse:
         return AppResponse(text="nope", ok=False)
@@ -150,48 +150,73 @@ class TestDbGptServer:
     @pytest.fixture
     def server(self):
         dbgpt = DBGPT.boot()
-        server = DbGptServer(dbgpt.fabric)
-        server.register_app(_EchoApp())
-        server.register_app(_FailingApp())
-        yield server
+        dbgpt._apps.update(echo=_EchoApp(), fails=_FailingApp())
+        dbgpt.register_tenant("acme")
+        yield DbGptServer(dbgpt.fabric)
         dbgpt.shutdown()
 
-    def test_list_apps(self, server):
-        response = server.handle(Request("GET", "/api/apps"))
-        names = [app["name"] for app in response.body["apps"]]
-        assert names == ["echo", "fails"]
+    @staticmethod
+    def chat(server, body):
+        return server.handle(
+            Request("POST", "/v1/chat", {"tenant_id": "acme", **body})
+        )
 
     def test_health(self, server):
         response = server.handle(Request("GET", "/api/health"))
-        assert response.body == {"status": "up", "apps": 2}
+        assert response.body == {"status": "up"}
+
+    def test_openapi_lists_every_mounted_route(self, server):
+        response = server.handle(Request("GET", "/api/openapi"))
+        assert response.body["paths"] == {
+            "/api/health": ["GET"],
+            "/api/openapi": ["GET"],
+            "/v1/chat": ["POST"],
+            "/v1/sessions": ["POST"],
+            "/v1/sessions/{session_id}": ["DELETE", "GET"],
+            "/v1/tenants": ["GET"],
+        }
 
     def test_chat_round_trip(self, server):
-        response = server.handle(
-            Request("POST", "/api/chat/echo", {"message": "hello"})
-        )
+        response = self.chat(server, {"app": "echo", "message": "hello"})
         assert response.status == 200
         assert response.body["text"] == "echo: hello"
 
     def test_chat_unknown_app(self, server):
-        response = server.handle(
-            Request("POST", "/api/chat/ghost", {"message": "x"})
-        )
+        response = self.chat(server, {"app": "ghost", "message": "x"})
         assert response.status == 404
+        assert response.body["code"] == "unknown_app"
 
     def test_chat_missing_message(self, server):
-        response = server.handle(Request("POST", "/api/chat/echo", {}))
+        response = self.chat(server, {"app": "echo"})
         assert response.status == 400
 
     def test_failing_app_maps_to_422(self, server):
-        response = server.handle(
-            Request("POST", "/api/chat/fails", {"message": "x"})
-        )
+        response = self.chat(server, {"app": "fails", "message": "x"})
         assert response.status == 422
-
-    def test_duplicate_app_rejected(self, server):
-        with pytest.raises(ValueError):
-            server.register_app(_EchoApp())
 
     def test_response_json(self, server):
         response = server.handle(Request("GET", "/api/health"))
         assert '"status": "up"' in response.json()
+
+    def test_latency_label_sets_stay_bounded(self, server):
+        """``server_latency_ms`` is labelled by route pattern, so
+        distinct session ids and probed paths add no series."""
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            traced = DbGptServer(server.fabric, [TracingMiddleware()])
+            body = {"tenant_id": "acme"}
+            for i in range(50):
+                traced.handle(
+                    Request("GET", f"/v1/sessions/session-{i}", body)
+                )
+                traced.handle(Request("GET", f"/probe-{i}"))
+            traced.handle(Request("DELETE", "/v1/chat"))
+            series = registry.snapshot()["server_latency_ms"]["values"]
+        finally:
+            set_registry(previous)
+        assert sorted(series) == [
+            "method=DELETE,path=unrouted,status=405",
+            "method=GET,path=/v1/sessions/{session_id},status=404",
+            "method=GET,path=unrouted,status=404",
+        ]

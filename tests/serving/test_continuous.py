@@ -70,6 +70,15 @@ class GatedModel(LanguageModel):
         ]
 
 
+def drain(chunks):
+    """Every chunk of one async token stream, on a fresh loop."""
+
+    async def collect():
+        return [chunk async for chunk in chunks]
+
+    return asyncio.run(collect())
+
+
 def make_stack(
     config, model_factory, replicas=1, name="chat", resilience=None
 ):
@@ -190,8 +199,8 @@ class TestContinuousDispatch:
         config = ServingConfig(enabled=True)
         _, _, scheduler = make_stack(config, lambda: GatedModel())
         try:
-            chunks = list(
-                scheduler.stream(
+            chunks = drain(
+                scheduler.astream(
                     "chat", GenerationRequest("hello world", task="chat")
                 )
             )
@@ -508,8 +517,10 @@ class TestFacadeParity:
             assert model.batch_sizes == [4, 4]
 
             streamed = "".join(
-                scheduler.stream(
-                    "chat", GenerationRequest("p0", task="chat")
+                drain(
+                    scheduler.astream(
+                        "chat", GenerationRequest("p0", task="chat")
+                    )
                 )
             )
             assert streamed == sync_texts[0]

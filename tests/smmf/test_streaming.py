@@ -50,15 +50,24 @@ def opened_streams(monkeypatch):
     return opened
 
 
+def stream(client, *args, **kwargs):
+    """Every chunk of one ``astream``, drained on a fresh loop."""
+
+    async def drain():
+        return [chunk async for chunk in client.astream(*args, **kwargs)]
+
+    return asyncio.run(drain())
+
+
 class TestStreaming:
     def test_model_stream_reassembles_to_generate(self):
         _controller, client = deploy([chat_spec()])
-        streamed = "".join(client.stream("chat", PROMPT, task="chat"))
+        streamed = "".join(stream(client, "chat", PROMPT, task="chat"))
         assert streamed == client.generate("chat", PROMPT, task="chat")
 
     def test_stream_yields_multiple_chunks(self):
         _controller, client = deploy([chat_spec()])
-        chunks = list(client.stream("chat", PROMPT))
+        chunks = stream(client, "chat", PROMPT)
         text = ChatModel("chat").generate(GenerationRequest(PROMPT)).text
         assert len(chunks) > 1
         assert chunks == chunk_text(text)
@@ -66,20 +75,20 @@ class TestStreaming:
     def test_worker_stream_counts_served(self):
         controller, client = deploy([chat_spec()])
         worker = controller.workers("chat")[0].worker
-        assert list(client.stream("chat", "hi"))
+        assert stream(client, "chat", "hi")
         stats = worker.stats_snapshot()
         assert (stats["served"], stats["inflight"]) == (1, 0)
 
     def test_controller_stream_round_trip(self):
         _controller, client = deploy([chat_spec(replicas=2)])
-        text = "".join(client.stream("chat", "hello world"))
+        text = "".join(stream(client, "chat", "hello world"))
         assert "hello world" in text
 
     def test_controller_stream_failover_before_first_chunk(self):
         controller, client = deploy([chat_spec(replicas=2)])
         first, second = (record.worker for record in controller.workers("chat"))
         first.fail_next = 1
-        assert "".join(client.stream("chat", "hi"))
+        assert "".join(stream(client, "chat", "hi"))
         assert first.stats_snapshot()["failed"] == 1
         assert second.stats_snapshot()["served"] == 1
 
@@ -87,7 +96,7 @@ class TestStreaming:
         controller, client = deploy([chat_spec(replicas=1)])
         controller.workers("chat")[0].worker.kill()
         with pytest.raises(ClientError) as raised:
-            list(client.stream("chat", "hi"))
+            stream(client, "chat", "hi")
         assert (raised.value.status, raised.value.code) == (
             503,
             "smmf_unavailable",

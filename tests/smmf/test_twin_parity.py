@@ -2,7 +2,8 @@
 
 Each test drives the blocking entry point and its awaitable twin
 through the same scenario and asserts they agree — same text, same
-``ClientError`` triple, same chunk list, same retry schedule. Nothing
+``ClientError`` triple, same retry schedule. Streams are async only;
+``astream`` is held to ``agenerate``'s text and error triples. Nothing
 sleeps: client backoff goes to a recording logical ``sleep``, the shed
 is an admission hook, and the deadline is already expired on arrival.
 """
@@ -112,22 +113,13 @@ def _generate_both(stack, model, prompt, **kwargs):
     ]
 
 
-def _stream_both(stack, model, prompt, **kwargs):
-    """``(chunks, error triple)`` from ``stream`` and ``astream``; an
-    admission failure and a mid-stream one land in the same slot."""
+def _stream_and_generate(stack, model, prompt, **kwargs):
+    """``(chunks, error triple)`` from ``astream``, then ``(text, error
+    triple)`` from ``agenerate``: streams have no sync twin, so their
+    parity is with the unary call; an admission failure and a
+    mid-stream one land in the same slot."""
 
-    def drain_sync():
-        chunks = []
-        try:
-            for chunk in stack.clients["sync"].stream(
-                model, prompt, task="chat", **kwargs
-            ):
-                chunks.append(chunk)
-        except ClientError as exc:
-            return chunks, _error_triple(exc)
-        return chunks, None
-
-    async def drain_async():
+    async def drain():
         chunks = []
         try:
             async for chunk in stack.clients["async"].astream(
@@ -138,7 +130,8 @@ def _stream_both(stack, model, prompt, **kwargs):
             return chunks, _error_triple(exc)
         return chunks, None
 
-    return [drain_sync(), asyncio.run(drain_async())]
+    streamed = asyncio.run(drain())
+    return streamed, _ask(stack, "async", model, prompt, **kwargs)
 
 
 def _shed_everything(stack):
@@ -181,8 +174,9 @@ class TestGenerateParity:
 
 class TestStreamParity:
     def test_same_chunks(self, stack):
-        sync, awaited = _stream_both(stack, "chat", "a b c d")
-        assert sync == awaited == (["echo:", " a", " b", " c", " d"], None)
+        streamed, generated = _stream_and_generate(stack, "chat", "a b c d")
+        assert streamed == (["echo:", " a", " b", " c", " d"], None)
+        assert generated == ("".join(streamed[0]), None)
 
     @pytest.mark.parametrize(
         "model, prompt, expected",
@@ -194,16 +188,21 @@ class TestStreamParity:
     def test_failures_map_to_the_same_codes(
         self, stack, model, prompt, expected
     ):
-        sync, awaited = _stream_both(stack, model, prompt)
-        assert sync == awaited == ([], expected)
+        streamed, generated = _stream_and_generate(stack, model, prompt)
+        assert streamed == ([], expected)
+        assert generated == (None, expected)
 
     def test_shed_and_expired_streams(self, engine_stack):
         stack = engine_stack
-        sync, awaited = _stream_both(stack, "chat", "hello", timeout_s=0.0)
-        assert sync == awaited == ([], (504, "deadline_exceeded", None))
+        streamed, generated = _stream_and_generate(
+            stack, "chat", "hello", timeout_s=0.0
+        )
+        assert streamed == ([], (504, "deadline_exceeded", None))
+        assert generated == (None, (504, "deadline_exceeded", None))
         _shed_everything(stack)
-        sync, awaited = _stream_both(stack, "chat", "hello")
-        assert sync == awaited == ([], (429, "scheduler_overloaded", 0.25))
+        streamed, generated = _stream_and_generate(stack, "chat", "hello")
+        assert streamed == ([], (429, "scheduler_overloaded", 0.25))
+        assert generated == (None, (429, "scheduler_overloaded", 0.25))
 
 
 class Transient(Exception):

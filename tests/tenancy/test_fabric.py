@@ -91,6 +91,11 @@ class TestFabricLifecycle:
         with pytest.raises(ValueError, match="cannot be disabled"):
             TenancyConfig(enabled=False)
 
+    @pytest.mark.parametrize("removed", ["shards", "virtual_nodes"])
+    def test_there_is_no_shard_ring_to_configure(self, removed):
+        with pytest.raises(TypeError):
+            TenancyConfig(**{removed: 4})
+
 
 class TestQuotasAtTheFabric:
     def test_noisy_tenant_throttled_compliant_unaffected(self, tenant_dbgpt):
@@ -130,7 +135,6 @@ class TestQuotasAtTheFabric:
 
 class _RaisingApp(Application):
     name = "raising"
-    description = "every turn raises"
 
     def chat(self, text: str) -> AppResponse:
         raise RuntimeError("app blew up")
@@ -194,7 +198,6 @@ class _ProbeApp(Application):
     session: the record lock serializes same-session turns)."""
 
     name = "probe"
-    description = "concurrency probe"
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -255,7 +258,6 @@ class TestConcurrency:
 
             class _BlockingApp(Application):
                 name = "blocking"
-                description = "holds a turn open"
 
                 def chat(self, text: str) -> AppResponse:
                     entered.set()
@@ -311,6 +313,5 @@ class TestObservability:
         rows = tenant_dbgpt.tenants()
         assert rows[0]["tenant"] == "acme"
         assert rows[0]["sessions"] == 1
-        assert rows[0]["shard"].startswith("shard-")
         table = tenant_dbgpt.fabric.render_table()
         assert "acme" in table

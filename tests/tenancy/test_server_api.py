@@ -1,5 +1,7 @@
 """Tests for the multi-tenant server surface and structured errors."""
 
+import re
+
 import pytest
 
 from repro.core import DBGPT
@@ -214,15 +216,44 @@ class TestPrincipalAuth:
             dbgpt.shutdown()
 
 
-class TestDisabledParity:
-    def test_legacy_surface_unchanged(self, stack):
-        _, server = stack
-        health = server.handle(Request("GET", "/api/health"))
-        assert health.status == 200
-        assert health.body == {"status": "up", "apps": health.body["apps"]}
-        chat = post(
-            server,
-            "/api/chat/chat2db",
-            {"message": "How many orders are there?"},
-        )
-        assert chat.status == 200
+class TestNoRouteAroundTheQuota:
+    def test_a_throttled_token_runs_no_app_on_any_route(self, monkeypatch):
+        dbgpt = boot_server(principals={"tok-noisy": "noisy"})
+        try:
+            dbgpt.register_tenant(
+                "noisy",
+                quota=QuotaConfig(refill_per_second=0.001, burst=1.0),
+            )
+            # The one token in the bucket goes to a turn; it is empty.
+            dbgpt.tenant_chat("noisy", "How many orders are there?")
+            ran = []
+            for name, app in dbgpt._apps.items():
+
+                def counting(text, name=name, chat=app.chat):
+                    ran.append(name)
+                    return chat(text)
+
+                monkeypatch.setattr(app, "chat", counting)
+            server = dbgpt.server()
+            headers = {"Authorization": "Bearer tok-noisy"}
+            body = {"message": "How many orders are there?", "app": "chat2db"}
+            throttled = post(server, "/v1/chat", dict(body), headers)
+            assert throttled.status == 429
+            assert throttled.body["code"] == "tenant_throttled"
+            for method, pattern in server.router.routes():
+                if (method, pattern) == ("POST", "/v1/chat"):
+                    continue
+                # Every path parameter names a mounted app.
+                path = re.sub(r"\{\w+\}", "chat2db", pattern)
+                response = server.handle(
+                    Request(method, path, dict(body), headers)
+                )
+                # ``POST /v1/sessions`` answers 201: opening a session
+                # is not a turn and costs no quota, but it carries no
+                # answer.
+                assert "text" not in response.body, (method, pattern)
+                if method == "POST" and pattern != "/v1/sessions":
+                    assert not response.ok, (method, pattern)
+            assert ran == []
+        finally:
+            dbgpt.shutdown()

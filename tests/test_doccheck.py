@@ -1,7 +1,9 @@
-"""``make docs-check``: the metric table agrees with the declarations.
+"""``make docs-check``: the metric, span and route tables agree with
+the source.
 
-Each fixture is a small source tree and an ``observability.md`` whose
-table differs from it in one way; the checker names that difference.
+Each fixture is a small source tree and an ``observability.md`` or
+``tenancy.md`` whose table differs from it in one way; the checker
+names that difference.
 """
 
 import pathlib
@@ -183,3 +185,69 @@ def test_main_counts_span_table_problems_as_failures(tmp_path, capsys):
     assert doccheck.main([str(doc)]) > 0
     out = capsys.readouterr().out
     assert "span 'smmf.generate' is opened in the source" in out
+
+
+ROUTE_SOURCE = '''
+class Server:
+    def __init__(self, router):
+        self.router = router
+        self.router.add_route("GET", "/api/health", self._health)
+        self._tenant_route("POST", "/v1/chat", self._chat)
+        self._tenant_route("GET", "/v1/sessions/{session_id}", self._get)
+
+    def _tenant_route(self, method, pattern, handler):
+        # Not a route: its arguments are not literals.
+        self.router.add_route(method, pattern, handler)
+'''
+
+ROUTE_ROWS = {
+    ("/api/health", "GET"): "| `/api/health` | GET | Liveness |",
+    ("/v1/chat", "POST"): "| `/v1/chat` | POST | One turn |",
+    ("/v1/sessions/{session_id}", "GET"): (
+        "| `/v1/sessions/{session_id}` | GET | Transcript |"
+    ),
+}
+
+
+def write_route_tree(tmp_path, rows):
+    source = tmp_path / "service.py"
+    source.write_text(ROUTE_SOURCE, encoding="utf-8")
+    doc = tmp_path / "tenancy.md"
+    doc.write_text(
+        "# Tenancy\n\n## HTTP surface\n\n"
+        "| Route | Method | Purpose |\n|---|---|---|\n"
+        + "\n".join(rows)
+        + "\n\n**Errors.**\n\n| Status | `code` | When |\n|---|---|---|\n"
+        "| 404 | `unknown_app` | x |\n\n## Configuration\n\n"
+        "| `/v1/gone` | GET | not a route row |\n",
+        encoding="utf-8",
+    )
+    return doc, source
+
+
+def test_a_matching_route_table_has_no_problems(tmp_path):
+    doc, source = write_route_tree(tmp_path, ROUTE_ROWS.values())
+    assert doccheck.check_route_table(doc, source) == []
+
+
+def test_a_mounted_route_missing_from_the_table(tmp_path):
+    rows = [r for key, r in ROUTE_ROWS.items() if key[0] != "/v1/chat"]
+    doc, source = write_route_tree(tmp_path, rows)
+    assert doccheck.check_route_table(doc, source) == [
+        "route POST /v1/chat is mounted but not documented"
+    ]
+
+
+def test_a_documented_route_the_server_does_not_mount(tmp_path):
+    stale = "| `/api/chat/{app}` | POST | Untenanted turn |"
+    doc, source = write_route_tree(tmp_path, [*ROUTE_ROWS.values(), stale])
+    assert doccheck.check_route_table(doc, source) == [
+        "route POST /api/chat/{app} is documented but not mounted"
+    ]
+
+
+def test_the_repository_route_table_matches_the_server():
+    source = ROOT / "src" / "repro" / "server" / "service.py"
+    doc = ROOT / "docs" / "tenancy.md"
+    assert doccheck.check_route_table(doc, source) == []
+    assert ("/v1/chat", "POST") in doccheck.declared_routes(source)
