@@ -90,7 +90,10 @@ def sales_dbgpt():
     Its components cache in whichever manager the running benchmark
     installed; benchmarks whose claims are about the layers behind the
     cache empty it between calls (``cold_benchmark``, ``clear_caches``).
+    Shut down when the session ends, so its serving engine does not
+    outlive the run.
     """
     dbgpt = DBGPT.boot()
     dbgpt.register_source(EngineSource(build_sales_database(n_orders=300)))
-    return dbgpt
+    yield dbgpt
+    dbgpt.shutdown()

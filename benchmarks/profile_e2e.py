@@ -35,12 +35,22 @@ built, grouped cores built from row 0, grouped folds — each
 ``ndarray.argsort``, ``.sort`` and ``.searchsorted``, which
 ``np.argsort``, ``np.unique`` and ``np.searchsorted`` reach, charged by
 name wherever called — clock reads, metric records and label
-resolutions (``MetricHandle.labels``)). Call counts do not drift with the machine the way times do,
+resolutions (``MetricHandle.labels``), engine wake-ups
+(``call_soon_threadsafe``) and thread waits (``threading`` ``wait``)).
+Call counts do not drift with the machine the way times do,
 so they say where work was saved and compare across sessions. To
 count only the timed region, that mode profiles the main thread's timed ``run_ops``
 and the threads started inside it — the client threads — and leaves
 out threads started earlier (the serving engine's, idle on cached
 turns).
+
+Which thread does the work therefore changes the counts. A sync
+``generate`` that finds the engine idle runs the model on the client
+thread, where the engine's step threads ran it before; so on
+``chat_unique`` seed 1 that change raised ``metric records`` from 14.4
+to 24.0, ``thread-lock exits`` from 22 to 47 and ``re.Pattern.sub``
+from 0.22 to 2.98 per op. That is work moved into the counted
+threads, not work added.
 """
 
 from __future__ import annotations
@@ -90,6 +100,11 @@ COUNTS = (
     ("metric records", "obs/metrics.py", "_add"),
     ("metric records", "obs/metrics.py", "_observe"),
     ("label resolutions", "obs/metrics.py", "labels"),
+    # A thread handing work to the serving engine's loop, and a
+    # ``threading`` wait; an ``Event.wait`` that blocks also runs
+    # ``Condition.wait``, so it counts twice.
+    ("engine wake-ups", "asyncio/base_events.py", "call_soon_threadsafe"),
+    ("thread waits", "threading.py", "wait"),
 )
 
 

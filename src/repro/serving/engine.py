@@ -17,7 +17,8 @@ synchronously in the caller's context. Callers wait either way:
 without one, and :meth:`astream` delivers token chunks through bounded
 per-stream queues
 (:class:`repro.serving.streams.TokenStream`) with backpressure and
-cancellation propagation.
+cancellation propagation. A :meth:`schedule` caller that finds the
+engine idle does not wait at all: it runs its cohort of one itself.
 
 Execution model, per batch:
 
@@ -111,7 +112,8 @@ class RequestScheduler:
 
     The one scheduler every controller puts in front of its worker
     pool. The event loop and its bounded step executor start lazily
-    on first submit; an unused scheduler costs nothing.
+    on the first request that queues; an unused scheduler, or one
+    only ever called by sync callers that find it idle, costs nothing.
     """
 
     def __init__(
@@ -182,13 +184,63 @@ class RequestScheduler:
         request: GenerationRequest,
         timeout_s: Optional[float] = None,
     ) -> GenerationResponse:
-        """Admit, block until dispatched, and return the response."""
-        pending = self.submit(model, request, timeout_s=timeout_s)
-        pending.done.wait()
+        """Admit, run, and return the response.
+
+        A caller that finds the engine idle — nothing queued, a slot
+        free, budget left — is a cohort of one nobody could join, so
+        it runs that cohort on its own thread (:meth:`_run_inline`)
+        instead of handing it to the engine loop and a step thread and
+        blocking until they hand it back. Otherwise it queues behind
+        the others and blocks until dispatched.
+        """
+        self._check_admission(model, request)
+        budget = self._budget(timeout_s)
+        with self._lock:
+            inline = (
+                not self._closed
+                and not self._queue
+                and self._active_slots < self.config.pool_width
+                # A spent budget queues, to expire there as a 504.
+                and (budget is None or budget > 0)
+            )
+            if inline:
+                self._active_slots += 1
+        if inline:
+            return self._run_inline(model, request)
+        pending = self._enqueue(model, request, budget, stream=False)
+        pending.wait()
         if pending.error is not None:
             raise pending.error
         assert pending.response is not None
         return pending.response
+
+    def _run_inline(
+        self, model: str, request: GenerationRequest
+    ) -> GenerationResponse:
+        """The caller's own cohort of one, on the caller's thread and
+        in its ``Context``, holding the slot :meth:`schedule` took. The
+        engine keeps only the books a queued cohort of one would have
+        left: the admission, a batch of one, a zero wait, the outcome.
+        """
+        self._count_outcome(model, "admitted")
+        self._count_step(model, 1)
+        self._recorder(self._wait_ms, model)(0.0)
+        outcome = "error"
+        try:
+            response = self._controller.generate(model, request)
+            outcome = "completed"
+        finally:
+            self._count_outcome(model, outcome)
+            with self._lock:
+                self._active_slots -= 1
+                queued = bool(self._queue)
+            if queued:
+                self._wake_engine()
+            # Where the queued path blocked, yield the GIL once: a
+            # thread that never waits otherwise keeps it for a whole
+            # switch interval, and other callers' turns stall behind it.
+            time.sleep(0)
+        return response
 
     def submit(
         self,
@@ -216,19 +268,36 @@ class RequestScheduler:
         timeout_s: Optional[float],
         stream: bool,
     ) -> _Pending:
-        self._ensure_started()
+        self._check_admission(model, request)
+        return self._enqueue(model, request, self._budget(timeout_s), stream)
+
+    def _check_admission(
+        self, model: str, request: GenerationRequest
+    ) -> None:
+        """Run the tenancy admission hook, if any; raising rejects."""
         with self._lock:
             hook = self._admission_hook
         if hook is not None:
             # Outside the lock: hooks take their own locks (the quota
             # manager's) and must not nest under ours.
             hook(model, request)
-        now = self._clock()
-        budget = (
+
+    def _budget(self, timeout_s: Optional[float]) -> Optional[float]:
+        return (
             timeout_s
             if timeout_s is not None
             else self.config.default_timeout_s
         )
+
+    def _enqueue(
+        self,
+        model: str,
+        request: GenerationRequest,
+        budget: Optional[float],
+        stream: bool,
+    ) -> _Pending:
+        self._ensure_started()
+        now = self._clock()
         deadline = now + budget if budget is not None else None
         with self._lock:
             if self._closed:

@@ -115,6 +115,11 @@ class _Pending:
         for callback in callbacks:
             callback()
 
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until the request settles (at most ``timeout``
+        seconds); returns whether it has."""
+        return self.done.wait(timeout)
+
     def add_done_callback(self, callback) -> None:
         """Invoke ``callback`` once the request settles (immediately
         if it already has). Registration races with resolution from
