@@ -51,7 +51,10 @@ class ChartAgent(ConversableAgent):
         a chart spec.
 
         The query runs inline: the engine is pure Python under one
-        GIL, so a thread hop would add a handoff, not parallelism.
+        GIL, so a thread hop would add a handoff, not parallelism. It
+        runs without the analysis gate: the engine's binder is its
+        check, so a hallucinated column fails the step with the
+        engine's message rather than charting an empty result.
         """
         dimension = message.metadata.get("dimension")
         chart_type = message.metadata.get("chart_type", "bar")

@@ -2,8 +2,8 @@
 
 The missing correctness layer between model output and execution:
 
-- :mod:`repro.analysis.sql_analyzer` resolves every table/column in a
-  parsed statement against the schema catalog, type-checks expressions
+- :mod:`repro.analysis.sql_analyzer` binds a parsed statement with the
+  engine's binder (reporting its name errors), type-checks expressions
   and enforces aggregation rules.
 - :mod:`repro.analysis.awel_linter` extends ``DAG.validate()`` with
   reachability, arity and stream/batch mode checks.

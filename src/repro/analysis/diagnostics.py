@@ -62,6 +62,7 @@ DIAGNOSTIC_CODES: dict[str, tuple[Severity, str]] = {
     "SQL015": (Severity.ERROR, "set-op-arity"),
     "SQL016": (Severity.ERROR, "duplicate-cte"),
     "SQL017": (Severity.ERROR, "cte-column-arity"),
+    "SQL018": (Severity.ERROR, "ordinal-out-of-range"),
     # --- AWEL workflow graphs --------------------------------------------
     "AWEL001": (Severity.ERROR, "cycle"),
     "AWEL002": (Severity.ERROR, "orphan-node"),

@@ -16,6 +16,7 @@ from typing import Any, Callable, Optional
 from repro.analysis.diagnostics import Diagnostic, has_errors
 from repro.analysis.sql_analyzer import SqlAnalyzer
 from repro.obs.metrics import Counter, MetricHandle
+from repro.sqlengine.binder import NameResolver
 from repro.sqlengine.catalog import Catalog, ColumnSchema, TableSchema
 from repro.sqlengine.database import Database
 from repro.sqlengine.errors import TypeCheckError
@@ -55,11 +56,21 @@ def catalog_for_source(source: Any) -> Catalog:
     return rebuilt
 
 
+def schema_for_source(source: Any) -> NameResolver:
+    """What SQL bound for ``source`` binds against: an engine-backed
+    source's :class:`Database`, so the gate and execution share one
+    prepared statement (parse and binding); :func:`catalog_for_source`
+    for every other connector."""
+    database = getattr(source, "database", None)
+    if isinstance(database, Database):
+        return database
+    return catalog_for_source(source)
+
+
 def parser_for_source(source: Any) -> Callable[[str], Statement]:
     """How to parse SQL bound for ``source``: an engine-backed source's
-    :meth:`Database.parse`, so the gate, the read-only check and
-    execution share one prepared statement; :func:`parse_sql` for every
-    other connector."""
+    :meth:`Database.parse` (the prepared-statement memo execution
+    reads); :func:`parse_sql` for every other connector."""
     database = getattr(source, "database", None)
     return database.parse if isinstance(database, Database) else parse_sql
 
@@ -97,10 +108,12 @@ def review_sql(
     source: Any = None,
     catalog: Optional[Catalog] = None,
 ) -> list[Diagnostic]:
-    """Analyze one statement against a source's (or explicit) catalog."""
-    if catalog is None and source is not None:
-        catalog = catalog_for_source(source)
-    diagnostics = SqlAnalyzer(catalog).analyze_sql(sql)
+    """Analyze one statement against a source's schema (or an explicit
+    catalog)."""
+    schema = catalog
+    if schema is None and source is not None:
+        schema = schema_for_source(source)
+    diagnostics = SqlAnalyzer(schema).analyze_sql(sql)
     _count_diagnostics(diagnostics)
     return diagnostics
 
@@ -163,10 +176,8 @@ def _gate_uncached(
     from repro.llm.prompts import build_sql_repair_prompt
     from repro.smmf.client import ClientError
 
-    catalog = catalog_for_source(source)
-    analyzer = SqlAnalyzer(catalog)
-    parse = parser_for_source(source)
-    diagnostics = analyzer.analyze_sql(sql, parse)
+    analyzer = SqlAnalyzer(schema_for_source(source))
+    diagnostics = analyzer.analyze_sql(sql)
     _count_diagnostics(diagnostics)
     if not has_errors(diagnostics):
         _OUTCOMES.labels("clean")()
@@ -184,7 +195,7 @@ def _gate_uncached(
             candidate = client.generate(model, prompt, task="text2sql")
         except ClientError:
             break
-        candidate_diags = analyzer.analyze_sql(candidate, parse)
+        candidate_diags = analyzer.analyze_sql(candidate)
         _count_diagnostics(candidate_diags)
         if not has_errors(candidate_diags):
             _OUTCOMES.labels("repaired")()

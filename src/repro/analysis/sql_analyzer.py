@@ -1,31 +1,47 @@
 """Semantic SQL analyzer: schema-aware static checks over parsed ASTs.
 
-The executor finds these mistakes at run time; the analyzer finds them
-*before* execution so the Text-to-SQL gate can repair or reject a model
-draft without touching the database. Checks:
+The analyzer finds mistakes *before* execution so the Text-to-SQL gate
+can repair or reject a model draft without running it. Names are the
+engine's to resolve: each statement is bound by
+:func:`repro.sqlengine.binder.bind`, against a live
+:class:`~repro.sqlengine.Database` (sharing the prepared statement's
+binding with execution) or a bare :class:`~repro.sqlengine.Catalog`,
+and a :class:`~repro.sqlengine.binder.BindError` is reported under its
+own code (unknown table or column, ambiguous column, duplicate CTE,
+ordinal out of range). The analyzer then walks the statement for the
+rules the engine does not state, reading column types through the
+binding:
 
-- name resolution against the :class:`~repro.sqlengine.catalog.Catalog`
-  (unknown tables/columns, ambiguous references, duplicate aliases),
-- type checking of comparisons, arithmetic and function arguments via
+- type policy: comparisons, arithmetic and function arguments, via
   :mod:`repro.sqlengine.types`,
-- aggregation rules (aggregates in WHERE, nested aggregates, ungrouped
-  columns in grouped queries),
-- lint-grade smells (``SELECT *``, cartesian joins, non-boolean
-  predicates).
+- grouping policy: aggregates in WHERE, nested aggregates, ungrouped
+  columns in grouped queries,
+- arity: function arguments, INSERT rows, set operands, IN and scalar
+  subqueries, CTE column lists,
+- lint-grade smells: ``SELECT *``, cartesian joins, duplicate aliases,
+  non-boolean predicates.
 
-The analyzer never raises on a statement :func:`parse_sql` accepts — it
-reports :class:`~repro.analysis.diagnostics.Diagnostic` objects instead
-(property-tested in ``tests/analysis/test_analyzer_fuzz.py``).
+The type and grouping policies are stricter than the engine, which
+runs ``s = 5`` and an ungrouped column (docs/diagnostics.md § Who owns
+each code). The analyzer never raises on a statement :func:`parse_sql`
+accepts — it reports :class:`~repro.analysis.diagnostics.Diagnostic`
+objects instead (property-tested in ``tests/analysis/test_analyzer_fuzz.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.analysis.diagnostics import Diagnostic, diagnostic
 from repro.sqlengine import nodes
-from repro.sqlengine.catalog import Catalog
+from repro.sqlengine.binder import (
+    BindError,
+    Binding,
+    NameResolver,
+    bind,
+    is_ordinal,
+)
+from repro.sqlengine.database import Database
 from repro.sqlengine.errors import SqlSyntaxError, TypeCheckError
 from repro.sqlengine.functions import is_aggregate_function, is_scalar_function
 from repro.sqlengine.parser import parse_sql
@@ -60,36 +76,13 @@ _INTEGER_RESULT = frozenset(
      "SIGN", "MOD", "COUNT"}
 )
 _REAL_RESULT = frozenset({"ROUND", "SQRT", "POWER", "AVG"})
+#: scalar functions typed by their first argument.
+_FIRST_ARG_RESULT = frozenset(
+    {"COALESCE", "NULLIF", "IFNULL", "MIN2", "MAX2", "ABS"}
+)
 
-
-def _children(expr: nodes.Expression) -> tuple[nodes.Expression, ...]:
-    """Direct sub-expressions, excluding subqueries (handled separately)."""
-    if isinstance(expr, nodes.UnaryOp):
-        return (expr.operand,)
-    if isinstance(expr, nodes.BinaryOp):
-        return (expr.left, expr.right)
-    if isinstance(expr, nodes.IsNull):
-        return (expr.operand,)
-    if isinstance(expr, nodes.Like):
-        return (expr.operand, expr.pattern)
-    if isinstance(expr, nodes.Between):
-        return (expr.operand, expr.low, expr.high)
-    if isinstance(expr, nodes.InList):
-        return (expr.operand, *expr.items)
-    if isinstance(expr, nodes.InSubquery):
-        return (expr.operand,)
-    if isinstance(expr, nodes.FunctionCall):
-        return expr.args
-    if isinstance(expr, nodes.Case):
-        flat: list[nodes.Expression] = []
-        for condition, result in expr.branches:
-            flat.extend((condition, result))
-        if expr.default is not None:
-            flat.append(expr.default)
-        return tuple(flat)
-    if isinstance(expr, nodes.Cast):
-        return (expr.operand,)
-    return ()
+#: Per select item, its type; None for a select whose ``*`` hides them.
+Types = Optional[list[Optional[DataType]]]
 
 
 def _contains_aggregate(expr: nodes.Expression) -> bool:
@@ -97,7 +90,7 @@ def _contains_aggregate(expr: nodes.Expression) -> bool:
         expr.name
     ):
         return True
-    return any(_contains_aggregate(child) for child in _children(expr))
+    return any(_contains_aggregate(child) for child in nodes.children(expr))
 
 
 def _comparable(left: Optional[DataType], right: Optional[DataType]) -> bool:
@@ -107,73 +100,30 @@ def _comparable(left: Optional[DataType], right: Optional[DataType]) -> bool:
     if left in _NUMERIC and right in _NUMERIC:
         return True
     # DATE columns compare against ISO-8601 TEXT literals.
-    pair = {left, right}
-    if pair == {DataType.DATE, DataType.TEXT}:
-        return True
-    return False
-
-
-@dataclass
-class _Binding:
-    """One FROM-clause source visible to column references."""
-
-    name: str
-    #: lowered column name -> type; ``None`` when the source is unknown
-    #: (missing table, ``SELECT *`` subquery) and resolution must not
-    #: cascade further errors.
-    columns: Optional[dict[str, Optional[DataType]]]
-
-
-@dataclass
-class _Scope:
-    """Name-resolution scope; ``parent`` enables correlated subqueries."""
-
-    bindings: dict[str, _Binding] = field(default_factory=dict)
-    parent: Optional["_Scope"] = None
-    #: output aliases of the SELECT list, visible to GROUP BY / HAVING /
-    #: ORDER BY (the executor resolves them the same way).
-    aliases: dict[str, Optional[DataType]] = field(default_factory=dict)
-
-    @property
-    def has_unknown(self) -> bool:
-        return any(b.columns is None for b in self.bindings.values())
-
-
-@dataclass
-class _SelectInfo:
-    """What a subquery exposes to its consumer."""
-
-    #: (output name, type) per item; ``None`` when a ``*`` item makes the
-    #: output width unknowable without execution.
-    columns: Optional[list[tuple[str, Optional[DataType]]]]
-
-    @property
-    def width(self) -> Optional[int]:
-        return None if self.columns is None else len(self.columns)
+    return {left, right} == {DataType.DATE, DataType.TEXT}
 
 
 class SqlAnalyzer:
-    """Analyze parsed statements against a schema catalog.
-
-    ``catalog=None`` runs only schema-independent checks (useful for
-    linting SQL files with no database at hand).
+    """Analyze parsed statements against a schema: a
+    :class:`~repro.sqlengine.Catalog`, a live
+    :class:`~repro.sqlengine.Database` (whose views resolve too), or
+    ``None`` to run only the schema-independent checks (linting SQL
+    files with no database at hand).
     """
 
-    def __init__(self, catalog: Optional[Catalog] = None) -> None:
-        self._catalog = catalog
-        #: WITH-clause scope frames (innermost last): lower-cased CTE
-        #: name -> output columns, or None when unknowable (SELECT *).
-        self._cte_frames: list[
-            dict[str, Optional[dict[str, Optional[DataType]]]]
-        ] = []
+    def __init__(self, schema: Optional[NameResolver] = None) -> None:
+        self._schema = schema
+        self._binding: Optional[Binding] = None
+        #: ``id(select)`` -> the item types of a select analyzed so far,
+        #: which type the columns of a CTE or derived table reading it.
+        self._outputs: dict[int, Types] = {}
 
     # -- public API --------------------------------------------------------
 
-    def analyze_sql(
-        self, sql: str, parse: Callable[[str], nodes.Statement] = parse_sql
-    ) -> list[Diagnostic]:
-        """Parse (with ``parse``, e.g. a database's prepared-statement
-        memo) and analyze; syntax errors become ``SQL000`` findings."""
+    def analyze_sql(self, sql: str) -> list[Diagnostic]:
+        """Parse (through a database's prepared-statement memo, if the
+        schema is one) and analyze; syntax errors become ``SQL000``."""
+        parse = getattr(self._schema, "parse", parse_sql)
         try:
             statement = parse(sql)
         except SqlSyntaxError as exc:
@@ -185,264 +135,80 @@ class SqlAnalyzer:
                     hint="the SQL could not be parsed at all",
                 )
             ]
-        return self.analyze(statement)
+        return self.analyze(statement, sql)
 
-    def analyze(self, statement: nodes.Statement) -> list[Diagnostic]:
-        """Analyze one parsed statement, returning all findings."""
+    def analyze(
+        self, statement: nodes.Statement, sql: Optional[str] = None
+    ) -> list[Diagnostic]:
+        """Analyze one parsed statement (``sql`` its text, which finds a
+        database's prepared binding), returning all findings."""
         diags: list[Diagnostic] = []
+        self._binding, self._outputs = None, {}
+        if self._schema is not None:
+            try:
+                self._binding = self._bind(statement, sql)
+            except BindError as error:
+                diags.append(self._name_diagnostic(error))
         if isinstance(statement, nodes.Select):
-            self._select(statement, None, diags)
+            self._select(statement, diags)
+        elif isinstance(statement, (nodes.CreateView, nodes.Explain)):
+            self._select(statement.query, diags)
         elif isinstance(statement, nodes.Insert):
             self._insert(statement, diags)
-        elif isinstance(statement, nodes.Update):
-            self._update(statement, diags)
-        elif isinstance(statement, nodes.Delete):
-            self._delete(statement, diags)
+        elif isinstance(statement, (nodes.Update, nodes.Delete)):
+            self._update_or_delete(statement, diags)
         elif isinstance(statement, nodes.CreateTable):
             self._create_table(statement, diags)
-        elif isinstance(statement, nodes.CreateIndex):
-            self._create_index(statement, diags)
-        elif isinstance(statement, nodes.CreateView):
-            self._select(statement.query, None, diags)
-        elif isinstance(statement, nodes.Explain):
-            self._select(statement.query, None, diags)
-        elif isinstance(statement, (nodes.DropTable, nodes.DropView)):
-            self._drop(statement, diags)
-        # DropIndex / TransactionStatement: nothing to check statically.
         return diags
 
-    # -- table resolution --------------------------------------------------
+    def _bind(self, statement: nodes.Statement, sql: Optional[str]) -> Binding:
+        if (
+            isinstance(self._schema, Database)
+            and sql is not None
+            and isinstance(statement, nodes.Select)
+        ):
+            prepared, binding = self._schema.bind(sql)
+            if prepared is statement:  # not evicted from the memo since
+                return binding
+        return bind(statement, self._schema)
 
-    def _table_columns(
-        self, name: str
-    ) -> Optional[dict[str, Optional[DataType]]]:
-        if self._catalog is None:
-            return None
-        if not self._catalog.has_table(name):
-            return None
-        schema = self._catalog.table(name)
-        return {c.name.lower(): c.data_type for c in schema.columns}
+    def _name_diagnostic(self, error: BindError) -> Diagnostic:
+        hint = ""
+        if error.code == "SQL001":
+            catalog = getattr(self._schema, "catalog", self._schema)
+            hint = "known tables: " + ", ".join(sorted(catalog.table_names()))
+        elif error.code == "SQL003":
+            hint = "qualify the column with its table or alias"
+        return diagnostic(error.code, str(error), subject=error.name, hint=hint)
 
-    def _lookup_cte(
-        self, name: str
-    ) -> tuple[bool, Optional[dict[str, Optional[DataType]]]]:
-        """(is a CTE in scope, its columns or None when unknowable)."""
-        key = name.lower()
-        for frame in reversed(self._cte_frames):
-            if key in frame:
-                return True, frame[key]
-        return False, None
-
-    def _collect_bindings(
-        self,
-        source: nodes.TableRef,
-        scope: _Scope,
-        conditions: list[nodes.Expression],
-        diags: list[Diagnostic],
-    ) -> None:
-        if isinstance(source, nodes.NamedTable):
-            is_cte, columns = self._lookup_cte(source.name)
-            if not is_cte:
-                columns = self._table_columns(source.name)
-                if columns is None and self._catalog is not None:
-                    diags.append(
-                        diagnostic(
-                            "SQL001",
-                            f"unknown table {source.name!r}",
-                            subject=source.name,
-                            hint="known tables: "
-                            + ", ".join(sorted(self._catalog.table_names())),
-                        )
-                    )
-            self._bind(source.binding, columns, scope, diags)
-        elif isinstance(source, nodes.SubqueryTable):
-            info = self._select(source.subquery, scope.parent, diags)
-            columns: Optional[dict[str, Optional[DataType]]]
-            if info.columns is None:
-                columns = None
-            else:
-                columns = {name.lower(): dtype for name, dtype in info.columns}
-            self._bind(source.alias, columns, scope, diags)
-        elif isinstance(source, nodes.Join):
-            self._collect_bindings(source.left, scope, conditions, diags)
-            self._collect_bindings(source.right, scope, conditions, diags)
-            if source.join_type == "CROSS" or (
-                source.condition is None and source.join_type != "CROSS"
-            ):
-                diags.append(
-                    diagnostic(
-                        "SQL011",
-                        "join without a join condition multiplies every "
-                        "row pair",
-                        subject=source.to_sql()[:80],
-                        hint="add an ON clause relating the two sides",
-                    )
-                )
-            elif isinstance(source.condition, nodes.Literal):
-                diags.append(
-                    diagnostic(
-                        "SQL011",
-                        "constant join condition is effectively a "
-                        "cartesian product",
-                        subject=source.condition.to_sql(),
-                    )
-                )
-            if source.condition is not None:
-                conditions.append(source.condition)
-
-    def _bind(
-        self,
-        binding: str,
-        columns: Optional[dict[str, Optional[DataType]]],
-        scope: _Scope,
-        diags: list[Diagnostic],
-    ) -> None:
-        key = binding.lower()
-        if key in scope.bindings:
-            diags.append(
-                diagnostic(
-                    "SQL013",
-                    f"duplicate table alias {binding!r} in FROM clause",
-                    subject=binding,
-                    hint="give each table a distinct alias",
-                )
-            )
-            return
-        scope.bindings[key] = _Binding(binding, columns)
-
-    # -- column resolution -------------------------------------------------
-
-    def _resolve_column(
-        self,
-        ref: nodes.ColumnRef,
-        scope: Optional[_Scope],
-        diags: list[Diagnostic],
-        allow_aliases: bool = False,
-    ) -> Optional[DataType]:
-        if scope is None:
-            return None
-        if allow_aliases and ref.table is None:
-            if ref.name.lower() in scope.aliases:
-                return scope.aliases[ref.name.lower()]
-        if ref.table is not None:
-            level: Optional[_Scope] = scope
-            while level is not None:
-                binding = level.bindings.get(ref.table.lower())
-                if binding is not None:
-                    if binding.columns is None:
-                        return None
-                    if ref.name.lower() in binding.columns:
-                        return binding.columns[ref.name.lower()]
-                    diags.append(
-                        diagnostic(
-                            "SQL002",
-                            f"table {binding.name!r} has no column "
-                            f"{ref.name!r}",
-                            subject=ref.to_sql(),
-                            hint="columns: "
-                            + ", ".join(sorted(binding.columns)),
-                        )
-                    )
-                    return None
-                level = level.parent
-            if self._catalog is not None:
-                diags.append(
-                    diagnostic(
-                        "SQL001",
-                        f"{ref.table!r} is not a table or alias in scope",
-                        subject=ref.to_sql(),
-                    )
-                )
-            return None
-        # Unqualified reference: search each scope level outwards.
-        level = scope
-        while level is not None:
-            matches = [
-                binding
-                for binding in level.bindings.values()
-                if binding.columns is not None
-                and ref.name.lower() in binding.columns
-            ]
-            if len(matches) > 1:
-                diags.append(
-                    diagnostic(
-                        "SQL003",
-                        f"column {ref.name!r} is ambiguous: it exists in "
-                        + " and ".join(
-                            sorted(m.name for m in matches)
-                        ),
-                        subject=ref.name,
-                        hint="qualify the column with its table or alias",
-                    )
-                )
-                return None
-            if len(matches) == 1:
-                return matches[0].columns[ref.name.lower()]
-            if level.has_unknown:
-                # An unresolvable source could define this column; stay
-                # silent rather than cascade a false positive.
-                return None
-            level = level.parent
-        if self._catalog is not None:
-            diags.append(
-                diagnostic(
-                    "SQL002",
-                    f"column {ref.name!r} does not exist in any table "
-                    "in scope",
-                    subject=ref.name,
-                )
-            )
-        return None
+    def _column_type(self, ref: nodes.ColumnRef) -> Optional[DataType]:
+        bound = self._binding and self._binding.refs.get(id(ref))
+        if not bound:
+            return None  # unbound, or an alias / output column name
+        source = bound.source
+        if source.schema is not None:
+            return source.schema.columns[bound.index].data_type
+        types = self._outputs.get(id(source.query))
+        return types[bound.index] if types and bound.index < len(types) else None
 
     # -- expression analysis -----------------------------------------------
 
     def _expr(
         self,
         expr: nodes.Expression,
-        scope: Optional[_Scope],
         diags: list[Diagnostic],
         clause: str = "select",
         in_aggregate: bool = False,
-        allow_aliases: bool = False,
     ) -> Optional[DataType]:
         """Type-check one expression tree, emitting findings as it goes."""
-        recurse = lambda e, **kw: self._expr(  # noqa: E731
-            e,
-            scope,
-            diags,
-            clause=kw.get("clause", clause),
-            in_aggregate=kw.get("in_aggregate", in_aggregate),
-            allow_aliases=allow_aliases,
-        )
+
+        def recurse(e: nodes.Expression) -> Optional[DataType]:
+            return self._expr(e, diags, clause, in_aggregate)
+
         if isinstance(expr, nodes.Literal):
             return None if expr.value is None else infer_type(expr.value)
-        if isinstance(expr, nodes.Parameter):
-            return None
         if isinstance(expr, nodes.ColumnRef):
-            return self._resolve_column(expr, scope, diags, allow_aliases)
-        if isinstance(expr, nodes.Star):
-            if (
-                expr.table is not None
-                and scope is not None
-                and self._catalog is not None
-            ):
-                level: Optional[_Scope] = scope
-                found = False
-                while level is not None:
-                    if expr.table.lower() in level.bindings:
-                        found = True
-                        break
-                    level = level.parent
-                if not found:
-                    diags.append(
-                        diagnostic(
-                            "SQL001",
-                            f"{expr.table!r} is not a table or alias in "
-                            "scope",
-                            subject=expr.to_sql(),
-                        )
-                    )
-            return None
+            return self._column_type(expr)
         if isinstance(expr, nodes.UnaryOp):
             operand = recurse(expr.operand)
             if expr.op in ("-", "+"):
@@ -458,8 +224,7 @@ class SqlAnalyzer:
                 return operand
             return DataType.BOOLEAN  # NOT
         if isinstance(expr, nodes.BinaryOp):
-            return self._binary(expr, scope, diags, clause, in_aggregate,
-                                allow_aliases)
+            return self._binary(expr, diags, clause, in_aggregate)
         if isinstance(expr, nodes.IsNull):
             recurse(expr.operand)
             return DataType.BOOLEAN
@@ -505,40 +270,28 @@ class SqlAnalyzer:
                         )
                     )
             return DataType.BOOLEAN
-        if isinstance(expr, nodes.InSubquery):
-            recurse(expr.operand)
-            info = self._select(expr.subquery, scope, diags)
-            if info.width is not None and info.width != 1:
+        if isinstance(expr, (nodes.InSubquery, nodes.ScalarSubquery)):
+            scalar = isinstance(expr, nodes.ScalarSubquery)
+            if not scalar:
+                recurse(expr.operand)
+            types = self._select(expr.subquery, diags)
+            if types is not None and len(types) != 1:
                 diags.append(
                     diagnostic(
                         "SQL015",
-                        f"IN subquery returns {info.width} columns, "
-                        "expected exactly 1",
+                        f"{'scalar' if scalar else 'IN'} subquery returns "
+                        f"{len(types)} columns, expected exactly 1",
                         subject=expr.subquery.to_sql()[:80],
                     )
                 )
-            return DataType.BOOLEAN
+            if not scalar:
+                return DataType.BOOLEAN
+            return types[0] if types is not None and len(types) == 1 else None
         if isinstance(expr, nodes.Exists):
-            self._select(expr.subquery, scope, diags)
+            self._select(expr.subquery, diags)
             return DataType.BOOLEAN
-        if isinstance(expr, nodes.ScalarSubquery):
-            info = self._select(expr.subquery, scope, diags)
-            if info.width is not None and info.width != 1:
-                diags.append(
-                    diagnostic(
-                        "SQL015",
-                        f"scalar subquery returns {info.width} columns, "
-                        "expected exactly 1",
-                        subject=expr.subquery.to_sql()[:80],
-                    )
-                )
-                return None
-            if info.columns:
-                return info.columns[0][1]
-            return None
         if isinstance(expr, nodes.FunctionCall):
-            return self._function(expr, scope, diags, clause, in_aggregate,
-                                  allow_aliases)
+            return self._function(expr, diags, clause, in_aggregate)
         if isinstance(expr, nodes.Case):
             result_type: Optional[DataType] = None
             for condition, result in expr.branches:
@@ -564,21 +317,17 @@ class SqlAnalyzer:
                     )
                 )
                 return None
-        return None
+        return None  # Parameter, Star
 
     def _binary(
         self,
         expr: nodes.BinaryOp,
-        scope: Optional[_Scope],
         diags: list[Diagnostic],
         clause: str,
         in_aggregate: bool,
-        allow_aliases: bool,
     ) -> Optional[DataType]:
-        left = self._expr(expr.left, scope, diags, clause, in_aggregate,
-                          allow_aliases)
-        right = self._expr(expr.right, scope, diags, clause, in_aggregate,
-                           allow_aliases)
+        left = self._expr(expr.left, diags, clause, in_aggregate)
+        right = self._expr(expr.right, diags, clause, in_aggregate)
         op = expr.op.upper()
         if op in ("AND", "OR"):
             for side in (left, right):
@@ -626,11 +375,9 @@ class SqlAnalyzer:
     def _function(
         self,
         expr: nodes.FunctionCall,
-        scope: Optional[_Scope],
         diags: list[Diagnostic],
         clause: str,
         in_aggregate: bool,
-        allow_aliases: bool,
     ) -> Optional[DataType]:
         name = expr.name.upper()
         is_aggregate = is_aggregate_function(name)
@@ -665,29 +412,7 @@ class SqlAnalyzer:
                         subject=expr.to_sql()[:80],
                     )
                 )
-            arg_types = [
-                self._expr(arg, scope, diags, clause, True, allow_aliases)
-                for arg in expr.args
-            ]
-            if name in _NUMERIC_ARG_FUNCTIONS:
-                for arg, arg_type in zip(expr.args, arg_types):
-                    if arg_type in (DataType.TEXT, DataType.DATE):
-                        diags.append(
-                            diagnostic(
-                                "SQL004",
-                                f"{name} argument has type "
-                                f"{arg_type.value}, expected a number",
-                                subject=arg.to_sql()[:80],
-                            )
-                        )
-            if name in _INTEGER_RESULT:
-                return DataType.INTEGER
-            if name in _REAL_RESULT:
-                return DataType.REAL
-            if name in _TEXT_RESULT:
-                return DataType.TEXT
-            return arg_types[0] if arg_types else None  # SUM/MIN/MAX
-        if not is_scalar_function(name):
+        elif not is_scalar_function(name):
             diags.append(
                 diagnostic(
                     "SQL005",
@@ -696,25 +421,27 @@ class SqlAnalyzer:
                 )
             )
             for arg in expr.args:
-                self._expr(arg, scope, diags, clause, in_aggregate,
-                           allow_aliases)
+                self._expr(arg, diags, clause, in_aggregate)
             return None
-        low, high = _SCALAR_ARITY.get(name, (0, None))
-        if len(expr.args) < low or (high is not None and len(expr.args) > high):
-            expected = (
-                str(low) if high == low
-                else f"{low}..{high if high is not None else 'n'}"
-            )
-            diags.append(
-                diagnostic(
-                    "SQL006",
-                    f"{name} takes {expected} arguments, "
-                    f"got {len(expr.args)}",
-                    subject=expr.to_sql()[:80],
+        else:
+            low, high = _SCALAR_ARITY.get(name, (0, None))
+            if len(expr.args) < low or (
+                high is not None and len(expr.args) > high
+            ):
+                expected = (
+                    str(low) if high == low
+                    else f"{low}..{high if high is not None else 'n'}"
                 )
-            )
+                diags.append(
+                    diagnostic(
+                        "SQL006",
+                        f"{name} takes {expected} arguments, "
+                        f"got {len(expr.args)}",
+                        subject=expr.to_sql()[:80],
+                    )
+                )
         arg_types = [
-            self._expr(arg, scope, diags, clause, in_aggregate, allow_aliases)
+            self._expr(arg, diags, clause, in_aggregate or is_aggregate)
             for arg in expr.args
         ]
         if name in _NUMERIC_ARG_FUNCTIONS:
@@ -728,98 +455,54 @@ class SqlAnalyzer:
                             subject=arg.to_sql()[:80],
                         )
                     )
-        if name in _TEXT_RESULT:
-            return DataType.TEXT
         if name in _INTEGER_RESULT:
             return DataType.INTEGER
         if name in _REAL_RESULT:
             return DataType.REAL
+        if name in _TEXT_RESULT:
+            return DataType.TEXT
         if name == "DATE":
             return DataType.DATE
-        if name in ("COALESCE", "NULLIF", "IFNULL", "MIN2", "MAX2", "ABS"):
+        if is_aggregate or name in _FIRST_ARG_RESULT:  # SUM/MIN/MAX too
             return arg_types[0] if arg_types else None
         return None
 
     # -- SELECT ------------------------------------------------------------
 
-    def _select(
-        self,
-        select: nodes.Select,
-        parent: Optional[_Scope],
-        diags: list[Diagnostic],
-    ) -> _SelectInfo:
-        if select.ctes:
-            self._cte_frames.append({})
-            try:
-                self._analyze_ctes(select, parent, diags)
-                return self._select_body(select, parent, diags)
-            finally:
-                self._cte_frames.pop()
-        return self._select_body(select, parent, diags)
-
-    def _analyze_ctes(
-        self,
-        select: nodes.Select,
-        parent: Optional[_Scope],
-        diags: list[Diagnostic],
-    ) -> None:
-        frame = self._cte_frames[-1]
+    def _select(self, select: nodes.Select, diags: list[Diagnostic]) -> Types:
+        """Analyze a query with its WITH clause and compound operands;
+        the item types of its output."""
         for cte in select.ctes:
-            key = cte.name.lower()
-            if key in frame:
+            types = self._select(cte.query, diags)
+            if cte.columns and types is not None and len(cte.columns) != len(types):
                 diags.append(
                     diagnostic(
-                        "SQL016",
-                        f"duplicate CTE name {cte.name!r} in WITH clause",
+                        "SQL017",
+                        f"CTE {cte.name!r} declares "
+                        f"{len(cte.columns)} columns but its query "
+                        f"returns {len(types)}",
                         subject=cte.name,
-                        hint="give each CTE a distinct name",
                     )
                 )
-            info = self._select(cte.query, parent, diags)
-            columns: Optional[dict[str, Optional[DataType]]]
-            if info.columns is None:
-                columns = None
-            else:
-                columns = {name.lower(): dtype for name, dtype in info.columns}
-            if cte.columns:
-                if info.width is not None and len(cte.columns) != info.width:
-                    diags.append(
-                        diagnostic(
-                            "SQL017",
-                            f"CTE {cte.name!r} declares "
-                            f"{len(cte.columns)} columns but its query "
-                            f"returns {info.width}",
-                            subject=cte.name,
-                        )
+        types = self._core(select, diags)
+        for op, query in select.compound:
+            other = self._select(query, diags)
+            if types is not None and other is not None and len(types) != len(other):
+                diags.append(
+                    diagnostic(
+                        "SQL015",
+                        f"{op} operands have different widths: "
+                        f"{len(types)} vs {len(other)} columns",
+                        subject=query.to_sql()[:80],
                     )
-                types = (
-                    [dtype for _name, dtype in info.columns]
-                    if info.columns is not None
-                    and len(info.columns) == len(cte.columns)
-                    else [None] * len(cte.columns)
                 )
-                columns = {
-                    name.lower(): dtype
-                    for name, dtype in zip(cte.columns, types)
-                }
-            frame[key] = columns
+        self._outputs[id(select)] = types
+        return types
 
-    def _select_body(
-        self,
-        select: nodes.Select,
-        parent: Optional[_Scope],
-        diags: list[Diagnostic],
-    ) -> _SelectInfo:
-        scope = _Scope(parent=parent)
-        conditions: list[nodes.Expression] = []
+    def _core(self, select: nodes.Select, diags: list[Diagnostic]) -> Types:
         if select.source is not None:
-            self._collect_bindings(select.source, scope, conditions, diags)
-        for condition in conditions:
-            cond_type = self._expr(condition, scope, diags, clause="on")
-            self._check_predicate(cond_type, condition, "ON", diags)
-
-        # Select list: types, output names, SELECT * smell.
-        output: Optional[list[tuple[str, Optional[DataType]]]] = []
+            self._from(select.source, set(), diags)
+        types: Types = []
         for item in select.items:
             if isinstance(item.expression, nodes.Star):
                 diags.append(
@@ -830,64 +513,75 @@ class SqlAnalyzer:
                         hint="name the columns you need",
                     )
                 )
-                self._expr(item.expression, scope, diags)
-                output = None
+                types = None
                 continue
-            item_type = self._expr(item.expression, scope, diags)
-            if output is not None:
-                output.append((item.output_name, item_type))
-            if item.alias:
-                scope.aliases[item.alias.lower()] = item_type
-
-        if select.where is not None:
-            where_type = self._expr(select.where, scope, diags,
-                                    clause="where")
-            self._check_predicate(where_type, select.where, "WHERE", diags)
+            item_type = self._expr(item.expression, diags)
+            if types is not None:
+                types.append(item_type)
+        self._predicate(select.where, "WHERE", diags)
+        # Aliases and ordinals type as nothing: their items are analyzed.
         for expr in select.group_by:
-            resolved = self._output_reference(expr, select.items)
-            if resolved is not None:
-                self._expr(resolved, scope, diags, clause="group",
-                           allow_aliases=True)
-        if select.having is not None:
-            having_type = self._expr(select.having, scope, diags,
-                                     clause="having", allow_aliases=True)
-            self._check_predicate(having_type, select.having, "HAVING", diags)
+            self._expr(expr, diags, clause="group")
+        self._predicate(select.having, "HAVING", diags)
         for order in select.order_by:
-            resolved = self._output_reference(order.expression, select.items)
-            if resolved is not None:
-                self._expr(resolved, scope, diags, clause="order",
-                           allow_aliases=True)
+            self._expr(order.expression, diags, clause="order")
         for bound in (select.limit, select.offset):
             if bound is not None:
-                self._expr(bound, scope, diags, clause="limit")
-
+                self._expr(bound, diags, clause="limit")
         self._check_grouping(select, diags)
+        return types
 
-        info = _SelectInfo(columns=output)
-        for op, query in select.compound:
-            other = self._select(query, parent, diags)
-            if (
-                info.width is not None
-                and other.width is not None
-                and info.width != other.width
-            ):
+    def _from(
+        self, source: nodes.TableRef, seen: set[str], diags: list[Diagnostic]
+    ) -> None:
+        if isinstance(source, nodes.SubqueryTable):
+            self._select(source.subquery, diags)
+        if not isinstance(source, nodes.Join):
+            if source.binding.lower() in seen:
                 diags.append(
                     diagnostic(
-                        "SQL015",
-                        f"{op} operands have different widths: "
-                        f"{info.width} vs {other.width} columns",
-                        subject=query.to_sql()[:80],
+                        "SQL013",
+                        f"duplicate table alias {source.binding!r} in FROM "
+                        "clause",
+                        subject=source.binding,
+                        hint="give each table a distinct alias",
                     )
                 )
-        return info
+            seen.add(source.binding.lower())
+            return
+        self._from(source.left, seen, diags)
+        self._from(source.right, seen, diags)
+        if source.join_type == "CROSS" or source.condition is None:
+            diags.append(
+                diagnostic(
+                    "SQL011",
+                    "join without a join condition multiplies every row pair",
+                    subject=source.to_sql()[:80],
+                    hint="add an ON clause relating the two sides",
+                )
+            )
+        elif isinstance(source.condition, nodes.Literal):
+            diags.append(
+                diagnostic(
+                    "SQL011",
+                    "constant join condition is effectively a cartesian "
+                    "product",
+                    subject=source.condition.to_sql(),
+                )
+            )
+        self._predicate(source.condition, "ON", diags)
 
-    def _check_predicate(
+    def _predicate(
         self,
-        predicate_type: Optional[DataType],
-        expr: nodes.Expression,
+        expr: Optional[nodes.Expression],
         clause: str,
         diags: list[Diagnostic],
     ) -> None:
+        """Type-check a WHERE / ON / HAVING condition, which must be
+        boolean."""
+        if expr is None:
+            return
+        predicate_type = self._expr(expr, diags, clause=clause.lower())
         if predicate_type is not None and predicate_type is not DataType.BOOLEAN:
             diags.append(
                 diagnostic(
@@ -897,24 +591,6 @@ class SqlAnalyzer:
                     subject=expr.to_sql()[:80],
                 )
             )
-
-    @staticmethod
-    def _output_reference(
-        expr: nodes.Expression, items: tuple[nodes.SelectItem, ...]
-    ) -> Optional[nodes.Expression]:
-        """Mirror the executor: aliases/ordinals refer to select items.
-
-        Returns ``None`` when the reference maps to a select item (that
-        item is analyzed in its own right), else the expression itself.
-        """
-        if isinstance(expr, nodes.Literal) and isinstance(expr.value, int):
-            if 1 <= expr.value <= len(items):
-                return None
-        if isinstance(expr, nodes.ColumnRef) and expr.table is None:
-            for item in items:
-                if item.alias and item.alias.lower() == expr.name.lower():
-                    return None
-        return expr
 
     # -- aggregation rules -------------------------------------------------
 
@@ -932,12 +608,11 @@ class SqlAnalyzer:
         for expr in select.group_by:
             resolved = expr
             # Alias/ordinal group keys cover the matching select item.
-            if isinstance(expr, nodes.Literal) and isinstance(expr.value, int):
-                if 1 <= expr.value <= len(select.items):
-                    item = select.items[expr.value - 1]
-                    resolved = item.expression
-                    if item.alias:
-                        keys.add(item.alias.lower())
+            if is_ordinal(expr) and 1 <= expr.value <= len(select.items):
+                item = select.items[expr.value - 1]
+                resolved = item.expression
+                if item.alias:
+                    keys.add(item.alias.lower())
             if isinstance(expr, nodes.ColumnRef) and expr.table is None:
                 for item in select.items:
                     if item.alias and item.alias.lower() == expr.name.lower():
@@ -991,55 +666,23 @@ class SqlAnalyzer:
             expr.name
         ):
             return  # everything inside an aggregate is fine
-        for child in _children(expr):
+        for child in nodes.children(expr):
             self._check_grouped(child, keys, subject, diags)
 
     # -- DML / DDL ---------------------------------------------------------
 
-    def _require_table(
-        self, name: str, diags: list[Diagnostic]
-    ) -> Optional[dict[str, Optional[DataType]]]:
-        columns = self._table_columns(name)
-        if columns is None and self._catalog is not None:
-            diags.append(
-                diagnostic(
-                    "SQL001",
-                    f"unknown table {name!r}",
-                    subject=name,
-                    hint="known tables: "
-                    + ", ".join(sorted(self._catalog.table_names())),
-                )
-            )
-        return columns
-
-    def _table_scope(
-        self, name: str, columns: Optional[dict[str, Optional[DataType]]]
-    ) -> _Scope:
-        scope = _Scope()
-        scope.bindings[name.lower()] = _Binding(name, columns)
-        return scope
+    def _target_type(self, stmt: nodes.Statement, column: str) -> Optional[DataType]:
+        """The declared type of an INSERT / UPDATE target column."""
+        target = self._binding and self._binding.sources.get(id(stmt))
+        return target.schema.column(column).data_type if target else None
 
     def _insert(self, stmt: nodes.Insert, diags: list[Diagnostic]) -> None:
-        columns = self._require_table(stmt.table, diags)
+        target = self._binding and self._binding.sources.get(id(stmt))
         width: Optional[int] = None
         column_types: list[Optional[DataType]] = []
         if stmt.columns:
             width = len(stmt.columns)
-            for column in stmt.columns:
-                if columns is not None and column.lower() not in columns:
-                    diags.append(
-                        diagnostic(
-                            "SQL002",
-                            f"table {stmt.table!r} has no column "
-                            f"{column!r}",
-                            subject=column,
-                        )
-                    )
-                    column_types.append(None)
-                else:
-                    column_types.append(
-                        columns.get(column.lower()) if columns else None
-                    )
+            column_types = [self._target_type(stmt, c) for c in stmt.columns]
             if len({c.lower() for c in stmt.columns}) != len(stmt.columns):
                 diags.append(
                     diagnostic(
@@ -1048,10 +691,9 @@ class SqlAnalyzer:
                         subject=", ".join(stmt.columns),
                     )
                 )
-        elif columns is not None:
-            width = len(columns)
-            column_types = list(columns.values())
-        scope = _Scope()
+        elif target:
+            width = len(target.columns)
+            column_types = [c.data_type for c in target.schema.columns]
         for row in stmt.rows:
             if width is not None and len(row) != width:
                 diags.append(
@@ -1065,7 +707,7 @@ class SqlAnalyzer:
                 )
                 continue
             for value, expected in zip(row, column_types):
-                value_type = self._expr(value, scope, diags)
+                value_type = self._expr(value, diags)
                 if not _comparable(value_type, expected):
                     diags.append(
                         diagnostic(
@@ -1076,39 +718,23 @@ class SqlAnalyzer:
                         )
                     )
         if stmt.query is not None:
-            info = self._select(stmt.query, None, diags)
-            if (
-                width is not None
-                and info.width is not None
-                and info.width != width
-            ):
+            types = self._select(stmt.query, diags)
+            if width is not None and types is not None and len(types) != width:
                 diags.append(
                     diagnostic(
                         "SQL012",
-                        f"INSERT ... SELECT provides {info.width} columns, "
+                        f"INSERT ... SELECT provides {len(types)} columns, "
                         f"expected {width}",
                         subject=stmt.query.to_sql()[:80],
                     )
                 )
 
-    def _update(self, stmt: nodes.Update, diags: list[Diagnostic]) -> None:
-        columns = self._require_table(stmt.table, diags)
-        scope = self._table_scope(stmt.table, columns)
-        for column, value in stmt.assignments:
-            expected: Optional[DataType] = None
-            if columns is not None:
-                if column.lower() not in columns:
-                    diags.append(
-                        diagnostic(
-                            "SQL002",
-                            f"table {stmt.table!r} has no column "
-                            f"{column!r}",
-                            subject=column,
-                        )
-                    )
-                else:
-                    expected = columns[column.lower()]
-            value_type = self._expr(value, scope, diags)
+    def _update_or_delete(
+        self, stmt: nodes.Update | nodes.Delete, diags: list[Diagnostic]
+    ) -> None:
+        for column, value in getattr(stmt, "assignments", ()):
+            expected = self._target_type(stmt, column)
+            value_type = self._expr(value, diags)
             if not _comparable(value_type, expected):
                 diags.append(
                     diagnostic(
@@ -1118,16 +744,7 @@ class SqlAnalyzer:
                         subject=value.to_sql()[:80],
                     )
                 )
-        if stmt.where is not None:
-            where_type = self._expr(stmt.where, scope, diags, clause="where")
-            self._check_predicate(where_type, stmt.where, "WHERE", diags)
-
-    def _delete(self, stmt: nodes.Delete, diags: list[Diagnostic]) -> None:
-        columns = self._require_table(stmt.table, diags)
-        if stmt.where is not None:
-            scope = self._table_scope(stmt.table, columns)
-            where_type = self._expr(stmt.where, scope, diags, clause="where")
-            self._check_predicate(where_type, stmt.where, "WHERE", diags)
+        self._predicate(stmt.where, "WHERE", diags)
 
     def _create_table(
         self, stmt: nodes.CreateTable, diags: list[Diagnostic]
@@ -1154,45 +771,16 @@ class SqlAnalyzer:
                     )
                 )
 
-    def _create_index(
-        self, stmt: nodes.CreateIndex, diags: list[Diagnostic]
-    ) -> None:
-        columns = self._require_table(stmt.table, diags)
-        if columns is None:
-            return
-        for column in stmt.columns:
-            if column.lower() not in columns:
-                diags.append(
-                    diagnostic(
-                        "SQL002",
-                        f"table {stmt.table!r} has no column {column!r}",
-                        subject=column,
-                    )
-                )
 
-    def _drop(self, stmt, diags: list[Diagnostic]) -> None:
-        if getattr(stmt, "if_exists", False):
-            return
-        if self._catalog is not None and not self._catalog.has_table(
-            stmt.name
-        ):
-            diags.append(
-                diagnostic(
-                    "SQL001",
-                    f"unknown table or view {stmt.name!r}",
-                    subject=stmt.name,
-                    hint="add IF EXISTS to make the drop idempotent",
-                )
-            )
-
-
-def analyze_sql(sql: str, catalog: Optional[Catalog] = None) -> list[Diagnostic]:
+def analyze_sql(
+    sql: str, schema: Optional[NameResolver] = None
+) -> list[Diagnostic]:
     """Convenience wrapper: parse + analyze one statement."""
-    return SqlAnalyzer(catalog).analyze_sql(sql)
+    return SqlAnalyzer(schema).analyze_sql(sql)
 
 
 def analyze_statement(
-    statement: nodes.Statement, catalog: Optional[Catalog] = None
+    statement: nodes.Statement, schema: Optional[NameResolver] = None
 ) -> list[Diagnostic]:
     """Convenience wrapper: analyze an already-parsed statement."""
-    return SqlAnalyzer(catalog).analyze(statement)
+    return SqlAnalyzer(schema).analyze(statement)

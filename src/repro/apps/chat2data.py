@@ -15,6 +15,10 @@ from repro.sqlengine import ResultSet
 
 
 class Chat2DataApp(Application):
+    """Generated SQL runs without the analysis gate: the engine's binder
+    is its check, so a hallucinated or ambiguous column is an error
+    response, never an empty answer read as "no rows match"."""
+
     name = "chat2data"
 
     def __init__(

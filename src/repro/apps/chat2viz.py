@@ -25,6 +25,10 @@ _SHARE_WORDS = ("share", "proportion", "breakdown", "percentage", "split")
 
 
 class Chat2VizApp(Application):
+    """Generated SQL runs without the analysis gate: the engine's binder
+    is its check, so a hallucinated or ambiguous column fails the chart
+    query with the engine's message."""
+
     name = "chat2viz"
 
     def __init__(

@@ -20,6 +20,12 @@ surface`` section) checked against the routes ``DbGptServer`` mounts,
 read statically from the ``add_route``/``_tenant_route`` literals in
 ``repro/server/service.py``: every ``(pattern, method)`` both ways.
 
+A ``diagnostics.md`` or ``staticcheck.md`` among the files has its
+code tables (``| `CODE` | `name` | severity | ... |`` rows) checked
+against ``DIAGNOSTIC_CODES`` for the code families it documents
+(``SQL``/``AWEL``, the staticcheck ones): every ``(code, name,
+severity)`` both ways.
+
 Run::
 
     python -m repro.doccheck README.md docs
@@ -74,6 +80,16 @@ _ROUTE_ROW = re.compile(
 )
 #: The ``DbGptServer`` calls that mount a route: ``(method, pattern, ...)``.
 _MOUNTS = frozenset({"add_route", "_tenant_route"})
+#: ``| `SQL002` | `unknown-column` | error | fires when |``
+_CODE_ROW = re.compile(
+    r"^\|\s*`([A-Z]+\d{3})`\s*\|\s*`([a-z0-9-]+)`\s*\|\s*(\w+)\s*\|",
+    re.MULTILINE,
+)
+#: The diagnostic-code families each code reference documents.
+CODE_FAMILIES = {
+    "diagnostics.md": ("SQL", "AWEL"),
+    "staticcheck.md": ("STC", "LCK", "ASY", "DET", "OBS", "CFG"),
+}
 
 
 def iter_links(markdown: str) -> list[str]:
@@ -192,6 +208,35 @@ def check_route_table(doc: pathlib.Path, source: pathlib.Path) -> list[str]:
     return problems
 
 
+def documented_codes(markdown: str) -> set[tuple[str, str, str]]:
+    """``(code, name, severity)`` of every code-table row."""
+    return set(_CODE_ROW.findall(_CODE_FENCE.sub("", markdown)))
+
+
+def check_code_table(
+    doc: pathlib.Path, families: tuple[str, ...]
+) -> list[str]:
+    """Where ``doc``'s code tables and the registered diagnostic codes
+    of ``families`` (code prefixes) disagree, one line each."""
+    from repro.analysis.diagnostics import DIAGNOSTIC_CODES
+
+    documented = documented_codes(doc.read_text(encoding="utf-8"))
+    declared = {
+        (code, name, severity.value)
+        for code, (severity, name) in DIAGNOSTIC_CODES.items()
+        if code.startswith(families)
+    }
+    problems = [
+        f"code {code} {name} ({severity}) is registered but not documented"
+        for code, name, severity in sorted(declared - documented)
+    ]
+    problems += [
+        f"code {code} {name} ({severity}) is documented but not registered"
+        for code, name, severity in sorted(documented - declared)
+    ]
+    return problems
+
+
 def collect_markdown(paths: list[str]) -> list[pathlib.Path]:
     """Expand files/directories into the Markdown files to check."""
     files: list[pathlib.Path] = []
@@ -237,6 +282,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             problems = check_route_table(
                 path, package / "server" / "service.py"
             )
+        elif path.name in CODE_FAMILIES:
+            problems = check_code_table(path, CODE_FAMILIES[path.name])
         for problem in problems:
             print(f"{path}: {problem}")
             failures += 1

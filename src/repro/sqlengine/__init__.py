@@ -6,10 +6,11 @@ execution accuracy is measurable end to end.
 
 The engine is a classic pipeline::
 
-    SQL text --lexer--> tokens --parser--> AST --planner--> plan
-             --executor--> ResultSet
+    SQL text --lexer--> tokens --parser--> AST --binder--> names resolved
+             --planner--> plan --executor--> ResultSet
 
-Every SELECT is planned by a rule-based optimizer (predicate pushdown,
+Every statement is bound before it runs: an unknown or ambiguous name
+raises :class:`BindError` whatever the data. Every SELECT is planned by a rule-based optimizer (predicate pushdown,
 secondary-index access paths, hash joins, projection pruning) before it
 runs; ``EXPLAIN <query>`` renders the plan tree. Reads execute
 concurrently under a readers-writer lock; writes are exclusive.
@@ -23,6 +24,7 @@ Public entry points:
   render it the way ``EXPLAIN`` does.
 """
 
+from repro.sqlengine.binder import BindError
 from repro.sqlengine.catalog import Catalog, ColumnSchema, TableSchema
 from repro.sqlengine.database import Database, ResultSet
 from repro.sqlengine.errors import (
@@ -39,6 +41,7 @@ from repro.sqlengine.planner import SelectPlan, build_plan, render_plan
 from repro.sqlengine.types import DataType
 
 __all__ = [
+    "BindError",
     "Catalog",
     "ColumnSchema",
     "DataType",

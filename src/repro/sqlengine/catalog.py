@@ -7,6 +7,7 @@ over this rendering).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
@@ -58,6 +59,11 @@ class TableSchema:
     @property
     def column_names(self) -> list[str]:
         return [column.name for column in self.columns]
+
+    @functools.cached_property
+    def column_keys(self) -> tuple[str, ...]:
+        """Lower-cased column names, in order: what names match against."""
+        return tuple(column.name.lower() for column in self.columns)
 
     def column(self, name: str) -> ColumnSchema:
         lowered = name.lower()
@@ -124,6 +130,12 @@ class Catalog:
         if schema is None:
             raise CatalogError(f"no table named {name!r}")
         return schema
+
+    def resolve(self, name: str) -> tuple[Optional[str], Any]:
+        """('table', its schema) or (None, None): the name lookup
+        :func:`repro.sqlengine.binder.bind` binds a statement by."""
+        schema = self._tables.get(name.lower())
+        return (None, None) if schema is None else ("table", schema)
 
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables

@@ -18,6 +18,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from repro.cache.keys import instance_token, sql_key
 from repro.cache.manager import get_cache_manager
 from repro.sqlengine import nodes
+from repro.sqlengine.binder import Binding, bind
 from repro.sqlengine.catalog import Catalog, ColumnSchema, TableSchema
 from repro.sqlengine.errors import CatalogError
 from repro.sqlengine.executor import Executor, Relation
@@ -93,8 +94,8 @@ _SCHEMA_CHANGES = (
 
 
 class _Prepared:
-    """A prepared SELECT: its parse, its canonical SQL, the plans of its
-    cores (with their grouped state) and its read set
+    """A prepared SELECT: its parse, its canonical SQL, its binding, the
+    plans of its cores (with their grouped state) and its read set
     (docs/sqlengine.md § Prepared statements)."""
 
     __slots__ = ("statement", "canonical", "_plans", "_reads")
@@ -102,19 +103,21 @@ class _Prepared:
     def __init__(self, statement: nodes.Select) -> None:
         self.statement = statement
         self.canonical = statement.to_sql()
-        self._plans: tuple = (None, {})
+        #: (stamp, plans by core node, binding).
+        self._plans: tuple = (None, None, None)
         #: (schema epoch, :meth:`Database.version_reader` of the read set).
         self._reads: tuple = (None, None)
 
-    def plans(self, db: "Database") -> dict:
-        """The plans built under ``db``'s schema epoch, ``optimize`` and
-        ``enable_hash_join`` (every plan input); a change starts afresh."""
+    def bound(self, db: "Database") -> tuple[Binding, dict]:
+        """The binding and the plans made under ``db``'s schema epoch,
+        ``optimize`` and ``enable_hash_join`` (every input of either); a
+        change binds afresh. Raises :class:`BindError` on a bad name."""
         stamp = (db.schema_epoch, db.optimize, db.enable_hash_join)
-        built, plans = self._plans
+        built, plans, binding = self._plans
         if built != stamp:
-            plans = {}
-            self._plans = (stamp, plans)
-        return plans
+            binding, plans = bind(self.statement, db), {}
+            self._plans = (stamp, plans, binding)
+        return binding, plans
 
 
 class Database:
@@ -233,6 +236,24 @@ class Database:
         reads, so checking a statement and then running it parses once."""
         return self._prepare(sql)[0]
 
+    def bind(self, sql: str) -> tuple[nodes.Statement, Binding]:
+        """Parse and bind ``sql`` against this database without running
+        it; a SELECT's binding is the one execution reuses. Raises
+        :class:`~repro.sqlengine.binder.BindError` on a bad name."""
+        statement, prepared = self._prepare(sql)
+        with self._rwlock.reading():
+            if prepared is not None:
+                return statement, prepared.bound(self)[0]
+            return statement, bind(statement, self)
+
+    def resolve(self, name: str) -> tuple[Optional[str], Any]:
+        """What a FROM-clause name is here: ('view', its query), ('table',
+        its schema) or (None, None) — what :func:`bind` resolves by."""
+        view = self._views.get(name.lower())
+        if view is not None:
+            return "view", view
+        return self.catalog.resolve(name)
+
     def _prepare(
         self, sql: str
     ) -> tuple[nodes.Statement, Optional[_Prepared]]:
@@ -261,9 +282,14 @@ class Database:
         SELECT came from, whose plans it reuses."""
         if isinstance(statement, (nodes.Select, nodes.Explain)):
             with self._rwlock.reading():  # which holds the schema epoch
-                plans = prepared.plans(self) if prepared else None
-                return self._run_statement(statement, parameters, plans)
+                if prepared is None:
+                    return self._run_statement(statement, parameters)
+                binding, plans = prepared.bound(self)
+                return self._run_statement(
+                    statement, parameters, binding, plans
+                )
         with self._rwlock.writing():
+            binding = bind(statement, self)
             # DML retires the reads of the table it writes; DDL and
             # ROLLBACK (which restores old data) every read. Bumping
             # before execution errs on the side of extra invalidation:
@@ -277,17 +303,19 @@ class Database:
                 self.schema_epoch += 1
             if isinstance(statement, nodes.TransactionStatement):
                 return self._execute_transaction(statement.action)
-            return self._run_statement(statement, parameters)
+            return self._run_statement(statement, parameters, binding)
 
     def _run_statement(
         self,
         statement: nodes.Statement,
         parameters: Sequence[Any],
+        binding: Optional[Binding] = None,
         plans: Optional[dict] = None,
     ) -> ResultSet:
         executor = Executor(
             self.catalog,
             self._tables,
+            binding or bind(statement, self),
             parameters,
             enable_hash_join=self.enable_hash_join,
             views=self._views,

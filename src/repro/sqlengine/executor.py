@@ -14,6 +14,9 @@ plans the planner marks columnar, whose scans, joins and aggregates run
 over column vectors (:mod:`repro.sqlengine.columnar`) up to GROUP BY.
 WITH clauses materialize each CTE once, eagerly, into a scope frame
 that shadows views and tables for the duration of the owning select.
+Every name was resolved when the statement was bound
+(:mod:`repro.sqlengine.binder`): the plans read that binding, and a
+compiled expression only maps each reference to its row position.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Any, NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.sqlengine import columnar, nodes
+from repro.sqlengine.binder import Binding, is_ordinal
 from repro.sqlengine.catalog import Catalog, ColumnSchema, TableSchema
 from repro.sqlengine.errors import CatalogError, ExecutionError
 from repro.sqlengine.expressions import COMPARISONS, Evaluator, RowContext
@@ -49,7 +53,6 @@ from repro.sqlengine.planner import (
     build_plan,
     collect_aggregates,
     is_grouped,
-    output_columns,
     render_plan,
     resolve_output_reference,
 )
@@ -69,39 +72,15 @@ class Relation:
         return [name for _binding, name in self.columns]
 
 
-@dataclass
-class _CteSlot:
-    """One WITH-clause binding: the materialized relation plus its
-    lower-cased output column names. During EXPLAIN only the column
-    names are known — ``relation`` stays None."""
-
-    name: str
-    relation: Optional[Relation]
-    columns: Optional[list[str]]
-
-
-class _PlannerContext:
-    """Adapter exposing the executor's name scope and the catalog's
-    index metadata to the planner (see
-    :class:`repro.sqlengine.planner.PlannerContext`)."""
-
-    def __init__(self, executor: "Executor") -> None:
-        self._executor = executor
-
-    def resolve(self, name: str) -> tuple[Optional[str], Any]:
-        return self._executor._resolve_name(name)
-
-    def indexes(self, table: str) -> list[IndexInfo]:
-        return self._executor._catalog.indexes_for(table)
-
-
 class Executor:
-    """Execute parsed statements against a catalog + table storage."""
+    """Execute parsed statements against a catalog + table storage;
+    ``binding`` is the statement's (:func:`repro.sqlengine.binder.bind`)."""
 
     def __init__(
         self,
         catalog: Catalog,
         tables: dict[str, Table],
+        binding: Binding,
         parameters: Sequence[Any] = (),
         enable_hash_join: bool = True,
         views: Optional[dict[str, nodes.Select]] = None,
@@ -110,14 +89,15 @@ class Executor:
     ) -> None:
         self._catalog = catalog
         self._tables = tables
+        self._binding = binding
         self._views = views if views is not None else {}
         self.enable_hash_join = enable_hash_join
         self.optimize = optimize
         #: WITH-clause scope frames, innermost last; each maps a
-        #: lower-cased CTE name to its materialized slot.
-        self._cte_stack: list[dict[str, _CteSlot]] = []
-        #: Plans by core node and WITH scope: a prepared statement's,
-        #: which outlive this execution, or this execution's own.
+        #: lower-cased CTE name to its materialized rows.
+        self._cte_stack: list[dict[str, Relation]] = []
+        #: Plans by core node: a prepared statement's, which outlive
+        #: this execution, or this execution's own.
         self._plans = {} if plans is None else plans
         self._evaluator = Evaluator(
             run_subquery=self._run_subquery, parameters=parameters
@@ -169,25 +149,12 @@ class Executor:
     ) -> Relation:
         if not select.ctes:
             return self._execute_query(select, outer)
-        frame: dict[str, _CteSlot] = {}
+        frame: dict[str, Relation] = {}
         self._cte_stack.append(frame)
         try:
             for cte in select.ctes:
-                key = cte.name.lower()
-                if key in frame:
-                    raise ExecutionError(
-                        f"duplicate CTE name {cte.name!r} in WITH clause"
-                    )
-                # The CTE's own name is registered only after its body
-                # runs, so self-references fail with the usual "no
-                # table" error instead of recursing.
-                relation = _apply_cte_columns(
+                frame[cte.name.lower()] = _apply_cte_columns(
                     cte, self.execute_select(cte.query, outer)
-                )
-                frame[key] = _CteSlot(
-                    cte.name,
-                    relation,
-                    [name.lower() for name in relation.column_names],
                 )
             return self._execute_query(select, outer)
         finally:
@@ -230,7 +197,7 @@ class Executor:
                 rows,
                 [
                     (
-                        _ordinal_getter(item.expression, len(relation.columns))
+                        _ordinal_getter(item.expression)
                         or self._evaluator.compile(item.expression, out_ctx),
                         item.descending,
                     )
@@ -425,11 +392,6 @@ class Executor:
         relation: Relation,
         outer: Optional[RowContext],
     ) -> Relation:
-        visible = len(select.items)
-        if any(isinstance(i.expression, nodes.Star) for i in select.items):
-            visible = len(relation.columns) - sum(
-                1 for _b, name in relation.columns if name.startswith("__order_")
-            )
         if select.order_by:
             out_ctx = RowContext(
                 relation.columns, [None] * len(relation.columns)
@@ -439,7 +401,7 @@ class Executor:
             )
 
             def order_value(item: nodes.OrderItem):
-                getter = _ordinal_getter(item.expression, visible)
+                getter = _ordinal_getter(item.expression)
                 if getter is not None:
                     return getter
                 hidden_index = _find_column(
@@ -478,48 +440,35 @@ class Executor:
     # -- plan construction and runtime -------------------------------------
 
     def _build_plan(self, select: nodes.Select, memo: bool = True) -> SelectPlan:
-        """The core's plan, built once per WITH scope (CTE scans resolve
-        against its column lists). A stored plan keeps its node's id."""
-        key = (id(select),) + tuple(
-            (name, None if slot.columns is None else tuple(slot.columns))
-            for frame in self._cte_stack
-            for name, slot in frame.items()
-        )
-        plan = self._plans.get(key)
+        """The core's plan, built once; a stored plan keeps its node's id."""
+        plan = self._plans.get(id(select))
         if plan is None:
             plan = build_plan(
                 select,
-                _PlannerContext(self),
+                self._binding,
+                self._catalog.indexes_for,
                 optimize=self.optimize,
                 enable_hash_join=self.enable_hash_join,
             )
             if memo:
-                self._plans[key] = plan
+                self._plans[id(select)] = plan
         return plan
-
-    def _resolve_name(self, name: str) -> tuple[Optional[str], Any]:
-        """Resolve a FROM-clause name: CTE scopes (innermost first),
-        then views, then base tables."""
-        key = name.lower()
-        for frame in reversed(self._cte_stack):
-            slot = frame.get(key)
-            if slot is not None:
-                return "cte", slot.columns
-        view = self._views.get(key)
-        if view is not None:
-            return "view", view
-        if self._catalog.has_table(name):
-            return "table", self._catalog.table(name)
-        return None, None
 
     def _run_source_plan(
         self, plan: SourcePlan, outer: Optional[RowContext]
     ) -> Relation:
         if isinstance(plan, ScanPlan):
             return self._run_scan(plan, outer)
-        if isinstance(plan, (ViewScanPlan, SubqueryScanPlan)):
-            assert plan.query is not None
+        if isinstance(plan, SubqueryScanPlan):
             inner = self.execute_select(plan.query, outer)
+            return self._rebind_and_filter(plan, inner, outer)
+        if isinstance(plan, ViewScanPlan):
+            # A view body sees the schema only: no CTE, no outer row.
+            stack, self._cte_stack = self._cte_stack, []
+            try:
+                inner = self.execute_select(plan.query)
+            finally:
+                self._cte_stack = stack
             return self._rebind_and_filter(plan, inner, outer)
         if isinstance(plan, CteScanPlan):
             return self._rebind_and_filter(
@@ -532,9 +481,8 @@ class Executor:
     def _cte_relation(self, name: str) -> Relation:
         key = name.lower()
         for frame in reversed(self._cte_stack):
-            slot = frame.get(key)
-            if slot is not None and slot.relation is not None:
-                return slot.relation
+            if key in frame:
+                return frame[key]
         raise ExecutionError(f"CTE {name!r} is not materialized")
 
     def _rebind_and_filter(
@@ -1046,43 +994,16 @@ class Executor:
         return Relation([(None, "plan")], [(line,) for line in lines])
 
     def _explain_lines(self, select: nodes.Select, depth: int) -> list[str]:
-        """Render one select (and its WITH clause) as plan lines.
-
-        CTE bodies are *planned* but never run: phantom scope frames
-        carry only the output column names, so the main query's plan
-        resolves CTE references exactly as execution would.
-        """
-        if not select.ctes:
-            return self._explain_query_lines(select, depth)
-        pad = "  " * depth
-        frame: dict[str, _CteSlot] = {}
-        self._cte_stack.append(frame)
-        try:
-            lines: list[str] = []
-            for cte in select.ctes:
-                key = cte.name.lower()
-                if key in frame:
-                    raise ExecutionError(
-                        f"duplicate CTE name {cte.name!r} in WITH clause"
-                    )
-                lines.append(f"{pad}Cte {cte.name}:")
-                lines.extend(self._explain_lines(cte.query, depth + 1))
-                columns = (
-                    [name.lower() for name in cte.columns]
-                    if cte.columns
-                    else output_columns(cte.query)
-                )
-                frame[key] = _CteSlot(cte.name, None, columns)
-            lines.extend(self._explain_query_lines(select, depth))
-            return lines
-        finally:
-            self._cte_stack.pop()
-
-    def _explain_query_lines(
-        self, select: nodes.Select, depth: int
-    ) -> list[str]:
+        """Render one select (and its WITH clause) as plan lines; CTE
+        bodies are planned, never run."""
+        lines: list[str] = []
+        for cte in select.ctes:
+            lines.append(f"{'  ' * depth}Cte {cte.name}:")
+            lines.extend(self._explain_lines(cte.query, depth + 1))
         plan = self._build_plan(select)
-        return render_plan(plan, depth, render_subselect=self._explain_lines)
+        return lines + render_plan(
+            plan, depth, render_subselect=self._explain_lines
+        )
 
     # -- helpers -----------------------------------------------------------
 
@@ -1264,7 +1185,7 @@ def _order_extra_needed(
     item: nodes.OrderItem, items: list[nodes.SelectItem]
 ) -> bool:
     expr = item.expression
-    if isinstance(expr, nodes.Literal) and isinstance(expr.value, int):
+    if is_ordinal(expr):
         return False
     if isinstance(expr, nodes.ColumnRef) and expr.table is None:
         for select_item in items:
@@ -1321,18 +1242,10 @@ def _apply_set_operator(op: str, left: Relation, right: Relation) -> Relation:
     raise ExecutionError(f"unknown set operator: {op}")
 
 
-def _ordinal_getter(expr: nodes.Expression, visible: int):
-    """``ORDER BY <n>``: a getter for output column ``n``, or None when
-    ``expr`` is not an integer literal."""
-    if not (isinstance(expr, nodes.Literal) and isinstance(expr.value, int)):
-        return None
-    if 0 <= expr.value - 1 < visible:
-        return operator.itemgetter(expr.value - 1)
-
-    def out_of_range(row: tuple) -> Any:
-        raise ExecutionError(f"ORDER BY position {expr.value} out of range")
-
-    return out_of_range
+def _ordinal_getter(expr: nodes.Expression):
+    """``ORDER BY <n>``: a getter for output column ``n`` (the binder
+    checked the range), or None when ``expr`` is not an ordinal."""
+    return operator.itemgetter(expr.value - 1) if is_ordinal(expr) else None
 
 
 def _sorted_rows(

@@ -95,7 +95,8 @@ def _constant(value: Any) -> Compiled:
 
 def _deferred(error: Exception) -> Compiled:
     """A closure raising ``error`` on its first call: compiling never
-    fails, so a bad expression over zero input rows stays silent."""
+    fails, so a bad value over zero input rows stays silent (a bad name
+    never gets here: the statement was bound first)."""
 
     def run(row: Sequence[Any]) -> Any:
         raise error
@@ -219,9 +220,10 @@ class Evaluator:
         row tuple of that layout to the expression's value.
 
         Column references become tuple positions (free references are
-        bound to the outer row, fixed for the statement), literals and
-        bind parameters are bound, operators are picked and literal
-        LIKE patterns pre-compiled. Errors stay lazy: whatever is wrong
+        bound to the outer row, fixed for the statement; the binder has
+        already checked that each resolves), literals and bind
+        parameters are bound, operators are picked and literal LIKE
+        patterns pre-compiled. Errors stay lazy: whatever else is wrong
         with ``expr`` raises from the closure's first call.
         """
         compiler = self._COMPILERS.get(type(expr))

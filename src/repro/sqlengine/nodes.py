@@ -502,38 +502,41 @@ class Explain(Statement):
 AnyStatement = Union[Select, CreateTable, DropTable, Insert, Update, Delete]
 
 
+def _case_children(expr: "Case") -> tuple[Expression, ...]:
+    flat: list[Expression] = []
+    for condition, result in expr.branches:
+        flat.extend((condition, result))
+    if expr.default is not None:
+        flat.append(expr.default)
+    return tuple(flat)
+
+
+#: Node type -> its direct sub-expressions; leaves are absent.
+_CHILDREN: dict[type, Any] = {
+    UnaryOp: lambda e: (e.operand,),
+    IsNull: lambda e: (e.operand,),
+    InSubquery: lambda e: (e.operand,),
+    Cast: lambda e: (e.operand,),
+    BinaryOp: lambda e: (e.left, e.right),
+    Like: lambda e: (e.operand, e.pattern),
+    Between: lambda e: (e.operand, e.low, e.high),
+    InList: lambda e: (e.operand, *e.items),
+    FunctionCall: lambda e: e.args,
+    Case: _case_children,
+}
+
+
+def children(expr: Expression) -> tuple[Expression, ...]:
+    """The direct sub-expressions of ``expr``; a subquery's body is a
+    statement of its own, not a child."""
+    split = _CHILDREN.get(type(expr))
+    return () if split is None else split(expr)
+
+
 def walk_expressions(expr: Expression):
     """Yield ``expr`` and every nested sub-expression, depth-first."""
     yield expr
-    children: tuple[Expression, ...]
-    if isinstance(expr, UnaryOp):
-        children = (expr.operand,)
-    elif isinstance(expr, BinaryOp):
-        children = (expr.left, expr.right)
-    elif isinstance(expr, (IsNull,)):
-        children = (expr.operand,)
-    elif isinstance(expr, Like):
-        children = (expr.operand, expr.pattern)
-    elif isinstance(expr, Between):
-        children = (expr.operand, expr.low, expr.high)
-    elif isinstance(expr, InList):
-        children = (expr.operand, *expr.items)
-    elif isinstance(expr, InSubquery):
-        children = (expr.operand,)
-    elif isinstance(expr, FunctionCall):
-        children = expr.args
-    elif isinstance(expr, Case):
-        flat: list[Expression] = []
-        for condition, result in expr.branches:
-            flat.extend((condition, result))
-        if expr.default is not None:
-            flat.append(expr.default)
-        children = tuple(flat)
-    elif isinstance(expr, Cast):
-        children = (expr.operand,)
-    else:
-        children = ()
-    for child in children:
+    for child in children(expr):
         yield from walk_expressions(child)
 
 

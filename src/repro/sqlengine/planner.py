@@ -2,10 +2,13 @@
 
 ``build_plan`` turns a parsed :class:`~repro.sqlengine.nodes.Select`
 into a :class:`SelectPlan` — the structure the executor runs and
-``EXPLAIN`` renders. The planner applies a fixed rule set, in order:
+``EXPLAIN`` renders. Every name is already resolved: the planner reads
+the statement's :class:`~repro.sqlengine.binder.Binding` for what each
+FROM entry is and which entry each column reference reads. It applies
+a fixed rule set, in order:
 
 1. **Predicate pushdown** — the WHERE clause is split into AND
-   conjuncts; each conjunct whose column references all resolve to a
+   conjuncts; each conjunct whose column references all read a
    single FROM leaf moves to that leaf's scan filter. Conjuncts are
    *not* pushed to the null-supplying side of an outer join (that
    would change which rows get null-extended), and conjuncts that
@@ -18,15 +21,14 @@ into a :class:`SelectPlan` — the structure the executor runs and
    conjuncts are still re-applied as the scan's residual filter, so
    correctness never depends on index semantics.
 3. **Join strategy** — an ``ON`` conjunct of the shape
-   ``left_col = right_col`` whose sides resolve to opposite join
+   ``left_col = right_col`` whose sides read opposite join
    inputs turns a nested-loop join into a hash join (build right,
    probe left). The full ON condition still runs per candidate pair.
 4. **Projection pruning** — when the statement has no ``*`` and no
    subqueries, each base-table scan emits only the columns some
    clause actually references.
-5. **CTE / view / subquery scans** — names are resolved through the
-   executor's scope (CTE first, then view, then table); their bodies
-   execute as sub-selects and pushed conjuncts apply to their output.
+5. **CTE / view / subquery scans** — their bodies execute as
+   sub-selects and pushed conjuncts apply to their output.
 
 6. **Columnar shape** — a grouped select over table scans whose
    pushed conjuncts each read one column, under inner hash joins on
@@ -46,11 +48,11 @@ what the golden-plan tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Protocol
+from typing import Any, Callable, Optional
 
 from repro.sqlengine import nodes
+from repro.sqlengine.binder import Binding, Source, is_ordinal
 from repro.sqlengine.catalog import TableSchema
-from repro.sqlengine.errors import CatalogError
 from repro.sqlengine.functions import is_aggregate_function
 from repro.sqlengine.indexes import IndexInfo
 from repro.sqlengine.types import DataType
@@ -176,17 +178,6 @@ class SelectPlan:
     columnar: Optional[ColumnarPlan | DictionaryPlan] = None
 
 
-class PlannerContext(Protocol):
-    """Name resolution + index metadata, implemented by the executor."""
-
-    def resolve(self, name: str) -> tuple[Optional[str], Any]:
-        """(kind, payload): ('cte', columns-or-None) | ('view', Select)
-        | ('table', TableSchema) | (None, None)."""
-
-    def indexes(self, table: str) -> list[IndexInfo]:
-        """Secondary-index metadata for a base table, in name order."""
-
-
 # ---------------------------------------------------------------------------
 # Planning
 # ---------------------------------------------------------------------------
@@ -195,22 +186,25 @@ class PlannerContext(Protocol):
 @dataclass
 class _Leaf:
     plan: SourcePlan
-    binding: str
-    #: Lower-cased output column names; None when unknown (SELECT *).
-    columns: Optional[list[str]]
+    source: Source
     null_supplying: bool
-    schema: Optional[TableSchema] = None  # base-table scans only
     pushed: list[nodes.Expression] = field(default_factory=list)
+
+    @property
+    def schema(self) -> Optional[TableSchema]:  # base-table scans only
+        return self.source.schema
 
 
 def build_plan(
     select: nodes.Select,
-    context: PlannerContext,
+    binding: Binding,
+    indexes: Callable[[str], list[IndexInfo]],
     *,
     optimize: bool = True,
     enable_hash_join: bool = True,
 ) -> SelectPlan:
-    """Plan one SELECT core against the given name/index context."""
+    """Plan one SELECT core of the statement ``binding`` was made from;
+    ``indexes(table)`` is a base table's secondary-index metadata."""
     if select.source is None:
         return SelectPlan(select=select, source=None, residual=select.where)
 
@@ -218,7 +212,7 @@ def build_plan(
     conditions: list[nodes.Expression] = []
     source = _convert_source(
         select.source,
-        context,
+        binding,
         leaves,
         conditions,
         False,
@@ -229,7 +223,7 @@ def build_plan(
     if select.where is not None:
         if optimize:
             for conjunct in _conjuncts(select.where):
-                target = _pushdown_target(conjunct, leaves)
+                target = _pushdown_target(conjunct, binding, leaves)
                 if target is not None:
                     target.pushed.append(conjunct)
                 else:
@@ -240,7 +234,7 @@ def build_plan(
     for leaf in leaves:
         if leaf.pushed:
             leaf.plan.filter = _combine(leaf.pushed)
-            columns = [_single_column(c, leaves) for c in leaf.pushed]
+            columns = [_scan_column(c, binding, leaves) for c in leaf.pushed]
             if None not in columns:  # then ``leaf.plan`` is a ScanPlan
                 leaf.plan.predicates = [
                     (column[1], conjunct)
@@ -253,9 +247,9 @@ def build_plan(
     if not optimize:
         return plan
     if plan.residual is None and _columnar_source(source):
-        plan.columnar = _columnar_plan(select, leaves) or _dictionary_plan(
-            select, leaves
-        )
+        plan.columnar = _columnar_plan(
+            select, binding, leaves
+        ) or _dictionary_plan(select, binding, leaves)
     if plan.columnar is None:
         # Row-based scans only: batch operators read whole column
         # vectors, which an index path or a pruned projection cannot
@@ -263,110 +257,77 @@ def build_plan(
         for leaf in leaves:
             if isinstance(leaf.plan, ScanPlan) and leaf.schema:
                 leaf.plan.access = _choose_access(
-                    leaf, context.indexes(leaf.plan.table)
+                    leaf, indexes(leaf.plan.table)
                 )
-        _prune_projections(select, leaves, conditions)
+        _prune_projections(select, binding, leaves, conditions)
     return plan
 
 
 def _convert_source(
     source: nodes.TableRef,
-    context: PlannerContext,
+    binding: Binding,
     leaves: list[_Leaf],
     conditions: list[nodes.Expression],
     null_supplying: bool,
     hash_joins: bool,
 ) -> SourcePlan:
-    if isinstance(source, nodes.NamedTable):
-        kind, payload = context.resolve(source.name)
-        binding = source.binding
-        if kind == "cte":
-            plan: SourcePlan = CteScanPlan(binding=binding, name=source.name)
-            columns = payload  # output columns, or None if unknown
-        elif kind == "view":
-            plan = ViewScanPlan(
-                binding=binding, name=source.name, query=payload
+    if not isinstance(source, nodes.Join):
+        bound = binding.sources[id(source)]
+        name = bound.binding
+        if bound.kind == "table":
+            plan: SourcePlan = ScanPlan(
+                binding=name, table=bound.name, schema=bound.schema
             )
-            columns = output_columns(payload)
-        elif kind == "table":
-            plan = ScanPlan(
-                binding=binding, table=source.name, schema=payload
-            )
-            columns = [c.name.lower() for c in payload.columns]
-            leaves.append(
-                _Leaf(plan, binding, columns, null_supplying, payload)
-            )
-            return plan
+        elif bound.kind == "view":
+            plan = ViewScanPlan(binding=name, name=bound.name, query=bound.query)
+        elif bound.kind == "cte":
+            plan = CteScanPlan(binding=name, name=bound.name)
         else:
-            raise CatalogError(f"no table named {source.name!r}")
-        leaves.append(_Leaf(plan, binding, columns, null_supplying))
+            plan = SubqueryScanPlan(binding=name, query=bound.query)
+        leaves.append(_Leaf(plan, bound, null_supplying))
         return plan
-    if isinstance(source, nodes.SubqueryTable):
-        plan = SubqueryScanPlan(binding=source.alias, query=source.subquery)
-        leaves.append(
-            _Leaf(
-                plan,
-                source.alias,
-                output_columns(source.subquery),
-                null_supplying,
-            )
+    left_ns = null_supplying or source.join_type in ("RIGHT", "FULL")
+    right_ns = null_supplying or source.join_type in ("LEFT", "FULL")
+    if source.condition is not None:
+        conditions.append(source.condition)
+    mark = len(leaves)
+    left = _convert_source(
+        source.left, binding, leaves, conditions, left_ns, hash_joins
+    )
+    split = len(leaves)
+    right = _convert_source(
+        source.right, binding, leaves, conditions, right_ns, hash_joins
+    )
+    left_leaves = leaves[mark:split]
+    right_leaves = leaves[split:]
+    strategy = "loop"
+    equi: Optional[tuple[nodes.ColumnRef, nodes.ColumnRef]] = None
+    keys = None
+    if source.join_type == "CROSS":
+        strategy = "cross"
+    elif hash_joins:
+        equi = _find_equi_pair(
+            source.condition, binding, left_leaves, right_leaves
         )
-        return plan
-    if isinstance(source, nodes.Join):
-        left_ns = null_supplying or source.join_type in ("RIGHT", "FULL")
-        right_ns = null_supplying or source.join_type in ("LEFT", "FULL")
-        if source.condition is not None:
-            conditions.append(source.condition)
-        mark = len(leaves)
-        left = _convert_source(
-            source.left, context, leaves, conditions, left_ns, hash_joins
-        )
-        split = len(leaves)
-        right = _convert_source(
-            source.right, context, leaves, conditions, right_ns, hash_joins
-        )
-        left_leaves = leaves[mark:split]
-        right_leaves = leaves[split:]
-        strategy = "loop"
-        equi: Optional[tuple[nodes.ColumnRef, nodes.ColumnRef]] = None
-        keys = None
-        if source.join_type == "CROSS":
-            strategy = "cross"
-        elif hash_joins:
-            equi = _find_equi_pair(
-                source.condition, left_leaves, right_leaves
-            )
-            if equi is not None:
-                strategy = "hash"
-                alone = len(list(_conjuncts(source.condition))) == 1
-                if source.join_type == "INNER" and alone:
-                    keys = (
-                        _single_column(equi[0], left_leaves),
-                        _single_column(equi[1], right_leaves),
-                    )
-                    keys = None if None in keys else keys
-        return JoinPlan(
-            binding="",
-            left=left,
-            right=right,
-            join_type=source.join_type,
-            condition=source.condition,
-            strategy=strategy,
-            equi=equi,
-            keys=keys,
-        )
-    raise CatalogError(f"unsupported FROM source: {source!r}")
-
-
-def output_columns(select: nodes.Select) -> Optional[list[str]]:
-    """Lower-cased output column names of a select, or None if a ``*``
-    makes them unknowable without execution."""
-    names: list[str] = []
-    for item in select.items:
-        if isinstance(item.expression, nodes.Star):
-            return None
-        names.append(item.output_name.lower())
-    return names
+        if equi is not None:
+            strategy = "hash"
+            alone = len(list(_conjuncts(source.condition))) == 1
+            if source.join_type == "INNER" and alone:
+                keys = (
+                    _scan_column(equi[0], binding, left_leaves),
+                    _scan_column(equi[1], binding, right_leaves),
+                )
+                keys = None if None in keys else keys
+    return JoinPlan(
+        binding="",
+        left=left,
+        right=right,
+        join_type=source.join_type,
+        condition=source.condition,
+        strategy=strategy,
+        equi=equi,
+        keys=keys,
+    )
 
 
 # -- predicate pushdown ----------------------------------------------------
@@ -385,7 +346,7 @@ _SUBQUERY_NODES = (nodes.InSubquery, nodes.ScalarSubquery, nodes.Exists)
 
 
 def _pushdown_target(
-    conjunct: nodes.Expression, leaves: list[_Leaf]
+    conjunct: nodes.Expression, binding: Binding, leaves: list[_Leaf]
 ) -> Optional[_Leaf]:
     """The single leaf this conjunct can be evaluated at, if any."""
     refs: list[nodes.ColumnRef] = []
@@ -398,7 +359,7 @@ def _pushdown_target(
         return None  # constant predicate: leave at the top, it is cheap
     target: Optional[_Leaf] = None
     for ref in refs:
-        leaf = _resolve_leaf(ref, leaves)
+        leaf = _reads(ref, binding, leaves)
         if leaf is None:
             return None
         if target is None:
@@ -410,26 +371,17 @@ def _pushdown_target(
     return target
 
 
-def _resolve_leaf(
-    ref: nodes.ColumnRef, leaves: list[_Leaf]
+def _reads(
+    ref: nodes.ColumnRef, binding: Binding, leaves: list[_Leaf]
 ) -> Optional[_Leaf]:
-    if ref.table is not None:
-        wanted = ref.table.lower()
-        matches = [l for l in leaves if l.binding.lower() == wanted]
-        if len(matches) != 1:
-            return None
-        leaf = matches[0]
-        if leaf.columns is not None and ref.name.lower() not in leaf.columns:
-            return None
-        return leaf
-    # Unqualified: only safe when every leaf's columns are known, so
-    # uniqueness (and the engine's ambiguity errors) are preserved.
-    if any(leaf.columns is None for leaf in leaves):
-        return None
-    matches = [l for l in leaves if ref.name.lower() in (l.columns or [])]
-    if len(matches) != 1:
-        return None
-    return matches[0]
+    """The leaf among ``leaves`` the binder resolved ``ref`` to; None
+    for an enclosing query's column or one outside ``leaves``."""
+    bound = binding.refs.get(id(ref))
+    if bound is not None:
+        for leaf in leaves:
+            if leaf.source is bound.source:
+                return leaf
+    return None
 
 
 def _combine(
@@ -578,6 +530,7 @@ def _choose_access(leaf: _Leaf, infos: list[IndexInfo]) -> AccessPath:
 
 def _find_equi_pair(
     condition: Optional[nodes.Expression],
+    binding: Binding,
     left_leaves: list[_Leaf],
     right_leaves: list[_Leaf],
 ) -> Optional[tuple[nodes.ColumnRef, nodes.ColumnRef]]:
@@ -599,8 +552,8 @@ def _find_equi_pair(
             (conjunct.right, conjunct.left),
         ):
             if (
-                _resolve_leaf(first, left_leaves) is not None
-                and _resolve_leaf(second, right_leaves) is not None
+                _reads(first, binding, left_leaves) is not None
+                and _reads(second, binding, right_leaves) is not None
             ):
                 return first, second
     return None
@@ -611,17 +564,15 @@ def _find_equi_pair(
 
 def _prune_projections(
     select: nodes.Select,
+    binding: Binding,
     leaves: list[_Leaf],
     conditions: list[nodes.Expression],
 ) -> None:
     """Restrict base-table scans to the columns the statement uses.
 
     Disabled whenever a ``*`` or a subquery appears anywhere — those
-    can reference columns invisibly — or when any leaf's output
-    columns are unknown (attribution would be guesswork).
+    read columns no reference in this core names.
     """
-    if any(leaf.columns is None for leaf in leaves):
-        return
     scans = [l for l in leaves if isinstance(l.plan, ScanPlan) and l.schema]
     if not scans:
         return
@@ -631,15 +582,10 @@ def _prune_projections(
         for sub in nodes.walk_expressions(expr):
             if isinstance(sub, (nodes.Star, *_SUBQUERY_NODES)):
                 return  # pruning is unsafe; keep every column
-            if not isinstance(sub, nodes.ColumnRef):
-                continue
-            name = sub.name.lower()
-            for leaf in scans:
-                if sub.table is not None:
-                    if leaf.binding.lower() != sub.table.lower():
-                        continue
-                if name in (leaf.columns or []):
-                    needed[id(leaf.plan)].add(name)
+            if isinstance(sub, nodes.ColumnRef):
+                leaf = _reads(sub, binding, scans)
+                if leaf is not None:
+                    needed[id(leaf.plan)].add(sub.name.lower())
 
     for leaf in scans:
         assert leaf.schema is not None and isinstance(leaf.plan, ScanPlan)
@@ -708,7 +654,7 @@ def resolve_output_reference(
     expr: nodes.Expression, items: list[nodes.SelectItem]
 ) -> nodes.Expression:
     """Map GROUP BY aliases/ordinals back to their select expressions."""
-    if isinstance(expr, nodes.Literal) and isinstance(expr.value, int):
+    if is_ordinal(expr):
         ordinal = expr.value - 1
         if 0 <= ordinal < len(items):
             return items[ordinal].expression
@@ -719,8 +665,8 @@ def resolve_output_reference(
     return expr
 
 
-def _single_column(
-    expr: nodes.Expression, leaves: list[_Leaf]
+def _scan_column(
+    expr: nodes.Expression, binding: Binding, leaves: list[_Leaf]
 ) -> Optional[tuple[ScanPlan, str]]:
     """The one base-table column ``expr`` reads, which lets it run once
     per distinct value; None for no column, several, or a subquery."""
@@ -729,7 +675,7 @@ def _single_column(
         if isinstance(sub, _SUBQUERY_NODES):
             return None
         if isinstance(sub, nodes.ColumnRef):
-            leaf = _resolve_leaf(sub, leaves)
+            leaf = _reads(sub, binding, leaves)
             if leaf is None or not isinstance(leaf.plan, ScanPlan):
                 return None
             column = (leaf.plan, sub.name.lower())
@@ -757,7 +703,7 @@ NUMBER_TYPES = (DataType.INTEGER, DataType.REAL)  # have numeric vectors
 
 
 def _columnar_plan(
-    select: nodes.Select, leaves: list[_Leaf]
+    select: nodes.Select, binding: Binding, leaves: list[_Leaf]
 ) -> Optional[ColumnarPlan]:
     """The batch form of a grouped select over a columnar source, or
     None when any key or aggregate falls outside the covered shapes."""
@@ -770,7 +716,7 @@ def _columnar_plan(
     plan = ColumnarPlan([], [])
     for expr in select.group_by:
         expr = resolve_output_reference(expr, items)
-        column = _single_column(expr, leaves)
+        column = _scan_column(expr, binding, leaves)
         if column is None:
             return None
         plan.keys.append((*column, expr))
@@ -785,7 +731,7 @@ def _columnar_plan(
         column = None
         if not (counting and isinstance(call.args[0], nodes.Star)):
             if isinstance(call.args[0], nodes.ColumnRef):
-                column = _single_column(call.args[0], leaves)
+                column = _scan_column(call.args[0], binding, leaves)
             if column is None or not (
                 counting
                 or column[0].schema.column(column[1]).data_type in NUMBER_TYPES
@@ -796,12 +742,12 @@ def _columnar_plan(
 
 
 def _dictionary_plan(
-    select: nodes.Select, leaves: list[_Leaf]
+    select: nodes.Select, binding: Binding, leaves: list[_Leaf]
 ) -> Optional[DictionaryPlan]:
     """The dictionary shape of a select over one columnar scan, or None.
     A compound's ORDER BY sorts the whole compound, not this core."""
     item = select.items[0].expression
-    column = _single_column(item, leaves)
+    column = _scan_column(item, binding, leaves)
     if not (
         select.distinct
         and len(select.items) == len(leaves) == 1

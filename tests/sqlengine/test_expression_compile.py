@@ -1,8 +1,9 @@
-"""Compile-once expression closures: laziness, scoping, binding."""
+"""Compile-once expression closures: error timing, scoping, binding."""
 
 import pytest
 
 from repro.sqlengine import Database, ExecutionError
+from repro.sqlengine.binder import BindError
 from repro.sqlengine.expressions import Evaluator, RowContext
 from repro.sqlengine.parser import parse_expression
 
@@ -23,20 +24,15 @@ def fill(database):
 
 
 class TestErrorLaziness:
-    """Compiling never raises: a bad expression over zero rows is
-    silent, and the first evaluated row reports exactly what the
-    interpreter reported."""
+    """Values are lazy, names are not: a bad name raises when the
+    statement is bound, whatever the data (docs/sqlengine.md §
+    Binding); anything else wrong with an expression raises only when a
+    row reaches it. Either way the message is the one the interpreter
+    gave."""
 
-    BROKEN = {
+    NAMES = {
         "SELECT nope FROM t": "unknown column: nope",
         "SELECT id FROM t WHERE t.nope = 1": "unknown column: t.nope",
-        "SELECT id FROM t WHERE k / 0 > 1": "division by zero",
-        "SELECT id FROM t WHERE k % 0 = 1": "modulo by zero",
-        "SELECT NOSUCH(k) FROM t": "unknown function: NOSUCH",
-        "SELECT id FROM t WHERE SUM(k) > 1 AND id IN (SELECT 1)": (
-            "aggregate SUM used outside GROUP BY context"
-        ),
-        "SELECT id FROM t WHERE k = ?": "missing bind parameter at index 0",
         "SELECT id FROM t ORDER BY k + nope": "unknown column: nope",
         "SELECT k, COUNT(*) FROM t GROUP BY k HAVING nope > 1": (
             "unknown column: nope"
@@ -44,22 +40,42 @@ class TestErrorLaziness:
         "UPDATE t SET k = nope": "unknown column: nope",
         "DELETE FROM t WHERE nope = 1": "unknown column: nope",
     }
+    #: Values, calls and parameters: lazy, as the analysis gate (not
+    #: the binder) checks functions and aggregates.
+    VALUES = {
+        "SELECT id FROM t WHERE k / 0 > 1": "division by zero",
+        "SELECT id FROM t WHERE k % 0 = 1": "modulo by zero",
+        "SELECT NOSUCH(k) FROM t": "unknown function: NOSUCH",
+        "SELECT id FROM t WHERE SUM(k) > 1 AND id IN (SELECT 1)": (
+            "aggregate SUM used outside GROUP BY context"
+        ),
+        "SELECT id FROM t WHERE k = ?": "missing bind parameter at index 0",
+    }
 
-    @pytest.mark.parametrize("sql", sorted(BROKEN))
+    @pytest.mark.parametrize("sql", sorted(NAMES))
+    def test_raises_over_an_empty_table(self, db, sql):
+        with pytest.raises(BindError) as raised:
+            db.execute(sql)
+        assert str(raised.value) == self.NAMES[sql]
+
+    @pytest.mark.parametrize("sql", sorted(VALUES))
     def test_silent_over_an_empty_table(self, db, sql):
         db.execute(sql)
 
-    @pytest.mark.parametrize("sql", sorted(BROKEN))
+    @pytest.mark.parametrize("sql", sorted({**NAMES, **VALUES}))
     def test_first_row_raises_the_same_message(self, db, sql):
         fill(db)
         with pytest.raises(ExecutionError) as raised:
             db.execute(sql)
-        assert str(raised.value) == self.BROKEN[sql]
+        assert str(raised.value) == {**self.NAMES, **self.VALUES}[sql]
 
     def test_short_circuit_skips_the_broken_side(self, db):
         fill(db)
-        assert db.execute("SELECT id FROM t WHERE k > 5 AND nope = 1").rows == []
-        assert len(db.execute("SELECT id FROM t WHERE k > 0 OR nope = 1").rows) == 4
+        assert db.execute("SELECT id FROM t WHERE k > 5 AND k / 0 = 1").rows == []
+        assert len(db.execute("SELECT id FROM t WHERE k > 0 OR k / 0 = 1").rows) == 4
+        # A name is no value: no short circuit hides it.
+        with pytest.raises(BindError, match="unknown column: nope"):
+            db.execute("SELECT id FROM t WHERE k > 5 AND nope = 1")
 
     def test_compile_itself_never_raises(self):
         layout = RowContext([("t", "k")], [None])
@@ -78,9 +94,10 @@ class TestErrorLaziness:
 
 class TestScoping:
     def test_ambiguous_unqualified_column(self, db):
-        assert db.execute("SELECT k FROM t JOIN u ON t.id = u.id").rows == []
+        with pytest.raises(BindError, match="ambiguous column reference: k"):
+            db.execute("SELECT k FROM t JOIN u ON t.id = u.id")  # no rows
         fill(db)
-        with pytest.raises(ExecutionError, match="ambiguous column reference: k"):
+        with pytest.raises(BindError, match="ambiguous column reference: k"):
             db.execute("SELECT k FROM t JOIN u ON t.id = u.id")
         assert db.execute(
             "SELECT t.k FROM t JOIN u ON t.id = u.id ORDER BY t.id"

@@ -36,6 +36,12 @@ DIALECT_DIFFERENCES = {
     "date-string-coercion": (
         "SELECT COUNT(*) FROM t WHERE d = '2024-02-01 00:00:00'", 1, 0
     ),
+    "ungrouped-column": (
+        "SELECT s, MAX(n) FROM (SELECT 'a' AS s, 1 AS n "
+        "UNION ALL SELECT 'b', 2) AS x",
+        "a",
+        "b",
+    ),
 }
 
 SCHEMA = "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, x REAL, s TEXT, u TEXT)"

@@ -1,9 +1,9 @@
-"""``make docs-check``: the metric, span and route tables agree with
-the source.
+"""``make docs-check``: the metric, span, route and diagnostic-code
+tables agree with the source.
 
-Each fixture is a small source tree and an ``observability.md`` or
-``tenancy.md`` whose table differs from it in one way; the checker
-names that difference.
+Each fixture is a small source tree (or code registry) and an
+``observability.md``, ``tenancy.md`` or ``diagnostics.md`` whose table
+differs from it in one way; the checker names that difference.
 """
 
 import pathlib
@@ -11,6 +11,7 @@ import pathlib
 import pytest
 
 from repro import doccheck
+from repro.analysis.diagnostics import Severity
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -251,3 +252,58 @@ def test_the_repository_route_table_matches_the_server():
     doc = ROOT / "docs" / "tenancy.md"
     assert doccheck.check_route_table(doc, source) == []
     assert ("/v1/chat", "POST") in doccheck.declared_routes(source)
+
+
+CODE_ROWS = [
+    "| `SQL001` | `unknown-table` | error | A table is not in the catalog |",
+    "| `SQL010` | `select-star` | warning | `SELECT *` |",
+]
+
+
+def write_code_table(tmp_path, rows):
+    doc = tmp_path / "diagnostics.md"
+    doc.write_text(
+        "# Codes\n\n| Code | Name | Severity | Fires when |\n|---|---|---|---|\n"
+        + "\n".join(rows)
+        + "\n\n| Code | Owner |\n|---|---|\n| `SQL001` | binder |\n",
+        encoding="utf-8",
+    )
+    return doc
+
+
+def test_a_matching_code_table_has_no_problems(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        "repro.analysis.diagnostics.DIAGNOSTIC_CODES",
+        {"SQL001": (Severity.ERROR, "unknown-table"),
+         "SQL010": (Severity.WARNING, "select-star"),
+         "LCK001": (Severity.ERROR, "lock-order-cycle")},
+    )
+    doc = write_code_table(tmp_path, CODE_ROWS)
+    assert doccheck.check_code_table(doc, ("SQL",)) == []
+
+
+def test_code_table_drift_is_reported_both_ways(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        "repro.analysis.diagnostics.DIAGNOSTIC_CODES",
+        {"SQL001": (Severity.ERROR, "unknown-table"),
+         "SQL016": (Severity.ERROR, "duplicate-cte")},
+    )
+    doc = write_code_table(tmp_path, CODE_ROWS)
+    assert doccheck.check_code_table(doc, ("SQL",)) == [
+        "code SQL016 duplicate-cte (error) is registered but not documented",
+        "code SQL010 select-star (warning) is documented but not registered",
+    ]
+
+
+def test_a_row_with_the_wrong_severity(tmp_path):
+    row = "| `SQL001` | `unknown-table` | warning | A table is missing |"
+    doc = write_code_table(tmp_path, [row])
+    problems = doccheck.check_code_table(doc, ("SQL",))
+    assert "code SQL001 unknown-table (error) is registered but not documented" in problems
+    assert "code SQL001 unknown-table (warning) is documented but not registered" in problems
+
+
+@pytest.mark.parametrize("name", sorted(doccheck.CODE_FAMILIES))
+def test_the_repository_code_tables_match_the_registry(name):
+    doc = ROOT / "docs" / name
+    assert doccheck.check_code_table(doc, doccheck.CODE_FAMILIES[name]) == []
